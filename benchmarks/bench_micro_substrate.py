@@ -2,22 +2,18 @@
 
 Throughput checks for the pieces the macro results are built from:
 2-hop reachability queries vs plain BFS, B+-tree point lookups, HPSJ on
-base tables, the multi-interval code's stab test, and the vectorized
-batch substrate vs the scalar oracle.  Useful when tuning any substrate —
-a regression here predicts a regression in Figures 5-7.
+base tables and the multi-interval code's stab test.  Useful when tuning
+any substrate — a regression here predicts a regression in Figures 5-7.
+(Operator-level performance is measured end to end by
+``benchmarks/e2e/run.py``, the repo's one declared benchmark.)
 
 Run with: pytest benchmarks/bench_micro_substrate.py --benchmark-only -s
-The batch-vs-scalar tests also run (and gate) under --benchmark-disable;
-they time with ``time.perf_counter`` so CI's perf-smoke job exercises
-them without the pytest-benchmark machinery.
 """
 
 import random
-import time
 
 import pytest
 
-from repro import GraphEngine
 from repro.db.database import GraphDatabase
 from repro.graph import xmark
 from repro.graph.traversal import is_reachable
@@ -25,7 +21,6 @@ from repro.labeling.interval import build_multi_interval
 from repro.labeling.twohop import build_two_hop
 from repro.query.operators import hpsj
 from repro.query.pattern import GraphPattern
-from repro.workloads.patterns import PatternFactory
 
 
 @pytest.fixture(scope="module")
@@ -142,111 +137,3 @@ def test_micro_chaincover_agrees_with_twohop(data, labeling, query_pairs):
     cover = build_chain_cover(data.graph)
     for u, v in query_pairs[:500]:
         assert cover.reaches(u, v) == labeling.reaches(u, v)
-
-
-# ----------------------------------------------------------------------
-# vectorized batch substrate vs the scalar oracle
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def batch_engine(data, labeling):
-    return GraphEngine(data.graph, labeling=labeling)
-
-
-def _timed_run(engine, pattern, batch_size, repetitions=5):
-    """Best-of-N wall time for a fully drained streaming run."""
-    best, rows = float("inf"), None
-    for _ in range(repetitions):
-        started = time.perf_counter()
-        out = list(engine.match_iter(pattern, optimizer="dps", batch_size=batch_size))
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-        rows = out
-    return rows, best * 1000.0
-
-
-def test_micro_batch_filter_fetch_vs_scalar(batch_engine, bench_record):
-    """The vectorized Filter+Fetch substrate against the scalar oracle.
-
-    A filter-heavy star pattern (one scanned column, two shared
-    semijoins): the scalar path probes the W-table and intersects
-    per row, the batch path hoists W(X, Y) once and runs the
-    sorted-array kernels with the CenterCache behind them.  Gate:
-    identical result rows, and the batch path at least 2x faster —
-    this is the PR's headline speedup, measured where it is claimed.
-    """
-    engine = batch_engine
-    factory = PatternFactory(engine.db.catalog, seed=23)
-    star = factory.instantiate(((0, 1), (1, 2), (1, 3)))
-    engine.plan(star, optimizer="dps")  # warm the plan cache for both paths
-
-    scalar_rows, scalar_ms = _timed_run(engine, star, batch_size=0)
-    engine.center_cache.clear()  # cold cache: no cross-query head start
-    batch_rows, batch_ms = _timed_run(engine, star, batch_size=1024)
-
-    assert scalar_rows == batch_rows, "batch substrate changed the result set"
-    speedup = scalar_ms / batch_ms if batch_ms else float("inf")
-    hits, misses, _ = engine.center_cache.snapshot()
-    rate = hits / (hits + misses) if hits + misses else 0.0
-    for variant, ms in (("scalar", scalar_ms), ("batch", batch_ms)):
-        bench_record.add(
-            query="star-3cond",
-            optimizer="dps",
-            wall_ms=ms,
-            rows=len(batch_rows),
-            cache_hit_rate=rate if variant == "batch" else None,
-            variant=variant,
-            speedup=round(speedup, 2),
-        )
-    print(
-        f"\n[micro batch] star-3cond: scalar={scalar_ms:.2f}ms "
-        f"batch={batch_ms:.2f}ms speedup={speedup:.2f}x cache_hit_rate={rate:.2f}"
-    )
-    assert batch_ms <= scalar_ms, "batch substrate slower than scalar"
-    assert speedup >= 2.0, f"expected >=2x on the filter-heavy star, got {speedup:.2f}x"
-
-
-def test_micro_batch_fetch_heavy_not_slower(batch_engine, bench_record):
-    """Fetch-heavy chain: batch must never lose to scalar (CI gate)."""
-    engine = batch_engine
-    factory = PatternFactory(engine.db.catalog, seed=23)
-    chain = factory.instantiate(((0, 1), (1, 2), (2, 3)))
-    engine.plan(chain, optimizer="dps")
-
-    scalar_rows, scalar_ms = _timed_run(engine, chain, batch_size=0)
-    engine.center_cache.clear()
-    batch_rows, batch_ms = _timed_run(engine, chain, batch_size=1024)
-
-    assert scalar_rows == batch_rows
-    for variant, ms in (("scalar", scalar_ms), ("batch", batch_ms)):
-        bench_record.add(
-            query="chain-3cond",
-            optimizer="dps",
-            wall_ms=ms,
-            rows=len(batch_rows),
-            variant=variant,
-        )
-    print(f"\n[micro batch] chain-3cond: scalar={scalar_ms:.2f}ms batch={batch_ms:.2f}ms")
-    assert batch_ms <= scalar_ms * 1.10, "batch substrate regressed the fetch-heavy chain"
-
-
-def test_micro_center_cache_cross_query(batch_engine, bench_record):
-    """Second identical query should be served mostly from the CenterCache."""
-    engine = batch_engine
-    factory = PatternFactory(engine.db.catalog, seed=31)
-    star = factory.instantiate(((0, 1), (1, 2), (1, 3)))
-    engine.center_cache.clear()
-
-    cold = engine.match(star, optimizer="dps", batch_size=1024)
-    warm = engine.match(star, optimizer="dps", batch_size=1024)
-    assert cold.rows == warm.rows
-    assert warm.metrics.center_cache is not None
-    bench_record.add_result(
-        warm, query="star-3cond-warm", optimizer="dps", variant="warm-cache"
-    )
-    print(
-        f"\n[micro cache] cold hit_rate={cold.metrics.center_cache.hit_rate:.2f} "
-        f"warm hit_rate={warm.metrics.center_cache.hit_rate:.2f}"
-    )
-    assert warm.metrics.center_cache.hit_rate > cold.metrics.center_cache.hit_rate
-    assert warm.metrics.center_cache.hit_rate >= 0.9

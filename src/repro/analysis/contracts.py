@@ -28,25 +28,20 @@ invalidates nothing.
     ``GraphDatabase``-typed receiver without also writing
     ``index_generation`` on the same receiver.
 
-**Mmap lifetime.**  ``Snapshot`` serves zero-copy ``memoryview`` slices
-straight into the mapping.  A view that outlives ``close()`` crashes
-with ``BufferError``/``SnapshotError`` at best and reads unmapped memory
-at worst, so views must stay transient.  Two confinement regimes apply:
-*raw* slices (``_raw``/``_ints``/``node_label_ids``/``centers``) must
-stay inside the storage layer; *blessed* slices (the read-only view API
-— ``wtable_view``/``extent_view``/``*_code_view``/``subcluster_*`` and
-their database/labeling/join-index delegates) additionally flow through
-the allowlisted mmap-native consumer layers (``MMAP_VIEW_CONSUMERS``),
-which hold them only for the duration of one operator call.
+**Mmap lifetime.**  ``Snapshot`` reads through zero-copy ``memoryview``
+slices of the mapping (``_raw``/``_ints``/``node_label_ids``/
+``centers``).  A view that outlives ``close()`` crashes with
+``BufferError``/``SnapshotError`` at best and reads unmapped memory at
+worst, so views must stay inside the storage layer and stay transient;
+everything the query read path receives is a materialized array/tuple.
 
 ``mmap/view-escape``
-    A raw view returned/yielded (or stored into a global) by a function
-    outside ``<package>.storage`` — the mapping's owner layer — or a
-    blessed view doing so outside storage *and* the consumer allowlist.
+    A view returned/yielded (or stored into a global) by a function
+    outside ``<package>.storage`` — the mapping's owner layer.
 ``mmap/view-held``
-    A view of either kind stored onto a heap object (``self``/parameter
-    attribute or container) by any class other than ``Snapshot``
-    itself, i.e. state that survives ``close()``.
+    A view stored onto a heap object (``self``/parameter attribute or
+    container) by any class other than ``Snapshot`` itself, i.e. state
+    that survives ``close()``.
 
 Resolution is type-driven (receiver classes named ``CenterCache`` /
 ``GraphDatabase`` / ``Snapshot``), so an untyped receiver is a
@@ -242,23 +237,9 @@ def check_contracts(project: Optional[Project] = None) -> List[Diagnostic]:
 # ----------------------------------------------------------------------
 # mmap lifetime
 # ----------------------------------------------------------------------
-#: package-relative module prefixes allowed to return/yield *blessed*
-#: snapshot views — the mmap-native read path (operators address slices,
-#: kernels consume them, results are always freshly materialized)
-MMAP_VIEW_CONSUMERS = ("db", "labeling", "query.physical")
-
-
 def _storage_module(project: Project, module: str) -> bool:
     prefix = f"{project.package}.storage"
     return module == prefix or module.startswith(prefix + ".")
-
-
-def _consumer_module(project: Project, module: str) -> bool:
-    for suffix in MMAP_VIEW_CONSUMERS:
-        prefix = f"{project.package}.{suffix}"
-        if module == prefix or module.startswith(prefix + "."):
-            return True
-    return False
 
 
 def check_mmap(project: Optional[Project] = None) -> List[Diagnostic]:
@@ -271,21 +252,15 @@ def check_mmap(project: Optional[Project] = None) -> List[Diagnostic]:
             continue
         function = project.functions[qualname]
         in_storage = _storage_module(project, function.module)
-        in_consumer = _consumer_module(project, function.module)
         in_snapshot_class = _class_named(
             project, function.class_qualname, "Snapshot"
         )
         for escape in summary.escapes:
-            if escape.origin.kind not in ("view", "blessed-view"):
+            if escape.origin.kind != "view":
                 continue
-            blessed = escape.origin.kind == "blessed-view"
             if escape.how in ("return", "yield", "global-store"):
-                if in_storage or (blessed and in_consumer):
+                if in_storage:
                     continue
-                boundary = (
-                    "the storage layer or an allowlisted mmap-native "
-                    "consumer" if blessed else "the storage layer"
-                )
                 diagnostics.append(
                     Diagnostic(
                         rule="mmap/view-escape",
@@ -293,7 +268,7 @@ def check_mmap(project: Optional[Project] = None) -> List[Diagnostic]:
                         message=(
                             f"`{project.short(qualname)}` lets a Snapshot "
                             f"memoryview escape by {escape.how} outside "
-                            f"{boundary} — the slice dies with the "
+                            f"the storage layer — the slice dies with the "
                             f"mapping on close() "
                             f"(reached via: {_entry_path(project, qualname)})"
                         ),
@@ -348,7 +323,6 @@ def deep_check(
 __all__ = [
     "CACHE_READS",
     "GENERATION_GUARDED_ATTRS",
-    "MMAP_VIEW_CONSUMERS",
     "check_contracts",
     "check_mmap",
     "deep_check",

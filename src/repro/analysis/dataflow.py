@@ -11,16 +11,12 @@ attribute chain::
     db.join_index           ->  Origin("param",  "db", ("join_index",))
     _PAIR_IDS               ->  Origin("global", "_PAIR_IDS")
     CenterCache()           ->  Origin("new",    "repro...CenterCache")
-    snap._raw(off, n)       ->  Origin("view")          # raw mmap slice
-    snap.wtable_view(pos)   ->  Origin("blessed-view")  # blessed API slice
+    snap._raw(off, n)       ->  Origin("view")          # mmap slice
     anything_else()         ->  Origin("call")          # untracked
 
-The two view kinds are confined differently by ``mmap/*``: raw slices
-(``VIEW_PRODUCERS``) must stay inside the storage layer, while blessed
-slices (``BLESSED_VIEW_PRODUCERS`` — the read-only view API the
-mmap-native execution path consumes) may additionally be returned or
-yielded by the allowlisted consumer layers.  Storing either kind on a
-heap object is always an escape: the slice dies with the mapping.
+Views (``VIEW_PRODUCERS``) are confined by ``mmap/*``: they must stay
+inside the storage layer, and storing one on a heap object is always an
+escape — the slice dies with the mapping.
 
 Only ``param``/``self``/``global`` roots are *tracked*: they may alias
 state owned by a caller, which is what the race rules care about.  A
@@ -90,30 +86,6 @@ MUTATING_METHODS = frozenset(
 #: ``Snapshot`` methods whose result is a raw mmap-backed view
 VIEW_PRODUCERS = frozenset({"_raw", "_ints", "node_label_ids", "centers"})
 
-#: the blessed zero-copy view API: ``Snapshot``'s read-only accessors
-#: plus the delegating accessors on the database/labeling/join-index
-#: layers that forward to them (the mmap-native read path)
-BLESSED_VIEW_PRODUCERS = frozenset(
-    {
-        # Snapshot (and the GraphDatabase / TwoHopLabeling delegates)
-        "in_code_view",
-        "out_code_view",
-        "wtable_view",
-        "subcluster_run_view",
-        "subcluster_views_at",
-        "extent_view",
-        # SnapshotRJoinIndex delegates
-        "centers_view",
-        "get_ft_views",
-        "subcluster_view",
-    }
-)
-
-#: classes whose blessed view methods hand out snapshot slices
-BLESSED_VIEW_CLASSES = frozenset(
-    {"Snapshot", "GraphDatabase", "TwoHopLabeling", "SnapshotRJoinIndex"}
-)
-
 #: builtin-collection method names excluded from the dynamic name-match
 #: fallback — linking every ``d.get(...)`` to every project ``get`` method
 #: would drown reachability in noise without adding real edges
@@ -178,10 +150,6 @@ class Origin:
 
 UNKNOWN = Origin("unknown")
 VIEW = Origin("view")
-BLESSED_VIEW = Origin("blessed-view")
-
-#: origin kinds naming an mmap-backed slice (either confinement regime)
-VIEW_KINDS = frozenset({"view", "blessed-view"})
 
 #: (origin, resolved class qualname or None)
 Value = Tuple[Origin, Optional[str]]
@@ -404,7 +372,7 @@ class _Summarizer:
                     self.summary.global_writes.append(
                         GlobalWrite(target.id, target.lineno)
                     )
-                    if value[0].kind in VIEW_KINDS:
+                    if value[0].kind == "view":
                         self._record_escape(
                             "global-store", value[0], target.lineno, target.id
                         )
@@ -417,7 +385,7 @@ class _Summarizer:
                 self.summary.attr_writes.append(
                     AttrWrite(base[0], target.attr, target.lineno, base[1])
                 )
-                if value[0].kind in VIEW_KINDS and base[0].tracked:
+                if value[0].kind == "view" and base[0].tracked:
                     self._record_escape(
                         "store", value[0], target.lineno, target.attr
                     )
@@ -429,7 +397,7 @@ class _Summarizer:
                     self.summary.mut_calls.append(
                         MutCall(base[0], "__setitem__", target.lineno, base[1])
                     )
-                if value[0].kind in VIEW_KINDS and base[0].tracked:
+                if value[0].kind == "view" and base[0].tracked:
                     self._record_escape(
                         "store", value[0], target.lineno, "[]"
                     )
@@ -490,10 +458,6 @@ class _Summarizer:
             self._walk_calls(node.slice)
             if base[0].kind == "view":
                 return (VIEW, None)
-            if base[0].kind == "blessed-view":
-                # indexing a blessed container (e.g. the F/T dicts of
-                # subcluster_views_at) still yields a blessed slice
-                return (BLESSED_VIEW, None)
             return _UNKNOWN_VALUE
         if isinstance(node, ast.BoolOp) and node.values:
             values = [self._value_of(value) for value in node.values]
@@ -575,12 +539,6 @@ class _Summarizer:
                 and self._is_snapshot(receiver_type)
             ):
                 result = (VIEW, None)
-            elif (
-                receiver_type is not None
-                and method in BLESSED_VIEW_PRODUCERS
-                and self._is_view_provider(receiver_type)
-            ):
-                result = (BLESSED_VIEW, None)
         else:
             self._walk_calls(func)
 
@@ -657,10 +615,6 @@ class _Summarizer:
         info = self.project.classes.get(class_qualname)
         return info is not None and info.name == "Snapshot"
 
-    def _is_view_provider(self, class_qualname: str) -> bool:
-        info = self.project.classes.get(class_qualname)
-        return info is not None and info.name in BLESSED_VIEW_CLASSES
-
     def _record_submissions(self, node: ast.Call, method: Optional[str]) -> None:
         if method == "submit" and node.args:
             for ref in self._function_refs(node.args[0]):
@@ -719,7 +673,7 @@ class _Summarizer:
     def _record_escape(self, how: str, origin: Origin, lineno: int, detail: str = "") -> None:
         if not self.recording:
             return
-        if origin.kind in VIEW_KINDS or origin.tracked:
+        if origin.kind == "view" or origin.tracked:
             self.summary.escapes.append(Escape(how, origin, lineno, detail))
 
 
@@ -729,12 +683,9 @@ def summarize_function(project: Project, function: FunctionInfo) -> FunctionSumm
 
 
 __all__ = [
-    "BLESSED_VIEW_CLASSES",
-    "BLESSED_VIEW_PRODUCERS",
     "DYNAMIC_SKIP",
     "MUTATING_METHODS",
     "TRACKED_KINDS",
-    "VIEW_KINDS",
     "VIEW_PRODUCERS",
     "AttrWrite",
     "CallFact",

@@ -187,8 +187,8 @@ class _LintVisitor(ast.NodeVisitor):
                     node.lineno,
                     f"direct import of {alias.name!r}; binary layout "
                     "handling is confined to repro.storage.snapshot — "
-                    "consume Snapshot objects or their blessed *_view "
-                    "accessors, not raw bytes",
+                    "consume Snapshot objects through their accessors, "
+                    "not raw bytes",
                 )
             self.imports.append(
                 (alias.asname or alias.name.split(".")[0], node.lineno)
@@ -213,7 +213,7 @@ class _LintVisitor(ast.NodeVisitor):
                 node.lineno,
                 f"direct import from {module!r}; binary layout handling is "
                 "confined to repro.storage.snapshot — consume Snapshot "
-                "objects or their blessed *_view accessors, not raw bytes",
+                "objects through their accessors, not raw bytes",
             )
         if module == "concurrent.futures" and not self.may_multiprocess:
             for alias in node.names:

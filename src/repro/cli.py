@@ -114,7 +114,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             for row in engine.match_iter(
                 args.pattern, optimizer=args.optimizer, limit=args.limit,
                 row_limit=args.row_limit, verify=args.verify,
-                batch_size=args.batch_size,
             ):
                 print("\t".join(str(v) for v in row))
                 count += 1
@@ -124,7 +123,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         result = engine.match(
             args.pattern, optimizer=args.optimizer,
             row_limit=args.row_limit, verify=args.verify,
-            batch_size=args.batch_size,
         )
     finally:
         engine.close_pool()
@@ -219,7 +217,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         print(f"snapshot error: {exc}", file=sys.stderr)
         return 1
     try:
-        layout = "raw runs (view-capable)" if snapshot.raw_runs else "delta runs"
+        layout = "raw runs" if snapshot.raw_runs else "delta runs"
         print(
             f"{args.file}: snapshot v1, {snapshot.file_size()} bytes, {layout}"
         )
@@ -249,7 +247,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
         workers=args.workers,
         parallel_backend=args.parallel_backend,
-        batch_size=args.batch_size,
     )
     config = ServiceConfig(
         host=args.host,
@@ -442,13 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--verify", action="store_true",
                          help="statically check the optimized plan before "
                               "executing (repro.analysis plan checker)")
-    p_query.add_argument("--batch-size", type=int, default=None,
-                         help="run Filter/Fetch through the vectorized batch "
-                              "substrate in blocks of this size (>1; 0 forces "
-                              "the scalar path, default scalar)")
     p_query.add_argument("--no-center-cache", action="store_true",
                          help="disable the cross-query center/subcluster "
-                              "cache (batch mode only; ablation)")
+                              "cache (ablation; only --limit streams consult "
+                              "it — full results run cold by definition)")
     p_query.add_argument("--workers", type=int, default=None,
                          help="execute through the morsel-driven parallel "
                               "scheduler with this many workers (>1; "
@@ -520,9 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "pool; default sequential)")
     p_serve.add_argument("--parallel-backend",
                          choices=("process", "thread", "spawn"), default=None)
-    p_serve.add_argument("--batch-size", type=int, default=None,
-                         help="engine default batch size (vectorized "
-                              "substrate; default scalar)")
     p_serve.add_argument("--no-center-cache", action="store_true",
                          help="disable the cross-query center/subcluster "
                               "cache (ablation)")

@@ -13,13 +13,25 @@ base table T_X using the primary index.  We use a working cache to cache
 those pairs of (x_i, out(x_i)) ... to reduce the access cost for later
 reuse" — implemented by :class:`CodeCache`, which can be disabled for the
 ablation benchmarks.
+
+**The run surface.**  Everything the physical operators read comes
+through four calls, each returning a *sorted int run*:
+:meth:`GraphDatabase.w_run` (``W(X, Y)``), :meth:`~GraphDatabase.code_run`
+(a node's in/out code), :meth:`~GraphDatabase.subcluster_runs` (a
+center's labeled F/T-subclusters) and :meth:`~GraphDatabase.extent_run`
+(a label's nodes).  :class:`GraphDatabase` implements them for the live
+tier — B+-tree / primary-index probes charged I/O exactly where the
+paper's cost model charges it; :class:`SnapshotDatabase` for the snapshot
+tier — runs decoded once from the mapping and memoised.  Nothing above
+this module knows which tier it is reading.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling, build_two_hop
@@ -33,7 +45,7 @@ from .join_index import ClusterRJoinIndex, SnapshotRJoinIndex
 
 @dataclass
 class CodeCache:
-    """Working cache for (node, in/out graph code) pairs.
+    """Working cache for (node, in/out graph code) pairs, as sorted runs.
 
     Unbounded by default (the paper does not bound it either); ``enabled``
     and the hit/miss counters exist for the working-cache ablation.
@@ -42,9 +54,9 @@ class CodeCache:
     enabled: bool = True
     hits: int = 0
     misses: int = 0
-    _store: Dict[Tuple[int, str], FrozenSet[int]] = field(default_factory=dict)
+    _store: Dict[Tuple[int, str], Tuple[int, ...]] = field(default_factory=dict)
 
-    def get(self, node: int, side: str) -> Optional[FrozenSet[int]]:
+    def get(self, node: int, side: str) -> Optional[Tuple[int, ...]]:
         if not self.enabled:
             self.misses += 1
             return None
@@ -55,7 +67,7 @@ class CodeCache:
             self.hits += 1
         return code
 
-    def put(self, node: int, side: str, code: FrozenSet[int]) -> None:
+    def put(self, node: int, side: str, code: Tuple[int, ...]) -> None:
         if self.enabled:
             self._store[(node, side)] = code
 
@@ -110,10 +122,8 @@ class GraphDatabase:
         #: bumped whenever the join index is (re)built; cross-query
         #: caches (the engine's CenterCache) key their validity on it
         self.index_generation = 0
-        #: True when the read path may address zero-copy snapshot views
-        self.mmap_views = False
         self._snapshot = None
-        self._snapshot_config: Optional[Tuple[int, int, bool, bool]] = None
+        self._snapshot_config: Optional[Tuple[int, int, bool]] = None
         self._table_lock = threading.Lock()
         self.pool.flush_all()
 
@@ -143,34 +153,19 @@ class GraphDatabase:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         page_size: int = DEFAULT_PAGE_SIZE,
         code_cache_enabled: bool = True,
-        use_views: Optional[bool] = None,
-    ) -> "GraphDatabase":
+    ) -> "SnapshotDatabase":
         """Construct a database that serves from a binary snapshot.
 
         Nothing expensive is rebuilt: codes come from the labeling's
-        array source (lazy delta decodes of the mapping), the R-join
-        index and W-table are a :class:`SnapshotRJoinIndex` over the
-        same mapping, the catalog is rehydrated from the stored
-        statistics, and base tables materialize per label on first
-        access.  Only the graph itself (O(V+E), needed for labels and
-        extents everywhere) is reconstructed eagerly.
-
-        ``use_views`` controls the mmap-native read path (zero-copy
-        slices straight out of the mapping): ``None`` enables it exactly
-        when the file layout supports it (raw-runs snapshots), ``True``
-        demands it (raises :class:`ValueError` on a legacy delta file),
-        ``False`` forces the tuple-materializing path — the differential
-        oracle the mmap-native tests compare against.
+        array source (each row decoded from the mapping on first touch
+        and memoised), the R-join index and W-table are a
+        :class:`SnapshotRJoinIndex` over the same mapping, the catalog is
+        rehydrated from the stored statistics, and base tables
+        materialize per label on first access.  Only the graph itself
+        (O(V+E), needed for labels and extents everywhere) is
+        reconstructed eagerly.
         """
-        if use_views is None:
-            use_views = bool(snapshot.supports_views)
-        elif use_views and not snapshot.supports_views:
-            raise ValueError(
-                f"snapshot {snapshot.path!r} is delta-encoded (legacy "
-                "layout) and cannot serve zero-copy views; rewrite it or "
-                "pass use_views=False"
-            )
-        db = cls.__new__(cls)
+        db = SnapshotDatabase.__new__(SnapshotDatabase)
         db.graph = snapshot.build_graph()
         db.pool = BufferPool(
             DiskManager(page_size=page_size),
@@ -180,8 +175,6 @@ class GraphDatabase:
             snapshot.node_count,
             snapshot.in_code_array,
             snapshot.out_code_array,
-            in_view_fetch=snapshot.in_code_view if use_views else None,
-            out_view_fetch=snapshot.out_code_view if use_views else None,
         )
         db.base_tables = {}
         db._table_labels = tuple(snapshot.label_names)
@@ -196,11 +189,8 @@ class GraphDatabase:
         db.code_cache = CodeCache(enabled=code_cache_enabled)
         db._node_labels = list(db.graph.labels())
         db.index_generation = 0
-        db.mmap_views = use_views
         db._snapshot = snapshot
-        db._snapshot_config = (
-            buffer_bytes, page_size, code_cache_enabled, use_views
-        )
+        db._snapshot_config = (buffer_bytes, page_size, code_cache_enabled)
         db._table_lock = threading.Lock()
         return db
 
@@ -261,15 +251,19 @@ class GraphDatabase:
     def node_label(self, node: int) -> str:
         return self._node_labels[node]
 
-    def out_code(self, node: int) -> FrozenSet[int]:
-        """``out(x)`` — fetched via the primary index, with working cache."""
-        return self._code(node, "out")
+    # ------------------------------------------------------------------
+    # the run surface: the four reads the physical operators are built on
+    # (live tier — every call is charged I/O through the buffer pool)
+    # ------------------------------------------------------------------
+    def w_run(self, x_label: str, y_label: str) -> Sequence[int]:
+        """``W(X, Y)``: the sorted centers joining X- to Y-labeled nodes
+        (one W-table probe; operators read it once per execution)."""
+        return self.join_index.centers(x_label, y_label)
 
-    def in_code(self, node: int) -> FrozenSet[int]:
-        """``in(x)`` — fetched via the primary index, with working cache."""
-        return self._code(node, "in")
-
-    def _code(self, node: int, side: str) -> FrozenSet[int]:
+    def code_run(self, node: int, side: str) -> Sequence[int]:
+        """``in(x)``/``out(x)`` (*side* ``"in"``/``"out"``) as a sorted run,
+        fetched via the primary index with the working cache — the
+        ``IO_B + IO_X`` access of Eqs. 10-12."""
         cached = self.code_cache.get(node, side)
         if cached is not None:
             return cached
@@ -278,45 +272,34 @@ class GraphDatabase:
         if row is None:
             raise KeyError(f"node {node} not found in base table T_{label}")
         stored = row[2] if side == "out" else row[1]
-        code = frozenset(stored) | {node}
+        # the stored code is compact (Example 3.1): re-insert the node
+        cut = bisect_left(stored, node)
+        code = stored[:cut] + (node,) + stored[cut:]
         self.code_cache.put(node, side, code)
         return code
 
-    def out_code_array(self, node: int):
-        """``out(x)`` as a sorted ``array('q')`` (the batch kernels' view).
+    def subcluster_runs(
+        self, center: int
+    ) -> Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]:
+        """``({X: getF(w, X)}, {Y: getT(w, Y)})``: both labeled subcluster
+        maps of *center* from one index probe (they share a leaf)."""
+        return self.join_index.get_ft(center)
 
-        Served from the labeling's lazily-built array cache; the stored
-        base-table codes were loaded from the same labeling, so both
-        representations are definitionally equal.
-        """
-        return self.labeling.out_code_array(node)
+    def extent_run(self, label: str) -> Iterable[int]:
+        """All *label*-labeled nodes, ascending: a primary-key scan of
+        ``T_label`` (the ``IO_D`` scan term)."""
+        return (row[0] for row in self.base_table(label).scan())
 
-    def in_code_array(self, node: int):
-        """``in(x)`` as a sorted ``array('q')`` (the batch kernels' view)."""
-        return self.labeling.in_code_array(node)
+    # ------------------------------------------------------------------
+    # set-valued conveniences over the run surface (paper notation)
+    # ------------------------------------------------------------------
+    def out_code(self, node: int) -> FrozenSet[int]:
+        """``out(x)`` as a set."""
+        return frozenset(self.code_run(node, "out"))
 
-    def out_code_view(self, node: int):
-        """``out(x)`` as a zero-copy snapshot slice when ``mmap_views``
-        (else the memoized array — identical values either way)."""
-        return self.labeling.out_code_view(node)
-
-    def in_code_view(self, node: int):
-        """``in(x)`` view twin of :meth:`out_code_view`."""
-        return self.labeling.in_code_view(node)
-
-    def extent_view(self, label: str):
-        """All *label*-labeled node ids, sorted, as a zero-copy snapshot
-        slice — the mmap-native seed scan's column (skips base tables).
-
-        Only valid when ``mmap_views`` is True; the label-id space is the
-        snapshot's sorted label dictionary, which ``_table_labels``
-        mirrors on a snapshot-loaded database.
-        """
-        if self._snapshot is None:
-            raise RuntimeError(
-                "extent_view needs a snapshot-backed database"
-            )
-        return self._snapshot.extent_view(self._table_labels.index(label))
+    def in_code(self, node: int) -> FrozenSet[int]:
+        """``in(x)`` as a set."""
+        return frozenset(self.code_run(node, "in"))
 
     # ------------------------------------------------------------------
     @property
@@ -328,7 +311,7 @@ class GraphDatabase:
     def snapshot_descriptor(self) -> Optional[Tuple]:
         """What a process worker needs to re-open this database by path:
         ``(path, index_generation, buffer_bytes, page_size,
-        code_cache_enabled, use_views)`` — or ``None`` when the database
+        code_cache_enabled)`` — or ``None`` when the database
         is not snapshot-backed (or its snapshot has been closed), in
         which case workers must fall back to fork inheritance.
         """
@@ -340,27 +323,11 @@ class GraphDatabase:
             # rebuild_join_index swapped in a live tree: the file on disk
             # no longer describes this database
             return None
-        buffer_bytes, page_size, code_cache_enabled, use_views = (
-            self._snapshot_config
-        )
-        return (
-            self._snapshot.path,
-            self.index_generation,
-            buffer_bytes,
-            page_size,
-            code_cache_enabled,
-            use_views,
-        )
+        return (self._snapshot.path, self.index_generation) + self._snapshot_config
 
     def get_centers(self, node: int, x_label: str, y_label: str) -> FrozenSet[int]:
         """``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` (Eq. 6)."""
-        wxy = self.join_index.centers(x_label, y_label)
-        return self.out_code(node) & frozenset(wxy)
-
-    def get_centers_reverse(self, node: int, x_label: str, y_label: str) -> FrozenSet[int]:
-        """Mirror of Eq. 6 for the Y side: ``in(y) ∩ W(X, Y)``."""
-        wxy = self.join_index.centers(x_label, y_label)
-        return self.in_code(node) & frozenset(wxy)
+        return self.out_code(node) & frozenset(self.w_run(x_label, y_label))
 
     def reaches(self, u: int, v: int) -> bool:
         """Reachability through stored codes: ``out(u) ∩ in(v) ≠ ∅``."""
@@ -406,10 +373,9 @@ class GraphDatabase:
         self.join_index = ClusterRJoinIndex(self.pool, self.graph, self.labeling)
         self.catalog = Catalog(self.graph, self.labeling)
         self.index_generation += 1
-        # the tree-backed index has no views; the snapshot file no longer
-        # describes the live index either, so workers must stop re-opening
-        # it by path (snapshot_descriptor's generation check catches this)
-        self.mmap_views = False
+        # the snapshot file no longer describes the live index, so workers
+        # must stop re-opening it by path (snapshot_descriptor checks the
+        # index class)
         self.pool.flush_all()
 
     # ------------------------------------------------------------------
@@ -424,3 +390,22 @@ class GraphDatabase:
             f"nodes={self.graph.node_count}, "
             f"centers={self.join_index.center_count})"
         )
+
+
+class SnapshotDatabase(GraphDatabase):
+    """The snapshot tier of the run surface: decode once and memoise.
+
+    Built by :meth:`GraphDatabase.from_snapshot`.  ``w_run`` and
+    ``subcluster_runs`` resolve through the :class:`SnapshotRJoinIndex`
+    (per-pair / per-leaf decode memos); codes come from the labeling's
+    array source and extents from the graph — no base table is
+    materialized and no buffer-pool I/O is charged on the read path.
+    """
+
+    def code_run(self, node: int, side: str) -> Sequence[int]:
+        if side == "out":
+            return self.labeling.out_code_array(node)
+        return self.labeling.in_code_array(node)
+
+    def extent_run(self, label: str) -> Iterable[int]:
+        return self.graph.extent(label)

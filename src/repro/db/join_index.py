@@ -18,7 +18,6 @@ engine, so every probe is charged buffer-pool I/O.
 from __future__ import annotations
 
 import threading
-from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..graph.digraph import DiGraph
@@ -31,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _EMPTY: Tuple[int, ...] = ()
 _EMPTY_SUBCLUSTERS: Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]] = ({}, {})
-_EMPTY_ARRAY: "array[int]" = array("q")
 
 
 class ClusterRJoinIndex:
@@ -48,24 +46,7 @@ class ClusterRJoinIndex:
         self._tree = BPlusTree(pool, name="rjoin-index", fanout=fanout, unique=True)
         self._wtable = BPlusTree(pool, name="w-table", fanout=fanout, unique=True)
         self._center_count = 0
-        # memo of W(X, Y) as sorted array('q') — the batch kernels'
-        # representation; the W-table is immutable once built.  The memo
-        # lock makes first-probe fills safe when concurrent queries share
-        # a live engine (the service's fine-grained tier).
-        self._centers_arrays: Dict[Tuple[str, str], "array[int]"] = {}
-        self._memo_lock = threading.Lock()
         self._build(graph, labeling)
-
-    # a live database is shipped whole to process-pool workers; locks do
-    # not pickle, so the worker re-creates its own on arrival
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_memo_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _build(self, graph: DiGraph, labeling: TwoHopLabeling) -> None:
@@ -98,26 +79,9 @@ class ClusterRJoinIndex:
     # paper API
     # ------------------------------------------------------------------
     def centers(self, x_label: str, y_label: str) -> Tuple[int, ...]:
-        """``W(X, Y)``: centers joining X-labeled to Y-labeled nodes."""
+        """``W(X, Y)``: centers joining X-labeled to Y-labeled nodes,
+        sorted — one W-table probe, charged through the buffer pool."""
         return self._wtable.search((x_label, y_label), _EMPTY)
-
-    def centers_array(self, x_label: str, y_label: str) -> "array[int]":
-        """``W(X, Y)`` as a sorted ``array('q')``, memoized per pair.
-
-        The batch kernels intersect graph codes against this array; the
-        B+-tree is probed once per pair per process, not once per row.
-        """
-        pair = (x_label, y_label)
-        cached = self._centers_arrays.get(pair)
-        if cached is None:
-            with self._memo_lock:
-                cached = self._centers_arrays.get(pair)
-                if cached is None:
-                    centers = self.centers(x_label, y_label)
-                    cached = self._centers_arrays[pair] = (
-                        array("q", centers) if centers else _EMPTY_ARRAY
-                    )
-        return cached
 
     def get_f(self, center: int, label: str) -> Tuple[int, ...]:
         """``getF(w, X)``: the X-labeled F-subcluster of *center*."""
@@ -193,14 +157,14 @@ class SnapshotRJoinIndex:
     """The R-join index read API served from an mmap-backed snapshot.
 
     Duck-types the read surface of :class:`ClusterRJoinIndex`
-    (``centers``/``centers_array``/``get_f``/``get_t``/``get_ft``/
-    ``cluster_items``/``wtable_items``/...), but nothing is rebuilt on
-    construction: the W-table directory is a handful of label pairs
-    (decoded eagerly — it is tiny and probed on every plan), while
-    per-center subcluster leaves are delta-decoded from the mapping
-    *lazily on first probe* and memoized here; the engine's cross-query
+    (``centers``/``get_f``/``get_t``/``get_ft``/``cluster_items``/
+    ``wtable_items``/...), but nothing is rebuilt on construction: the
+    W-table directory is a handful of label pairs (decoded eagerly — it
+    is tiny and probed on every plan), while W-table center runs and
+    per-center subcluster leaves are decoded from the mapping *lazily on
+    first probe* and memoized here; the engine's cross-query
     ``CenterCache`` then memoizes the per-(center, label, side) tuples
-    the batch kernels actually intersect, exactly as it does for the
+    the operators actually intersect, exactly as it does for the
     tree-backed index.
 
     There are no B+-trees behind this object, so ``index_tree``/
@@ -217,10 +181,6 @@ class SnapshotRJoinIndex:
             pair: position
             for position, pair in enumerate(snapshot.wtable_pairs())
         }
-        self._label_ids: Dict[str, int] = {
-            name: i for i, name in enumerate(snapshot.label_names)
-        }
-        self._centers_arrays: Dict[Tuple[str, str], "array[int]"] = {}
         self._centers_tuples: Dict[Tuple[str, str], Tuple[int, ...]] = {}
         # per-center decoded leaves, filled on first get_ft probe; the
         # memo lock serializes first-probe decodes when the service's
@@ -243,27 +203,18 @@ class SnapshotRJoinIndex:
     # paper API (mirrors ClusterRJoinIndex)
     # ------------------------------------------------------------------
     def centers(self, x_label: str, y_label: str) -> Tuple[int, ...]:
-        """``W(X, Y)``: centers joining X-labeled to Y-labeled nodes."""
+        """``W(X, Y)``: centers joining X-labeled to Y-labeled nodes,
+        sorted — decoded on first probe, memoized per pair."""
         pair = (x_label, y_label)
         cached = self._centers_tuples.get(pair)
         if cached is None:
-            decoded = tuple(self.centers_array(x_label, y_label))
+            position = self._pair_positions.get(pair)
+            decoded = (
+                _EMPTY if position is None
+                else tuple(self._snapshot.wtable_centers(position))
+            )
             with self._memo_lock:
                 cached = self._centers_tuples.setdefault(pair, decoded)
-        return cached
-
-    def centers_array(self, x_label: str, y_label: str) -> "array[int]":
-        """``W(X, Y)`` as a sorted ``array('q')``, memoized per pair."""
-        pair = (x_label, y_label)
-        cached = self._centers_arrays.get(pair)
-        if cached is None:
-            position = self._pair_positions.get(pair)
-            if position is None:
-                decoded = _EMPTY_ARRAY
-            else:
-                decoded = self._snapshot.wtable_centers(position)
-            with self._memo_lock:
-                cached = self._centers_arrays.setdefault(pair, decoded)
         return cached
 
     def get_f(self, center: int, label: str) -> Tuple[int, ...]:
@@ -287,43 +238,6 @@ class SnapshotRJoinIndex:
             with self._memo_lock:
                 leaf = self._leaves.setdefault(center, decoded)
         return leaf
-
-    # ------------------------------------------------------------------
-    # blessed view API (raw-runs snapshots): zero-copy twins of the
-    # accessors above.  Deliberately NOT memoized — each call re-addresses
-    # the mapping in O(1), and holding slices on the index would pin the
-    # mapping past ``Snapshot.close()``.
-    # ------------------------------------------------------------------
-    @property
-    def supports_views(self) -> bool:
-        """True when the backing snapshot allows the zero-copy view API."""
-        return self._snapshot.supports_views
-
-    def centers_view(self, x_label: str, y_label: str):
-        """``W(X, Y)`` as a zero-copy sorted slice of the mapping."""
-        position = self._pair_positions.get((x_label, y_label))
-        if position is None:
-            return _EMPTY_ARRAY
-        return self._snapshot.wtable_view(position)
-
-    def get_ft_views(self, center: int):
-        """View twin of :meth:`get_ft`: both labeled maps with every
-        subcluster a zero-copy slice; fresh dicts per call, never cached."""
-        position = self._snapshot.center_position(center)
-        if position < 0:
-            return _EMPTY_SUBCLUSTERS
-        return self._snapshot.subcluster_views_at(position)
-
-    def subcluster_view(self, center: int, label: str, side: int):
-        """One ``(center, label, side)`` run as a zero-copy slice, or
-        ``None`` when absent (*side* is ``snapshot.SIDE_F``/``SIDE_T``)."""
-        position = self._snapshot.center_position(center)
-        if position < 0:
-            return None
-        label_id = self._label_ids.get(label)
-        if label_id is None:
-            return None
-        return self._snapshot.subcluster_run_view(position, side, label_id)
 
     # ------------------------------------------------------------------
     # inspection API

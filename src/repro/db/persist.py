@@ -100,7 +100,6 @@ def load_database(
     path: str,
     buffer_bytes: int = DEFAULT_BUFFER_BYTES,
     code_cache_enabled: bool = True,
-    use_views: Optional[bool] = None,
 ) -> GraphDatabase:
     """Load a database file of either format, detected by magic bytes.
 
@@ -108,17 +107,12 @@ def load_database(
     it (:meth:`GraphDatabase.from_snapshot` — no rebuild, lazy decode);
     a JSON file takes the v1 path: reuse the stored labeling verbatim
     and rebuild the (cheap, deterministic) tables and indexes.
-
-    ``use_views`` (snapshot files only) selects the mmap-native read
-    path; see :meth:`GraphDatabase.from_snapshot`.  It is ignored for
-    JSON files, which have no mapping to view.
     """
     if is_snapshot(path):
         return GraphDatabase.from_snapshot(
             Snapshot.open(path),
             buffer_bytes=buffer_bytes,
             code_cache_enabled=code_cache_enabled,
-            use_views=use_views,
         )
     with open(path) as f:
         payload = json.load(f)

@@ -108,7 +108,7 @@ class TwoHopLabeling:
     in_codes: List[FrozenSet[int]]
     out_codes: List[FrozenSet[int]]
     # lazily-built caches (derived, so excluded from equality/repr):
-    # sorted-array codes for the batch kernels and the centers() result
+    # sorted-array codes for the run kernels and the centers() result
     _in_arrays: List[Optional["array[int]"]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
@@ -127,19 +127,10 @@ class TwoHopLabeling:
         default=None, init=False, repr=False, compare=False
     )
     _source_count: int = field(default=0, init=False, repr=False, compare=False)
-    # optional zero-copy view sources (raw-runs snapshots): fetch functions
-    # returning the sorted memoryview('q') slice for nodes < _source_count
-    _in_view_source: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _out_view_source: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_array_source(
-        cls, count: int, in_fetch, out_fetch,
-        in_view_fetch=None, out_view_fetch=None,
+        cls, count: int, in_fetch, out_fetch
     ) -> "TwoHopLabeling":
         """Adopt externally-stored codes without copying them.
 
@@ -149,18 +140,11 @@ class TwoHopLabeling:
         serve straight from the source, and the ``in_codes``/
         ``out_codes`` sequences build frozensets per node only when a
         caller actually asks for set semantics.
-
-        *in_view_fetch* / *out_view_fetch* (raw-runs snapshots only)
-        additionally map a node id to the zero-copy ``memoryview('q')``
-        slice of the same row, which :meth:`in_code_view`/
-        :meth:`out_code_view` serve to the mmap-native batch path.
         """
         labeling = cls(in_codes=[], out_codes=[])
         labeling._in_source = in_fetch
         labeling._out_source = out_fetch
         labeling._source_count = count
-        labeling._in_view_source = in_view_fetch
-        labeling._out_view_source = out_view_fetch
         labeling.in_codes = _LazyCodes(count, in_fetch)  # type: ignore[assignment]
         labeling.out_codes = _LazyCodes(count, out_fetch)  # type: ignore[assignment]
         return labeling
@@ -205,7 +189,7 @@ class TwoHopLabeling:
         return self._centers
 
     # ------------------------------------------------------------------
-    # sorted-array views (the batch kernels' representation)
+    # sorted-array codes (the run kernels' representation)
     # ------------------------------------------------------------------
     def in_code_array(self, node: int) -> "array[int]":
         """``in(x)`` as a sorted ``array('q')``, built lazily and cached."""
@@ -232,26 +216,6 @@ class TwoHopLabeling:
             else:
                 code = arrays[node] = array("q", sorted(self.out_codes[node]))
         return code
-
-    def in_code_view(self, node: int):
-        """``in(x)`` as a zero-copy sorted slice when the backing snapshot
-        supports views, else the memoized ``array('q')`` row.
-
-        Un-memoized on the view path by design: the slice is a constant-
-        time re-address of the mapping, and holding slices on the
-        labeling would pin the mapping past ``Snapshot.close()``.
-        Overflow nodes appended after adoption (``node >=`` the snapshot
-        node count) always take the array fallback.
-        """
-        if self._in_view_source is not None and node < self._source_count:
-            return self._in_view_source(node)  # type: ignore[operator]
-        return self.in_code_array(node)
-
-    def out_code_view(self, node: int):
-        """``out(x)`` view twin of :meth:`in_code_view`."""
-        if self._out_view_source is not None and node < self._source_count:
-            return self._out_view_source(node)  # type: ignore[operator]
-        return self.out_code_array(node)
 
     def cover_size(self) -> int:
         """Total 2-hop cover size ``|H|`` = Σ_w (|U_w| + |V_w|).

@@ -18,7 +18,6 @@ from .engine import GraphEngine
 from .join_graph import JoinGraph
 from .physical import (
     BACKENDS,
-    DEFAULT_BATCH_SIZE,
     DEFAULT_CACHE_BYTES,
     DEFAULT_MORSEL_SIZE,
     CacheStats,
@@ -59,7 +58,6 @@ __all__ = [
     "BACKENDS",
     "CacheStats",
     "CenterCache",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_MORSEL_SIZE",
     "OperatorMetrics",

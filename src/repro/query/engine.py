@@ -59,13 +59,6 @@ _OPTIMIZERS = {
 
 PatternLike = Union[str, GraphPattern]
 
-#: guards lazy creation of per-engine locks: engines built through
-#: ``__new__`` + attribute assignment (``from_database``, older callers)
-#: have no ``__init__``-installed lock, so the first concurrent accessor
-#: must not race the lock's own construction
-_ENGINE_LOCK_GUARD = threading.Lock()
-
-
 class GraphEngine:
     """Graph pattern matching over one data graph.
 
@@ -83,33 +76,49 @@ class GraphEngine:
         cost_params: Optional[CostParams] = None,
         code_cache_enabled: bool = True,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        batch_size: Optional[int] = None,
         workers: Optional[int] = None,
         parallel_backend: Optional[str] = None,
         cache_shards: int = DEFAULT_CACHE_SHARDS,
     ) -> None:
-        self.db = GraphDatabase(
-            graph,
-            labeling=labeling,
-            buffer_bytes=buffer_bytes,
-            code_cache_enabled=code_cache_enabled,
+        self._adopt(
+            GraphDatabase(
+                graph,
+                labeling=labeling,
+                buffer_bytes=buffer_bytes,
+                code_cache_enabled=code_cache_enabled,
+            ),
+            cost_params, cache_bytes, workers, parallel_backend, cache_shards,
         )
+
+    def _adopt(
+        self,
+        db: GraphDatabase,
+        cost_params: Optional[CostParams],
+        cache_bytes: int,
+        workers: Optional[int],
+        parallel_backend: Optional[str],
+        cache_shards: int,
+    ) -> None:
+        """Install every engine attribute — the one place both
+        constructors (``__init__`` and :meth:`from_database`) go through."""
+        self.db = db
         self.cost_params = cost_params or CostParams()
-        # cross-query LRU of centers/subclusters; cache_bytes <= 0
-        # keeps the object (counters still track misses) but stores
-        # nothing.  cache_shards stripes the LRU into independently
-        # locked shards so the service's concurrent queries contend per
-        # stripe, not on one cache-wide lock.
-        self._center_cache = CenterCache(
+        #: cross-query LRU of centers/subclusters; ``cache_bytes <= 0``
+        #: keeps the object (counters still track misses) but stores
+        #: nothing.  ``cache_shards`` stripes the LRU into independently
+        #: locked shards so the service's concurrent queries contend per
+        #: stripe, not on one cache-wide lock.
+        self.center_cache = CenterCache(
             capacity_bytes=cache_bytes, shards=cache_shards
         )
-        #: default block size for :meth:`match`/:meth:`match_iter`;
-        #: ``None`` keeps the scalar tuple-at-a-time oracle
-        self.batch_size = batch_size
         #: default worker count / pool backend for queries; ``None``/1
         #: keeps the sequential drivers
         self.workers = workers
         self.parallel_backend = parallel_backend
+        self._worker_pool: Optional[WorkerPool] = None
+        self._pool_lock = threading.Lock()
+        self._plan_cache: "OrderedDict[Tuple, OptimizedPlan]" = OrderedDict()
+        self._plan_cache_lock = threading.Lock()
 
     @classmethod
     def from_database(
@@ -117,7 +126,6 @@ class GraphEngine:
         db: GraphDatabase,
         cost_params: Optional[CostParams] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        batch_size: Optional[int] = None,
         workers: Optional[int] = None,
         parallel_backend: Optional[str] = None,
         cache_shards: int = DEFAULT_CACHE_SHARDS,
@@ -128,67 +136,30 @@ class GraphEngine:
         offline phase can serve queries without recomputing anything.
         """
         engine = cls.__new__(cls)
-        engine.db = db
-        engine.cost_params = cost_params or CostParams()
-        engine._center_cache = CenterCache(
-            capacity_bytes=cache_bytes, shards=cache_shards
+        engine._adopt(
+            db, cost_params, cache_bytes, workers, parallel_backend, cache_shards
         )
-        engine.batch_size = batch_size
-        engine.workers = workers
-        engine.parallel_backend = parallel_backend
         return engine
 
     @classmethod
-    def from_snapshot(
-        cls, path: str, use_views: Optional[bool] = None, **kwargs
-    ) -> "GraphEngine":
+    def from_snapshot(cls, path: str, **kwargs) -> "GraphEngine":
         """Open a binary snapshot file and serve queries from it.
 
         The database constructs around the mmap-backed snapshot with no
         index rebuild (:meth:`GraphDatabase.from_snapshot`); keyword
-        arguments are those of :meth:`from_database`.  ``use_views``
-        selects the mmap-native read path (default: on when the file
-        layout supports it) — see :meth:`GraphDatabase.from_snapshot`.
-        The engine starts with a fresh :class:`CenterCache` and worker
-        pool, both keyed on the new database's ``index_generation`` —
-        nothing can leak from whatever engine wrote the snapshot.
+        arguments are those of :meth:`from_database`.  The engine starts
+        with a fresh :class:`CenterCache` and worker pool, both keyed on
+        the new database's ``index_generation`` — nothing can leak from
+        whatever engine wrote the snapshot.
         """
         from ..db.persist import load_database
         from ..storage.snapshot import SnapshotError, is_snapshot
 
         if not is_snapshot(path):
             raise SnapshotError(f"{path!r} is not a binary snapshot")
-        return cls.from_database(
-            load_database(path, use_views=use_views), **kwargs
-        )
-
-    #: class-level fallbacks so hand-wrapped engines (``__new__`` + attribute
-    #: assignment, as older callers do) default to the scalar sequential path
-    batch_size: Optional[int] = None
-    workers: Optional[int] = None
-    parallel_backend: Optional[str] = None
-
-    @property
-    def center_cache(self) -> CenterCache:
-        """The engine-owned cross-query :class:`CenterCache` (lazy)."""
-        cache = getattr(self, "_center_cache", None)
-        if cache is None:
-            cache = self._center_cache = CenterCache(
-                shards=DEFAULT_CACHE_SHARDS
-            )
-        return cache
+        return cls.from_database(load_database(path), **kwargs)
 
     # ------------------------------------------------------------------
-    def _pool_guard(self) -> threading.Lock:
-        """The engine's pool-lifecycle lock (created lazily, race-free)."""
-        guard: Optional[threading.Lock] = getattr(self, "_pool_lock", None)
-        if guard is None:
-            with _ENGINE_LOCK_GUARD:
-                guard = getattr(self, "_pool_lock", None)
-                if guard is None:
-                    guard = self._pool_lock = threading.Lock()
-        return guard
-
     def worker_pool(self, workers: int, backend: Optional[str] = None) -> WorkerPool:
         """The engine-owned reusable morsel pool (lazy, one at a time).
 
@@ -203,8 +174,8 @@ class GraphEngine:
         service's steady state) can never double-create a pool or leak a
         half-replaced one; both racers come back holding the same pool.
         """
-        with self._pool_guard():
-            pool: Optional[WorkerPool] = getattr(self, "_worker_pool", None)
+        with self._pool_lock:
+            pool = self._worker_pool
             effective_backend = backend or self.parallel_backend
             if pool is not None and not (
                 pool.compatible(self.db)
@@ -220,10 +191,9 @@ class GraphEngine:
 
     def close_pool(self) -> None:
         """Shut the engine-owned worker pool down (idempotent)."""
-        with self._pool_guard():
-            pool: Optional[WorkerPool] = getattr(self, "_worker_pool", None)
-            if pool is not None:
-                pool.shutdown()
+        with self._pool_lock:
+            if self._worker_pool is not None:
+                self._worker_pool.shutdown()
                 self._worker_pool = None
 
     # ------------------------------------------------------------------
@@ -234,65 +204,20 @@ class GraphEngine:
         return parse_pattern(pattern)
 
     #: plans are deterministic per (pattern, optimizer, catalog
-    #: generation, execution settings), so repeated queries skip the
-    #: optimizer entirely
+    #: generation), so repeated queries skip the optimizer entirely
     PLAN_CACHE_SIZE = 256
 
-    def _plan_guard(self) -> threading.Lock:
-        """The plan-cache mutation lock (created lazily, race-free)."""
-        guard: Optional[threading.Lock] = getattr(self, "_plan_cache_lock", None)
-        if guard is None:
-            with _ENGINE_LOCK_GUARD:
-                guard = getattr(self, "_plan_cache_lock", None)
-                if guard is None:
-                    guard = self._plan_cache_lock = threading.Lock()
-        return guard
-
-    def _execution_settings_key(
-        self,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-    ) -> Tuple[bool, bool, int, Optional[str]]:
-        """Fingerprint of the execution settings a plan will run under.
-
-        Plans are logical today — no current optimizer output depends on
-        the substrate — but the cache key carries this fingerprint anyway
-        so mixed-mode service traffic (scalar and batched, sequential and
-        parallel queries interleaved on one shared engine) can never be
-        served a plan memoized under different execution settings should
-        an optimizer ever specialize for one.  Per-query overrides win
-        over the engine defaults, exactly as they do at execution time.
-        """
-        effective_batch = self.batch_size if batch_size is None else batch_size
-        effective_workers = self.workers if workers is None else workers
-        batched = bool(effective_batch is not None and effective_batch > 1)
-        parallel = bool(effective_workers is not None and effective_workers > 1)
-        return (
-            batched,
-            batched and bool(getattr(self.db, "mmap_views", False)),
-            effective_workers if parallel else 1,
-            (parallel_backend or self.parallel_backend) if parallel else None,
-        )
-
-    def plan(
-        self,
-        pattern: PatternLike,
-        optimizer: str = "dps",
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-    ) -> OptimizedPlan:
+    def plan(self, pattern: PatternLike, optimizer: str = "dps") -> OptimizedPlan:
         """Optimize a pattern without executing it (memoized, LRU).
 
-        The cache key is (pattern, optimizer, index generation,
-        execution-settings fingerprint): an index rebuild — which changes
-        the catalog the cost model priced against — or a different
-        batch/mmap-native/worker configuration can never be served a plan
-        memoized under the old settings.  Cache reads and writes are
-        lock-guarded so concurrent service queries sharing one engine
-        keep the LRU structure consistent; two racers optimizing the same
-        key both store the identical deterministic plan.
+        Plans are logical — no optimizer output depends on how or where
+        the plan will run — so the cache key is (pattern, optimizer,
+        index generation): an index rebuild, which changes the catalog
+        the cost model priced against, can never be served a plan
+        memoized before it.  Cache reads and writes are lock-guarded so
+        concurrent service queries sharing one engine keep the LRU
+        structure consistent; two racers optimizing the same key both
+        store the identical deterministic plan.
         """
         parsed = self._coerce(pattern)
         self._check_labels(parsed)
@@ -302,30 +227,29 @@ class GraphEngine:
             raise ValueError(
                 f"unknown optimizer {optimizer!r}; choose from {sorted(_OPTIMIZERS)}"
             ) from None
-        key = (
-            str(parsed),
-            optimizer,
-            getattr(self.db, "index_generation", 0),
-            self._execution_settings_key(batch_size, workers, parallel_backend),
-        )
-        with self._plan_guard():
-            cache: Optional[OrderedDict[Tuple, OptimizedPlan]]
-            cache = getattr(self, "_plan_cache", None)
-            if not isinstance(cache, OrderedDict):
-                # tolerate a plain dict planted by tests/older callers
-                cache = self._plan_cache = OrderedDict(cache or {})
+        key = (str(parsed), optimizer, self.db.index_generation)
+        cache = self._plan_cache
+        with self._plan_cache_lock:
             cached = cache.get(key)
             if cached is not None:
                 cache.move_to_end(key)  # LRU: a hit makes the entry youngest
                 return cached
         model = CostModel(self.db.catalog, parsed, self.cost_params)
         optimized = optimize(parsed, model)
-        with self._plan_guard():
-            cache = self._plan_cache
+        with self._plan_cache_lock:
             while len(cache) >= self.PLAN_CACHE_SIZE:
                 cache.popitem(last=False)  # evict the least recently used plan
             cache[key] = optimized
         return optimized
+
+    def _pool_for(
+        self, workers: Optional[int], parallel_backend: Optional[str]
+    ) -> Tuple[Optional[int], Optional[WorkerPool]]:
+        """Per-query worker override → (effective workers, engine pool)."""
+        effective = self.workers if workers is None else workers
+        if effective is not None and effective > 1:
+            return effective, self.worker_pool(effective, parallel_backend)
+        return effective, None
 
     def match(
         self,
@@ -334,46 +258,37 @@ class GraphEngine:
         reset_counters: bool = True,
         row_limit: Optional[int] = None,
         verify: bool = False,
-        batch_size: Optional[int] = None,
         workers: Optional[int] = None,
         parallel_backend: Optional[str] = None,
         morsel_size: Optional[int] = None,
     ) -> QueryResult:
         """Optimize and execute a pattern; returns matches + metrics.
 
-        ``reset_counters`` cold-starts the I/O counters and the working
-        cache before running (per-query accounting, as the paper measures
-        query by query).  ``row_limit`` caps every intermediate result and
-        raises :class:`~repro.query.algebra.RowLimitExceeded` beyond it.
+        ``reset_counters`` (the default) is cold per-query accounting, as
+        the paper measures query by query: the I/O counters and the
+        working cache are cleared and the run bypasses the cross-query
+        :class:`CenterCache`, so back-to-back runs of one pattern cannot
+        warm each other.  ``reset_counters=False`` keeps both warm.
+        ``row_limit`` caps every intermediate result and raises
+        :class:`~repro.query.algebra.RowLimitExceeded` beyond it.
         ``verify`` statically checks the optimized plan against this
         database (:func:`repro.analysis.check_plan`) before executing and
         raises :class:`repro.analysis.PlanVerificationError` on violations.
-        ``batch_size`` overrides the engine default for this query: a
-        value > 1 runs the vectorized Filter/Fetch substrate (results
-        identical to scalar), ``0`` forces the scalar path, ``None``
-        inherits the engine's ``batch_size``.  ``workers`` > 1 runs the
-        morsel-driven parallel scheduler on the engine-owned pool
-        (reused across queries); ``None`` inherits the engine's
-        ``workers``.  Rows come back identical to the sequential path.
+        ``workers`` > 1 runs the morsel-driven parallel scheduler on the
+        engine-owned pool (reused across queries); ``None`` inherits the
+        engine's ``workers``.  Rows come back identical to the
+        sequential path.
         """
-        optimized = self.plan(
-            pattern, optimizer=optimizer, batch_size=batch_size,
-            workers=workers, parallel_backend=parallel_backend,
-        )
+        optimized = self.plan(pattern, optimizer=optimizer)
         if reset_counters:
             self.db.reset_counters()
-        effective = self.batch_size if batch_size is None else batch_size
-        effective_workers = self.workers if workers is None else workers
-        pool = None
-        if effective_workers is not None and effective_workers > 1:
-            pool = self.worker_pool(effective_workers, parallel_backend)
+        effective_workers, pool = self._pool_for(workers, parallel_backend)
         return execute_plan(
             self.db,
             optimized.plan,
             row_limit=row_limit,
             verify=verify,
-            batch_size=effective,
-            center_cache=self.center_cache,
+            center_cache=None if reset_counters else self.center_cache,
             workers=effective_workers,
             parallel_backend=parallel_backend or self.parallel_backend,
             morsel_size=morsel_size,
@@ -387,7 +302,6 @@ class GraphEngine:
         limit: Optional[int] = None,
         row_limit: Optional[int] = None,
         verify: bool = False,
-        batch_size: Optional[int] = None,
         workers: Optional[int] = None,
         parallel_backend: Optional[str] = None,
         morsel_size: Optional[int] = None,
@@ -402,28 +316,22 @@ class GraphEngine:
         ``verify`` behave exactly as in :meth:`match`; the returned
         :class:`~repro.query.StreamingResult` carries a ``metrics``
         attribute with the same per-operator counters as a full run.
-        ``batch_size`` and ``workers``/``parallel_backend``/``morsel_size``
-        behave exactly as in :meth:`match`; abandoning a parallel stream
-        early (``limit`` reached or :meth:`StreamingResult.close`)
-        cancels the morsels that have not started, while the engine-owned
-        pool stays warm for the next query.  ``timeout`` is a per-query
-        deadline in seconds: an expired deadline stops the stream
-        cooperatively (between rows) and flags the run's metrics
-        ``truncated`` with ``stop_reason="timeout"`` — the query service
-        rides this for its admission-to-completion deadlines.
+        Streams always use the engine's :class:`CenterCache`.
+        ``workers``/``parallel_backend``/``morsel_size`` behave exactly
+        as in :meth:`match`; abandoning a parallel stream early
+        (``limit`` reached or :meth:`StreamingResult.close`) cancels the
+        morsels that have not started, while the engine-owned pool stays
+        warm for the next query.  ``timeout`` is a per-query deadline in
+        seconds: an expired deadline stops the stream cooperatively
+        (between rows) and flags the run's metrics ``truncated`` with
+        ``stop_reason="timeout"`` — the query service rides this for its
+        admission-to-completion deadlines.
         """
-        optimized = self.plan(
-            pattern, optimizer=optimizer, batch_size=batch_size,
-            workers=workers, parallel_backend=parallel_backend,
-        )
-        effective = self.batch_size if batch_size is None else batch_size
-        effective_workers = self.workers if workers is None else workers
-        pool = None
-        if effective_workers is not None and effective_workers > 1:
-            pool = self.worker_pool(effective_workers, parallel_backend)
+        optimized = self.plan(pattern, optimizer=optimizer)
+        effective_workers, pool = self._pool_for(workers, parallel_backend)
         return execute_plan_streaming(
             self.db, optimized.plan, limit=limit, row_limit=row_limit,
-            verify=verify, batch_size=effective,
+            verify=verify,
             center_cache=self.center_cache,
             workers=effective_workers,
             parallel_backend=parallel_backend or self.parallel_backend,

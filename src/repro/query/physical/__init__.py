@@ -15,7 +15,6 @@ points are :func:`repro.query.execute_plan`,
 
 from .cache import DEFAULT_CACHE_BYTES, CenterCache
 from .context import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_MORSEL_SIZE,
     CacheStats,
     ExecutionContext,
@@ -53,7 +52,6 @@ __all__ = [
     "BACKENDS",
     "CacheStats",
     "CenterCache",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_MORSEL_SIZE",
     "ExecutionContext",

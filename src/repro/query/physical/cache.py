@@ -1,9 +1,9 @@
 """CenterCache — a size-bounded, shard-striped LRU shared across queries.
 
-The scalar hot path recomputes two things per query that are pure
-functions of the offline structures:
+Two things every query would otherwise recompute are pure functions of
+the offline structures:
 
-* ``getCenters(x, X, Y)`` (Eq. 6) — the W-probe plus a set intersection,
+* ``getCenters(x, X, Y)`` (Eq. 6) — a code read plus an intersection,
   repeated for every distinct scanned node of every Filter;
 * ``getF(w, X)`` / ``getT(w, Y)`` (Eqs. 7-9) — the per-center labeled
   subcluster, re-fetched from the B+-tree by every Fetch that meets the

@@ -26,9 +26,6 @@ from .cache import CenterCache
 
 _name_counter = itertools.count()
 
-#: default rows-per-block when a caller enables batching without a size
-DEFAULT_BATCH_SIZE = 1024
-
 #: default rows per parallel morsel (centers morsels are derived from it,
 #: see :mod:`repro.query.physical.parallel`)
 DEFAULT_MORSEL_SIZE = 1024
@@ -115,12 +112,10 @@ class ExecutionContext:
     operator whose output outgrows it raises
     :class:`~repro.query.algebra.RowLimitExceeded`, under either driver.
 
-    ``batch_size`` selects the vectorized substrate: ``None`` (default)
-    runs the scalar tuple-at-a-time oracle; a value > 1 makes the Filter
-    and Fetch operators process rows in blocks of that size through the
-    sorted-array kernels (:mod:`repro.query.physical.kernels`).
-    ``center_cache`` is the engine-owned cross-query LRU consulted by the
-    batch kernels for center sets and subclusters.
+    ``center_cache`` is the engine-owned cross-query LRU the operators
+    consult for center sets and subclusters before reading the
+    database's run surface; ``None`` runs without it (cold per-query
+    accounting — what ``GraphEngine.match(reset_counters=True)`` does).
 
     ``workers``/``parallel_backend``/``morsel_size`` select the
     morsel-driven parallel scheduler
@@ -146,7 +141,6 @@ class ExecutionContext:
     db: GraphDatabase
     pattern: GraphPattern
     row_limit: Optional[int] = None
-    batch_size: Optional[int] = None
     center_cache: Optional[CenterCache] = None
     workers: Optional[int] = None
     parallel_backend: Optional[str] = None
@@ -174,23 +168,6 @@ class ExecutionContext:
                 # cross-shard write or ledger drift left by an earlier
                 # (possibly concurrent) query trips before this run reads
                 verify_shard_isolation(self.center_cache, where="cache sync")
-
-    @property
-    def batched(self) -> bool:
-        return self.batch_size is not None and self.batch_size > 1
-
-    @property
-    def mmap_native(self) -> bool:
-        """True when the batch operators should address zero-copy
-        snapshot slices instead of materializing arrays and tuples.
-
-        Requires both the vectorized substrate (the scalar oracle always
-        runs on materialized codes) and a view-capable snapshot-backed
-        database (``db.mmap_views``).  Every result and per-op counter is
-        byte-identical either way — this picks a representation, never a
-        semantics.
-        """
-        return self.batched and getattr(self.db, "mmap_views", False)
 
     @property
     def parallel(self) -> bool:

@@ -102,7 +102,6 @@ def _prepare(
     plan: Plan,
     row_limit: Optional[int],
     verify: bool,
-    batch_size: Optional[int] = None,
     center_cache: Optional[CenterCache] = None,
     workers: Optional[int] = None,
     parallel_backend: Optional[str] = None,
@@ -123,7 +122,6 @@ def _prepare(
         db=db,
         pattern=plan.pattern,
         row_limit=row_limit,
-        batch_size=batch_size,
         center_cache=center_cache,
         workers=workers,
         parallel_backend=parallel_backend,
@@ -180,7 +178,6 @@ def execute_plan(
     plan: Plan,
     row_limit: Optional[int] = None,
     verify: bool = False,
-    batch_size: Optional[int] = None,
     center_cache: Optional[CenterCache] = None,
     workers: Optional[int] = None,
     parallel_backend: Optional[str] = None,
@@ -199,10 +196,10 @@ def execute_plan(
     :class:`repro.analysis.PlanVerificationError` listing every violation
     — the belt-and-braces mode for exercising new optimizers.
 
-    ``batch_size`` > 1 runs the Filter/Fetch operators block-at-a-time
-    through the vectorized kernels; ``center_cache`` plugs in the
-    engine's cross-query :class:`CenterCache` (consulted only in batch
-    mode).  Results are identical to the scalar path row for row.
+    ``center_cache`` plugs in the engine's cross-query
+    :class:`CenterCache`; without it every center set and subcluster is
+    read from the database (cold per-query accounting).  Rows and
+    logical counters are identical either way.
 
     ``workers`` > 1 runs the stages through the morsel-driven scheduler
     (:mod:`repro.query.physical.parallel`); ``parallel_backend`` picks
@@ -216,7 +213,7 @@ def execute_plan(
     if workers is None and worker_pool is not None:
         workers = worker_pool.workers
     ctx, operators, project, metrics = _prepare(
-        db, plan, row_limit, verify, batch_size=batch_size,
+        db, plan, row_limit, verify,
         center_cache=center_cache, workers=workers,
         parallel_backend=parallel_backend, morsel_size=morsel_size,
         sanitize=sanitize,
@@ -253,16 +250,25 @@ def execute_plan(
             metrics=metrics,
         )
 
-    table: Optional[TemporalTable] = None
-    for op in operators:
-        source = table.scan() if table is not None else None
-        output = TemporalTable.from_layout(db.pool, op.layout, name=temp_name(op.name))
-        for row in op.rows(source):
-            output.insert(row)
-        table = output
-        metrics.peak_temporal_rows = max(metrics.peak_temporal_rows, table.row_count)
-
-    rows = list(project.rows(table.scan()))
+    tables: List[TemporalTable] = []
+    try:
+        for op in operators:
+            source = tables[-1].scan() if tables else None
+            output = TemporalTable.from_layout(
+                db.pool, op.layout, name=temp_name(op.name)
+            )
+            tables.append(output)
+            for row in op.rows(source):
+                output.insert(row)
+            metrics.peak_temporal_rows = max(
+                metrics.peak_temporal_rows, output.row_count
+            )
+        rows = list(project.rows(tables[-1].scan()))
+    finally:
+        # intermediates are dead once the projection has drained: hand
+        # their pages back instead of leaving them on the simulated disk
+        for table in tables:
+            table.drop()
 
     metrics.elapsed_seconds = time.perf_counter() - started
     metrics.io = db.stats.delta_since(io_before)
@@ -373,7 +379,6 @@ def execute_plan_streaming(
     limit: Optional[int] = None,
     row_limit: Optional[int] = None,
     verify: bool = False,
-    batch_size: Optional[int] = None,
     center_cache: Optional[CenterCache] = None,
     workers: Optional[int] = None,
     parallel_backend: Optional[str] = None,
@@ -388,10 +393,9 @@ def execute_plan_streaming(
     produced; ``row_limit`` guards every operator's output exactly as in
     :func:`execute_plan`, and the returned :class:`StreamingResult`
     carries per-operator metrics identical to the materializing driver's
-    once the stream is fully drained.  ``batch_size``/``center_cache``
-    select the vectorized substrate and
-    ``workers``/``parallel_backend``/``morsel_size``/``worker_pool`` the
-    morsel scheduler, exactly as in :func:`execute_plan`; under parallel
+    once the stream is fully drained.  ``center_cache`` and
+    ``workers``/``parallel_backend``/``morsel_size``/``worker_pool``
+    behave exactly as in :func:`execute_plan`; under parallel
     execution the final stage's morsels are merged lazily, and stopping
     at *limit* (or :meth:`StreamingResult.close`) cancels the morsels
     that have not started yet.
@@ -409,7 +413,7 @@ def execute_plan_streaming(
     if workers is None and worker_pool is not None:
         workers = worker_pool.workers
     ctx, operators, project, metrics = _prepare(
-        db, plan, row_limit, verify, batch_size=batch_size,
+        db, plan, row_limit, verify,
         center_cache=center_cache, workers=workers,
         parallel_backend=parallel_backend, morsel_size=morsel_size,
         sanitize=sanitize,

@@ -1,10 +1,9 @@
-"""Vectorized batch kernels for the R-join hot path (Eqs. 6-9).
+"""Sorted-run kernels for the R-join hot path (Eqs. 6-9).
 
-The scalar Filter/Fetch operators pay tuple-at-a-time Python overhead:
-every row builds frozensets, intersects them, and re-probes the B+-tree.
-These kernels are the batch-oriented alternative the join literature
-prescribes — tight set intersections over *sorted integer arrays*
-(``array('q')``), processed a block of rows at a time:
+Every physical operator computes on *sorted int runs* — the one
+representation the database's run surface hands out on both storage
+tiers (tuples from the B+-tree tier, tuples and ``array('q')`` rows
+decoded once from a snapshot):
 
 * :func:`intersect` — sorted-array intersection, choosing between a
   linear merge and galloping (exponential/binary search) probes by the
@@ -12,33 +11,25 @@ prescribes — tight set intersections over *sorted integer arrays*
   ``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` with ``out(x)`` small and
   ``W(X, Y)`` potentially huge, exactly the asymmetric case galloping
   wins.
-* :func:`batch_get_centers` — Eq. 6 over a block of node ids: one
-  W-array load amortized over the whole block, one intersection per
-  distinct node.
 * :func:`gather_union` — the Fetch side (Eqs. 7-9): the deduplicated
-  union of per-center subclusters, i.e. the batched Cartesian fetch for
-  one centers column value, computed once per distinct value instead of
+  union of per-center subclusters, i.e. the Cartesian fetch for one
+  centers column value, computed once per distinct value instead of
   once per row.
+* :func:`union_sorted` / :func:`intersect_many` — the multiway
+  (generic-join) extension set and its k-way intersection.
 * :func:`intern_label_pair` — stable small-int ids for ``(X, Y)`` label
   pairs so cache keys compare by int instead of by string pair.
 
 Every kernel follows ``set`` semantics (duplicates in the inputs are
 tolerated and collapse in the output) and is property-tested against the
-builtin ``set`` type in ``tests/test_kernels.py``.  The scalar operators
-remain the semantic oracle; the kernels must agree with them bit for bit
-on result sets and logical counters (``tests/test_batch_differential.py``).
+builtin ``set`` type in ``tests/test_kernels.py``; the frozenset
+reference executor in ``tests/reference_executor.py`` is the semantic
+oracle the operators built on these kernels must match row for row and
+counter for counter (``tests/test_differential.py``).
 
 Input representation: every kernel takes *sorted int sequences* and is
-agnostic to their concrete type.  Two representations are first-class
-and differentially tested against each other:
-
-* ``array('q')`` — the materialized path, and the differential oracle;
-* ``memoryview('q')`` — zero-copy slices straight out of an mmap-backed
-  snapshot (the blessed view API of :mod:`repro.storage.snapshot`),
-  which the mmap-native operators feed in without any decode pass.
-
-Outputs are always freshly materialized (``array('q')``/tuples), never
-views — kernel results may be cached and must not pin the mapping.
+agnostic to their concrete type (tuples and ``array('q')`` both occur);
+outputs are always freshly materialized arrays or tuples.
 """
 
 from __future__ import annotations
@@ -112,9 +103,9 @@ def intersect(a: Sequence[int], b: Sequence[int]) -> "array[int]":
 
     Dispatches between :func:`intersect_merge` and
     :func:`intersect_gallop` on the size ratio (``GALLOP_RATIO``).
-    Accepts ``array('q')`` and ``memoryview('q')`` inputs in any mix
-    (emptiness, indexing and ``bisect`` behave identically on both); the
-    result is always a fresh array regardless of input type.
+    Accepts tuples and ``array('q')`` in any mix (emptiness, indexing
+    and ``bisect`` behave identically on both); the result is always a
+    fresh array regardless of input type.
     """
     if not a or not b:
         return _EMPTY
@@ -127,27 +118,7 @@ def intersect(a: Sequence[int], b: Sequence[int]) -> "array[int]":
 
 
 # ----------------------------------------------------------------------
-# batched getCenters (Eq. 6 over a block of node ids)
-# ----------------------------------------------------------------------
-def batch_get_centers(
-    nodes: Sequence[int],
-    codes: Sequence[Sequence[int]],
-    w_array: Sequence[int],
-) -> List[Tuple[int, ...]]:
-    """``getCenters`` for a block: intersect each node's code with W(X, Y).
-
-    *codes* is positionally parallel to *nodes* (the caller resolves each
-    node's sorted in/out graph code); the result list is parallel too,
-    one sorted tuple of centers per node (possibly empty).  Both *codes*
-    entries and *w_array* may be arrays or zero-copy snapshot views.
-    """
-    if not w_array:
-        return [() for _ in nodes]
-    return [tuple(intersect(code, w_array)) for code in codes]
-
-
-# ----------------------------------------------------------------------
-# batched Cartesian fetch (Eqs. 7-9)
+# Cartesian fetch (Eqs. 7-9)
 # ----------------------------------------------------------------------
 def gather_union(
     partner_lists: Sequence[Sequence[int]],
@@ -155,11 +126,9 @@ def gather_union(
     """Deduplicated union of per-center subclusters, plus the raw volume.
 
     Returns ``(partners, total)`` where *partners* preserves first-seen
-    order across the input lists (matching the scalar Fetch's dedup
-    order) and *total* is the pre-dedup node count — the quantity the
-    scalar path charges into ``nodes_fetched``.  Input lists may be
-    tuples, arrays or zero-copy snapshot views; the output tuples are
-    always materialized ints.
+    order across the input lists (Algorithm 2's per-tuple dedup order)
+    and *total* is the pre-dedup node count — the quantity charged into
+    ``nodes_fetched``.
     """
     total = 0
     if len(partner_lists) == 1:
@@ -190,8 +159,7 @@ def union_sorted(
     so it can feed :func:`intersect`/:func:`intersect_many` directly.
     ``total`` is the pre-dedup node count — the quantity charged into
     ``nodes_fetched`` (the same accounting as :func:`gather_union`).
-    Inputs may be tuples, arrays or zero-copy snapshot views; the output
-    is always a fresh array.
+    The output is always a fresh array.
     """
     if not partner_lists:
         return array(ARRAY_TYPECODE), 0
@@ -283,28 +251,11 @@ def intern_label_pair(x_label: str, y_label: str) -> int:
     return pair_id
 
 
-def iter_blocks(
-    source: Iterable, block_size: int
-) -> Iterable[list]:
-    """Chunk any iterable into lists of at most *block_size* items."""
-    block: list = []
-    append = block.append
-    for item in source:
-        append(item)
-        if len(block) >= block_size:
-            yield block
-            block = []
-            append = block.append
-    if block:
-        yield block
-
-
 __all__ = [
     "ARRAY_TYPECODE",
     "GALLOP_RATIO",
     "PAIR_INTERN_LIMIT",
     "as_sorted_array",
-    "batch_get_centers",
     "clear_pair_ids",
     "gather_union",
     "intern_label_pair",
@@ -312,7 +263,6 @@ __all__ = [
     "intersect_gallop",
     "intersect_many",
     "intersect_merge",
-    "iter_blocks",
     "pair_epoch",
     "union_sorted",
 ]

@@ -3,8 +3,8 @@
 Every operator is a class with the classic ``open()/rows()/close()``
 lifecycle over a shared :class:`~repro.query.physical.context.ExecutionContext`:
 
-* :class:`SeedScanOp` — materialize one variable column from its base
-  table extent (single-variable patterns).
+* :class:`SeedScanOp` — materialize one variable column from its label
+  extent (single-variable patterns).
 * :class:`SeedJoinOp` — HPSJ, Algorithm 1: R-join two *base* tables
   entirely from the cluster-based R-join index (per center
   ``w ∈ W(X,Y)``, the Cartesian product ``getF(w,X) × getT(w,Y)``,
@@ -14,35 +14,35 @@ lifecycle over a shared :class:`~repro.query.physical.context.ExecutionContext`:
   (Eq. 6); tuples with ``X_i = ∅`` are pruned, survivors carry their
   center sets forward.  One scan serves several conditions on the same
   scanned variable (Remark 3.1), and repeated node values hit a
-  per-operator memo instead of re-probing and re-sorting.
-* :class:`FetchOp` — the Fetch procedure: per surviving tuple and center,
-  Cartesian-product with the center's labeled T-subcluster (or
-  F-subcluster for the mirrored direction), deduplicating per tuple since
-  several centers can witness the same partner node.
+  per-operator memo instead of re-probing.
+* :class:`FetchOp` — the Fetch procedure: per surviving tuple, the
+  deduplicated union over its centers of the center's labeled
+  T-subcluster (or F-subcluster for the mirrored direction).
 * :class:`SelectionOp` — the self R-join (Eq. 5): test
   ``out(x) ∩ in(y) ≠ ∅`` between two already-bound columns.
 * :class:`ProjectOp` — project the pattern's variables in declaration
   order off the final intermediate.
 
+There is **one body per operator**.  Each pulls its input a row at a
+time (so a ``LIMIT`` stops all upstream work at once), computes with the
+sorted-run kernels (:mod:`repro.query.physical.kernels`), and reads the
+database only through its four-call run surface (``w_run``/``code_run``/
+``subcluster_runs``/``extent_run``) — whether those runs come from the
+B+-tree tier (charged I/O) or a snapshot (decoded once) is the
+database's business, never an operator's.  The lookup order for the two
+memoizable reads is fixed: per-operator memo, then the cross-query
+:class:`~repro.query.physical.cache.CenterCache` when the context
+carries one, then the run surface.  ``W(X, Y)`` is read once per
+operator execution and a center's subcluster leaf once per operator (the
+paper's "leaf stays pinned" average ``IO_rji``).
+
 The two drivers in :mod:`repro.query.physical.drivers` differ only in
 how they move rows between these operators: the materializing driver
 drains each ``rows()`` into a temporal table, the streaming driver chains
 the generators.  Deduplication sets, the Remark 3.1 shared scan, the
-per-center subcluster cache and all metric counting live here and
-nowhere else, so the two execution modes cannot drift apart.
-
-When the context reports ``mmap_native`` (batched execution over a
-view-capable snapshot-backed database), every operator routes its reads
-through the snapshot's blessed zero-copy view API instead of
-materializing codes, W-entries and subclusters: the seed scan iterates
-the per-label node column, HPSJ and Fetch slice subcluster runs, Filter
-gallops code slices into W-slices, Selection intersects code slices
-directly.  This changes only the *representation* handed to the kernels
-— emitted rows and every per-op counter are byte-identical to the
-materializing path, which the mmap-native differential suite pins.
-Views are consumed and dropped within the call; only materialized
-tuples enter any memo or cache, so nothing here can pin the mapping
-past ``Snapshot.close()``.
+memos and all metric counting live here and nowhere else, so the two
+execution modes cannot drift apart; ``tests/reference_executor.py`` is
+the frozenset oracle both must match row for row and counter for counter.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from ..algebra import (
     SelectionStep,
     Side,
 )
-from ...storage.snapshot import SIDE_F, SIDE_T
 from ..pattern import Condition
 from . import kernels
 from .context import ExecutionContext, OperatorMetrics, RowLayout
@@ -71,7 +70,8 @@ Row = Tuple[int, ...]
 
 
 class PhysicalOperator:
-    """Base class: lifecycle, row accounting, and the row-limit guard.
+    """Base class: lifecycle, row accounting, the row-limit guard, and the
+    two memoized index reads every R-join operator shares.
 
     Subclasses implement :meth:`_produce`; the base wraps it so that
 
@@ -90,6 +90,10 @@ class PhysicalOperator:
         #: schema of the rows this operator emits
         self.layout = layout
         self.metrics = OperatorMetrics(operator=name)
+        # per-execution memo of subcluster contents: the paper's IO_rji is
+        # an *average per retrieved node* precisely because a center's
+        # leaf stays pinned while its subcluster is consumed
+        self._subclusters: Dict[Tuple[int, str, Side], Sequence[int]] = {}
 
     # -- lifecycle -----------------------------------------------------
     def open(self) -> None:
@@ -98,6 +102,7 @@ class PhysicalOperator:
         self.metrics.rows_out = 0
         self.metrics.centers_probed = 0
         self.metrics.nodes_fetched = 0
+        self._subclusters = {}
 
     def rows(self, source: Optional[Iterable[Row]] = None) -> Iterator[Row]:
         """The operator's output stream (opens on first pull)."""
@@ -117,6 +122,7 @@ class PhysicalOperator:
 
     def close(self) -> None:
         """Release per-execution state; called when the stream ends."""
+        self._subclusters = {}
 
     # -- helpers -------------------------------------------------------
     def _pull(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
@@ -128,6 +134,51 @@ class PhysicalOperator:
             metrics.rows_in += 1
             yield row
 
+    def _centers(
+        self, node: int, w_run: Sequence[int], pair_id: int, side: Side
+    ) -> Tuple[int, ...]:
+        """Eq. 6: ``getCenters`` = the node's code ∩ ``W(X, Y)``, sorted.
+
+        CenterCache first (when the context carries one), else the code
+        run galloped into the operator's W-run.
+        """
+        cache = self.ctx.center_cache
+        if cache is not None:
+            cached = cache.get_centers(node, pair_id, side, stats=self.ctx.cache_stats)
+            if cached is not None:
+                return cached
+        centers: Tuple[int, ...] = ()
+        if w_run:
+            centers = tuple(
+                kernels.intersect(self.ctx.db.code_run(node, side.value), w_run)
+            )
+        if cache is not None:
+            cache.put_centers(node, pair_id, side, centers, stats=self.ctx.cache_stats)
+        return centers
+
+    def _subcluster(self, center: int, label: str, side: Side) -> Sequence[int]:
+        """One center's labeled subcluster — ``getT(w, label)`` for
+        ``Side.OUT``, ``getF(w, label)`` for ``Side.IN``: per-operator
+        memo, then the CenterCache, then one index probe."""
+        key = (center, label, side)
+        partners = self._subclusters.get(key)
+        if partners is not None:
+            return partners
+        cache = self.ctx.center_cache
+        if cache is not None:
+            partners = cache.get_subcluster(
+                center, label, side, stats=self.ctx.cache_stats
+            )
+        if partners is None:
+            leaf = self.ctx.db.subcluster_runs(center)
+            partners = leaf[1 if side is Side.OUT else 0].get(label, ())
+            if cache is not None:
+                cache.put_subcluster(
+                    center, label, side, partners, stats=self.ctx.cache_stats
+                )
+        self._subclusters[key] = partners
+        return partners
+
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
         raise NotImplementedError
 
@@ -136,13 +187,7 @@ class PhysicalOperator:
 # seeds
 # ----------------------------------------------------------------------
 class SeedScanOp(PhysicalOperator):
-    """Scan one base table to seed a single-variable intermediate.
-
-    Mmap-native mode reads the snapshot's per-label node column instead
-    — same sorted node ids the primary-key scan yields, without ever
-    materializing the base table's rows (the single largest allocation
-    of a scan-seeded query).
-    """
+    """Scan one label extent to seed a single-variable intermediate."""
 
     def __init__(self, ctx: ExecutionContext, var: str):
         super().__init__(ctx, f"scan({var})", RowLayout((var,)))
@@ -151,14 +196,9 @@ class SeedScanOp(PhysicalOperator):
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
         metrics = self.metrics
-        if self.ctx.mmap_native:
-            for node in self.ctx.db.extent_view(self.label):
-                metrics.rows_in += 1
-                yield (node,)
-            return
-        for row in self.ctx.db.base_table(self.label).scan():
+        for node in self.ctx.db.extent_run(self.label):
             metrics.rows_in += 1
-            yield (row[0],)
+            yield (node,)
 
 
 class SeedJoinOp(PhysicalOperator):
@@ -180,6 +220,7 @@ class SeedJoinOp(PhysicalOperator):
         self._seen = set()
 
     def close(self) -> None:
+        super().close()
         self._seen = set()
 
     def center_worklist(self) -> List[int]:
@@ -188,27 +229,19 @@ class SeedJoinOp(PhysicalOperator):
         The parallel scheduler partitions exactly this list into center
         morsels; keeping the enumeration order identical to
         :meth:`_produce` is what makes the morsel-merged output
-        byte-identical to the sequential oracle.
+        byte-identical to the sequential run.
         """
-        return list(self.ctx.db.join_index.centers(self.x_label, self.y_label))
+        return list(self.ctx.db.w_run(self.x_label, self.y_label))
 
     def _enumerate(self, centers: Iterable[int]) -> Iterator[Row]:
         """Candidate pairs for a slice of the worklist, locally deduped."""
         db = self.ctx.db
         metrics = self.metrics
         seen = self._seen
-        # mmap-native: each leaf read is a pair of dicts of zero-copy
-        # run slices, consumed immediately below, never retained
-        get_ft = (
-            db.join_index.get_ft_views
-            if self.ctx.mmap_native
-            else db.join_index.get_ft
-        )
         for center in centers:
             metrics.centers_probed += 1
-            # one combined probe: both subcluster maps live in the same
-            # leaf, so get_f + get_t would descend the tree twice for it
-            f_sub, t_sub = get_ft(center)
+            # one probe: both subcluster maps live in the same leaf
+            f_sub, t_sub = db.subcluster_runs(center)
             f_nodes = f_sub.get(self.x_label, ())
             t_nodes = t_sub.get(self.y_label, ())
             metrics.nodes_fetched += len(f_nodes) + len(t_nodes)
@@ -238,15 +271,7 @@ class SeedJoinOp(PhysicalOperator):
             self.close()
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        index = self.ctx.db.join_index
-        if self.ctx.mmap_native:
-            # W(X, Y) as a zero-copy slice — same ids, no decode/memoize
-            centers: Iterable[int] = index.centers_view(
-                self.x_label, self.y_label
-            )
-        else:
-            centers = index.centers(self.x_label, self.y_label)
-        yield from self._enumerate(centers)
+        yield from self._enumerate(self.ctx.db.w_run(self.x_label, self.y_label))
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +286,8 @@ class SharedFilterOp(PhysicalOperator):
     empty set proves the row can never satisfy that reachability
     condition.  Because the verdict depends only on the scanned node, a
     per-operator memo caches each node's computed center columns (or its
-    pruning) so repeated values pay neither the index probes nor the
-    per-key sort again.
+    pruning) so repeated values pay neither the code read nor the
+    intersection again.
     """
 
     def __init__(
@@ -294,123 +319,36 @@ class SharedFilterOp(PhysicalOperator):
         self.label_pairs = [
             (ctx.pattern.condition_labels(cond), side) for cond, side in keys
         ]
-        self._memo: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]] = {}
-        # batch-mode resources, resolved in open(): one (W-array,
-        # pair-id, code-array accessor, side) per key
-        self._batch_keys: List[tuple] = []
 
-    def open(self) -> None:
-        super().open()
-        self._memo = {}
-        self._batch_keys = []
-        if self.ctx.batched:
-            db = self.ctx.db
-            native = self.ctx.mmap_native
-            for (x_label, y_label), side in self.label_pairs:
-                if native:
-                    # zero-copy W-slice and per-node code slices; the
-                    # intersection results entering the memo/cache are
-                    # materialized tuples either way
-                    w_entry = db.join_index.centers_view(x_label, y_label)
-                    code_of = (
-                        db.out_code_view if side is Side.OUT else db.in_code_view
-                    )
-                else:
-                    w_entry = db.join_index.centers_array(x_label, y_label)
-                    code_of = (
-                        db.out_code_array if side is Side.OUT else db.in_code_array
-                    )
-                self._batch_keys.append(
-                    (
-                        w_entry,
-                        kernels.intern_label_pair(x_label, y_label),
-                        code_of,
-                        side,
-                    )
-                )
-
-    def close(self) -> None:
-        self._memo = {}
-        self._batch_keys = []
-
-    def _centers_for(self, node: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """The row suffix for *node*, or None if any key prunes it."""
-        db = self.ctx.db
-        center_sets: List[Tuple[int, ...]] = []
-        for (x_label, y_label), side in self.label_pairs:
-            if side is Side.OUT:
-                centers = db.get_centers(node, x_label, y_label)
-            else:
-                centers = db.get_centers_reverse(node, x_label, y_label)
+    def _suffix(
+        self, node: int, w_keys: Sequence[Tuple[Sequence[int], int, Side]]
+    ) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """The centers columns for *node*, or None if any key prunes it."""
+        columns = []
+        for w_run, pair_id, side in w_keys:
+            centers = self._centers(node, w_run, pair_id, side)
             if not centers:
                 return None
-            center_sets.append(tuple(sorted(centers)))
-        return tuple(center_sets)
-
-    def _centers_for_batched(self, node: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """Kernel path for one fresh node: gallop each code into W(X, Y).
-
-        Semantics match :meth:`_centers_for` exactly (sorted center
-        tuples, None on any empty key) — the codes and W-entries are the
-        same sets, only the representation (sorted arrays, interned pair
-        ids, cross-query cache) differs.
-        """
-        cache = self.ctx.center_cache
-        center_sets: List[Tuple[int, ...]] = []
-        for w_array, pair_id, code_array_of, side in self._batch_keys:
-            centers: Optional[Tuple[int, ...]] = None
-            if cache is not None:
-                centers = cache.get_centers(
-                    node, pair_id, side, stats=self.ctx.cache_stats
-                )
-            if centers is None:
-                if w_array:
-                    centers = tuple(kernels.intersect(code_array_of(node), w_array))
-                else:
-                    centers = ()
-                if cache is not None:
-                    cache.put_centers(
-                        node, pair_id, side, centers,
-                        stats=self.ctx.cache_stats,
-                    )
-            if not centers:
-                return None
-            center_sets.append(centers)
-        return tuple(center_sets)
+            columns.append(centers)
+        return tuple(columns)
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        if self.ctx.batched:
-            yield from self._produce_batched(source)
-            return
-        memo = self._memo
+        db = self.ctx.db
+        # W(X, Y) is read once per key per execution, not per node
+        w_keys = [
+            (db.w_run(x, y), kernels.intern_label_pair(x, y), side)
+            for (x, y), side in self.label_pairs
+        ]
+        memo: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]] = {}
         position = self.position
         for row in self._pull(source):
             node = row[position]
             if node in memo:
                 suffix = memo[node]
             else:
-                suffix = memo[node] = self._centers_for(node)
+                suffix = memo[node] = self._suffix(node, w_keys)
             if suffix is not None:
                 yield tuple(row) + suffix
-
-    def _produce_batched(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        """Block-at-a-time Filter: batched getCenters over distinct nodes.
-
-        Rows are emitted in input order, so the output is identical to
-        the scalar path's row for row, not just as a set.
-        """
-        memo = self._memo
-        position = self.position
-        centers_for = self._centers_for_batched
-        for block in kernels.iter_blocks(self._pull(source), self.ctx.batch_size):
-            # phase 1: resolve every distinct fresh node of the block
-            for node in {row[position] for row in block} - memo.keys():
-                memo[node] = centers_for(node)
-            # phase 2: emit survivors in input order
-            for row in block:
-                suffix = memo[row[position]]
-                if suffix is not None:
-                    yield tuple(row) + suffix
 
 
 class FetchOp(PhysicalOperator):
@@ -420,7 +358,11 @@ class FetchOp(PhysicalOperator):
     Per row, the new column's values are the union over the row's centers
     of the center's labeled T-subcluster (``Side.OUT``) or F-subcluster
     (``Side.IN``); the union is deduplicated because one partner node may
-    be witnessed by several centers.
+    be witnessed by several centers.  Many rows share a centers column
+    value, so the deduplicated union is computed once per distinct value;
+    the logical counters are still charged per row (``centers_probed``
+    per (row, center), ``nodes_fetched`` per subcluster node examined) —
+    they describe Algorithm 2's work, not the memoization shortcut.
     """
 
     def __init__(
@@ -446,123 +388,34 @@ class FetchOp(PhysicalOperator):
         self.centers_position = input_layout.pending_position(key)
         x_label, y_label = ctx.pattern.condition_labels(condition)
         self.fetch_label = y_label if side is Side.OUT else x_label
-        # snapshot-side tag of the subcluster run the view path slices:
-        # Side.OUT fetches the T-subcluster, Side.IN the F-subcluster
-        self.snap_side = SIDE_T if side is Side.OUT else SIDE_F
         # positions of the surviving pending columns in the input rows
         self.keep_positions = [
             input_layout.pending_position(k) for k in remaining
         ]
         self.var_count = len(input_layout.variables)
-        # Per-operator memo of subcluster contents: the paper's IO_rji is
-        # an *average per retrieved node* precisely because a center's
-        # leaf stays pinned while its subcluster is consumed —
-        # re-descending the index for every (row, center) pair would
-        # overcharge the fetch by the tree height.
-        self._subclusters: Dict[int, Tuple[int, ...]] = {}
-        # batch mode: the deduplicated Cartesian expansion per distinct
-        # centers-tuple, (partners, pre-dedup volume) — many rows share a
-        # centers column value, and the scalar path re-deduplicates the
-        # same union for each of them
-        self._partners_memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
-
-    def open(self) -> None:
-        super().open()
-        self._subclusters = {}
-        self._partners_memo = {}
-
-    def close(self) -> None:
-        self._subclusters = {}
-        self._partners_memo = {}
-
-    def _subcluster(self, center: int) -> Tuple[int, ...]:
-        """One center's labeled subcluster: per-op memo, then the shared
-        CenterCache (batch mode), then a single B+-tree probe."""
-        partners = self._subclusters.get(center)
-        if partners is not None:
-            return partners
-        shared = self.ctx.center_cache if self.ctx.batched else None
-        if shared is not None:
-            partners = shared.get_subcluster(
-                center, self.fetch_label, self.side, stats=self.ctx.cache_stats
-            )
-        if partners is None:
-            db = self.ctx.db
-            if self.side is Side.OUT:
-                partners = db.join_index.get_t(center, self.fetch_label)
-            else:
-                partners = db.join_index.get_f(center, self.fetch_label)
-            if shared is not None:
-                shared.put_subcluster(
-                    center, self.fetch_label, self.side, partners,
-                    stats=self.ctx.cache_stats,
-                )
-        self._subclusters[center] = partners
-        return partners
-
-    def _subcluster_view(self, center: int):
-        """View twin of :meth:`_subcluster`: a zero-copy run slice.
-
-        No memo and no CenterCache on purpose — the slice is an O(1)
-        re-address of the mapping (there is no tree descent to amortize),
-        and holding views in a memo or the cross-query cache would pin
-        the mapping past ``Snapshot.close()``.  Only materialized tuples
-        (the per-centers-set unions in ``_partners_memo``) are cached.
-        """
-        run = self.ctx.db.join_index.subcluster_view(
-            center, self.fetch_label, self.snap_side
-        )
-        return () if run is None else run
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        if self.ctx.batched:
-            yield from self._produce_batched(source)
-            return
         metrics = self.metrics
         subcluster = self._subcluster
-        for row in self._pull(source):
-            base = tuple(row[: self.var_count])
-            carried = tuple(row[p] for p in self.keep_positions)
-            seen_partners: set = set()
-            for center in row[self.centers_position]:
-                metrics.centers_probed += 1
-                partners = subcluster(center)
-                metrics.nodes_fetched += len(partners)
-                for partner in partners:
-                    if partner not in seen_partners:
-                        seen_partners.add(partner)
-                        yield base + (partner,) + carried
-
-    def _produce_batched(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        """Block-at-a-time Fetch: one dedup union per distinct centers set.
-
-        The logical counters are charged per row exactly like the scalar
-        path (``centers_probed`` per (row, center), ``nodes_fetched`` per
-        subcluster node examined) even when the union itself comes from
-        the memo — the counters describe Algorithm 2's work, not the
-        memoization shortcut.
-        """
-        metrics = self.metrics
-        memo = self._partners_memo
+        label, side = self.fetch_label, self.side
         centers_position = self.centers_position
-        subcluster = (
-            self._subcluster_view if self.ctx.mmap_native else self._subcluster
-        )
-        for block in kernels.iter_blocks(self._pull(source), self.ctx.batch_size):
-            for row in block:
-                centers = row[centers_position]
-                entry = memo.get(centers)
-                if entry is None:
-                    entry = memo[centers] = kernels.gather_union(
-                        [subcluster(center) for center in centers]
-                    )
-                partners, volume = entry
-                metrics.centers_probed += len(centers)
-                metrics.nodes_fetched += volume
-                base = tuple(row[: self.var_count])
-                carried = tuple(row[p] for p in self.keep_positions)
-                for partner in partners:
-                    yield base + (partner,) + carried
+        var_count, keep_positions = self.var_count, self.keep_positions
+        # centers tuple -> (deduplicated partners, pre-dedup volume)
+        memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
+        for row in self._pull(source):
+            centers = row[centers_position]
+            entry = memo.get(centers)
+            if entry is None:
+                entry = memo[centers] = kernels.gather_union(
+                    [subcluster(center, label, side) for center in centers]
+                )
+            partners, volume = entry
+            metrics.centers_probed += len(centers)
+            metrics.nodes_fetched += volume
+            base = tuple(row[:var_count])
+            carried = tuple(row[p] for p in keep_positions)
+            for partner in partners:
+                yield base + (partner,) + carried
 
 
 class SelectionOp(PhysicalOperator):
@@ -590,22 +443,14 @@ class SelectionOp(PhysicalOperator):
         self.dst_position = input_layout.var_position(dst)
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        db = self.ctx.db
+        code_run = self.ctx.db.code_run
+        intersect = kernels.intersect
         src_position = self.src_position
         dst_position = self.dst_position
-        if self.ctx.mmap_native:
-            # Eq. 5 on zero-copy code slices: non-empty intersection of
-            # out(x) and in(y), no frozenset materialization per row
-            out_view = db.out_code_view
-            in_view = db.in_code_view
-            for row in self._pull(source):
-                if kernels.intersect(
-                    out_view(row[src_position]), in_view(row[dst_position])
-                ):
-                    yield tuple(row)
-            return
         for row in self._pull(source):
-            if db.reaches(row[src_position], row[dst_position]):
+            if intersect(
+                code_run(row[src_position], "out"), code_run(row[dst_position], "in")
+            ):
                 yield tuple(row)
 
 

@@ -137,14 +137,12 @@ def _init_snapshot_worker(descriptor: Tuple) -> None:
     # imported lazily: only workers of snapshot-bound pools need it
     from ...storage.snapshot import Snapshot
 
-    (path, generation, buffer_bytes, page_size,
-     code_cache_enabled, use_views) = descriptor
+    path, generation, buffer_bytes, page_size, code_cache_enabled = descriptor
     db = GraphDatabase.from_snapshot(
         Snapshot.open(path),
         buffer_bytes=buffer_bytes,
         page_size=page_size,
         code_cache_enabled=code_cache_enabled,
-        use_views=use_views,
     )
     # align with the coordinator's generation so cache sync and the
     # sanitizer's generation assertions agree across the pool
@@ -152,8 +150,8 @@ def _init_snapshot_worker(descriptor: Tuple) -> None:
     _WORKER_DB = db
 
 
-# payload = (plan, stage_index, batch_size, use_cache, kind, data, sanitize)
-Payload = Tuple[Plan, int, Optional[int], bool, str, Sequence, bool]
+# payload = (plan, stage_index, use_cache, kind, data, sanitize)
+Payload = Tuple[Plan, int, bool, str, Sequence, bool]
 StageResult = Tuple[
     List[Row],
     Tuple[int, int, int, int],
@@ -172,7 +170,7 @@ def _run_stage(payload: Payload, db: Optional[GraphDatabase] = None) -> StageRes
     limit violation is detected at the same global row count as in the
     sequential drivers.
     """
-    plan, stage_index, batch_size, use_cache, kind, data, sanitize = payload
+    plan, stage_index, use_cache, kind, data, sanitize = payload
     if db is None:
         db = _WORKER_DB
     if db is None:  # pragma: no cover - defensive: initializer not run
@@ -186,8 +184,7 @@ def _run_stage(payload: Payload, db: Optional[GraphDatabase] = None) -> StageRes
         guard = SharedStateGuard.capture(db, plan)
     cache = CenterCache() if use_cache else None
     ctx = ExecutionContext(
-        db=db, pattern=plan.pattern, batch_size=batch_size,
-        center_cache=cache, sanitize=sanitize,
+        db=db, pattern=plan.pattern, center_cache=cache, sanitize=sanitize,
     )
     operators, _project = build_pipeline(ctx, plan)
     op = operators[stage_index]
@@ -231,10 +228,8 @@ def _locked_stage(
 # of per service.
 _WORKER_ENGINE = None
 
-# payload = (pattern, optimizer, limit, row_limit, batch_size, timeout_s)
-QueryPayload = Tuple[
-    str, str, Optional[int], Optional[int], Optional[int], Optional[float]
-]
+# payload = (pattern, optimizer, limit, row_limit, timeout_s)
+QueryPayload = Tuple[str, str, Optional[int], Optional[int], Optional[float]]
 # result = (columns, rows, truncated, stop_reason,
 #           (cache hits, misses, evictions), (exec start, exec end))
 QueryTaskResult = Tuple[
@@ -271,14 +266,13 @@ def _run_query_task(payload: QueryPayload) -> QueryTaskResult:
 
         engine = GraphEngine.from_database(db)
         _WORKER_ENGINE = engine
-    pattern, optimizer, limit, row_limit, batch_size, timeout_s = payload
+    pattern, optimizer, limit, row_limit, timeout_s = payload
     started = time.monotonic()
     stream = engine.match_iter(
         pattern,
         optimizer=optimizer,
         limit=limit,
         row_limit=row_limit,
-        batch_size=batch_size,
         timeout=timeout_s,
     )
     try:
@@ -581,7 +575,6 @@ class ParallelExecution:
         return (
             self.plan,
             index,
-            self.ctx.batch_size,
             self.ctx.center_cache is not None,
             kind,
             data,

@@ -299,7 +299,7 @@ class QueryService:
                 "tier": self.tier,
                 "dispatch": self.dispatch,
                 "engine": {
-                    "plan_cache_entries": len(getattr(self.engine, "_plan_cache", ())),
+                    "plan_cache_entries": len(self.engine._plan_cache),
                     "center_cache_entries": cache.entry_count,
                     "center_cache_hit_rate": cache.hit_rate,
                     "index_generation": getattr(self.engine.db, "index_generation", 0),
@@ -426,7 +426,6 @@ class QueryService:
                 request.optimizer,
                 limit,
                 request.row_limit,
-                None,
                 timeout_s,
             )
             columns, rows, truncated, stop_reason, counts, span = (

@@ -105,6 +105,15 @@ class BufferPool:
             self.flush_all()
             self._frames.clear()
 
+    def discard(self, page_ids) -> None:
+        """Drop pages of a dead table: evict their frames *without*
+        write-back (nobody will read them again, so flushing them would
+        be pure physical I/O) and free them on disk."""
+        with self._lock:
+            for page_id in page_ids:
+                self._frames.pop(page_id, None)
+                self.disk.free(page_id)
+
     @property
     def resident_pages(self) -> int:
         return len(self._frames)

@@ -60,6 +60,12 @@ class HeapFile:
         for _, record in self.scan():
             yield record
 
+    def drop(self) -> None:
+        """Discard every page (no write-back); the file is empty after."""
+        self.pool.discard(self._page_ids)
+        self._page_ids = []
+        self._record_count = 0
+
     # ------------------------------------------------------------------
     @property
     def page_count(self) -> int:

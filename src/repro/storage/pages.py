@@ -135,6 +135,13 @@ class DiskManager:
     def write_page(self, page: Page) -> None:
         self._pages[page.page_id] = page
 
+    def free(self, page_id: int) -> None:
+        """Release a page for good (its table was dropped); ids are
+        never reused, so a stale reference fails loudly in
+        :meth:`read_page`."""
+        self._pages.pop(page_id, None)
+
     @property
     def page_count(self) -> int:
-        return self._next_id
+        """Pages currently allocated (freed pages no longer count)."""
+        return len(self._pages)

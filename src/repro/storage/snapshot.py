@@ -5,7 +5,7 @@ W-table, catalog) is the expensive part of the system; the JSON persist
 path (:mod:`repro.db.persist` v1) stores only graph + labeling and
 *recomputes* every downstream structure on load — cold start is
 O(rebuild), and the JSON codes blow up memory several-fold versus the
-``array('q')`` representation the batch kernels already use.  This module
+``array('q')`` representation the run kernels already use.  This module
 defines a single-file binary snapshot holding every offline structure as
 delta-encoded ``array('q')`` columns, written with :mod:`struct` /
 ``array.tobytes`` and read back through :mod:`mmap`:
@@ -54,18 +54,18 @@ two layouts, selected by the ``FLAG_RAW_RUNS`` header flag:
 * **raw** (``flags`` bit 0 set — the default the writer emits): the
   absolute sorted values themselves.  Both layouts occupy exactly the
   same bytes (``n`` int64s per ``n``-element run — fixed-width columns
-  gain nothing from small deltas), but raw runs are directly usable as
-  ``memoryview.cast('q')`` slices, which is what makes the *blessed view
-  API* below zero-copy: ``in_code_view``/``out_code_view``/
-  ``wtable_view``/``subcluster_run_view``/``subcluster_views_at``/
-  ``extent_view`` hand the batch kernels sorted int64 slices straight
-  into the mapping, no tuple or array materialization at all.  Raw
-  snapshots additionally carry the ``extoff``/``extnodes`` sections (the
-  per-label node columns the seed scan reads).  The mmap confinement
-  rules (``mmap/view-escape``/``mmap/view-held``) recognize exactly this
-  blessed surface: its slices may flow along the read path (db, labeling,
-  physical operators) but must never be stored on objects that outlive
-  the snapshot — see :mod:`repro.analysis.contracts`.
+  gain nothing from small deltas), but a raw run decodes with one
+  ``array('q', slice)`` copy instead of an accumulate pass.  Raw
+  snapshots additionally carry the ``extoff``/``extnodes`` sections
+  (per-label node columns; kept for format stability — the read path
+  takes extents from the rebuilt graph).
+
+Every accessor the query read path uses hands out *materialized*
+arrays/tuples, decoded once per row and memoised by the consumer; the
+few ``memoryview`` columns (``centers()``, ``node_label_ids()``) are
+confined to the storage/db layers by ``mmap/view-escape``/
+``mmap/view-held`` (:mod:`repro.analysis.contracts`), so nothing a query
+holds can pin the mapping past :meth:`Snapshot.close`.
 
 Because a pool of process workers may have the same file mapped
 (:class:`~repro.query.physical.parallel.WorkerPool` re-opens
@@ -91,8 +91,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 SNAPSHOT_MAGIC = b"RGPMSNAP"
 SNAPSHOT_VERSION = 1
 
-#: header flag bit: run sections store raw absolute values (zero-copy
-#: slice-addressable) instead of delta-encoded differences
+#: header flag bit: run sections store raw absolute values instead of
+#: delta-encoded differences
 FLAG_RAW_RUNS = 1
 
 #: all flag bits this build understands; unknown bits are rejected
@@ -128,7 +128,7 @@ SECTION_NAMES = (
 )
 
 #: extra sections a raw-runs snapshot must also contain: the per-label
-#: node columns (CSR over label ids) the mmap-native seed scan slices
+#: node columns (CSR over label ids)
 RAW_SECTION_NAMES = (
     "extoff",      # CSR offsets into extnodes, one run per label      [L+1]
     "extnodes",    # sorted node ids grouped by label id                 [n]
@@ -179,9 +179,8 @@ def _encode_runs(
 ) -> Tuple[array, array]:
     """CSR-encode sorted id runs: (element offsets [len+1], values).
 
-    ``raw`` stores the absolute sorted values (slice-addressable without
-    a decode pass); otherwise values are delta-encoded.  Both layouts are
-    byte-for-byte the same size.
+    ``raw`` stores the absolute sorted values; otherwise values are
+    delta-encoded.  Both layouts are byte-for-byte the same size.
     """
     offsets = array("q", [0])
     values = array("q")
@@ -248,9 +247,8 @@ def encode_snapshot(db, raw_runs: bool = True) -> bytes:
     what makes save → load → save byte-stable.
 
     ``raw_runs`` selects the run layout: ``True`` (default) stores raw
-    absolute sorted values plus the per-label node columns, enabling the
-    zero-copy view API; ``False`` reproduces the delta-encoded legacy
-    layout byte for byte.
+    absolute sorted values plus the per-label node columns; ``False``
+    reproduces the delta-encoded legacy layout byte for byte.
     """
     _require_little_endian()
     graph = db.graph
@@ -419,7 +417,7 @@ class Snapshot:
         self._mmap = mapped
         self._closed = False
         self.flags = flags
-        #: run sections hold raw absolute values → view API available
+        #: run sections hold raw absolute values (no accumulate on decode)
         self.raw_runs = bool(flags & FLAG_RAW_RUNS)
         #: live holders (worker pools) keyed by display name → refcount;
         #: close() refuses while any remain
@@ -594,10 +592,11 @@ class Snapshot:
         pool of workers has mapped would poison their queries mid-flight,
         so the error names the holders instead.
 
-        Any view handed out earlier becomes invalid: further section
-        access on this object raises ``SnapshotError("snapshot is
-        closed")``.  If zero-copy views are still alive the mapping
-        cannot be unmapped — that raises ``BufferError`` (or
+        Further section access on this object raises
+        ``SnapshotError("snapshot is closed")``.  If a ``memoryview``
+        into the mapping is still alive (the read path never hands one
+        out, so this means a storage-layer bug) the mapping cannot be
+        unmapped — that raises ``BufferError`` (or
         :class:`repro.analysis.sanitizer.SanitizerError` under
         ``REPRO_SANITIZE=1``, naming the ``mmap/view-held`` hazard the
         deep checker polices statically).
@@ -749,93 +748,6 @@ class Snapshot:
             self.decode_stats["subcluster_runs"] += 1
             (f_sub if side == SIDE_F else t_sub)[names[label_id]] = nodes
         return f_sub, t_sub
-
-    # ------------------------------------------------------------------
-    # blessed view API (raw-runs snapshots only): zero-copy sorted int64
-    # slices straight into the mapping, for the batch kernels.  The mmap
-    # confinement rules recognize exactly these producers — their slices
-    # may flow along the read path but must never outlive the snapshot.
-    # ------------------------------------------------------------------
-    @property
-    def supports_views(self) -> bool:
-        """True when the file layout allows the zero-copy view API."""
-        return self.raw_runs
-
-    def _require_views(self) -> None:
-        if not self.raw_runs:
-            raise SnapshotError(
-                f"snapshot {self.path!r} is delta-encoded (legacy layout); "
-                "the zero-copy view API needs a raw-runs snapshot — "
-                "rewrite it with write_snapshot(db, path)"
-            )
-
-    def _run_view(self, offsets_name: str, values_name: str,
-                  position: int) -> memoryview:
-        offsets = self._ints(offsets_name)
-        values = self._ints(values_name)
-        return values[offsets[position]:offsets[position + 1]]
-
-    def in_code_view(self, node: int) -> memoryview:
-        """``in(x)`` as a zero-copy sorted slice of the mapping."""
-        self._require_views()
-        if not (0 <= node < self.node_count):
-            raise IndexError(f"node {node} outside snapshot range")
-        return self._run_view("inoff", "inval", node)
-
-    def out_code_view(self, node: int) -> memoryview:
-        """``out(x)`` as a zero-copy sorted slice of the mapping."""
-        self._require_views()
-        if not (0 <= node < self.node_count):
-            raise IndexError(f"node {node} outside snapshot range")
-        return self._run_view("outoff", "outval", node)
-
-    def wtable_view(self, position: int) -> memoryview:
-        """Center list of the *position*-th W-table pair, zero-copy."""
-        self._require_views()
-        return self._run_view("woff", "wval", position)
-
-    def subcluster_run_view(self, position: int, side: int,
-                            label_id: int) -> Optional[memoryview]:
-        """The ``side``/``label_id`` subcluster run of the *position*-th
-        center as a zero-copy slice, or ``None`` when that run is absent
-        (empty subclusters are never stored)."""
-        self._require_views()
-        sub_off = self._ints("suboff")
-        sub_dir = self._ints("subdir")
-        sub_val = self._ints("subval")
-        for run in range(sub_off[position], sub_off[position + 1]):
-            base = 4 * run
-            if sub_dir[base] == side and sub_dir[base + 1] == label_id:
-                value_offset = sub_dir[base + 2]
-                count = sub_dir[base + 3]
-                return sub_val[value_offset:value_offset + count]
-        return None
-
-    def subcluster_views_at(
-        self, position: int
-    ) -> Tuple[Dict[str, memoryview], Dict[str, memoryview]]:
-        """The ``({X: F-run}, {Y: T-run})`` leaf of the *position*-th
-        center with every run a zero-copy slice (view twin of
-        :meth:`subclusters_at`; does not touch ``decode_stats``)."""
-        self._require_views()
-        sub_off = self._ints("suboff")
-        sub_dir = self._ints("subdir")
-        sub_val = self._ints("subval")
-        names = self.label_names
-        f_sub: Dict[str, memoryview] = {}
-        t_sub: Dict[str, memoryview] = {}
-        for run in range(sub_off[position], sub_off[position + 1]):
-            side, label_id, value_offset, count = sub_dir[4 * run:4 * run + 4]
-            view = sub_val[value_offset:value_offset + count]
-            (f_sub if side == SIDE_F else t_sub)[names[label_id]] = view
-        return f_sub, t_sub
-
-    def extent_view(self, label_id: int) -> memoryview:
-        """All node ids of *label_id*, sorted, as a zero-copy slice."""
-        self._require_views()
-        if not (0 <= label_id < self.label_count):
-            raise IndexError(f"label id {label_id} outside snapshot range")
-        return self._run_view("extoff", "extnodes", label_id)
 
     # ------------------------------------------------------------------
     # catalog

@@ -91,6 +91,13 @@ class Table:
             return None
         return self.heap.read(rid)
 
+    def drop(self) -> None:
+        """Release the table's heap pages (index-less tables only —
+        temporal tables are the ones that die young)."""
+        if self.pk_index is not None:
+            raise SchemaError(f"cannot drop indexed table {self.name!r}")
+        self.heap.drop()
+
     def project(self, columns: Sequence[str]) -> List[Tuple[Any, ...]]:
         positions = [self.column_position(c) for c in columns]
         return [tuple(row[p] for p in positions) for row in self.scan()]

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph import generators
+from repro import GraphEngine
+from repro.db.persist import save_database
+from repro.graph import generators, xmark
 from repro.graph.digraph import DiGraph
+from repro.workloads.patterns import PatternFactory
+
+from reference_executor import ReferenceIndex
 
 
 @pytest.fixture
@@ -51,3 +56,54 @@ def brute_force_reach(graph: DiGraph):
     from repro.graph.traversal import reachable_set
 
     return {u: reachable_set(graph, u) for u in graph.nodes()}
+
+
+# ----------------------------------------------------------------------
+# the differential suites' shared XMark stack (built once per session)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="session")
+def xmark_engine():
+    """Live-tier engine over the small XMark graph every differential
+    suite runs on.  Shared: tests must not rebuild its index."""
+    data = xmark.generate(factor=0.1, entity_budget=600, seed=7)
+    engine = GraphEngine(data.graph)
+    yield engine
+    engine.close_pool()
+
+
+@pytest.fixture(scope="session")
+def xmark_snap_path(xmark_engine, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("xmark") / "db.snap")
+    save_database(xmark_engine.db, path)
+    return path
+
+
+@pytest.fixture(scope="session")
+def xmark_snapshot_engine(xmark_snap_path):
+    """Snapshot-tier engine over the same graph."""
+    engine = GraphEngine.from_snapshot(xmark_snap_path)
+    yield engine
+    engine.close_pool()
+
+
+@pytest.fixture(scope="session")
+def reference_index(xmark_engine):
+    """The frozenset oracle's clusters + W-table for the XMark graph."""
+    return ReferenceIndex(xmark_engine.db.graph, xmark_engine.db.labeling)
+
+
+@pytest.fixture(scope="session")
+def figure4_workload(xmark_engine):
+    """Every Figure 4 family: 9 paths, 9 trees, 5 four-variable graphs."""
+    factory = PatternFactory(xmark_engine.db.catalog, seed=11)
+    patterns = {}
+    patterns.update(factory.figure4_paths())
+    patterns.update(factory.figure4_trees())
+    patterns.update(factory.figure4_queries(4))
+    return patterns
+
+
+@pytest.fixture(scope="session")
+def cyclic_workload(xmark_engine):
+    """Every ``CYCLIC_SHAPES`` entry, labeled over XMark."""
+    return PatternFactory(xmark_engine.db.catalog, seed=11).cyclic_patterns()

@@ -113,13 +113,13 @@ class TestInvalidation:
     def test_rebuild_join_index_invalidates_through_engine(self):
         engine = GraphEngine(figure1_graph())
         pattern = "A -> C, B -> C"
-        first = engine.match(pattern, batch_size=16)
+        first = engine.match(pattern, reset_counters=False)
         assert engine.center_cache.entry_count > 0
         generation = engine.db.index_generation
         engine.db.rebuild_join_index()
         assert engine.db.index_generation == generation + 1
         # next run syncs to the new generation: the warm cache is gone
-        second = engine.match(pattern, batch_size=16)
+        second = engine.match(pattern, reset_counters=False)
         assert second.rows == first.rows
         assert second.metrics.center_cache.hits == 0
 
@@ -160,12 +160,12 @@ class TestPairEpoch:
 
     def test_rebuild_join_index_recycles_pair_ids(self):
         engine = GraphEngine(figure1_graph())
-        engine.match("A -> C, B -> C", batch_size=16)  # warm + sync
+        engine.match("A -> C, B -> C", reset_counters=False)  # warm + sync
         epoch = kernels.pair_epoch()
         engine.db.rebuild_join_index()
         # the next run's sync observes the generation bump and fires the
         # clear_pair_ids hook (routed through the cache layer)
-        result = engine.match("A -> C, B -> C", batch_size=16)
+        result = engine.match("A -> C, B -> C", reset_counters=False)
         assert kernels.pair_epoch() == epoch + 1
         assert result.metrics.center_cache.hits == 0
 
@@ -173,31 +173,34 @@ class TestPairEpoch:
 class TestRunMetricsSurface:
     def test_batch_run_reports_cache_stats(self):
         engine = GraphEngine(figure1_graph())
-        result = engine.match("A -> C, B -> C", batch_size=16)
+        result = engine.match("A -> C, B -> C", reset_counters=False)
         stats = result.metrics.center_cache
         assert stats is not None
         assert stats.misses > 0  # cold cache
-        warm = engine.match("A -> C, B -> C", batch_size=16)
+        warm = engine.match("A -> C, B -> C", reset_counters=False)
         assert warm.metrics.center_cache.hits > 0
         assert 0.0 <= warm.metrics.center_cache.hit_rate <= 1.0
 
-    def test_scalar_run_never_touches_the_cache(self):
+    def test_cold_match_bypasses_the_cache(self):
+        """``match()``'s default is per-query cold accounting: back-to-back
+        runs can neither read nor warm the cross-query cache."""
         engine = GraphEngine(figure1_graph())
-        result = engine.match("A -> C, B -> C")  # scalar default
-        stats = result.metrics.center_cache
-        assert stats is not None
-        assert stats.hits == 0 and stats.misses == 0
+        for _ in range(2):
+            result = engine.match("A -> C, B -> C")  # reset_counters=True
+            assert result.metrics.center_cache is None
+        assert engine.center_cache.entry_count == 0
+        assert engine.center_cache.snapshot() == (0, 0, 0)
 
     def test_streaming_run_reports_cache_stats(self):
         engine = GraphEngine(figure1_graph())
-        stream = engine.match_iter("A -> C, B -> C", batch_size=16)
+        stream = engine.match_iter("A -> C, B -> C")
         list(stream)
         assert stream.metrics.center_cache is not None
         assert stream.metrics.center_cache.misses > 0
 
     def test_engine_cache_bytes_zero_disables_storage(self):
         engine = GraphEngine(figure1_graph(), cache_bytes=0)
-        engine.match("A -> C, B -> C", batch_size=16)
+        engine.match("A -> C, B -> C", reset_counters=False)
         assert engine.center_cache.entry_count == 0
         assert engine.center_cache.misses > 0
 

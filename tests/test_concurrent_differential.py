@@ -164,8 +164,6 @@ def service_hammer(handle, workload, oracle, threads=THREADS):
     host, port = handle.address
     barrier = threading.Barrier(threads)
     failures = []
-    spans = []
-    spans_lock = threading.Lock()
 
     def body(tid):
         try:
@@ -181,8 +179,6 @@ def service_hammer(handle, workload, oracle, threads=THREADS):
                         tuple(row) for row in expect["rows"]
                     ], name
                     assert 0.0 <= response["metrics"]["cache_hit_rate"] <= 1.0
-                    with spans_lock:
-                        spans.append(tuple(response["metrics"]["exec_span"]))
         except Exception as exc:  # noqa: BLE001 - surfaced to the test
             failures.append((tid, repr(exc)))
 
@@ -196,7 +192,6 @@ def service_hammer(handle, workload, oracle, threads=THREADS):
         worker.join(timeout=180)
         assert not worker.is_alive(), "service client thread hung"
     assert failures == []
-    return spans
 
 
 class TestServiceDifferential:
@@ -240,29 +235,55 @@ def overlapping_pairs(spans):
     return pairs
 
 
-@needs_fork
 def test_exec_windows_overlap_with_four_slots(snapshot_engine, workload):
     """max_inflight=4 on a snapshot engine => queries really overlap.
 
     Each response carries ``metrics.exec_span`` — a monotonic-clock
-    ``[start, end]`` recorded around the query's execution (inside the
-    worker for process dispatch; CLOCK_MONOTONIC is system-wide, so the
-    spans are cross-process comparable).  With four slots and four
-    concurrent clients, at least one pair of windows must intersect; a
-    serializing engine lock would make every pair disjoint.
+    ``[start, end]`` recorded around the query's execution.  The overlap
+    is constructed, not raced: every admitted query parks *inside* its
+    execution window (a barrier on the engine call the span brackets)
+    until all four are in flight, so the four windows share an instant
+    and all six pairs intersect.  A serializing engine lock would keep
+    the barrier from ever filling and fail the queries instead.
     """
-    oracle = build_oracle(snapshot_engine, workload)
+    name, pattern, optimizer = workload[0]
+    expected = build_oracle(snapshot_engine, workload)[name]["rows"]
     handle = start_in_thread(
-        snapshot_engine,
-        ServiceConfig(max_inflight=4, queue_depth=16, dispatch="process"),
+        snapshot_engine, ServiceConfig(max_inflight=4, queue_depth=16)
     )
+    host, port = handle.address
+    barrier = threading.Barrier(4)
+    match_iter = snapshot_engine.match_iter
+
+    def parked_match_iter(*args, **kwargs):
+        barrier.wait(timeout=60)
+        return match_iter(*args, **kwargs)
+
+    spans, failures = [], []
+
+    def client_body():
+        try:
+            with ServiceClient(host, port, timeout=120) as client:
+                response = client.query(
+                    str(pattern), optimizer=optimizer, timeout_ms=60_000
+                )
+            assert rows_as_tuples(response) == [tuple(r) for r in expected]
+            spans.append(tuple(response["metrics"]["exec_span"]))
+        except Exception as exc:  # noqa: BLE001 - surfaced to the test
+            failures.append(repr(exc))
+
+    snapshot_engine.match_iter = parked_match_iter
     try:
-        for attempt in range(3):
-            spans = service_hammer(handle, workload, oracle, threads=4)
-            assert len(spans) == 4 * len(workload)
-            if overlapping_pairs(spans) > 0:
-                break
-        else:
-            pytest.fail(f"no overlapping exec windows in 3 attempts: {spans}")
+        clients = [
+            threading.Thread(target=client_body, daemon=True) for _ in range(4)
+        ]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=180)
+            assert not client.is_alive(), "service client thread hung"
     finally:
+        del snapshot_engine.match_iter  # back to the class's method
         handle.stop()
+    assert failures == []
+    assert overlapping_pairs(spans) == 6

@@ -269,80 +269,6 @@ class TestMmapRules:
         })
         assert check_mmap(project) == []
 
-    # -- blessed view API: the mmap-native consumer boundary -----------
-    BLESSED_SNAPSHOT = """
-        class Snapshot:
-            def wtable_view(self, position):
-                return memoryview(b"")
-
-            def extent_view(self, label_id):
-                return memoryview(b"")
-
-            def subcluster_views_at(self, position):
-                return {}
-    """
-
-    def test_blessed_views_flow_through_consumer_layers(self, tmp_path):
-        # db/labeling/query.physical may return blessed slices: that IS
-        # the mmap-native read path
-        project = make_project(tmp_path, {
-            "storage/snapshot.py": self.BLESSED_SNAPSHOT,
-            "db/join_index.py": """
-                from ..storage.snapshot import Snapshot
-
-                def centers_view_of(snap: Snapshot, position):
-                    return snap.wtable_view(position)
-            """,
-            "query/physical/operators.py": """
-                from ...storage.snapshot import Snapshot
-
-                def subcluster_of(snap: Snapshot, position):
-                    views = snap.subcluster_views_at(position)
-                    return views[0]
-            """,
-        })
-        assert check_mmap(project) == []
-
-    def test_blessed_view_escape_outside_allowlist_fires(self, tmp_path):
-        project = make_project(tmp_path, {
-            "storage/snapshot.py": self.BLESSED_SNAPSHOT,
-            "report.py": """
-                from .storage.snapshot import Snapshot
-
-                def leak_blessed(snap: Snapshot):
-                    return snap.wtable_view(0)
-
-                def leak_indexed(snap: Snapshot):
-                    # indexing a blessed container still yields a slice
-                    views = snap.subcluster_views_at(0)
-                    return views[3]
-            """,
-        })
-        escapes = by_rule(check_mmap(project), "mmap/view-escape")
-        assert len(escapes) == 2
-        assert any("leak_blessed" in d.message for d in escapes)
-        assert any("leak_indexed" in d.message for d in escapes)
-        assert all(
-            "allowlisted mmap-native consumer" in d.message for d in escapes
-        )
-
-    def test_blessed_view_held_fires_even_in_consumer_layer(self, tmp_path):
-        # the allowlist relaxes return/yield only: parking a slice on a
-        # heap object outlives the operator call and survives close()
-        project = make_project(tmp_path, {
-            "storage/snapshot.py": self.BLESSED_SNAPSHOT,
-            "db/cache.py": """
-                from ..storage.snapshot import Snapshot
-
-                class OpState:
-                    def __init__(self, snap: Snapshot):
-                        self.w_entry = snap.wtable_view(0)
-            """,
-        })
-        held = by_rule(check_mmap(project), "mmap/view-held")
-        assert len(held) == 1
-        assert "`w_entry`" in held[0].message
-
 
 # ----------------------------------------------------------------------
 # conc/* — lock discipline for shared concurrent structures

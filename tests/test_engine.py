@@ -127,7 +127,7 @@ def test_property_engine_equals_naive_on_random_graphs(n, density, seed):
 
 class TestPlanCache:
     def test_repeat_plans_are_cached(self, fig1_engine):
-        fig1_engine._plan_cache = {}
+        fig1_engine._plan_cache.clear()
         first = fig1_engine.plan("A -> C, C -> D")
         second = fig1_engine.plan("A -> C, C -> D")
         assert first is second  # same object: served from the cache
@@ -138,7 +138,7 @@ class TestPlanCache:
         assert dp is not dps
 
     def test_cache_reset_at_capacity(self, fig1_engine):
-        fig1_engine._plan_cache = {}
+        fig1_engine._plan_cache.clear()
         original = fig1_engine.PLAN_CACHE_SIZE
         try:
             fig1_engine.PLAN_CACHE_SIZE = 2
@@ -151,7 +151,7 @@ class TestPlanCache:
 
     def test_lru_eviction_keeps_hottest_plan(self, fig1_engine):
         """Eviction is LRU, not wholesale: the hottest plan survives."""
-        fig1_engine._plan_cache = {}
+        fig1_engine._plan_cache.clear()
         original = fig1_engine.PLAN_CACHE_SIZE
         try:
             fig1_engine.PLAN_CACHE_SIZE = 2
@@ -168,7 +168,7 @@ class TestPlanCache:
             fig1_engine.PLAN_CACHE_SIZE = original
 
     def test_lru_eviction_drops_oldest_without_touch(self, fig1_engine):
-        fig1_engine._plan_cache = {}
+        fig1_engine._plan_cache.clear()
         original = fig1_engine.PLAN_CACHE_SIZE
         try:
             fig1_engine.PLAN_CACHE_SIZE = 2
@@ -180,47 +180,9 @@ class TestPlanCache:
         finally:
             fig1_engine.PLAN_CACHE_SIZE = original
 
-    def test_cache_key_includes_execution_settings(self, fig1_engine):
-        """Mixed-mode traffic must never share one memoized plan slot.
-
-        The service interleaves scalar/batched and sequential/parallel
-        queries on one engine; the cache key carries the execution
-        fingerprint so a plan memoized under one mode can never be
-        served (or evict) another mode's entry.
-        """
-        fig1_engine._plan_cache = {}
-        scalar = fig1_engine.plan("A -> C, C -> D")
-        batched = fig1_engine.plan("A -> C, C -> D", batch_size=512)
-        parallel = fig1_engine.plan("A -> C, C -> D", workers=2)
-        both = fig1_engine.plan("A -> C, C -> D", batch_size=512, workers=2)
-        assert len(fig1_engine._plan_cache) == 4
-        # identical settings still hit their own entry, same object
-        assert fig1_engine.plan("A -> C, C -> D") is scalar
-        assert fig1_engine.plan("A -> C, C -> D", batch_size=512) is batched
-        assert fig1_engine.plan("A -> C, C -> D", workers=2) is parallel
-        assert (
-            fig1_engine.plan("A -> C, C -> D", batch_size=512, workers=2)
-            is both
-        )
-        # batch_size=0 forces the scalar path: same fingerprint as default
-        assert fig1_engine.plan("A -> C, C -> D", batch_size=0) is scalar
-
-    def test_cache_key_tracks_engine_default_settings(self):
-        """Engine-level defaults feed the fingerprint like overrides do."""
-        from repro.graph import generators
-
-        g = generators.figure1_graph()
-        plain = GraphEngine(g)
-        plain._plan_cache = {}
-        first = plain.plan("A -> C")
-        plain.batch_size = 512  # engine reconfigured between queries
-        second = plain.plan("A -> C")
-        assert first is not second
-        assert len(plain._plan_cache) == 2
-
     def test_cache_key_includes_index_generation(self, fig1_engine):
         """An index rebuild re-plans: the old catalog priced the old plan."""
-        fig1_engine._plan_cache = {}
+        fig1_engine._plan_cache.clear()
         before = fig1_engine.plan("A -> C, C -> D")
         generation = fig1_engine.db.index_generation
         try:

@@ -1,4 +1,4 @@
-"""Property tests for the vectorized batch kernels.
+"""Property tests for the sorted-run kernels.
 
 Every kernel in :mod:`repro.query.physical.kernels` follows builtin
 ``set`` semantics; these tests pin that equivalence over randomized and
@@ -6,7 +6,7 @@ adversarial inputs (empty, duplicate-laden, one-sided, disjoint), check
 that the merge and gallop intersection strategies agree with each other
 regardless of the dispatch heuristic, and verify the bookkeeping helpers
 (dedup order and pre-dedup totals in ``gather_union``, stable label-pair
-interning, block chunking).
+interning).
 """
 
 import random
@@ -19,13 +19,11 @@ from repro.query.physical.kernels import (
     ARRAY_TYPECODE,
     GALLOP_RATIO,
     as_sorted_array,
-    batch_get_centers,
     gather_union,
     intern_label_pair,
     intersect,
     intersect_gallop,
     intersect_merge,
-    iter_blocks,
 )
 
 
@@ -111,18 +109,6 @@ class TestAsSortedArray:
         assert list(as_sorted_array([])) == []
 
 
-class TestBatchGetCenters:
-    def test_parallel_to_nodes(self):
-        codes = [sorted_arr([1, 2, 9]), sorted_arr([]), sorted_arr([2, 5])]
-        w = sorted_arr([2, 5, 9])
-        out = batch_get_centers([10, 11, 12], codes, w)
-        assert out == [(2, 9), (), (2, 5)]
-
-    def test_empty_w_short_circuits(self):
-        out = batch_get_centers([1, 2], [sorted_arr([1]), sorted_arr([2])], [])
-        assert out == [(), ()]
-
-
 class TestGatherUnion:
     def test_single_list_is_identity_with_volume(self):
         partners, total = gather_union([(3, 1, 2)])
@@ -201,21 +187,3 @@ class TestInternLabelPair:
         # the old id — exactly why epoch-blind consumers are unsound
         other = intern_label_pair("another", "pair")
         assert other == old == 0
-
-
-class TestIterBlocks:
-    def test_chunks_exact_multiple(self):
-        assert list(iter_blocks(range(6), 3)) == [[0, 1, 2], [3, 4, 5]]
-
-    def test_trailing_partial_block(self):
-        assert list(iter_blocks(range(5), 3)) == [[0, 1, 2], [3, 4]]
-
-    def test_empty_source_yields_nothing(self):
-        assert list(iter_blocks([], 4)) == []
-
-    def test_lazy_over_generator(self):
-        def gen():
-            yield from range(4)
-
-        blocks = iter_blocks(gen(), 2)
-        assert next(iter(blocks)) == [0, 1]

@@ -1,29 +1,26 @@
-"""Differential suite for mmap-native execution and snapshot-open workers.
+"""Snapshot-tier execution and snapshot-open workers.
 
-Two acceptance contracts of the mmap-native read path:
+Three contracts of serving queries off an mmap-backed snapshot:
 
-* **representation invisibility** — a views-enabled snapshot engine
-  (operators addressing zero-copy slices straight into the mapping) must
-  produce rows and per-operator counters *byte-identical* to both the
-  tuple-materializing snapshot engine (``use_views=False``, the oracle)
-  and the originally built database, across every Figure 4 pattern
-  family, both optimizers and every driver;
-* **zero decode** — native batch execution never runs the delta/tuple
-  decode path: ``decode_stats`` stays exactly zero while the oracle
-  decodes hundreds of rows on the same workload.
-
-Plus the worker-pool contract: process/thread/spawn pools over a
-snapshot-backed database (workers re-opening the snapshot file by
-descriptor — nothing index-sized pickled or inherited) match the
-sequential oracle exactly, and ``Snapshot.close()`` refuses while such
-a pool is alive.
+* **tier invisibility** — a snapshot-loaded engine (runs decoded once
+  from the mapping and memoised) must produce rows and per-operator
+  counters identical to the database that wrote the file and to the
+  frozenset reference executor, across every Figure 4 pattern family,
+  both paper optimizers and both drivers;
+* **decode once** — re-running a workload decodes nothing new: every
+  code row, W-table run and subcluster leaf is materialized at most
+  once per process;
+* the worker-pool contract: process/thread/spawn pools over a
+  snapshot-backed database (workers re-opening the snapshot file by
+  descriptor — nothing index-sized pickled or inherited) match the
+  sequential run exactly, and ``Snapshot.close()`` refuses while such
+  a pool is alive.
 """
 
 import pytest
 
 from repro import GraphEngine
-from repro.db.persist import load_database, save_database
-from repro.graph import xmark
+from repro.db.persist import load_database
 from repro.query import (
     WorkerPool,
     execute_plan,
@@ -31,7 +28,8 @@ from repro.query import (
     fork_available,
 )
 from repro.storage.snapshot import SnapshotError
-from repro.workloads.patterns import PatternFactory
+
+from reference_executor import assert_matches_reference, op_counters
 
 OPTIMIZERS = ("dp", "dps")
 
@@ -41,204 +39,137 @@ BACKENDS = ("thread", "process", "spawn") if fork_available() else (
 )
 
 MORSEL = 16
-BATCH = 64
-
-
-@pytest.fixture(scope="module")
-def built_engine():
-    data = xmark.generate(factor=0.1, entity_budget=600, seed=7)
-    return GraphEngine(data.graph)
-
-
-@pytest.fixture(scope="module")
-def snap_path(built_engine, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("native") / "db.snap")
-    save_database(built_engine.db, path)
-    return path
-
-
-@pytest.fixture(scope="module")
-def native_engine(snap_path):
-    """Views enabled (the default on a raw-runs snapshot)."""
-    engine = GraphEngine.from_database(load_database(snap_path))
-    assert engine.db.mmap_views
-    yield engine
-    engine.close_pool()
-
-
-@pytest.fixture(scope="module")
-def oracle_engine(snap_path):
-    """Same snapshot, tuple-materializing path: the differential oracle."""
-    engine = GraphEngine.from_database(
-        load_database(snap_path, use_views=False)
-    )
-    assert not engine.db.mmap_views
-    return engine
-
-
-@pytest.fixture(scope="module")
-def workload(built_engine):
-    factory = PatternFactory(built_engine.db.catalog, seed=11)
-    patterns = {}
-    patterns.update(factory.figure4_paths())
-    patterns.update(factory.figure4_trees())
-    patterns.update(factory.figure4_queries(4))
-    return patterns
-
-
-def op_counters(metrics):
-    return [
-        (op.operator, op.rows_in, op.rows_out, op.centers_probed, op.nodes_fetched)
-        for op in metrics.operators
-    ]
 
 
 # ----------------------------------------------------------------------
-# native slices vs materialized tuples vs the built database
+# the snapshot tier vs the built database vs the reference
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_native_batch_matches_oracle_and_built(
-    built_engine, native_engine, oracle_engine, workload, optimizer
+    xmark_engine, xmark_snapshot_engine, reference_index, figure4_workload,
+    optimizer,
 ):
-    for name, pattern in workload.items():
-        built = built_engine.match(pattern, optimizer=optimizer, batch_size=BATCH)
-        oracle = oracle_engine.match(pattern, optimizer=optimizer, batch_size=BATCH)
-        native = native_engine.match(pattern, optimizer=optimizer, batch_size=BATCH)
-        assert native.rows == oracle.rows == built.rows, (
-            f"{name} [{optimizer}]: native batch rows diverge"
+    for name, pattern in figure4_workload.items():
+        built = xmark_engine.match(pattern, optimizer=optimizer)
+        snapped = xmark_snapshot_engine.match(pattern, optimizer=optimizer)
+        assert snapped.rows == built.rows, (
+            f"{name} [{optimizer}]: snapshot-tier rows diverge"
         )
-        assert (
-            op_counters(native.metrics)
-            == op_counters(oracle.metrics)
-            == op_counters(built.metrics)
-        ), f"{name} [{optimizer}]: native batch per-op counters diverge"
+        assert_matches_reference(
+            reference_index, snapped.plan, snapped.rows, snapped.metrics,
+            f"{name} [{optimizer}]",
+        )
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_native_drivers_match_oracle(
-    native_engine, oracle_engine, workload, optimizer
+    xmark_engine, xmark_snapshot_engine, reference_index, figure4_workload,
+    optimizer,
 ):
-    """Materializing and streaming drivers on the native engine."""
-    for name, pattern in workload.items():
-        plan = native_engine.plan(pattern, optimizer=optimizer).plan
-        oracle_plan = oracle_engine.plan(pattern, optimizer=optimizer).plan
-        assert plan.describe() == oracle_plan.describe()
-
-        oracle = execute_plan(oracle_engine.db, oracle_plan, batch_size=BATCH)
-        native = execute_plan(native_engine.db, plan, batch_size=BATCH)
-        assert native.rows == oracle.rows
-        assert op_counters(native.metrics) == op_counters(oracle.metrics)
-
-        native_stream = execute_plan_streaming(
-            native_engine.db, plan, batch_size=BATCH
+    """Materializing and streaming drivers on the snapshot engine."""
+    db = xmark_snapshot_engine.db
+    for name, pattern in figure4_workload.items():
+        plan = xmark_snapshot_engine.plan(pattern, optimizer=optimizer).plan
+        built_plan = xmark_engine.plan(pattern, optimizer=optimizer).plan
+        # identical catalog statistics => identical chosen plans
+        assert plan.describe() == built_plan.describe()
+        result = execute_plan(db, plan)
+        assert_matches_reference(
+            reference_index, plan, result.rows, result.metrics, name
         )
-        native_rows = list(native_stream)
-        assert native_rows == oracle.rows, (
-            f"{name} [{optimizer}]: native streamed rows diverge"
+        stream = execute_plan_streaming(db, plan)
+        assert list(stream) == result.rows, (
+            f"{name} [{optimizer}]: streamed rows diverge"
         )
-        assert op_counters(native_stream.metrics) == op_counters(oracle.metrics)
+        assert op_counters(stream.metrics) == op_counters(result.metrics)
 
 
-def test_native_execution_decodes_nothing(snap_path, workload):
-    """The zero-copy proof: decode_stats stays exactly zero natively."""
-    native = GraphEngine.from_database(load_database(snap_path))
-    oracle = GraphEngine.from_database(load_database(snap_path, use_views=False))
-    for pattern in workload.values():
-        native.match(pattern, batch_size=BATCH)
-        oracle.match(pattern, batch_size=BATCH)
-    assert native.db.join_index.snapshot.decode_stats == {
-        "code_rows": 0, "wtable_pairs": 0, "subcluster_runs": 0,
-    }
-    # the same workload on the materializing path decodes plenty — the
-    # comparison above is not vacuous
-    oracle_stats = oracle.db.join_index.snapshot.decode_stats
-    assert oracle_stats["code_rows"] > 0
-    assert oracle_stats["wtable_pairs"] > 0
-    assert oracle_stats["subcluster_runs"] > 0
-
-
-def test_scalar_path_stays_on_tuples(native_engine):
-    """Without batching there is no native routing: mmap_native is off
-    and the scalar oracle semantics are untouched."""
-    from repro.query.pattern import GraphPattern
-    from repro.query.physical.context import ExecutionContext
-
-    pattern = GraphPattern.build(
-        {"x": "person", "y": "watch"}, [("x", "y")]
-    )
-    ctx = ExecutionContext(db=native_engine.db, pattern=pattern)
-    assert not ctx.mmap_native
-    ctx_batched = ExecutionContext(
-        db=native_engine.db, pattern=pattern, batch_size=BATCH
-    )
-    assert ctx_batched.mmap_native
+def test_snapshot_execution_decodes_each_run_once(
+    xmark_snap_path, figure4_workload
+):
+    """Decode-once-and-memoise: a second pass over the workload touches
+    the mapping for nothing the first pass already materialized."""
+    engine = GraphEngine.from_snapshot(xmark_snap_path)
+    stats = engine.db.join_index.snapshot.decode_stats
+    for pattern in figure4_workload.values():
+        engine.match(pattern)
+    first_pass = dict(stats)
+    assert all(count > 0 for count in first_pass.values())
+    for pattern in figure4_workload.values():
+        engine.match(pattern)
+        list(engine.match_iter(pattern))
+    assert stats == first_pass
 
 
 # ----------------------------------------------------------------------
-# snapshot-open-in-worker: every backend vs the sequential oracle
+# snapshot-open-in-worker: every backend vs the sequential run
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_worker_pools_match_sequential(
-    native_engine, workload, backend, optimizer
+    xmark_snapshot_engine, figure4_workload, backend, optimizer
 ):
-    pool = WorkerPool(native_engine.db, 2, backend)
+    engine = xmark_snapshot_engine
+    pool = WorkerPool(engine.db, 2, backend)
     try:
-        for name, pattern in workload.items():
-            plan = native_engine.plan(pattern, optimizer=optimizer).plan
-            oracle = execute_plan(native_engine.db, plan)
+        for name, pattern in figure4_workload.items():
+            plan = engine.plan(pattern, optimizer=optimizer).plan
+            sequential = execute_plan(engine.db, plan)
             parallel = execute_plan(
-                native_engine.db, plan, worker_pool=pool, morsel_size=MORSEL
+                engine.db, plan, worker_pool=pool, morsel_size=MORSEL
             )
-            assert parallel.rows == oracle.rows, (
+            assert parallel.rows == sequential.rows, (
                 f"{name} [{optimizer}/{backend}]: parallel rows diverge"
             )
-            assert op_counters(parallel.metrics) == op_counters(oracle.metrics), (
-                f"{name} [{optimizer}/{backend}]: parallel counters diverge"
-            )
+            assert op_counters(parallel.metrics) == op_counters(
+                sequential.metrics
+            ), f"{name} [{optimizer}/{backend}]: parallel counters diverge"
 
             stream = execute_plan_streaming(
-                native_engine.db, plan, worker_pool=pool, morsel_size=MORSEL
+                engine.db, plan, worker_pool=pool, morsel_size=MORSEL
             )
-            streamed = list(stream)
-            assert streamed == oracle.rows, (
+            assert list(stream) == sequential.rows, (
                 f"{name} [{optimizer}/{backend}]: streamed rows diverge"
             )
-            assert op_counters(stream.metrics) == op_counters(oracle.metrics), (
-                f"{name} [{optimizer}/{backend}]: streaming counters diverge"
-            )
+            assert op_counters(stream.metrics) == op_counters(
+                sequential.metrics
+            ), f"{name} [{optimizer}/{backend}]: streaming counters diverge"
     finally:
         pool.shutdown()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_pool_composes_with_native_batching(native_engine, workload, backend):
-    """Workers re-open the snapshot AND run the slice-addressed kernels."""
-    factory_pattern = max(
-        workload.values(), key=lambda p: len(native_engine.match(p).rows)
+def test_pool_composes_with_native_batching(
+    xmark_snapshot_engine, figure4_workload, backend
+):
+    """Engine-level parallel queries: workers re-open the snapshot and
+    run the same operator body with their own CenterCache."""
+    engine = xmark_snapshot_engine
+    pattern = max(
+        figure4_workload.values(), key=lambda p: len(engine.match(p).rows)
     )
-    oracle = native_engine.match(factory_pattern, batch_size=BATCH)
-    parallel = native_engine.match(
-        factory_pattern, workers=2, parallel_backend=backend,
-        batch_size=BATCH, morsel_size=MORSEL,
+    sequential = engine.match(pattern, reset_counters=False)
+    parallel = engine.match(
+        pattern, reset_counters=False, workers=2, parallel_backend=backend,
+        morsel_size=MORSEL,
     )
-    native_engine.close_pool()
-    assert parallel.rows == oracle.rows
-    assert op_counters(parallel.metrics) == op_counters(oracle.metrics)
+    engine.close_pool()
+    assert parallel.rows == sequential.rows
+    assert op_counters(parallel.metrics) == op_counters(sequential.metrics)
     assert parallel.metrics.parallel.backend == backend
 
 
-def test_spawn_requires_a_snapshot_backed_database(built_engine):
+def test_spawn_requires_a_snapshot_backed_database(xmark_engine):
     with pytest.raises(ValueError, match="spawn backend"):
-        WorkerPool(built_engine.db, 2, "spawn")
+        WorkerPool(xmark_engine.db, 2, "spawn")
 
 
 # ----------------------------------------------------------------------
 # pool lifetime vs Snapshot.close()
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_close_guard_names_the_live_pool(snap_path, backend):
-    db = load_database(snap_path)
+def test_close_guard_names_the_live_pool(xmark_snap_path, backend):
+    db = load_database(xmark_snap_path)
     snapshot = db.join_index.snapshot
     pool = WorkerPool(db, 2, backend)
     try:
@@ -251,8 +182,8 @@ def test_close_guard_names_the_live_pool(snap_path, backend):
     assert snapshot.closed
 
 
-def test_descriptor_goes_stale_after_rebuild(snap_path):
-    db = load_database(snap_path)
+def test_descriptor_goes_stale_after_rebuild(xmark_snap_path):
+    db = load_database(xmark_snap_path)
     assert db.snapshot_descriptor() is not None
     db.rebuild_join_index()
     # live index now: nothing to ship, spawn must refuse cleanly

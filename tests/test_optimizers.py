@@ -16,7 +16,7 @@ from repro.query.algebra import (
     Side,
 )
 from repro.query.costmodel import CostModel, CostParams
-from repro.query.executor import execute_plan
+from repro.query import execute_plan
 from repro.query.optimizer_dp import optimize_dp, optimize_greedy
 from repro.query.optimizer_dps import optimize_dps
 from repro.query.parser import parse_pattern

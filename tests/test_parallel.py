@@ -103,11 +103,12 @@ def test_parallel_matches_sequential_oracle(engine, workload, backend, optimizer
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_parallel_composes_with_batch_substrate(engine, big_pattern, backend):
-    """Morsels running the vectorized batch kernels still match scalar."""
-    oracle = engine.match(big_pattern)
+    """Morsel workers run the same kernel body (with a worker-local
+    CenterCache) and still match the sequential run."""
+    oracle = engine.match(big_pattern, reset_counters=False)
     parallel = engine.match(
-        big_pattern, workers=2, parallel_backend=backend,
-        batch_size=64, morsel_size=MORSEL,
+        big_pattern, reset_counters=False, workers=2,
+        parallel_backend=backend, morsel_size=MORSEL,
     )
     assert parallel.rows == oracle.rows
     assert parallel.metrics.parallel.morsels > 0

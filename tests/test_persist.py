@@ -9,7 +9,6 @@ from repro.db.database import GraphDatabase
 from repro.db.persist import FORMAT_VERSION, load_database, save_database
 from repro.graph.generators import figure1_graph, random_digraph
 from repro.query.engine import GraphEngine
-from repro.query.executor import execute_plan
 from repro.query.parser import parse_pattern
 
 
@@ -34,11 +33,7 @@ class TestRoundTrip:
 
         pattern = parse_pattern("A -> B, B -> C")
         naive = NaiveMatcher(g).match_set(pattern)
-        engine = GraphEngine.__new__(GraphEngine)  # wrap the loaded db
-        engine.db = loaded
-        from repro.query.costmodel import CostParams
-
-        engine.cost_params = CostParams()
+        engine = GraphEngine.from_database(loaded)
         assert engine.match(pattern).as_set() == naive
 
     def test_reaches_identical_after_reload(self, tmp_path):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import GraphEngine
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import anti_correlated_star, figure1_graph, random_digraph
-from repro.query.executor import execute_plan
-from repro.query.pipeline import execute_plan_streaming
+from repro.query import execute_plan, execute_plan_streaming
+from repro.query.algebra import FetchStep, FilterStep, Plan, SeedJoin, Side
 from repro.query.parser import parse_pattern
 
 
@@ -76,6 +77,36 @@ class TestLimit:
         full_io = engine.db.stats.logical_reads
         assert len(full) > 1000
         assert probe_io * 10 < full_io
+
+    def test_limit_one_pulls_a_bounded_number_of_rows(self):
+        """LIMIT pushdown is row-at-a-time: with a >=10k-row intermediate
+        in the plan, ``limit=1`` drags only a handful of rows through
+        every upstream operator (a block-at-a-time operator would pull a
+        whole block before emitting anything)."""
+        graph = DiGraph()
+        sources = [graph.add_node("A") for _ in range(120)]
+        hub = graph.add_node("H")
+        targets = [graph.add_node("B") for _ in range(120)]
+        graph.add_edges((a, hub) for a in sources)
+        graph.add_edges((hub, b) for b in targets)
+        graph.add_edges((b, graph.add_node("C")) for b in targets)
+        db = GraphEngine(graph).db
+        plan = Plan(
+            parse_pattern("a:A -> b:B, b -> c:C"),
+            [
+                SeedJoin(("a", "b")),  # 120 x 120 pairs through the hub
+                FilterStep(((("b", "c"), Side.OUT),)),
+                FetchStep(("b", "c"), Side.OUT),
+            ],
+        )
+        full = execute_plan(db, plan)
+        assert full.metrics.operators[0].rows_out >= 10_000
+
+        stream = execute_plan_streaming(db, plan, limit=1)
+        assert len(list(stream)) == 1
+        depth = len(stream.metrics.operators)
+        for op in stream.metrics.operators:
+            assert op.rows_in <= 4 * depth, op
 
     def test_stream_is_lazy_before_iteration(self, engine):
         engine.db.reset_counters()

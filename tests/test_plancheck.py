@@ -22,7 +22,7 @@ from repro.query.algebra import (
     Side,
 )
 from repro.query.engine import GraphEngine
-from repro.query.executor import execute_plan
+from repro.query import execute_plan
 from repro.query.pattern import GraphPattern, PatternError
 from repro.workloads.patterns import PatternFactory
 

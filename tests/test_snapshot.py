@@ -110,8 +110,8 @@ class TestRoundTrip:
         for v in g.nodes():
             assert loaded.labeling.in_codes[v] == db.labeling.in_codes[v]
             assert loaded.labeling.out_codes[v] == db.labeling.out_codes[v]
-            assert list(loaded.in_code_array(v)) == list(db.in_code_array(v))
-            assert list(loaded.out_code_array(v)) == list(db.out_code_array(v))
+            assert list(loaded.code_run(v, "in")) == list(db.code_run(v, "in"))
+            assert list(loaded.code_run(v, "out")) == list(db.code_run(v, "out"))
         for u in g.nodes():
             for v in g.nodes():
                 assert db.reaches(u, v) == loaded.reaches(u, v)
@@ -252,23 +252,6 @@ class TestLaziness:
         loaded = load_database(snap_path)
         assert loaded.storage_report().keys() == built_db.storage_report().keys()
 
-    def test_view_api_does_not_touch_decode_stats(self, snap_path):
-        snapshot = Snapshot.open(snap_path)
-        try:
-            list(snapshot.in_code_view(0))
-            list(snapshot.out_code_view(0))
-            list(snapshot.wtable_view(0))
-            f_sub, t_sub = snapshot.subcluster_views_at(0)
-            runs = [list(run) for run in (*f_sub.values(), *t_sub.values())]
-            assert len(runs) == len(f_sub) + len(t_sub)
-            del f_sub, t_sub
-            list(snapshot.extent_view(0))
-            assert snapshot.decode_stats == {
-                "code_rows": 0, "wtable_pairs": 0, "subcluster_runs": 0,
-            }
-        finally:
-            snapshot.close()
-
     def test_dynamic_append_still_works(self, snap_path):
         """The overflow path of the lazy code sequences."""
         loaded = load_database(snap_path)
@@ -288,7 +271,6 @@ class TestRawRunsLayout:
         try:
             assert snapshot.flags == FLAG_RAW_RUNS
             assert snapshot.raw_runs
-            assert snapshot.supports_views
             names = [name for name, _, _ in snapshot.section_table()]
             assert "extoff" in names and "extnodes" in names
         finally:
@@ -301,36 +283,20 @@ class TestRawRunsLayout:
         try:
             assert snapshot.flags == 0
             assert not snapshot.raw_runs
-            assert not snapshot.supports_views
             names = [name for name, _, _ in snapshot.section_table()]
             assert "extoff" not in names
         finally:
             snapshot.close()
         loaded = load_database(legacy)
-        assert not loaded.mmap_views
         for v in range(0, loaded.graph.node_count, 97):
-            assert list(loaded.in_code_array(v)) == list(
-                built_db.in_code_array(v)
-            )
-            assert list(loaded.out_code_array(v)) == list(
-                built_db.out_code_array(v)
-            )
+            for side in ("in", "out"):
+                assert list(loaded.code_run(v, side)) == list(
+                    built_db.code_run(v, side)
+                )
         assert (
             loaded.join_index.wtable_sizes()
             == built_db.join_index.wtable_sizes()
         )
-
-    def test_delta_file_rejects_view_api(self, built_db, tmp_path):
-        legacy = str(tmp_path / "legacy.snap")
-        write_snapshot(built_db, legacy, raw_runs=False)
-        snapshot = Snapshot.open(legacy)
-        try:
-            with pytest.raises(SnapshotError, match="delta-encoded"):
-                snapshot.in_code_view(0)
-            with pytest.raises(ValueError):
-                GraphDatabase.from_snapshot(snapshot, use_views=True)
-        finally:
-            snapshot.close()
 
     def test_unknown_flag_bits_rejected(self, snap_path, tmp_path):
         payload = bytearray(open(snap_path, "rb").read())
@@ -352,91 +318,6 @@ class TestRawRunsLayout:
             raw_engine.match(pattern).as_set()
             == delta_engine.match(pattern).as_set()
         )
-
-
-class TestViewAPI:
-    def test_code_views_agree_with_decoded_arrays(self, built_db, snap_path):
-        snapshot = Snapshot.open(snap_path)
-        try:
-            step = max(1, snapshot.node_count // 40)
-            for v in range(0, snapshot.node_count, step):
-                assert list(snapshot.in_code_view(v)) == list(
-                    built_db.in_code_array(v)
-                )
-                assert list(snapshot.out_code_view(v)) == list(
-                    built_db.out_code_array(v)
-                )
-        finally:
-            snapshot.close()
-
-    def test_wtable_views_agree_with_decoded_centers(self, snap_path):
-        snapshot = Snapshot.open(snap_path)
-        try:
-            for position in range(snapshot.wtable_pair_count):
-                assert list(snapshot.wtable_view(position)) == list(
-                    snapshot.wtable_centers(position)
-                )
-        finally:
-            snapshot.close()
-
-    def test_subcluster_views_agree_with_decoded_runs(self, snap_path):
-        snapshot = Snapshot.open(snap_path)
-        try:
-            step = max(1, snapshot.center_count // 20)
-            for position in range(0, snapshot.center_count, step):
-                f_truth, t_truth = snapshot.subclusters_at(position)
-                f_views, t_views = snapshot.subcluster_views_at(position)
-                assert {k: list(v) for k, v in f_views.items()} == {
-                    k: list(v) for k, v in f_truth.items()
-                }
-                assert {k: list(v) for k, v in t_views.items()} == {
-                    k: list(v) for k, v in t_truth.items()
-                }
-                del f_views, t_views
-        finally:
-            snapshot.close()
-
-    def test_subcluster_views_are_fresh_per_call(self, snap_path):
-        # callers may pop from the dicts; sharing one would corrupt the
-        # next caller's read
-        snapshot = Snapshot.open(snap_path)
-        try:
-            first = snapshot.subcluster_views_at(0)
-            second = snapshot.subcluster_views_at(0)
-            assert first[0] is not second[0]
-            assert first[1] is not second[1]
-            del first, second
-        finally:
-            snapshot.close()
-
-    def test_extent_views_partition_the_nodes(self, snap_path):
-        snapshot = Snapshot.open(snap_path)
-        try:
-            labels = list(snapshot.node_label_ids())
-            total = 0
-            for label_id in range(snapshot.label_count):
-                extent = list(snapshot.extent_view(label_id))
-                total += len(extent)
-                assert extent == sorted(extent)
-                assert all(labels[node] == label_id for node in extent)
-            assert total == snapshot.node_count
-        finally:
-            snapshot.close()
-
-    def test_view_bounds_checked(self, snap_path):
-        snapshot = Snapshot.open(snap_path)
-        try:
-            with pytest.raises(IndexError):
-                snapshot.in_code_view(snapshot.node_count)
-            with pytest.raises(IndexError):
-                snapshot.out_code_view(-1)
-            with pytest.raises(IndexError):
-                snapshot.extent_view(snapshot.label_count)
-            assert snapshot.subcluster_run_view(
-                0, 0, snapshot.label_count + 5
-            ) is None
-        finally:
-            snapshot.close()
 
 
 class TestCloseGuard:

@@ -11,45 +11,26 @@ the lazy mmap-backed read path is invisible to the query layer.
 
 import pytest
 
-from repro import GraphEngine
-from repro.db.persist import load_database, save_database
-from repro.graph import xmark
-from repro.query.executor import execute_plan
-from repro.query.pipeline import execute_plan_streaming
-from repro.workloads.patterns import PatternFactory
+from repro.query import execute_plan, execute_plan_streaming
+
+from reference_executor import op_counters
 
 OPTIMIZERS = ("dp", "dps")
 
 
 @pytest.fixture(scope="module")
-def engine():
-    data = xmark.generate(factor=0.1, entity_budget=600, seed=7)
-    return GraphEngine(data.graph)
+def engine(xmark_engine):
+    return xmark_engine
 
 
 @pytest.fixture(scope="module")
-def snapshot_engine(engine, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("snapdiff") / "db.snap")
-    save_database(engine.db, path)
-    return GraphEngine.from_database(load_database(path))
+def snapshot_engine(xmark_snapshot_engine):
+    return xmark_snapshot_engine
 
 
 @pytest.fixture(scope="module")
-def workload(engine):
-    """Every Figure 4 family: 9 paths, 9 trees, 5 four-variable graphs."""
-    factory = PatternFactory(engine.db.catalog, seed=11)
-    patterns = {}
-    patterns.update(factory.figure4_paths())
-    patterns.update(factory.figure4_trees())
-    patterns.update(factory.figure4_queries(4))
-    return patterns
-
-
-def op_counters(metrics):
-    return [
-        (op.operator, op.rows_in, op.rows_out, op.centers_probed, op.nodes_fetched)
-        for op in metrics.operators
-    ]
+def workload(figure4_workload):
+    return figure4_workload
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
@@ -90,14 +71,16 @@ def test_snapshot_db_matches_built_db_everywhere(
 def test_snapshot_db_matches_in_batch_mode(
     engine, snapshot_engine, workload, optimizer
 ):
-    """The vectorized substrate reads codes/centers as array('q') views —
-    on a snapshot these come straight out of the mapping."""
+    """Warm engine-level runs (``reset_counters=False``: working cache
+    and CenterCache in play on both tiers) agree as well."""
     for name, pattern in workload.items():
-        built = engine.match(pattern, optimizer=optimizer, batch_size=64)
-        snapped = snapshot_engine.match(pattern, optimizer=optimizer, batch_size=64)
+        built = engine.match(pattern, optimizer=optimizer, reset_counters=False)
+        snapped = snapshot_engine.match(
+            pattern, optimizer=optimizer, reset_counters=False
+        )
         assert snapped.rows == built.rows, (
-            f"{name} [{optimizer}]: batch-mode rows diverge on snapshot"
+            f"{name} [{optimizer}]: warm rows diverge on snapshot"
         )
         assert op_counters(snapped.metrics) == op_counters(built.metrics), (
-            f"{name} [{optimizer}]: batch-mode per-op metrics diverge"
+            f"{name} [{optimizer}]: warm per-op metrics diverge"
         )

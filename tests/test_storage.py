@@ -85,6 +85,15 @@ class TestDiskManager:
         with pytest.raises(KeyError):
             DiskManager().read_page(7)
 
+    def test_free_releases_the_page_and_never_reuses_its_id(self):
+        disk = DiskManager()
+        first = disk.allocate().page_id
+        disk.free(first)
+        assert disk.page_count == 0
+        with pytest.raises(KeyError):
+            disk.read_page(first)
+        assert disk.allocate().page_id != first
+
 
 class TestBufferPool:
     def _pool(self, frames: int) -> BufferPool:
@@ -113,6 +122,17 @@ class TestBufferPool:
         assert pool.stats.logical_reads == 0
         assert pool.stats.physical_reads == 0
         assert pool.stats.physical_writes == 0
+
+    def test_discard_drops_dirty_frames_without_write_back(self):
+        pool = self._pool(4)
+        pages = [pool.new_page() for _ in range(3)]
+        for page in pages:
+            page.append((1,))  # dirty
+        pool.discard([page.page_id for page in pages[:2]])
+        assert pool.resident_pages == 1
+        assert pool.disk.page_count == 1
+        pool.flush_all()
+        assert pool.stats.physical_writes == 1  # only the surviving page
 
     def test_eviction_causes_physical_read(self):
         pool = self._pool(2)

@@ -15,9 +15,6 @@ diagnostics for malformed multiway plans.
 
 import pytest
 
-from repro import GraphEngine
-from repro.db.persist import save_database
-from repro.graph import xmark
 from repro.query import (
     JoinGraph,
     MultiwaySeed,
@@ -27,47 +24,30 @@ from repro.query import (
     Side,
     optimize_auto,
     optimize_dps,
+    execute_plan,
+    execute_plan_streaming,
+    fork_available,
     optimize_wcoj,
     parse_pattern,
 )
-from repro.query.executor import execute_plan
 from repro.query.pattern import PatternError
-from repro.query.physical.parallel import fork_available
-from repro.query.pipeline import execute_plan_streaming
 from repro.analysis import check_plan
 from repro.workloads.patterns import PatternFactory
+
+from reference_executor import assert_matches_reference, op_counters
 
 OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
 BACKENDS = ("thread", "process") if fork_available() else ("thread",)
 
 
 @pytest.fixture(scope="module")
-def engine():
-    data = xmark.generate(factor=0.1, entity_budget=600, seed=7)
-    return GraphEngine(data.graph)
+def engine(xmark_engine):
+    return xmark_engine
 
 
 @pytest.fixture(scope="module")
-def snapshot_engine(engine, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("wcojsnap") / "db.snap")
-    save_database(engine.db, path)
-    return GraphEngine.from_snapshot(path)
-
-
-@pytest.fixture(scope="module")
-def cyclic_workload(engine):
-    """Triangle, diamond, 4-clique and cycle-with-tail over XMark."""
-    factory = PatternFactory(engine.db.catalog, seed=11)
-    return factory.cyclic_patterns(
-        ("triangle", "diamond", "clique4", "cycle-tail")
-    )
-
-
-def op_counters(metrics):
-    return [
-        (op.operator, op.rows_in, op.rows_out, op.centers_probed, op.nodes_fetched)
-        for op in metrics.operators
-    ]
+def snapshot_engine(xmark_snapshot_engine):
+    return xmark_snapshot_engine
 
 
 # ----------------------------------------------------------------------
@@ -267,12 +247,15 @@ class TestCyclicDifferential:
                 else:
                     assert materialized.as_set() == oracle, (name, optimizer)
 
-    def test_batched_counters_match_scalar_oracle(self, engine, cyclic_workload):
+    def test_batched_counters_match_scalar_oracle(
+        self, engine, reference_index, cyclic_workload
+    ):
+        """The multiway operators vs the frozenset reference executor."""
         for name, pattern in cyclic_workload.items():
-            scalar = engine.match(pattern, optimizer="wcoj", batch_size=0)
-            batched = engine.match(pattern, optimizer="wcoj", batch_size=64)
-            assert sorted(batched.rows) == sorted(scalar.rows), name
-            assert op_counters(batched.metrics) == op_counters(scalar.metrics), name
+            result = engine.match(pattern, optimizer="wcoj")
+            assert_matches_reference(
+                reference_index, result.plan, result.rows, result.metrics, name
+            )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallel_counters_match_sequential_oracle(
@@ -280,9 +263,9 @@ class TestCyclicDifferential:
     ):
         target = snapshot_engine if backend == "process" else engine
         for name, pattern in cyclic_workload.items():
-            sequential = target.match(pattern, optimizer="wcoj", batch_size=64)
+            sequential = target.match(pattern, optimizer="wcoj")
             parallel = target.match(
-                pattern, optimizer="wcoj", batch_size=64,
+                pattern, optimizer="wcoj",
                 workers=2, parallel_backend=backend, morsel_size=16,
             )
             assert sorted(parallel.rows) == sorted(sequential.rows), (
@@ -296,12 +279,9 @@ class TestCyclicDifferential:
     def test_snapshot_native_counters_match_live(
         self, engine, snapshot_engine, cyclic_workload
     ):
-        assert snapshot_engine.db.mmap_views
         for name, pattern in cyclic_workload.items():
-            live = engine.match(pattern, optimizer="wcoj", batch_size=64)
-            native = snapshot_engine.match(
-                pattern, optimizer="wcoj", batch_size=64
-            )
+            live = engine.match(pattern, optimizer="wcoj")
+            native = snapshot_engine.match(pattern, optimizer="wcoj")
             assert sorted(native.rows) == sorted(live.rows), name
             assert op_counters(native.metrics) == op_counters(live.metrics), name
 
