@@ -27,7 +27,11 @@ has a runtime tripwire that fires on the actual execution:
   the shard its key hashes to, with per-shard byte ledgers that match
   the entries actually resident; :func:`verify_shard_isolation` audits
   both after worker morsels run, so a cross-shard write (a locking bug
-  in the striped tier) trips at runtime (``conc/*`` oracle).
+  in the striped tier) trips at runtime (``conc/*`` oracle);
+* **spill row sizes** — a :class:`~repro.query.algebra.TemporalTable`
+  sizes its rows off its layout; every spilled row is re-measured with
+  the generic ``record_size``, since a wrong size silently moves every
+  page boundary and with it every I/O count.
 
 Everything is opt-in: ``ExecutionContext(sanitize=True)`` or
 ``REPRO_SANITIZE=1`` in the environment (read per execution, so the

@@ -227,8 +227,7 @@ class IGMJEngine:
 
         def materialize(rows_iter) -> HeapFile:
             heap = HeapFile(self.pool, name="igmj.temp")
-            for row in rows_iter:
-                heap.append(row)
+            heap.extend(rows_iter)
             return heap
 
         for condition, mode in order:

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
+from ..storage import record_size
 from ..storage.buffer import BufferPool
 from ..storage.table import Table
 from .pattern import Condition, GraphPattern, PatternError
@@ -364,7 +365,7 @@ class TemporalTable:
     one ``tuple(centers)`` per entry of ``pending`` — the ``(r_i, X_i)``
     pairs that Algorithm 2's Filter emits into ``T_W``.  Rows live in a
     heap file through the buffer pool, so temporal-table scans and writes
-    are charged I/O like any other table.
+    are charged I/O per page like any other table.
     """
 
     def __init__(
@@ -382,6 +383,14 @@ class TemporalTable:
             f"__centers_{i}" for i in range(len(self.pending))
         ]
         self.table = Table(pool, name=name, columns=columns)
+        # record_size(row) read off the layout: a tuple header and an int
+        # per variable, then per pending column a header and an int per center
+        bound = len(self.variables)
+        fixed = 4 + 4 * bound + 4 * len(self.pending)
+        if self.pending:
+            self.row_size = lambda row: fixed + 4 * sum(map(len, row[bound:]))
+        else:
+            self.row_size = lambda row: fixed
 
     @classmethod
     def from_layout(
@@ -421,12 +430,40 @@ class TemporalTable:
         except ValueError:
             raise PatternError(f"no pending centers for filter {key}") from None
 
-    def insert(self, row: Sequence) -> None:
-        if self.row_limit is not None and len(self.table) >= self.row_limit:
-            raise RowLimitExceeded(
-                f"temporal table exceeded {self.row_limit} rows"
+    def _sanitized_row_size(self, row: Sequence) -> int:
+        from ..analysis.sanitizer import SanitizerError
+
+        size = self.row_size(row)
+        if size != record_size(row):
+            raise SanitizerError(
+                f"layout-derived size {size} of row {row!r} in "
+                f"{self.table.name!r} is not record_size's {record_size(row)}"
             )
-        self.table.insert(row)
+        return size
+
+    def _within_limit(self, rows: Iterable[Sequence]) -> Iterator[Sequence]:
+        room = self.row_limit - len(self.table)
+        for count, row in enumerate(rows):
+            if count >= room:
+                raise RowLimitExceeded(
+                    f"temporal table exceeded {self.row_limit} rows"
+                )
+            yield row
+
+    def insert_many(self, rows: Iterable[Sequence], sanitize: bool = False) -> None:
+        """Spill *rows* a page at a time (:meth:`HeapFile.extend`); each
+        passes the ``row_limit`` guard and the arity check.  ``sanitize``
+        (or ``REPRO_SANITIZE=1``) re-measures each row with the generic
+        ``record_size`` and raises if the layout-derived size disagrees."""
+        # imported lazily: the analysis layer depends on the query layer
+        from ..analysis.sanitizer import sanitize_enabled
+
+        if self.row_limit is not None:
+            rows = self._within_limit(rows)
+        sanitize = sanitize or sanitize_enabled()
+        self.table.insert_many(
+            rows, self._sanitized_row_size if sanitize else self.row_size
+        )
 
     def scan(self):
         return self.table.scan()

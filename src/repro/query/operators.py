@@ -47,8 +47,7 @@ def _drain(
 ) -> Tuple[TemporalTable, OperatorMetrics]:
     """Materialize one operator's output stream into a temporal table."""
     output = TemporalTable.from_layout(db.pool, op.layout, name=temp_name(op.name))
-    for row in op.rows(source):
-        output.insert(row)
+    output.insert_many(op.rows(source), sanitize=op.ctx.sanitize)
     return output, op.metrics
 
 

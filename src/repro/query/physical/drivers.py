@@ -258,8 +258,7 @@ def execute_plan(
                 db.pool, op.layout, name=temp_name(op.name)
             )
             tables.append(output)
-            for row in op.rows(source):
-                output.insert(row)
+            output.insert_many(op.rows(source), sanitize=ctx.sanitize)
             metrics.peak_temporal_rows = max(
                 metrics.peak_temporal_rows, output.row_count
             )

@@ -3,10 +3,14 @@
 The paper's experiments run with a 1 MiB buffer (Section 6: "the buffer
 size we used in our testing is 1MB for I/O access"), which is this module's
 default.  All page traffic from heap files and B+-trees flows through
-:meth:`BufferPool.fetch`, so the shared :class:`~repro.storage.stats.IOStats`
-sees exactly the page-miss behaviour a real bounded buffer would produce —
-the effect that makes DP's larger intermediate results cost "over five
-times the I/O" of DPS at scale.
+:meth:`BufferPool.fetch` (one logical read per page touched) and
+:meth:`BufferPool.new_page` (a physical write once evicted dirty) — never
+per record: a heap file gathers a bulk write in one output-buffer page
+outside this pool's capacity.  The shared
+:class:`~repro.storage.stats.IOStats` therefore sees exactly the
+page-miss behaviour a real bounded buffer would produce — the effect
+that makes DP's larger intermediate results cost "over five times the
+I/O" of DPS at scale.
 
 Concurrency: the page table (frame map + LRU order + victim write-back)
 is guarded by one re-entrant lock, making ``fetch``/``new_page`` safe

@@ -51,6 +51,13 @@ def _run_capacity(pool: BufferPool, avg_record_pages: float = 0.01) -> int:
     return max(16, int(frames_for_run / avg_record_pages))
 
 
+def _counted(records: Iterable[Any], stats: SortStats) -> Iterable[Any]:
+    """Pass *records* through, charging one comparison per merged record."""
+    for record in records:
+        stats.comparisons += 1
+        yield record
+
+
 def external_sort(
     pool: BufferPool,
     source: Iterable[Any],
@@ -103,20 +110,10 @@ def external_sort(
                 next_round.append(group[0])
                 continue
             merged = HeapFile(pool, name=f"sortrun#{next(_seq)}")
-            streams = [run.records() for run in group]
-            if key is None:
-                for record in heapq.merge(*streams):
-                    stats.comparisons += 1
-                    merged.append(record)
-            else:
-                for record in heapq.merge(*streams, key=key):
-                    stats.comparisons += 1
-                    merged.append(record)
+            merged.extend(
+                _counted(heapq.merge(*(run.records() for run in group), key=key), stats)
+            )
             next_round.append(merged)
         runs = next_round
 
-    result = runs[0]
-    if stats.merge_passes == 0:
-        # single run: it is already the sorted output
-        return result, stats
-    return result, stats
+    return runs[0], stats  # a single run is already the sorted output

@@ -14,12 +14,13 @@ competitors are charged by the *same* model.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 DEFAULT_PAGE_SIZE = 4096
-_SLOT_OVERHEAD = 8  # slot-directory entry + record header, in simulated bytes
+SLOT_OVERHEAD = 8  # slot-directory entry + record header, in simulated bytes
 
 RecordId = Tuple[int, int]  # (page_id, slot)
+Sizer = Callable[[Any], int]  # a record's simulated size, as record_size has it
 
 
 def record_size(record: Any) -> int:
@@ -62,9 +63,6 @@ class Page:
     def free_space(self) -> int:
         return self.capacity - self.used
 
-    def fits(self, record: Any) -> bool:
-        return record_size(record) + _SLOT_OVERHEAD <= self.free_space()
-
     def append(self, record: Any) -> int:
         """Append *record*; returns the slot number.
 
@@ -72,16 +70,22 @@ class Page:
         per page, so that callers never deadlock on a record that can never
         fit; the page simply reports itself full afterwards.
         """
-        size = record_size(record) + _SLOT_OVERHEAD
+        size = record_size(record) + SLOT_OVERHEAD
         if self.records and size > self.free_space():
             raise PageFullError(
                 f"record of {size}B does not fit in page {self.page_id} "
                 f"({self.free_space()}B free)"
             )
-        self.records.append(record)
-        self.used += size
-        self.dirty = True
+        self.fill([record], size)
         return len(self.records) - 1
+
+    def fill(self, records: List[Any], used: int) -> None:
+        """Admit *records* that the heap file's output buffer gathered
+        under the fill rule; their sizes, slot overhead included, sum to
+        *used*."""
+        self.records.extend(records)
+        self.used += used
+        self.dirty = True
 
     def get(self, slot: int) -> Any:
         return self.records[slot]
@@ -106,6 +110,9 @@ class Page:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.records)
 
 
 class DiskManager:

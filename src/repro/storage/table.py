@@ -9,11 +9,12 @@ class without an index.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bptree import BPlusTree
 from .buffer import BufferPool
 from .heapfile import HeapFile
+from .pages import Sizer, record_size
 
 
 class SchemaError(ValueError):
@@ -63,20 +64,29 @@ class Table:
                 f"columns are {self.columns}"
             ) from None
 
-    def insert(self, row: Sequence[Any]) -> None:
-        if len(row) != len(self.columns):
-            raise SchemaError(
-                f"row of arity {len(row)} does not match "
-                f"{len(self.columns)}-column table {self.name!r}"
-            )
-        row_tuple = tuple(row)
-        rid = self.heap.append(row_tuple)
-        if self.pk_index is not None:
-            self.pk_index.insert(row_tuple[self._pk_position], rid)
-
-    def insert_many(self, rows) -> None:
+    def _checked(self, rows: Iterable[Sequence[Any]]) -> Iterator[Tuple[Any, ...]]:
+        arity = len(self.columns)
         for row in rows:
-            self.insert(row)
+            if len(row) != arity:
+                raise SchemaError(
+                    f"row of arity {len(row)} does not match "
+                    f"{arity}-column table {self.name!r}"
+                )
+            yield tuple(row)
+
+    def insert(self, row: Sequence[Any]) -> None:
+        self.insert_many((row,))
+
+    def insert_many(
+        self, rows: Iterable[Sequence[Any]], size_of: Sizer = record_size
+    ) -> None:
+        """Insert *rows*; an index-less table spills them a page at a
+        time (:meth:`HeapFile.extend`, which documents ``size_of``)."""
+        if self.pk_index is None:
+            self.heap.extend(self._checked(rows), size_of)
+            return
+        for row in self._checked(rows):
+            self.pk_index.insert(row[self._pk_position], self.heap.append(row))
 
     def scan(self) -> Iterator[Tuple[Any, ...]]:
         """Full scan, page by page through the buffer pool."""

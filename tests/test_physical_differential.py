@@ -90,6 +90,39 @@ def test_metrics_invariants_hold_under_both_drivers(engine, workload, optimizer)
                 )
 
 
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_temporal_tables_are_charged_per_page(engine, workload, optimizer, monkeypatch):
+    """Guard against per-row spill charging: the materializing driver's
+    logical reads are the streaming driver's (index and base-table
+    probes only) plus one per temporal-table page, each page being
+    scanned once and nothing being charged per appended row."""
+    from repro.query.algebra import TemporalTable
+
+    pages = []
+    drop = TemporalTable.drop
+    monkeypatch.setattr(
+        TemporalTable, "drop", lambda t: (pages.append(t.page_count), drop(t))
+    )
+    spilled_rows = spilled_pages = 0
+    for name, pattern in workload.items():
+        optimized = engine.plan(pattern, optimizer=optimizer)
+        del pages[:]
+        engine.db.reset_counters()
+        materialized = execute_plan(engine.db, optimized.plan)
+        engine.db.reset_counters()
+        stream = execute_plan_streaming(engine.db, optimized.plan)
+        list(stream)
+        assert len(pages) == len(optimized.plan.steps)
+        assert (
+            materialized.metrics.io.logical_reads
+            == stream.metrics.io.logical_reads + sum(pages)
+        ), f"{name} [{optimizer}]: temporal tables not charged per page"
+        spilled_rows += sum(op.rows_out for op in materialized.metrics.operators)
+        spilled_pages += sum(pages)
+    # the guard has teeth: a charge per row would not pass for a charge per page
+    assert spilled_pages < spilled_rows
+
+
 def test_streaming_supports_row_limit(engine, workload):
     """The streaming driver enforces the same execution guard."""
     from repro.query.algebra import RowLimitExceeded

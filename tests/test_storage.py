@@ -1,5 +1,7 @@
 """Tests for pages, disk manager, buffer pool and heap files."""
 
+import random
+
 import pytest
 
 from repro.storage.buffer import BufferPool
@@ -226,3 +228,98 @@ class TestHeapFile:
         heap.pool.stats.reset()
         list(heap.records())
         assert heap.pool.stats.logical_reads == heap.page_count
+
+
+def _row_mix(seed: int, count: int):
+    """Seeded temporal-table-shaped rows: ints plus 0-2 center tuples of
+    uneven length, with an occasional record bigger than a whole page."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(count):
+        centers = tuple(
+            tuple(rng.randrange(1000) for _ in range(rng.choice((0, 1, 3, 9))))
+            for _ in range(rng.randrange(3))
+        )
+        if rng.random() < 0.03:
+            centers += (tuple(range(60)),)  # 252B: alone on a 128B page
+        rows.append((i, rng.randrange(1000)) + centers)
+    return rows
+
+
+def _pages(heap: HeapFile):
+    """Per-page record lists, in file order."""
+    pages = {}
+    for (page_id, _), record in heap.scan():
+        pages.setdefault(page_id, []).append(record)
+    return list(pages.values())
+
+
+class TestBulkSpill:
+    """``extend`` is ``append`` in a loop as far as the pages can tell,
+    and is charged per page, not per record."""
+
+    def _heap(self) -> HeapFile:
+        pool = BufferPool(DiskManager(page_size=128), capacity_bytes=1 << 14)
+        return HeapFile(pool)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("prefix", (0, 1, 7))
+    def test_extend_equals_append_loop(self, seed, prefix):
+        rows = _row_mix(seed, 200)
+        bulk, one_by_one = self._heap(), self._heap()
+        for heap in (bulk, one_by_one):
+            for row in rows[:prefix]:  # leaves a half-full tail page to top up
+                heap.append(row)
+        bulk.extend(rows[prefix:])
+        for row in rows[prefix:]:
+            one_by_one.append(row)
+        assert _pages(bulk) == _pages(one_by_one)
+        assert bulk.page_count == one_by_one.page_count
+        assert len(bulk) == len(one_by_one) == len(rows)
+        assert list(bulk.records()) == rows
+
+    def test_oversized_record_sits_alone_on_its_page(self):
+        heap = self._heap()
+        big = tuple(range(100))
+        heap.extend([(1,), big, (2,), (3,)])
+        assert _pages(heap) == [[(1,)], [big], [(2,), (3,)]]
+
+    def test_empty_input_allocates_nothing(self):
+        heap = self._heap()
+        heap.extend(iter(()))
+        assert (heap.page_count, len(heap)) == (0, 0)
+        heap.append((1,))
+        heap.extend([])
+        assert (heap.page_count, len(heap)) == (1, 1)
+
+    def test_size_of_replaces_record_size(self):
+        rows = [(i, i) for i in range(40)]
+        sized, generic = self._heap(), self._heap()
+        sized.extend(rows, size_of=lambda row: 12)
+        generic.extend(rows)
+        assert _pages(sized) == _pages(generic)
+
+    def test_spill_charges_no_read_per_record(self):
+        heap = self._heap()
+        heap.pool.stats.reset()
+        heap.extend((i, i) for i in range(100))
+        assert heap.page_count > 5
+        assert heap.pool.stats.logical_reads == 0
+
+    def test_topping_up_charges_exactly_one_read(self):
+        heap = self._heap()
+        heap.append((0, 0))
+        heap.pool.stats.reset()
+        heap.extend((i, i) for i in range(1, 100))
+        assert heap.page_count > 5
+        assert heap.pool.stats.logical_reads == 1
+
+    def test_rows_before_a_failing_source_are_kept(self):
+        def source():
+            yield from ((i, i) for i in range(30))
+            raise RuntimeError("source died")
+
+        heap = self._heap()
+        with pytest.raises(RuntimeError):
+            heap.extend(source())
+        assert list(heap.records()) == [(i, i) for i in range(30)]

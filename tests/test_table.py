@@ -1,9 +1,13 @@
 """Tests for the relational table layer."""
 
+import random
+
 import pytest
 
+from repro.analysis.sanitizer import SanitizerError
+from repro.query.algebra import RowLimitExceeded, Side, TemporalTable
 from repro.storage.buffer import BufferPool
-from repro.storage.pages import DiskManager
+from repro.storage.pages import DiskManager, record_size
 from repro.storage.table import SchemaError, Table
 
 
@@ -69,3 +73,82 @@ class TestData:
         assert table.pool.stats.index_lookups.get("T.pk") == 1
         # descent (height) + leaf re-read + one heap page
         assert table.pool.stats.logical_reads == table.pk_index.height + 2
+
+
+class TestBulkInsert:
+    def test_index_less_table_spills_by_the_page(self):
+        table = make_table(primary_key=None)
+        table.pool.stats.reset()
+        table.insert_many((i, i, i) for i in range(100))
+        assert table.page_count > 1
+        assert table.pool.stats.logical_reads == 0
+        assert list(table.scan()) == [(i, i, i) for i in range(100)]
+
+    def test_arity_is_checked_on_every_row(self):
+        table = make_table(primary_key=None)
+        with pytest.raises(SchemaError):
+            table.insert_many([(1, 2, 3), (4, 5), (6, 7, 8)])
+        assert list(table.scan()) == [(1, 2, 3)]
+
+
+KEYS = [(("a", "b"), Side.OUT), (("a", "c"), Side.OUT), (("d", "a"), Side.IN)]
+
+
+def temporal(pending_columns, row_limit=None):
+    pool = BufferPool(DiskManager(page_size=256), capacity_bytes=1 << 16)
+    return TemporalTable(
+        pool, ("a", "e"), pending=KEYS[:pending_columns], row_limit=row_limit
+    )
+
+
+class TestTemporalTableSpill:
+    @pytest.mark.parametrize("pending_columns", (0, 1, 2, 3))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layout_size_is_record_size(self, pending_columns, seed):
+        rng = random.Random(seed)
+        table = temporal(pending_columns)
+        for _ in range(200):
+            row = (rng.randrange(10**6), rng.randrange(10**6)) + tuple(
+                tuple(rng.randrange(10**6) for _ in range(rng.choice((0, 0, 1, 5))))
+                for _ in range(pending_columns)
+            )
+            assert table.row_size(row) == record_size(row)
+
+    def test_spill_pages_match_a_generically_sized_table(self):
+        rng = random.Random(3)
+        rows = [
+            (i, i, tuple(range(rng.randrange(6))), tuple(range(rng.randrange(3))))
+            for i in range(300)
+        ]
+        table = temporal(2)
+        table.insert_many(rows)
+        plain = Table(table.table.pool, "plain", columns=("a", "e", "c0", "c1"))
+        plain.insert_many(rows)
+        assert table.page_count == plain.page_count
+        assert list(table.scan()) == rows
+
+    def test_abort_mid_bulk_then_drop_frees_every_page(self):
+        table = temporal(0, row_limit=50)
+        disk = table.table.pool.disk
+        before = disk.page_count
+        with pytest.raises(RowLimitExceeded):
+            table.insert_many((i, i) for i in range(500))
+        assert len(table) == 50  # every row before the guard fired is kept
+        assert disk.page_count > before
+        table.drop()
+        assert disk.page_count == before
+
+    def test_row_limit_counts_rows_already_in_the_table(self):
+        table = temporal(0, row_limit=3)
+        table.insert_many([(1, 1), (2, 2)])
+        table.insert_many([(3, 3)])
+        with pytest.raises(RowLimitExceeded):
+            table.insert_many([(4, 4)])
+        assert len(table) == 3
+
+    def test_sanitize_trips_on_a_wrong_layout_size(self):
+        table = temporal(1)
+        table.row_size = lambda row: 16  # forgets the centers
+        table.insert_many([(1, 2, ())], sanitize=True)  # 4+8+4: agrees
+        with pytest.raises(SanitizerError):
+            table.insert_many([(1, 2, (7, 8))], sanitize=True)
