@@ -25,6 +25,7 @@ fully drained.  Both accept ``row_limit`` (the execution guard) and
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
@@ -284,10 +285,14 @@ def execute_plan(
 class StreamingResult:
     """Lazy row iterator with the same :class:`RunMetrics` as a full run.
 
-    Nothing executes until the first row is pulled; ``metrics`` is
-    populated incrementally by the operators and finalized (elapsed time,
-    I/O delta, result count, peak intermediate size) when the stream is
-    exhausted.  With a ``limit``, upstream operators stop early and the
+    Nothing executes until the first row is pulled.  Iterating the
+    stream iterates the driver's one bounded generator directly — there
+    is no per-row ``__next__`` between it and the consumer — and that
+    generator starts the clock and the I/O snapshot on its first pull
+    and finalizes ``metrics`` (elapsed time, I/O delta, result count,
+    peak intermediate size; the operators' own counters flush just
+    before) when it finishes: exhausted, stopped at a limit or deadline,
+    or closed.  With a ``limit``, upstream operators stop early and the
     metrics cover only the work actually done.
 
     Under parallel execution ``parallel`` holds the run's
@@ -308,32 +313,24 @@ class StreamingResult:
     ):
         self._rows = rows
         self._db = db
-        self._io_before: Optional[IOStats] = None
-        self._started: Optional[float] = None
         # the context's private recorder: exact per-run cache accounting
         # even while other queries hammer the same shared CenterCache
         self._cache_stats = cache_stats
-        self._finalized = False
+        #: set by the bounded generator when it ran to its own end
+        #: (exhausted, limit or deadline) — a later close() is then not
+        #: a truncation
+        self._ended = False
         self.metrics = metrics
         self.parallel = parallel
         #: projected output columns, in row order (pattern variables) —
         #: same contract as :attr:`QueryResult.columns`
         self.columns = columns
 
-    def __iter__(self) -> "StreamingResult":
-        return self
+    def __iter__(self) -> Iterator[Row]:
+        return self._rows
 
     def __next__(self) -> Row:
-        if self._started is None:
-            self._started = time.perf_counter()
-            self._io_before = self._db.stats.snapshot()
-        try:
-            row = next(self._rows)
-        except StopIteration:
-            self._finalize()
-            raise
-        self.metrics.result_rows += 1
-        return row
+        return next(self._rows)
 
     def close(self) -> None:
         """Abandon the stream early: close the operator chain, cancel
@@ -341,26 +338,22 @@ class StreamingResult:
         actually performed.  A close before exhaustion marks the run
         ``truncated`` (``stop_reason="closed"`` unless the stream already
         stopped itself at a limit or deadline)."""
-        if not self._finalized:
+        if not self._ended:
             self.metrics.truncated = True
             if self.metrics.stop_reason is None:
                 self.metrics.stop_reason = "closed"
         self._rows.close()
         if self.parallel is not None:
             self.parallel.finish()
-        if self._started is not None:
-            self._finalize()
 
-    def _finalize(self) -> None:
-        if self._finalized:
-            return
-        self._finalized = True
+    def _finalize(self, started: float, io_before: IOStats, delivered: int) -> None:
+        """Called once, from the bounded generator's ``finally``."""
         metrics = self.metrics
-        metrics.elapsed_seconds = time.perf_counter() - (self._started or 0.0)
-        if self._io_before is not None:
-            metrics.io = self._db.stats.delta_since(self._io_before)
-            if self.parallel is not None:
-                metrics.io.add(self.parallel.worker_io_delta())
+        metrics.result_rows = delivered
+        metrics.elapsed_seconds = time.perf_counter() - started
+        metrics.io = self._db.stats.delta_since(io_before)
+        if self.parallel is not None:
+            metrics.io.add(self.parallel.worker_io_delta())
         metrics.peak_temporal_rows = max(
             (op.rows_out for op in metrics.operators), default=0
         )
@@ -435,39 +428,42 @@ def execute_plan_streaming(
         metrics.stop_reason = reason
 
     def bounded() -> Iterator[Row]:
+        # first pull: the wall clock, the I/O snapshot and the deadline
+        # all start here, so elapsed_seconds and the deadline agree
+        started = time.perf_counter()
+        io_before = db.stats.snapshot()
+        deadline = started + timeout if timeout is not None else None
+        stop_at = sys.maxsize if limit is None else limit
+        emitted = 0
         try:
-            if limit is not None and limit <= 0:
+            if stop_at <= 0:
                 stop("limit")
-                return
-            # the deadline clock starts at the first pull, matching the
-            # wall clock StreamingResult reports in elapsed_seconds
-            deadline = (
-                time.perf_counter() + timeout if timeout is not None else None
-            )
-            emitted = 0
-            while True:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    stop("timeout")
-                    return
-                try:
-                    row = next(projected)
-                except StopIteration:
-                    return
-                yield row
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    stop("limit")
-                    return
+            elif deadline is not None and time.perf_counter() >= deadline:
+                stop("timeout")
+            else:
+                for row in projected:
+                    emitted += 1
+                    yield row
+                    if emitted >= stop_at:
+                        stop("limit")
+                        break
+                    if deadline is not None and time.perf_counter() >= deadline:
+                        stop("timeout")
+                        break
+            stream._ended = True
         finally:
             # explicit teardown (not GC order): stopping at the limit or
-            # closing the stream must cancel outstanding morsels now
+            # closing the stream must cancel outstanding morsels now, and
+            # closing the chain is what flushes the operators' counters
             projected.close()
             if execution is not None:
                 execution.finish()
+            stream._finalize(started, io_before, emitted)
 
-    return StreamingResult(
+    stream = StreamingResult(
         bounded(), metrics, db,
         cache_stats=ctx.cache_stats if center_cache is not None else None,
         parallel=execution,
         columns=tuple(plan.pattern.variables),
     )
+    return stream

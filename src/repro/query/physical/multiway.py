@@ -125,34 +125,40 @@ class MultiwaySeedOp(_MultiwayBase):
         super().__init__(ctx, f"mseed({var})", RowLayout((var,)), var, constraints)
         self.label = ctx.pattern.label(var)
 
-    def _projection(self, plan: Tuple[str, str, Side, str]) -> "kernels.array[int]":
-        """One condition's W-projection onto the seed variable."""
-        x_label, y_label, side, fetch_label = plan
-        centers = self.ctx.db.w_run(x_label, y_label)
-        self.metrics.centers_probed += len(centers)
-        domain, volume = self._expand(centers, fetch_label, side)
-        self.metrics.nodes_fetched += volume
-        return domain
-
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        metrics = self.metrics
-        if not self.constraints:
-            # degenerate core: full extent, identical to SeedScanOp
-            for node in self.ctx.db.extent_run(self.label):
-                metrics.rows_in += 1
+        db = self.ctx.db
+        limit = self._limit()
+        rows_in = rows_out = centers_probed = nodes_fetched = 0
+        try:
+            if not self.constraints:
+                # degenerate core: full extent, identical to SeedScanOp
+                for node in db.extent_run(self.label):
+                    rows_in += 1
+                    rows_out += 1
+                    if rows_out > limit:
+                        raise self._exceeded(limit)
+                    yield (node,)
+                return
+            # one W-projection onto the seed variable per condition
+            domains: List["kernels.array[int]"] = []
+            for x_label, y_label, side, fetch_label in self._plans:
+                centers = db.w_run(x_label, y_label)
+                centers_probed += len(centers)
+                domain, volume = self._expand(centers, fetch_label, side)
+                nodes_fetched += volume
+                if not domain:
+                    return  # one empty projection proves an empty result
+                domains.append(domain)
+            # candidates examined = the smallest projection (intersect_many
+            # folds smallest-first, so these are the values actually probed)
+            rows_in = min(len(d) for d in domains)
+            for node in kernels.intersect_many(domains):
+                rows_out += 1
+                if rows_out > limit:
+                    raise self._exceeded(limit)
                 yield (node,)
-            return
-        domains: List["kernels.array[int]"] = []
-        for plan in self._plans:
-            domain = self._projection(plan)
-            if not domain:
-                return  # one empty projection proves an empty result
-            domains.append(domain)
-        # candidates examined = the smallest projection (intersect_many
-        # folds smallest-first, so these are the values actually probed)
-        metrics.rows_in += min(len(d) for d in domains)
-        for node in kernels.intersect_many(domains):
-            yield (node,)
+        finally:
+            self._flush(rows_in, rows_out, centers_probed, nodes_fetched)
 
 
 class MultiwayIntersectOp(_MultiwayBase):
@@ -215,7 +221,6 @@ class MultiwayIntersectOp(_MultiwayBase):
         return tuple(kernels.intersect_many(per_condition)), probes, volume
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        metrics = self.metrics
         db = self.ctx.db
         # W(X, Y) is read once per constraint per execution
         w_keys = [
@@ -225,21 +230,30 @@ class MultiwayIntersectOp(_MultiwayBase):
         # scanned-values tuple -> (extensions | None, probes, volume)
         memo: Dict[Tuple[int, ...], Tuple[Optional[Tuple[int, ...]], int, int]] = {}
         positions = self.scan_positions
-        for row in self._pull(source):
-            scanned = tuple(row[p] for p in positions)
-            entry = memo.get(scanned)
-            if entry is None:
-                entry = memo[scanned] = self._extensions(scanned, w_keys)
-            extensions, probes, volume = entry
-            # replay the counters on memo hits too: they describe the
-            # algorithm's work per row, not the memoization shortcut
-            metrics.centers_probed += probes
-            metrics.nodes_fetched += volume
-            if not extensions:
-                continue
-            base = tuple(row)
-            for partner in extensions:
-                yield base + (partner,)
+        limit = self._limit()
+        rows_in = rows_out = centers_probed = nodes_fetched = 0
+        try:
+            for row in self._input(source):
+                rows_in += 1
+                scanned = tuple(row[p] for p in positions)
+                entry = memo.get(scanned)
+                if entry is None:
+                    entry = memo[scanned] = self._extensions(scanned, w_keys)
+                extensions, probes, volume = entry
+                # replay the counters on memo hits too: they describe the
+                # algorithm's work per row, not the memoization shortcut
+                centers_probed += probes
+                nodes_fetched += volume
+                if not extensions:
+                    continue
+                base = tuple(row)
+                for partner in extensions:
+                    rows_out += 1
+                    if rows_out > limit:
+                        raise self._exceeded(limit)
+                    yield base + (partner,)
+        finally:
+            self._flush(rows_in, rows_out, centers_probed, nodes_fetched)
 
 
 __all__ = ["MultiwayIntersectOp", "MultiwaySeedOp"]

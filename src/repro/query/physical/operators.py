@@ -23,7 +23,9 @@ lifecycle over a shared :class:`~repro.query.physical.context.ExecutionContext`:
 * :class:`ProjectOp` — project the pattern's variables in declaration
   order off the final intermediate.
 
-There is **one body per operator**.  Each pulls its input a row at a
+There is **one body per operator**, and it is the one generator frame a
+row passes through there: it counts and guards the rows it emits itself
+(see :class:`PhysicalOperator`).  Each pulls its input a row at a
 time (so a ``LIMIT`` stops all upstream work at once), computes with the
 sorted-run kernels (:mod:`repro.query.physical.kernels`), and reads the
 database only through its four-call run surface (``w_run``/``code_run``/
@@ -47,6 +49,8 @@ the frozenset oracle both must match row for row and counter for counter.
 
 from __future__ import annotations
 
+import sys
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra import (
@@ -70,18 +74,26 @@ Row = Tuple[int, ...]
 
 
 class PhysicalOperator:
-    """Base class: lifecycle, row accounting, the row-limit guard, and the
-    two memoized index reads every R-join operator shares.
+    """Base class: lifecycle, the counter flush, the row-limit guard's
+    parts, and the two memoized index reads every R-join operator shares.
 
-    Subclasses implement :meth:`_produce`; the base wraps it so that
+    Subclasses implement :meth:`_produce` — **the one frame a row passes
+    through per operator**.  It keeps ``rows_in`` / ``rows_out`` /
+    ``centers_probed`` / ``nodes_fetched`` in locals, checks the
+    context's ``row_limit`` budget at the statement that increments
+    ``rows_out`` (:meth:`_limit` / :meth:`_exceeded`), and hands the
+    locals to :meth:`_flush` in a ``finally``.  So
+    :class:`OperatorMetrics` is written once per execution, at the
+    moment the operator's generator finishes — exhausted, closed early
+    by a LIMIT, or raising — and is final from then on.  Around it,
+    :meth:`rows` only
 
-    * ``open()`` resets all per-execution state (dedup sets, memos and
-      the metrics counters), making an operator instance reusable;
-    * every emitted row is counted into ``metrics.rows_out`` and checked
-      against the context's ``row_limit`` budget — the one enforcement
-      point for both drivers;
-    * ``close()`` releases per-execution state even when the consumer
-      abandons the iterator early (LIMIT pushdown closes generators).
+    * calls ``open()`` to reset all per-execution state (memos and the
+      metrics counters), making an operator instance reusable;
+    * delegates to ``_produce`` (no per-row loop of its own);
+    * calls ``close()`` and closes its input stream when the generator
+      finishes for any reason, so every operator upstream has flushed
+      its counters by the time the consumer regains control.
     """
 
     def __init__(self, ctx: ExecutionContext, name: str, layout: RowLayout):
@@ -98,41 +110,55 @@ class PhysicalOperator:
     # -- lifecycle -----------------------------------------------------
     def open(self) -> None:
         """Reset per-execution state; called when ``rows()`` starts."""
-        self.metrics.rows_in = 0
-        self.metrics.rows_out = 0
-        self.metrics.centers_probed = 0
-        self.metrics.nodes_fetched = 0
+        self._flush(0, 0)
         self._subclusters = {}
 
     def rows(self, source: Optional[Iterable[Row]] = None) -> Iterator[Row]:
         """The operator's output stream (opens on first pull)."""
         self.open()
-        limit = self.ctx.row_limit
-        metrics = self.metrics
         try:
-            for row in self._produce(source):
-                metrics.rows_out += 1
-                if limit is not None and metrics.rows_out > limit:
-                    raise RowLimitExceeded(
-                        f"operator {self.name} exceeded {limit} rows"
-                    )
-                yield row
+            yield from self._produce(source)
         finally:
             self.close()
+            # Volcano close(): a suspended child would sit on unflushed
+            # counters until the garbage collector reached it — and an
+            # in-flight exception's traceback keeps it alive
+            close_source = getattr(source, "close", None)
+            if close_source is not None:
+                close_source()
 
     def close(self) -> None:
         """Release per-execution state; called when the stream ends."""
         self._subclusters = {}
 
     # -- helpers -------------------------------------------------------
-    def _pull(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        """Iterate the child's rows, counting them into ``rows_in``."""
+    def _input(self, source: Optional[Iterable[Row]]) -> Iterable[Row]:
+        """The child's stream (row-consuming operators need one)."""
         if source is None:
             raise TypeError(f"operator {self.name} requires an input stream")
+        return source
+
+    def _limit(self) -> int:
+        """The ``row_limit`` budget as an always-comparable int."""
+        limit = self.ctx.row_limit
+        return sys.maxsize if limit is None else limit
+
+    def _exceeded(self, limit: int) -> RowLimitExceeded:
+        return RowLimitExceeded(f"operator {self.name} exceeded {limit} rows")
+
+    def _flush(
+        self,
+        rows_in: int,
+        rows_out: int,
+        centers_probed: int = 0,
+        nodes_fetched: int = 0,
+    ) -> None:
+        """Publish one execution's counters (``_produce``'s ``finally``)."""
         metrics = self.metrics
-        for row in source:
-            metrics.rows_in += 1
-            yield row
+        metrics.rows_in = rows_in
+        metrics.rows_out = rows_out
+        metrics.centers_probed = centers_probed
+        metrics.nodes_fetched = nodes_fetched
 
     def _centers(
         self, node: int, w_run: Sequence[int], pair_id: int, side: Side
@@ -195,10 +221,16 @@ class SeedScanOp(PhysicalOperator):
         self.label = ctx.pattern.label(var)
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        metrics = self.metrics
-        for node in self.ctx.db.extent_run(self.label):
-            metrics.rows_in += 1
-            yield (node,)
+        limit = self._limit()
+        scanned = 0
+        try:
+            for node in self.ctx.db.extent_run(self.label):
+                scanned += 1
+                if scanned > limit:
+                    raise self._exceeded(limit)
+                yield (node,)
+        finally:
+            self._flush(scanned, scanned)
 
 
 class SeedJoinOp(PhysicalOperator):
@@ -213,15 +245,6 @@ class SeedJoinOp(PhysicalOperator):
         super().__init__(ctx, f"hpsj({src}->{dst})", RowLayout(condition))
         self.condition = condition
         self.x_label, self.y_label = ctx.pattern.condition_labels(condition)
-        self._seen: set = set()
-
-    def open(self) -> None:
-        super().open()
-        self._seen = set()
-
-    def close(self) -> None:
-        super().close()
-        self._seen = set()
 
     def center_worklist(self) -> List[int]:
         """The ``W(X, Y)`` worklist this seed iterates, in index order.
@@ -233,25 +256,32 @@ class SeedJoinOp(PhysicalOperator):
         """
         return list(self.ctx.db.w_run(self.x_label, self.y_label))
 
-    def _enumerate(self, centers: Iterable[int]) -> Iterator[Row]:
-        """Candidate pairs for a slice of the worklist, locally deduped."""
+    def _enumerate(self, centers: Iterable[int], limit: int) -> Iterator[Row]:
+        """Deduplicated pairs for a slice of the worklist."""
         db = self.ctx.db
-        metrics = self.metrics
-        seen = self._seen
-        for center in centers:
-            metrics.centers_probed += 1
-            # one probe: both subcluster maps live in the same leaf
-            f_sub, t_sub = db.subcluster_runs(center)
-            f_nodes = f_sub.get(self.x_label, ())
-            t_nodes = t_sub.get(self.y_label, ())
-            metrics.nodes_fetched += len(f_nodes) + len(t_nodes)
-            for x in f_nodes:
-                for y in t_nodes:
-                    metrics.rows_in += 1
-                    pair = (x, y)
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield pair
+        x_label, y_label = self.x_label, self.y_label
+        seen: set = set()
+        rows_in = rows_out = centers_probed = nodes_fetched = 0
+        try:
+            for center in centers:
+                centers_probed += 1
+                # one probe: both subcluster maps live in the same leaf
+                f_sub, t_sub = db.subcluster_runs(center)
+                f_nodes = f_sub.get(x_label, ())
+                t_nodes = t_sub.get(y_label, ())
+                nodes_fetched += len(f_nodes) + len(t_nodes)
+                for x in f_nodes:
+                    for y in t_nodes:
+                        rows_in += 1
+                        pair = (x, y)
+                        if pair not in seen:
+                            seen.add(pair)
+                            rows_out += 1
+                            if rows_out > limit:
+                                raise self._exceeded(limit)
+                            yield pair
+        finally:
+            self._flush(rows_in, rows_out, centers_probed, nodes_fetched)
 
     def rows_for_centers(self, centers: Iterable[int]) -> Iterator[Row]:
         """Run the seed over one center morsel (worker-side entry point).
@@ -264,14 +294,14 @@ class SeedJoinOp(PhysicalOperator):
         """
         self.open()
         try:
-            for pair in self._enumerate(centers):
-                self.metrics.rows_out += 1
-                yield pair
+            yield from self._enumerate(centers, sys.maxsize)
         finally:
             self.close()
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        yield from self._enumerate(self.ctx.db.w_run(self.x_label, self.y_label))
+        return self._enumerate(
+            self.ctx.db.w_run(self.x_label, self.y_label), self._limit()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -341,14 +371,23 @@ class SharedFilterOp(PhysicalOperator):
         ]
         memo: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]] = {}
         position = self.position
-        for row in self._pull(source):
-            node = row[position]
-            if node in memo:
-                suffix = memo[node]
-            else:
-                suffix = memo[node] = self._suffix(node, w_keys)
-            if suffix is not None:
-                yield tuple(row) + suffix
+        limit = self._limit()
+        rows_in = rows_out = 0
+        try:
+            for row in self._input(source):
+                rows_in += 1
+                node = row[position]
+                if node in memo:
+                    suffix = memo[node]
+                else:
+                    suffix = memo[node] = self._suffix(node, w_keys)
+                if suffix is not None:
+                    rows_out += 1
+                    if rows_out > limit:
+                        raise self._exceeded(limit)
+                    yield tuple(row) + suffix
+        finally:
+            self._flush(rows_in, rows_out)
 
 
 class FetchOp(PhysicalOperator):
@@ -395,27 +434,35 @@ class FetchOp(PhysicalOperator):
         self.var_count = len(input_layout.variables)
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        metrics = self.metrics
         subcluster = self._subcluster
         label, side = self.fetch_label, self.side
         centers_position = self.centers_position
         var_count, keep_positions = self.var_count, self.keep_positions
         # centers tuple -> (deduplicated partners, pre-dedup volume)
         memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
-        for row in self._pull(source):
-            centers = row[centers_position]
-            entry = memo.get(centers)
-            if entry is None:
-                entry = memo[centers] = kernels.gather_union(
-                    [subcluster(center, label, side) for center in centers]
-                )
-            partners, volume = entry
-            metrics.centers_probed += len(centers)
-            metrics.nodes_fetched += volume
-            base = tuple(row[:var_count])
-            carried = tuple(row[p] for p in keep_positions)
-            for partner in partners:
-                yield base + (partner,) + carried
+        limit = self._limit()
+        rows_in = rows_out = centers_probed = nodes_fetched = 0
+        try:
+            for row in self._input(source):
+                rows_in += 1
+                centers = row[centers_position]
+                entry = memo.get(centers)
+                if entry is None:
+                    entry = memo[centers] = kernels.gather_union(
+                        [subcluster(center, label, side) for center in centers]
+                    )
+                partners, volume = entry
+                centers_probed += len(centers)
+                nodes_fetched += volume
+                base = tuple(row[:var_count])
+                carried = tuple(row[p] for p in keep_positions)
+                for partner in partners:
+                    rows_out += 1
+                    if rows_out > limit:
+                        raise self._exceeded(limit)
+                    yield base + (partner,) + carried
+        finally:
+            self._flush(rows_in, rows_out, centers_probed, nodes_fetched)
 
 
 class SelectionOp(PhysicalOperator):
@@ -447,11 +494,21 @@ class SelectionOp(PhysicalOperator):
         intersect = kernels.intersect
         src_position = self.src_position
         dst_position = self.dst_position
-        for row in self._pull(source):
-            if intersect(
-                code_run(row[src_position], "out"), code_run(row[dst_position], "in")
-            ):
-                yield tuple(row)
+        limit = self._limit()
+        rows_in = rows_out = 0
+        try:
+            for row in self._input(source):
+                rows_in += 1
+                if intersect(
+                    code_run(row[src_position], "out"),
+                    code_run(row[dst_position], "in"),
+                ):
+                    rows_out += 1
+                    if rows_out > limit:
+                        raise self._exceeded(limit)
+                    yield tuple(row)
+        finally:
+            self._flush(rows_in, rows_out)
 
 
 class ProjectOp(PhysicalOperator):
@@ -464,12 +521,27 @@ class ProjectOp(PhysicalOperator):
             raise RuntimeError(
                 f"plan finished with unconsumed filters {input_layout.pending}"
             )
-        self.positions = [input_layout.var_position(v) for v in variables]
+        positions = [input_layout.var_position(v) for v in variables]
+        # itemgetter answers a bare value for a single index; a one-wide
+        # slice of the (tuple) row is the 1-tuple the contract asks for
+        self._pick = (
+            itemgetter(*positions)
+            if len(positions) > 1
+            else itemgetter(slice(positions[0], positions[0] + 1))
+        )
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        positions = self.positions
-        for row in self._pull(source):
-            yield tuple(row[p] for p in positions)
+        pick = self._pick
+        limit = self._limit()
+        rows = 0
+        try:
+            for row in self._input(source):
+                rows += 1
+                if rows > limit:
+                    raise self._exceeded(limit)
+                yield pick(row)
+        finally:
+            self._flush(rows, rows)
 
 
 # ----------------------------------------------------------------------

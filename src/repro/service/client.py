@@ -16,7 +16,9 @@ import json
 import socket
 from typing import Any, Dict, List, Optional, Tuple
 
-from .protocol import MAX_LINE_BYTES, encode
+from .protocol import MAX_LINE_BYTES, ProtocolError, encode
+
+_OVERLONG = "response line exceeds MAX_LINE_BYTES; the connection is unusable"
 
 
 class ServiceError(RuntimeError):
@@ -79,6 +81,11 @@ class ServiceClient:
         line = self._reader.readline(MAX_LINE_BYTES + 1)
         if not line:
             raise ConnectionError("service closed the connection")
+        if len(line) > MAX_LINE_BYTES:
+            # the rest of the line is still in the socket and would be
+            # read as the next response: this connection is finished
+            self.close()
+            raise ProtocolError(_OVERLONG)
         return json.loads(line)
 
     def query(
@@ -141,9 +148,16 @@ class AsyncServiceClient:
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:
+        failure: Exception = ConnectionError("service connection closed")
         try:
             while True:
-                line = await self._reader.readline()
+                try:
+                    line = await self._reader.readline()
+                except ValueError:
+                    # the reader dropped what it had buffered of the
+                    # line: nothing after it can be matched to a request
+                    failure = ProtocolError(_OVERLONG)
+                    break
                 if not line:
                     break
                 response = json.loads(line)
@@ -153,11 +167,11 @@ class AsyncServiceClient:
         except (asyncio.CancelledError, ConnectionError, OSError):
             pass
         finally:
+            # nobody is left to resolve a future: refuse further submits
+            self._closed = True
             for future in self._pending.values():
                 if not future.done():
-                    future.set_exception(
-                        ConnectionError("service connection closed")
-                    )
+                    future.set_exception(failure)
             self._pending.clear()
 
     async def submit(self, payload: Dict[str, Any]) -> "asyncio.Future":

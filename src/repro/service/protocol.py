@@ -24,6 +24,9 @@ streaming driver's partial-result flags), and a ``metrics`` object
 ``{"ok": false, "error": {"code": ..., "message": ...}}`` with ``code``
 from :data:`ERROR_CODES`; ``overloaded`` is the fast 429-style
 load-shed reject — the server answers it without queueing any work.
+No line in either direction is longer than :data:`MAX_LINE_BYTES`: a
+result that would encode to more is answered with a ``row_limit`` error
+asking for a ``limit``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ OPS = ("query", "stats", "ping")
 
 
 class ProtocolError(ValueError):
-    """A request the server refuses to act on, with its error code."""
+    """A line one side refuses to act on — a request the server rejects
+    (with its error code) or a response line a client cannot accept."""
 
     def __init__(self, message: str, code: str = "bad_request") -> None:
         super().__init__(message)
@@ -137,11 +141,14 @@ def ok_response(
     stop_reason: Optional[str],
     metrics: Dict[str, Any],
 ) -> Dict[str, Any]:
+    """A successful query response.  ``rows`` goes to :func:`encode` as
+    given: ``json`` writes a tuple exactly as it writes a list, so the
+    drivers' row tuples reach the wire without a per-row copy."""
     return {
         "id": request_id,
         "ok": True,
         "columns": list(columns),
-        "rows": [list(row) for row in rows],
+        "rows": rows,
         "truncated": truncated,
         "stop_reason": stop_reason,
         "metrics": metrics,

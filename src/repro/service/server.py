@@ -247,6 +247,17 @@ class QueryService:
         payload: Dict[str, Any],
     ) -> None:
         data = encode(payload)
+        if len(data) > MAX_LINE_BYTES:
+            # both clients stop reading at MAX_LINE_BYTES: a longer line
+            # would be cut mid-JSON and its tail taken for the next reply
+            self.stats.mark_error()
+            data = encode(
+                error_response(
+                    payload.get("id"), "row_limit",
+                    f"response line of {len(data)} bytes exceeds "
+                    f"MAX_LINE_BYTES ({MAX_LINE_BYTES}); pass a limit",
+                )
+            )
         async with write_lock:
             writer.write(data)
             try:

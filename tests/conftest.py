@@ -51,6 +51,27 @@ def cyclic_graph():
     return g
 
 
+@pytest.fixture(scope="session")
+def hub_graph():
+    """Builder of ``side`` A-nodes -> one hub -> ``side`` B-nodes, every
+    b with ``fans[label]`` children of its own per label: ``side * side``
+    (a, b) pairs and Fetch expansions exactly ``fans[label]`` rows wide."""
+
+    def build(side: int, **fans: int) -> DiGraph:
+        graph = DiGraph()
+        sources = [graph.add_node("A") for _ in range(side)]
+        hub = graph.add_node("H")
+        mids = [graph.add_node("B") for _ in range(side)]
+        graph.add_edges((a, hub) for a in sources)
+        graph.add_edges((hub, b) for b in mids)
+        for b in mids:
+            for label, fan in fans.items():
+                graph.add_edges((b, graph.add_node(label)) for _ in range(fan))
+        return graph
+
+    return build
+
+
 def brute_force_reach(graph: DiGraph):
     """Dict of all reachable pairs via repeated BFS (ground truth)."""
     from repro.graph.traversal import reachable_set

@@ -1,9 +1,12 @@
 """Tests for the pipelined (streaming) executor."""
 
+import sys
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import GraphEngine
+from repro.analysis.sanitizer import sanitize_enabled
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import anti_correlated_star, figure1_graph, random_digraph
 from repro.query import execute_plan, execute_plan_streaming
@@ -115,6 +118,62 @@ class TestLimit:
         assert engine.db.stats.logical_reads < 50
         list(iterator)
         assert engine.db.stats.logical_reads > 0
+
+
+class TestFrameBudget:
+    """Interpreter frames per result row, counted — not timed.
+
+    A row is born in the last Fetch's ``_produce`` and may be resumed
+    through each operator's ``rows()`` delegate and ``_produce``, plus
+    the driver's one bounded generator (streaming) or the spill's arity
+    check, the row sizer and the heap-file scan (materialising).  A
+    wrapper generator put back around any of them costs one more frame
+    on every row and fails this deterministically.
+    """
+
+    SIDE, FAN = 8, 40
+
+    @pytest.fixture(scope="class")
+    def hub_engine(self, hub_graph):
+        return GraphEngine(hub_graph(self.SIDE, C=self.FAN, D=self.FAN))
+
+    @staticmethod
+    def calls_during(run):
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            rows = run()
+        finally:
+            sys.setprofile(previous)
+        return calls, rows
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a:A -> b:B, b -> c:C", SIDE * SIDE * FAN),   # P1: a path
+            ("b:B -> c:C, b -> d:D", SIDE * FAN * FAN),    # T1: a tree
+        ],
+    )
+    def test_frames_per_result_row(self, hub_engine, text, expected):
+        db = hub_engine.db
+        plan = hub_engine.plan(text, optimizer="dps").plan
+        calls, rows = self.calls_during(
+            lambda: list(execute_plan_streaming(db, plan))
+        )
+        assert len(rows) == expected
+        assert calls / expected <= 6, "streaming: a per-row wrapper is back"
+        if sanitize_enabled():
+            return  # armed, every spilled row is re-measured: frames by design
+        calls, result = self.calls_during(lambda: execute_plan(db, plan))
+        assert len(result.rows) == expected
+        assert calls / expected <= 8, "materialising: a per-row wrapper is back"
 
 
 @settings(max_examples=10, deadline=None)

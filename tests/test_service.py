@@ -7,6 +7,7 @@ and row limits ride the streaming driver's truncation flags; and the
 stats endpoint accounts for everything that happened.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -18,6 +19,7 @@ from repro import GraphEngine
 from repro.graph import generators
 from repro.service import (
     AdmissionScheduler,
+    AsyncServiceClient,
     Overloaded,
     ProtocolError,
     ServiceClient,
@@ -25,6 +27,7 @@ from repro.service import (
     ServiceError,
     ServiceStats,
     encode,
+    ok_response,
     parse_request,
     percentile,
     rows_as_tuples,
@@ -75,6 +78,25 @@ class TestProtocol:
     def test_non_query_ops_ignore_query_fields(self):
         request = parse_request(b'{"op": "ping", "id": "x", "limit": -9}')
         assert request.op == "ping" and request.id == "x"
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(1, 2)],
+        [(7,)],
+        [(1, 2, 3), (4, 5, 6)],
+    ])
+    def test_rows_go_to_the_wire_as_given(self, rows):
+        """The drivers' row tuples are serialised without a per-row
+        copy, byte for byte what nested lists would have been."""
+        def line(rows):
+            return encode(ok_response(
+                9, ("a", "b"), rows, truncated=False, stop_reason=None,
+                metrics={"rows": len(rows)},
+            ))
+
+        assert line(rows) == line([list(row) for row in rows])
+        assert ok_response(9, (), rows, False, None, {})["rows"] is rows
+        assert rows_as_tuples(json.loads(line(rows))) == rows
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +268,65 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError) as err:
                 client.query(PATTERN, row_limit=1)
             assert err.value.code == "row_limit"
+
+    def test_oversized_response_is_a_row_limit_error(self, monkeypatch):
+        """No response line is longer than MAX_LINE_BYTES — the clients
+        stop reading there.  A result that would be is answered with a
+        row_limit error, and the connection stays in step."""
+        from repro.graph.digraph import DiGraph
+        from repro.service import server
+
+        graph = DiGraph()
+        hub = graph.add_node("H")
+        graph.add_edges((graph.add_node("A"), hub) for _ in range(20))
+        graph.add_edges((hub, graph.add_node("B")) for _ in range(20))
+        engine = GraphEngine(graph)
+        full = engine.match("A -> B")
+        assert len(encode(ok_response(1, full.columns, full.rows, False, None, {}))) > 2048
+        monkeypatch.setattr(server, "MAX_LINE_BYTES", 1024)
+        with start_in_thread(engine) as handle:
+            with ServiceClient(*handle.address) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.query("A -> B")
+                assert err.value.code == "row_limit"
+                assert "MAX_LINE_BYTES" in str(err.value)
+                assert "pass a limit" in str(err.value)
+                # nothing of the refused line is left in the socket
+                response = client.query("A -> B", limit=5)
+                assert rows_as_tuples(response) == full.rows[:5]
+                assert client.stats()["errors"] == 1
+        engine.close_pool()
+
+    def test_clients_refuse_an_overlong_line(self, monkeypatch, service):
+        """A server that does not bound its lines (a parent-commit
+        server, say) meets a clear error, not a JSON decode error."""
+        from repro.service import client as client_module
+
+        monkeypatch.setattr(client_module, "MAX_LINE_BYTES", 64)
+        host, port = service.address
+        blocking = ServiceClient(host, port)
+        with pytest.raises(ProtocolError, match="MAX_LINE_BYTES"):
+            blocking.query(PATTERN)
+        # the tail of that line is still in flight: the client hung up
+        with pytest.raises((OSError, ValueError)):
+            blocking.ping()
+
+        async def pipelined():
+            client = await AsyncServiceClient.connect(host, port)
+            try:
+                first = await client.submit({"op": "query", "pattern": PATTERN})
+                second = await client.submit({"op": "query", "pattern": PATTERN})
+                with pytest.raises(ProtocolError, match="MAX_LINE_BYTES"):
+                    await asyncio.wait_for(first, timeout=30)
+                # a response behind the lost line cannot be matched either
+                with pytest.raises(ProtocolError):
+                    await asyncio.wait_for(second, timeout=30)
+                with pytest.raises(ConnectionError):
+                    await client.submit({"op": "ping"})
+            finally:
+                await client.close()
+
+        asyncio.run(pipelined())
 
     def test_malformed_line_answered_not_fatal(self, service):
         host, port = service.address
