@@ -34,6 +34,9 @@ class PairStats:
     fetch_volume: int      # Σ_w |T_Y(w)| — nodes touched by Fetch from X side
 
 
+_NO_PAIR = PairStats(0, 0, 0)  # label pairs with no W(X, Y) entry
+
+
 class Catalog:
     """Extent sizes and pairwise R-join statistics for one data graph."""
 
@@ -94,7 +97,7 @@ class Catalog:
         return self.extent_sizes.get(label, 0)
 
     def pair_stats(self, x_label: str, y_label: str) -> PairStats:
-        return self._pairs.get((x_label, y_label), PairStats(0, 0, 0))
+        return self._pairs.get((x_label, y_label), _NO_PAIR)
 
     def join_size(self, x_label: str, y_label: str) -> int:
         """Estimated ``|T_X ⋈_{X->Y} T_Y|`` between two base tables."""

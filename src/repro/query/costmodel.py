@@ -32,7 +32,7 @@ relative ordering, which these formulas give both DP and DPS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Dict, NamedTuple, Sequence
 
 from ..db.catalog import Catalog
 from .algebra import FilterKey, Side
@@ -53,53 +53,72 @@ class CostParams:
     Section 4.2) — sharing per Remark 3.1 makes repeats much cheaper."""
 
 
+class ConditionStats(NamedTuple):
+    """One condition's catalog-derived estimates (Section 4's Eq. 10-12)."""
+
+    join_size: float      # |T_X ⋈ T_Y| between the base tables
+    selectivity: float    # Eq. (10): join_size / (|T_X| * |T_Y|)
+    fanout_out: float     # Eq. (11): rows per temporal row holding X
+    fanout_in: float      # Eq. (12): rows per temporal row holding Y
+    survival_out: float   # share of X rows surviving ⋉_{X->Y}
+    survival_in: float    # share of Y rows surviving the mirror semijoin
+
+
 class CostModel:
-    """Size and cost estimation bound to one database's catalog."""
+    """Size and cost estimation bound to one database's catalog.
+
+    The catalog is read once, here: one extent size per variable and one
+    ``pair_stats`` per condition, folded into :attr:`stats` with the
+    arithmetic of :class:`~repro.db.catalog.Catalog`'s derived ratios.
+    Every size method below is a table read, and the optimizers index
+    :attr:`stats` directly in their inner loops.
+    """
 
     def __init__(self, catalog: Catalog, pattern: GraphPattern,
                  params: CostParams | None = None) -> None:
         self.catalog = catalog
         self.pattern = pattern
         self.params = params or CostParams()
+        self.extents: Dict[str, int] = {
+            var: catalog.extent_size(pattern.label(var))
+            for var in pattern.variables
+        }
+        self.stats: Dict[Condition, ConditionStats] = {}
+        for condition in pattern.conditions:
+            x_label, y_label = pattern.condition_labels(condition)
+            join = catalog.pair_stats(x_label, y_label).pair_estimate
+            x_size, y_size = self.extents[condition[0]], self.extents[condition[1]]
+            pairs = x_size * y_size
+            fanout_out = join / x_size if x_size else 0.0
+            fanout_in = join / y_size if y_size else 0.0
+            self.stats[condition] = ConditionStats(
+                float(join), join / pairs if pairs else 0.0, fanout_out, fanout_in,
+                min(1.0, fanout_out), min(1.0, fanout_in),
+            )
 
     # ------------------------------------------------------------------
     # sizes
     # ------------------------------------------------------------------
-    def _labels(self, condition: Condition) -> tuple:
-        return self.pattern.condition_labels(condition)
-
     def extent_size(self, var: str) -> int:
-        return self.catalog.extent_size(self.pattern.label(var))
+        return self.extents[var]
 
     def base_join_size(self, condition: Condition) -> float:
         """``|T_X ⋈_{X->Y} T_Y|`` between base tables (HPSJ output)."""
-        x_label, y_label = self._labels(condition)
-        return float(self.catalog.join_size(x_label, y_label))
+        return self.stats[condition].join_size
 
     def selection_selectivity(self, condition: Condition) -> float:
         """Eq. (10): fraction of rows surviving a self R-join."""
-        x_label, y_label = self._labels(condition)
-        return self.catalog.join_selectivity(x_label, y_label)
+        return self.stats[condition].selectivity
 
     def join_fanout(self, condition: Condition, temporal_holds_source: bool) -> float:
         """Eq. (11)/(12): output rows per temporal row for a full R-join."""
-        x_label, y_label = self._labels(condition)
-        if temporal_holds_source:
-            return self.catalog.reduction_factor(x_label, y_label)
-        size = self.catalog.extent_size(y_label)
-        if size == 0:
-            return 0.0
-        return self.catalog.join_size(x_label, y_label) / size
+        stats = self.stats[condition]
+        return stats.fanout_out if temporal_holds_source else stats.fanout_in
 
     def filter_survival(self, condition: Condition, temporal_holds_source: bool) -> float:
         """Fraction of temporal rows surviving the condition's R-semijoin."""
-        x_label, y_label = self._labels(condition)
-        if temporal_holds_source:
-            return self.catalog.semijoin_survival(x_label, y_label)
-        size = self.catalog.extent_size(y_label)
-        if size == 0:
-            return 0.0
-        return min(1.0, self.catalog.join_size(x_label, y_label) / size)
+        stats = self.stats[condition]
+        return stats.survival_out if temporal_holds_source else stats.survival_in
 
     # ------------------------------------------------------------------
     # costs
@@ -147,14 +166,9 @@ class CostModel:
     # ------------------------------------------------------------------
     def projection_selectivity(self, condition: Condition, var_is_source: bool) -> float:
         """Fraction of a variable's extent inside one condition's
-        W-projection (the multiway seed's per-condition domain)."""
-        x_label, y_label = self._labels(condition)
-        if var_is_source:
-            return self.catalog.semijoin_survival(x_label, y_label)
-        size = self.catalog.extent_size(y_label)
-        if size == 0:
-            return 0.0
-        return min(1.0, self.catalog.join_size(x_label, y_label) / size)
+        W-projection (the multiway seed's per-condition domain) — the
+        same ratio as the semijoin survival on that side."""
+        return self.filter_survival(condition, var_is_source)
 
     def multiway_domain_size(
         self, var: str, constraints: Sequence[FilterKey]

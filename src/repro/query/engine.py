@@ -203,23 +203,40 @@ class GraphEngine:
             return pattern
         return parse_pattern(pattern)
 
-    #: plans are deterministic per (pattern, optimizer, catalog
-    #: generation), so repeated queries skip the optimizer entirely
+    #: a plan is a function of (pattern, optimizer, catalog), so repeated
+    #: queries skip the optimizer entirely
     PLAN_CACHE_SIZE = 256
 
     def plan(self, pattern: PatternLike, optimizer: str = "dps") -> OptimizedPlan:
         """Optimize a pattern without executing it (memoized, LRU).
 
         Plans are logical — no optimizer output depends on how or where
-        the plan will run — so the cache key is (pattern, optimizer,
-        index generation): an index rebuild, which changes the catalog
-        the cost model priced against, can never be served a plan
-        memoized before it.  Cache reads and writes are lock-guarded so
-        concurrent service queries sharing one engine keep the LRU
-        structure consistent; two racers optimizing the same key both
-        store the identical deterministic plan.
+        the plan will run — and deterministic: the searches break cost
+        ties by pattern declaration order, never by set iteration order,
+        so every process (a worker re-planning in its own interpreter,
+        any ``PYTHONHASHSEED``) derives the same plan from the same
+        (pattern, catalog).  The cache key is the pattern's structure —
+        ``(variables, their labels, conditions, optimizer, index
+        generation)``: two patterns that print alike but declare their
+        variables in a different order have different result columns
+        and get different plans, and an index rebuild, which changes the
+        catalog the cost model priced against, can never be served a
+        plan memoized before it.  Cache reads and writes are
+        lock-guarded so concurrent service queries sharing one engine
+        keep the LRU structure consistent; two racers optimizing the
+        same key both store the identical plan.
         """
         parsed = self._coerce(pattern)
+        labels = tuple(map(parsed.labels.get, parsed.variables))
+        key = (parsed.variables, labels, parsed.conditions, optimizer,
+               self.db.index_generation)
+        cache = self._plan_cache
+        with self._plan_cache_lock:
+            cached = cache.get(key)
+            if cached is not None:
+                cache.move_to_end(key)  # LRU: a hit makes the entry youngest
+                return cached
+        # a cached key has passed both checks: labels and optimizer are in it
         self._check_labels(parsed)
         try:
             optimize = _OPTIMIZERS[optimizer]
@@ -227,13 +244,6 @@ class GraphEngine:
             raise ValueError(
                 f"unknown optimizer {optimizer!r}; choose from {sorted(_OPTIMIZERS)}"
             ) from None
-        key = (str(parsed), optimizer, self.db.index_generation)
-        cache = self._plan_cache
-        with self._plan_cache_lock:
-            cached = cache.get(key)
-            if cached is not None:
-                cache.move_to_end(key)  # LRU: a hit makes the entry youngest
-                return cached
         model = CostModel(self.db.catalog, parsed, self.cost_params)
         optimized = optimize(parsed, model)
         with self._plan_cache_lock:
@@ -351,7 +361,7 @@ class GraphEngine:
 
     # ------------------------------------------------------------------
     def _check_labels(self, pattern: GraphPattern) -> None:
-        known = set(self.db.labels())
+        known = self.db.catalog.extent_sizes
         for var in pattern.variables:
             label = pattern.label(var)
             if label not in known:

@@ -42,9 +42,15 @@ class JoinGraph:
         self._adjacency: Dict[str, List[Tuple[str, int]]] = {
             var: [] for var in self.variables
         }
-        for index, (src, dst) in enumerate(self.conditions):
+        # per variable, once: every condition touching it, keyed to bind it
+        incident: Dict[str, List[FilterKey]] = {var: [] for var in self.variables}
+        for index, condition in enumerate(self.conditions):
+            src, dst = condition
             self._adjacency[src].append((dst, index))
             self._adjacency[dst].append((src, index))
+            incident[src].append((condition, Side.IN))
+            incident[dst].append((condition, Side.OUT))
+        self._incident = {var: tuple(keys) for var, keys in incident.items()}
 
     # ------------------------------------------------------------------
     # shape
@@ -150,15 +156,6 @@ class JoinGraph:
     # ------------------------------------------------------------------
     # constraint keying for elimination orders
     # ------------------------------------------------------------------
-    def _key_for(self, condition: Condition, var: str) -> FilterKey:
-        """The (condition, Side) key under which a step binds *var*."""
-        src, dst = condition
-        if var == dst:
-            return (condition, Side.OUT)
-        if var == src:
-            return (condition, Side.IN)
-        raise ValueError(f"condition {condition} does not touch {var!r}")
-
     def incident_constraints(self, var: str) -> Tuple[FilterKey, ...]:
         """Every condition touching *var*, keyed to bind *var*.
 
@@ -166,11 +163,7 @@ class JoinGraph:
         constraints: the seed variable's domain is the intersection of
         the per-condition W-projections onto *var*.
         """
-        return tuple(
-            self._key_for(condition, var)
-            for condition in self.conditions
-            if var in condition
-        )
+        return self._incident[var]
 
     def constraints_toward(
         self, var: str, bound: Iterable[str]
@@ -182,14 +175,11 @@ class JoinGraph:
         its scanned endpoint is bound and its fetched endpoint is *var*.
         """
         bound_set = set(bound)
-        keys = []
-        for condition in self.conditions:
-            src, dst = condition
-            if var == dst and src in bound_set:
-                keys.append((condition, Side.OUT))
-            elif var == src and dst in bound_set:
-                keys.append((condition, Side.IN))
-        return tuple(keys)
+        return tuple(
+            (condition, side)
+            for condition, side in self._incident[var]
+            if side.scanned_var(condition) in bound_set
+        )
 
 
 __all__ = ["JoinGraph"]

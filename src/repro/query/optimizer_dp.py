@@ -11,18 +11,30 @@ seeding with an HPSJ between two base tables (the paper's R-join-move is
 States are memoized per edge subset; among plans reaching the same subset
 the cheapest is kept (the standard DP assumption the paper also makes).
 The search space is bounded by O(2^m) for m pattern edges.
+
+All three searches (this one, DPS, the WCOJ order enumerator) run on
+integers: bit *i* of a mask is the *i*-th condition / variable in pattern
+declaration order.  A move is recorded as ``(step class, condition index
+| condition mask | variable index[, side])`` behind a back-pointer and
+the steps are built once, by :func:`plan_from_trail`.  Candidates are
+visited in declaration order and only a strictly cheaper one replaces a
+known one, so a plan is a function of (pattern, catalog) — never of set
+iteration order.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import FetchStep, FilterStep, Plan, PlanStep, SeedJoin, SeedScan, Side
 from .algebra import SelectionStep
 from .costmodel import CostModel
-from .pattern import Condition, GraphPattern
+from .pattern import GraphPattern
+
+Move = Tuple  # (step class, index or mask[, Side]) — see plan_from_trail
 
 
 @dataclass
@@ -34,86 +46,96 @@ class OptimizedPlan:
     estimated_rows: float
 
 
-def _bound_vars(done: FrozenSet[Condition]) -> FrozenSet[str]:
-    bound = set()
-    for src, dst in done:
-        bound.add(src)
-        bound.add(dst)
-    return frozenset(bound)
+@lru_cache(maxsize=4096)
+def bit_positions(mask: int) -> Tuple[int, ...]:
+    """Positions of the set bits of *mask*, ascending (declaration order)."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def plan_from_trail(pattern: GraphPattern, entry: Optional[tuple]) -> Plan:
+    """The validated :class:`Plan` a search ended on — the one place
+    every DP/DPS plan is built.  A search entry ends ``(..., the entry
+    it was reached from, moves)``; the steps are read off that chain."""
+    trail: List[Move] = []
+    while entry is not None:
+        trail.extend(reversed(entry[-1]))
+        entry = entry[-2]
+    conditions = pattern.conditions
+    steps: List[PlanStep] = []
+    for kind, what, *side in reversed(trail):
+        if kind is SeedScan:
+            steps.append(SeedScan(pattern.variables[what]))
+        elif kind is FilterStep:
+            keys = tuple((conditions[i], side[0]) for i in bit_positions(what))
+            steps.append(FilterStep(keys))
+        else:  # SeedJoin, FetchStep, SelectionStep: one condition
+            steps.append(kind(conditions[what], *side))
+    plan = Plan(pattern, steps)
+    plan.validate()
+    return plan
 
 
 def optimize_dp(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
     """Find the minimum-estimated-cost R-join-only left-deep plan."""
     if pattern.node_count == 1:
-        var = pattern.variables[0]
-        plan = Plan(pattern, [SeedScan(var)])
-        plan.validate()
-        rows = float(model.extent_size(var))
+        rows = float(model.extent_size(pattern.variables[0]))
+        plan = plan_from_trail(pattern, (None, ((SeedScan, 0),)))
         return OptimizedPlan(plan, model.scan_cost(rows), rows)
 
-    all_conditions = frozenset(pattern.conditions)
-    # best[state] = (cost, rows, steps)
-    best: Dict[FrozenSet[Condition], Tuple[float, float, List[PlanStep]]] = {}
-    for condition in pattern.conditions:
-        rows = model.base_join_size(condition)
+    conditions = pattern.conditions
+    position = {var: index for index, var in enumerate(pattern.variables)}
+    ends = [(1 << position[src], 1 << position[dst]) for src, dst in conditions]
+    stats = [model.stats[condition] for condition in conditions]
+    # best[condition mask] = (cost, rows, bound variable mask, previous entry, moves)
+    best: Dict[int, tuple] = {}
+    for index, condition in enumerate(conditions):
+        rows = stats[index].join_size
         cost = model.hpsj_cost(condition) + model.materialize_cost(rows)
-        state = frozenset([condition])
-        candidate = (cost, rows, [SeedJoin(condition)])
-        if state not in best or candidate[0] < best[state][0]:
-            best[state] = candidate
+        src_bit, dst_bit = ends[index]
+        best[1 << index] = (cost, rows, src_bit | dst_bit, None, ((SeedJoin, index),))
 
-    # expand states in order of subset size (left-deep: one edge per move)
-    frontier = sorted(best, key=len)
-    index = 0
-    while index < len(frontier):
-        state = frontier[index]
-        index += 1
-        cost, rows, steps = best[state]
-        if best[state][0] < cost:  # superseded entry
-            continue
-        bound = _bound_vars(state)
-        for condition in all_conditions - state:
-            src, dst = condition
-            src_bound, dst_bound = src in bound, dst in bound
-            if not (src_bound or dst_bound):
-                continue  # left-deep plans stay connected
+    # left-deep, one edge per move: the frontier grows one subset size at
+    # a time, so a state's entry is final before the state is expanded
+    frontier = list(best)
+    for state in frontier:
+        entry = best[state]
+        cost, rows, bound, _, _ = entry
+        for index, (src_bit, dst_bit) in enumerate(ends):
+            bit = 1 << index
+            src_bound, dst_bound = bound & src_bit, bound & dst_bit
+            if state & bit or not (src_bound or dst_bound):
+                continue  # evaluated already / left-deep plans stay connected
+            stat = stats[index]
             if src_bound and dst_bound:
-                new_rows = rows * model.selection_selectivity(condition)
+                new_rows = rows * stat.selectivity
                 step_cost = (
                     model.selection_cost(rows, False, False)
                     + model.materialize_cost(new_rows)
                 )
-                new_steps = steps + [SelectionStep(condition)]
+                moves = ((SelectionStep, index),)
             else:
                 side = Side.OUT if src_bound else Side.IN
-                survival = model.filter_survival(condition, side is Side.OUT)
-                surviving = rows * survival
-                new_rows = rows * model.join_fanout(condition, side is Side.OUT)
+                surviving = rows * (stat.survival_out if src_bound else stat.survival_in)
+                new_rows = rows * (stat.fanout_out if src_bound else stat.fanout_in)
                 step_cost = (
                     model.filter_cost(rows, 1, code_cached=False)
                     + model.materialize_cost(surviving)  # the T_W intermediate
                     + model.fetch_cost(surviving, new_rows)
                     + model.materialize_cost(new_rows)
                 )
-                new_steps = steps + [
-                    FilterStep(((condition, side),)),
-                    FetchStep(condition, side),
-                ]
-            new_state = state | {condition}
-            candidate = (cost + step_cost, new_rows, new_steps)
-            if new_state not in best or candidate[0] < best[new_state][0]:
-                previously_known = new_state in best
-                best[new_state] = candidate
-                if not previously_known:
-                    frontier.append(new_state)
+                moves = ((FilterStep, bit, side), (FetchStep, index, side))
+            known = best.get(state | bit)
+            if known is None or cost + step_cost < known[0]:
+                best[state | bit] = (
+                    cost + step_cost, new_rows, bound | src_bit | dst_bit, entry, moves
+                )
+                if known is None:
+                    frontier.append(state | bit)
 
-    final = best.get(all_conditions)
+    final = best.get((1 << len(conditions)) - 1)
     if final is None:  # pragma: no cover - connected patterns always complete
         raise RuntimeError("DP failed to cover all conditions")
-    total_cost, total_rows, steps = final
-    plan = Plan(pattern, steps)
-    plan.validate()
-    return OptimizedPlan(plan, total_cost, total_rows)
+    return OptimizedPlan(plan_from_trail(pattern, final), final[0], final[1])
 
 
 def optimize_greedy(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:

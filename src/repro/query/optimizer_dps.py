@@ -24,74 +24,72 @@ which :func:`optimize_dps` supports via a SeedScan + FilterStep pair.
 The implementation is a uniform-cost (Dijkstra) search over statuses,
 which is equivalent to the paper's DP: statuses form a DAG (every move
 adds work) and the first settlement of a status is its minimum cost.
+
+A status is one packed integer (``m`` conditions, ``n`` variables, bit
+*i* of a field = the *i*-th condition / variable in declaration order)::
+
+    | L: n | B_out: n | B_in: n | pending IN: m | pending OUT: m | E: m |
+
+``pending`` holds the conditions whose Filter ran (on that side) and
+whose Fetch has not.  Heap entries are plain tuples ``(cost, tie,
+status, rows, entry it was reached from, moves)``; the step list is
+built once, from those back-pointers, at the search's success exit.
+
+Tie rule: from a status, moves are generated in declaration order —
+Filter-moves per bound variable (``OUT`` before ``IN``), then
+Fetch-moves per pending condition, then Selection-moves per condition —
+and the insertion counter ``tie`` orders equal-cost heap entries, so the
+chosen plan is a function of (pattern, catalog).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .algebra import (
-    FetchStep,
-    FilterKey,
-    FilterStep,
-    Plan,
-    PlanStep,
-    SeedJoin,
-    SeedScan,
-    SelectionStep,
-    Side,
-)
+from .algebra import FetchStep, FilterStep, SeedJoin, SeedScan, SelectionStep, Side
 from .costmodel import CostModel
-from .optimizer_dp import OptimizedPlan, optimize_dp
-from .pattern import Condition, GraphPattern
+from .optimizer_dp import (
+    Move,
+    OptimizedPlan,
+    bit_positions,
+    optimize_dp,
+    plan_from_trail,
+)
+from .pattern import GraphPattern
 
-Status = Tuple[
-    FrozenSet[Condition],   # E: fully-evaluated conditions
-    FrozenSet[FilterKey],   # pending: filtered, not yet fetched
-    FrozenSet[str],         # B_in
-    FrozenSet[str],         # B_out
-    FrozenSet[str],         # L: bound variables (columns of the temporal table)
-]
-
-
-@dataclass(order=True)
-class _SearchNode:
-    cost: float
-    tie: int
-    status: Status = field(compare=False)
-    rows: float = field(compare=False)
-    steps: List[PlanStep] = field(compare=False)
+_Entry = Tuple[float, int, int, float, Optional[tuple], Tuple[Move, ...]]
+Candidates = Tuple[List[int], List[int]]
 
 
-def _applicable_filters(
-    pattern: GraphPattern,
-    var: str,
-    side: Side,
-    done: FrozenSet[Condition],
-    pending: FrozenSet[FilterKey],
-    bound: FrozenSet[str],
-) -> Tuple[FilterKey, ...]:
-    """All semijoins that a Filter-move on (var, side) batches together.
+def _filter_candidates(pattern: GraphPattern) -> Candidates:
+    """Per variable position, the conditions a Filter-move there may
+    batch: ``[0][v]`` masks the conditions whose source is *v* (their
+    semijoin scans *v*'s out-codes, ``Side.OUT``), ``[1][v]`` those whose
+    target is *v* (``Side.IN``).  Built once per pattern."""
+    position = {var: index for index, var in enumerate(pattern.variables)}
+    out, in_ = [0] * len(position), [0] * len(position)
+    for index, (src, dst) in enumerate(pattern.conditions):
+        out[position[src]] |= 1 << index
+        in_[position[dst]] |= 1 << index
+    return out, in_
 
-    A condition qualifies if this side scans *var*, it is not evaluated,
-    not already filtered on either side, and its other endpoint is not yet
-    bound (conditions between two bound variables go through
-    Selection-moves instead).
+
+def _applicable_filters(candidates: Candidates, busy: int, bound: int) -> Tuple[int, int]:
+    """The condition masks ``(OUT, IN)`` Filter-moves may draw on.
+
+    A condition qualifies on a side if its scanned endpoint is in
+    *bound*, it is not in *busy* (evaluated, or already filtered on
+    either side) and its other endpoint is not yet bound (conditions
+    between two bound variables go through Selection-moves instead).
+    One Filter-move on ``(v, side)`` batches ``mask & candidates[side][v]``.
     """
-    keys = []
-    filtered_conditions = {key[0] for key in pending}
-    for condition in pattern.conditions:
-        if condition in done or condition in filtered_conditions:
-            continue
-        if side.scanned_var(condition) != var:
-            continue
-        if side.fetched_var(condition) in bound:
-            continue
-        keys.append((condition, side))
-    return tuple(keys)
+    src_bound = dst_bound = 0
+    for var in bit_positions(bound):
+        src_bound |= candidates[0][var]
+        dst_bound |= candidates[1][var]
+    return src_bound & ~dst_bound & ~busy, dst_bound & ~src_bound & ~busy
 
 
 def optimize_dps(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
@@ -99,154 +97,135 @@ def optimize_dps(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
 
     Invariant: every plan this function returns has passed
     :meth:`Plan.validate` — the single-variable case delegates to
-    :func:`optimize_dp` (which validates at each of its returns) and the
-    search's only exit validates before returning; there is no other way
-    out besides the exhaustion ``RuntimeError``.  ``tests/test_plancheck``
-    additionally runs the deep static checker over every DP/DPS plan of
-    the workload suite.
+    :func:`optimize_dp` and the search's only exit builds its plan with
+    :func:`plan_from_trail`, which validates before returning; there is
+    no other way out besides the exhaustion ``RuntimeError``.
+    ``tests/test_plancheck`` additionally runs the deep static checker
+    over every DP/DPS plan of the workload suite.
     """
     if pattern.node_count == 1:
         # delegated plans are validated inside optimize_dp
         return optimize_dp(pattern, model)
 
-    all_conditions = frozenset(pattern.conditions)
+    conditions = pattern.conditions
+    m, n = len(conditions), len(pattern.variables)
+    position = {var: index for index, var in enumerate(pattern.variables)}
+    ends = [(position[src], position[dst]) for src, dst in conditions]
+    stats = [model.stats[condition] for condition in conditions]
+    candidates = _filter_candidates(pattern)
+    every = (1 << m) - 1
+    b_in, b_out, bound_at = 3 * m, 3 * m + n, 3 * m + 2 * n
+    # per side: the Side, its index into ``candidates`` and a condition's
+    # scanned end, where its pending and code-cache fields start, and
+    # every condition's semijoin survival and R-join fan-out on that side
+    sides = (
+        (Side.OUT, 0, m, b_out,
+         [s.survival_out for s in stats], [s.fanout_out for s in stats]),
+        (Side.IN, 1, 2 * m, b_in,
+         [s.survival_in for s in stats], [s.fanout_in for s in stats]),
+    )
+    materialize_cost = model.materialize_cost
     counter = itertools.count()
-    heap: List[_SearchNode] = []
-    settled: Set[Status] = set()
+    heap: List[_Entry] = []
+    settled: Set[int] = set()
 
-    def push(cost: float, status: Status, rows: float, steps: List[PlanStep]) -> None:
-        heapq.heappush(heap, _SearchNode(cost, next(counter), status, rows, steps))
+    def push(cost: float, status: int, rows: float,
+             parent: Optional[_Entry], *moves: Move) -> None:
+        heapq.heappush(heap, (cost, next(counter), status, rows, parent, moves))
+
+    def filter_move(rows: float, keys: int, survival: List[float],
+                    cached: int) -> Tuple[float, float]:
+        """(cost, surviving rows) of one shared scan over *keys*."""
+        survivors = rows
+        for index in bit_positions(keys):
+            survivors *= survival[index]
+        cost = model.filter_cost(rows, keys.bit_count(), code_cached=cached)
+        return cost + materialize_cost(survivors), survivors
 
     # ------------------------------------------------------------------
     # initial moves from S_0
     # ------------------------------------------------------------------
     # R-join-move: HPSJ between two base tables
-    for condition in pattern.conditions:
-        rows = model.base_join_size(condition)
-        cost = model.hpsj_cost(condition) + model.materialize_cost(rows)
-        status: Status = (
-            frozenset([condition]),
-            frozenset(),
-            frozenset(),
-            frozenset(),
-            frozenset(condition),
-        )
-        push(cost, status, rows, [SeedJoin(condition)])
+    for index, condition in enumerate(conditions):
+        rows = stats[index].join_size
+        cost = model.hpsj_cost(condition) + materialize_cost(rows)
+        src, dst = ends[index]
+        status = (1 << index) | ((1 << src | 1 << dst) << bound_at)
+        push(cost, status, rows, None, (SeedJoin, index))
 
     # Filter-move from S_0: base table reduced by semijoin(s) (Figure 3's S_1)
-    for var in pattern.variables:
-        for side in (Side.OUT, Side.IN):
-            keys = _applicable_filters(
-                pattern, var, side, frozenset(), frozenset(), frozenset()
-            )
+    for var, name in enumerate(pattern.variables):
+        for side, which, pending_at, cache_at, survival, _ in sides:
+            keys = candidates[which][var]
             if not keys:
                 continue
-            rows = float(model.extent_size(var))
-            survivors = rows
-            for condition, key_side in keys:
-                survivors *= model.filter_survival(
-                    condition, key_side is Side.OUT
-                )
-            cost = model.filter_cost(rows, len(keys), code_cached=False)
-            cost += model.materialize_cost(survivors)
-            b_in = frozenset([var]) if side is Side.IN else frozenset()
-            b_out = frozenset([var]) if side is Side.OUT else frozenset()
-            status = (
-                frozenset(),
-                frozenset(keys),
-                b_in,
-                b_out,
-                frozenset([var]),
-            )
-            push(cost, status, survivors, [SeedScan(var), FilterStep(keys)])
+            rows = float(model.extent_size(name))
+            cost, survivors = filter_move(rows, keys, survival, False)
+            status = (keys << pending_at) | ((1 << cache_at | 1 << bound_at) << var)
+            push(cost, status, survivors, None,
+                 (SeedScan, var), (FilterStep, keys, side))
 
     # ------------------------------------------------------------------
     # uniform-cost search over statuses
     # ------------------------------------------------------------------
     while heap:
-        node = heapq.heappop(heap)
-        done, pending, b_in, b_out, bound = node.status
-        if node.status in settled:
+        entry = heapq.heappop(heap)
+        node_cost, _, status, rows, _, _ = entry
+        if status in settled:
             continue
-        settled.add(node.status)
-        if done == all_conditions and not pending:
-            # the search's only success exit: validate before emitting, so
-            # every plan leaving this optimizer is structurally sound
-            plan = Plan(pattern, node.steps)
-            plan.validate()
-            return OptimizedPlan(plan, node.cost, node.rows)
+        settled.add(status)
+        if status & ((1 << b_in) - 1) == every:  # the three condition fields
+            # the search's only success exit (all done, nothing pending):
+            # the steps are read off the back-pointers here, once, and
+            # validated, so every plan leaving is structurally sound
+            return OptimizedPlan(plan_from_trail(pattern, entry), node_cost, rows)
 
-        rows = node.rows
+        pending = (status >> m) & every, (status >> 2 * m) & every  # (OUT, IN)
+        busy = (status & every) | pending[0] | pending[1]
+        bound = status >> bound_at
+        # below, a move whose target status is already settled is skipped
+        # before it is costed
 
         # Filter-moves: batch all applicable semijoins per (var, side)
-        for var in bound:
-            for side in (Side.OUT, Side.IN):
-                keys = _applicable_filters(pattern, var, side, done, pending, bound)
-                if not keys:
-                    continue
-                cached = var in (b_out if side is Side.OUT else b_in)
-                survivors = rows
-                for condition, key_side in keys:
-                    survivors *= model.filter_survival(
-                        condition, key_side is Side.OUT
-                    )
-                cost = model.filter_cost(rows, len(keys), code_cached=cached)
-                cost += model.materialize_cost(survivors)
-                new_b_in = b_in | ({var} if side is Side.IN else frozenset())
-                new_b_out = b_out | ({var} if side is Side.OUT else frozenset())
-                status = (done, pending | frozenset(keys), new_b_in, new_b_out, bound)
-                if status not in settled:
-                    push(
-                        node.cost + cost,
-                        status,
-                        survivors,
-                        node.steps + [FilterStep(keys)],
-                    )
+        free = _applicable_filters(candidates, busy, bound)
+        if free[0] | free[1]:
+            for var in bit_positions(bound):
+                for side, which, pending_at, cache_at, survival, _ in sides:
+                    keys = free[which] & candidates[which][var]
+                    cached = 1 << (cache_at + var)
+                    target = status | (keys << pending_at) | cached
+                    if keys and target not in settled:
+                        cost, survivors = filter_move(rows, keys, survival, status & cached)
+                        push(node_cost + cost, target, survivors, entry,
+                             (FilterStep, keys, side))
 
         # Fetch-moves: complete a filtered condition
-        for key in pending:
-            condition, side = key
-            new_var = side.fetched_var(condition)
-            if new_var in bound:
+        for index in bit_positions(pending[0] | pending[1]):
+            filtered_in = (pending[1] >> index) & 1  # else it is pending OUT
+            side, which, pending_at, _, survival, fanout = sides[filtered_in]
+            new_var = ends[index][1 - which]  # the end the Filter did not scan
+            if (bound >> new_var) & 1:
                 continue  # stranded filter; this branch cannot complete
-            survival = model.filter_survival(condition, side is Side.OUT)
-            fanout = model.join_fanout(condition, side is Side.OUT)
-            expansion = fanout / survival if survival > 0 else 0.0
-            new_rows = rows * expansion
-            cost = model.fetch_cost(rows, new_rows) + model.materialize_cost(new_rows)
-            status = (
-                done | {condition},
-                pending - {key},
-                b_in,
-                b_out,
-                bound | {new_var},
+            target = (
+                status ^ (1 << (pending_at + index))
+                | (1 << index) | (1 << (bound_at + new_var))
             )
-            if status not in settled:
-                push(
-                    node.cost + cost,
-                    status,
-                    new_rows,
-                    node.steps + [FetchStep(condition, side)],
-                )
+            if target not in settled:
+                expansion = fanout[index] / survival[index] if survival[index] > 0 else 0.0
+                new_rows = rows * expansion
+                cost = model.fetch_cost(rows, new_rows) + materialize_cost(new_rows)
+                push(node_cost + cost, target, new_rows, entry, (FetchStep, index, side))
 
-        # Selection-moves: conditions with both endpoints bound
-        filtered_conditions = {key[0] for key in pending}
-        for condition in all_conditions - done:
-            src, dst = condition
-            if src not in bound or dst not in bound:
-                continue
-            if condition in filtered_conditions:
-                continue  # its Fetch will evaluate it
-            cost = model.selection_cost(rows, src in b_out, dst in b_in)
-            new_rows = rows * model.selection_selectivity(condition)
-            cost += model.materialize_cost(new_rows)
-            status = (done | {condition}, pending, b_in, b_out, bound)
-            if status not in settled:
-                push(
-                    node.cost + cost,
-                    status,
-                    new_rows,
-                    node.steps + [SelectionStep(condition)],
+        # Selection-moves: untouched conditions with both endpoints bound
+        for index in bit_positions(every & ~busy):
+            src, dst = ends[index]
+            target = status | (1 << index)
+            if (bound >> src) & (bound >> dst) & 1 and target not in settled:
+                cost = model.selection_cost(
+                    rows, (status >> (b_out + src)) & 1, (status >> (b_in + dst)) & 1
                 )
+                new_rows = rows * stats[index].selectivity
+                cost += materialize_cost(new_rows)
+                push(node_cost + cost, target, new_rows, entry, (SelectionStep, index))
 
     raise RuntimeError("DPS search exhausted without completing the pattern")

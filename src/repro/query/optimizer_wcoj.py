@@ -11,7 +11,7 @@ intersecting the extension sets of *every* condition between the new
 variable and the already-bound ones.
 
 Plan enumeration is a connected-subgraph DP over the join graph: a state
-is the frozenset of bound variables, a move binds one adjacent variable,
+is the bitmask of bound variables, a move binds one adjacent variable,
 and among orders reaching the same state the cheapest is kept — the
 bushy-enumeration analogue for the variable-at-a-time plan space, bounded
 by ``O(2^n)`` states for ``n`` variables (patterns here are small).  Cost
@@ -29,7 +29,7 @@ worse Filter/Fetch with no sharing.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import MultiwaySeed, MultiwayStep, Plan, PlanStep
 from .costmodel import CostModel
@@ -44,48 +44,59 @@ def _enumerate_orders(
 ) -> Tuple[float, float, Tuple[str, ...]]:
     """Connected-subgraph DP: cheapest variable elimination order.
 
-    ``best[bound] = (cost, rows, order)`` — *bound* is the frozenset of
-    eliminated variables, *rows* the estimated intermediate after the
-    last elimination.  Moves extend *bound* by one adjacent variable
-    (connectivity keeps every step constrained, which a connected
-    pattern guarantees is always possible).
+    ``best[bound] = (cost, rows, previous bound, variable)`` — *bound* is
+    the mask of eliminated variables (bit *i* = the *i*-th variable in
+    declaration order), *rows* the estimated intermediate after the
+    last elimination; the order is read off the back-pointers at the
+    end.  Moves extend *bound* by one adjacent variable (connectivity
+    keeps every step constrained, which a connected pattern guarantees
+    is always possible), candidates are visited in declaration order and
+    only a strictly cheaper one replaces a known order.
     """
     variables = graph.variables
-    best: Dict[FrozenSet[str], Tuple[float, float, Tuple[str, ...]]] = {}
-    for var in variables:
+    bit = {var: 1 << index for index, var in enumerate(variables)}
+    # per variable, once: its constraints, each with its scanned endpoint's bit
+    incident = [
+        [((condition, side), bit[side.scanned_var(condition)])
+         for condition, side in graph.incident_constraints(var)]
+        for var in variables
+    ]
+    best: Dict[int, Tuple[float, float, int, int]] = {}
+    for index, var in enumerate(variables):
         constraints = graph.incident_constraints(var)
         rows = model.multiway_domain_size(var, constraints)
         cost = model.multiway_seed_cost(var, constraints, rows)
-        best[frozenset([var])] = (cost, rows, (var,))
+        best[1 << index] = (cost, rows, 0, index)
 
-    frontier = sorted(best, key=sorted)
-    index = 0
-    while index < len(frontier):
-        state = frontier[index]
-        index += 1
-        cost, rows, order = best[state]
-        if best[state][0] < cost:  # superseded entry
-            continue
-        for var in variables:
-            if var in state:
+    # one variable per move: the frontier grows one subset size at a
+    # time, so a state's entry is final before the state is expanded
+    frontier = list(best)
+    for state in frontier:
+        cost, rows, _, _ = best[state]
+        for index, keys in enumerate(incident):
+            if state >> index & 1:
                 continue
-            constraints = graph.constraints_toward(var, state)
+            constraints = tuple(key for key, scanned in keys if scanned & state)
             if not constraints:
                 continue  # stay connected: every step must intersect
             new_rows = model.multiway_step_rows(rows, constraints)
             step_cost = model.multiway_step_cost(rows, constraints, new_rows)
-            new_state = state | {var}
-            candidate = (cost + step_cost, new_rows, order + (var,))
-            if new_state not in best or candidate[0] < best[new_state][0]:
-                previously_known = new_state in best
-                best[new_state] = candidate
-                if not previously_known:
+            new_state = state | 1 << index
+            known = best.get(new_state)
+            if known is None or cost + step_cost < known[0]:
+                best[new_state] = (cost + step_cost, new_rows, state, index)
+                if known is None:
                     frontier.append(new_state)
 
-    final = best.get(frozenset(variables))
-    if final is None:  # pragma: no cover - connected patterns always complete
+    state = (1 << len(variables)) - 1
+    if state not in best:  # pragma: no cover - connected patterns always complete
         raise RuntimeError("WCOJ enumeration failed to cover all variables")
-    return final
+    total_cost, total_rows = best[state][:2]
+    order: List[str] = []
+    while state:
+        _, _, state, index = best[state]
+        order.append(variables[index])
+    return total_cost, total_rows, tuple(reversed(order))
 
 
 def _build_plan(

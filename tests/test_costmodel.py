@@ -41,11 +41,30 @@ class TestSizes:
                 assert 0.0 <= model.filter_survival(condition, direction) <= 1.0
 
     def test_zero_extent_handled(self, db):
-        pattern = parse_pattern("A -> C")
-        model = CostModel(db.catalog, pattern, CostParams())
-        # fabricate a condition onto an empty label through the catalog API
+        # a condition onto an empty label: every ratio is 0, none divides
         assert db.catalog.reduction_factor("Z", "C") == 0.0
         assert db.catalog.join_selectivity("Z", "C") == 0.0
+        for text in ("Z -> C", "C -> Z"):
+            model = CostModel(db.catalog, parse_pattern(text), CostParams())
+            assert set(model.stats[model.pattern.conditions[0]]) == {0.0}
+
+    def test_table_equals_the_catalog_ratios(self, db, model):
+        """The per-condition table is the catalog's own arithmetic, done
+        once: equal as floats, not approximately."""
+        catalog = db.catalog
+        for condition in model.pattern.conditions:
+            x, y = model.pattern.condition_labels(condition)
+            join, y_size = catalog.join_size(x, y), catalog.extent_size(y)
+            assert model.base_join_size(condition) == float(join)
+            assert model.selection_selectivity(condition) == catalog.join_selectivity(x, y)
+            assert model.join_fanout(condition, True) == catalog.reduction_factor(x, y)
+            assert model.join_fanout(condition, False) == join / y_size
+            assert model.filter_survival(condition, True) == catalog.semijoin_survival(x, y)
+            assert model.filter_survival(condition, False) == min(1.0, join / y_size)
+            for is_source in (True, False):
+                assert model.projection_selectivity(
+                    condition, is_source
+                ) == model.filter_survival(condition, is_source)
 
 
 class TestCosts:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.db.database import GraphDatabase
-from repro.graph.digraph import DiGraph
 from repro.graph.generators import anti_correlated_star, figure1_graph
 from repro.query.algebra import (
     FetchStep,
@@ -15,7 +14,11 @@ from repro.query.algebra import (
 )
 from repro.query.costmodel import CostModel, CostParams
 from repro.query import execute_plan
-from repro.query.optimizer_dps import _applicable_filters, optimize_dps
+from repro.query.optimizer_dps import (
+    _applicable_filters,
+    _filter_candidates,
+    optimize_dps,
+)
 from repro.query.parser import parse_pattern
 
 
@@ -28,41 +31,54 @@ def model_for(db, pattern):
     return CostModel(db.catalog, pattern, CostParams())
 
 
+def filters(pattern, var, side, done=(), filtered=(), bound=()):
+    """The Filter-move batch on (var, side) as (condition, Side) keys,
+    computed the way the search does: the pattern's candidate table
+    masked with the busy conditions and the bound variables."""
+    conditions, variables = pattern.conditions, pattern.variables
+    busy = sum(1 << conditions.index(c) for c in (*done, *filtered))
+    bound_mask = sum(1 << variables.index(v) for v in bound)
+    candidates = _filter_candidates(pattern)
+    which = 0 if side is Side.OUT else 1
+    mask = _applicable_filters(candidates, busy, bound_mask)[which]
+    mask &= candidates[which][variables.index(var)]
+    return {(c, side) for i, c in enumerate(conditions) if mask >> i & 1}
+
+
 class TestApplicableFilters:
     def test_groups_same_source_conditions(self):
         pattern = parse_pattern("C -> D, C -> E, B -> C")
-        keys = _applicable_filters(
-            pattern, "C", Side.OUT, frozenset(), frozenset(), frozenset({"C"})
-        )
-        assert set(keys) == {(("C", "D"), Side.OUT), (("C", "E"), Side.OUT)}
+        keys = filters(pattern, "C", Side.OUT, bound={"C"})
+        assert keys == {(("C", "D"), Side.OUT), (("C", "E"), Side.OUT)}
+        assert _filter_candidates(pattern)[0][pattern.variables.index("C")] == 0b011
 
     def test_in_side_groups_same_target(self):
         pattern = parse_pattern("A -> C, B -> C, C -> D")
-        keys = _applicable_filters(
-            pattern, "C", Side.IN, frozenset(), frozenset(), frozenset({"C"})
-        )
-        assert set(keys) == {(("A", "C"), Side.IN), (("B", "C"), Side.IN)}
+        keys = filters(pattern, "C", Side.IN, bound={"C"})
+        assert keys == {(("A", "C"), Side.IN), (("B", "C"), Side.IN)}
+        assert _filter_candidates(pattern)[1][pattern.variables.index("C")] == 0b011
 
     def test_skips_done_and_filtered(self):
+        """A condition already evaluated, or already filtered — on this
+        side or from its other endpoint — is not filtered again."""
         pattern = parse_pattern("C -> D, C -> E")
-        keys = _applicable_filters(
-            pattern,
-            "C",
-            Side.OUT,
-            frozenset({("C", "D")}),                      # done
-            frozenset({(("C", "E"), Side.OUT)}),          # already filtered
-            frozenset({"C", "D"}),
+        keys = filters(
+            pattern, "C", Side.OUT,
+            done=[("C", "D")], filtered=[("C", "E")], bound={"C", "D"},
         )
-        assert keys == ()
+        assert keys == set()
+        # C -> E was filtered from E's side (Side.IN): still busy for C
+        assert filters(pattern, "C", Side.OUT, filtered=[("C", "E")], bound={"C"}) == {
+            (("C", "D"), Side.OUT)
+        }
 
     def test_skips_conditions_to_bound_vars(self):
         """Both-endpoints-bound conditions go through Selection-moves."""
         pattern = parse_pattern("C -> D, C -> E")
-        keys = _applicable_filters(
-            pattern, "C", Side.OUT, frozenset(), frozenset(),
-            frozenset({"C", "D"}),
-        )
-        assert keys == ((("C", "E"), Side.OUT),)
+        keys = filters(pattern, "C", Side.OUT, bound={"C", "D"})
+        assert keys == {(("C", "E"), Side.OUT)}
+        # and an unbound scanned endpoint offers nothing at all
+        assert filters(pattern, "D", Side.IN, bound={"C"}) == set()
 
 
 class TestDPSPlans:

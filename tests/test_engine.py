@@ -1,5 +1,7 @@
 """End-to-end tests of the public GraphEngine API."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -160,8 +162,8 @@ class TestPlanCache:
             assert fig1_engine.plan("A -> C") is hot  # touch: A is now youngest
             fig1_engine.plan("C -> D")  # at capacity: evicts B, the LRU entry
             cached_patterns = {key[0] for key in fig1_engine._plan_cache}
-            assert "A -> C" in cached_patterns
-            assert "B -> C" not in cached_patterns
+            assert ("A", "C") in cached_patterns  # key[0]: the variables
+            assert ("B", "C") not in cached_patterns
             # and the survivor is still served from cache, same object
             assert fig1_engine.plan("A -> C") is hot
         finally:
@@ -175,7 +177,7 @@ class TestPlanCache:
             fig1_engine.plan("A -> C")
             second = fig1_engine.plan("B -> C")
             fig1_engine.plan("C -> D")  # A is oldest: evicted
-            assert "A -> C" not in {key[0] for key in fig1_engine._plan_cache}
+            assert ("A", "C") not in {key[0] for key in fig1_engine._plan_cache}
             assert fig1_engine.plan("B -> C") is second
         finally:
             fig1_engine.PLAN_CACHE_SIZE = original
@@ -193,6 +195,23 @@ class TestPlanCache:
         finally:
             fig1_engine.db.index_generation = generation
 
+    def test_cache_key_includes_variable_order(self):
+        """Two patterns that print alike but declare their variables in a
+        different order have different result columns; the second must
+        not be served the first one's plan (it was, keyed on the text)."""
+        graph = xmark.generate(factor=0.05, entity_budget=300, seed=3).graph
+        engine = GraphEngine(graph)
+        built = GraphPattern.build({"b": "person", "a": "people"}, [("a", "b")])
+        parsed = parse_pattern("a:people -> b:person")
+        assert str(built) == str(parsed)
+        first = engine.match(built)
+        second = engine.match(parsed)
+        assert first.columns == ("b", "a") and second.columns == ("a", "b")
+        assert first.rows and second.as_set() == {(a, b) for b, a in first.rows}
+        # and the other way round, on the same engine
+        assert engine.match(built).as_set() == first.as_set()
+        assert len(engine._plan_cache) == 2
+
     def test_cached_plan_still_correct(self, fig1_engine):
         from repro import NaiveMatcher
 
@@ -202,3 +221,54 @@ class TestPlanCache:
         )
         fig1_engine.match(pattern)
         assert fig1_engine.match(pattern).as_set() == naive
+
+
+class CountingCatalog:
+    """Forwards to a catalog, counting the calls of every method."""
+
+    def __init__(self, catalog):
+        self._catalog = catalog
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        value = getattr(self._catalog, name)
+        if not callable(value):
+            return value
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return value(*args, **kwargs)
+
+        return counted
+
+
+class TestCatalogReadBudget:
+    """Catalog reads per ``plan()`` call, counted — not timed: a miss
+    reads one extent per variable and one pair per condition, whatever
+    the search then does with them; a hit reads nothing."""
+
+    @pytest.mark.parametrize("optimizer", ["dp", "dps", "greedy", "wcoj", "auto"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A -> C, B -> C, C -> D, D -> E",       # the paper's tree
+            "A -> C, A -> D, C -> D, D -> E",       # cyclic: the WCOJ route
+            "x:C -> y:C",                           # a repeated label
+        ],
+    )
+    def test_one_pair_read_per_condition(self, fig1_engine, optimizer, text):
+        pattern = parse_pattern(text)
+        catalog = fig1_engine.db.catalog
+        fig1_engine._plan_cache.clear()
+        fig1_engine.db.catalog = counting = CountingCatalog(catalog)
+        try:
+            missed = fig1_engine.plan(pattern, optimizer=optimizer)
+            assert counting.calls == {
+                "extent_size": pattern.node_count,
+                "pair_stats": pattern.edge_count,
+            }
+            counting.calls.clear()
+            assert fig1_engine.plan(text, optimizer=optimizer) is missed
+            assert not counting.calls
+        finally:
+            fig1_engine.db.catalog = catalog
