@@ -18,6 +18,8 @@ import time
 
 import pytest
 
+from repro.workloads.runner import accounting_run
+
 PATH_QUERIES = tuple(f"P{i}" for i in range(1, 10))
 ENGINES = ("TSD", "INT-DP", "DP")
 
@@ -30,7 +32,7 @@ def path_patterns(dag_factory):
 @pytest.fixture(scope="module")
 def reference_counts(dag_engine, path_patterns):
     return {
-        name: len(dag_engine.match(pattern, optimizer="dp"))
+        name: len(accounting_run(dag_engine, pattern, "dp"))
         for name, pattern in path_patterns.items()
     }
 
@@ -48,7 +50,7 @@ def test_fig5a_path_patterns(
     elif engine_name == "INT-DP":
         run = lambda: dag_igmj.match(pattern)[0]
     else:
-        run = lambda: dag_engine.match(pattern, optimizer="dp").rows
+        run = lambda: accounting_run(dag_engine, pattern, "dp").rows
 
     last_ms = {}
 

@@ -12,6 +12,8 @@ Run with: pytest benchmarks/bench_fig6_dp_vs_dps.py --benchmark-only -s
 
 import pytest
 
+from repro.workloads.runner import accounting_run
+
 QUERIES = tuple(f"Q{i}" for i in range(1, 6))
 SIZES = (4, 5)
 
@@ -43,7 +45,7 @@ def test_fig6_dp_vs_dps(
     engine = engines["XL"]
     pattern = query_patterns[size][query]
 
-    result = benchmark(lambda: engine.match(pattern, optimizer=optimizer))
+    result = benchmark(lambda: accounting_run(engine, pattern, optimizer))
     bench_record.add_result(result, query=f"{query}-v{size}", optimizer=optimizer)
     benchmark.extra_info.update(
         {
@@ -69,6 +71,6 @@ def test_fig6_result_agreement(engines, query_patterns, size):
     """DP and DPS must return identical match sets on every query."""
     engine = engines["XL"]
     for query, pattern in query_patterns[size].items():
-        dp = engine.match(pattern, optimizer="dp").as_set()
-        dps = engine.match(pattern, optimizer="dps").as_set()
+        dp = accounting_run(engine, pattern, "dp").as_set()
+        dps = accounting_run(engine, pattern, "dps").as_set()
         assert dp == dps, f"{query} (|Vq|={size}): DP and DPS disagree"

@@ -22,6 +22,7 @@ import pytest
 
 from repro import GraphEngine
 from repro.graph.generators import anti_correlated_star
+from repro.workloads.runner import accounting_run
 
 QUERY = "a:A -> b:B, a -> c:C"
 
@@ -41,7 +42,7 @@ def star_engine():
 
 @pytest.fixture(scope="module")
 def reference(star_engine):
-    return star_engine.match(QUERY, optimizer="dps").as_set()
+    return accounting_run(star_engine, QUERY, "dps").as_set()
 
 
 @pytest.mark.parametrize("optimizer", ("dp", "dps"))
@@ -49,7 +50,7 @@ def reference(star_engine):
 def test_fig6_mechanism_anti_correlated(
     benchmark, star_engine, reference, optimizer, bench_record
 ):
-    result = benchmark(lambda: star_engine.match(QUERY, optimizer=optimizer))
+    result = benchmark(lambda: accounting_run(star_engine, QUERY, optimizer))
     assert result.as_set() == reference
     bench_record.add_result(result, query="anti-correlated-star", optimizer=optimizer)
     benchmark.extra_info.update(
@@ -72,8 +73,8 @@ def test_fig6_mechanism_anti_correlated(
 
 def test_fig6_mechanism_io_ratio(star_engine, reference):
     """The headline assertion: DPS needs several-fold less I/O than DP."""
-    dps = star_engine.match(QUERY, optimizer="dps")
-    dp = star_engine.match(QUERY, optimizer="dp")
+    dps = accounting_run(star_engine, QUERY, "dps")
+    dp = accounting_run(star_engine, QUERY, "dp")
     assert dps.as_set() == dp.as_set() == reference
     assert dp.metrics.physical_io >= 3 * dps.metrics.physical_io, (
         f"expected a multi-fold I/O gap, got DP={dp.metrics.physical_io} "

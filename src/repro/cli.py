@@ -109,23 +109,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(engine.explain(args.pattern, optimizer=args.optimizer))
         return 0
     try:
-        if args.limit is not None:
-            count = 0
-            for row in engine.match_iter(
-                args.pattern, optimizer=args.optimizer, limit=args.limit,
-                row_limit=args.row_limit, verify=args.verify,
-            ):
-                print("\t".join(str(v) for v in row))
-                count += 1
-            print(f"-- {count} row(s) (limit {args.limit}, streamed)",
-                  file=sys.stderr)
-            return 0
         result = engine.match(
-            args.pattern, optimizer=args.optimizer,
+            args.pattern, optimizer=args.optimizer, limit=args.limit,
             row_limit=args.row_limit, verify=args.verify,
         )
     finally:
         engine.close_pool()
+    if args.limit is not None:
+        for row in result.rows:
+            print("\t".join(str(v) for v in row))
+        print(f"-- {len(result)} row(s) (limit {args.limit}, streamed)",
+              file=sys.stderr)
+        return 0
     print("\t".join(result.columns))
     shown = result.rows if args.all else result.rows[:args.head]
     for row in shown:
@@ -441,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "executing (repro.analysis plan checker)")
     p_query.add_argument("--no-center-cache", action="store_true",
                          help="disable the cross-query center/subcluster "
-                              "cache (ablation; only --limit streams consult "
-                              "it — full results run cold by definition)")
+                              "cache (ablation)")
     p_query.add_argument("--workers", type=int, default=None,
                          help="execute through the morsel-driven parallel "
                               "scheduler with this many workers (>1; "

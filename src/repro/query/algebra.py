@@ -22,7 +22,7 @@ the extension sets of *all* conditions touching its variable, see
 :mod:`repro.query.physical.multiway`).  The two families never mix
 within one plan.
 
-The drivers (:mod:`repro.query.physical.drivers`) interpret these steps against
+The driver (:mod:`repro.query.physical.drivers`) interprets these steps against
 a :class:`~repro.db.database.GraphDatabase`.
 """
 
@@ -404,7 +404,7 @@ class TemporalTable:
 
         *layout* is any object with ``variables`` and ``pending`` (the
         :class:`repro.query.physical.RowLayout` the operator computed);
-        the materializing driver uses this to turn each operator's output
+        the accounting run uses this to turn each operator's output
         stream into a stored intermediate.
         """
         return cls(

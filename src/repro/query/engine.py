@@ -39,7 +39,6 @@ from .physical.cache import (
 from .physical.drivers import (
     QueryResult,
     StreamingResult,
-    execute_plan,
     execute_plan_streaming,
 )
 from .physical.parallel import WorkerPool
@@ -261,50 +260,6 @@ class GraphEngine:
             return effective, self.worker_pool(effective, parallel_backend)
         return effective, None
 
-    def match(
-        self,
-        pattern: PatternLike,
-        optimizer: str = "dps",
-        reset_counters: bool = True,
-        row_limit: Optional[int] = None,
-        verify: bool = False,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-        morsel_size: Optional[int] = None,
-    ) -> QueryResult:
-        """Optimize and execute a pattern; returns matches + metrics.
-
-        ``reset_counters`` (the default) is cold per-query accounting, as
-        the paper measures query by query: the I/O counters and the
-        working cache are cleared and the run bypasses the cross-query
-        :class:`CenterCache`, so back-to-back runs of one pattern cannot
-        warm each other.  ``reset_counters=False`` keeps both warm.
-        ``row_limit`` caps every intermediate result and raises
-        :class:`~repro.query.algebra.RowLimitExceeded` beyond it.
-        ``verify`` statically checks the optimized plan against this
-        database (:func:`repro.analysis.check_plan`) before executing and
-        raises :class:`repro.analysis.PlanVerificationError` on violations.
-        ``workers`` > 1 runs the morsel-driven parallel scheduler on the
-        engine-owned pool (reused across queries); ``None`` inherits the
-        engine's ``workers``.  Rows come back identical to the
-        sequential path.
-        """
-        optimized = self.plan(pattern, optimizer=optimizer)
-        if reset_counters:
-            self.db.reset_counters()
-        effective_workers, pool = self._pool_for(workers, parallel_backend)
-        return execute_plan(
-            self.db,
-            optimized.plan,
-            row_limit=row_limit,
-            verify=verify,
-            center_cache=None if reset_counters else self.center_cache,
-            workers=effective_workers,
-            parallel_backend=parallel_backend or self.parallel_backend,
-            morsel_size=morsel_size,
-            worker_pool=pool,
-        )
-
     def match_iter(
         self,
         pattern: PatternLike,
@@ -317,21 +272,27 @@ class GraphEngine:
         morsel_size: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> StreamingResult:
-        """Stream matches lazily through the pipelined executor.
+        """Optimize a pattern and stream its matches lazily.
 
         No temporal tables are materialized; with ``limit`` the upstream
         operators stop as soon as enough rows exist — the cheap way to
         answer "give me a few examples" or EXISTS-style questions over
-        patterns whose full result would be huge.  ``row_limit`` and
-        ``verify`` behave exactly as in :meth:`match`; the returned
+        patterns whose full result would be huge.  The returned
         :class:`~repro.query.StreamingResult` carries a ``metrics``
-        attribute with the same per-operator counters as a full run.
-        Streams always use the engine's :class:`CenterCache`.
-        ``workers``/``parallel_backend``/``morsel_size`` behave exactly
-        as in :meth:`match`; abandoning a parallel stream early
+        attribute with the per-operator counters of the work done, and
+        every stream uses the engine's :class:`CenterCache`.
+        ``row_limit`` caps every intermediate result and raises
+        :class:`~repro.query.algebra.RowLimitExceeded` beyond it.
+        ``verify`` statically checks the optimized plan against this
+        database (:func:`repro.analysis.check_plan`) before executing and
+        raises :class:`repro.analysis.PlanVerificationError` on violations.
+        ``workers`` > 1 runs the morsel-driven parallel scheduler on the
+        engine-owned pool (reused across queries); ``None`` inherits the
+        engine's ``workers``.  Rows come back identical to the
+        sequential path; abandoning a parallel stream early
         (``limit`` reached or :meth:`StreamingResult.close`) cancels the
-        morsels that have not started, while the engine-owned pool stays
-        warm for the next query.  ``timeout`` is a per-query deadline in
+        morsels that have not started, while the pool stays warm for the
+        next query.  ``timeout`` is a per-query deadline in
         seconds: an expired deadline stops the stream cooperatively
         (between rows) and flags the run's metrics ``truncated`` with
         ``stop_reason="timeout"`` — the query service rides this for its
@@ -349,6 +310,24 @@ class GraphEngine:
             worker_pool=pool,
             timeout=timeout,
         )
+
+    def match(
+        self, pattern: PatternLike, optimizer: str = "dps", **options
+    ) -> QueryResult:
+        """:meth:`match_iter`, collected: matches + plan + metrics.
+
+        Takes exactly :meth:`match_iter`'s parameters (so ``limit`` and
+        ``timeout`` too — ``result.metrics.truncated`` / ``stop_reason``
+        say whether the rows are a prefix) and is the one place a stream
+        is drained into a list; the service, its worker processes and
+        the CLI all answer through it.
+        """
+        stream = self.match_iter(pattern, optimizer, **options)
+        try:
+            rows = list(stream)
+        finally:
+            stream.close()
+        return QueryResult(stream.columns, rows, stream.plan, stream.metrics)
 
     def explain(self, pattern: PatternLike, optimizer: str = "dps") -> str:
         """The chosen plan as text, with its cost/cardinality estimates."""

@@ -1,10 +1,11 @@
-"""Physical operator layer: one implementation, two drivers.
+"""Physical operator layer: one implementation, one driver.
 
 This package is the single home of the paper's online-phase algebra
 (HPSJ, HPSJ+ Filter/Fetch, selections, projection) as Volcano-style
-operator classes, plus the two drivers that interpret a validated plan
-through them: :func:`execute_plan` (materializing, the paper's HPSJ+)
-and :func:`execute_plan_streaming` (pipelined, LIMIT pushdown).
+operator classes, plus the driver that interprets a validated plan
+through them — :func:`execute_plan_streaming` (pipelined, LIMIT
+pushdown) — and :func:`execute_plan`, the paper's cold temporal-table
+accounting run the Figure 5-7 experiments measure.
 
 Layering rule (enforced by ``lint/physical-internals``): code outside
 ``repro.query`` must not import from this package — the supported entry

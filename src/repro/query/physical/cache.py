@@ -34,7 +34,7 @@ accepts an optional per-context ``stats`` recorder
 the shard lock, so overlapping queries never see each other's traffic.
 Invalidation is generation-based: :class:`~repro.db.database.GraphDatabase`
 bumps ``index_generation`` whenever the join index is rebuilt, and
-:meth:`CenterCache.sync` (called by both drivers before any row flows)
+:meth:`CenterCache.sync` (called by the driver before any row flows)
 clears the cache when the generation it was filled under is stale.
 """
 

@@ -9,8 +9,8 @@ centers column per pending Filter) travels separately as a
 context does not.
 
 :class:`OperatorMetrics` lives here too — it is the per-operator half of
-the run instrumentation, produced identically by both drivers because
-the counting happens inside the operators themselves.
+the run instrumentation, identical however a plan is run because the
+counting happens inside the operators themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ DEFAULT_MORSEL_SIZE = 1024
 
 
 def temp_name(tag: str) -> str:
-    """A unique name for one temporal table (materializing driver only)."""
+    """A unique name for one temporal table (the accounting run only)."""
     return f"{tag}#{next(_name_counter)}"
 
 
@@ -63,8 +63,8 @@ class RowLayout:
 
     Mirrors :class:`~repro.query.algebra.TemporalTable`'s column layout
     (variables first, then one centers column per pending filter) without
-    any storage behind it — the streaming driver uses it bare, the
-    materializing driver turns it into a real temporal table.
+    any storage behind it — the driver uses it bare, the accounting run
+    (``execute_plan``) turns it into a real temporal table.
     """
 
     __slots__ = ("variables", "pending")
@@ -110,12 +110,12 @@ class ExecutionContext:
 
     ``row_limit`` is the execution guard, not a LIMIT clause: any
     operator whose output outgrows it raises
-    :class:`~repro.query.algebra.RowLimitExceeded`, under either driver.
+    :class:`~repro.query.algebra.RowLimitExceeded`.
 
     ``center_cache`` is the engine-owned cross-query LRU the operators
     consult for center sets and subclusters before reading the
     database's run surface; ``None`` runs without it (cold per-query
-    accounting — what ``GraphEngine.match(reset_counters=True)`` does).
+    accounting — what ``execute_plan`` does).
 
     ``workers``/``parallel_backend``/``morsel_size`` select the
     morsel-driven parallel scheduler

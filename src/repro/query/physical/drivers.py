@@ -1,26 +1,27 @@
-"""The two plan drivers: materialize into temporal tables, or stream.
+"""The plan driver — chained operator generators — and the accounting run.
 
-Both drivers interpret the same validated
-:class:`~repro.query.algebra.Plan` through the *same* operator pipeline
-(:func:`~repro.query.physical.operators.build_pipeline`); they differ
-only in how rows move between operators:
+:func:`execute_plan_streaming` is how every query executes: it
+interprets a validated :class:`~repro.query.algebra.Plan` through the
+operator pipeline (:func:`~repro.query.physical.operators.build_pipeline`)
+by chaining the operators' generators, so no temporal table ever hits
+the storage engine and a ``LIMIT`` stops all upstream work the moment
+enough output exists.  :meth:`GraphEngine.match` is this stream,
+collected.
 
-* :func:`execute_plan` — the paper's HPSJ+ execution ("stores them into
-  T_W"): each operator is drained into a
-  :class:`~repro.query.algebra.TemporalTable`, so intermediate reads and
-  writes are charged I/O through the buffer pool exactly as the cost
-  model prices them.
-* :func:`execute_plan_streaming` — the classic engine alternative: the
-  operators' generators are chained, no temporal table ever hits the
-  storage engine, and a ``LIMIT`` stops all upstream work the moment
-  enough output exists.
+:func:`execute_plan` is not a second way to answer a query; it is the
+paper's HPSJ+ *accounting run* ("stores them into T_W"): the same
+operators, each drained into a
+:class:`~repro.query.algebra.TemporalTable`, sequentially and without
+the cross-query cache, so intermediate reads and writes are charged I/O
+through the buffer pool exactly as the cost model prices them (Eqs.
+10-12).  Only the Figure 5-7 experiments call it
+(:func:`repro.workloads.runner.accounting_run`).
 
 Because Algorithm 1/2 logic (dedup sets, the Remark 3.1 shared scan, the
-per-center subcluster cache) lives only in the operators, the two form a
-clean ablation pair (``benchmarks/bench_ablations.py``) with identical
-result sets *and* identical per-operator ``rows_in``/``rows_out`` when
-fully drained.  Both accept ``row_limit`` (the execution guard) and
-``verify=True`` (full static plan checking before any row is produced).
+per-center subcluster cache) lives only in the operators, the two return
+identical rows *and* identical per-operator counters when fully drained.
+Both accept ``row_limit`` (the execution guard) and ``verify=True``
+(full static plan checking before any row is produced).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .parallel import ParallelExecution, ParallelStats, WorkerPool
 
 @dataclass
 class RunMetrics:
-    """Everything measured while executing one plan (either driver)."""
+    """Everything measured while executing one plan."""
 
     elapsed_seconds: float = 0.0
     io: Optional[IOStats] = None
@@ -172,85 +173,27 @@ def _merge_worker_cache(
 
 
 # ----------------------------------------------------------------------
-# driver 1: materializing (the paper's HPSJ+ execution)
+# the accounting run (the paper's HPSJ+ execution, Figures 5-7)
 # ----------------------------------------------------------------------
 def execute_plan(
     db: GraphDatabase,
     plan: Plan,
     row_limit: Optional[int] = None,
     verify: bool = False,
-    center_cache: Optional[CenterCache] = None,
-    workers: Optional[int] = None,
-    parallel_backend: Optional[str] = None,
-    morsel_size: Optional[int] = None,
-    worker_pool: Optional[WorkerPool] = None,
-    sanitize: bool = False,
 ) -> QueryResult:
-    """Run *plan*, materializing every intermediate; project the result.
+    """Run *plan* cold, materializing every intermediate; project the result.
 
-    ``row_limit`` caps every intermediate; exceeding it raises
-    :class:`repro.query.algebra.RowLimitExceeded` (an execution guard for
-    runaway patterns, not a LIMIT clause — no partial results are
-    returned).  ``verify=True`` runs the full static plan checker
-    (:func:`repro.analysis.check_plan`, including the catalog checks
-    against *db*) before interpretation and raises
-    :class:`repro.analysis.PlanVerificationError` listing every violation
-    — the belt-and-braces mode for exercising new optimizers.
-
-    ``center_cache`` plugs in the engine's cross-query
-    :class:`CenterCache`; without it every center set and subcluster is
-    read from the database (cold per-query accounting).  Rows and
-    logical counters are identical either way.
-
-    ``workers`` > 1 runs the stages through the morsel-driven scheduler
-    (:mod:`repro.query.physical.parallel`); ``parallel_backend`` picks
-    the pool flavor, ``worker_pool`` reuses an engine-owned pool instead
-    of building a transient one (its worker count wins when ``workers``
-    is None).  The parallel path streams between stages instead of
-    spilling temporal tables, so its I/O delta omits the temporal-table
-    traffic — rows and per-operator counters still match the sequential
-    oracle exactly.
+    Sequential, and without a :class:`CenterCache`: every center set and
+    subcluster is read from the database and every intermediate is
+    written to and re-read from a temporal table, so ``metrics.io`` is
+    the I/O the paper's Section 6 charges.  ``row_limit`` and ``verify``
+    behave as in :func:`execute_plan_streaming` (an exceeded guard
+    raises :class:`repro.query.algebra.RowLimitExceeded`, no partial
+    result).  Rows and per-operator counters equal the stream's.
     """
-    if workers is None and worker_pool is not None:
-        workers = worker_pool.workers
-    ctx, operators, project, metrics = _prepare(
-        db, plan, row_limit, verify,
-        center_cache=center_cache, workers=workers,
-        parallel_backend=parallel_backend, morsel_size=morsel_size,
-        sanitize=sanitize,
-    )
+    _, operators, project, metrics = _prepare(db, plan, row_limit, verify)
     io_before = db.stats.snapshot()
     started = time.perf_counter()
-
-    if ctx.parallel:
-        execution = _parallel_execution(
-            db, plan, ctx, operators, project, worker_pool
-        )
-        try:
-            rows = list(project.rows(execution.results()))
-        finally:
-            execution.finish()
-        metrics.elapsed_seconds = time.perf_counter() - started
-        io = db.stats.delta_since(io_before)
-        io.add(execution.worker_io_delta())
-        metrics.io = io
-        metrics.peak_temporal_rows = max(
-            (op.rows_out for op in metrics.operators), default=0
-        )
-        metrics.result_rows = len(rows)
-        # the context's private recorder counts this run's own traffic
-        # exactly (no global-counter deltas, so overlapping queries never
-        # bleed into each other); worker-local cache counts fold on top
-        metrics.center_cache = _merge_worker_cache(
-            ctx.cache_stats if center_cache is not None else None,
-            execution.cache_counts,
-        )
-        metrics.parallel = execution.stats
-        return QueryResult(
-            columns=tuple(plan.pattern.variables), rows=rows, plan=plan,
-            metrics=metrics,
-        )
-
     tables: List[TemporalTable] = []
     try:
         for op in operators:
@@ -259,7 +202,7 @@ def execute_plan(
                 db.pool, op.layout, name=temp_name(op.name)
             )
             tables.append(output)
-            output.insert_many(op.rows(source), sanitize=ctx.sanitize)
+            output.insert_many(op.rows(source))
             metrics.peak_temporal_rows = max(
                 metrics.peak_temporal_rows, output.row_count
             )
@@ -273,14 +216,13 @@ def execute_plan(
     metrics.elapsed_seconds = time.perf_counter() - started
     metrics.io = db.stats.delta_since(io_before)
     metrics.result_rows = len(rows)
-    metrics.center_cache = ctx.cache_stats if center_cache is not None else None
     return QueryResult(
         columns=tuple(plan.pattern.variables), rows=rows, plan=plan, metrics=metrics
     )
 
 
 # ----------------------------------------------------------------------
-# driver 2: streaming (pipelined, LIMIT pushdown)
+# the driver: streaming (pipelined, LIMIT pushdown)
 # ----------------------------------------------------------------------
 class StreamingResult:
     """Lazy row iterator with the same :class:`RunMetrics` as a full run.
@@ -307,9 +249,9 @@ class StreamingResult:
         rows: Iterator[Row],
         metrics: RunMetrics,
         db: GraphDatabase,
+        plan: Plan,
         cache_stats: Optional[CacheStats] = None,
         parallel: Optional[ParallelExecution] = None,
-        columns: Tuple[str, ...] = (),
     ):
         self._rows = rows
         self._db = db
@@ -322,9 +264,10 @@ class StreamingResult:
         self._ended = False
         self.metrics = metrics
         self.parallel = parallel
-        #: projected output columns, in row order (pattern variables) —
-        #: same contract as :attr:`QueryResult.columns`
-        self.columns = columns
+        #: the plan being run and its projected output columns, in row
+        #: order (pattern variables) — same contract as :class:`QueryResult`
+        self.plan = plan
+        self.columns = tuple(plan.pattern.variables)
 
     def __iter__(self) -> Iterator[Row]:
         return self._rows
@@ -381,16 +324,26 @@ def execute_plan_streaming(
 ) -> StreamingResult:
     """Yield projected result rows lazily; stop early at *limit*.
 
-    The plan is verified (optionally) and validated before any row is
-    produced; ``row_limit`` guards every operator's output exactly as in
-    :func:`execute_plan`, and the returned :class:`StreamingResult`
-    carries per-operator metrics identical to the materializing driver's
-    once the stream is fully drained.  ``center_cache`` and
-    ``workers``/``parallel_backend``/``morsel_size``/``worker_pool``
-    behave exactly as in :func:`execute_plan`; under parallel
-    execution the final stage's morsels are merged lazily, and stopping
-    at *limit* (or :meth:`StreamingResult.close`) cancels the morsels
-    that have not started yet.
+    The plan is validated before any row is produced; ``verify=True``
+    first runs the full static plan checker
+    (:func:`repro.analysis.check_plan`, catalog checks against *db*
+    included) and raises :class:`repro.analysis.PlanVerificationError`
+    listing every violation.  ``row_limit`` caps every operator's
+    output; exceeding it raises
+    :class:`repro.query.algebra.RowLimitExceeded` (an execution guard
+    for runaway patterns, not a LIMIT clause).
+
+    ``center_cache`` plugs in the engine's cross-query
+    :class:`CenterCache`; without it every center set and subcluster is
+    read from the database.  ``workers`` > 1 runs the stages through the
+    morsel-driven scheduler (:mod:`repro.query.physical.parallel`);
+    ``parallel_backend`` picks the pool flavor, ``worker_pool`` reuses
+    an engine-owned pool instead of building a transient one (its worker
+    count wins when ``workers`` is None).  The final stage's morsels are
+    merged lazily, and stopping at *limit* (or
+    :meth:`StreamingResult.close`) cancels the morsels that have not
+    started yet.  Rows and per-operator counters are identical under
+    every setting.
 
     ``timeout`` is a per-query deadline in seconds, measured from the
     first row pull: once it expires the stream stops before the next
@@ -461,9 +414,8 @@ def execute_plan_streaming(
             stream._finalize(started, io_before, emitted)
 
     stream = StreamingResult(
-        bounded(), metrics, db,
+        bounded(), metrics, db, plan,
         cache_stats=ctx.cache_stats if center_cache is not None else None,
         parallel=execution,
-        columns=tuple(plan.pattern.variables),
     )
     return stream

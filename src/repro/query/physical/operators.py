@@ -38,13 +38,13 @@ carries one, then the run surface.  ``W(X, Y)`` is read once per
 operator execution and a center's subcluster leaf once per operator (the
 paper's "leaf stays pinned" average ``IO_rji``).
 
-The two drivers in :mod:`repro.query.physical.drivers` differ only in
-how they move rows between these operators: the materializing driver
-drains each ``rows()`` into a temporal table, the streaming driver chains
-the generators.  Deduplication sets, the Remark 3.1 shared scan, the
-memos and all metric counting live here and nowhere else, so the two
-execution modes cannot drift apart; ``tests/reference_executor.py`` is
-the frozenset oracle both must match row for row and counter for counter.
+The driver in :mod:`repro.query.physical.drivers` chains these
+generators; the paper's accounting run (``execute_plan``) drains each
+``rows()`` into a temporal table instead.  Deduplication sets, the
+Remark 3.1 shared scan, the memos and all metric counting live here and
+nowhere else, so the two cannot drift apart;
+``tests/reference_executor.py`` is the frozenset oracle both must match
+row for row and counter for counter.
 """
 
 from __future__ import annotations

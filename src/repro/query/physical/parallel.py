@@ -268,30 +268,21 @@ def _run_query_task(payload: QueryPayload) -> QueryTaskResult:
         _WORKER_ENGINE = engine
     pattern, optimizer, limit, row_limit, timeout_s = payload
     started = time.monotonic()
-    stream = engine.match_iter(
+    result = engine.match(
         pattern,
         optimizer=optimizer,
         limit=limit,
         row_limit=row_limit,
         timeout=timeout_s,
     )
-    try:
-        rows = list(stream)
-    finally:
-        stream.close()
     ended = time.monotonic()
-    cache = stream.metrics.center_cache
-    counts = (
-        (cache.hits, cache.misses, cache.evictions)
-        if cache is not None
-        else (0, 0, 0)
-    )
+    cache = result.metrics.center_cache
     return (
-        stream.columns,
-        rows,
-        stream.metrics.truncated,
-        stream.metrics.stop_reason,
-        counts,
+        result.columns,
+        result.rows,
+        result.metrics.truncated,
+        result.metrics.stop_reason,
+        (cache.hits, cache.misses, cache.evictions),
         (started, ended),
     )
 
@@ -470,12 +461,11 @@ class ParallelStats:
 class ParallelExecution:
     """One plan execution, scheduled as morsels over a :class:`WorkerPool`.
 
-    Shared by both drivers: :meth:`results` yields the final stage's
-    merged rows lazily (upstream stages are drained eagerly — they feed
-    the partitioner), the driver pipes them through its own
-    :class:`ProjectOp`.  All coordinator-side bookkeeping (metric
-    merging, worker I/O and cache-count accumulation, cancellation) lives
-    here so the two drivers cannot diverge.
+    :meth:`results` yields the final stage's merged rows lazily
+    (upstream stages are drained eagerly — they feed the partitioner),
+    the driver pipes them through its own :class:`ProjectOp`.  All
+    coordinator-side bookkeeping (metric merging, worker I/O and
+    cache-count accumulation, cancellation) lives here.
     """
 
     def __init__(

@@ -457,31 +457,25 @@ class QueryService:
             }
         started = time.monotonic()
         with use_stats(IOStats()):
-            stream = self.engine.match_iter(
+            result = self.engine.match(
                 request.pattern,
                 optimizer=request.optimizer,
                 limit=limit,
                 row_limit=request.row_limit,
                 timeout=timeout_s,
             )
-            try:
-                rows = list(stream)
-            finally:
-                stream.close()
         ended = time.monotonic()
-        cache = stream.metrics.center_cache
-        hits = cache.hits if cache is not None else 0
-        misses = cache.misses if cache is not None else 0
+        cache = result.metrics.center_cache
         return {
-            "columns": stream.columns,
-            "rows": rows,
-            "truncated": stream.metrics.truncated,
-            "stop_reason": stream.metrics.stop_reason,
+            "columns": result.columns,
+            "rows": result.rows,
+            "truncated": result.metrics.truncated,
+            "stop_reason": result.metrics.stop_reason,
             "exec_s": ended - started,
             "exec_span": (started, ended),
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache_hit_rate": cache.hit_rate if cache is not None else 0.0,
+            "cache_hits": cache.hits,
+            "cache_misses": cache.misses,
+            "cache_hit_rate": cache.hit_rate,
         }
 
 

@@ -3,6 +3,7 @@
 from .patterns import CYCLIC_SHAPES, PatternFactory
 from .runner import (
     ExperimentRecord,
+    accounting_run,
     band_validator,
     row_limit_validator,
     check_agreement,
@@ -16,6 +17,7 @@ __all__ = [
     "CYCLIC_SHAPES",
     "PatternFactory",
     "ExperimentRecord",
+    "accounting_run",
     "band_validator",
     "row_limit_validator",
     "check_agreement",

@@ -20,6 +20,7 @@ from repro.query.physical.cache import (
     CenterCache,
     DEFAULT_CACHE_BYTES,
 )
+from repro.workloads.runner import accounting_run
 
 
 def entry_cost(n_ints: int) -> int:
@@ -113,13 +114,13 @@ class TestInvalidation:
     def test_rebuild_join_index_invalidates_through_engine(self):
         engine = GraphEngine(figure1_graph())
         pattern = "A -> C, B -> C"
-        first = engine.match(pattern, reset_counters=False)
+        first = engine.match(pattern)
         assert engine.center_cache.entry_count > 0
         generation = engine.db.index_generation
         engine.db.rebuild_join_index()
         assert engine.db.index_generation == generation + 1
         # next run syncs to the new generation: the warm cache is gone
-        second = engine.match(pattern, reset_counters=False)
+        second = engine.match(pattern)
         assert second.rows == first.rows
         assert second.metrics.center_cache.hits == 0
 
@@ -160,12 +161,12 @@ class TestPairEpoch:
 
     def test_rebuild_join_index_recycles_pair_ids(self):
         engine = GraphEngine(figure1_graph())
-        engine.match("A -> C, B -> C", reset_counters=False)  # warm + sync
+        engine.match("A -> C, B -> C")  # warm + sync
         epoch = kernels.pair_epoch()
         engine.db.rebuild_join_index()
         # the next run's sync observes the generation bump and fires the
         # clear_pair_ids hook (routed through the cache layer)
-        result = engine.match("A -> C, B -> C", reset_counters=False)
+        result = engine.match("A -> C, B -> C")
         assert kernels.pair_epoch() == epoch + 1
         assert result.metrics.center_cache.hits == 0
 
@@ -173,20 +174,20 @@ class TestPairEpoch:
 class TestRunMetricsSurface:
     def test_batch_run_reports_cache_stats(self):
         engine = GraphEngine(figure1_graph())
-        result = engine.match("A -> C, B -> C", reset_counters=False)
+        result = engine.match("A -> C, B -> C")
         stats = result.metrics.center_cache
         assert stats is not None
         assert stats.misses > 0  # cold cache
-        warm = engine.match("A -> C, B -> C", reset_counters=False)
+        warm = engine.match("A -> C, B -> C")
         assert warm.metrics.center_cache.hits > 0
         assert 0.0 <= warm.metrics.center_cache.hit_rate <= 1.0
 
     def test_cold_match_bypasses_the_cache(self):
-        """``match()``'s default is per-query cold accounting: back-to-back
-        runs can neither read nor warm the cross-query cache."""
+        """The accounting run is per-query cold: back-to-back runs can
+        neither read nor warm the cross-query cache."""
         engine = GraphEngine(figure1_graph())
         for _ in range(2):
-            result = engine.match("A -> C, B -> C")  # reset_counters=True
+            result = accounting_run(engine, "A -> C, B -> C")
             assert result.metrics.center_cache is None
         assert engine.center_cache.entry_count == 0
         assert engine.center_cache.snapshot() == (0, 0, 0)
@@ -200,7 +201,7 @@ class TestRunMetricsSurface:
 
     def test_engine_cache_bytes_zero_disables_storage(self):
         engine = GraphEngine(figure1_graph(), cache_bytes=0)
-        engine.match("A -> C, B -> C", reset_counters=False)
+        engine.match("A -> C, B -> C")
         assert engine.center_cache.entry_count == 0
         assert engine.center_cache.misses > 0
 

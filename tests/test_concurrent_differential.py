@@ -19,10 +19,10 @@ Legs:
   ``exec_span`` windows reported by concurrent responses overlap —
   admitted queries really execute simultaneously, not serially.
 
-Concurrent runs use ``reset_counters=False``, matching the service's
-execution model (``match_iter`` never cold-starts shared counters);
-the pinned invariant that the center cache is counter-neutral makes
-warm-vs-cold irrelevant to the compared metrics.
+Concurrent runs go through ``engine.match`` — the service's execution
+model: nothing cold-starts the shared counters, so every run's I/O delta
+stays non-negative; the pinned invariant that the center cache is
+counter-neutral makes warm-vs-cold irrelevant to the compared metrics.
 """
 
 import threading
@@ -89,7 +89,7 @@ def build_oracle(engine, workload):
     """Single-threaded ground truth: rows, columns and per-op counters."""
     oracle = {}
     for name, pattern, optimizer in workload:
-        result = engine.match(pattern, optimizer=optimizer, reset_counters=False)
+        result = engine.match(pattern, optimizer=optimizer)
         oracle[name] = {
             "columns": list(result.columns),
             "rows": list(result.rows),
@@ -108,13 +108,17 @@ def hammer(engine, workload, oracle, threads=THREADS, rounds=ROUNDS):
             barrier.wait(timeout=30)
             for _ in range(rounds):
                 for name, pattern, optimizer in workload:
-                    result = engine.match(
-                        pattern, optimizer=optimizer, reset_counters=False
-                    )
+                    result = engine.match(pattern, optimizer=optimizer)
                     expect = oracle[name]
                     assert list(result.columns) == expect["columns"], name
                     assert list(result.rows) == expect["rows"], name
                     assert op_counters(result.metrics) == expect["counters"], name
+                    # nothing resets the shared counters under a running
+                    # query, so no I/O delta can come out negative
+                    io = result.metrics.io
+                    assert min(
+                        io.physical_reads, io.physical_writes, io.logical_reads
+                    ) >= 0, name
         except Exception as exc:  # noqa: BLE001 - surfaced to the test
             failures.append((tid, repr(exc)))
 

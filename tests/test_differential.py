@@ -1,14 +1,21 @@
 """The one differential: every execution configuration vs the reference.
 
-One operator body runs under two drivers (materializing, streaming), on
-two storage tiers (live B+-tree database, snapshot-loaded database) and
-on four schedulers (sequential, thread / process / spawn morsel pools).
-For every Figure-4 pattern and every ``CYCLIC_SHAPES`` entry under every
-optimizer, each configuration must return the rows the frozenset
-reference executor (``tests/reference_executor.py``) returns for the
-same plan, and report the same per-operator ``rows_in`` / ``rows_out`` /
-``centers_probed`` / ``nodes_fetched``.  A sanitizer leg re-runs the
-matrix's busiest slice with the runtime tripwires armed.
+One operator body runs under one driver (the stream; ``engine.match`` is
+that stream collected, pinned by ``test_match_equals_stream.py``), on
+two storage tiers (live B+-tree database, snapshot-loaded database),
+with and without a :class:`CenterCache`, cold and warm, and on four
+schedulers (sequential, thread / process / spawn morsel pools) — plus
+the accounting run (``execute_plan``: the same operators drained into
+temporal tables).  For every Figure-4 pattern and every
+``CYCLIC_SHAPES`` entry under every optimizer, each configuration must
+return the rows the frozenset reference executor
+(``tests/reference_executor.py``) returns for the same plan, and report
+the same per-operator ``rows_in`` / ``rows_out`` / ``centers_probed`` /
+``nodes_fetched``.  The counters are the stronger claim: the body
+memoizes work per distinct node and per distinct centers tuple, but it
+must still *charge* that work per row exactly as Algorithm 2 does.  A
+sanitizer leg re-runs the matrix's busiest slice with the runtime
+tripwires armed.
 """
 
 import pytest
@@ -21,7 +28,7 @@ from repro.query import (
     fork_available,
 )
 
-from reference_executor import assert_matches_reference
+from reference_executor import op_counters, reference_execute
 
 TIERS = ("live", "snapshot")
 #: wcoj only differs from dps on cyclic join graphs, so the acyclic
@@ -50,17 +57,20 @@ def workload_for(optimizer, figure4_workload, cyclic_workload):
     return patterns
 
 
-def check_both_drivers(engine, index, pattern, optimizer, label, **execution):
-    """Materializing and streaming runs of one plan vs the reference."""
+def check_streams(engine, index, pattern, optimizer, label, *configurations):
+    """One plan streamed under each configuration (keyword arguments of
+    ``execute_plan_streaming``) vs one run of the reference; returns the
+    plan, the reference's (sorted rows, counters) and each run's metrics."""
     plan = engine.plan(pattern, optimizer=optimizer).plan
-    result = execute_plan(engine.db, plan, **execution)
-    assert_matches_reference(
-        index, plan, result.rows, result.metrics, f"{label}/materializing"
-    )
-    stream = execute_plan_streaming(engine.db, plan, **execution)
-    assert_matches_reference(
-        index, plan, list(stream), stream.metrics, f"{label}/streaming"
-    )
+    rows, counters = reference_execute(index, plan)
+    expected = sorted(rows), counters
+    ran = []
+    for number, execution in enumerate(configurations):
+        stream = execute_plan_streaming(engine.db, plan, **execution)
+        got = sorted(stream), op_counters(stream.metrics)
+        assert got == expected, f"{label}/configuration {number} differs"
+        ran.append(stream.metrics)
+    return plan, expected, ran
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
@@ -68,13 +78,27 @@ def check_both_drivers(engine, index, pattern, optimizer, label, **execution):
 def test_sequential_matches_reference(
     engines, reference_index, figure4_workload, cyclic_workload, tier, optimizer
 ):
+    engine = engines[tier]
     cache = CenterCache()  # shared across the loop: warm hits change nothing
     patterns = workload_for(optimizer, figure4_workload, cyclic_workload)
     for name, pattern in patterns.items():
-        check_both_drivers(
-            engines[tier], reference_index, pattern, optimizer,
-            f"{name}/{optimizer}/{tier}", center_cache=cache,
+        label = f"{name}/{optimizer}/{tier}"
+        # the kernels alone (no CenterCache) are already exact; a warm
+        # cache changes nothing but speed — it only turns misses into hits
+        plan, expected, (bare, _, warm) = check_streams(
+            engine, reference_index, pattern, optimizer, label,
+            {}, {"center_cache": cache}, {"center_cache": cache},
         )
+        assert bare.center_cache is None
+        assert warm.center_cache.misses == 0, label
+        # the accounting run drains the same operators into temporal tables
+        result = execute_plan(engine.db, plan)
+        assert result.metrics.center_cache is None
+        got = sorted(result.rows), op_counters(result.metrics)
+        assert got == expected, f"{label}/accounting run differs"
+        assert (result.metrics.peak_temporal_rows, result.metrics.result_rows) == (
+            warm.peak_temporal_rows, warm.result_rows
+        ), label
 
 
 @pytest.mark.parametrize("optimizer", ("dps", "wcoj"))
@@ -88,10 +112,11 @@ def test_worker_pools_match_reference(
     try:
         patterns = workload_for(optimizer, figure4_workload, cyclic_workload)
         for name, pattern in patterns.items():
-            check_both_drivers(
+            check_streams(
                 engine, reference_index, pattern, optimizer,
                 f"{name}/{optimizer}/{tier}/{backend}",
-                worker_pool=pool, morsel_size=MORSEL, center_cache=CenterCache(),
+                {"worker_pool": pool, "morsel_size": MORSEL,
+                 "center_cache": CenterCache()},
             )
     finally:
         pool.shutdown()
@@ -109,14 +134,10 @@ def test_sanitizer_leg(
         for name, pattern in workload_for(
             "dps", figure4_workload, cyclic_workload
         ).items():
-            check_both_drivers(
+            check_streams(
                 engine, reference_index, pattern, "dps", f"{name}/{tier}/sanitize",
-                center_cache=CenterCache(shards=4), sanitize=True,
-            )
-            check_both_drivers(
-                engine, reference_index, pattern, "dps",
-                f"{name}/{tier}/sanitize/thread",
-                worker_pool=pool, morsel_size=MORSEL, sanitize=True,
+                {"center_cache": CenterCache(shards=4), "sanitize": True},
+                {"worker_pool": pool, "morsel_size": MORSEL, "sanitize": True},
             )
     finally:
         pool.shutdown()

@@ -75,15 +75,15 @@ class TestExecution:
 
     def test_temporal_tables_are_dropped_after_every_query(self, engine):
         """Intermediates must not pile up on the simulated disk: 50
-        ``match()`` calls leave its page count where the first left it,
+        accounting runs leave its page count where the first left it,
         including when a row-limit abort unwinds mid-plan."""
-        pattern = "A -> C, B -> C, C -> D, D -> E"
-        engine.match(pattern)
+        plan = engine.plan("A -> C, B -> C, C -> D, D -> E").plan
+        execute_plan(engine.db, plan)
         pages = engine.db.pool.disk.page_count
         for _ in range(50):
-            engine.match(pattern)
+            execute_plan(engine.db, plan)
         with pytest.raises(RowLimitExceeded):
-            engine.match(pattern, row_limit=1)
+            execute_plan(engine.db, plan, row_limit=1)
         assert engine.db.pool.disk.page_count == pages
 
     def test_manual_plan_execution(self, engine):

@@ -4,17 +4,36 @@ import pytest
 
 from repro.baselines.naive import NaiveMatcher
 from repro.db.database import GraphDatabase
-from repro.graph.generators import figure1_graph, random_digraph
+from repro.graph.generators import figure1_graph
 from repro.graph.traversal import TransitiveClosure
-from repro.query.algebra import Side, TemporalTable
-from repro.query.operators import (
-    apply_fetch,
-    apply_filter,
-    apply_selection,
-    hpsj,
-    seed_scan,
-)
+from repro.query.algebra import Side
 from repro.query.pattern import GraphPattern
+from repro.query.physical import (
+    ExecutionContext,
+    FetchOp,
+    SeedJoinOp,
+    SeedScanOp,
+    SelectionOp,
+    SharedFilterOp,
+)
+
+
+class Run:
+    """One physical operator, instantiated directly and drained.
+
+    ``source`` is the upstream :class:`Run`; row-consuming operators
+    take its layout as their input schema and its rows as their stream.
+    """
+
+    def __init__(self, op_class, db, pattern, *args, source=None):
+        ctx = ExecutionContext(db=db, pattern=pattern)
+        if source is None:
+            op, stream = op_class(ctx, *args), None
+        else:
+            op, stream = op_class(ctx, source.layout, *args), iter(source.rows)
+        self.rows = list(op.rows(stream))
+        self.layout = op.layout
+        self.metrics = op.metrics
 
 
 @pytest.fixture(scope="module")
@@ -36,28 +55,28 @@ def two_var_pattern(x_label, y_label):
 class TestSeedOperators:
     def test_seed_scan_returns_extent(self, db):
         pattern = GraphPattern.build({"B": "B"}, [])
-        table, metrics = seed_scan(db, pattern, "B")
-        rows = {row[0] for row in table.table.scan()}
+        table = Run(SeedScanOp, db, pattern, "B")
+        rows = {row[0] for row in table.rows}
         assert rows == set(db.graph.extent("B"))
-        assert metrics.rows_out == len(rows)
+        assert table.metrics.rows_out == len(rows)
         # seeds report rows_in too: the base-table rows examined
-        assert metrics.rows_in == len(rows)
+        assert table.metrics.rows_in == len(rows)
 
     def test_hpsj_metrics_invariants(self, db):
         """rows_in counts candidate center-pairs, rows_out the dedup'd join."""
         pattern = two_var_pattern("B", "E")
-        table, metrics = hpsj(db, pattern, ("B", "E"))
-        assert metrics.rows_in >= metrics.rows_out > 0
-        assert metrics.rows_out == table.row_count
-        assert metrics.centers_probed > 0
-        assert metrics.nodes_fetched > 0
+        table = Run(SeedJoinOp, db, pattern, ("B", "E"))
+        assert table.metrics.rows_in >= table.metrics.rows_out > 0
+        assert table.metrics.rows_out == len(table.rows)
+        assert table.metrics.centers_probed > 0
+        assert table.metrics.nodes_fetched > 0
 
     def test_hpsj_equals_all_reachable_pairs(self, db, closure):
         """Algorithm 1 output == exact reachability join of two extents."""
         for x_label, y_label in [("B", "C"), ("A", "E"), ("C", "D"), ("B", "E")]:
             pattern = two_var_pattern(x_label, y_label)
-            table, _ = hpsj(db, pattern, (x_label, y_label))
-            got = {tuple(r[:2]) for r in table.table.scan()}
+            table = Run(SeedJoinOp, db, pattern, (x_label, y_label))
+            got = {tuple(r[:2]) for r in table.rows}
             expected = {
                 (u, v)
                 for u in db.graph.extent(x_label)
@@ -69,8 +88,8 @@ class TestSeedOperators:
     def test_hpsj_paper_example_pair(self, db):
         """Section 3.1: (b0, e7) ∈ T_B ⋈ T_E."""
         pattern = two_var_pattern("B", "E")
-        table, _ = hpsj(db, pattern, ("B", "E"))
-        pairs = {tuple(r[:2]) for r in table.table.scan()}
+        table = Run(SeedJoinOp, db, pattern, ("B", "E"))
+        pairs = {tuple(r[:2]) for r in table.rows}
         # find b0 (first B node) and e7 (last E node) by construction order
         b0 = db.graph.extent("B")[0]
         e7 = db.graph.extent("E")[-1]
@@ -78,8 +97,8 @@ class TestSeedOperators:
 
     def test_hpsj_no_duplicates(self, db):
         pattern = two_var_pattern("B", "E")
-        table, _ = hpsj(db, pattern, ("B", "E"))
-        rows = [tuple(r) for r in table.table.scan()]
+        table = Run(SeedJoinOp, db, pattern, ("B", "E"))
+        rows = [tuple(r) for r in table.rows]
         assert len(rows) == len(set(rows))
 
 
@@ -89,30 +108,32 @@ class TestFilterFetch:
         pattern = GraphPattern.build(
             {"B": "B", "C": "C", "D": "D"}, [("B", "C"), ("C", "D")]
         )
-        seeded, _ = hpsj(db, pattern, ("B", "C"))
-        filtered, metrics = apply_filter(
-            db, pattern, seeded, [(("C", "D"), Side.OUT)]
+        seeded = Run(SeedJoinOp, db, pattern, ("B", "C"))
+        filtered = Run(
+            SharedFilterOp, db, pattern, [(("C", "D"), Side.OUT)], source=seeded
         )
-        survivors = {tuple(r[:2]) for r in filtered.table.scan()}
-        for row in seeded.table.scan():
+        survivors = {tuple(r[:2]) for r in filtered.rows}
+        for row in seeded.rows:
             c_node = row[1]
             joinable = any(
                 closure.reaches(c_node, d) for d in db.graph.extent("D")
             )
             assert ((row[0], row[1]) in survivors) == joinable
-        assert metrics.rows_in == len(seeded.table)
+        assert filtered.metrics.rows_in == len(seeded.rows)
 
     def test_filter_then_fetch_is_exact_join(self, db, closure):
         """Filter+Fetch == HPSJ+ R-join == true reachability join."""
         pattern = GraphPattern.build(
             {"B": "B", "C": "C", "D": "D"}, [("B", "C"), ("C", "D")]
         )
-        seeded, _ = hpsj(db, pattern, ("B", "C"))
-        filtered, _ = apply_filter(db, pattern, seeded, [(("C", "D"), Side.OUT)])
-        fetched, _ = apply_fetch(db, pattern, filtered, ("C", "D"), Side.OUT)
-        got = {tuple(r[:3]) for r in fetched.table.scan()}
+        seeded = Run(SeedJoinOp, db, pattern, ("B", "C"))
+        filtered = Run(
+            SharedFilterOp, db, pattern, [(("C", "D"), Side.OUT)], source=seeded
+        )
+        fetched = Run(FetchOp, db, pattern, ("C", "D"), Side.OUT, source=filtered)
+        got = {tuple(r[:3]) for r in fetched.rows}
         expected = set()
-        for b, c in ((r[0], r[1]) for r in seeded.table.scan()):
+        for b, c in ((r[0], r[1]) for r in seeded.rows):
             for d in db.graph.extent("D"):
                 if closure.reaches(c, d):
                     expected.add((b, c, d))
@@ -123,12 +144,14 @@ class TestFilterFetch:
         pattern = GraphPattern.build(
             {"C": "C", "D": "D", "B": "B"}, [("C", "D"), ("B", "C")]
         )
-        seeded, _ = hpsj(db, pattern, ("C", "D"))
-        filtered, _ = apply_filter(db, pattern, seeded, [(("B", "C"), Side.IN)])
-        fetched, _ = apply_fetch(db, pattern, filtered, ("B", "C"), Side.IN)
-        got = {(r[2], r[0], r[1]) for r in fetched.table.scan()}
+        seeded = Run(SeedJoinOp, db, pattern, ("C", "D"))
+        filtered = Run(
+            SharedFilterOp, db, pattern, [(("B", "C"), Side.IN)], source=seeded
+        )
+        fetched = Run(FetchOp, db, pattern, ("B", "C"), Side.IN, source=filtered)
+        got = {(r[2], r[0], r[1]) for r in fetched.rows}
         expected = set()
-        for c, d in ((r[0], r[1]) for r in seeded.table.scan()):
+        for c, d in ((r[0], r[1]) for r in seeded.rows):
             for b in db.graph.extent("B"):
                 if closure.reaches(b, c):
                     expected.add((b, c, d))
@@ -141,15 +164,20 @@ class TestFilterFetch:
             {"C": "C", "D": "D", "E": "E", "B": "B"},
             [("B", "C"), ("C", "D"), ("C", "E")],
         )
-        seeded, _ = hpsj(db, pattern, ("B", "C"))
-        both, _ = apply_filter(
-            db, pattern, seeded,
+        seeded = Run(SeedJoinOp, db, pattern, ("B", "C"))
+        both = Run(
+            SharedFilterOp, db, pattern,
             [(("C", "D"), Side.OUT), (("C", "E"), Side.OUT)],
+            source=seeded,
         )
-        one, _ = apply_filter(db, pattern, seeded, [(("C", "D"), Side.OUT)])
-        two, _ = apply_filter(db, pattern, one, [(("C", "E"), Side.OUT)])
-        shared_rows = {tuple(r) for r in both.table.scan()}
-        seq_rows = {tuple(r) for r in two.table.scan()}
+        one = Run(
+            SharedFilterOp, db, pattern, [(("C", "D"), Side.OUT)], source=seeded
+        )
+        two = Run(
+            SharedFilterOp, db, pattern, [(("C", "E"), Side.OUT)], source=one
+        )
+        shared_rows = {tuple(r) for r in both.rows}
+        seq_rows = {tuple(r) for r in two.rows}
         assert shared_rows == seq_rows
 
     def test_shared_scan_rejects_mixed_columns(self, db):
@@ -157,11 +185,12 @@ class TestFilterFetch:
             {"B": "B", "C": "C", "D": "D", "E": "E"},
             [("B", "C"), ("C", "D"), ("D", "E")],
         )
-        seeded, _ = hpsj(db, pattern, ("B", "C"))
+        seeded = Run(SeedJoinOp, db, pattern, ("B", "C"))
         with pytest.raises(ValueError):
-            apply_filter(
-                db, pattern, seeded,
+            Run(
+                SharedFilterOp, db, pattern,
                 [(("C", "D"), Side.OUT), (("D", "E"), Side.OUT)],
+                source=seeded,
             )
 
     def test_shared_scan_rejects_mixed_sides(self, db):
@@ -169,11 +198,12 @@ class TestFilterFetch:
         pattern = GraphPattern.build(
             {"B": "B", "C": "C", "D": "D"}, [("B", "C"), ("C", "D")]
         )
-        seeded, _ = hpsj(db, pattern, ("B", "C"))
+        seeded = Run(SeedJoinOp, db, pattern, ("B", "C"))
         with pytest.raises(ValueError):
-            apply_filter(
-                db, pattern, seeded,
+            Run(
+                SharedFilterOp, db, pattern,
                 [(("C", "D"), Side.OUT), (("B", "C"), Side.IN)],
+                source=seeded,
             )
 
     def test_filter_metrics_invariants(self, db):
@@ -181,13 +211,14 @@ class TestFilterFetch:
         pattern = GraphPattern.build(
             {"B": "B", "C": "C", "D": "D"}, [("B", "C"), ("C", "D")]
         )
-        seeded, _ = hpsj(db, pattern, ("B", "C"))
-        filtered, metrics = apply_filter(
-            db, pattern, seeded, [(("C", "D"), Side.OUT)]
+        seeded = Run(SeedJoinOp, db, pattern, ("B", "C"))
+        filtered = Run(
+            SharedFilterOp, db, pattern, [(("C", "D"), Side.OUT)], source=seeded
         )
-        assert metrics.rows_in == seeded.row_count
+        metrics = filtered.metrics
+        assert metrics.rows_in == len(seeded.rows)
         assert 0 <= metrics.rows_out <= metrics.rows_in
-        assert metrics.rows_out == filtered.row_count
+        assert metrics.rows_out == len(filtered.rows)
         assert metrics.pruned == metrics.rows_in - metrics.rows_out
 
     def test_fetch_deduplicates_partners(self, db):
@@ -195,10 +226,12 @@ class TestFilterFetch:
         pattern = GraphPattern.build(
             {"B": "B", "C": "C", "E": "E"}, [("B", "C"), ("C", "E")]
         )
-        seeded, _ = hpsj(db, pattern, ("B", "C"))
-        filtered, _ = apply_filter(db, pattern, seeded, [(("C", "E"), Side.OUT)])
-        fetched, _ = apply_fetch(db, pattern, filtered, ("C", "E"), Side.OUT)
-        rows = [tuple(r) for r in fetched.table.scan()]
+        seeded = Run(SeedJoinOp, db, pattern, ("B", "C"))
+        filtered = Run(
+            SharedFilterOp, db, pattern, [(("C", "E"), Side.OUT)], source=seeded
+        )
+        fetched = Run(FetchOp, db, pattern, ("C", "E"), Side.OUT, source=filtered)
+        rows = [tuple(r) for r in fetched.rows]
         assert len(rows) == len(set(rows))
 
 
@@ -207,14 +240,16 @@ class TestSelection:
         pattern = GraphPattern.build(
             {"B": "B", "C": "C", "E": "E"}, [("B", "C"), ("C", "E"), ("B", "E")]
         )
-        seeded, _ = hpsj(db, pattern, ("B", "C"))
-        filtered, _ = apply_filter(db, pattern, seeded, [(("C", "E"), Side.OUT)])
-        fetched, _ = apply_fetch(db, pattern, filtered, ("C", "E"), Side.OUT)
-        selected, metrics = apply_selection(db, pattern, fetched, ("B", "E"))
-        got = {tuple(r[:3]) for r in selected.table.scan()}
-        for b, c, e in (tuple(r[:3]) for r in fetched.table.scan()):
+        seeded = Run(SeedJoinOp, db, pattern, ("B", "C"))
+        filtered = Run(
+            SharedFilterOp, db, pattern, [(("C", "E"), Side.OUT)], source=seeded
+        )
+        fetched = Run(FetchOp, db, pattern, ("C", "E"), Side.OUT, source=filtered)
+        selected = Run(SelectionOp, db, pattern, ("B", "E"), source=fetched)
+        got = {tuple(r[:3]) for r in selected.rows}
+        for b, c, e in (tuple(r[:3]) for r in fetched.rows):
             assert ((b, c, e) in got) == closure.reaches(b, e)
-        assert metrics.rows_in >= metrics.rows_out
+        assert selected.metrics.rows_in >= selected.metrics.rows_out
 
 
 class TestAgainstNaive:
@@ -222,9 +257,11 @@ class TestAgainstNaive:
         pattern = GraphPattern.build(
             {"A": "A", "C": "C", "D": "D"}, [("A", "C"), ("C", "D")]
         )
-        seeded, _ = hpsj(db, pattern, ("A", "C"))
-        filtered, _ = apply_filter(db, pattern, seeded, [(("C", "D"), Side.OUT)])
-        fetched, _ = apply_fetch(db, pattern, filtered, ("C", "D"), Side.OUT)
-        got = {tuple(r[:3]) for r in fetched.table.scan()}
+        seeded = Run(SeedJoinOp, db, pattern, ("A", "C"))
+        filtered = Run(
+            SharedFilterOp, db, pattern, [(("C", "D"), Side.OUT)], source=seeded
+        )
+        fetched = Run(FetchOp, db, pattern, ("C", "D"), Side.OUT, source=filtered)
+        got = {tuple(r[:3]) for r in fetched.rows}
         naive = NaiveMatcher(db.graph).match_set(pattern)
         assert got == naive

@@ -212,14 +212,15 @@ class TestMechanism:
         (the paper's claim; logical reads are per page and favour
         whoever probes less, so they are not the measure here)."""
         from repro import GraphEngine
+        from repro.workloads.runner import accounting_run
 
         engine = GraphEngine(
             star_engine.db.graph, labeling=star_engine.db.labeling,
             buffer_bytes=1 << 17,
         )
         pattern = "a:A -> b:B, a -> c:C"
-        dps = engine.match(pattern, optimizer="dps")
-        dp = engine.match(pattern, optimizer="dp")
+        dps = accounting_run(engine, pattern, "dps")
+        dp = accounting_run(engine, pattern, "dp")
         assert dps.as_set() == dp.as_set()
         assert dp.metrics.peak_temporal_rows > 2 * dps.metrics.peak_temporal_rows
         assert dp.metrics.io.total_io() > dps.metrics.io.total_io()

@@ -77,22 +77,12 @@ def test_parallel_matches_sequential_oracle(engine, workload, backend, optimizer
     for name, pattern in workload.items():
         plan = engine.plan(pattern, optimizer=optimizer).plan
         oracle = execute_plan(engine.db, plan)
-        parallel = execute_plan(
-            engine.db, plan, worker_pool=pool, morsel_size=MORSEL
-        )
-        assert parallel.rows == oracle.rows, (
-            f"{name} [{optimizer}/{backend}]: parallel rows differ"
-        )
-        assert op_counters(parallel.metrics) == op_counters(oracle.metrics), (
-            f"{name} [{optimizer}/{backend}]: per-operator counters differ"
-        )
-        assert parallel.metrics.parallel is not None
-        assert parallel.metrics.parallel.backend == backend
-
         stream = execute_plan_streaming(
             engine.db, plan, worker_pool=pool, morsel_size=MORSEL
         )
         streamed = list(stream)
+        assert stream.metrics.parallel is not None
+        assert stream.metrics.parallel.backend == backend
         assert streamed == oracle.rows, (
             f"{name} [{optimizer}/{backend}]: parallel stream rows differ"
         )
@@ -105,10 +95,9 @@ def test_parallel_matches_sequential_oracle(engine, workload, backend, optimizer
 def test_parallel_composes_with_batch_substrate(engine, big_pattern, backend):
     """Morsel workers run the same kernel body (with a worker-local
     CenterCache) and still match the sequential run."""
-    oracle = engine.match(big_pattern, reset_counters=False)
+    oracle = engine.match(big_pattern)
     parallel = engine.match(
-        big_pattern, reset_counters=False, workers=2,
-        parallel_backend=backend, morsel_size=MORSEL,
+        big_pattern, workers=2, parallel_backend=backend, morsel_size=MORSEL
     )
     assert parallel.rows == oracle.rows
     assert parallel.metrics.parallel.morsels > 0
@@ -123,9 +112,7 @@ def test_engine_match_uses_morsels_and_merges_metrics(engine, big_pattern):
     assert stats.morsels > 1  # the fan-out actually happened
     assert result.metrics.io is not None
     # worker I/O is folded back into the run metrics: the merged counters
-    # must include the R-join index probes the workers performed (the
-    # parallel materializing path streams between stages, so total page
-    # traffic is *not* comparable to the scalar spill-to-temporal path)
+    # must include the R-join index probes the workers performed
     assert result.metrics.io.index_lookups.get("rjoin-index", 0) > 0
 
 
@@ -136,15 +123,19 @@ def test_engine_match_uses_morsels_and_merges_metrics(engine, big_pattern):
 def test_row_limit_guard_fires_identically(engine, big_pattern, backend):
     plan = engine.plan(big_pattern).plan
     with pytest.raises(RowLimitExceeded):
-        execute_plan(engine.db, plan, row_limit=5)
+        list(execute_plan_streaming(engine.db, plan, row_limit=5))
     pool = engine.worker_pool(2, backend)
     with pytest.raises(RowLimitExceeded):
-        execute_plan(engine.db, plan, row_limit=5, worker_pool=pool, morsel_size=4)
+        list(execute_plan_streaming(
+            engine.db, plan, row_limit=5, worker_pool=pool, morsel_size=4
+        ))
     # the pool survives an aborted run
     assert pool.compatible(engine.db)
-    oracle = execute_plan(engine.db, plan)
-    again = execute_plan(engine.db, plan, worker_pool=pool, morsel_size=4)
-    assert again.rows == oracle.rows
+    oracle = list(execute_plan_streaming(engine.db, plan))
+    again = execute_plan_streaming(
+        engine.db, plan, worker_pool=pool, morsel_size=4
+    )
+    assert list(again) == oracle
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +224,7 @@ def test_stale_pool_is_rejected_by_drivers(engine, big_pattern):
     pool = WorkerPool(engine.db, 2, "thread")
     pool.shutdown()
     with pytest.raises(ValueError):
-        execute_plan(engine.db, plan, worker_pool=pool)
+        execute_plan_streaming(engine.db, plan, worker_pool=pool)
 
 
 def test_unknown_backend_rejected(engine):

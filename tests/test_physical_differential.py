@@ -1,11 +1,11 @@
-"""Differential property test: one operator layer, two drivers.
+"""Properties of the operator layer under the stream and the accounting run.
 
-The acceptance contract of the physical-operator refactor: for every
-workload pattern shape (paths, trees, graph queries) under every
-optimizer (``dp``, ``dps``, ``greedy``), the materializing and streaming
-drivers must produce the *identical result set* and — because Algorithm
-1/2 logic now exists exactly once — *identical per-operator metrics*
-(``rows_in``/``rows_out``/``centers_probed``/``nodes_fetched``).
+Rows and per-operator counters of both are pinned against the reference
+executor in ``tests/test_differential.py``; this file holds what that
+equality does not say: the metric invariants every operator keeps, that
+the accounting run (``execute_plan``) charges temporal tables per page
+on top of exactly the stream's I/O, and that the ``row_limit`` guard and
+``verify=True`` behave alike under both.
 """
 
 import pytest
@@ -40,30 +40,6 @@ def op_counters(metrics):
         (op.operator, op.rows_in, op.rows_out, op.centers_probed, op.nodes_fetched)
         for op in metrics.operators
     ]
-
-
-@pytest.mark.parametrize("optimizer", OPTIMIZERS)
-def test_drivers_agree_on_every_workload_pattern(engine, workload, optimizer):
-    for name, pattern in workload.items():
-        optimized = engine.plan(pattern, optimizer=optimizer)
-        materialized = execute_plan(engine.db, optimized.plan)
-        stream = execute_plan_streaming(engine.db, optimized.plan)
-        streamed_rows = list(stream)
-
-        assert set(streamed_rows) == materialized.as_set(), (
-            f"{name} [{optimizer}]: drivers disagree on the result set"
-        )
-        assert len(streamed_rows) == len(set(streamed_rows)), (
-            f"{name} [{optimizer}]: streaming emitted duplicates"
-        )
-        assert op_counters(stream.metrics) == op_counters(materialized.metrics), (
-            f"{name} [{optimizer}]: per-operator metrics diverge"
-        )
-        assert (
-            stream.metrics.peak_temporal_rows
-            == materialized.metrics.peak_temporal_rows
-        ), f"{name} [{optimizer}]: peak intermediate size diverges"
-        assert stream.metrics.result_rows == materialized.metrics.result_rows
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)

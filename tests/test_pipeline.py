@@ -76,7 +76,7 @@ class TestLimit:
         probe_io = engine.db.stats.logical_reads
         assert len(first) == 3
         engine.db.reset_counters()
-        full = engine.match("a:A -> b:B, a -> c:C", reset_counters=False)
+        full = engine.match("a:A -> b:B, a -> c:C")
         full_io = engine.db.stats.logical_reads
         assert len(full) > 1000
         assert probe_io * 10 < full_io

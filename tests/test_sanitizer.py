@@ -15,7 +15,7 @@ from repro.graph import xmark
 from repro.query.engine import GraphEngine
 from repro.query.physical.cache import CenterCache
 from repro.query.physical.context import ExecutionContext
-from repro.query.physical.drivers import execute_plan
+from repro.query.physical.drivers import execute_plan_streaming
 from repro.storage.snapshot import Snapshot, SnapshotError, write_snapshot
 
 PATTERN = "person -> watch, watch -> open_auction"
@@ -153,17 +153,17 @@ class TestSnapshotPoisoning:
 class TestSanitizeDifferential:
     def test_rows_identical_under_sanitize(self, engine):
         plan = engine.plan(PATTERN).plan
-        oracle = execute_plan(engine.db, plan,
-                              center_cache=engine.center_cache)
-        sanitized = execute_plan(engine.db, plan,
-                                 center_cache=engine.center_cache,
-                                 sanitize=True)
-        assert sanitized.rows == oracle.rows
+        oracle = execute_plan_streaming(engine.db, plan,
+                                        center_cache=engine.center_cache)
+        sanitized = execute_plan_streaming(engine.db, plan,
+                                           center_cache=engine.center_cache,
+                                           sanitize=True)
+        assert list(sanitized) == list(oracle)
 
     def test_parallel_rows_identical_under_sanitize(self, engine):
         plan = engine.plan(PATTERN).plan
-        oracle = execute_plan(engine.db, plan)
-        sanitized = execute_plan(engine.db, plan, workers=2,
-                                 parallel_backend="thread", morsel_size=8,
-                                 sanitize=True)
-        assert sanitized.rows == oracle.rows
+        oracle = execute_plan_streaming(engine.db, plan)
+        sanitized = execute_plan_streaming(engine.db, plan, workers=2,
+                                           parallel_backend="thread",
+                                           morsel_size=8, sanitize=True)
+        assert list(sanitized) == list(oracle)

@@ -71,13 +71,11 @@ def test_snapshot_db_matches_built_db_everywhere(
 def test_snapshot_db_matches_in_batch_mode(
     engine, snapshot_engine, workload, optimizer
 ):
-    """Warm engine-level runs (``reset_counters=False``: working cache
-    and CenterCache in play on both tiers) agree as well."""
+    """Warm engine-level runs (working cache and CenterCache in play
+    on both tiers) agree as well."""
     for name, pattern in workload.items():
-        built = engine.match(pattern, optimizer=optimizer, reset_counters=False)
-        snapped = snapshot_engine.match(
-            pattern, optimizer=optimizer, reset_counters=False
-        )
+        built = engine.match(pattern, optimizer=optimizer)
+        snapped = snapshot_engine.match(pattern, optimizer=optimizer)
         assert snapped.rows == built.rows, (
             f"{name} [{optimizer}]: warm rows diverge on snapshot"
         )
