@@ -50,7 +50,6 @@ import pytest
 from repro.db.persist import load_database, save_database
 from repro.graph import xmark
 from repro.query.engine import GraphEngine
-from repro.query.physical.parallel import fork_available
 from repro.service import (
     AsyncServiceClient,
     ServiceConfig,
@@ -59,6 +58,7 @@ from repro.service import (
     start_in_thread,
 )
 from repro.service.scheduler import percentile
+from repro.service.workers import fork_available
 from repro.workloads.patterns import PatternFactory
 from repro.workloads.runner import row_limit_validator
 
@@ -95,9 +95,7 @@ def snapshot_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def shared_engine(snapshot_path):
-    engine = GraphEngine.from_database(load_database(snapshot_path))
-    yield engine
-    engine.close_pool()
+    return GraphEngine.from_database(load_database(snapshot_path))
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,7 @@ Three passes over three layers, one diagnostic format:
 * :func:`deep_check` — the whole-project analyzer (``repro check
   --deep``): a call graph with worker-boundary detection
   (:mod:`~repro.analysis.callgraph`), per-function dataflow summaries
-  (:mod:`~repro.analysis.dataflow`), and four rule packs — worker
-  shared-state races (:mod:`~repro.analysis.racecheck`),
+  (:mod:`~repro.analysis.dataflow`), and three rule packs —
   cache-generation discipline and mmap view lifetime
   (:mod:`~repro.analysis.contracts`), and lock discipline for the
   internally synchronized concurrent structures
@@ -41,7 +40,6 @@ from .diagnostics import (
 from .indexaudit import audit_database, audit_snapshot, check_bptree
 from .lint import lint_paths, lint_project, lint_source
 from .plancheck import PlanVerificationError, check_plan
-from .racecheck import check_races
 from .sanitizer import SanitizerError, sanitize_enabled
 
 #: the conventional entry point for linting arbitrary paths
@@ -61,7 +59,6 @@ __all__ = [
     "check_contracts",
     "check_mmap",
     "check_plan",
-    "check_races",
     "deep_check",
     "errors",
     "format_report",

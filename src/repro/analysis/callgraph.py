@@ -27,9 +27,8 @@ needs a picture of the whole package at once.  This module builds it:
 * the **worker-submission boundary**: call sites of the form
   ``pool.submit(fn, ...)`` / ``Executor(initializer=fn)`` mark *fn* as a
   worker entry point — everything reachable from those functions runs
-  (or may run) inside a pool worker.  This is how
-  :mod:`repro.analysis.racecheck` knows which code the
-  :class:`~repro.query.physical.parallel.WorkerPool` contract applies to.
+  (or may run) inside a pool worker (``repro check --deep`` reports
+  them; the one pool is :class:`~repro.service.workers.WorkerPool`).
 
 Known imprecision (by design, documented for rule authors):
 

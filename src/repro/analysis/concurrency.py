@@ -11,8 +11,7 @@ inside a ``with <lock>:`` block — which makes it checkable statically:
 ``conc/lock-discipline``
     Presence rule: a lock-disciplined class must *construct* a
     ``threading.Lock``/``RLock`` in its ``__init__`` (or
-    ``__post_init__``), and — because live databases ship whole to
-    process-pool workers — a class that customizes pickling via
+    ``__post_init__``), and a class that customizes pickling via
     ``__getstate__`` must re-create its lock in ``__setstate__``.
     Deleting either turns the tree red before a runtime race can.
 ``conc/unlocked-mutation``

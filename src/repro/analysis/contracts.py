@@ -303,18 +303,16 @@ def check_mmap(project: Optional[Project] = None) -> List[Diagnostic]:
 def deep_check(
     root: Optional[str] = None, package: Optional[str] = None
 ) -> Tuple[Project, List[Diagnostic]]:
-    """Build the project once and run all four deep rule packs.
+    """Build the project once and run all three deep rule packs.
 
     Returns the built :class:`Project` (for reporting) together with the
-    combined diagnostics of the race, generation-discipline,
-    mmap-lifetime and lock-discipline packs.
+    combined diagnostics of the generation-discipline, mmap-lifetime
+    and lock-discipline packs.
     """
     from .concurrency import check_concurrency
-    from .racecheck import check_races
 
     project = build_project(root, package)
-    diagnostics = check_races(project)
-    diagnostics.extend(check_contracts(project))
+    diagnostics = check_contracts(project)
     diagnostics.extend(check_mmap(project))
     diagnostics.extend(check_concurrency(project))
     return project, diagnostics

@@ -16,12 +16,10 @@ encodes them directly and runs as part of ``repro check --self`` and CI:
   ``GraphEngine``, which guarantee plan validation and uniform metrics.
 * ``lint/multiprocessing-outside-parallel`` — direct ``multiprocessing``
   imports (and the ``concurrent.futures`` pool executors) are confined
-  to :mod:`repro.query.physical.parallel` (the morsel scheduler), the
-  ``labeling`` package (the parallel index build), and
-  :mod:`repro.service.server` (the query service's admission-slot
-  executor): everything else routes parallel execution through the
-  ``WorkerPool``/``workers=`` API, so pool lifecycle, fork-safety and
-  metric merging stay in audited places.
+  to :mod:`repro.service.workers` (the whole-query dispatch pool) and
+  :mod:`repro.service.server` (the admission-slot executor): nothing
+  below the service owns a pool, so pool lifecycle and fork-safety stay
+  in two audited places.
 * ``lint/mmap-outside-snapshot`` — :mod:`mmap` and :mod:`struct` imports
   are confined to :mod:`repro.storage.snapshot`: every binary-layout
   assumption (byte order, alignment, section framing) lives in the one
@@ -75,21 +73,15 @@ def _is_query_module(filename: str) -> bool:
 
 
 def _may_import_multiprocessing(filename: str) -> bool:
-    """Pool ownership is confined to three audited modules.
+    """Pool ownership is confined to two audited service modules.
 
-    The morsel scheduler and the labeling build own worker pools for
-    query/index parallelism; the query service's server owns exactly one
+    ``service/workers.py`` owns the one process pool (whole-query
+    dispatch); ``service/server.py`` owns exactly one
     ``ThreadPoolExecutor`` sized to its admission slots (so
-    ``run_in_executor`` can never buffer unbounded work) — its queries
-    still reach engine parallelism through the ``workers=`` API.
+    ``run_in_executor`` can never buffer unbounded work).
     """
     path = Path(filename)
-    parts = path.parts
-    return (
-        "labeling" in parts
-        or (path.name == "parallel.py" and "physical" in parts)
-        or (path.name == "server.py" and "service" in parts)
-    )
+    return path.name in ("workers.py", "server.py") and "service" in path.parts
 
 
 def _is_multiprocessing(module: str) -> bool:
@@ -111,7 +103,7 @@ def _is_binary_layout(module: str) -> bool:
 
 
 #: ``concurrent.futures`` names that create worker pools — importing one
-#: means owning a pool, which belongs in the morsel scheduler
+#: means owning a pool, which belongs in the service
 _POOL_EXECUTORS = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
 
 
@@ -178,8 +170,7 @@ class _LintVisitor(ast.NodeVisitor):
                     "lint/multiprocessing-outside-parallel",
                     node.lineno,
                     f"direct import of {alias.name!r}; pool ownership lives "
-                    "in repro.query.physical.parallel (and the labeling "
-                    "build) — use the workers=/WorkerPool API instead",
+                    "in repro.service.workers / repro.service.server only",
                 )
             if _is_binary_layout(alias.name) and not self.may_binary_layout:
                 self.report(
@@ -204,8 +195,7 @@ class _LintVisitor(ast.NodeVisitor):
                 "lint/multiprocessing-outside-parallel",
                 node.lineno,
                 f"direct import from {module!r}; pool ownership lives in "
-                "repro.query.physical.parallel (and the labeling build) — "
-                "use the workers=/WorkerPool API instead",
+                "repro.service.workers / repro.service.server only",
             )
         if _is_binary_layout(module) and not self.may_binary_layout:
             self.report(
@@ -222,9 +212,8 @@ class _LintVisitor(ast.NodeVisitor):
                         "lint/multiprocessing-outside-parallel",
                         node.lineno,
                         f"direct import of {alias.name!r}; pool ownership "
-                        "lives in repro.query.physical.parallel (and the "
-                        "labeling build) — use the workers=/WorkerPool API "
-                        "instead",
+                        "lives in repro.service.workers / "
+                        "repro.service.server only",
                     )
         if self.in_query_layer and _module_tail(module) in _RAW_STORAGE_MODULES:
             self.report(

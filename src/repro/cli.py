@@ -55,17 +55,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         graph = data.graph
         print(f"generated XMark-like graph: {graph.node_count} nodes, "
               f"{graph.edge_count} edges, {len(graph.alphabet())} labels")
-    labeling = None
-    if args.workers is not None and args.workers > 1:
-        from .labeling.twohop import build_two_hop
-
-        label_started = time.perf_counter()
-        labeling = build_two_hop(
-            graph, workers=args.workers, backend=args.parallel_backend
-        )
-        print(f"2-hop labeling built with {args.workers} workers "
-              f"({time.perf_counter() - label_started:.2f}s)")
-    engine = GraphEngine(graph, labeling=labeling)
+    engine = GraphEngine(graph)
     summary = engine.stats_summary()
     print(f"2-hop cover: |H|={summary['cover_size']} "
           f"(|H|/|V|={summary['cover_ratio']:.3f})")
@@ -102,19 +92,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
     engine = GraphEngine.from_database(
         load_database(args.database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
-        workers=args.workers,
-        parallel_backend=args.parallel_backend,
     )
     if args.explain:
         print(engine.explain(args.pattern, optimizer=args.optimizer))
         return 0
-    try:
-        result = engine.match(
-            args.pattern, optimizer=args.optimizer, limit=args.limit,
-            row_limit=args.row_limit, verify=args.verify,
-        )
-    finally:
-        engine.close_pool()
+    result = engine.match(
+        args.pattern, optimizer=args.optimizer, limit=args.limit,
+        row_limit=args.row_limit, verify=args.verify,
+    )
     if args.limit is not None:
         for row in result.rows:
             print("\t".join(str(v) for v in row))
@@ -233,6 +218,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .query import DEFAULT_CACHE_BYTES
     from .service import QueryService, ServiceConfig
@@ -240,8 +226,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = GraphEngine.from_database(
         load_database(args.database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
-        workers=args.workers,
-        parallel_backend=args.parallel_backend,
     )
     config = ServiceConfig(
         host=args.host,
@@ -255,26 +239,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_result_rows=args.max_result_rows,
         dispatch=args.dispatch,
     )
+    # built (and its dispatch pool forked) before the signal handlers
+    # exist, so the forked children keep the default dispositions
     service = QueryService(engine, config)
 
     async def run() -> None:
-        host, port = await service.start()
-        print(f"serving {args.database} on {host}:{port} "
-              f"(max_inflight={config.max_inflight}, "
-              f"queue_depth={config.queue_depth}, "
-              f"tier={service.tier}, dispatch={service.dispatch})",
-              flush=True)
+        # SIGTERM and SIGINT share one path: stop() bounces queued work,
+        # finishes in-flight queries and joins the dispatch pool
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
         try:
-            await service.serve_forever()
-        except asyncio.CancelledError:
-            pass
+            host, port = await service.start()
+            print(f"serving {args.database} on {host}:{port} "
+                  f"(max_inflight={config.max_inflight}, "
+                  f"queue_depth={config.queue_depth}, "
+                  f"tier={service.tier}, dispatch={service.dispatch})",
+                  flush=True)
+            await stopping.wait()
+            print("shutting down", file=sys.stderr)
+        finally:
+            await service.stop()
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    finally:
-        engine.close_pool()
+    asyncio.run(run())
     return 0
 
 
@@ -394,14 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--seed", type=int, default=7)
     p_build.add_argument("--nodes", help="load a custom graph: nodes TSV (id<TAB>label)")
     p_build.add_argument("--edges", help="load a custom graph: edges TSV (src<TAB>dst)")
-    p_build.add_argument("--workers", type=int, default=None,
-                         help="parallelize the 2-hop labeling's candidate "
-                              "BFS over this many workers (default: "
-                              "sequential)")
-    p_build.add_argument("--parallel-backend", choices=("process", "thread"),
-                         default=None,
-                         help="pool backend for --workers (default: process "
-                              "where fork exists)")
     p_build.add_argument("--out", required=True,
                          help="output path (.snap writes a binary snapshot, "
                               "anything else JSON)")
@@ -437,16 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--no-center-cache", action="store_true",
                          help="disable the cross-query center/subcluster "
                               "cache (ablation)")
-    p_query.add_argument("--workers", type=int, default=None,
-                         help="execute through the morsel-driven parallel "
-                              "scheduler with this many workers (>1; "
-                              "default sequential; rows are identical "
-                              "either way)")
-    p_query.add_argument("--parallel-backend",
-                         choices=("process", "thread", "spawn"),
-                         default=None,
-                         help="pool backend for --workers (default: process "
-                              "where fork exists)")
     p_query.add_argument("--head", type=int, default=20,
                          help="rows to print without --all (default 20)")
     p_query.add_argument("--all", action="store_true", help="print every row")
@@ -495,19 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-result-rows", type=int, default=1_000_000,
                          help="hard cap on rows returned per query")
     p_serve.add_argument("--dispatch",
-                         choices=("auto", "inline", "process"),
-                         default="auto",
+                         choices=("inline", "process"),
+                         default="inline",
                          help="query execution mode: 'inline' runs on the "
                               "slot threads; 'process' ships each admitted "
                               "query whole to a worker process (snapshot "
                               "databases only) so --max-inflight slots use "
-                              "that many cores (default auto = inline)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="engine default worker count for parallel "
-                              "morsel execution (shared generation-keyed "
-                              "pool; default sequential)")
-    p_serve.add_argument("--parallel-backend",
-                         choices=("process", "thread", "spawn"), default=None)
+                              "that many cores (default inline)")
     p_serve.add_argument("--no-center-cache", action="store_true",
                          help="disable the cross-query center/subcluster "
                               "cache (ablation)")
@@ -532,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="lint the repro package's own source")
     p_check.add_argument("--deep", action="store_true",
                          help="run the whole-project call-graph analyzer "
-                              "(worker races, cache-generation discipline, "
-                              "mmap view lifetime)")
+                              "(cache-generation discipline, mmap view "
+                              "lifetime, lock discipline)")
     p_check.add_argument("--report", metavar="PATH",
                          help="write a JSON per-rule diagnostic-count report "
                               "(CI artifact)")

@@ -134,17 +134,6 @@ class GraphDatabase:
         override so concurrent queries get exact attribution."""
         return self.pool.stats
 
-    # a live database is shipped whole to process-pool workers; locks do
-    # not pickle, so the worker re-creates its own on arrival
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_table_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._table_lock = threading.Lock()
-
     # ------------------------------------------------------------------
     @classmethod
     def from_snapshot(
@@ -312,8 +301,7 @@ class GraphDatabase:
         """What a process worker needs to re-open this database by path:
         ``(path, index_generation, buffer_bytes, page_size,
         code_cache_enabled)`` — or ``None`` when the database
-        is not snapshot-backed (or its snapshot has been closed), in
-        which case workers must fall back to fork inheritance.
+        is not snapshot-backed (or its snapshot has been closed).
         """
         if self._snapshot is None or self._snapshot.closed:
             return None
@@ -373,9 +361,8 @@ class GraphDatabase:
         self.join_index = ClusterRJoinIndex(self.pool, self.graph, self.labeling)
         self.catalog = Catalog(self.graph, self.labeling)
         self.index_generation += 1
-        # the snapshot file no longer describes the live index, so workers
-        # must stop re-opening it by path (snapshot_descriptor checks the
-        # index class)
+        # the snapshot file no longer describes the live index, so
+        # snapshot_descriptor (which checks the index class) turns None
         self.pool.flush_all()
 
     # ------------------------------------------------------------------

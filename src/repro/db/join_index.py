@@ -190,15 +190,6 @@ class SnapshotRJoinIndex:
         ] = {}
         self._memo_lock = threading.Lock()
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_memo_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._memo_lock = threading.Lock()
-
     # ------------------------------------------------------------------
     # paper API (mirrors ClusterRJoinIndex)
     # ------------------------------------------------------------------

@@ -17,21 +17,15 @@ from .costmodel import CostModel, CostParams
 from .engine import GraphEngine
 from .join_graph import JoinGraph
 from .physical import (
-    BACKENDS,
     DEFAULT_CACHE_BYTES,
-    DEFAULT_MORSEL_SIZE,
     CacheStats,
     CenterCache,
     OperatorMetrics,
-    ParallelStats,
     QueryResult,
     RunMetrics,
     StreamingResult,
-    WorkerPool,
-    default_backend,
     execute_plan,
     execute_plan_streaming,
-    fork_available,
 )
 from .optimizer_dp import OptimizedPlan, optimize_dp, optimize_greedy
 from .optimizer_dps import optimize_dps
@@ -55,21 +49,15 @@ __all__ = [
     "CostModel",
     "CostParams",
     "GraphEngine",
-    "BACKENDS",
     "CacheStats",
     "CenterCache",
     "DEFAULT_CACHE_BYTES",
-    "DEFAULT_MORSEL_SIZE",
     "OperatorMetrics",
-    "ParallelStats",
     "QueryResult",
     "RunMetrics",
     "StreamingResult",
-    "WorkerPool",
-    "default_backend",
     "execute_plan",
     "execute_plan_streaming",
-    "fork_available",
     "OptimizedPlan",
     "optimize_auto",
     "optimize_dp",

@@ -41,7 +41,6 @@ from .physical.drivers import (
     StreamingResult,
     execute_plan_streaming,
 )
-from .physical.parallel import WorkerPool
 from .optimizer_dp import OptimizedPlan, optimize_dp, optimize_greedy
 from .optimizer_dps import optimize_dps
 from .optimizer_wcoj import optimize_auto, optimize_wcoj
@@ -75,8 +74,6 @@ class GraphEngine:
         cost_params: Optional[CostParams] = None,
         code_cache_enabled: bool = True,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
         cache_shards: int = DEFAULT_CACHE_SHARDS,
     ) -> None:
         self._adopt(
@@ -86,7 +83,7 @@ class GraphEngine:
                 buffer_bytes=buffer_bytes,
                 code_cache_enabled=code_cache_enabled,
             ),
-            cost_params, cache_bytes, workers, parallel_backend, cache_shards,
+            cost_params, cache_bytes, cache_shards,
         )
 
     def _adopt(
@@ -94,8 +91,6 @@ class GraphEngine:
         db: GraphDatabase,
         cost_params: Optional[CostParams],
         cache_bytes: int,
-        workers: Optional[int],
-        parallel_backend: Optional[str],
         cache_shards: int,
     ) -> None:
         """Install every engine attribute — the one place both
@@ -110,12 +105,6 @@ class GraphEngine:
         self.center_cache = CenterCache(
             capacity_bytes=cache_bytes, shards=cache_shards
         )
-        #: default worker count / pool backend for queries; ``None``/1
-        #: keeps the sequential drivers
-        self.workers = workers
-        self.parallel_backend = parallel_backend
-        self._worker_pool: Optional[WorkerPool] = None
-        self._pool_lock = threading.Lock()
         self._plan_cache: "OrderedDict[Tuple, OptimizedPlan]" = OrderedDict()
         self._plan_cache_lock = threading.Lock()
 
@@ -125,8 +114,6 @@ class GraphEngine:
         db: GraphDatabase,
         cost_params: Optional[CostParams] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
         cache_shards: int = DEFAULT_CACHE_SHARDS,
     ) -> "GraphEngine":
         """Wrap an existing (e.g. reloaded) database without rebuilding it.
@@ -135,9 +122,7 @@ class GraphEngine:
         offline phase can serve queries without recomputing anything.
         """
         engine = cls.__new__(cls)
-        engine._adopt(
-            db, cost_params, cache_bytes, workers, parallel_backend, cache_shards
-        )
+        engine._adopt(db, cost_params, cache_bytes, cache_shards)
         return engine
 
     @classmethod
@@ -147,9 +132,9 @@ class GraphEngine:
         The database constructs around the mmap-backed snapshot with no
         index rebuild (:meth:`GraphDatabase.from_snapshot`); keyword
         arguments are those of :meth:`from_database`.  The engine starts
-        with a fresh :class:`CenterCache` and worker pool, both keyed on
-        the new database's ``index_generation`` — nothing can leak from
-        whatever engine wrote the snapshot.
+        with a fresh :class:`CenterCache` keyed on the new database's
+        ``index_generation`` — nothing can leak from whatever engine
+        wrote the snapshot.
         """
         from ..db.persist import load_database
         from ..storage.snapshot import SnapshotError, is_snapshot
@@ -157,43 +142,6 @@ class GraphEngine:
         if not is_snapshot(path):
             raise SnapshotError(f"{path!r} is not a binary snapshot")
         return cls.from_database(load_database(path), **kwargs)
-
-    # ------------------------------------------------------------------
-    def worker_pool(self, workers: int, backend: Optional[str] = None) -> WorkerPool:
-        """The engine-owned reusable morsel pool (lazy, one at a time).
-
-        The pool is keyed by (worker count, backend, index generation):
-        asking with different parameters — or after
-        ``db.rebuild_join_index()`` bumped the generation, which makes
-        forked index snapshots stale — shuts the old pool down and builds
-        a fresh one.  Sequential queries never create a pool.
-
-        The create/invalidate path is serialized on a per-engine lock so
-        concurrent queries sharing one engine (the always-on query
-        service's steady state) can never double-create a pool or leak a
-        half-replaced one; both racers come back holding the same pool.
-        """
-        with self._pool_lock:
-            pool = self._worker_pool
-            effective_backend = backend or self.parallel_backend
-            if pool is not None and not (
-                pool.compatible(self.db)
-                and pool.workers == workers
-                and (effective_backend is None or pool.backend == effective_backend)
-            ):
-                pool.shutdown()
-                pool = None
-            if pool is None:
-                pool = WorkerPool(self.db, workers, effective_backend)
-                self._worker_pool = pool
-            return pool
-
-    def close_pool(self) -> None:
-        """Shut the engine-owned worker pool down (idempotent)."""
-        with self._pool_lock:
-            if self._worker_pool is not None:
-                self._worker_pool.shutdown()
-                self._worker_pool = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -251,15 +199,6 @@ class GraphEngine:
             cache[key] = optimized
         return optimized
 
-    def _pool_for(
-        self, workers: Optional[int], parallel_backend: Optional[str]
-    ) -> Tuple[Optional[int], Optional[WorkerPool]]:
-        """Per-query worker override → (effective workers, engine pool)."""
-        effective = self.workers if workers is None else workers
-        if effective is not None and effective > 1:
-            return effective, self.worker_pool(effective, parallel_backend)
-        return effective, None
-
     def match_iter(
         self,
         pattern: PatternLike,
@@ -267,9 +206,6 @@ class GraphEngine:
         limit: Optional[int] = None,
         row_limit: Optional[int] = None,
         verify: bool = False,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-        morsel_size: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> StreamingResult:
         """Optimize a pattern and stream its matches lazily.
@@ -286,29 +222,16 @@ class GraphEngine:
         ``verify`` statically checks the optimized plan against this
         database (:func:`repro.analysis.check_plan`) before executing and
         raises :class:`repro.analysis.PlanVerificationError` on violations.
-        ``workers`` > 1 runs the morsel-driven parallel scheduler on the
-        engine-owned pool (reused across queries); ``None`` inherits the
-        engine's ``workers``.  Rows come back identical to the
-        sequential path; abandoning a parallel stream early
-        (``limit`` reached or :meth:`StreamingResult.close`) cancels the
-        morsels that have not started, while the pool stays warm for the
-        next query.  ``timeout`` is a per-query deadline in
-        seconds: an expired deadline stops the stream cooperatively
-        (between rows) and flags the run's metrics ``truncated`` with
-        ``stop_reason="timeout"`` — the query service rides this for its
-        admission-to-completion deadlines.
+        ``timeout`` is a per-query deadline in seconds: an expired
+        deadline stops the stream cooperatively (between rows) and flags
+        the run's metrics ``truncated`` with ``stop_reason="timeout"`` —
+        the query service rides this for its admission-to-completion
+        deadlines.
         """
         optimized = self.plan(pattern, optimizer=optimizer)
-        effective_workers, pool = self._pool_for(workers, parallel_backend)
         return execute_plan_streaming(
             self.db, optimized.plan, limit=limit, row_limit=row_limit,
-            verify=verify,
-            center_cache=self.center_cache,
-            workers=effective_workers,
-            parallel_backend=parallel_backend or self.parallel_backend,
-            morsel_size=morsel_size,
-            worker_pool=pool,
-            timeout=timeout,
+            verify=verify, center_cache=self.center_cache, timeout=timeout,
         )
 
     def match(

@@ -16,7 +16,6 @@ points are :func:`repro.query.execute_plan`,
 
 from .cache import DEFAULT_CACHE_BYTES, CenterCache
 from .context import (
-    DEFAULT_MORSEL_SIZE,
     CacheStats,
     ExecutionContext,
     OperatorMetrics,
@@ -28,14 +27,6 @@ from .drivers import (
     StreamingResult,
     execute_plan,
     execute_plan_streaming,
-)
-from .parallel import (
-    BACKENDS,
-    ParallelExecution,
-    ParallelStats,
-    WorkerPool,
-    default_backend,
-    fork_available,
 )
 from .operators import (
     FetchOp,
@@ -50,17 +41,10 @@ from .operators import (
 from .multiway import MultiwayIntersectOp, MultiwaySeedOp
 
 __all__ = [
-    "BACKENDS",
     "CacheStats",
     "CenterCache",
     "DEFAULT_CACHE_BYTES",
-    "DEFAULT_MORSEL_SIZE",
     "ExecutionContext",
-    "ParallelExecution",
-    "ParallelStats",
-    "WorkerPool",
-    "default_backend",
-    "fork_available",
     "OperatorMetrics",
     "RowLayout",
     "QueryResult",

@@ -26,10 +26,6 @@ from .cache import CenterCache
 
 _name_counter = itertools.count()
 
-#: default rows per parallel morsel (centers morsels are derived from it,
-#: see :mod:`repro.query.physical.parallel`)
-DEFAULT_MORSEL_SIZE = 1024
-
 
 def temp_name(tag: str) -> str:
     """A unique name for one temporal table (the accounting run only)."""
@@ -117,19 +113,11 @@ class ExecutionContext:
     database's run surface; ``None`` runs without it (cold per-query
     accounting — what ``execute_plan`` does).
 
-    ``workers``/``parallel_backend``/``morsel_size`` select the
-    morsel-driven parallel scheduler
-    (:mod:`repro.query.physical.parallel`): with ``workers > 1`` the
-    drivers partition center worklists and row blocks into morsels of
-    ``morsel_size`` rows and execute them on a worker pool.  ``workers``
-    of ``None``/``0``/``1`` keeps the sequential paths untouched — they
-    are the differential oracles for the parallel ones.
-
     ``sanitize`` arms the runtime tripwires of
-    :mod:`repro.analysis.sanitizer` (shared-state freeze checks in
-    worker morsels, per-read cache-generation assertions); it defaults
-    to the ``REPRO_SANITIZE`` environment switch, re-read on every
-    context construction.
+    :mod:`repro.analysis.sanitizer` (per-read cache-generation
+    assertions, shard-isolation audits); it defaults to the
+    ``REPRO_SANITIZE`` environment switch, re-read on every context
+    construction.
 
     Construction is also the **cache-sync choke point**: every context
     re-syncs its ``center_cache`` against ``db.index_generation``, so no
@@ -142,9 +130,6 @@ class ExecutionContext:
     pattern: GraphPattern
     row_limit: Optional[int] = None
     center_cache: Optional[CenterCache] = None
-    workers: Optional[int] = None
-    parallel_backend: Optional[str] = None
-    morsel_size: int = DEFAULT_MORSEL_SIZE
     sanitize: bool = False
     #: this run's private CenterCache recorder — operators pass it into
     #: every shared-cache get, so concurrent queries over one engine get
@@ -168,7 +153,3 @@ class ExecutionContext:
                 # cross-shard write or ledger drift left by an earlier
                 # (possibly concurrent) query trips before this run reads
                 verify_shard_isolation(self.center_cache, where="cache sync")
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers is not None and self.workers > 1

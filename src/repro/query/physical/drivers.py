@@ -37,7 +37,6 @@ from ..algebra import Plan, TemporalTable
 from .cache import CenterCache
 from .context import CacheStats, ExecutionContext, OperatorMetrics, temp_name
 from .operators import Row, build_pipeline
-from .parallel import ParallelExecution, ParallelStats, WorkerPool
 
 
 @dataclass
@@ -51,8 +50,6 @@ class RunMetrics:
     result_rows: int = 0
     #: CenterCache activity during this run (None when no cache was used)
     center_cache: Optional[CacheStats] = None
-    #: morsel-scheduler activity (None for sequential runs)
-    parallel: Optional[ParallelStats] = None
     #: True when a stream stopped before exhausting the operator chain
     #: (LIMIT reached, deadline fired, or explicit close): the rows
     #: delivered are a prefix of the full result, not necessarily all of
@@ -105,9 +102,6 @@ def _prepare(
     row_limit: Optional[int],
     verify: bool,
     center_cache: Optional[CenterCache] = None,
-    workers: Optional[int] = None,
-    parallel_backend: Optional[str] = None,
-    morsel_size: Optional[int] = None,
     sanitize: bool = False,
 ):
     """Shared driver preamble: verification, validation, pipeline build.
@@ -125,51 +119,11 @@ def _prepare(
         pattern=plan.pattern,
         row_limit=row_limit,
         center_cache=center_cache,
-        workers=workers,
-        parallel_backend=parallel_backend,
         sanitize=sanitize,
     )
-    if morsel_size is not None:
-        ctx.morsel_size = morsel_size
     operators, project = build_pipeline(ctx, plan)
     metrics = RunMetrics(operators=[op.metrics for op in operators])
     return ctx, operators, project, metrics
-
-
-def _parallel_execution(
-    db: GraphDatabase,
-    plan: Plan,
-    ctx: ExecutionContext,
-    operators,
-    project,
-    worker_pool: Optional[WorkerPool],
-) -> ParallelExecution:
-    """Bind a prepared pipeline to a pool (given, or transient)."""
-    owns = worker_pool is None
-    pool = worker_pool
-    if pool is None:
-        pool = WorkerPool(db, ctx.workers or 1, ctx.parallel_backend)
-    elif not pool.compatible(db):
-        raise ValueError(
-            "worker pool is closed or bound to another database/index "
-            "generation; build a new one (GraphEngine does this "
-            "automatically)"
-        )
-    return ParallelExecution(db, plan, ctx, operators, project, pool, owns)
-
-
-def _merge_worker_cache(
-    parent: Optional[CacheStats], counts
-) -> Optional[CacheStats]:
-    """Fold the workers' (hits, misses, evictions) into the run's stats."""
-    hits, misses, evictions = counts
-    if parent is None and not (hits or misses or evictions):
-        return parent
-    merged = parent if parent is not None else CacheStats()
-    merged.hits += hits
-    merged.misses += misses
-    merged.evictions += evictions
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +137,7 @@ def execute_plan(
 ) -> QueryResult:
     """Run *plan* cold, materializing every intermediate; project the result.
 
-    Sequential, and without a :class:`CenterCache`: every center set and
+    Without a :class:`CenterCache`: every center set and
     subcluster is read from the database and every intermediate is
     written to and re-read from a temporal table, so ``metrics.io`` is
     the I/O the paper's Section 6 charges.  ``row_limit`` and ``verify``
@@ -235,13 +189,8 @@ class StreamingResult:
     peak intermediate size; the operators' own counters flush just
     before) when it finishes: exhausted, stopped at a limit or deadline,
     or closed.  With a ``limit``, upstream operators stop early and the
-    metrics cover only the work actually done.
-
-    Under parallel execution ``parallel`` holds the run's
-    :class:`~repro.query.physical.parallel.ParallelExecution`;
-    :meth:`close` (or garbage collection of the iterator chain) cancels
-    its outstanding morsels.  Call :meth:`close` to abandon any stream
-    deterministically — it is safe on sequential streams too.
+    metrics cover only the work actually done.  Call :meth:`close` to
+    abandon a stream deterministically.
     """
 
     def __init__(
@@ -251,7 +200,6 @@ class StreamingResult:
         db: GraphDatabase,
         plan: Plan,
         cache_stats: Optional[CacheStats] = None,
-        parallel: Optional[ParallelExecution] = None,
     ):
         self._rows = rows
         self._db = db
@@ -263,7 +211,6 @@ class StreamingResult:
         #: a truncation
         self._ended = False
         self.metrics = metrics
-        self.parallel = parallel
         #: the plan being run and its projected output columns, in row
         #: order (pattern variables) — same contract as :class:`QueryResult`
         self.plan = plan
@@ -276,18 +223,16 @@ class StreamingResult:
         return next(self._rows)
 
     def close(self) -> None:
-        """Abandon the stream early: close the operator chain, cancel
-        outstanding morsels, and finalize the metrics over the work
-        actually performed.  A close before exhaustion marks the run
-        ``truncated`` (``stop_reason="closed"`` unless the stream already
-        stopped itself at a limit or deadline)."""
+        """Abandon the stream early: close the operator chain and
+        finalize the metrics over the work actually performed.  A close
+        before exhaustion marks the run ``truncated``
+        (``stop_reason="closed"`` unless the stream already stopped
+        itself at a limit or deadline)."""
         if not self._ended:
             self.metrics.truncated = True
             if self.metrics.stop_reason is None:
                 self.metrics.stop_reason = "closed"
         self._rows.close()
-        if self.parallel is not None:
-            self.parallel.finish()
 
     def _finalize(self, started: float, io_before: IOStats, delivered: int) -> None:
         """Called once, from the bounded generator's ``finally``."""
@@ -295,17 +240,10 @@ class StreamingResult:
         metrics.result_rows = delivered
         metrics.elapsed_seconds = time.perf_counter() - started
         metrics.io = self._db.stats.delta_since(io_before)
-        if self.parallel is not None:
-            metrics.io.add(self.parallel.worker_io_delta())
         metrics.peak_temporal_rows = max(
             (op.rows_out for op in metrics.operators), default=0
         )
         metrics.center_cache = self._cache_stats
-        if self.parallel is not None:
-            metrics.center_cache = _merge_worker_cache(
-                metrics.center_cache, self.parallel.cache_counts
-            )
-            metrics.parallel = self.parallel.stats
 
 
 def execute_plan_streaming(
@@ -315,10 +253,6 @@ def execute_plan_streaming(
     row_limit: Optional[int] = None,
     verify: bool = False,
     center_cache: Optional[CenterCache] = None,
-    workers: Optional[int] = None,
-    parallel_backend: Optional[str] = None,
-    morsel_size: Optional[int] = None,
-    worker_pool: Optional[WorkerPool] = None,
     sanitize: bool = False,
     timeout: Optional[float] = None,
 ) -> StreamingResult:
@@ -335,46 +269,26 @@ def execute_plan_streaming(
 
     ``center_cache`` plugs in the engine's cross-query
     :class:`CenterCache`; without it every center set and subcluster is
-    read from the database.  ``workers`` > 1 runs the stages through the
-    morsel-driven scheduler (:mod:`repro.query.physical.parallel`);
-    ``parallel_backend`` picks the pool flavor, ``worker_pool`` reuses
-    an engine-owned pool instead of building a transient one (its worker
-    count wins when ``workers`` is None).  The final stage's morsels are
-    merged lazily, and stopping at *limit* (or
-    :meth:`StreamingResult.close`) cancels the morsels that have not
-    started yet.  Rows and per-operator counters are identical under
-    every setting.
+    read from the database.  ``sanitize=True`` arms the runtime
+    tripwires of :mod:`repro.analysis.sanitizer`.
 
     ``timeout`` is a per-query deadline in seconds, measured from the
     first row pull: once it expires the stream stops before the next
-    pull, the outstanding morsels are cancelled, and the metrics are
-    flagged ``truncated`` with ``stop_reason="timeout"``.  Cancellation
-    is cooperative — the check runs between output rows, so a single
-    long-running operator stage is bounded by ``row_limit``, not by the
-    deadline.  Stopping at *limit* likewise flags the run truncated
+    pull and the metrics are flagged ``truncated`` with
+    ``stop_reason="timeout"``.  Cancellation is cooperative — the check
+    runs between output rows, so a single long-running operator stage
+    is bounded by ``row_limit``, not by the deadline.  Stopping at *limit* likewise flags the run truncated
     (``stop_reason="limit"``): the delivered rows are a prefix of the
     full result, which may or may not have had more rows.
     """
-    if workers is None and worker_pool is not None:
-        workers = worker_pool.workers
     ctx, operators, project, metrics = _prepare(
         db, plan, row_limit, verify,
-        center_cache=center_cache, workers=workers,
-        parallel_backend=parallel_backend, morsel_size=morsel_size,
-        sanitize=sanitize,
+        center_cache=center_cache, sanitize=sanitize,
     )
-
-    execution: Optional[ParallelExecution] = None
-    if ctx.parallel:
-        execution = _parallel_execution(
-            db, plan, ctx, operators, project, worker_pool
-        )
-        projected = project.rows(execution.results())
-    else:
-        source: Optional[Iterator[Row]] = None
-        for op in operators:
-            source = op.rows(source)
-        projected = project.rows(source)
+    source: Optional[Iterator[Row]] = None
+    for op in operators:
+        source = op.rows(source)
+    projected = project.rows(source)
 
     def stop(reason: str) -> None:
         metrics.truncated = True
@@ -405,17 +319,13 @@ def execute_plan_streaming(
                         break
             stream._ended = True
         finally:
-            # explicit teardown (not GC order): stopping at the limit or
-            # closing the stream must cancel outstanding morsels now, and
-            # closing the chain is what flushes the operators' counters
+            # explicit teardown (not GC order): closing the chain is
+            # what flushes the operators' counters
             projected.close()
-            if execution is not None:
-                execution.finish()
             stream._finalize(started, io_before, emitted)
 
     stream = StreamingResult(
         bounded(), metrics, db, plan,
         cache_stats=ctx.cache_stats if center_cache is not None else None,
-        parallel=execution,
     )
     return stream

@@ -246,24 +246,14 @@ class SeedJoinOp(PhysicalOperator):
         self.condition = condition
         self.x_label, self.y_label = ctx.pattern.condition_labels(condition)
 
-    def center_worklist(self) -> List[int]:
-        """The ``W(X, Y)`` worklist this seed iterates, in index order.
-
-        The parallel scheduler partitions exactly this list into center
-        morsels; keeping the enumeration order identical to
-        :meth:`_produce` is what makes the morsel-merged output
-        byte-identical to the sequential run.
-        """
-        return list(self.ctx.db.w_run(self.x_label, self.y_label))
-
-    def _enumerate(self, centers: Iterable[int], limit: int) -> Iterator[Row]:
-        """Deduplicated pairs for a slice of the worklist."""
+    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
         db = self.ctx.db
         x_label, y_label = self.x_label, self.y_label
+        limit = self._limit()
         seen: set = set()
         rows_in = rows_out = centers_probed = nodes_fetched = 0
         try:
-            for center in centers:
+            for center in db.w_run(x_label, y_label):
                 centers_probed += 1
                 # one probe: both subcluster maps live in the same leaf
                 f_sub, t_sub = db.subcluster_runs(center)
@@ -282,26 +272,6 @@ class SeedJoinOp(PhysicalOperator):
                             yield pair
         finally:
             self._flush(rows_in, rows_out, centers_probed, nodes_fetched)
-
-    def rows_for_centers(self, centers: Iterable[int]) -> Iterator[Row]:
-        """Run the seed over one center morsel (worker-side entry point).
-
-        Unlike :meth:`rows` this neither applies the row-limit guard nor
-        owns the final ``rows_out`` count — deduplication across morsels
-        happens in the scheduler, which recounts the merged output; the
-        per-morsel candidate counters it *does* accumulate here sum to
-        the sequential values exactly.
-        """
-        self.open()
-        try:
-            yield from self._enumerate(centers, sys.maxsize)
-        finally:
-            self.close()
-
-    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        return self._enumerate(
-            self.ctx.db.w_run(self.x_label, self.y_label), self._limit()
-        )
 
 
 # ----------------------------------------------------------------------

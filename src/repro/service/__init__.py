@@ -1,9 +1,9 @@
 """Always-on query service: one shared engine, many concurrent clients.
 
 The engine's expensive state — 2-hop labeling, R-join index, plan
-cache, :class:`CenterCache`, generation-keyed worker pool, hot buffer
-pool — is paid for once and amortized across every query the server
-answers, instead of once *per query* as in invoke-per-query use.  See
+cache, :class:`CenterCache`, hot buffer pool — is paid for once and
+amortized across every query the server answers, instead of once *per
+query* as in invoke-per-query use.  See
 :mod:`repro.service.server` for the concurrency model and
 :mod:`repro.service.protocol` for the wire format.
 

@@ -1,11 +1,10 @@
 """The always-on asyncio query service.
 
 One long-running process owns one :class:`~repro.query.engine.GraphEngine`
-— its indexes, plan cache, :class:`CenterCache`, and generation-keyed
-worker pool — and serves concurrent pattern queries over the
-line-delimited JSON protocol (:mod:`repro.service.protocol`).  Clients
-connect over TCP, pipeline requests, and get responses matched by
-``id``.
+— its indexes, plan cache and :class:`CenterCache` — and serves
+concurrent pattern queries over the line-delimited JSON protocol
+(:mod:`repro.service.protocol`).  Clients connect over TCP, pipeline
+requests, and get responses matched by ``id``.
 
 Concurrency model
 -----------------
@@ -15,8 +14,8 @@ shared structures each carry their own discipline instead:
 * the engine's :class:`CenterCache` is striped into independently
   locked shards (per-shard LRU + counters), so concurrent queries
   contend only when they hash to the same shard;
-* the plan cache and worker-pool handoff take short per-engine locks
-  around dictionary bumps only — never around execution;
+* the plan cache takes a short per-engine lock around dictionary
+  bumps only — never around execution;
 * the storage read path is tiered per engine.  **Snapshot tier**
   (mmap-backed databases): reads address an immutable mapping, so
   execution takes no storage locks at all.  **Live tier** (B+-tree
@@ -28,17 +27,17 @@ shared structures each carry their own discipline instead:
   so overlapping queries never bleed counters into each other.
 
 ``dispatch="process"`` (snapshot tier only) goes further: each admitted
-query is shipped whole to a generation-keyed process
-:class:`~repro.query.physical.parallel.WorkerPool` whose workers
-re-opened the snapshot by descriptor — nothing index-sized crosses the
-process boundary, and ``max_inflight=4`` occupies four *cores* instead
-of four threads sharing one GIL.  The default ``dispatch="auto"``
-resolves to in-process slot threads, which still overlap all I/O waits
-and, on the snapshot tier, all mmap page faults.
+query is shipped whole to a process
+:class:`~repro.service.workers.WorkerPool` whose workers re-opened the
+snapshot by descriptor — nothing index-sized crosses the process
+boundary, and ``max_inflight=4`` occupies four *cores* instead of four
+threads sharing one GIL.  The default ``dispatch="inline"`` runs on
+in-process slot threads, which still overlap all I/O waits and, on the
+snapshot tier, all mmap page faults.
 
 What overlaps in every mode: protocol parsing, admission, response
 serialization, socket I/O (all on the event loop) and the engine's
-amortized state (plan cache, CenterCache, warm pools, hot buffer pool)
+amortized state (plan cache, CenterCache, hot buffer pool)
 — which is where the service's throughput win over per-query cold
 process invocations comes from.
 
@@ -66,7 +65,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
-from ..query import PatternError, RowLimitExceeded, WorkerPool
+from ..query import PatternError, RowLimitExceeded
 from ..query.engine import GraphEngine
 from ..storage.stats import IOStats, use_stats
 from .protocol import (
@@ -79,6 +78,7 @@ from .protocol import (
     parse_request,
 )
 from .scheduler import AdmissionScheduler, Overloaded, ServiceStats
+from .workers import WorkerPool
 
 
 @dataclass
@@ -92,11 +92,11 @@ class ServiceConfig:
     max_inflight: int = 2
     #: admission queue depth; arrivals beyond it are shed
     queue_depth: int = 16
-    #: where admitted queries execute: ``"auto"`` (in-process slot
-    #: threads), ``"inline"`` (same, explicitly), or ``"process"`` —
-    #: ship each query whole to a process worker pool (snapshot-backed
-    #: engines only; raises ``ValueError`` otherwise)
-    dispatch: str = "auto"
+    #: where admitted queries execute: ``"inline"`` (in-process slot
+    #: threads) or ``"process"`` — ship each query whole to a process
+    #: worker pool (snapshot-backed engines only; raises ``ValueError``
+    #: otherwise)
+    dispatch: str = "inline"
     #: deadline applied when a query carries no ``timeout_ms`` (seconds;
     #: ``None`` = no default deadline)
     default_timeout_s: Optional[float] = None
@@ -118,25 +118,14 @@ class QueryService:
             self.config.max_inflight, self.config.queue_depth
         )
         dispatch = self.config.dispatch
-        if dispatch not in ("auto", "inline", "process"):
+        if dispatch not in ("inline", "process"):
             raise ValueError(
-                f"dispatch must be 'auto', 'inline' or 'process', "
-                f"got {dispatch!r}"
+                f"dispatch must be 'inline' or 'process', got {dispatch!r}"
             )
-        if dispatch == "auto":
-            dispatch = "inline"
-        #: resolved execution mode: ``"inline"`` or ``"process"``
         self.dispatch = dispatch
         self._pool: Optional[WorkerPool] = None
         if dispatch == "process":
-            if engine.db.snapshot_descriptor() is None:
-                raise ValueError(
-                    "dispatch='process' needs a snapshot-backed engine: "
-                    "workers re-open the snapshot by descriptor"
-                )
-            self._pool = WorkerPool(
-                engine.db, self.config.max_inflight, backend="process"
-            )
+            self._pool = WorkerPool(engine.db, self.config.max_inflight)
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="repro-query",
@@ -175,11 +164,6 @@ class QueryService:
         sock = self._server.sockets[0]
         host, port = sock.getsockname()[:2]
         return host, port
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "service not started"
-        async with self._server:
-            await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Stop accepting, bounce queued work, finish in-flight queries."""

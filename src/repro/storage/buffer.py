@@ -55,18 +55,6 @@ class BufferPool:
         override = active_stats()
         return override if override is not None else self._base_stats
 
-    # a live database is shipped whole to process-pool workers; locks do
-    # not pickle, so the worker re-creates its own (post-fork the child
-    # is single-threaded and the parent's lock state is meaningless)
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     # ------------------------------------------------------------------
     def new_page(self) -> Page:
         """Allocate a fresh page and admit it into the pool.

@@ -68,7 +68,7 @@ confined to the storage/db layers by ``mmap/view-escape``/
 holds can pin the mapping past :meth:`Snapshot.close`.
 
 Because a pool of process workers may have the same file mapped
-(:class:`~repro.query.physical.parallel.WorkerPool` re-opens
+(:class:`~repro.service.workers.WorkerPool` re-opens
 snapshot-backed databases by path inside each worker), :meth:`Snapshot.
 close` refuses to run while registered holders exist: pools
 :meth:`acquire` the snapshot on construction and :meth:`release` it on

@@ -87,9 +87,7 @@ def xmark_engine():
     """Live-tier engine over the small XMark graph every differential
     suite runs on.  Shared: tests must not rebuild its index."""
     data = xmark.generate(factor=0.1, entity_budget=600, seed=7)
-    engine = GraphEngine(data.graph)
-    yield engine
-    engine.close_pool()
+    return GraphEngine(data.graph)
 
 
 @pytest.fixture(scope="session")
@@ -102,9 +100,7 @@ def xmark_snap_path(xmark_engine, tmp_path_factory):
 @pytest.fixture(scope="session")
 def xmark_snapshot_engine(xmark_snap_path):
     """Snapshot-tier engine over the same graph."""
-    engine = GraphEngine.from_snapshot(xmark_snap_path)
-    yield engine
-    engine.close_pool()
+    return GraphEngine.from_snapshot(xmark_snap_path)
 
 
 @pytest.fixture(scope="session")

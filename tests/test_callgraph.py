@@ -173,9 +173,8 @@ class TestWorkerBoundary:
         assert ("fixt.work._init_worker", "initializer") in roots
 
     def test_real_tree_worker_roots(self):
-        # the repo's own boundary: morsel stages + both pool initializers
+        # the repo's own boundary: the one pool's query task + initializer
         project = build_project()
         roots = {w.function for w in project.worker_roots}
-        assert "repro.query.physical.parallel._run_stage" in roots
-        assert "repro.query.physical.parallel._init_worker" in roots
-        assert "repro.labeling.twohop._init_label_worker" in roots
+        assert "repro.service.workers._run_query_task" in roots
+        assert "repro.service.workers._init_worker" in roots

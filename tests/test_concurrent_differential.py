@@ -32,13 +32,13 @@ import pytest
 from repro import GraphEngine
 from repro.db.persist import save_database
 from repro.graph import xmark
-from repro.query.physical.parallel import fork_available
 from repro.service import (
     ServiceClient,
     ServiceConfig,
     rows_as_tuples,
     start_in_thread,
 )
+from repro.service.workers import fork_available
 from repro.workloads.patterns import PatternFactory
 
 THREADS = 4
@@ -52,18 +52,14 @@ needs_fork = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def live_engine():
     data = xmark.generate(factor=0.1, entity_budget=400, seed=7)
-    engine = GraphEngine(data.graph)
-    yield engine
-    engine.close_pool()
+    return GraphEngine(data.graph)
 
 
 @pytest.fixture(scope="module")
 def snapshot_engine(live_engine, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("concsnap") / "db.snap")
     save_database(live_engine.db, path)
-    engine = GraphEngine.from_snapshot(path)
-    yield engine
-    engine.close_pool()
+    return GraphEngine.from_snapshot(path)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from repro.analysis import (
     check_concurrency,
     check_contracts,
     check_mmap,
-    check_races,
     deep_check,
 )
 from repro.cli import main as cli_main
@@ -22,99 +21,6 @@ def rules(diagnostics):
 
 def by_rule(diagnostics, rule):
     return [d for d in diagnostics if d.rule == rule]
-
-
-# ----------------------------------------------------------------------
-# race/* — worker shared-state rules
-# ----------------------------------------------------------------------
-class TestRaceRules:
-    def test_shared_write_through_call_chain(self, tmp_path):
-        project = make_project(tmp_path, {
-            "work.py": """
-                from concurrent.futures import ThreadPoolExecutor
-
-                def run(stats):
-                    with ThreadPoolExecutor() as pool:
-                        return pool.submit(_worker, [1], stats).result()
-
-                def _worker(payload, stats):
-                    return _tally(stats, payload)
-
-                def _tally(stats, payload):
-                    stats.rows += 1
-                    return stats.rows
-            """,
-        })
-        found = by_rule(check_races(project), "race/shared-write")
-        assert len(found) == 1
-        diag = found[0]
-        assert "stats.rows" in diag.message
-        # the diagnostic explains HOW the function runs inside a worker
-        assert "worker call path: work._worker -> work._tally" in diag.message
-        assert diag.line == 12  # the `stats.rows += 1` line
-
-    def test_shared_mutation_in_place(self, tmp_path):
-        project = make_project(tmp_path, {
-            "work.py": """
-                from concurrent.futures import ThreadPoolExecutor
-
-                def run(acc):
-                    with ThreadPoolExecutor() as pool:
-                        return pool.submit(_worker, acc).result()
-
-                def _worker(acc):
-                    acc.append(1)
-                    return acc
-            """,
-        })
-        found = by_rule(check_races(project), "race/shared-mutation")
-        assert len(found) == 1
-        assert "`acc`" in found[0].message
-        assert "`append`" in found[0].message
-
-    def test_global_rebind_from_worker(self, tmp_path):
-        project = make_project(tmp_path, {
-            "work.py": """
-                from concurrent.futures import ThreadPoolExecutor
-
-                COUNTER = 0
-
-                def run():
-                    with ThreadPoolExecutor() as pool:
-                        return pool.submit(_worker).result()
-
-                def _worker():
-                    global COUNTER
-                    COUNTER = COUNTER + 1
-                    return COUNTER
-            """,
-        })
-        found = by_rule(check_races(project), "race/global-write")
-        assert len(found) == 1
-        assert "COUNTER" in found[0].message
-
-    def test_worker_local_construction_is_not_flagged(self, tmp_path):
-        # taint must not flow out of call results: a structure the worker
-        # builds for itself is fair game
-        project = make_project(tmp_path, {
-            "work.py": """
-                from concurrent.futures import ThreadPoolExecutor
-
-                class Scratch:
-                    def __init__(self):
-                        self.rows = 0
-
-                def run(payload):
-                    with ThreadPoolExecutor() as pool:
-                        return pool.submit(_worker, payload).result()
-
-                def _worker(payload):
-                    scratch = Scratch()
-                    scratch.rows += len(payload)
-                    return scratch.rows
-            """,
-        })
-        assert check_races(project) == []
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,7 @@
 One operator body runs under one driver (the stream; ``engine.match`` is
 that stream collected, pinned by ``test_match_equals_stream.py``), on
 two storage tiers (live B+-tree database, snapshot-loaded database),
-with and without a :class:`CenterCache`, cold and warm, and on four
-schedulers (sequential, thread / process / spawn morsel pools) — plus
+with and without a :class:`CenterCache`, cold and warm — plus
 the accounting run (``execute_plan``: the same operators drained into
 temporal tables).  For every Figure-4 pattern and every
 ``CYCLIC_SHAPES`` entry under every optimizer, each configuration must
@@ -20,13 +19,7 @@ tripwires armed.
 
 import pytest
 
-from repro.query import (
-    CenterCache,
-    WorkerPool,
-    execute_plan,
-    execute_plan_streaming,
-    fork_available,
-)
+from repro.query import CenterCache, execute_plan, execute_plan_streaming
 
 from reference_executor import op_counters, reference_execute
 
@@ -34,15 +27,6 @@ TIERS = ("live", "snapshot")
 #: wcoj only differs from dps on cyclic join graphs, so the acyclic
 #: Figure-4 families run the three left-deep optimizers
 OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
-#: spawn re-opens the snapshot by path, so it exists on that tier only
-POOLS = [
-    (tier, backend)
-    for tier in TIERS
-    for backend in ("thread", "process", "spawn")
-    if (backend != "spawn" or tier == "snapshot")
-    and (backend != "process" or fork_available())
-]
-MORSEL = 16
 
 
 @pytest.fixture(scope="module")
@@ -101,43 +85,17 @@ def test_sequential_matches_reference(
         ), label
 
 
-@pytest.mark.parametrize("optimizer", ("dps", "wcoj"))
-@pytest.mark.parametrize("tier,backend", POOLS)
-def test_worker_pools_match_reference(
-    engines, reference_index, figure4_workload, cyclic_workload,
-    tier, backend, optimizer,
-):
-    engine = engines[tier]
-    pool = WorkerPool(engine.db, 2, backend)
-    try:
-        patterns = workload_for(optimizer, figure4_workload, cyclic_workload)
-        for name, pattern in patterns.items():
-            check_streams(
-                engine, reference_index, pattern, optimizer,
-                f"{name}/{optimizer}/{tier}/{backend}",
-                {"worker_pool": pool, "morsel_size": MORSEL,
-                 "center_cache": CenterCache()},
-            )
-    finally:
-        pool.shutdown()
-
-
 @pytest.mark.parametrize("tier", TIERS)
 def test_sanitizer_leg(
     engines, reference_index, figure4_workload, cyclic_workload, tier
 ):
-    """The tripwires (shared-state freeze, cache-generation freshness,
-    shard isolation) stay silent on the sequential and thread-pool runs."""
+    """The tripwires (cache-generation freshness, shard isolation) stay
+    silent on the sequential runs."""
     engine = engines[tier]
-    pool = WorkerPool(engine.db, 2, "thread")
-    try:
-        for name, pattern in workload_for(
-            "dps", figure4_workload, cyclic_workload
-        ).items():
-            check_streams(
-                engine, reference_index, pattern, "dps", f"{name}/{tier}/sanitize",
-                {"center_cache": CenterCache(shards=4), "sanitize": True},
-                {"worker_pool": pool, "morsel_size": MORSEL, "sanitize": True},
-            )
-    finally:
-        pool.shutdown()
+    for name, pattern in workload_for(
+        "dps", figure4_workload, cyclic_workload
+    ).items():
+        check_streams(
+            engine, reference_index, pattern, "dps", f"{name}/{tier}/sanitize",
+            {"center_cache": CenterCache(shards=4), "sanitize": True},
+        )

@@ -37,9 +37,7 @@ TAKE = 7  # rows consumed before an early stop: one expansion and a bit
 
 @pytest.fixture(scope="module")
 def engine(hub_graph):
-    engine = GraphEngine(hub_graph(SIDE, C=FAN))
-    yield engine
-    engine.close_pool()
+    return GraphEngine(hub_graph(SIDE, C=FAN))
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +120,8 @@ def run_stopped(monkeypatch, db, plan, mode):
         # frames of every generator the exception passed through
         at_stop = counters(built["chain"])
         raised = str(caught.value)
+    # a prefix is flagged as one; an aborted run delivered no result
+    assert stream.metrics.truncated == (mode != "row_limit")
     assert stream.metrics.result_rows == len(rows)
     return rows, built["chain"], at_stop, raised
 
@@ -178,5 +178,8 @@ def test_full_drain_still_equals_the_reference(engine, plans, plan_name):
     index = ReferenceIndex(engine.db.graph, engine.db.labeling)
     stream = execute_plan_streaming(engine.db, plan)
     rows = list(stream)
+    # close() after natural exhaustion must not relabel the run
+    stream.close()
     assert not stream.metrics.truncated
+    assert stream.metrics.stop_reason is None
     assert_matches_reference(index, plan, rows, stream.metrics, plan_name)

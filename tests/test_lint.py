@@ -282,21 +282,23 @@ class TestMultiprocessingOutsideParallel:
                      filename="src/repro/storage/stats.py")
         assert self.RULE in rules(diags)
 
-    def test_parallel_module_is_allowed(self):
-        diags = lint(
-            """
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    def test_service_pool_modules_are_allowed(self):
+        for filename in ("src/repro/service/workers.py",
+                         "src/repro/service/server.py"):
+            diags = lint(
+                """
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-            POOL = ProcessPoolExecutor
-            EXEC = ThreadPoolExecutor
-            CTX = multiprocessing
-            """,
-            filename="src/repro/query/physical/parallel.py",
-        )
-        assert self.RULE not in rules(diags)
+                POOL = ProcessPoolExecutor
+                EXEC = ThreadPoolExecutor
+                CTX = multiprocessing
+                """,
+                filename=filename,
+            )
+            assert self.RULE not in rules(diags)
 
-    def test_labeling_build_is_allowed(self):
+    def test_labeling_build_is_flagged(self):
         diags = lint(
             """
             from concurrent.futures import ProcessPoolExecutor
@@ -305,7 +307,7 @@ class TestMultiprocessingOutsideParallel:
             """,
             filename="src/repro/labeling/twohop.py",
         )
-        assert self.RULE not in rules(diags)
+        assert self.RULE in rules(diags)
 
     def test_unrelated_concurrent_import_allowed(self):
         diags = lint(

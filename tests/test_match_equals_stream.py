@@ -19,16 +19,12 @@ OPTIONS = {
     "limit=1": {"limit": 1},
     "limit=0": {"limit": 0},
     "timeout=0": {"timeout": 0},
-    "workers=2": {"workers": 2, "morsel_size": 16},
 }
 
 
 @pytest.fixture(scope="module")
 def engines(xmark_engine, xmark_snapshot_engine):
-    yield {"live": xmark_engine, "snapshot": xmark_snapshot_engine}
-    # the shared engines go back sequential: no pool outlives this module
-    xmark_engine.close_pool()
-    xmark_snapshot_engine.close_pool()
+    return {"live": xmark_engine, "snapshot": xmark_snapshot_engine}
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Snapshot-tier execution and snapshot-open workers.
+"""Snapshot-tier execution and the snapshot-open worker pool.
 
 Three contracts of serving queries off an mmap-backed snapshot:
 
@@ -10,35 +10,29 @@ Three contracts of serving queries off an mmap-backed snapshot:
 * **decode once** — re-running a workload decodes nothing new: every
   code row, W-table run and subcluster leaf is materialized at most
   once per process;
-* the worker-pool contract: process/thread/spawn pools over a
-  snapshot-backed database (workers re-opening the snapshot file by
-  descriptor — nothing index-sized pickled or inherited) match the
-  sequential run exactly, and ``Snapshot.close()`` refuses while such
-  a pool is alive.
+* the worker-pool contract: the service's dispatch pool takes a
+  snapshot-backed database only (workers re-open the file by
+  descriptor), ``Snapshot.close()`` refuses while the pool is alive,
+  and ``shutdown()`` leaves no child process behind.
 """
+
+import multiprocessing
 
 import pytest
 
 from repro import GraphEngine
 from repro.db.persist import load_database
-from repro.query import (
-    WorkerPool,
-    execute_plan,
-    execute_plan_streaming,
-    fork_available,
-)
+from repro.query import execute_plan, execute_plan_streaming
+from repro.service.workers import WorkerPool, fork_available
 from repro.storage.snapshot import SnapshotError
 
 from reference_executor import assert_matches_reference, op_counters
 
 OPTIMIZERS = ("dp", "dps")
 
-#: spawn works everywhere; the fork-based process backend is gated
-BACKENDS = ("thread", "process", "spawn") if fork_available() else (
-    "thread", "spawn"
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="the dispatch pool needs fork"
 )
-
-MORSEL = 16
 
 
 # ----------------------------------------------------------------------
@@ -102,71 +96,25 @@ def test_snapshot_execution_decodes_each_run_once(
 
 
 # ----------------------------------------------------------------------
-# snapshot-open-in-worker: every backend vs the sequential run
+# one pool, one contract
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("optimizer", OPTIMIZERS)
-def test_worker_pools_match_sequential(
-    xmark_snapshot_engine, figure4_workload, backend, optimizer
-):
-    engine = xmark_snapshot_engine
-    pool = WorkerPool(engine.db, 2, backend)
-    try:
-        for name, pattern in figure4_workload.items():
-            plan = engine.plan(pattern, optimizer=optimizer).plan
-            sequential = execute_plan(engine.db, plan)
-            stream = execute_plan_streaming(
-                engine.db, plan, worker_pool=pool, morsel_size=MORSEL
-            )
-            assert list(stream) == sequential.rows, (
-                f"{name} [{optimizer}/{backend}]: streamed rows diverge"
-            )
-            assert op_counters(stream.metrics) == op_counters(
-                sequential.metrics
-            ), f"{name} [{optimizer}/{backend}]: streaming counters diverge"
-    finally:
-        pool.shutdown()
+def test_pool_refuses_a_live_database(xmark_engine):
+    with pytest.raises(ValueError, match="snapshot-backed"):
+        WorkerPool(xmark_engine.db, 2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pool_composes_with_native_batching(
-    xmark_snapshot_engine, figure4_workload, backend
-):
-    """Engine-level parallel queries: workers re-open the snapshot and
-    run the same operator body with their own CenterCache."""
-    engine = xmark_snapshot_engine
-    pattern = max(
-        figure4_workload.values(), key=lambda p: len(engine.match(p).rows)
-    )
-    sequential = engine.match(pattern)
-    parallel = engine.match(
-        pattern, workers=2, parallel_backend=backend, morsel_size=MORSEL
-    )
-    engine.close_pool()
-    assert parallel.rows == sequential.rows
-    assert op_counters(parallel.metrics) == op_counters(sequential.metrics)
-    assert parallel.metrics.parallel.backend == backend
-
-
-def test_spawn_requires_a_snapshot_backed_database(xmark_engine):
-    with pytest.raises(ValueError, match="spawn backend"):
-        WorkerPool(xmark_engine.db, 2, "spawn")
-
-
-# ----------------------------------------------------------------------
-# pool lifetime vs Snapshot.close()
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_close_guard_names_the_live_pool(xmark_snap_path, backend):
+@needs_fork
+def test_close_guard_names_the_live_pool(xmark_snap_path):
     db = load_database(xmark_snap_path)
     snapshot = db.join_index.snapshot
-    pool = WorkerPool(db, 2, backend)
+    pool = WorkerPool(db, 2)
     try:
-        with pytest.raises(SnapshotError, match=rf"WorkerPool\({backend}"):
+        with pytest.raises(SnapshotError, match=r"WorkerPool\(process"):
             snapshot.close()
         assert not snapshot.closed
     finally:
         pool.shutdown()
+    assert multiprocessing.active_children() == []
     snapshot.close()
     assert snapshot.closed
 
@@ -175,7 +123,7 @@ def test_descriptor_goes_stale_after_rebuild(xmark_snap_path):
     db = load_database(xmark_snap_path)
     assert db.snapshot_descriptor() is not None
     db.rebuild_join_index()
-    # live index now: nothing to ship, spawn must refuse cleanly
+    # live index now: nothing to ship, the pool must refuse cleanly
     assert db.snapshot_descriptor() is None
-    with pytest.raises(ValueError, match="spawn backend"):
-        WorkerPool(db, 2, "spawn")
+    with pytest.raises(ValueError, match="snapshot-backed"):
+        WorkerPool(db, 2)

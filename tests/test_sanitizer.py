@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.sanitizer import (
     SanitizerError,
-    SharedStateGuard,
     assert_generation_fresh,
     sanitize_enabled,
 )
@@ -50,35 +49,6 @@ class TestEnvironmentSwitch:
         ctx = ExecutionContext(db=engine.db, pattern=pattern,
                                center_cache=engine.center_cache)
         assert not ctx.sanitize
-
-
-class TestSharedStateGuard:
-    def test_clean_morsel_verifies(self, engine):
-        guard = SharedStateGuard.capture(engine.db)
-        guard.verify(engine.db, where="noop morsel")
-
-    def test_generation_drift_fires(self, engine):
-        guard = SharedStateGuard.capture(engine.db)
-        engine.db.index_generation += 1
-        try:
-            with pytest.raises(SanitizerError, match="index_generation"):
-                guard.verify(engine.db, where="stage 0")
-        finally:
-            engine.db.index_generation -= 1
-
-    def test_structure_swap_fires(self, figure1):
-        db = GraphDatabase(figure1)
-        other = GraphDatabase(figure1)
-        guard = SharedStateGuard.capture(db)
-        db.join_index = other.join_index
-        with pytest.raises(SanitizerError, match="join_index"):
-            guard.verify(db)
-
-    def test_plan_mutation_fires(self, engine):
-        plan = engine.plan(PATTERN).plan
-        guard = SharedStateGuard.capture(engine.db, ["fingerprintable", plan])
-        with pytest.raises(SanitizerError, match="plan"):
-            guard.verify(engine.db, ["mutated", plan])
 
 
 class TestCacheFreshnessTripwire:
@@ -158,12 +128,4 @@ class TestSanitizeDifferential:
         sanitized = execute_plan_streaming(engine.db, plan,
                                            center_cache=engine.center_cache,
                                            sanitize=True)
-        assert list(sanitized) == list(oracle)
-
-    def test_parallel_rows_identical_under_sanitize(self, engine):
-        plan = engine.plan(PATTERN).plan
-        oracle = execute_plan_streaming(engine.db, plan)
-        sanitized = execute_plan_streaming(engine.db, plan, workers=2,
-                                           parallel_backend="thread",
-                                           morsel_size=8, sanitize=True)
         assert list(sanitized) == list(oracle)

@@ -1,0 +1,116 @@
+"""``repro serve`` dies cleanly: exit 0 on a signal, nothing left behind.
+
+Driven through the real CLI in its own session, the way
+``benchmarks/e2e/wire.py`` runs it: spawn, one query, signal, then the
+server must exit 0 within 5 s and its process group must be empty —
+under both dispatch modes, for ``SIGTERM`` and ``SIGINT`` alike.  A
+server that dies of ``SIGKILL`` runs no cleanup at all; its dispatch
+workers must still go (the pool initializer arms parent-death).
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import pytest
+
+from repro import GraphEngine
+from repro.db.persist import save_database
+from repro.graph import generators
+from repro.service import ServiceClient, rows_as_tuples
+from repro.service.workers import fork_available
+
+PATTERN = "A -> C, B -> C, C -> D, D -> E"
+
+pytestmark = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    engine = GraphEngine(generators.figure1_graph())
+    path = str(tmp_path_factory.mktemp("signals") / "fig1.snap")
+    save_database(engine.db, path)
+    return path, engine.match(PATTERN).rows
+
+
+def group_members(pgid):
+    """Live (non-zombie) pids whose process group is *pgid*."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                # pid (comm) state ppid pgrp ...; comm may contain spaces
+                state, _ppid, pgrp = handle.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue  # exited while we were looking
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def wait_for_empty_group(pgid, seconds):
+    deadline = time.monotonic() + seconds
+    while group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return group_members(pgid)
+
+
+def spawn_and_query(served, dispatch):
+    path, expected = served
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", path, "--port", "0",
+         "--dispatch", dispatch],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,  # its own process group: pgid == pid
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert f"dispatch={dispatch}" in banner
+        port = int(banner.split(" on ", 1)[1].split()[0].rsplit(":", 1)[1])
+        with ServiceClient("127.0.0.1", port, timeout=60) as client:
+            assert rows_as_tuples(client.query(PATTERN)) == expected
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    return proc
+
+
+DISPATCH = ("inline", "process") if fork_available() else ("inline",)
+
+
+@pytest.mark.parametrize("signum", (signal.SIGTERM, signal.SIGINT),
+                         ids=("SIGTERM", "SIGINT"))
+@pytest.mark.parametrize("dispatch", DISPATCH)
+def test_signal_exits_zero_and_empties_the_group(served, dispatch, signum):
+    proc = spawn_and_query(served, dispatch)
+    try:
+        if dispatch == "process":
+            assert len(group_members(proc.pid)) == 3  # server + 2 workers
+        os.kill(proc.pid, signum)
+        assert proc.wait(timeout=5) == 0
+        assert wait_for_empty_group(proc.pid, 1.0) == []
+    finally:
+        if group_members(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+@pytest.mark.skipif(not fork_available(), reason="process dispatch needs fork")
+def test_killed_server_takes_its_workers_along(served):
+    proc = spawn_and_query(served, "process")
+    try:
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=5)
+        assert wait_for_empty_group(proc.pid, 2.0) == []
+    finally:
+        if group_members(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)

@@ -210,9 +210,7 @@ class TestStats:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def engine():
-    eng = GraphEngine(generators.figure1_graph())
-    yield eng
-    eng.close_pool()
+    return GraphEngine(generators.figure1_graph())
 
 
 @pytest.fixture()
@@ -295,7 +293,6 @@ class TestServiceEndToEnd:
                 response = client.query("A -> B", limit=5)
                 assert rows_as_tuples(response) == full.rows[:5]
                 assert client.stats()["errors"] == 1
-        engine.close_pool()
 
     def test_clients_refuse_an_overlong_line(self, monkeypatch, service):
         """A server that does not bound its lines (a parent-commit

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag, random_digraph, random_tree
 from repro.graph.traversal import TransitiveClosure
-from repro.labeling.twohop import TwoHopLabeling, build_two_hop, greedy_two_hop
+from repro.labeling.twohop import (
+    TwoHopLabeling,
+    _label_dag,
+    build_two_hop,
+    greedy_two_hop,
+)
 
 
 def assert_labeling_correct(graph: DiGraph, labeling: TwoHopLabeling) -> None:
@@ -135,24 +140,29 @@ def test_property_dag_labeling_equals_bfs(n, density, seed):
     assert_labeling_correct(g, build_two_hop(g))
 
 
+def label_in_order(dag: DiGraph, seed: int) -> TwoHopLabeling:
+    """The pruned BFS over a seeded shuffle of *dag*'s nodes — the
+    no-heuristic control for ``build_two_hop``'s hubs-first order."""
+    import random
+
+    order = list(dag.nodes())
+    random.Random(seed).shuffle(order)
+    in_codes, out_codes = _label_dag(dag, order)
+    return TwoHopLabeling(
+        in_codes=[frozenset(code) for code in in_codes],
+        out_codes=[frozenset(code) for code in out_codes],
+    )
+
+
 class TestCenterOrdering:
     def test_all_orders_are_correct(self):
-        g = random_digraph(25, 0.12, seed=14)
-        for order in ("degree", "reach", "random"):
-            assert_labeling_correct(g, build_two_hop(g, center_order=order))
-
-    def test_unknown_order_rejected(self):
-        import pytest
-
-        g = random_digraph(5, 0.2, seed=1)
-        with pytest.raises(ValueError):
-            build_two_hop(g, center_order="alphabetical")
+        g = random_dag(25, 0.12, seed=14)
+        for seed in range(3):
+            assert_labeling_correct(g, label_in_order(g, seed))
 
     def test_heuristics_beat_random_on_hub_graphs(self):
         """On a hub-and-spoke graph the degree heuristic must produce a
         cover no larger than the random control's."""
-        from repro.graph.digraph import DiGraph
-
         g = DiGraph()
         hub = g.add_node("H")
         for i in range(40):
@@ -160,64 +170,8 @@ class TestCenterOrdering:
             dst = g.add_node("B")
             g.add_edge(src, hub)
             g.add_edge(hub, dst)
-        degree = build_two_hop(g, center_order="degree").cover_size()
-        random_ = build_two_hop(g, center_order="random").cover_size()
+        degree = build_two_hop(g).cover_size()
+        random_ = label_in_order(g, seed=0).cover_size()
         assert degree <= random_
         # the hub cover is linear: one center serves all 40x40 pairs
         assert degree <= 4 * g.node_count
-
-
-class TestParallelBuild:
-    """``build_two_hop(..., workers=N)`` — the parallel labeling prong.
-
-    The parallel build is NOT required to emit the same cover as the
-    sequential one (workers prune against a round-start snapshot, so the
-    cover can be a slight superset), but it must (a) be a *correct*
-    cover, (b) be deterministic — independent of worker count and
-    backend — and (c) still include self-labels.
-    """
-
-    def _backends(self):
-        from repro.query import fork_available
-
-        return ("thread", "process") if fork_available() else ("thread",)
-
-    def test_parallel_cover_is_correct(self):
-        for seed in (3, 17, 41):
-            g = random_digraph(40, 0.08, seed=seed)
-            assert_labeling_correct(g, build_two_hop(g, workers=2))
-
-    def test_parallel_cover_correct_on_dags_and_trees(self):
-        assert_labeling_correct(
-            random_dag(30, 0.15, seed=5), build_two_hop(random_dag(30, 0.15, seed=5), workers=3)
-        )
-        t = random_tree(30, seed=6)
-        assert_labeling_correct(t, build_two_hop(t, workers=2))
-
-    def test_deterministic_across_workers_and_backends(self):
-        g = random_digraph(35, 0.1, seed=9)
-        reference = build_two_hop(g, workers=2, backend="thread")
-        for backend in self._backends():
-            for workers in (2, 3):
-                other = build_two_hop(g, workers=workers, backend=backend)
-                assert other.in_codes == reference.in_codes, (backend, workers)
-                assert other.out_codes == reference.out_codes, (backend, workers)
-
-    def test_workers_one_is_exactly_sequential(self):
-        g = random_digraph(25, 0.12, seed=10)
-        sequential = build_two_hop(g)
-        assert build_two_hop(g, workers=1).in_codes == sequential.in_codes
-
-    def test_parallel_cover_overhead_is_bounded(self):
-        """Snapshot pruning may inflate the cover, but not pathologically."""
-        g = random_digraph(40, 0.08, seed=12)
-        seq = build_two_hop(g).cover_size()
-        par = build_two_hop(g, workers=4).cover_size()
-        assert par <= 2 * seq
-
-    def test_unknown_backend_rejected(self):
-        import pytest
-
-        g = random_digraph(5, 0.2, seed=1)
-        with pytest.raises(ValueError):
-            build_two_hop(g, workers=2, backend="mpi")

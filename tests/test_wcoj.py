@@ -2,9 +2,8 @@
 
 The acceptance contract of the worst-case-optimal path: on cyclic
 patterns every optimizer — left-deep ``dp``/``dps``/``greedy`` and the
-multiway ``wcoj`` — produces the identical row set under both drivers,
-every batch substrate, both parallel backends and live/snapshot
-databases; per-op counters of the multiway operators match the scalar
+multiway ``wcoj`` — produces the identical row set under both drivers
+and live/snapshot databases; per-op counters of the multiway operators match the scalar
 sequential oracle everywhere.  Acyclic patterns must keep today's plans,
 rows and counters bit for bit (``auto``/``wcoj`` route them to DPS).
 
@@ -26,7 +25,6 @@ from repro.query import (
     optimize_dps,
     execute_plan,
     execute_plan_streaming,
-    fork_available,
     optimize_wcoj,
     parse_pattern,
 )
@@ -37,7 +35,6 @@ from repro.workloads.patterns import PatternFactory
 from reference_executor import assert_matches_reference, op_counters
 
 OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
-BACKENDS = ("thread", "process") if fork_available() else ("thread",)
 
 
 @pytest.fixture(scope="module")
@@ -256,25 +253,6 @@ class TestCyclicDifferential:
             assert_matches_reference(
                 reference_index, result.plan, result.rows, result.metrics, name
             )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parallel_counters_match_sequential_oracle(
-        self, engine, snapshot_engine, cyclic_workload, backend
-    ):
-        target = snapshot_engine if backend == "process" else engine
-        for name, pattern in cyclic_workload.items():
-            sequential = target.match(pattern, optimizer="wcoj")
-            parallel = target.match(
-                pattern, optimizer="wcoj",
-                workers=2, parallel_backend=backend, morsel_size=16,
-            )
-            assert sorted(parallel.rows) == sorted(sequential.rows), (
-                name, backend,
-            )
-            assert op_counters(parallel.metrics) == op_counters(
-                sequential.metrics
-            ), (name, backend)
-        target.close_pool()
 
     def test_snapshot_native_counters_match_live(
         self, engine, snapshot_engine, cyclic_workload
