@@ -28,7 +28,7 @@ Quick start::
 
 from .graph import DiGraph, condense, is_reachable
 from .graph import generators, xmark
-from .labeling import DynamicReachability, TwoHopLabeling, build_two_hop
+from .labeling import TwoHopLabeling, build_two_hop
 from .db import GraphDatabase, load_database, save_database
 from .query import (
     GraphEngine,
@@ -47,7 +47,6 @@ __all__ = [
     "is_reachable",
     "generators",
     "xmark",
-    "DynamicReachability",
     "TwoHopLabeling",
     "build_two_hop",
     "GraphDatabase",

@@ -1,6 +1,6 @@
 """Static verification layer: plan checker, index auditor, project lint.
 
-Three passes over three layers, one diagnostic format:
+Four passes, one diagnostic format:
 
 * :func:`check_plan` — verify a :class:`~repro.query.algebra.Plan`
   statically (left-deep shape, binding order, exactly-once condition
@@ -11,24 +11,19 @@ Three passes over three layers, one diagnostic format:
 * :func:`run_lint` — project-specific AST rules over source files
   (storage-layer bypasses from ``query/``, mutable defaults, enum
   identity comparisons, bare excepts, unused imports);
-* :func:`deep_check` — the whole-project analyzer (``repro check
-  --deep``): a call graph with worker-boundary detection
-  (:mod:`~repro.analysis.callgraph`), per-function dataflow summaries
-  (:mod:`~repro.analysis.dataflow`), and three rule packs —
-  cache-generation discipline and mmap view lifetime
-  (:mod:`~repro.analysis.contracts`), and lock discipline for the
-  internally synchronized concurrent structures
-  (:mod:`~repro.analysis.concurrency`).  Its runtime twin is sanitize
-  mode (:mod:`~repro.analysis.sanitizer`), armed by
-  ``ExecutionContext(sanitize=True)`` or ``REPRO_SANITIZE=1``.
+* :func:`check_concurrency` — lock discipline for the internally
+  synchronized concurrent structures
+  (:mod:`~repro.analysis.concurrency`), run with the lint pass under
+  ``repro check --self``.
+
+The runtime twin is sanitize mode (:mod:`~repro.analysis.sanitizer`),
+armed by ``ExecutionContext(sanitize=True)`` or ``REPRO_SANITIZE=1``.
 
 All passes return lists of :class:`Diagnostic`; :func:`has_errors` is the
 gate condition used by ``repro check`` and CI.
 """
 
-from .callgraph import Project, build_project
 from .concurrency import check_concurrency
-from .contracts import check_contracts, check_mmap, deep_check
 from .diagnostics import (
     Diagnostic,
     Severity,
@@ -48,18 +43,13 @@ run_lint = lint_paths
 __all__ = [
     "Diagnostic",
     "PlanVerificationError",
-    "Project",
     "SanitizerError",
     "Severity",
     "audit_database",
     "audit_snapshot",
-    "build_project",
     "check_bptree",
     "check_concurrency",
-    "check_contracts",
-    "check_mmap",
     "check_plan",
-    "deep_check",
     "errors",
     "format_report",
     "has_errors",

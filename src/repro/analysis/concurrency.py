@@ -11,9 +11,8 @@ inside a ``with <lock>:`` block — which makes it checkable statically:
 ``conc/lock-discipline``
     Presence rule: a lock-disciplined class must *construct* a
     ``threading.Lock``/``RLock`` in its ``__init__`` (or
-    ``__post_init__``), and a class that customizes pickling via
-    ``__getstate__`` must re-create its lock in ``__setstate__``.
-    Deleting either turns the tree red before a runtime race can.
+    ``__post_init__``) — directly, or by constructing a lock-disciplined
+    member.  Deleting it turns the tree red before a runtime race can.
 ``conc/unlocked-mutation``
     Every mutation of ``self`` state (attribute/subscript assignment,
     ``del``, or an in-place mutator call) inside a lock-disciplined
@@ -29,23 +28,42 @@ shard object pulled out of ``self._shards``) are a documented false
 negative here, covered instead by the runtime oracle
 (:func:`repro.analysis.sanitizer.verify_shard_isolation` audits shard
 homes and byte ledgers under ``REPRO_SANITIZE=1``).  Classes are matched
-by name, like the other type-driven packs.
+by name wherever they are defined under the checked tree; the pack runs
+beside the lint pass under ``repro check --self``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Tuple, Union
 
-from .callgraph import ClassInfo, Project, build_project
-from .dataflow import MUTATING_METHODS
 from .diagnostics import Diagnostic, Severity
+
+#: method names treated as in-place mutation of the receiver
+MUTATING_METHODS = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "remove",
+        "discard",
+        "clear",
+        "pop",
+        "popitem",
+        "setdefault",
+        "update",
+        "add",
+        "sort",
+        "reverse",
+        "__setitem__",
+    }
+)
 
 #: class name -> what the lock protects (used in diagnostics)
 LOCK_DISCIPLINED_CLASSES: Dict[str, str] = {
     "CenterCache": (
-        "the striped LRU shared by every in-flight query (per-shard "
-        "locks + the sync transition lock)"
+        "the striped LRU shared by every in-flight query (per-shard locks)"
     ),
     "_Shard": "one independently locked stripe of the CenterCache",
     "BufferPool": (
@@ -59,17 +77,10 @@ LOCK_DISCIPLINED_CLASSES: Dict[str, str] = {
 }
 
 #: construction-time methods: the object is not shared yet
-EXEMPT_METHODS = frozenset(
-    {"__init__", "__post_init__", "__getstate__", "__setstate__", "__repr__"}
-)
+EXEMPT_METHODS = frozenset({"__init__", "__post_init__", "__repr__"})
 
 #: "<ClassName>.<method>" -> justification for audited unlocked mutations
 ALLOWLIST: Dict[str, str] = {
-    "CenterCache.bind_sanitizer": (
-        "armed once at the execution-context sync choke point before "
-        "concurrent reads begin; the slot is a single reference, so the "
-        "worst race re-arms the same database"
-    ),
     "BufferPool._admit": (
         "private helper invoked only from new_page/fetch, whose bodies "
         "hold self._lock for the full call (the lock is re-entrant)"
@@ -92,7 +103,9 @@ def _mentions_lock(node: ast.expr) -> bool:
 
 
 def _constructs_lock(node: ast.AST) -> bool:
-    """Does the body construct a ``Lock()``/``RLock()`` anywhere?"""
+    """Does the body construct a ``Lock()``/``RLock()`` anywhere — its
+    own, or a lock-disciplined member's (``CenterCache``'s locks are its
+    ``_Shard`` stripes')?"""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
             func = sub.func
@@ -102,7 +115,7 @@ def _constructs_lock(node: ast.AST) -> bool:
                 name = func.id
             else:
                 continue
-            if name in ("Lock", "RLock"):
+            if name in ("Lock", "RLock") or name in LOCK_DISCIPLINED_CLASSES:
                 return True
     return False
 
@@ -185,79 +198,47 @@ class _UnlockedMutationVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _source_of(project: Project, info: ClassInfo) -> str:
-    module = project.modules.get(info.module)
-    return module.path if module is not None else info.module
-
-
-def _method_node(project: Project, qualname: Optional[str]):
-    if qualname is None:
-        return None
-    function = project.functions.get(qualname)
-    return function.node if function is not None else None
+def _methods(cls: ast.ClassDef) -> Dict[str, ast.AST]:
+    """The class's own method definitions, by name."""
+    return {
+        node.name: node
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
 
 
 def _check_lock_discipline(
-    project: Project, info: ClassInfo, protects: str
+    cls: ast.ClassDef, source: str, protects: str
 ) -> List[Diagnostic]:
-    diagnostics: List[Diagnostic] = []
-    source = _source_of(project, info)
-    init_node = _method_node(project, info.methods.get("__init__"))
-    if init_node is None:
-        init_node = _method_node(project, info.methods.get("__post_init__"))
-    if init_node is None or not _constructs_lock(init_node):
-        diagnostics.append(
-            Diagnostic(
-                rule="conc/lock-discipline",
-                severity=Severity.ERROR,
-                message=(
-                    f"lock-disciplined class `{info.name}` must construct a "
-                    f"threading.Lock/RLock in __init__ — it guards "
-                    f"{protects}"
-                ),
-                source=source,
-                line=init_node.lineno if init_node is not None else info.lineno,
-            )
+    methods = _methods(cls)
+    init_node = methods.get("__init__") or methods.get("__post_init__")
+    if init_node is not None and _constructs_lock(init_node):
+        return []
+    return [
+        Diagnostic(
+            rule="conc/lock-discipline",
+            severity=Severity.ERROR,
+            message=(
+                f"lock-disciplined class `{cls.name}` must construct a "
+                f"threading.Lock/RLock in __init__ — it guards {protects}"
+            ),
+            source=source,
+            line=init_node.lineno if init_node is not None else cls.lineno,
         )
-    if "__getstate__" in info.methods:
-        setstate_node = _method_node(project, info.methods.get("__setstate__"))
-        if setstate_node is None or not _constructs_lock(setstate_node):
-            diagnostics.append(
-                Diagnostic(
-                    rule="conc/lock-discipline",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"`{info.name}` drops its lock for pickling "
-                        f"(__getstate__) but __setstate__ does not "
-                        f"re-create it — the unpickled copy would share "
-                        f"state with no lock at all"
-                    ),
-                    source=source,
-                    line=(
-                        setstate_node.lineno
-                        if setstate_node is not None
-                        else info.lineno
-                    ),
-                )
-            )
-    return diagnostics
+    ]
 
 
 def _check_unlocked_mutations(
-    project: Project, info: ClassInfo, protects: str
+    cls: ast.ClassDef, source: str, protects: str
 ) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
-    source = _source_of(project, info)
-    for method_name, qualname in sorted(info.methods.items()):
+    for method_name, node in sorted(_methods(cls).items()):
         if method_name in EXEMPT_METHODS:
             continue
-        if f"{info.name}.{method_name}" in ALLOWLIST:
+        if f"{cls.name}.{method_name}" in ALLOWLIST:
             continue
-        function = project.functions.get(qualname)
-        if function is None or function.class_qualname != info.qualname:
-            continue  # inherited implementation: charged to its own class
         visitor = _UnlockedMutationVisitor()
-        for statement in function.node.body:
+        for statement in node.body:
             visitor.visit(statement)
         for lineno, description in visitor.violations:
             diagnostics.append(
@@ -265,7 +246,7 @@ def _check_unlocked_mutations(
                     rule="conc/unlocked-mutation",
                     severity=Severity.ERROR,
                     message=(
-                        f"`{info.name}.{method_name}` {description} outside "
+                        f"`{cls.name}.{method_name}` {description} outside "
                         f"a `with <lock>:` region — the class's lock guards "
                         f"{protects}; hold it or add an audited allowlist "
                         f"entry"
@@ -277,18 +258,22 @@ def _check_unlocked_mutations(
     return diagnostics
 
 
-def check_concurrency(project: Optional[Project] = None) -> List[Diagnostic]:
-    """Run the lock-discipline rule pack over a built project."""
-    if project is None:
-        project = build_project()
+def check_concurrency(root: Union[str, Path, None] = None) -> List[Diagnostic]:
+    """Run the lock-discipline rule pack over every ``*.py`` under *root*
+    (default: the installed ``repro`` package, i.e. ``src/repro``)."""
+    if root is None:
+        root = Path(__file__).resolve().parent.parent
     diagnostics: List[Diagnostic] = []
-    for qualname in sorted(project.classes):
-        info = project.classes[qualname]
-        protects = LOCK_DISCIPLINED_CLASSES.get(info.name)
-        if protects is None:
-            continue
-        diagnostics.extend(_check_lock_discipline(project, info, protects))
-        diagnostics.extend(_check_unlocked_mutations(project, info, protects))
+    for file in sorted(Path(root).rglob("*.py")):
+        tree = ast.parse(file.read_text(), filename=str(file))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            protects = LOCK_DISCIPLINED_CLASSES.get(node.name)
+            if protects is None:
+                continue
+            diagnostics.extend(_check_lock_discipline(node, str(file), protects))
+            diagnostics.extend(_check_unlocked_mutations(node, str(file), protects))
     return diagnostics
 
 
@@ -296,5 +281,6 @@ __all__ = [
     "ALLOWLIST",
     "EXEMPT_METHODS",
     "LOCK_DISCIPLINED_CLASSES",
+    "MUTATING_METHODS",
     "check_concurrency",
 ]

@@ -1,27 +1,23 @@
-"""sanitizer — runtime tripwires for the deep static checker's invariants.
+"""sanitizer — runtime tripwires for invariants the structure cannot carry.
 
-The rule packs in :mod:`repro.analysis.contracts` and
-:mod:`repro.analysis.concurrency` are necessarily approximate: taint
-does not flow through call results, dynamic dispatch is name-matched,
-and an untyped receiver is a silent false negative.  Sanitizer mode is
-the dynamic oracle that backs them up — every statically checked
-contract has a runtime tripwire that fires on the actual execution:
+A built database is immutable, one engine owns one private
+:class:`~repro.query.physical.cache.CenterCache` and
+:class:`~repro.storage.snapshot.Snapshot` hands out only materialised
+values, so most lifetime bugs cannot be written.  What is left is
+checked on the actual execution:
 
-* **cache-generation freshness** — a sanitizing
-  :class:`~repro.query.physical.cache.CenterCache` is bound to its
-  database and asserts ``index_generation`` freshness on *every* read,
-  not just at the sync choke point (``contract/cache-unsynced-read``
-  oracle);
 * **snapshot view poisoning** — closing a
-  :class:`~repro.storage.snapshot.Snapshot` while zero-copy views are
-  still exported raises :class:`SanitizerError` naming the hazard
-  instead of the cryptic ``BufferError`` (``mmap/view-held`` oracle);
+  :class:`~repro.storage.snapshot.Snapshot` while a zero-copy view of
+  its mapping is still alive (only storage-layer internals can hold
+  one) raises :class:`SanitizerError` naming the hazard instead of the
+  cryptic ``BufferError``;
 * **cache shard isolation** — a sharded
   :class:`~repro.query.physical.cache.CenterCache` keeps every entry in
   the shard its key hashes to, with per-shard byte ledgers that match
   the entries actually resident; :func:`verify_shard_isolation` audits
-  both at every cache-sync choke point, so a cross-shard write (a
-  locking bug in the striped tier) trips at runtime (``conc/*`` oracle);
+  both at every execution-context construction, so a cross-shard write
+  (a locking bug in the striped tier) trips at runtime (``conc/*``
+  oracle);
 * **spill row sizes** — a :class:`~repro.query.algebra.TemporalTable`
   sizes its rows off its layout; every spilled row is re-measured with
   the generic ``record_size``, since a wrong size silently moves every
@@ -38,7 +34,7 @@ never depends on the query layer.
 from __future__ import annotations
 
 import os
-from typing import Any, Optional
+from typing import Any
 
 #: environment switch; any value other than these enables sanitize mode
 _FALSEY = frozenset({"", "0", "false", "off", "no"})
@@ -81,22 +77,8 @@ def verify_shard_isolation(cache: Any, where: str = "") -> None:
         )
 
 
-def assert_generation_fresh(
-    bound_generation: Optional[int], db: Any, what: str = "CenterCache"
-) -> None:
-    """Per-read freshness tripwire for generation-keyed caches."""
-    current = getattr(db, "index_generation", None)
-    if bound_generation != current:
-        raise SanitizerError(
-            f"{what} read at generation {bound_generation} but the "
-            f"database is at generation {current} — a sync choke point "
-            f"was bypassed (see contract/cache-unsynced-read)"
-        )
-
-
 __all__ = [
     "SanitizerError",
-    "assert_generation_fresh",
     "sanitize_enabled",
     "verify_shard_isolation",
 ]

@@ -156,7 +156,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from .storage.snapshot import Snapshot, SnapshotError
+    from .storage.snapshot import SNAPSHOT_VERSION, Snapshot, SnapshotError
 
     if args.action == "save":
         db = load_database(args.source)
@@ -197,9 +197,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         print(f"snapshot error: {exc}", file=sys.stderr)
         return 1
     try:
-        layout = "raw runs" if snapshot.raw_runs else "delta runs"
         print(
-            f"{args.file}: snapshot v1, {snapshot.file_size()} bytes, {layout}"
+            f"{args.file}: snapshot v{SNAPSHOT_VERSION}, "
+            f"{snapshot.file_size()} bytes"
         )
         print(f"{'nodes':>12}: {snapshot.node_count}")
         print(f"{'edges':>12}: {snapshot.edge_count}")
@@ -270,8 +270,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis import (
         audit_database,
         audit_snapshot,
+        check_concurrency,
         check_plan,
-        deep_check,
         errors,
         format_report,
         has_errors,
@@ -282,9 +282,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.patterns and args.database is None:
         print("--pattern requires a database to plan against", file=sys.stderr)
         return 2
-    if args.database is None and not (args.self_lint or args.deep):
-        print("nothing to check: give a database, --self, and/or --deep",
-              file=sys.stderr)
+    if args.database is None and not args.self_lint:
+        print("nothing to check: give a database and/or --self", file=sys.stderr)
         return 2
 
     all_diags = []
@@ -334,14 +333,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 )
     if args.self_lint:
         section("lint src/repro", lint_project())
-    if args.deep:
-        project, deep_diags = deep_check()
-        section(
-            f"deepcheck {project.package} "
-            f"({len(project.functions)} functions, "
-            f"{len(project.worker_roots)} worker roots)",
-            deep_diags,
-        )
+        section("lock-discipline src/repro", check_concurrency())
 
     failed = has_errors(all_diags)
     error_count = len(errors(all_diags))
@@ -479,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check",
-        help="static verification: index audit, plan checks, project lint, "
-             "deep call-graph analysis",
+        help="static verification: index audit, plan checks, project lint "
+             "+ lock-discipline rules",
     )
     p_check.add_argument("database", nargs="?",
                          help="saved database to audit (cover, W-table, B+-trees)")
@@ -493,11 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="all",
                          help="which optimizer(s) to plancheck (default: dp+dps)")
     p_check.add_argument("--self", dest="self_lint", action="store_true",
-                         help="lint the repro package's own source")
-    p_check.add_argument("--deep", action="store_true",
-                         help="run the whole-project call-graph analyzer "
-                              "(cache-generation discipline, mmap view "
-                              "lifetime, lock discipline)")
+                         help="lint the repro package's own source and run "
+                              "the lock-discipline rules (conc/*) over it")
     p_check.add_argument("--report", metavar="PATH",
                          help="write a JSON per-rule diagnostic-count report "
                               "(CI artifact)")

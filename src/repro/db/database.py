@@ -119,9 +119,6 @@ class GraphDatabase:
         self.catalog = Catalog(graph, self.labeling)
         self.code_cache = CodeCache(enabled=code_cache_enabled)
         self._node_labels = list(graph.labels())
-        #: bumped whenever the join index is (re)built; cross-query
-        #: caches (the engine's CenterCache) key their validity on it
-        self.index_generation = 0
         self._snapshot = None
         self._snapshot_config: Optional[Tuple[int, int, bool]] = None
         self._table_lock = threading.Lock()
@@ -177,7 +174,6 @@ class GraphDatabase:
         )
         db.code_cache = CodeCache(enabled=code_cache_enabled)
         db._node_labels = list(db.graph.labels())
-        db.index_generation = 0
         db._snapshot = snapshot
         db._snapshot_config = (buffer_bytes, page_size, code_cache_enabled)
         db._table_lock = threading.Lock()
@@ -299,19 +295,13 @@ class GraphDatabase:
 
     def snapshot_descriptor(self) -> Optional[Tuple]:
         """What a process worker needs to re-open this database by path:
-        ``(path, index_generation, buffer_bytes, page_size,
-        code_cache_enabled)`` — or ``None`` when the database
-        is not snapshot-backed (or its snapshot has been closed).
+        ``(path, buffer_bytes, page_size, code_cache_enabled)`` — or
+        ``None`` when the database is not snapshot-backed (or its
+        snapshot has been closed).
         """
         if self._snapshot is None or self._snapshot.closed:
             return None
-        if self._snapshot_config is None:
-            return None
-        if not isinstance(self.join_index, SnapshotRJoinIndex):
-            # rebuild_join_index swapped in a live tree: the file on disk
-            # no longer describes this database
-            return None
-        return (self._snapshot.path, self.index_generation) + self._snapshot_config
+        return (self._snapshot.path,) + self._snapshot_config
 
     def get_centers(self, node: int, x_label: str, y_label: str) -> FrozenSet[int]:
         """``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` (Eq. 6)."""
@@ -343,27 +333,6 @@ class GraphDatabase:
             "pages": self.pool.disk.page_count,
         }
         return report
-
-    # ------------------------------------------------------------------
-    def rebuild_join_index(self) -> None:
-        """Rebuild the cluster index, W-table and catalog from the current
-        graph + labeling, bumping ``index_generation``.
-
-        The generation bump is the invalidation signal for cross-query
-        caches: anything keyed on centers or subclusters (the engine's
-        CenterCache) must drop its entries when this runs.
-
-        On a snapshot-loaded database this converts the lazy
-        :class:`SnapshotRJoinIndex` into a live tree-backed index (the
-        snapshot file cannot reflect label mutations), which is exactly
-        what the dynamic-maintenance layer needs after edits.
-        """
-        self.join_index = ClusterRJoinIndex(self.pool, self.graph, self.labeling)
-        self.catalog = Catalog(self.graph, self.labeling)
-        self.index_generation += 1
-        # the snapshot file no longer describes the live index, so
-        # snapshot_descriptor (which checks the index class) turns None
-        self.pool.flush_all()
 
     # ------------------------------------------------------------------
     def reset_counters(self) -> None:

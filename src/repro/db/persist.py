@@ -10,9 +10,9 @@ and reloads it across sessions.  Two formats coexist:
   index, W-table, catalog) from them deterministically.  Portable,
   diffable, cannot execute code on load — and O(rebuild) to open.
 * **Binary snapshot** (:mod:`repro.storage.snapshot`) — a single
-  CRC-checked file holding *every* offline structure as delta-encoded
-  ``array('q')`` columns, loaded via mmap with zero rebuild; codes,
-  subclusters and base tables materialize lazily on first touch.
+  CRC-checked file holding *every* offline structure as ``array('q')``
+  columns, loaded via mmap with zero rebuild; codes, subclusters and
+  base tables materialize lazily on first touch.
 
 :func:`load_database` dispatches on the file's magic bytes, so callers
 (and the CLI) never name the format; :func:`save_database` picks binary

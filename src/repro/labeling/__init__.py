@@ -10,7 +10,6 @@ from .interval import (
     point_in_intervals,
 )
 from .chaincover import ChainCover, build_chain_cover
-from .dynamic import DynamicReachability
 from .sspi import SSPI
 from .twohop import TwoHopLabeling, build_two_hop, greedy_two_hop
 
@@ -24,7 +23,6 @@ __all__ = [
     "point_in_intervals",
     "ChainCover",
     "build_chain_cover",
-    "DynamicReachability",
     "SSPI",
     "TwoHopLabeling",
     "build_two_hop",

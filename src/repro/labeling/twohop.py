@@ -46,32 +46,27 @@ class _LazyCodes:
 
     Snapshot-loaded labelings don't hold materialized frozensets — they
     hold a fetch function returning the sorted ``array('q')`` row for a
-    node (ultimately a delta decode of an mmap slice).  This sequence
-    presents the classic ``in_codes``/``out_codes`` interface on top of
-    that source: ``[node]`` builds (and memoizes) the frozenset only for
-    the rows actually touched, and ``append`` keeps the dynamic
-    maintenance layer working — inserted nodes live in a plain overflow
-    list past the snapshot's row count.
+    node (ultimately a copy of an mmap slice).  This sequence presents
+    the classic ``in_codes``/``out_codes`` interface on top of that
+    source: ``[node]`` builds (and memoizes) the frozenset only for the
+    rows actually touched.  Read-only, like the codes themselves.
     """
 
-    __slots__ = ("_count", "_fetch", "_memo", "_extra")
+    __slots__ = ("_count", "_fetch", "_memo")
 
     def __init__(self, count: int, fetch) -> None:
         self._count = count
         self._fetch = fetch
         self._memo: Dict[int, FrozenSet[int]] = {}
-        self._extra: List[FrozenSet[int]] = []
 
     def __len__(self) -> int:
-        return self._count + len(self._extra)
+        return self._count
 
     def __getitem__(self, node: int) -> FrozenSet[int]:
         if node < 0:
-            node += len(self)
-        if not 0 <= node < len(self):
+            node += self._count
+        if not 0 <= node < self._count:
             raise IndexError(node)
-        if node >= self._count:
-            return self._extra[node - self._count]
         code = self._memo.get(node)
         if code is None:
             code = self._memo[node] = frozenset(self._fetch(node))
@@ -80,9 +75,6 @@ class _LazyCodes:
     def __iter__(self):
         for node in range(len(self)):
             yield self[node]
-
-    def append(self, code: FrozenSet[int]) -> None:
-        self._extra.append(code)
 
     def __eq__(self, other: object) -> bool:
         # supports dataclass equality against a plain-list labeling
@@ -117,14 +109,13 @@ class TwoHopLabeling:
         default=None, init=False, repr=False, compare=False
     )
     # optional external array sources (snapshot adoption): fetch functions
-    # returning the sorted array('q') code row for nodes < _source_count
+    # returning the sorted array('q') code row of a node
     _in_source: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
     _out_source: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _source_count: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def from_array_source(
@@ -133,8 +124,8 @@ class TwoHopLabeling:
         """Adopt externally-stored codes without copying them.
 
         *in_fetch* / *out_fetch* map a node id to its sorted
-        ``array('q')`` code row (e.g. a lazy delta decode out of an
-        mmap-backed snapshot).  ``in_code_array``/``out_code_array``
+        ``array('q')`` code row (e.g. a copy out of an mmap-backed
+        snapshot).  ``in_code_array``/``out_code_array``
         serve straight from the source, and the ``in_codes``/
         ``out_codes`` sequences build frozensets per node only when a
         caller actually asks for set semantics.
@@ -142,7 +133,6 @@ class TwoHopLabeling:
         labeling = cls(in_codes=[], out_codes=[])
         labeling._in_source = in_fetch
         labeling._out_source = out_fetch
-        labeling._source_count = count
         labeling.in_codes = _LazyCodes(count, in_fetch)  # type: ignore[assignment]
         labeling.out_codes = _LazyCodes(count, out_fetch)  # type: ignore[assignment]
         return labeling
@@ -150,21 +140,6 @@ class TwoHopLabeling:
     def reaches(self, u: int, v: int) -> bool:
         """``u ~> v`` iff ``out(u) ∩ in(v) ≠ ∅`` (paper Example 3.1)."""
         return not self.out_codes[u].isdisjoint(self.in_codes[v])
-
-    def invalidate_caches(self) -> None:
-        """Drop the derived memos after an in-place code mutation.
-
-        ``centers()`` and the sorted code-array views are cached under the
-        assumption that the codes are immutable; anything that mutates
-        ``in_codes``/``out_codes`` after construction (the dynamic
-        maintenance layer in :mod:`repro.labeling.dynamic` appends
-        self-labels for inserted nodes) must call this, or stale memos
-        would under-report centers and index code arrays sized for the
-        old node count.
-        """
-        self._centers = None
-        del self._in_arrays[:]
-        del self._out_arrays[:]
 
     # ------------------------------------------------------------------
     @property
@@ -196,7 +171,7 @@ class TwoHopLabeling:
             arrays.extend([None] * self.node_count)
         code = arrays[node]
         if code is None:
-            if self._in_source is not None and node < self._source_count:
+            if self._in_source is not None:
                 code = arrays[node] = self._in_source(node)  # type: ignore[operator]
             else:
                 code = arrays[node] = array("q", sorted(self.in_codes[node]))
@@ -209,7 +184,7 @@ class TwoHopLabeling:
             arrays.extend([None] * self.node_count)
         code = arrays[node]
         if code is None:
-            if self._out_source is not None and node < self._source_count:
+            if self._out_source is not None:
                 code = arrays[node] = self._out_source(node)  # type: ignore[operator]
             else:
                 code = arrays[node] = array("q", sorted(self.out_codes[node]))

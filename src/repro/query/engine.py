@@ -132,9 +132,8 @@ class GraphEngine:
         The database constructs around the mmap-backed snapshot with no
         index rebuild (:meth:`GraphDatabase.from_snapshot`); keyword
         arguments are those of :meth:`from_database`.  The engine starts
-        with a fresh :class:`CenterCache` keyed on the new database's
-        ``index_generation`` — nothing can leak from whatever engine
-        wrote the snapshot.
+        with its own fresh :class:`CenterCache` — nothing can leak from
+        whatever engine wrote the snapshot.
         """
         from ..db.persist import load_database
         from ..storage.snapshot import SnapshotError, is_snapshot
@@ -163,20 +162,18 @@ class GraphEngine:
         so every process (a worker re-planning in its own interpreter,
         any ``PYTHONHASHSEED``) derives the same plan from the same
         (pattern, catalog).  The cache key is the pattern's structure —
-        ``(variables, their labels, conditions, optimizer, index
-        generation)``: two patterns that print alike but declare their
-        variables in a different order have different result columns
-        and get different plans, and an index rebuild, which changes the
-        catalog the cost model priced against, can never be served a
-        plan memoized before it.  Cache reads and writes are
+        ``(variables, their labels, conditions, optimizer)``: two
+        patterns that print alike but declare their variables in a
+        different order have different result columns and get different
+        plans; the catalog never changes under a built database, so it
+        is not part of the key.  Cache reads and writes are
         lock-guarded so concurrent service queries sharing one engine
         keep the LRU structure consistent; two racers optimizing the
         same key both store the identical plan.
         """
         parsed = self._coerce(pattern)
         labels = tuple(map(parsed.labels.get, parsed.variables))
-        key = (parsed.variables, labels, parsed.conditions, optimizer,
-               self.db.index_generation)
+        key = (parsed.variables, labels, parsed.conditions, optimizer)
         cache = self._plan_cache
         with self._plan_cache_lock:
             cached = cache.get(key)

@@ -9,20 +9,22 @@ the offline structures:
   subcluster, re-fetched from the B+-tree by every Fetch that meets the
   center again.
 
-Both are invariant until the index is rebuilt, so the engine owns one
-:class:`CenterCache` and threads it through every execution context: an
-LRU keyed by ``(node, pair_id, side)`` for center sets and
-``(center, label, side)`` for subclusters, bounded by an approximate
-byte budget (``GraphEngine(cache_bytes=...)``).
+A built database never changes, so both are invariant for its whole
+life: each engine owns one private :class:`CenterCache` over its one
+database and threads it through every execution context — an LRU keyed
+by ``(node, (X, Y), side)`` for center sets and ``(center, label,
+side)`` for subclusters, bounded by an approximate byte budget
+(``GraphEngine(cache_bytes=...)``).  There is no invalidation protocol:
+a new index is a new database object and a new engine with a new cache.
 
 Concurrency model (the service's lock-free snapshot tier): the cache is
 striped into ``shards`` independently locked stripes, each with its own
 LRU order, byte budget (``capacity_bytes // shards``) and counters.  A
 key is pinned to a shard by hash, so two in-flight queries touching
 different keys contend only when they land on the same stripe; nothing
-ever takes more than one shard lock on the get/put path.  Whole-cache
-operations (``sync``/``invalidate``/``clear``) take the shard locks one
-at a time — safe because entries never migrate between shards.  The
+ever takes more than one shard lock on the get/put path.  The
+whole-cache ``clear`` takes the shard locks one at a time — safe
+because entries never migrate between shards.  The
 default is ``shards=1`` (a single-striped cache is byte-for-byte the
 pre-sharding LRU, which the unit tests pin); engines construct theirs
 with :data:`DEFAULT_CACHE_SHARDS` stripes.
@@ -32,10 +34,6 @@ properties; per-*query* attribution is exact — every ``get``/``put``
 accepts an optional per-context ``stats`` recorder
 (:class:`~repro.query.physical.context.CacheStats`) incremented inside
 the shard lock, so overlapping queries never see each other's traffic.
-Invalidation is generation-based: :class:`~repro.db.database.GraphDatabase`
-bumps ``index_generation`` whenever the join index is rebuilt, and
-:meth:`CenterCache.sync` (called by the driver before any row flows)
-clears the cache when the generation it was filled under is stale.
 """
 
 from __future__ import annotations
@@ -45,10 +43,8 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..algebra import Side
-from . import kernels
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ...db.database import GraphDatabase
     from .context import CacheStats
 
 #: rough per-entry overhead (key tuple, dict slot, value tuple header)
@@ -105,12 +101,6 @@ class CenterCache:
         self._shards: Tuple[_Shard, ...] = tuple(
             _Shard(per_shard) for _ in range(shards)
         )
-        self._sync_lock = threading.Lock()
-        self._generation: Optional[int] = None
-        self._pair_epoch: Optional[int] = None
-        # sanitize mode: when bound to a database, every read asserts
-        # generation freshness (see repro.analysis.sanitizer)
-        self._sanitize_db: Optional["GraphDatabase"] = None
 
     def _shard_for(self, key: tuple) -> _Shard:
         shards = self._shards
@@ -121,66 +111,6 @@ class CenterCache:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def sync(self, generation: int) -> None:
-        """Bind the cache to an index generation, invalidating on change.
-
-        This is also where the bounded label-pair interning table is
-        kept honest: observing an index *rebuild* (a generation change)
-        clears the process-wide pair-id table
-        (:func:`~repro.query.physical.kernels.clear_pair_ids` — the
-        ``rebuild_join_index`` hook, routed through the cache layer so
-        the db layer never imports physical internals), and any cache
-        whose centers entries were keyed under an older *pair epoch*
-        drops them — an id minted before the epoch bump may since have
-        been reassigned to a different label pair, even in an engine
-        whose own index generation never moved.
-
-        Concurrent contexts over the same engine sync against the same
-        (immutable while serving) generation, so the common call is the
-        unlocked fast path; the transition itself is serialized on
-        ``_sync_lock`` and re-checked inside it.
-        """
-        epoch = kernels.pair_epoch()
-        if self._generation == generation and self._pair_epoch == epoch:
-            return
-        with self._sync_lock:
-            if self._generation != generation:
-                if self._generation is not None:
-                    if self.entry_count:
-                        self.invalidate()
-                    # the hook: an index rebuild happened somewhere in
-                    # this process — recycle the interning table's ids
-                    kernels.clear_pair_ids()
-                self._generation = generation
-            epoch = kernels.pair_epoch()
-            if self._pair_epoch != epoch:
-                if self._pair_epoch is not None and self.entry_count:
-                    self.invalidate()
-                self._pair_epoch = epoch
-
-    def bind_sanitizer(self, db: "GraphDatabase") -> None:
-        """Arm the per-read freshness tripwire against *db*.
-
-        Sanitize mode only — every subsequent ``get_*`` raises
-        :class:`repro.analysis.sanitizer.SanitizerError` if the bound
-        generation no longer matches ``db.index_generation``.
-        """
-        self._sanitize_db = db
-
-    def _assert_fresh(self) -> None:
-        # imported lazily: the analysis layer depends on the query
-        # layer, not the other way around
-        from ...analysis.sanitizer import assert_generation_fresh
-
-        assert_generation_fresh(self._generation, self._sanitize_db)
-
-    def invalidate(self) -> None:
-        """Drop every entry (the index was rebuilt); counters survive."""
-        for shard in self._shards:
-            with shard.lock:
-                shard.store.clear()
-                shard.bytes = 0
-
     def clear(self) -> None:
         """Full reset: entries *and* counters (tests, ablations)."""
         for shard in self._shards:
@@ -197,28 +127,22 @@ class CenterCache:
     def get_centers(
         self,
         node: int,
-        pair_id: int,
+        pair: Tuple[str, str],
         side: Side,
         stats: Optional["CacheStats"] = None,
     ) -> Optional[Tuple[int, ...]]:
         """Cached ``getCenters`` result for ``(node, X, Y)``, or None."""
-        if self._sanitize_db is not None:
-            self._assert_fresh()
-        # the epoch in the key makes entries from a recycled interning
-        # table unreachable even before the next sync() sheds them
-        key = (_CENTERS_TAG, node, pair_id, side is Side.OUT, kernels.pair_epoch())
-        return self._get(key, stats)
+        return self._get((_CENTERS_TAG, node, pair, side is Side.OUT), stats)
 
     def put_centers(
         self,
         node: int,
-        pair_id: int,
+        pair: Tuple[str, str],
         side: Side,
         centers: Tuple[int, ...],
         stats: Optional["CacheStats"] = None,
     ) -> None:
-        key = (_CENTERS_TAG, node, pair_id, side is Side.OUT, kernels.pair_epoch())
-        self._put(key, centers, stats)
+        self._put((_CENTERS_TAG, node, pair, side is Side.OUT), centers, stats)
 
     def get_subcluster(
         self,
@@ -228,8 +152,6 @@ class CenterCache:
         stats: Optional["CacheStats"] = None,
     ) -> Optional[Tuple[int, ...]]:
         """Cached ``getT(w, Y)`` / ``getF(w, X)`` subcluster, or None."""
-        if self._sanitize_db is not None:
-            self._assert_fresh()
         return self._get((_SUBCLUSTER_TAG, center, label, side is Side.OUT), stats)
 
     def put_subcluster(

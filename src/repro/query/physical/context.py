@@ -114,16 +114,10 @@ class ExecutionContext:
     accounting — what ``execute_plan`` does).
 
     ``sanitize`` arms the runtime tripwires of
-    :mod:`repro.analysis.sanitizer` (per-read cache-generation
-    assertions, shard-isolation audits); it defaults to the
+    :mod:`repro.analysis.sanitizer` (the CenterCache shard-isolation
+    audit, run once per context construction); it defaults to the
     ``REPRO_SANITIZE`` environment switch, re-read on every context
     construction.
-
-    Construction is also the **cache-sync choke point**: every context
-    re-syncs its ``center_cache`` against ``db.index_generation``, so no
-    driver — current or future — can read entries that predate an index
-    rebuild.  The deep checker's ``contract/sync-choke-point`` rule
-    pins this block in place.
     """
 
     db: GraphDatabase
@@ -143,13 +137,9 @@ class ExecutionContext:
             from ...analysis.sanitizer import sanitize_enabled
 
             self.sanitize = sanitize_enabled()
-        if self.center_cache is not None:
-            self.center_cache.sync(self.db.index_generation)
-            if self.sanitize:
-                from ...analysis.sanitizer import verify_shard_isolation
+        if self.center_cache is not None and self.sanitize:
+            from ...analysis.sanitizer import verify_shard_isolation
 
-                self.center_cache.bind_sanitizer(self.db)
-                # audit the striped tier at the same choke point: any
-                # cross-shard write or ledger drift left by an earlier
-                # (possibly concurrent) query trips before this run reads
-                verify_shard_isolation(self.center_cache, where="cache sync")
+            # any cross-shard write or ledger drift left by an earlier
+            # (possibly concurrent) query trips before this run reads
+            verify_shard_isolation(self.center_cache, where="context construction")

@@ -104,13 +104,7 @@ def _prepare(
     center_cache: Optional[CenterCache] = None,
     sanitize: bool = False,
 ):
-    """Shared driver preamble: verification, validation, pipeline build.
-
-    Stale-cache handling is NOT done here: constructing the
-    :class:`ExecutionContext` below is the single sync choke point that
-    re-binds ``center_cache`` to ``db.index_generation`` (enforced by
-    the ``contract/sync-choke-point`` deep rule).
-    """
+    """Shared driver preamble: verification, validation, pipeline build."""
     if verify:
         _verify_plan(plan, db)
     plan.validate()

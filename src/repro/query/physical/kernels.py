@@ -17,8 +17,6 @@ decoded once from a snapshot):
   once per row.
 * :func:`union_sorted` / :func:`intersect_many` — the multiway
   (generic-join) extension set and its k-way intersection.
-* :func:`intern_label_pair` — stable small-int ids for ``(X, Y)`` label
-  pairs so cache keys compare by int instead of by string pair.
 
 Every kernel follows ``set`` semantics (duplicates in the inputs are
 tolerated and collapse in the output) and is property-tested against the
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 #: typecode for all kernel arrays: signed 64-bit node/center ids
 ARRAY_TYPECODE = "q"
@@ -194,75 +192,14 @@ def intersect_many(sets: Sequence[Sequence[int]]) -> "array[int]":
     return result
 
 
-# ----------------------------------------------------------------------
-# label-pair interning
-# ----------------------------------------------------------------------
-_PAIR_IDS: Dict[Tuple[str, str], int] = {}
-_PAIR_EPOCH = 0
-
-#: interning capacity: reaching it clears the table and starts a new
-#: epoch, so a long-lived process serving many label vocabularies cannot
-#: grow the table without bound
-PAIR_INTERN_LIMIT = 4096
-
-
-def pair_epoch() -> int:
-    """The current interning epoch; bumps whenever ids are recycled.
-
-    Anything that stores pair ids in keys (the
-    :class:`~repro.query.physical.cache.CenterCache`) must remember the
-    epoch its keys were minted under and drop them when it changes — an
-    id minted in an older epoch may since have been reassigned to a
-    different label pair.
-    """
-    return _PAIR_EPOCH
-
-
-def clear_pair_ids() -> None:
-    """Drop every interned pair and start a new epoch.
-
-    Called when the table hits ``PAIR_INTERN_LIMIT``, and by
-    :meth:`CenterCache.sync <repro.query.physical.cache.CenterCache.sync>`
-    when it observes an index rebuild (the ``rebuild_join_index``
-    generation bump) — the natural point to shed pairs from retired
-    vocabularies, routed through the cache layer so the db layer never
-    imports physical internals.
-    """
-    global _PAIR_EPOCH
-    _PAIR_IDS.clear()
-    _PAIR_EPOCH += 1
-
-
-def intern_label_pair(x_label: str, y_label: str) -> int:
-    """Small-int id for an ``(X, Y)`` label pair, stable within an epoch.
-
-    Cache keys built from these ids compare by a single int instead of
-    two strings.  Ids are stable while the epoch lasts; when the table
-    reaches ``PAIR_INTERN_LIMIT`` it is cleared and the epoch bumped
-    (see :func:`pair_epoch`), so the table is bounded for the life of
-    the process.
-    """
-    pair = (x_label, y_label)
-    pair_id = _PAIR_IDS.get(pair)
-    if pair_id is None:
-        if len(_PAIR_IDS) >= PAIR_INTERN_LIMIT:
-            clear_pair_ids()
-        pair_id = _PAIR_IDS[pair] = len(_PAIR_IDS)
-    return pair_id
-
-
 __all__ = [
     "ARRAY_TYPECODE",
     "GALLOP_RATIO",
-    "PAIR_INTERN_LIMIT",
     "as_sorted_array",
-    "clear_pair_ids",
     "gather_union",
-    "intern_label_pair",
     "intersect",
     "intersect_gallop",
     "intersect_many",
     "intersect_merge",
-    "pair_epoch",
     "union_sorted",
 ]

@@ -195,15 +195,15 @@ class MultiwayIntersectOp(_MultiwayBase):
     def _extensions(
         self,
         scanned: Tuple[int, ...],
-        w_keys: Sequence[Tuple[Sequence[int], int]],
+        w_keys: Sequence[Tuple[Sequence[int], Tuple[str, str]]],
     ) -> Tuple[Optional[Tuple[int, ...]], int, int]:
         """(extensions | None, centers probed, subcluster volume)."""
         probes = 0
         volume = 0
         per_condition: List[Sequence[int]] = []
-        for node, (w_run, pair_id), plan in zip(scanned, w_keys, self._plans):
+        for node, (w_run, pair), plan in zip(scanned, w_keys, self._plans):
             _x, _y, side, fetch_label = plan
-            centers = self._centers(node, w_run, pair_id, side)
+            centers = self._centers(node, w_run, pair, side)
             if not centers:
                 return None, probes, volume
             probes += len(centers)
@@ -218,8 +218,7 @@ class MultiwayIntersectOp(_MultiwayBase):
         db = self.ctx.db
         # W(X, Y) is read once per constraint per execution
         w_keys = [
-            (db.w_run(x, y), kernels.intern_label_pair(x, y))
-            for x, y, _side, _fetch in self._plans
+            (db.w_run(x, y), (x, y)) for x, y, _side, _fetch in self._plans
         ]
         # scanned-values tuple -> (extensions | None, probes, volume)
         memo: Dict[Tuple[int, ...], Tuple[Optional[Tuple[int, ...]], int, int]] = {}

@@ -161,7 +161,7 @@ class PhysicalOperator:
         metrics.nodes_fetched = nodes_fetched
 
     def _centers(
-        self, node: int, w_run: Sequence[int], pair_id: int, side: Side
+        self, node: int, w_run: Sequence[int], pair: Tuple[str, str], side: Side
     ) -> Tuple[int, ...]:
         """Eq. 6: ``getCenters`` = the node's code ∩ ``W(X, Y)``, sorted.
 
@@ -170,7 +170,7 @@ class PhysicalOperator:
         """
         cache = self.ctx.center_cache
         if cache is not None:
-            cached = cache.get_centers(node, pair_id, side, stats=self.ctx.cache_stats)
+            cached = cache.get_centers(node, pair, side, stats=self.ctx.cache_stats)
             if cached is not None:
                 return cached
         centers: Tuple[int, ...] = ()
@@ -179,7 +179,7 @@ class PhysicalOperator:
                 kernels.intersect(self.ctx.db.code_run(node, side.value), w_run)
             )
         if cache is not None:
-            cache.put_centers(node, pair_id, side, centers, stats=self.ctx.cache_stats)
+            cache.put_centers(node, pair, side, centers, stats=self.ctx.cache_stats)
         return centers
 
     def _subcluster(self, center: int, label: str, side: Side) -> Sequence[int]:
@@ -321,12 +321,12 @@ class SharedFilterOp(PhysicalOperator):
         ]
 
     def _suffix(
-        self, node: int, w_keys: Sequence[Tuple[Sequence[int], int, Side]]
+        self, node: int, w_keys: Sequence[Tuple[Sequence[int], Tuple[str, str], Side]]
     ) -> Optional[Tuple[Tuple[int, ...], ...]]:
         """The centers columns for *node*, or None if any key prunes it."""
         columns = []
-        for w_run, pair_id, side in w_keys:
-            centers = self._centers(node, w_run, pair_id, side)
+        for w_run, pair, side in w_keys:
+            centers = self._centers(node, w_run, pair, side)
             if not centers:
                 return None
             columns.append(centers)
@@ -336,8 +336,7 @@ class SharedFilterOp(PhysicalOperator):
         db = self.ctx.db
         # W(X, Y) is read once per key per execution, not per node
         w_keys = [
-            (db.w_run(x, y), kernels.intern_label_pair(x, y), side)
-            for (x, y), side in self.label_pairs
+            (db.w_run(*pair), pair, side) for pair, side in self.label_pairs
         ]
         memo: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]] = {}
         position = self.position

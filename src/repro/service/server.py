@@ -297,7 +297,6 @@ class QueryService:
                     "plan_cache_entries": len(self.engine._plan_cache),
                     "center_cache_entries": cache.entry_count,
                     "center_cache_hit_rate": cache.hit_rate,
-                    "index_generation": getattr(self.engine.db, "index_generation", 0),
                 },
             }
         )

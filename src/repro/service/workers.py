@@ -94,16 +94,13 @@ def _init_worker(descriptor: Tuple, parent_pid: int) -> None:
     """
     global _WORKER_ENGINE
     _die_with_parent(parent_pid)
-    path, generation, buffer_bytes, page_size, code_cache_enabled = descriptor
+    path, buffer_bytes, page_size, code_cache_enabled = descriptor
     db = GraphDatabase.from_snapshot(
         Snapshot.open(path),
         buffer_bytes=buffer_bytes,
         page_size=page_size,
         code_cache_enabled=code_cache_enabled,
     )
-    # align with the coordinator's generation so cache sync and the
-    # sanitizer's generation assertions agree across the pool
-    db.index_generation = generation
     _WORKER_ENGINE = GraphEngine.from_database(db)
 
 

@@ -1,4 +1,4 @@
-"""Versioned binary snapshot format with mmap-backed zero-copy loading.
+"""Versioned binary snapshot format with mmap-backed, rebuild-free loading.
 
 The offline phase (2-hop cover, base tables, cluster R-join index,
 W-table, catalog) is the expensive part of the system; the JSON persist
@@ -7,17 +7,16 @@ path (:mod:`repro.db.persist` v1) stores only graph + labeling and
 O(rebuild), and the JSON codes blow up memory several-fold versus the
 ``array('q')`` representation the run kernels already use.  This module
 defines a single-file binary snapshot holding every offline structure as
-delta-encoded ``array('q')`` columns, written with :mod:`struct` /
-``array.tobytes`` and read back through :mod:`mmap`:
+``array('q')`` columns, written with :mod:`struct` / ``array.tobytes``
+and read back through :mod:`mmap`:
 
 * loading verifies the header, the section table and every section's
-  CRC32, then serves all reads out of the mapping — directory and offset
-  columns are ``memoryview.cast('q')`` views straight into the file
-  (zero-copy), while per-row payloads (graph codes, subclusters, W-table
-  center lists) are delta-decoded lazily on first probe and memoized by
-  their consumers (:class:`~repro.labeling.twohop.TwoHopLabeling`'s
-  array cache, :class:`~repro.db.join_index.SnapshotRJoinIndex`'s leaf
-  memo, and the engine's cross-query ``CenterCache``);
+  CRC32, then serves all reads out of the mapping — per-row payloads
+  (graph codes, subclusters, W-table center lists) are copied out
+  lazily on first probe and memoized by their consumers
+  (:class:`~repro.labeling.twohop.TwoHopLabeling`'s array cache,
+  :class:`~repro.db.join_index.SnapshotRJoinIndex`'s leaf memo, and the
+  engine's cross-query ``CenterCache``);
 * nothing is rebuilt: no base-table inserts, no cluster scan, no catalog
   recomputation — those structures materialize on demand.
 
@@ -44,28 +43,16 @@ raise :class:`SnapshotError` at :meth:`Snapshot.open` — never garbage
 query results.  The per-section CRCs in the TOC allow the same check per
 section (and localize the damage when it fails).
 
-Run encoding: every sorted id run (a node's code, a subcluster, a
-W-table center list, the sorted edge source column) is stored in one of
-two layouts, selected by the ``FLAG_RAW_RUNS`` header flag:
+Run encoding (format version 2, the only layout): every sorted id run
+(a node's code, a subcluster, a W-table center list, the sorted edge
+source column) is stored as its absolute values, so a run decodes with
+one ``array('q', slice)`` copy.  The header's flags word is reserved and
+must be zero.
 
-* **delta** (``flags`` bit 0 clear — the PR 5 layout): first value raw,
-  each subsequent value the difference from its predecessor; decoding is
-  one :func:`itertools.accumulate` pass per touched row.
-* **raw** (``flags`` bit 0 set — the default the writer emits): the
-  absolute sorted values themselves.  Both layouts occupy exactly the
-  same bytes (``n`` int64s per ``n``-element run — fixed-width columns
-  gain nothing from small deltas), but a raw run decodes with one
-  ``array('q', slice)`` copy instead of an accumulate pass.  Raw
-  snapshots additionally carry the ``extoff``/``extnodes`` sections
-  (per-label node columns; kept for format stability — the read path
-  takes extents from the rebuilt graph).
-
-Every accessor the query read path uses hands out *materialized*
-arrays/tuples, decoded once per row and memoised by the consumer; the
-few ``memoryview`` columns (``centers()``, ``node_label_ids()``) are
-confined to the storage/db layers by ``mmap/view-escape``/
-``mmap/view-held`` (:mod:`repro.analysis.contracts`), so nothing a query
-holds can pin the mapping past :meth:`Snapshot.close`.
+No accessor reachable from outside this module returns a ``memoryview``
+or a lazy iterator over one — every result is a materialised array,
+tuple, list or dict — so nothing a caller holds can pin the mapping past
+:meth:`Snapshot.close`.
 
 Because a pool of process workers may have the same file mapped
 (:class:`~repro.service.workers.WorkerPool` re-opens
@@ -85,18 +72,10 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 SNAPSHOT_MAGIC = b"RGPMSNAP"
-SNAPSHOT_VERSION = 1
-
-#: header flag bit: run sections store raw absolute values instead of
-#: delta-encoded differences
-FLAG_RAW_RUNS = 1
-
-#: all flag bits this build understands; unknown bits are rejected
-_KNOWN_FLAGS = FLAG_RAW_RUNS
+SNAPSHOT_VERSION = 2
 
 _HEADER = struct.Struct("<8sII")
 _TOC_ENTRY = struct.Struct("<16sQQII")
@@ -111,27 +90,20 @@ SECTION_NAMES = (
     "meta",        # counters: nodes, edges, labels, centers, wpairs, subruns
     "labelnames",  # NUL-joined UTF-8 label dictionary (id = position)
     "nodelabels",  # per-node label id                                  [n]
-    "edges",       # delta-encoded sorted src column + raw dst column  [2E]
+    "edges",       # sorted src column + dst column                    [2E]
     "inoff",       # CSR offsets into inval, in elements              [n+1]
-    "inval",       # per-node in-code, delta-encoded
+    "inval",       # per-node in-code, sorted
     "outoff",      # CSR offsets into outval                          [n+1]
-    "outval",      # per-node out-code, delta-encoded
+    "outval",      # per-node out-code, sorted
     "wdir",        # W-table directory: (x_id, y_id) per pair          [2P]
     "woff",        # CSR offsets into wval                            [P+1]
-    "wval",        # per-pair center list, delta-encoded
+    "wval",        # per-pair center list, sorted
     "centers",     # sorted center ids                                  [C]
     "suboff",      # per-center row offsets into subdir               [C+1]
     "subdir",      # (side, label_id, value_offset, count) per run     [4R]
-    "subval",      # subcluster node runs, delta-encoded
+    "subval",      # subcluster node runs, sorted
     "extents",     # catalog: extent size per label id                  [L]
     "catpairs",    # catalog: (x, y, pair_estimate, centers, volume)   [5K]
-)
-
-#: extra sections a raw-runs snapshot must also contain: the per-label
-#: node columns (CSR over label ids)
-RAW_SECTION_NAMES = (
-    "extoff",      # CSR offsets into extnodes, one run per label      [L+1]
-    "extnodes",    # sorted node ids grouped by label id                 [n]
 )
 
 _META_FIELDS = 6
@@ -161,31 +133,12 @@ def is_snapshot(path: str) -> bool:
 # ----------------------------------------------------------------------
 # encoding helpers
 # ----------------------------------------------------------------------
-def _delta(values: Sequence[int]) -> Iterator[int]:
-    """First value raw, then successive differences."""
-    previous = 0
-    first = True
-    for value in values:
-        if first:
-            yield value
-            first = False
-        else:
-            yield value - previous
-        previous = value
-
-
-def _encode_runs(
-    runs: Sequence[Sequence[int]], raw: bool = False
-) -> Tuple[array, array]:
-    """CSR-encode sorted id runs: (element offsets [len+1], values).
-
-    ``raw`` stores the absolute sorted values; otherwise values are
-    delta-encoded.  Both layouts are byte-for-byte the same size.
-    """
+def _encode_runs(runs: Sequence[Sequence[int]]) -> Tuple[array, array]:
+    """CSR-encode sorted id runs: (element offsets [len+1], values)."""
     offsets = array("q", [0])
     values = array("q")
     for run in runs:
-        values.extend(run if raw else _delta(run))
+        values.extend(run)
         offsets.append(len(values))
     return offsets, values
 
@@ -196,8 +149,7 @@ def _encode_runs(
 class _SnapshotWriter:
     """Accumulates named sections and writes the final single file."""
 
-    def __init__(self, flags: int = 0) -> None:
-        self._flags = flags
+    def __init__(self) -> None:
         self._sections: List[Tuple[str, bytes]] = []
 
     def add(self, name: str, payload: bytes) -> None:
@@ -210,7 +162,7 @@ class _SnapshotWriter:
 
     def tobytes(self) -> bytes:
         out = bytearray(
-            _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, self._flags)
+            _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0)  # flags: reserved
         )
         toc = bytearray()
         for name, payload in self._sections:
@@ -238,17 +190,13 @@ class _SnapshotWriter:
         return bytes(out)
 
 
-def encode_snapshot(db, raw_runs: bool = True) -> bytes:
+def encode_snapshot(db) -> bytes:
     """Serialize a built :class:`~repro.db.database.GraphDatabase`.
 
     Reads only the public surfaces (graph, labeling codes, join-index
     leaves, W-table entries, catalog stats), so it works identically on
     an eagerly-built database and on a snapshot-loaded one — which is
     what makes save → load → save byte-stable.
-
-    ``raw_runs`` selects the run layout: ``True`` (default) stores raw
-    absolute sorted values plus the per-label node columns; ``False``
-    reproduces the delta-encoded legacy layout byte for byte.
     """
     _require_little_endian()
     graph = db.graph
@@ -260,7 +208,7 @@ def encode_snapshot(db, raw_runs: bool = True) -> bytes:
     label_names = sorted(set(graph.labels())) if n else []
     label_ids = {name: i for i, name in enumerate(label_names)}
 
-    writer = _SnapshotWriter(flags=FLAG_RAW_RUNS if raw_runs else 0)
+    writer = _SnapshotWriter()
     writer.add(
         "labelnames", b"\x00".join(name.encode("utf-8") for name in label_names)
     )
@@ -269,17 +217,12 @@ def encode_snapshot(db, raw_runs: bool = True) -> bytes:
     )
 
     edges = sorted(graph.edges())
-    sources = [u for u, _ in edges]
-    edge_values = array("q", sources if raw_runs else _delta(sources))
+    edge_values = array("q", (u for u, _ in edges))
     edge_values.extend(v for _, v in edges)
     writer.add_array("edges", edge_values)
 
-    in_off, in_val = _encode_runs(
-        [sorted(labeling.in_codes[v]) for v in range(n)], raw=raw_runs
-    )
-    out_off, out_val = _encode_runs(
-        [sorted(labeling.out_codes[v]) for v in range(n)], raw=raw_runs
-    )
+    in_off, in_val = _encode_runs([sorted(labeling.in_codes[v]) for v in range(n)])
+    out_off, out_val = _encode_runs([sorted(labeling.out_codes[v]) for v in range(n)])
     writer.add_array("inoff", in_off)
     writer.add_array("inval", in_val)
     writer.add_array("outoff", out_off)
@@ -290,7 +233,7 @@ def encode_snapshot(db, raw_runs: bool = True) -> bytes:
     for (x_label, y_label), centers in sorted(index.wtable_items()):
         wdir.extend((label_ids[x_label], label_ids[y_label]))
         wruns.append(centers)
-    w_off, w_val = _encode_runs(wruns, raw=raw_runs)
+    w_off, w_val = _encode_runs(wruns)
     writer.add_array("wdir", wdir)
     writer.add_array("woff", w_off)
     writer.add_array("wval", w_val)
@@ -313,21 +256,11 @@ def encode_snapshot(db, raw_runs: bool = True) -> bytes:
                 value_offset += len(nodes)
                 run_count += 1
         sub_off.append(run_count)
-    _, sub_val = _encode_runs(sub_runs, raw=raw_runs)
+    _, sub_val = _encode_runs(sub_runs)
     writer.add_array("centers", center_ids)
     writer.add_array("suboff", sub_off)
     writer.add_array("subdir", sub_dir)
     writer.add_array("subval", sub_val)
-
-    if raw_runs:
-        # per-label node columns: one sorted run per label id, in label-id
-        # order — ascending v keeps each run sorted without a second pass
-        extent_runs: List[List[int]] = [[] for _ in label_names]
-        for v in range(n):
-            extent_runs[label_ids[graph.label(v)]].append(v)
-        ext_off, ext_nodes = _encode_runs(extent_runs, raw=True)
-        writer.add_array("extoff", ext_off)
-        writer.add_array("extnodes", ext_nodes)
 
     writer.add_array(
         "extents",
@@ -361,7 +294,7 @@ def encode_snapshot(db, raw_runs: bool = True) -> bytes:
     return writer.tobytes()
 
 
-def write_snapshot(db, path: str, raw_runs: bool = True) -> None:
+def write_snapshot(db, path: str) -> None:
     """Write *db* to *path* atomically (tmp file + fsync + rename).
 
     The durability sequence is the crash-safe one: flush and ``fsync``
@@ -369,7 +302,7 @@ def write_snapshot(db, path: str, raw_runs: bool = True) -> None:
     entry so a power cut can neither promote a truncated temp file nor
     lose the rename itself.
     """
-    payload = encode_snapshot(db, raw_runs=raw_runs)
+    payload = encode_snapshot(db)
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "wb") as f:
         f.write(payload)
@@ -401,24 +334,19 @@ class Snapshot:
 
     :meth:`open` maps the file and checks structure + every section CRC
     up front (one sequential pass over the mapping — cheap compared to a
-    JSON parse); after that all accessors are either zero-copy
-    ``memoryview`` slices of the mapping or on-demand delta decodes of
-    exactly the rows asked for.  ``decode_stats`` counts the decodes, so
-    tests can pin the laziness contract.
+    JSON parse); after that every accessor copies exactly the rows
+    asked for out of the mapping.  ``decode_stats`` counts the decodes,
+    so tests can pin the laziness contract.
     """
 
     def __init__(self, path: str, buffer: bytes, view: memoryview,
-                 sections: Dict[str, Tuple[int, int]], mapped: Optional[mmap.mmap],
-                 flags: int = 0):
+                 sections: Dict[str, Tuple[int, int]], mapped: Optional[mmap.mmap]):
         self.path = path
         self._buffer = buffer
         self._view = view
         self._sections = sections
         self._mmap = mapped
         self._closed = False
-        self.flags = flags
-        #: run sections hold raw absolute values (no accumulate on decode)
-        self.raw_runs = bool(flags & FLAG_RAW_RUNS)
         #: live holders (worker pools) keyed by display name → refcount;
         #: close() refuses while any remain
         self._owners: Dict[str, int] = {}
@@ -469,18 +397,15 @@ class Snapshot:
                 f.seek(0)
                 buffer = f.read()
         try:
-            sections, flags = cls._verify(path, buffer, size)
-            return cls(path, buffer, memoryview(buffer), sections, mapped,
-                       flags=flags)
+            sections = cls._verify(path, buffer, size)
+            return cls(path, buffer, memoryview(buffer), sections, mapped)
         except SnapshotError:
             if mapped is not None:
                 mapped.close()
             raise
 
     @staticmethod
-    def _verify(
-        path: str, buffer, size: int
-    ) -> Tuple[Dict[str, Tuple[int, int]], int]:
+    def _verify(path: str, buffer, size: int) -> Dict[str, Tuple[int, int]]:
         magic, version, flags = _HEADER.unpack_from(buffer, 0)
         if magic != SNAPSHOT_MAGIC:
             raise SnapshotError(f"{path!r} does not start with snapshot magic")
@@ -489,10 +414,10 @@ class Snapshot:
                 f"{path!r} is snapshot version {version}; this build reads "
                 f"version {SNAPSHOT_VERSION}"
             )
-        if unknown := flags & ~_KNOWN_FLAGS:
+        if flags:
             raise SnapshotError(
-                f"{path!r} sets unknown header flag bits {unknown:#x}; this "
-                f"build understands {_KNOWN_FLAGS:#x}"
+                f"{path!r} sets unknown header flag bits {flags:#x}; "
+                f"version {SNAPSHOT_VERSION} defines none"
             )
         toc_offset, toc_length, prefix_crc, section_count, end_magic = (
             _FOOTER.unpack_from(buffer, size - _FOOTER.size)
@@ -522,13 +447,10 @@ class Snapshot:
             if zlib.crc32(bytes(buffer[offset:offset + length])) != crc:
                 raise SnapshotError(f"{path!r} section {name!r} fails its CRC")
             sections[name] = (offset, length)
-        required = SECTION_NAMES + (
-            RAW_SECTION_NAMES if flags & FLAG_RAW_RUNS else ()
-        )
-        missing = [name for name in required if name not in sections]
+        missing = [name for name in SECTION_NAMES if name not in sections]
         if missing:
             raise SnapshotError(f"{path!r} is missing section(s) {missing}")
-        return sections, flags
+        return sections
 
     def _check_geometry(self) -> None:
         """Cross-check declared counts against section sizes."""
@@ -544,9 +466,6 @@ class Snapshot:
             "subdir": 4 * self.subcluster_runs,
             "extents": self.label_count,
         }
-        if self.raw_runs:
-            expectations["extoff"] = self.label_count + 1
-            expectations["extnodes"] = self.node_count
         for name, expected in expectations.items():
             actual = len(self._ints(name))
             if actual != expected:
@@ -585,7 +504,7 @@ class Snapshot:
             self._owners[owner] = count - 1
 
     def close(self) -> None:
-        """Release the mapping; idempotent.
+        """Release the mapping; idempotent once it has succeeded.
 
         Refuses with :class:`SnapshotError` while holders registered via
         :meth:`acquire` (live worker pools) remain — closing the file a
@@ -594,14 +513,14 @@ class Snapshot:
 
         Further section access on this object raises
         ``SnapshotError("snapshot is closed")``.  If a ``memoryview``
-        into the mapping is still alive (the read path never hands one
-        out, so this means a storage-layer bug) the mapping cannot be
-        unmapped — that raises ``BufferError`` (or
+        into the mapping is still alive (no accessor hands one out, so
+        this means a storage-layer bug) the mapping cannot be unmapped —
+        that raises ``BufferError`` (or
         :class:`repro.analysis.sanitizer.SanitizerError` under
-        ``REPRO_SANITIZE=1``, naming the ``mmap/view-held`` hazard the
-        deep checker polices statically).
+        ``REPRO_SANITIZE=1``).  The mapping is then still open: calling
+        ``close()`` again once the view is gone retries the unmap.
         """
-        if self._closed:
+        if self._closed and self._mmap is None:
             return
         if self._owners:
             holders = ", ".join(sorted(self._owners))
@@ -641,20 +560,6 @@ class Snapshot:
     # ------------------------------------------------------------------
     # graph
     # ------------------------------------------------------------------
-    def node_label_ids(self) -> memoryview:
-        return self._ints("nodelabels")
-
-    def node_labels(self) -> Iterator[str]:
-        names = self.label_names
-        return (names[i] for i in self.node_label_ids())
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        values = self._ints("edges")
-        count = self.edge_count
-        if self.raw_runs:
-            return zip(values[:count], values[count:])
-        return zip(accumulate(values[:count]), values[count:])
-
     def build_graph(self):
         """Reconstruct the :class:`~repro.graph.digraph.DiGraph` eagerly.
 
@@ -664,9 +569,12 @@ class Snapshot:
         """
         from ..graph.digraph import DiGraph
 
+        names = self.label_names
+        edges = self._ints("edges")
+        count = self.edge_count
         graph = DiGraph()
-        graph.add_nodes(self.node_labels())
-        graph.add_edges(self.edges())
+        graph.add_nodes(names[i] for i in self._ints("nodelabels"))
+        graph.add_edges(zip(edges[:count], edges[count:]))
         return graph
 
     # ------------------------------------------------------------------
@@ -678,8 +586,7 @@ class Snapshot:
         offsets = self._ints(offsets_name)
         values = self._ints(values_name)
         self.decode_stats["code_rows"] += 1
-        run = values[offsets[node]:offsets[node + 1]]
-        return array("q", run if self.raw_runs else accumulate(run))
+        return array("q", values[offsets[node]:offsets[node + 1]])
 
     def in_code_array(self, node: int) -> array:
         """``in(x)`` as a freshly decoded sorted ``array('q')``."""
@@ -712,15 +619,14 @@ class Snapshot:
         offsets = self._ints("woff")
         values = self._ints("wval")
         self.decode_stats["wtable_pairs"] += 1
-        run = values[offsets[position]:offsets[position + 1]]
-        return array("q", run if self.raw_runs else accumulate(run))
+        return array("q", values[offsets[position]:offsets[position + 1]])
 
     # ------------------------------------------------------------------
     # cluster directory
     # ------------------------------------------------------------------
-    def centers(self) -> memoryview:
-        """The sorted center-id column, zero-copy."""
-        return self._ints("centers")
+    def centers(self) -> array:
+        """The sorted center-id column, copied out of the mapping."""
+        return array("q", self._ints("centers"))
 
     def center_position(self, center: int) -> int:
         """Index of *center* in the directory, or -1 if absent."""
@@ -743,8 +649,7 @@ class Snapshot:
         t_sub: Dict[str, Tuple[int, ...]] = {}
         for run in range(sub_off[position], sub_off[position + 1]):
             side, label_id, value_offset, count = sub_dir[4 * run:4 * run + 4]
-            values = sub_val[value_offset:value_offset + count]
-            nodes = tuple(values if self.raw_runs else accumulate(values))
+            nodes = tuple(sub_val[value_offset:value_offset + count])
             self.decode_stats["subcluster_runs"] += 1
             (f_sub if side == SIDE_F else t_sub)[names[label_id]] = nodes
         return f_sub, t_sub
@@ -788,8 +693,6 @@ class Snapshot:
 
 
 __all__ = [
-    "FLAG_RAW_RUNS",
-    "RAW_SECTION_NAMES",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "SECTION_NAMES",

@@ -83,7 +83,7 @@ class TestCyclicDataAllRJoinEngines:
 @pytest.mark.parametrize(
     "script",
     ["quickstart.py", "supply_chain.py", "citations.py",
-     "persistence_and_updates.py", "web_links.py"],
+     "persistence.py", "web_links.py"],
 )
 def test_examples_run_clean(script):
     """Every example must execute end-to-end without error."""

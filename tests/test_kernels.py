@@ -5,8 +5,7 @@ Every kernel in :mod:`repro.query.physical.kernels` follows builtin
 adversarial inputs (empty, duplicate-laden, one-sided, disjoint), check
 that the merge and gallop intersection strategies agree with each other
 regardless of the dispatch heuristic, and verify the bookkeeping helpers
-(dedup order and pre-dedup totals in ``gather_union``, stable label-pair
-interning).
+(dedup order and pre-dedup totals in ``gather_union``).
 """
 
 import random
@@ -20,7 +19,6 @@ from repro.query.physical.kernels import (
     GALLOP_RATIO,
     as_sorted_array,
     gather_union,
-    intern_label_pair,
     intersect,
     intersect_gallop,
     intersect_merge,
@@ -142,48 +140,3 @@ class TestGatherUnion:
                         expected.append(node)
             assert list(partners) == expected
             assert total == sum(len(nodes) for nodes in lists)
-
-
-class TestInternLabelPair:
-    def test_stable_and_distinct(self):
-        a = intern_label_pair("item", "person")
-        b = intern_label_pair("person", "item")
-        assert a != b  # ordered pairs
-        assert intern_label_pair("item", "person") == a
-
-    def test_ids_are_ints(self):
-        assert isinstance(intern_label_pair("x", "y"), int)
-
-    def test_table_is_bounded_by_limit(self, monkeypatch):
-        monkeypatch.setattr(kernels, "PAIR_INTERN_LIMIT", 8)
-        kernels.clear_pair_ids()  # start from an empty table
-        for i in range(100):
-            intern_label_pair(f"left{i}", f"right{i}")
-        assert len(kernels._PAIR_IDS) <= 8
-
-    def test_cap_overflow_clears_and_bumps_epoch(self, monkeypatch):
-        monkeypatch.setattr(kernels, "PAIR_INTERN_LIMIT", 3)
-        kernels.clear_pair_ids()
-        epoch = kernels.pair_epoch()
-        first = intern_label_pair("p0", "q0")
-        intern_label_pair("p1", "q1")
-        intern_label_pair("p2", "q2")
-        assert kernels.pair_epoch() == epoch  # under the cap: no clear
-        # re-interning an existing pair never triggers the overflow path
-        assert intern_label_pair("p0", "q0") == first
-        assert kernels.pair_epoch() == epoch
-        # a fourth distinct pair overflows: table cleared, epoch bumped,
-        # and ids restart from zero (recycled)
-        overflow = intern_label_pair("p3", "q3")
-        assert kernels.pair_epoch() == epoch + 1
-        assert overflow == 0
-        assert len(kernels._PAIR_IDS) == 1
-
-    def test_ids_recycle_across_epochs(self):
-        kernels.clear_pair_ids()
-        old = intern_label_pair("recycled", "pair")
-        kernels.clear_pair_ids()
-        # a *different* pair interned first in the new epoch may reuse
-        # the old id — exactly why epoch-blind consumers are unsound
-        other = intern_label_pair("another", "pair")
-        assert other == old == 0

@@ -119,11 +119,11 @@ def test_close_guard_names_the_live_pool(xmark_snap_path):
     assert snapshot.closed
 
 
-def test_descriptor_goes_stale_after_rebuild(xmark_snap_path):
-    db = load_database(xmark_snap_path)
-    assert db.snapshot_descriptor() is not None
-    db.rebuild_join_index()
-    # live index now: nothing to ship, the pool must refuse cleanly
+def test_descriptor_is_path_plus_config_until_closed(xmark_snap_path):
+    db = load_database(xmark_snap_path, buffer_bytes=1 << 16)
+    assert db.snapshot_descriptor() == (xmark_snap_path, 1 << 16, 4096, True)
+    db.snapshot_handle.close()
+    # nothing to re-open by path any more: the pool must refuse cleanly
     assert db.snapshot_descriptor() is None
     with pytest.raises(ValueError, match="snapshot-backed"):
         WorkerPool(db, 2)

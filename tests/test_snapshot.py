@@ -10,8 +10,12 @@ Covers the persistence contracts of the snapshot subsystem:
 * corruption — any flipped byte or truncation yields a clean
   :class:`SnapshotError` from ``Snapshot.open``, never garbage data;
 * laziness — opening a snapshot decodes nothing; queries decode only
-  the rows they touch; base tables materialize per label on demand.
+  the rows they touch; base tables materialize per label on demand;
+* no views — nothing any accessor returns can pin the mapping.
 """
+
+import struct
+import zlib
 
 import pytest
 
@@ -23,8 +27,8 @@ from repro.graph import xmark
 from repro.graph.generators import figure1_graph, random_digraph
 from repro.query.engine import GraphEngine
 from repro.storage.snapshot import (
-    FLAG_RAW_RUNS,
     SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
     Snapshot,
     SnapshotError,
     is_snapshot,
@@ -137,14 +141,6 @@ class TestRoundTrip:
         loaded = load_database(snap_path)
         assert audit_database(loaded) == []
 
-    def test_rebuild_converts_to_live_index(self, snap_path):
-        loaded = load_database(snap_path)
-        sizes = loaded.join_index.wtable_sizes()
-        loaded.rebuild_join_index()
-        assert not isinstance(loaded.join_index, SnapshotRJoinIndex)
-        assert loaded.index_generation == 1
-        assert loaded.join_index.wtable_sizes() == sizes
-
 
 class TestByteStability:
     def test_binary_save_load_save_is_byte_stable(self, built_db, tmp_path):
@@ -211,6 +207,17 @@ class TestCorruption:
         with pytest.raises(SnapshotError, match="version"):
             Snapshot.open(str(bad))
 
+    def test_version_1_header_rejected(self, tmp_path):
+        """A file of the retired format fails on its version field, before
+        any of its (differently laid out) sections is looked at."""
+        assert SNAPSHOT_VERSION == 2
+        old = tmp_path / "v1.snap"
+        old.write_bytes(
+            struct.pack("<8sII", SNAPSHOT_MAGIC, 1, 1) + b"\x00" * 64
+        )
+        with pytest.raises(SnapshotError, match="snapshot version 1"):
+            Snapshot.open(str(old))
+
     def test_audit_snapshot_clean_and_unreadable(self, snap_path, tmp_path):
         assert audit_snapshot(snap_path) == []
         bad = tmp_path / "bad.snap"
@@ -252,72 +259,121 @@ class TestLaziness:
         loaded = load_database(snap_path)
         assert loaded.storage_report().keys() == built_db.storage_report().keys()
 
-    def test_dynamic_append_still_works(self, snap_path):
-        """The overflow path of the lazy code sequences."""
-        loaded = load_database(snap_path)
-        labeling = loaded.labeling
-        before = labeling.node_count
-        labeling.in_codes.append(frozenset({before}))
-        labeling.out_codes.append(frozenset({before}))
-        labeling.invalidate_caches()
-        assert labeling.node_count == before + 1
-        assert labeling.in_codes[before] == frozenset({before})
-        assert labeling.reaches(before, before)
+
+#: (length, CRC32) of every section of ``GraphDatabase(figure1_graph())``
+#: as the last version-1 writer (raw runs) laid them out — version 2 only
+#: dropped the two unread sections, it moved no byte of the others
+V1_FIGURE1_SECTIONS = {
+    "meta": (48, 0x0EB55021),
+    "labelnames": (9, 0x9202D520),
+    "nodelabels": (208, 0xDB5E21A4),
+    "edges": (416, 0xACB20AF7),
+    "inoff": (216, 0xB624AD76),
+    "inval": (352, 0x373AD072),
+    "outoff": (216, 0x5D071BF3),
+    "outval": (304, 0xCA591CFD),
+    "wdir": (240, 0x89A6D8E0),
+    "woff": (128, 0x2523391C),
+    "wval": (432, 0x56CBC820),
+    "centers": (208, 0x5D6CB7F4),
+    "suboff": (216, 0x7A6A06F0),
+    "subdir": (2176, 0x0DB9F49F),
+    "subval": (656, 0xEA558DAE),
+    "extents": (40, 0x174F516D),
+    "catpairs": (600, 0x532EA707),
+}
 
 
 class TestRawRunsLayout:
-    def test_writer_default_is_raw_and_view_capable(self, snap_path):
-        snapshot = Snapshot.open(snap_path)
+    def test_sections_match_the_version_1_raw_layout(self, tmp_path):
+        path = str(tmp_path / "fig1.snap")
+        write_snapshot(GraphDatabase(figure1_graph()), path)
+        payload = open(path, "rb").read()
+        snapshot = Snapshot.open(path)
         try:
-            assert snapshot.flags == FLAG_RAW_RUNS
-            assert snapshot.raw_runs
-            names = [name for name, _, _ in snapshot.section_table()]
-            assert "extoff" in names and "extnodes" in names
+            sections = {
+                name: (length, zlib.crc32(payload[offset:offset + length]))
+                for name, offset, length in snapshot.section_table()
+            }
         finally:
             snapshot.close()
-
-    def test_legacy_delta_file_still_serves(self, built_db, tmp_path):
-        legacy = str(tmp_path / "legacy.snap")
-        write_snapshot(built_db, legacy, raw_runs=False)
-        snapshot = Snapshot.open(legacy)
-        try:
-            assert snapshot.flags == 0
-            assert not snapshot.raw_runs
-            names = [name for name, _, _ in snapshot.section_table()]
-            assert "extoff" not in names
-        finally:
-            snapshot.close()
-        loaded = load_database(legacy)
-        for v in range(0, loaded.graph.node_count, 97):
-            for side in ("in", "out"):
-                assert list(loaded.code_run(v, side)) == list(
-                    built_db.code_run(v, side)
-                )
-        assert (
-            loaded.join_index.wtable_sizes()
-            == built_db.join_index.wtable_sizes()
-        )
+        assert sections == V1_FIGURE1_SECTIONS
 
     def test_unknown_flag_bits_rejected(self, snap_path, tmp_path):
+        """Version 2 defines no flag: any set bit — the retired raw-runs
+        bit 0 included — is refused."""
         payload = bytearray(open(snap_path, "rb").read())
-        payload[12] |= 0x80  # header flags field, undefined bit
         bad = tmp_path / "flag.snap"
-        bad.write_bytes(bytes(payload))
-        with pytest.raises(SnapshotError, match="flag"):
-            Snapshot.open(str(bad))
+        for flags in (1, 0x80, 0x8000_0000):
+            struct.pack_into("<I", payload, 12, flags)  # header flags word
+            bad.write_bytes(bytes(payload))
+            with pytest.raises(SnapshotError, match="flag"):
+                Snapshot.open(str(bad))
 
-    def test_raw_and_delta_agree_through_the_engine(self, built_db, tmp_path):
-        raw_path = str(tmp_path / "raw.snap")
-        delta_path = str(tmp_path / "delta.snap")
-        write_snapshot(built_db, raw_path)
-        write_snapshot(built_db, delta_path, raw_runs=False)
-        raw_engine = GraphEngine.from_database(load_database(raw_path))
-        delta_engine = GraphEngine.from_database(load_database(delta_path))
-        pattern = "person -> watch"
-        assert (
-            raw_engine.match(pattern).as_set()
-            == delta_engine.match(pattern).as_set()
-        )
+
+def _holds_view(value) -> bool:
+    if isinstance(value, memoryview):
+        return True
+    if isinstance(value, dict):
+        return any(_holds_view(k) or _holds_view(v) for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(_holds_view(item) for item in value)
+    return False
+
+
+def _probe(db):
+    """One existing (center, (X, Y) pair, label) to aim the accessors at."""
+    (x, y), centers = next(iter(db.join_index.wtable_items()))
+    return centers[0], x, y
+
+
+#: every public Snapshot accessor, every SnapshotRJoinIndex read and the
+#: SnapshotDatabase run surface — each takes the loaded database
+ACCESSORS = {
+    "Snapshot.centers": lambda db: db.snapshot_handle.centers(),
+    "Snapshot.in_code_array": lambda db: db.snapshot_handle.in_code_array(0),
+    "Snapshot.out_code_array": lambda db: db.snapshot_handle.out_code_array(0),
+    "Snapshot.wtable_pairs": lambda db: db.snapshot_handle.wtable_pairs(),
+    "Snapshot.wtable_sizes": lambda db: db.snapshot_handle.wtable_sizes(),
+    "Snapshot.wtable_centers": lambda db: db.snapshot_handle.wtable_centers(0),
+    "Snapshot.subclusters_at": lambda db: db.snapshot_handle.subclusters_at(0),
+    "Snapshot.extent_sizes": lambda db: db.snapshot_handle.extent_sizes(),
+    "Snapshot.catalog_pairs": lambda db: db.snapshot_handle.catalog_pairs(),
+    "Snapshot.section_table": lambda db: db.snapshot_handle.section_table(),
+    "Snapshot.build_graph": lambda db: db.snapshot_handle.build_graph(),
+    "index.centers": lambda db: db.join_index.centers(*_probe(db)[1:]),
+    "index.get_f": lambda db: db.join_index.get_f(*_probe(db)[:2]),
+    "index.get_t": lambda db: db.join_index.get_t(_probe(db)[0], _probe(db)[2]),
+    "index.get_ft": lambda db: db.join_index.get_ft(_probe(db)[0]),
+    "index.cluster_items": lambda db: db.join_index.cluster_items(),
+    "index.wtable_items": lambda db: db.join_index.wtable_items(),
+    "index.wtable_pairs": lambda db: db.join_index.wtable_pairs(),
+    "index.wtable_sizes": lambda db: db.join_index.wtable_sizes(),
+    "db.w_run": lambda db: db.w_run(*_probe(db)[1:]),
+    "db.code_run[in]": lambda db: db.code_run(_probe(db)[0], "in"),
+    "db.code_run[out]": lambda db: db.code_run(_probe(db)[0], "out"),
+    "db.subcluster_runs": lambda db: db.subcluster_runs(_probe(db)[0]),
+    "db.extent_run": lambda db: db.extent_run(_probe(db)[1]),
+    "labeling.in_codes": lambda db: db.labeling.in_codes[0],
+}
+
+
+class TestNoViewsEscape:
+    """What replaced the static ``mmap/*`` rules: no accessor hands out a
+    ``memoryview`` (or an iterator parked on one), so nothing a caller
+    holds can keep :meth:`Snapshot.close` from unmapping the file."""
+
+    @pytest.mark.parametrize("name", sorted(ACCESSORS))
+    def test_result_holds_no_view_and_survives_close(self, snap_path, name):
+        db = load_database(snap_path)
+        result = ACCESSORS[name](db)
+        first = None
+        if hasattr(result, "__next__"):
+            first = next(result)  # park the iterator mid-stream
+        assert not _holds_view(result) and not _holds_view(first)
+        db.snapshot_handle.close()  # result and first still alive: no BufferError
+        assert db.snapshot_handle.closed
+        del result, first
 
 
 class TestCloseGuard:
