@@ -50,12 +50,8 @@ MIN_WALL_RATIO = 2.0
 
 
 def intermediate_rows(result) -> int:
-    """Summed per-operator ``rows_out`` before the final projection."""
-    return sum(
-        op.rows_out
-        for op in result.metrics.operators
-        if not op.operator.startswith("project")
-    )
+    """Summed per-operator ``rows_out``."""
+    return sum(op.rows_out for op in result.metrics.operators)
 
 
 @pytest.fixture(scope="module")

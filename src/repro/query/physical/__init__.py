@@ -1,7 +1,7 @@
 """Physical operator layer: one implementation, one driver.
 
 This package is the single home of the paper's online-phase algebra
-(HPSJ, HPSJ+ Filter/Fetch, selections, projection) as Volcano-style
+(HPSJ, HPSJ+ Filter/Fetch, selections, multiway joins) as Volcano-style
 operator classes, plus the driver that interprets a validated plan
 through them — :func:`execute_plan_streaming` (pipelined, LIMIT
 pushdown) — and :func:`execute_plan`, the paper's cold temporal-table
@@ -31,7 +31,6 @@ from .drivers import (
 from .operators import (
     FetchOp,
     PhysicalOperator,
-    ProjectOp,
     SeedJoinOp,
     SeedScanOp,
     SelectionOp,
@@ -56,7 +55,6 @@ __all__ = [
     "MultiwayIntersectOp",
     "MultiwaySeedOp",
     "PhysicalOperator",
-    "ProjectOp",
     "SeedJoinOp",
     "SeedScanOp",
     "SelectionOp",

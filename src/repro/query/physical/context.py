@@ -57,6 +57,8 @@ class OperatorMetrics:
 class RowLayout:
     """Schema of the rows flowing between two operators.
 
+    ``variables`` are the bound variables in *pattern declaration order*
+    (not bind order), so the last operator's rows are the result rows.
     Mirrors :class:`~repro.query.algebra.TemporalTable`'s column layout
     (variables first, then one centers column per pending filter) without
     any storage behind it — the driver uses it bare, the accounting run

@@ -1,12 +1,13 @@
-"""The plan driver — chained operator generators — and the accounting run.
+"""The plan driver — chained operator streams — and the accounting run.
 
 :func:`execute_plan_streaming` is how every query executes: it
 interprets a validated :class:`~repro.query.algebra.Plan` through the
 operator pipeline (:func:`~repro.query.physical.operators.build_pipeline`)
-by chaining the operators' generators, so no temporal table ever hits
-the storage engine and a ``LIMIT`` stops all upstream work the moment
-enough output exists.  :meth:`GraphEngine.match` is this stream,
-collected.
+by chaining the operators' ``rows()`` streams, so no temporal table ever
+hits the storage engine and a ``LIMIT`` stops all upstream work the
+moment enough output exists.  The last operator's stream is the result;
+the driver adds one generator to it (``bounded``: LIMIT, deadline,
+metrics).  :meth:`GraphEngine.match` is this stream, collected.
 
 :func:`execute_plan` is not a second way to answer a query; it is the
 paper's HPSJ+ *accounting run* ("stores them into T_W"): the same
@@ -29,6 +30,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import compress, count, islice
 from typing import Iterator, List, Optional, Tuple
 
 from ...db.database import GraphDatabase
@@ -115,9 +117,9 @@ def _prepare(
         center_cache=center_cache,
         sanitize=sanitize,
     )
-    operators, project = build_pipeline(ctx, plan)
+    operators = build_pipeline(ctx, plan)
     metrics = RunMetrics(operators=[op.metrics for op in operators])
-    return ctx, operators, project, metrics
+    return ctx, operators, metrics
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +131,7 @@ def execute_plan(
     row_limit: Optional[int] = None,
     verify: bool = False,
 ) -> QueryResult:
-    """Run *plan* cold, materializing every intermediate; project the result.
+    """Run *plan* cold, materializing every intermediate, the result too.
 
     Without a :class:`CenterCache`: every center set and
     subcluster is read from the database and every intermediate is
@@ -139,7 +141,7 @@ def execute_plan(
     raises :class:`repro.query.algebra.RowLimitExceeded`, no partial
     result).  Rows and per-operator counters equal the stream's.
     """
-    _, operators, project, metrics = _prepare(db, plan, row_limit, verify)
+    _, operators, metrics = _prepare(db, plan, row_limit, verify)
     io_before = db.stats.snapshot()
     started = time.perf_counter()
     tables: List[TemporalTable] = []
@@ -154,9 +156,9 @@ def execute_plan(
             metrics.peak_temporal_rows = max(
                 metrics.peak_temporal_rows, output.row_count
             )
-        rows = list(project.rows(tables[-1].scan()))
+        rows = list(tables[-1].scan())
     finally:
-        # intermediates are dead once the projection has drained: hand
+        # intermediates are dead once the result has been read back: hand
         # their pages back instead of leaving them on the simulated disk
         for table in tables:
             table.drop()
@@ -177,7 +179,8 @@ class StreamingResult:
 
     Nothing executes until the first row is pulled.  Iterating the
     stream iterates the driver's one bounded generator directly — there
-    is no per-row ``__next__`` between it and the consumer — and that
+    is no per-row ``__next__`` between it and the consumer, and without
+    a deadline it is the only Python frame a row passes through — and that
     generator starts the clock and the I/O snapshot on its first pull
     and finalizes ``metrics`` (elapsed time, I/O delta, result count,
     peak intermediate size; the operators' own counters flush just
@@ -205,7 +208,7 @@ class StreamingResult:
         #: a truncation
         self._ended = False
         self.metrics = metrics
-        #: the plan being run and its projected output columns, in row
+        #: the plan being run and its output columns, in row
         #: order (pattern variables) — same contract as :class:`QueryResult`
         self.plan = plan
         self.columns = tuple(plan.pattern.variables)
@@ -250,7 +253,7 @@ def execute_plan_streaming(
     sanitize: bool = False,
     timeout: Optional[float] = None,
 ) -> StreamingResult:
-    """Yield projected result rows lazily; stop early at *limit*.
+    """Yield result rows lazily; stop early at *limit*.
 
     The plan is validated before any row is produced; ``verify=True``
     first runs the full static plan checker
@@ -271,24 +274,26 @@ def execute_plan_streaming(
     pull and the metrics are flagged ``truncated`` with
     ``stop_reason="timeout"``.  Cancellation is cooperative — the check
     runs between output rows, so a single long-running operator stage
-    is bounded by ``row_limit``, not by the deadline.  Stopping at *limit* likewise flags the run truncated
-    (``stop_reason="limit"``): the delivered rows are a prefix of the
-    full result, which may or may not have had more rows.
+    is bounded by ``row_limit``, not by the deadline.  Stopping at
+    *limit* likewise flags the run truncated (``stop_reason="limit"``):
+    the delivered rows are a prefix of the full result, which may or may
+    not have had more rows.
     """
-    ctx, operators, project, metrics = _prepare(
+    ctx, operators, metrics = _prepare(
         db, plan, row_limit, verify,
         center_cache=center_cache, sanitize=sanitize,
     )
-    source: Optional[Iterator[Row]] = None
+    rows = None
     for op in operators:
-        source = op.rows(source)
-    projected = project.rows(source)
+        rows = op.rows(rows)
 
     def stop(reason: str) -> None:
         metrics.truncated = True
         metrics.stop_reason = reason
 
     def bounded() -> Iterator[Row]:
+        # the one generator between operators and caller, and it must stay one: only
+        # a frame that pulls the chain itself is sure to run its finally (DESIGN.md §2.1).
         # first pull: the wall clock, the I/O snapshot and the deadline
         # all start here, so elapsed_seconds and the deadline agree
         started = time.perf_counter()
@@ -302,20 +307,27 @@ def execute_plan_streaming(
             elif deadline is not None and time.perf_counter() >= deadline:
                 stop("timeout")
             else:
-                for row in projected:
-                    emitted += 1
-                    yield row
-                    if emitted >= stop_at:
-                        stop("limit")
-                        break
-                    if deadline is not None and time.perf_counter() >= deadline:
-                        stop("timeout")
-                        break
+                # compress ticks once per row pulled; islice never pulls row stop_at + 1
+                ticks = count(1)
+                limited = islice(compress(rows, ticks), stop_at)
+                try:
+                    if deadline is None:
+                        yield from limited
+                    else:
+                        for row in limited:
+                            yield row
+                            if time.perf_counter() >= deadline:
+                                stop("timeout")
+                                break
+                finally:
+                    emitted = next(ticks) - 1
+                if emitted >= stop_at:
+                    stop("limit")
             stream._ended = True
         finally:
             # explicit teardown (not GC order): closing the chain is
             # what flushes the operators' counters
-            projected.close()
+            rows.close()
             stream._finalize(started, io_before, emitted)
 
     stream = StreamingResult(

@@ -123,10 +123,11 @@ def gather_union(
 ) -> Tuple[Tuple[int, ...], int]:
     """Deduplicated union of per-center subclusters, plus the raw volume.
 
-    Returns ``(partners, total)`` where *partners* preserves first-seen
-    order across the input lists (Algorithm 2's per-tuple dedup order)
-    and *total* is the pre-dedup node count — the quantity charged into
-    ``nodes_fetched``.
+    Returns ``(partners, total)`` where *partners* — a tuple of bare
+    ints, which Fetch feeds to ``zip`` as the new column — preserves
+    first-seen order across the input lists (Algorithm 2's per-tuple
+    dedup order) and *total* is the pre-dedup node count — the quantity
+    charged into ``nodes_fetched``.
     """
     total = 0
     if len(partner_lists) == 1:

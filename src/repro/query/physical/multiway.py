@@ -41,8 +41,8 @@ Counter semantics (matching Filter/Fetch conventions):
 * ``rows_in`` — candidate values examined before pruning: for the seed,
   the smallest per-condition projection (or the base extent when the
   seed has no constraints); for an intersect step, the input rows;
-* ``rows_out`` — emitted rows, so ``rows_out`` summed *before* the
-  projection is exactly the "intermediate rows" quantity the bench
+* ``rows_out`` — emitted rows, so ``rows_out`` summed over a plan's
+  operators is exactly the "intermediate rows" quantity the bench
   gates compare against left-deep plans.
 
 Per-row extension sets are memoized on the tuple of scanned values (many
@@ -53,12 +53,14 @@ the same replay discipline Fetch uses.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import length_hint
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra import FilterKey, Side
 from . import kernels
 from .context import ExecutionContext, RowLayout
-from .operators import PhysicalOperator, Row
+from .operators import Expansions, PhysicalOperator, Row, declared
 
 
 def _describe(constraints: Sequence[FilterKey]) -> str:
@@ -179,13 +181,16 @@ class MultiwayIntersectOp(_MultiwayBase):
     ) -> None:
         if not constraints:
             raise ValueError(f"multiway step for {var!r} needs >= 1 constraint")
+        variables = declared(ctx, input_layout.variables + (var,))
         super().__init__(
             ctx,
             f"mjoin[{var}]({_describe(constraints)})",
-            RowLayout(input_layout.variables + (var,), input_layout.pending),
+            RowLayout(variables, input_layout.pending),
             var,
             constraints,
         )
+        #: the eliminated variable's column in the output rows
+        self.position = self.layout.var_position(var)
         # position of each constraint's bound (scanned) endpoint
         self.scan_positions = [
             input_layout.var_position(side.scanned_var(condition))
@@ -214,16 +219,21 @@ class MultiwayIntersectOp(_MultiwayBase):
             per_condition.append(extensions)
         return tuple(kernels.intersect_many(per_condition)), probes, volume
 
-    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
+    def rows(self, source: Optional[Iterable[Row]] = None) -> Iterable[Row]:
+        return Expansions(super().rows(source))
+
+    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Iterable[Row]]:
         db = self.ctx.db
         # W(X, Y) is read once per constraint per execution
         w_keys = [
             (db.w_run(x, y), (x, y)) for x, y, _side, _fetch in self._plans
         ]
-        # scanned-values tuple -> (extensions | None, probes, volume)
+        # scanned-values tuple -> (extensions | None, probes, volume); the
+        # extensions are a tuple of bare ints, consumed by ``zip``
         memo: Dict[Tuple[int, ...], Tuple[Optional[Tuple[int, ...]], int, int]] = {}
-        positions = self.scan_positions
+        positions, position = self.scan_positions, self.position
         limit = self._limit()
+        pending: Iterator[int] = iter(())
         rows_in = rows_out = centers_probed = nodes_fetched = 0
         try:
             for row in self._input(source):
@@ -239,13 +249,19 @@ class MultiwayIntersectOp(_MultiwayBase):
                 nodes_fetched += volume
                 if not extensions:
                     continue
-                base = tuple(row)
-                for partner in extensions:
+                rows_out += len(extensions)
+                over = rows_out - limit
+                if over > 0:  # the budget ends inside this expansion
+                    extensions, rows_out = extensions[:-over], limit
+                pending = iter(extensions)
+                columns = list(map(repeat, row))
+                columns.insert(position, pending)
+                yield zip(*columns)
+                if over > 0:  # drained: count the row that crossed, as a loop would
                     rows_out += 1
-                    if rows_out > limit:
-                        raise self._exceeded(limit)
-                    yield base + (partner,)
+                    raise self._exceeded(limit)
         finally:
+            rows_out -= length_hint(pending)
             self._flush(rows_in, rows_out, centers_probed, nodes_fetched)
 
 

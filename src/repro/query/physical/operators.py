@@ -20,13 +20,13 @@ lifecycle over a shared :class:`~repro.query.physical.context.ExecutionContext`:
   T-subcluster (or F-subcluster for the mirrored direction).
 * :class:`SelectionOp` — the self R-join (Eq. 5): test
   ``out(x) ∩ in(y) ≠ ∅`` between two already-bound columns.
-* :class:`ProjectOp` — project the pattern's variables in declaration
-  order off the final intermediate.
 
-There is **one body per operator**, and it is the one generator frame a
-row passes through there: it counts and guards the rows it emits itself
-(see :class:`PhysicalOperator`).  Each pulls its input a row at a
-time (so a ``LIMIT`` stops all upstream work at once), computes with the
+Rows travel in **pattern declaration order** (:func:`declared`), so the
+last operator's rows are the result rows — there is no projection stage.
+
+There is **one body per operator**, and it counts and guards the rows it
+emits itself (see :class:`PhysicalOperator`).  Each pulls its input a row
+at a time (so a ``LIMIT`` stops all upstream work at once), computes with the
 sorted-run kernels (:mod:`repro.query.physical.kernels`), and reads the
 database only through its four-call run surface (``w_run``/``code_run``/
 ``subcluster_runs``/``extent_run``) — whether those runs come from the
@@ -50,7 +50,8 @@ row for row and counter for counter.
 from __future__ import annotations
 
 import sys
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import length_hint
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra import (
@@ -73,27 +74,48 @@ from .context import ExecutionContext, OperatorMetrics, RowLayout
 Row = Tuple[int, ...]
 
 
+def declared(ctx: ExecutionContext, variables: Sequence[str]) -> Tuple[str, ...]:
+    """*variables* in the pattern's declaration order: the column order."""
+    return tuple(v for v in ctx.pattern.variables if v in variables)
+
+
+class Expansions:
+    """An expanding operator's stream: the ``zip``s its generator yields,
+    chained in C, closable like that generator."""
+
+    def __init__(self, expansions: Iterator[Iterable[Row]]) -> None:
+        self._rows = chain.from_iterable(expansions)
+        self.close = expansions.close
+
+    def __iter__(self) -> Iterator[Row]:
+        return self._rows
+
+
 class PhysicalOperator:
     """Base class: lifecycle, the counter flush, the row-limit guard's
     parts, and the two memoized index reads every R-join operator shares.
 
-    Subclasses implement :meth:`_produce` — **the one frame a row passes
-    through per operator**.  It keeps ``rows_in`` / ``rows_out`` /
-    ``centers_probed`` / ``nodes_fetched`` in locals, checks the
-    context's ``row_limit`` budget at the statement that increments
-    ``rows_out`` (:meth:`_limit` / :meth:`_exceeded`), and hands the
-    locals to :meth:`_flush` in a ``finally``.  So
-    :class:`OperatorMetrics` is written once per execution, at the
-    moment the operator's generator finishes — exhausted, closed early
-    by a LIMIT, or raising — and is final from then on.  Around it,
-    :meth:`rows` only
+    Subclasses implement :meth:`_produce`, the operator's one body: it
+    keeps its four counters in locals, guards ``row_limit`` where it
+    counts ``rows_out`` (:meth:`_limit` / :meth:`_exceeded`) and hands
+    them to :meth:`_flush` in a ``finally`` — so :class:`OperatorMetrics`
+    is written once per execution, when the generator finishes
+    (exhausted, closed early, or raising), and is final from then on.
+    An *expanding* operator yields one ``zip`` per source row, chained in
+    C by its ``rows()``, and counts by arithmetic: ``+= len(partners)``
+    before the yield, ``-= length_hint(pending)`` in the ``finally`` —
+    exact for tuple iterators (DESIGN.md §2.1).
 
-    * calls ``open()`` to reset all per-execution state (memos and the
-      metrics counters), making an operator instance reusable;
-    * delegates to ``_produce`` (no per-row loop of its own);
-    * calls ``close()`` and closes its input stream when the generator
-      finishes for any reason, so every operator upstream has flushed
-      its counters by the time the consumer regains control.
+    **An operator pulls its source from its own frame; it never yields
+    an iterable that wraps its source**: an upstream exception travels
+    through C iterators *past* a suspended generator that merely handed
+    a wrapper on, leaving its ``finally`` to the garbage collector.
+
+    :meth:`rows` adds only the lifecycle: ``open()`` (reset memos and
+    counters: an instance is reusable), then ``_produce`` with no loop of
+    its own, then — however it ends — ``close()`` and closing the input
+    stream, so everything upstream has flushed before the consumer
+    regains control.
     """
 
     def __init__(self, ctx: ExecutionContext, name: str, layout: RowLayout):
@@ -237,18 +259,20 @@ class SeedJoinOp(PhysicalOperator):
     """HPSJ (Algorithm 1): R-join two base tables via the join index.
 
     ``rows_in`` counts the candidate pairs enumerated from the
-    subcluster Cartesian products; ``rows_out`` the deduplicated pairs.
+    subcluster Cartesian products; ``rows_out`` the deduplicated pairs,
+    emitted ``(y, x)`` when the pattern declares ``y`` first.
     """
 
     def __init__(self, ctx: ExecutionContext, condition: Condition):
         src, dst = condition
-        super().__init__(ctx, f"hpsj({src}->{dst})", RowLayout(condition))
+        super().__init__(ctx, f"hpsj({src}->{dst})", RowLayout(declared(ctx, condition)))
         self.condition = condition
         self.x_label, self.y_label = ctx.pattern.condition_labels(condition)
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
         db = self.ctx.db
         x_label, y_label = self.x_label, self.y_label
+        flipped = self.layout.variables[0] != self.condition[0]
         limit = self._limit()
         seen: set = set()
         rows_in = rows_out = centers_probed = nodes_fetched = 0
@@ -263,7 +287,7 @@ class SeedJoinOp(PhysicalOperator):
                 for x in f_nodes:
                     for y in t_nodes:
                         rows_in += 1
-                        pair = (x, y)
+                        pair = (y, x) if flipped else (x, y)
                         if pair not in seen:
                             seen.add(pair)
                             rows_out += 1
@@ -382,13 +406,13 @@ class FetchOp(PhysicalOperator):
     ):
         src, dst = condition
         key: FilterKey = (condition, side)
-        remaining = tuple(k for k in input_layout.pending if k != key)
+        fetched = side.fetched_var(condition)
         super().__init__(
             ctx,
             f"fetch({src}->{dst})[{side.value}]",
             RowLayout(
-                input_layout.variables + (side.fetched_var(condition),),
-                remaining,
+                declared(ctx, input_layout.variables + (fetched,)),
+                tuple(k for k in input_layout.pending if k != key),
             ),
         )
         self.condition = condition
@@ -396,20 +420,21 @@ class FetchOp(PhysicalOperator):
         self.centers_position = input_layout.pending_position(key)
         x_label, y_label = ctx.pattern.condition_labels(condition)
         self.fetch_label = y_label if side is Side.OUT else x_label
-        # positions of the surviving pending columns in the input rows
-        self.keep_positions = [
-            input_layout.pending_position(k) for k in remaining
-        ]
-        self.var_count = len(input_layout.variables)
+        #: the fetched variable's column in the output rows
+        self.position = self.layout.var_position(fetched)
 
-    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
+    def rows(self, source: Optional[Iterable[Row]] = None) -> Iterable[Row]:
+        return Expansions(super().rows(source))
+
+    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Iterable[Row]]:
         subcluster = self._subcluster
         label, side = self.fetch_label, self.side
-        centers_position = self.centers_position
-        var_count, keep_positions = self.var_count, self.keep_positions
-        # centers tuple -> (deduplicated partners, pre-dedup volume)
+        centers_position, position = self.centers_position, self.position
+        # centers tuple -> (deduplicated partners, pre-dedup volume); the
+        # partners are a tuple of bare ints, consumed by ``zip``
         memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
         limit = self._limit()
+        pending: Iterator[int] = iter(())
         rows_in = rows_out = centers_probed = nodes_fetched = 0
         try:
             for row in self._input(source):
@@ -423,14 +448,21 @@ class FetchOp(PhysicalOperator):
                 partners, volume = entry
                 centers_probed += len(centers)
                 nodes_fetched += volume
-                base = tuple(row[:var_count])
-                carried = tuple(row[p] for p in keep_positions)
-                for partner in partners:
+                rows_out += len(partners)
+                over = rows_out - limit
+                if over > 0:  # the budget ends inside this expansion
+                    partners, rows_out = partners[:-over], limit
+                pending = iter(partners)
+                # fetched variable in, consumed centers column out, the rest ride along
+                columns = list(map(repeat, row))
+                del columns[centers_position]
+                columns.insert(position, pending)
+                yield zip(*columns)
+                if over > 0:  # drained: count the row that crossed, as a loop would
                     rows_out += 1
-                    if rows_out > limit:
-                        raise self._exceeded(limit)
-                    yield base + (partner,) + carried
+                    raise self._exceeded(limit)
         finally:
+            rows_out -= length_hint(pending)
             self._flush(rows_in, rows_out, centers_probed, nodes_fetched)
 
 
@@ -480,51 +512,16 @@ class SelectionOp(PhysicalOperator):
             self._flush(rows_in, rows_out)
 
 
-class ProjectOp(PhysicalOperator):
-    """Project the pattern's variables, in declaration order."""
-
-    def __init__(self, ctx: ExecutionContext, input_layout: RowLayout):
-        variables = tuple(ctx.pattern.variables)
-        super().__init__(ctx, "project", RowLayout(variables))
-        if input_layout.pending:
-            raise RuntimeError(
-                f"plan finished with unconsumed filters {input_layout.pending}"
-            )
-        positions = [input_layout.var_position(v) for v in variables]
-        # itemgetter answers a bare value for a single index; a one-wide
-        # slice of the (tuple) row is the 1-tuple the contract asks for
-        self._pick = (
-            itemgetter(*positions)
-            if len(positions) > 1
-            else itemgetter(slice(positions[0], positions[0] + 1))
-        )
-
-    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        pick = self._pick
-        limit = self._limit()
-        rows = 0
-        try:
-            for row in self._input(source):
-                rows += 1
-                if rows > limit:
-                    raise self._exceeded(limit)
-                yield pick(row)
-        finally:
-            self._flush(rows, rows)
-
-
 # ----------------------------------------------------------------------
 # plan -> operator pipeline
 # ----------------------------------------------------------------------
-def build_pipeline(
-    ctx: ExecutionContext, plan: Plan
-) -> Tuple[List[PhysicalOperator], ProjectOp]:
-    """Instantiate one operator per plan step, plus the final projection.
+def build_pipeline(ctx: ExecutionContext, plan: Plan) -> List[PhysicalOperator]:
+    """Instantiate one operator per plan step.
 
-    The returned step operators line up index-for-index with
-    ``plan.steps`` (so per-operator metrics report one entry per step);
-    the :class:`ProjectOp` is returned separately because it is driver
-    plumbing, not a costed plan step.
+    The operators line up index-for-index with ``plan.steps`` (so
+    per-operator metrics report one entry per step), and the last one's
+    rows are the result rows: its layout is the pattern's variables in
+    declaration order with no centers column left pending.
     """
     # imported here: the multiway module subclasses PhysicalOperator,
     # so the dependency must point from it to this module, not back
@@ -552,4 +549,6 @@ def build_pipeline(
             raise TypeError(f"unknown plan step {step!r}")
         operators.append(op)
         layout = op.layout
-    return operators, ProjectOp(ctx, layout)
+    if layout.pending:
+        raise RuntimeError(f"plan finished with unconsumed filters {layout.pending}")
+    return operators

@@ -132,6 +132,8 @@ class QueryService:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set[asyncio.Task] = set()
+        #: one handler task per open connection
+        self._connections: Set[asyncio.Task] = set()
         self._started_at = time.perf_counter()
         self._stopping = False
 
@@ -166,18 +168,24 @@ class QueryService:
         return host, port
 
     async def stop(self) -> None:
-        """Stop accepting, bounce queued work, finish in-flight queries."""
+        """Stop accepting, bounce queued work, finish in-flight queries,
+        close every open connection."""
         self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for waiter in self.scheduler.drain():
             if not waiter.done():
                 waiter.set_exception(Overloaded("service stopping"))
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        # request tasks first, then the connection handlers that spawned
+        # them: a handler left to asyncio.run's teardown is cancelled
+        # there, and 3.11's connection_made callback logs that as an error
+        for tasks in (self._tasks, self._connections):
+            for task in list(tasks):
+                task.cancel()
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         self._executor.shutdown(wait=True)
         if self._pool is not None:
             self._pool.shutdown()
@@ -186,6 +194,23 @@ class QueryService:
     # connection / request handling (event loop)
     # ------------------------------------------------------------------
     async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        handler = asyncio.current_task()
+        self._connections.add(handler)
+        try:
+            await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            # stop() cancels the handlers itself and awaits them, so at
+            # shutdown a handler ends normally; any other cancellation
+            # is the caller's to see
+            if not self._stopping:
+                raise
+        finally:
+            writer.close()  # again: the cancel may have landed in the inner finally
+            self._connections.discard(handler)
+
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         write_lock = asyncio.Lock()  # responses interleave whole lines only

@@ -7,9 +7,15 @@ consumer received, ``rows_in`` what was pulled from the source, and the
 counters of every operator in the chain are final the moment the stream
 stopped — at a limit, at a deadline, at ``close()`` in the middle of an
 expansion, or at a ``RowLimitExceeded`` raised in the middle of one.
+
+An expanding operator (Fetch, the multiway join) does not count per row:
+it books a whole expansion before handing it over and takes back what
+``operator.length_hint`` says is left of it when it finishes.  The sweep
+at the bottom stops at every offset around an expansion boundary.
 """
 
 import gc
+import operator
 
 import pytest
 
@@ -66,7 +72,6 @@ KINDS = {
     "select": ("select", "select("),
     "mseed": ("wcoj", "mseed("),
     "mjoin": ("wcoj", "mjoin["),
-    "project": ("hpsj+", "project"),
 }
 MODES = ("limit", "close", "row_limit", "timeout")
 
@@ -78,24 +83,25 @@ def counters(chain):
     ]
 
 
-def run_stopped(monkeypatch, db, plan, mode):
-    """Run *plan* through the streaming driver, stopped early by *mode*.
+def run_stopped(monkeypatch, db, plan, mode, take=TAKE):
+    """Run *plan* through the streaming driver, stopped early by *mode*
+    after *take* rows.
 
-    Returns (rows received, the metrics of every operator incl. the
-    projection, their counters read the moment the stream had stopped,
+    Returns (rows received, the metrics of every operator, their
+    counters read the moment the stream had stopped,
     the RowLimitExceeded message or None)."""
     built = {}
     build = drivers.build_pipeline
 
     def spy(ctx, plan):
-        operators, project = build(ctx, plan)
-        built["chain"] = [op.metrics for op in operators] + [project.metrics]
-        return operators, project
+        operators = build(ctx, plan)
+        built["chain"] = [op.metrics for op in operators]
+        return operators
 
     monkeypatch.setattr(drivers, "build_pipeline", spy)
     raised = None
     if mode == "limit":
-        stream = execute_plan_streaming(db, plan, limit=1)
+        stream = execute_plan_streaming(db, plan, limit=take)
         rows = list(stream)
         at_stop = counters(built["chain"])
         assert stream.metrics.stop_reason == "limit"
@@ -106,12 +112,12 @@ def run_stopped(monkeypatch, db, plan, mode):
         assert stream.metrics.stop_reason == "timeout"
     elif mode == "close":
         stream = execute_plan_streaming(db, plan)
-        rows = [next(stream) for _ in range(TAKE)]
+        rows = [next(stream) for _ in range(take)]
         stream.close()
         at_stop = counters(built["chain"])
         assert stream.metrics.stop_reason == "closed"
     else:
-        stream = execute_plan_streaming(db, plan, row_limit=TAKE)
+        stream = execute_plan_streaming(db, plan, row_limit=take)
         rows = []
         with pytest.raises(RowLimitExceeded) as caught:
             for row in stream:
@@ -133,7 +139,8 @@ def test_counters_are_exact_and_final_under_early_stop(
 ):
     plan_name, prefix = KINDS[kind]
     rows, chain, at_stop, raised = run_stopped(
-        monkeypatch, engine.db, plans[plan_name], mode
+        monkeypatch, engine.db, plans[plan_name], mode,
+        take=1 if mode == "limit" else TAKE,
     )
     # final means final: nothing was left suspended that could still flush
     gc.collect()
@@ -144,7 +151,7 @@ def test_counters_are_exact_and_final_under_early_stop(
     assert len(set(rows)) == len(rows)
 
     # what each operator's consumer received: the next operator's
-    # rows_in, and for the projection the rows in the caller's hands
+    # rows_in, and for the last one the rows in the caller's hands
     received = [m.rows_in for m in chain[1:]] + [len(rows)]
     thrower = None
     for metrics, got in zip(chain, received):
@@ -183,3 +190,43 @@ def test_full_drain_still_equals_the_reference(engine, plans, plan_name):
     assert not stream.metrics.truncated
     assert stream.metrics.stop_reason is None
     assert_matches_reference(index, plan, rows, stream.metrics, plan_name)
+
+
+@pytest.mark.parametrize("k", range(2 * FAN + 2))
+@pytest.mark.parametrize("mode", ("limit", "close", "row_limit"))
+@pytest.mark.parametrize("plan_name, width", [("hpsj+", FAN), ("wcoj", SIDE)])
+def test_every_stop_offset(monkeypatch, engine, plans, plan_name, width, mode, k):
+    """Stop after every k around an expansion boundary: the plan's last
+    operator (a Fetch, an mjoin) expands each source row *width* ways."""
+    rows, chain, at_stop, raised = run_stopped(
+        monkeypatch, engine.db, plans[plan_name], mode, take=k
+    )
+    gc.collect()
+    assert counters(chain) == at_stop
+    assert len(rows) == k and len(set(rows)) == k
+
+    received = [m.rows_in for m in chain[1:]] + [k]
+    throwers = [m for m, got in zip(chain, received) if m.rows_out != got]
+    if mode == "row_limit":
+        (thrower,) = throwers
+        assert thrower.rows_out == k + 1
+        assert raised == f"operator {thrower.operator} exceeded {k} rows"
+        # a budget of 0 is already crossed by the seed's first row; any
+        # other by the last operator, one row into the next expansion
+        assert thrower is (chain[0] if k == 0 else chain[-1])
+        needed = k + 1 if k else 0
+    else:
+        assert throwers == [] and raised is None
+        needed = k
+    # stopping on an expansion boundary has not pulled the next source row
+    assert chain[-1].rows_in == -(-needed // width)
+
+
+def test_length_hint_is_exact_for_tuple_iterators():
+    """What the expanding operators' ``rows_out`` rests on."""
+    for size in range(6):
+        pending = iter(tuple(range(size)))
+        for taken in range(size + 1):
+            assert operator.length_hint(pending) == size - taken
+            next(pending, None)
+        assert operator.length_hint(pending) == 0

@@ -3,13 +3,16 @@
 Driven through the real CLI in its own session, the way
 ``benchmarks/e2e/wire.py`` runs it: spawn, one query, signal, then the
 server must exit 0 within 5 s and its process group must be empty —
-under both dispatch modes, for ``SIGTERM`` and ``SIGINT`` alike.  A
+under both dispatch modes, for ``SIGTERM`` and ``SIGINT`` alike, and
+without a traceback on stderr however many connections were open.  A
 server that dies of ``SIGKILL`` runs no cleanup at all; its dispatch
 workers must still go (the pool initializer arms parent-death).
 """
 
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -62,12 +65,13 @@ def wait_for_empty_group(pgid, seconds):
 
 
 def spawn_and_query(served, dispatch):
+    """The server process (stderr on a pipe) and the port it serves on."""
     path, expected = served
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", path, "--port", "0",
          "--dispatch", dispatch],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         text=True,
         start_new_session=True,  # its own process group: pgid == pid
     )
@@ -81,7 +85,7 @@ def spawn_and_query(served, dispatch):
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         raise
-    return proc
+    return proc, port
 
 
 DISPATCH = ("inline", "process") if fork_available() else ("inline",)
@@ -91,7 +95,7 @@ DISPATCH = ("inline", "process") if fork_available() else ("inline",)
                          ids=("SIGTERM", "SIGINT"))
 @pytest.mark.parametrize("dispatch", DISPATCH)
 def test_signal_exits_zero_and_empties_the_group(served, dispatch, signum):
-    proc = spawn_and_query(served, dispatch)
+    proc, _port = spawn_and_query(served, dispatch)
     try:
         if dispatch == "process":
             assert len(group_members(proc.pid)) == 3  # server + 2 workers
@@ -104,9 +108,36 @@ def test_signal_exits_zero_and_empties_the_group(served, dispatch, signum):
         proc.wait()
 
 
+@pytest.mark.parametrize("signum", (signal.SIGTERM, signal.SIGINT),
+                         ids=("SIGTERM", "SIGINT"))
+def test_shutdown_with_open_connections_prints_no_traceback(served, signum):
+    """One idle connection and one with a pipelined query still in
+    flight: ``stop()`` ends their handlers itself, so nothing is left for
+    the event loop's teardown to cancel and complain about."""
+    proc, port = spawn_and_query(served, "inline")
+    idle = socket.create_connection(("127.0.0.1", port), timeout=10)
+    busy = socket.create_connection(("127.0.0.1", port), timeout=10)
+    try:
+        idle.sendall(b'{"op": "ping", "id": 1}\n')
+        assert json.loads(idle.makefile("rb").readline())["pong"] is True
+        query = {"op": "query", "id": 2, "pattern": PATTERN}
+        busy.sendall(json.dumps(query).encode() + b"\n" + b'{"op": "ping"')
+        os.kill(proc.pid, signum)
+        _out, err = proc.communicate(timeout=5)
+        assert proc.returncode == 0
+        assert wait_for_empty_group(proc.pid, 1.0) == []
+        assert "Traceback" not in err and "Exception in callback" not in err, err
+    finally:
+        idle.close()
+        busy.close()
+        if group_members(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
 @pytest.mark.skipif(not fork_available(), reason="process dispatch needs fork")
 def test_killed_server_takes_its_workers_along(served):
-    proc = spawn_and_query(served, "process")
+    proc, _port = spawn_and_query(served, "process")
     try:
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=5)
