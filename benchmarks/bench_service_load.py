@@ -26,23 +26,10 @@ Results land in ``benchmarks/results/BENCH_service_load.json`` with
 ``p50_ms``/``p95_ms``/``p99_ms``/``shed_rate`` — gated by
 ``summarize.py --diff`` alongside the wall-time metrics.
 
-A third claim rides the tentpole of ISSUE 10:
-
-3. **Inflight scaling** — with the engine lock gone and whole-query
-   process dispatch (``ServiceConfig(dispatch="process")``) on a
-   snapshot-backed engine, raising ``max_inflight`` from 1 to 4 must
-   scale throughput: the 4-slot run reaches at least
-   ``REQUIRED_SLOT_SPEEDUP``x the 1-slot ``qps``.  The curve
-   (``scale-1``/``scale-2``/``scale-4`` variants with ``qps`` and
-   ``slot_speedup``) is always recorded; the >=1.5x assertion
-   self-disables below 4 CPU cores, where four worker processes
-   timeshare one core and no speedup is physically available.
-
 Run with: pytest benchmarks/bench_service_load.py -s
 """
 
 import asyncio
-import os
 import time
 
 import pytest
@@ -58,7 +45,6 @@ from repro.service import (
     start_in_thread,
 )
 from repro.service.scheduler import percentile
-from repro.service.workers import fork_available
 from repro.workloads.patterns import PatternFactory
 from repro.workloads.runner import row_limit_validator
 
@@ -66,11 +52,6 @@ from conftest import BENCH_BUDGET, BENCH_SEED, WORKLOAD_ROW_LIMIT
 
 #: aggregate cold wall / aggregate service wall must reach this
 REQUIRED_SPEEDUP = 2.0
-
-#: inflight-scaling curve: slot counts and the gated 4-vs-1 speedup
-SCALE_SLOTS = (1, 2, 4)
-SCALE_ROUNDS = 3
-REQUIRED_SLOT_SPEEDUP = 1.5
 
 #: how many times the mixed workload is replayed in the steady-state run
 STEADY_ROUNDS = 4
@@ -317,83 +298,3 @@ def test_overload_sheds_and_bounds_p99(shared_engine, workload, bench_record):
         f"p99 {p99:.1f}ms exceeds the queue-geometry bound "
         f"{p99_bound_ms:.1f}ms: the tail is not bounded under overload"
     )
-
-
-@pytest.mark.skipif(not fork_available(), reason="process dispatch needs fork")
-def test_inflight_scaling_curve(shared_engine, workload, bench_record):
-    """The tentpole's scaling claim: qps grows with max_inflight.
-
-    One service per slot count, whole-query process dispatch on the
-    snapshot-backed engine, identical closed-batch workload each time
-    (every query in flight at once through one pipelined connection).
-    Rows are checked against direct execution at every point — a curve
-    that returns wrong rows does not count.
-    """
-    queries = [
-        (name, pattern)
-        for _ in range(SCALE_ROUNDS)
-        for name, pattern in workload.items()
-    ]
-    direct = {
-        name: [tuple(row) for row in
-               shared_engine.match(pattern, optimizer="auto").rows]
-        for name, pattern in workload.items()
-    }
-
-    qps_by_slots = {}
-    for slots in SCALE_SLOTS:
-        handle = start_in_thread(
-            shared_engine,
-            ServiceConfig(
-                max_inflight=slots,
-                queue_depth=len(queries),
-                dispatch="process",
-            ),
-        )
-        try:
-            # warm pass: spin up the worker processes and their engines
-            asyncio.run(
-                _serve_concurrently(handle.address, list(workload.items()))
-            )
-            total_ms, results = asyncio.run(
-                _serve_concurrently(handle.address, queries)
-            )
-        finally:
-            handle.stop()
-        for name, _, response in results:
-            assert rows_as_tuples(response) == direct[name], (
-                f"scale-{slots} rows diverge from direct execution for {name}"
-            )
-        qps = len(queries) / (total_ms / 1000.0)
-        qps_by_slots[slots] = qps
-        slot_speedup = qps / qps_by_slots[SCALE_SLOTS[0]]
-        bench_record.add(
-            query="mixed",
-            optimizer="service",
-            variant=f"scale-{slots}",
-            wall_ms=total_ms,
-            rows=sum(len(rows) for rows in direct.values()),
-            queries=len(queries),
-            max_inflight=slots,
-            dispatch="process",
-            qps=round(qps, 2),
-            slot_speedup=round(slot_speedup, 3),
-        )
-        print(
-            f"\n[service] scale-{slots}: {len(queries)} queries in "
-            f"{total_ms:.0f}ms -> {qps:.1f} qps "
-            f"(slot_speedup {slot_speedup:.2f}x)"
-        )
-
-    cores = os.cpu_count() or 1
-    speedup_4v1 = qps_by_slots[SCALE_SLOTS[-1]] / qps_by_slots[SCALE_SLOTS[0]]
-    if cores >= 4:
-        assert speedup_4v1 >= REQUIRED_SLOT_SPEEDUP, (
-            f"4 slots reach only {speedup_4v1:.2f}x the 1-slot throughput "
-            f"(required >= {REQUIRED_SLOT_SPEEDUP}x on {cores} cores)"
-        )
-    else:
-        print(
-            f"[service] scaling gate self-disabled: {cores} core(s) < 4 "
-            f"(curve recorded, 4-vs-1 = {speedup_4v1:.2f}x)"
-        )

@@ -1,8 +1,8 @@
 """concurrency — lock-discipline rules for shared concurrent structures.
 
 The service's inter-query parallelism (no engine-wide lock) rests on a
-short list of structures that are *internally* synchronized: the striped
-:class:`~repro.query.physical.cache.CenterCache` (per-shard locks), the
+short list of structures that are *internally* synchronized: the
+:class:`~repro.query.physical.cache.CenterCache` (one cache lock), the
 :class:`~repro.storage.buffer.BufferPool` (page-table lock, live tier)
 and :class:`~repro.service.scheduler.ServiceStats` (recorder lock).
 Their safety argument is lexical — every mutation of shared state sits
@@ -23,13 +23,12 @@ inside a ``with <lock>:`` block — which makes it checkable statically:
     allowlist entries with their justification.
 
 Scope and precision: the rules are lexical over each class's own method
-bodies — mutations through a local alias of ``self`` state (e.g. a
-shard object pulled out of ``self._shards``) are a documented false
-negative here, covered instead by the runtime oracle
-(:func:`repro.analysis.sanitizer.verify_shard_isolation` audits shard
-homes and byte ledgers under ``REPRO_SANITIZE=1``).  Classes are matched
-by name wherever they are defined under the checked tree; the pack runs
-beside the lint pass under ``repro check --self``.
+bodies, so mutations through a local alias of ``self`` state would be a
+false negative; the disciplined classes mutate only through ``self``
+(the runtime oracle :func:`repro.analysis.sanitizer.verify_cache_ledger`
+also audits the CenterCache's byte ledger under ``REPRO_SANITIZE=1``).
+Classes are matched by name wherever they are defined under the checked
+tree; the pack runs beside the lint pass under ``repro check --self``.
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ MUTATING_METHODS = frozenset(
 #: class name -> what the lock protects (used in diagnostics)
 LOCK_DISCIPLINED_CLASSES: Dict[str, str] = {
     "CenterCache": (
-        "the striped LRU shared by every in-flight query (per-shard locks)"
+        "the LRU, byte ledger and counters shared by every in-flight query"
     ),
-    "_Shard": "one independently locked stripe of the CenterCache",
     "BufferPool": (
         "the page table and LRU order shared by the live tier's "
         "concurrent B+-tree readers"
@@ -104,8 +102,7 @@ def _mentions_lock(node: ast.expr) -> bool:
 
 def _constructs_lock(node: ast.AST) -> bool:
     """Does the body construct a ``Lock()``/``RLock()`` anywhere — its
-    own, or a lock-disciplined member's (``CenterCache``'s locks are its
-    ``_Shard`` stripes')?"""
+    own, or a lock-disciplined member's?"""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
             func = sub.func

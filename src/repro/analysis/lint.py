@@ -14,12 +14,11 @@ encodes them directly and runs as part of ``repro check --self`` and CI:
   execution context are the query layer's private machinery): callers go
   through ``execute_plan`` / ``execute_plan_streaming`` /
   ``GraphEngine``, which guarantee plan validation and uniform metrics.
-* ``lint/multiprocessing-outside-parallel`` — direct ``multiprocessing``
-  imports (and the ``concurrent.futures`` pool executors) are confined
-  to :mod:`repro.service.workers` (the whole-query dispatch pool) and
-  :mod:`repro.service.server` (the admission-slot executor): nothing
-  below the service owns a pool, so pool lifecycle and fork-safety stay
-  in two audited places.
+* ``lint/multiprocessing-outside-parallel`` — no module imports
+  ``multiprocessing`` or ``ProcessPoolExecutor``, and
+  ``ThreadPoolExecutor`` only in :mod:`repro.service.server` (the
+  admission-slot executor): one process serves, and the one pool it
+  owns lives in one audited place.
 * ``lint/mmap-outside-snapshot`` — :mod:`mmap` and :mod:`struct` imports
   are confined to :mod:`repro.storage.snapshot`: every binary-layout
   assumption (byte order, alignment, section framing) lives in the one
@@ -72,16 +71,12 @@ def _is_query_module(filename: str) -> bool:
     return "query" in parts
 
 
-def _may_import_multiprocessing(filename: str) -> bool:
-    """Pool ownership is confined to two audited service modules.
-
-    ``service/workers.py`` owns the one process pool (whole-query
-    dispatch); ``service/server.py`` owns exactly one
-    ``ThreadPoolExecutor`` sized to its admission slots (so
-    ``run_in_executor`` can never buffer unbounded work).
-    """
+def _may_own_thread_pool(filename: str) -> bool:
+    """``service/server.py`` owns the one ``ThreadPoolExecutor``, sized
+    to its admission slots (so ``run_in_executor`` can never buffer
+    unbounded work)."""
     path = Path(filename)
-    return path.name in ("workers.py", "server.py") and "service" in path.parts
+    return path.name == "server.py" and "service" in path.parts
 
 
 def _is_multiprocessing(module: str) -> bool:
@@ -102,9 +97,10 @@ def _is_binary_layout(module: str) -> bool:
     return module.split(".")[0] in _BINARY_LAYOUT_MODULES
 
 
-#: ``concurrent.futures`` names that create worker pools — importing one
-#: means owning a pool, which belongs in the service
-_POOL_EXECUTORS = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
+_POOL_OWNER_MESSAGE = (
+    "one process serves: the only pool is repro.service.server's slot "
+    "ThreadPoolExecutor"
+)
 
 
 def _module_tail(module: str) -> tuple:
@@ -127,7 +123,7 @@ class _LintVisitor(ast.NodeVisitor):
         self.filename = filename
         self.source = source
         self.in_query_layer = _is_query_module(filename)
-        self.may_multiprocess = _may_import_multiprocessing(filename)
+        self.may_own_thread_pool = _may_own_thread_pool(filename)
         self.may_binary_layout = _may_import_binary_layout(filename)
         self.is_init = Path(filename).name == "__init__.py"
         self.diagnostics: List[Diagnostic] = []
@@ -165,12 +161,11 @@ class _LintVisitor(ast.NodeVisitor):
                     "go through execute_plan/execute_plan_streaming/"
                     "GraphEngine instead of physical-operator internals",
                 )
-            if _is_multiprocessing(alias.name) and not self.may_multiprocess:
+            if _is_multiprocessing(alias.name):
                 self.report(
                     "lint/multiprocessing-outside-parallel",
                     node.lineno,
-                    f"direct import of {alias.name!r}; pool ownership lives "
-                    "in repro.service.workers / repro.service.server only",
+                    f"direct import of {alias.name!r}; {_POOL_OWNER_MESSAGE}",
                 )
             if _is_binary_layout(alias.name) and not self.may_binary_layout:
                 self.report(
@@ -190,12 +185,11 @@ class _LintVisitor(ast.NodeVisitor):
         module = node.module or ""
         if module == "__future__":
             return
-        if _is_multiprocessing(module) and not self.may_multiprocess:
+        if _is_multiprocessing(module):
             self.report(
                 "lint/multiprocessing-outside-parallel",
                 node.lineno,
-                f"direct import from {module!r}; pool ownership lives in "
-                "repro.service.workers / repro.service.server only",
+                f"direct import from {module!r}; {_POOL_OWNER_MESSAGE}",
             )
         if _is_binary_layout(module) and not self.may_binary_layout:
             self.report(
@@ -205,15 +199,17 @@ class _LintVisitor(ast.NodeVisitor):
                 "confined to repro.storage.snapshot — consume Snapshot "
                 "objects through their accessors, not raw bytes",
             )
-        if module == "concurrent.futures" and not self.may_multiprocess:
+        if module == "concurrent.futures":
             for alias in node.names:
-                if alias.name in _POOL_EXECUTORS:
+                # importing a pool executor means owning a pool
+                if alias.name == "ProcessPoolExecutor" or (
+                    alias.name == "ThreadPoolExecutor"
+                    and not self.may_own_thread_pool
+                ):
                     self.report(
                         "lint/multiprocessing-outside-parallel",
                         node.lineno,
-                        f"direct import of {alias.name!r}; pool ownership "
-                        "lives in repro.service.workers / "
-                        "repro.service.server only",
+                        f"direct import of {alias.name!r}; {_POOL_OWNER_MESSAGE}",
                     )
         if self.in_query_layer and _module_tail(module) in _RAW_STORAGE_MODULES:
             self.report(

@@ -11,13 +11,12 @@ checked on the actual execution:
   its mapping is still alive (only storage-layer internals can hold
   one) raises :class:`SanitizerError` naming the hazard instead of the
   cryptic ``BufferError``;
-* **cache shard isolation** — a sharded
-  :class:`~repro.query.physical.cache.CenterCache` keeps every entry in
-  the shard its key hashes to, with per-shard byte ledgers that match
-  the entries actually resident; :func:`verify_shard_isolation` audits
-  both at every execution-context construction, so a cross-shard write
-  (a locking bug in the striped tier) trips at runtime (``conc/*``
-  oracle);
+* **cache byte ledger** — the
+  :class:`~repro.query.physical.cache.CenterCache` keeps a byte ledger
+  that must match the entries actually resident and stay within its
+  budget; :func:`verify_cache_ledger` recomputes it at every
+  execution-context construction, so a locking bug that lets two slot
+  threads race on the ledger trips at runtime (``conc/*`` oracle);
 * **spill row sizes** — a :class:`~repro.query.algebra.TemporalTable`
   sizes its rows off its layout; every spilled row is re-measured with
   the generic ``record_size``, since a wrong size silently moves every
@@ -53,32 +52,26 @@ def sanitize_enabled() -> bool:
     return os.environ.get("REPRO_SANITIZE", "").strip().lower() not in _FALSEY
 
 
-def verify_shard_isolation(cache: Any, where: str = "") -> None:
-    """Audit a sharded cache's shard homes and byte ledgers.
+def verify_cache_ledger(cache: Any, where: str = "") -> None:
+    """Audit a cache's byte ledger against its resident entries.
 
-    Duck-typed: any object exposing ``check_shard_isolation() ->
-    list[str]`` qualifies (the striped
-    :class:`~repro.query.physical.cache.CenterCache` does).  Objects
-    without the hook — unsharded caches, ``None`` — pass trivially, so
-    call sites need no tier checks.  Raises :class:`SanitizerError`
-    listing every violation.
+    Duck-typed on ``check_ledger() -> list[str]`` (the
+    :class:`~repro.query.physical.cache.CenterCache` has it), so this
+    module never imports the query layer.  Raises
+    :class:`SanitizerError` listing every violation.
     """
-    checker = getattr(cache, "check_shard_isolation", None)
-    if checker is None:
-        return
-    violations = checker()
+    violations = cache.check_ledger()
     if violations:
         location = f" in {where}" if where else ""
         raise SanitizerError(
-            f"cache shard isolation violated{location}: "
+            f"cache byte ledger violated{location}: "
             + "; ".join(violations)
-            + " — a write landed outside its key's shard or a shard "
-            "ledger drifted (see conc/* rules)"
+            + " — an unlocked write raced the ledger (see conc/* rules)"
         )
 
 
 __all__ = [
     "SanitizerError",
     "sanitize_enabled",
-    "verify_shard_isolation",
+    "verify_cache_ledger",
 ]

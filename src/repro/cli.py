@@ -237,15 +237,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.default_timeout_ms is not None else None
         ),
         max_result_rows=args.max_result_rows,
-        dispatch=args.dispatch,
     )
-    # built (and its dispatch pool forked) before the signal handlers
-    # exist, so the forked children keep the default dispositions
-    service = QueryService(engine, config)
+    try:
+        service = QueryService(engine, config)
+    except ValueError as err:  # an out-of-range flag: a usage error
+        print(f"repro serve: error: {err}", file=sys.stderr)
+        return 2
 
     async def run() -> None:
         # SIGTERM and SIGINT share one path: stop() bounces queued work,
-        # finishes in-flight queries and joins the dispatch pool
+        # finishes in-flight queries and closes every connection
         stopping = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -254,8 +255,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host, port = await service.start()
             print(f"serving {args.database} on {host}:{port} "
                   f"(max_inflight={config.max_inflight}, "
-                  f"queue_depth={config.queue_depth}, "
-                  f"tier={service.tier}, dispatch={service.dispatch})",
+                  f"queue_depth={config.queue_depth})",
                   flush=True)
             await stopping.wait()
             print("shutting down", file=sys.stderr)
@@ -456,14 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "timeout_ms (default: none)")
     p_serve.add_argument("--max-result-rows", type=int, default=1_000_000,
                          help="hard cap on rows returned per query")
-    p_serve.add_argument("--dispatch",
-                         choices=("inline", "process"),
-                         default="inline",
-                         help="query execution mode: 'inline' runs on the "
-                              "slot threads; 'process' ships each admitted "
-                              "query whole to a worker process (snapshot "
-                              "databases only) so --max-inflight slots use "
-                              "that many cores (default inline)")
     p_serve.add_argument("--no-center-cache", action="store_true",
                          help="disable the cross-query center/subcluster "
                               "cache (ablation)")

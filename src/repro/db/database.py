@@ -120,15 +120,13 @@ class GraphDatabase:
         self.code_cache = CodeCache(enabled=code_cache_enabled)
         self._node_labels = list(graph.labels())
         self._snapshot = None
-        self._snapshot_config: Optional[Tuple[int, int, bool]] = None
         self._table_lock = threading.Lock()
         self.pool.flush_all()
 
     @property
     def stats(self) -> IOStats:
-        """The I/O recorder charges resolve to — the buffer pool's, which
-        honours the per-thread :func:`~repro.storage.stats.use_stats`
-        override so concurrent queries get exact attribution."""
+        """The buffer pool's I/O recorder — the one counter every charge
+        of this database lands on."""
         return self.pool.stats
 
     # ------------------------------------------------------------------
@@ -175,7 +173,6 @@ class GraphDatabase:
         db.code_cache = CodeCache(enabled=code_cache_enabled)
         db._node_labels = list(db.graph.labels())
         db._snapshot = snapshot
-        db._snapshot_config = (buffer_bytes, page_size, code_cache_enabled)
         db._table_lock = threading.Lock()
         return db
 
@@ -292,16 +289,6 @@ class GraphDatabase:
         """The backing :class:`~repro.storage.snapshot.Snapshot`, or
         ``None`` for an eagerly-built database."""
         return self._snapshot
-
-    def snapshot_descriptor(self) -> Optional[Tuple]:
-        """What a process worker needs to re-open this database by path:
-        ``(path, buffer_bytes, page_size, code_cache_enabled)`` — or
-        ``None`` when the database is not snapshot-backed (or its
-        snapshot has been closed).
-        """
-        if self._snapshot is None or self._snapshot.closed:
-            return None
-        return (self._snapshot.path,) + self._snapshot_config
 
     def get_centers(self, node: int, x_label: str, y_label: str) -> FrozenSet[int]:
         """``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` (Eq. 6)."""

@@ -31,11 +31,7 @@ from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling
 from ..storage.buffer import DEFAULT_BUFFER_BYTES
 from .costmodel import CostModel, CostParams
-from .physical.cache import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_CACHE_SHARDS,
-    CenterCache,
-)
+from .physical.cache import DEFAULT_CACHE_BYTES, CenterCache
 from .physical.drivers import (
     QueryResult,
     StreamingResult,
@@ -74,7 +70,6 @@ class GraphEngine:
         cost_params: Optional[CostParams] = None,
         code_cache_enabled: bool = True,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        cache_shards: int = DEFAULT_CACHE_SHARDS,
     ) -> None:
         self._adopt(
             GraphDatabase(
@@ -83,7 +78,7 @@ class GraphEngine:
                 buffer_bytes=buffer_bytes,
                 code_cache_enabled=code_cache_enabled,
             ),
-            cost_params, cache_bytes, cache_shards,
+            cost_params, cache_bytes,
         )
 
     def _adopt(
@@ -91,7 +86,6 @@ class GraphEngine:
         db: GraphDatabase,
         cost_params: Optional[CostParams],
         cache_bytes: int,
-        cache_shards: int,
     ) -> None:
         """Install every engine attribute — the one place both
         constructors (``__init__`` and :meth:`from_database`) go through."""
@@ -99,12 +93,8 @@ class GraphEngine:
         self.cost_params = cost_params or CostParams()
         #: cross-query LRU of centers/subclusters; ``cache_bytes <= 0``
         #: keeps the object (counters still track misses) but stores
-        #: nothing.  ``cache_shards`` stripes the LRU into independently
-        #: locked shards so the service's concurrent queries contend per
-        #: stripe, not on one cache-wide lock.
-        self.center_cache = CenterCache(
-            capacity_bytes=cache_bytes, shards=cache_shards
-        )
+        #: nothing.
+        self.center_cache = CenterCache(capacity_bytes=cache_bytes)
         self._plan_cache: "OrderedDict[Tuple, OptimizedPlan]" = OrderedDict()
         self._plan_cache_lock = threading.Lock()
 
@@ -114,7 +104,6 @@ class GraphEngine:
         db: GraphDatabase,
         cost_params: Optional[CostParams] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        cache_shards: int = DEFAULT_CACHE_SHARDS,
     ) -> "GraphEngine":
         """Wrap an existing (e.g. reloaded) database without rebuilding it.
 
@@ -122,7 +111,7 @@ class GraphEngine:
         offline phase can serve queries without recomputing anything.
         """
         engine = cls.__new__(cls)
-        engine._adopt(db, cost_params, cache_bytes, cache_shards)
+        engine._adopt(db, cost_params, cache_bytes)
         return engine
 
     @classmethod
@@ -159,9 +148,8 @@ class GraphEngine:
         Plans are logical — no optimizer output depends on how or where
         the plan will run — and deterministic: the searches break cost
         ties by pattern declaration order, never by set iteration order,
-        so every process (a worker re-planning in its own interpreter,
-        any ``PYTHONHASHSEED``) derives the same plan from the same
-        (pattern, catalog).  The cache key is the pattern's structure —
+        so every process (any ``PYTHONHASHSEED``) derives the same plan
+        from the same (pattern, catalog).  The cache key is the pattern's structure —
         ``(variables, their labels, conditions, optimizer)``: two
         patterns that print alike but declare their variables in a
         different order have different result columns and get different
@@ -239,8 +227,8 @@ class GraphEngine:
         Takes exactly :meth:`match_iter`'s parameters (so ``limit`` and
         ``timeout`` too — ``result.metrics.truncated`` / ``stop_reason``
         say whether the rows are a prefix) and is the one place a stream
-        is drained into a list; the service, its worker processes and
-        the CLI all answer through it.
+        is drained into a list; the service and the CLI both answer
+        through it.
         """
         stream = self.match_iter(pattern, optimizer, **options)
         try:

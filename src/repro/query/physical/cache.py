@@ -1,4 +1,4 @@
-"""CenterCache — a size-bounded, shard-striped LRU shared across queries.
+"""CenterCache — a size-bounded LRU shared across queries.
 
 Two things every query would otherwise recompute are pure functions of
 the offline structures:
@@ -17,23 +17,13 @@ side)`` for subclusters, bounded by an approximate byte budget
 (``GraphEngine(cache_bytes=...)``).  There is no invalidation protocol:
 a new index is a new database object and a new engine with a new cache.
 
-Concurrency model (the service's lock-free snapshot tier): the cache is
-striped into ``shards`` independently locked stripes, each with its own
-LRU order, byte budget (``capacity_bytes // shards``) and counters.  A
-key is pinned to a shard by hash, so two in-flight queries touching
-different keys contend only when they land on the same stripe; nothing
-ever takes more than one shard lock on the get/put path.  The
-whole-cache ``clear`` takes the shard locks one at a time — safe
-because entries never migrate between shards.  The
-default is ``shards=1`` (a single-striped cache is byte-for-byte the
-pre-sharding LRU, which the unit tests pin); engines construct theirs
-with :data:`DEFAULT_CACHE_SHARDS` stripes.
-
-Hits/misses/evictions are counted per shard and surfaced as aggregate
-properties; per-*query* attribution is exact — every ``get``/``put``
-accepts an optional per-context ``stats`` recorder
-(:class:`~repro.query.physical.context.CacheStats`) incremented inside
-the shard lock, so overlapping queries never see each other's traffic.
+Concurrency: the service's slot threads share the cache, and every read
+or write of its state — the LRU order, the byte ledger, the three
+counters — happens under its one lock.  Per-*query* attribution is
+exact: every ``get``/``put`` accepts an optional per-context ``stats``
+recorder (:class:`~repro.query.physical.context.CacheStats`) incremented
+under the same lock, so overlapping queries never see each other's
+traffic.
 """
 
 from __future__ import annotations
@@ -55,33 +45,12 @@ _INT_BYTES = 8
 #: default budget for GraphEngine-owned caches (~4 MiB)
 DEFAULT_CACHE_BYTES = 4 << 20
 
-#: stripes for engine-owned caches (service tier runs queries truly
-#: concurrently; 8 stripes keep same-stripe collisions rare at the
-#: 4-slot inflight ceiling without fragmenting the byte budget)
-DEFAULT_CACHE_SHARDS = 8
-
 _CENTERS_TAG = 0
 _SUBCLUSTER_TAG = 1
 
 
-class _Shard:
-    """One independently locked LRU stripe of the cache."""
-
-    __slots__ = ("lock", "store", "bytes", "capacity_bytes",
-                 "hits", "misses", "evictions")
-
-    def __init__(self, capacity_bytes: int) -> None:
-        self.lock = threading.Lock()
-        self.store: "OrderedDict[tuple, Tuple[int, ...]]" = OrderedDict()
-        self.bytes = 0
-        self.capacity_bytes = capacity_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
 class CenterCache:
-    """Sharded LRU of center sets and subclusters, bounded by bytes.
+    """LRU of center sets and subclusters, bounded by bytes.
 
     ``capacity_bytes <= 0`` disables storage entirely (every ``get`` is a
     miss and ``put`` is a no-op) while keeping the counters alive, so the
@@ -89,37 +58,26 @@ class CenterCache:
     identical instrumentation.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int = DEFAULT_CACHE_BYTES,
-        shards: int = 1,
-    ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+    def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.capacity_bytes = capacity_bytes
-        per_shard = capacity_bytes // shards if capacity_bytes > 0 else 0
-        self._shards: Tuple[_Shard, ...] = tuple(
-            _Shard(per_shard) for _ in range(shards)
-        )
-
-    def _shard_for(self, key: tuple) -> _Shard:
-        shards = self._shards
-        if len(shards) == 1:
-            return shards[0]
-        return shards[hash(key) % len(shards)]
+        self._lock = threading.Lock()
+        self._store: "OrderedDict[tuple, Tuple[int, ...]]" = OrderedDict()
+        self._bytes = 0
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Full reset: entries *and* counters (tests, ablations)."""
-        for shard in self._shards:
-            with shard.lock:
-                shard.store.clear()
-                shard.bytes = 0
-                shard.hits = 0
-                shard.misses = 0
-                shard.evictions = 0
+        with self._lock:
+            self._store.clear()
+            self._bytes = 0
+            self._hits = 0
+            self._misses = 0
+            self._evictions = 0
 
     # ------------------------------------------------------------------
     # the two memoized functions
@@ -165,21 +123,20 @@ class CenterCache:
         self._put((_SUBCLUSTER_TAG, center, label, side is Side.OUT), nodes, stats)
 
     # ------------------------------------------------------------------
-    # LRU mechanics (per shard)
+    # LRU mechanics
     # ------------------------------------------------------------------
     def _get(
         self, key: tuple, stats: Optional["CacheStats"]
     ) -> Optional[Tuple[int, ...]]:
-        shard = self._shard_for(key)
-        with shard.lock:
-            value = shard.store.get(key)
+        with self._lock:
+            value = self._store.get(key)
             if value is None:
-                shard.misses += 1
+                self._misses += 1
                 if stats is not None:
                     stats.misses += 1
                 return None
-            shard.store.move_to_end(key)  # a hit makes the entry youngest
-            shard.hits += 1
+            self._store.move_to_end(key)  # a hit makes the entry youngest
+            self._hits += 1
             if stats is not None:
                 stats.hits += 1
             return value
@@ -188,21 +145,21 @@ class CenterCache:
         self, key: tuple, value: Tuple[int, ...],
         stats: Optional["CacheStats"] = None,
     ) -> None:
-        shard = self._shard_for(key)
-        if shard.capacity_bytes <= 0:
+        capacity = self.capacity_bytes
+        if capacity <= 0:
             return
         cost = _ENTRY_OVERHEAD_BYTES + _INT_BYTES * len(value)
-        if cost > shard.capacity_bytes:
+        if cost > capacity:
             return  # a single oversized entry would evict everything
-        with shard.lock:
-            if key in shard.store:
+        with self._lock:
+            if key in self._store:
                 return
-            shard.store[key] = value
-            shard.bytes += cost
-            while shard.bytes > shard.capacity_bytes and shard.store:
-                _, evicted = shard.store.popitem(last=False)
-                shard.bytes -= _ENTRY_OVERHEAD_BYTES + _INT_BYTES * len(evicted)
-                shard.evictions += 1
+            self._store[key] = value
+            self._bytes += cost
+            while self._bytes > capacity and self._store:
+                _, evicted = self._store.popitem(last=False)
+                self._bytes -= _ENTRY_OVERHEAD_BYTES + _INT_BYTES * len(evicted)
+                self._evictions += 1
                 if stats is not None:
                     stats.evictions += 1
 
@@ -210,28 +167,24 @@ class CenterCache:
     # inspection
     # ------------------------------------------------------------------
     @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    @property
     def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
+        return self._hits
 
     @property
     def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
+        return self._misses
 
     @property
     def evictions(self) -> int:
-        return sum(shard.evictions for shard in self._shards)
+        return self._evictions
 
     @property
     def entry_count(self) -> int:
-        return sum(len(shard.store) for shard in self._shards)
+        return len(self._store)
 
     @property
     def estimated_bytes(self) -> int:
-        return sum(shard.bytes for shard in self._shards)
+        return self._bytes
 
     @property
     def hit_rate(self) -> float:
@@ -243,43 +196,37 @@ class CenterCache:
         """(hits, misses, evictions) — for per-run delta accounting."""
         return (self.hits, self.misses, self.evictions)
 
-    def check_shard_isolation(self) -> List[str]:
-        """Verify every entry lives on the shard its key hashes to.
+    def check_ledger(self) -> List[str]:
+        """Verify the byte ledger against the entries actually resident.
 
-        The sanitizer's runtime twin of the striping invariant: each
-        key must be reachable through ``_shard_for`` (no entry migrated
-        stripes), and each stripe's byte ledger must equal the recomputed
-        cost of what it actually holds.  Returns a list of human-readable
+        The sanitizer's runtime twin of the accounting invariant: the
+        ledger must equal the recomputed cost of what the cache holds,
+        and never exceed the budget.  Returns a list of human-readable
         violations (empty when the cache is sound); the caller decides
         whether to raise.
         """
+        with self._lock:
+            expected = sum(
+                _ENTRY_OVERHEAD_BYTES + _INT_BYTES * len(value)
+                for value in self._store.values()
+            )
+            ledger = self._bytes
         problems: List[str] = []
-        for index, shard in enumerate(self._shards):
-            with shard.lock:
-                expected_bytes = 0
-                for key, value in shard.store.items():
-                    expected_bytes += _ENTRY_OVERHEAD_BYTES + _INT_BYTES * len(value)
-                    home = self._shards.index(self._shard_for(key))
-                    if home != index:
-                        problems.append(
-                            f"key {key!r} stored on shard {index} but "
-                            f"hashes to shard {home}"
-                        )
-                if expected_bytes != shard.bytes:
-                    problems.append(
-                        f"shard {index} byte ledger {shard.bytes} != "
-                        f"recomputed {expected_bytes}"
-                    )
+        if expected != ledger:
+            problems.append(f"byte ledger {ledger} != recomputed {expected}")
+        if self.capacity_bytes > 0 and ledger > self.capacity_bytes:
+            problems.append(
+                f"byte ledger {ledger} exceeds capacity {self.capacity_bytes}"
+            )
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CenterCache(shards={self.shard_count}, "
-            f"entries={self.entry_count}, "
+            f"CenterCache(entries={self.entry_count}, "
             f"bytes~{self.estimated_bytes}/{self.capacity_bytes}, "
             f"hits={self.hits}, misses={self.misses}, "
             f"evictions={self.evictions})"
         )
 
 
-__all__ = ["CenterCache", "DEFAULT_CACHE_BYTES", "DEFAULT_CACHE_SHARDS"]
+__all__ = ["CenterCache", "DEFAULT_CACHE_BYTES"]

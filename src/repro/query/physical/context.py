@@ -116,7 +116,7 @@ class ExecutionContext:
     accounting — what ``execute_plan`` does).
 
     ``sanitize`` arms the runtime tripwires of
-    :mod:`repro.analysis.sanitizer` (the CenterCache shard-isolation
+    :mod:`repro.analysis.sanitizer` (the CenterCache byte-ledger
     audit, run once per context construction); it defaults to the
     ``REPRO_SANITIZE`` environment switch, re-read on every context
     construction.
@@ -140,8 +140,8 @@ class ExecutionContext:
 
             self.sanitize = sanitize_enabled()
         if self.center_cache is not None and self.sanitize:
-            from ...analysis.sanitizer import verify_shard_isolation
+            from ...analysis.sanitizer import verify_cache_ledger
 
-            # any cross-shard write or ledger drift left by an earlier
-            # (possibly concurrent) query trips before this run reads
-            verify_shard_isolation(self.center_cache, where="context construction")
+            # any ledger drift left by an earlier (possibly concurrent)
+            # query trips before this run reads
+            verify_cache_ledger(self.center_cache, where="context construction")

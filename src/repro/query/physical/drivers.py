@@ -277,8 +277,10 @@ def execute_plan_streaming(
     is bounded by ``row_limit``, not by the deadline.  Stopping at
     *limit* likewise flags the run truncated (``stop_reason="limit"``):
     the delivered rows are a prefix of the full result, which may or may
-    not have had more rows.
+    not have had more rows.  A negative *limit* raises ``ValueError``.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     ctx, operators, metrics = _prepare(
         db, plan, row_limit, verify,
         center_cache=center_cache, sanitize=sanitize,

@@ -32,6 +32,8 @@ asking for a ``limit``.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
 
@@ -84,12 +86,30 @@ def _optional_count(raw: Dict[str, Any], field: str) -> Optional[int]:
     return value
 
 
+def _reject_constant(name: str) -> float:
+    raise ProtocolError(f"{name} is not a JSON number (RFC 8259)")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # e.g. 1e400 overflows to inf
+        raise ProtocolError(f"{text} overflows a finite number")
+    return value
+
+
 def parse_request(line: bytes) -> Request:
-    """Parse and validate one request line (raises :class:`ProtocolError`)."""
+    """Parse and validate one request line (raises :class:`ProtocolError`).
+
+    Every number in the request is finite: ``NaN`` / ``Infinity`` and
+    literals that overflow to ``inf`` are refused while parsing, so no
+    deadline can be infinite and no echoed ``id`` can be invalid JSON.
+    """
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError("request line exceeds MAX_LINE_BYTES")
     try:
-        raw = json.loads(line)
+        raw = json.loads(
+            line, parse_constant=_reject_constant, parse_float=_finite_float
+        )
     except (ValueError, UnicodeDecodeError) as err:
         raise ProtocolError(f"request is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
@@ -110,9 +130,11 @@ def parse_request(line: bytes) -> Request:
     if timeout_ms is not None and (
         isinstance(timeout_ms, bool)
         or not isinstance(timeout_ms, (int, float))
-        or timeout_ms < 0
+        # floats are finite already; this bounds an integer too long to
+        # become a float deadline
+        or not 0 <= timeout_ms <= sys.float_info.max
     ):
-        raise ProtocolError("'timeout_ms' must be a non-negative number")
+        raise ProtocolError("'timeout_ms' must be a finite non-negative number")
     priority = raw.get("priority", 0)
     if isinstance(priority, bool) or not isinstance(priority, int):
         raise ProtocolError("'priority' must be an integer")

@@ -8,38 +8,26 @@ requests, and get responses matched by ``id``.
 
 Concurrency model
 -----------------
-Admitted queries run **concurrently with no engine-wide lock**.  The
-shared structures each carry their own discipline instead:
+One process serves: ``max_inflight`` slot threads share one engine and
+run admitted queries **concurrently with no engine-wide lock**.  The
+shared structures each carry their own lock instead:
 
-* the engine's :class:`CenterCache` is striped into independently
-  locked shards (per-shard LRU + counters), so concurrent queries
-  contend only when they hash to the same shard;
+* the engine's :class:`CenterCache` takes one lock around each lookup
+  or insert;
 * the plan cache takes a short per-engine lock around dictionary
   bumps only — never around execution;
-* the storage read path is tiered per engine.  **Snapshot tier**
-  (mmap-backed databases): reads address an immutable mapping, so
-  execution takes no storage locks at all.  **Live tier** (B+-tree
-  databases): the buffer pool's page table and the index memos take
-  fine-grained per-structure locks around individual lookups;
-* per-query accounting is exact, not delta-of-globals: each execution
-  context carries its own cache recorder, and each slot thread runs
-  under a thread-local :func:`~repro.storage.stats.use_stats` override,
-  so overlapping queries never bleed counters into each other.
+* a snapshot-backed database reads an immutable mapping and takes no
+  storage lock; a B+-tree database's buffer pool and index memos take
+  per-structure locks around individual lookups, and the pool charges
+  its one I/O counter under its lock;
+* per-query cache accounting is exact: each execution context carries
+  its own cache recorder, so overlapping queries never bleed hit/miss
+  counts into each other.
 
-``dispatch="process"`` (snapshot tier only) goes further: each admitted
-query is shipped whole to a process
-:class:`~repro.service.workers.WorkerPool` whose workers re-opened the
-snapshot by descriptor — nothing index-sized crosses the process
-boundary, and ``max_inflight=4`` occupies four *cores* instead of four
-threads sharing one GIL.  The default ``dispatch="inline"`` runs on
-in-process slot threads, which still overlap all I/O waits and, on the
-snapshot tier, all mmap page faults.
-
-What overlaps in every mode: protocol parsing, admission, response
-serialization, socket I/O (all on the event loop) and the engine's
-amortized state (plan cache, CenterCache, hot buffer pool)
-— which is where the service's throughput win over per-query cold
-process invocations comes from.
+Protocol parsing, admission, response serialization and socket I/O run
+on the event loop and overlap the slot threads; the engine's amortized
+state (plan cache, CenterCache, hot buffer pool) is where the service's
+throughput win over per-query cold process invocations comes from.
 
 Admission control (:class:`AdmissionScheduler`) bounds the system:
 ``max_inflight`` executor slots, ``queue_depth`` waiting queries,
@@ -65,9 +53,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
-from ..query import PatternError, RowLimitExceeded
+from ..query import PatternError, QueryResult, RowLimitExceeded
 from ..query.engine import GraphEngine
-from ..storage.stats import IOStats, use_stats
 from .protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -78,7 +65,6 @@ from .protocol import (
     parse_request,
 )
 from .scheduler import AdmissionScheduler, Overloaded, ServiceStats
-from .workers import WorkerPool
 
 
 @dataclass
@@ -92,11 +78,6 @@ class ServiceConfig:
     max_inflight: int = 2
     #: admission queue depth; arrivals beyond it are shed
     queue_depth: int = 16
-    #: where admitted queries execute: ``"inline"`` (in-process slot
-    #: threads) or ``"process"`` — ship each query whole to a process
-    #: worker pool (snapshot-backed engines only; raises ``ValueError``
-    #: otherwise)
-    dispatch: str = "inline"
     #: deadline applied when a query carries no ``timeout_ms`` (seconds;
     #: ``None`` = no default deadline)
     default_timeout_s: Optional[float] = None
@@ -117,15 +98,11 @@ class QueryService:
         self.scheduler = AdmissionScheduler(
             self.config.max_inflight, self.config.queue_depth
         )
-        dispatch = self.config.dispatch
-        if dispatch not in ("inline", "process"):
+        if self.config.max_result_rows < 0:
             raise ValueError(
-                f"dispatch must be 'inline' or 'process', got {dispatch!r}"
+                "max_result_rows must be >= 0, got "
+                f"{self.config.max_result_rows}"
             )
-        self.dispatch = dispatch
-        self._pool: Optional[WorkerPool] = None
-        if dispatch == "process":
-            self._pool = WorkerPool(engine.db, self.config.max_inflight)
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="repro-query",
@@ -136,16 +113,6 @@ class QueryService:
         self._connections: Set[asyncio.Task] = set()
         self._started_at = time.perf_counter()
         self._stopping = False
-
-    @property
-    def tier(self) -> str:
-        """Which concurrency tier this engine runs in (module docstring):
-        ``"snapshot-lockfree"`` for mmap-backed engines (reads take no
-        storage locks), ``"live-finegrained"`` for B+-tree engines
-        (per-structure locks on the buffer pool and index memos)."""
-        if self.engine.db.snapshot_descriptor() is not None:
-            return "snapshot-lockfree"
-        return "live-finegrained"
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -187,8 +154,6 @@ class QueryService:
         if self._server is not None:
             await self._server.wait_closed()
         self._executor.shutdown(wait=True)
-        if self._pool is not None:
-            self._pool.shutdown()
 
     # ------------------------------------------------------------------
     # connection / request handling (event loop)
@@ -316,8 +281,6 @@ class QueryService:
                 "uptime_s": time.perf_counter() - self._started_at,
                 "inflight": self.scheduler.inflight,
                 "queued": self.scheduler.queued,
-                "tier": self.tier,
-                "dispatch": self.dispatch,
                 "engine": {
                     "plan_cache_entries": len(self.engine._plan_cache),
                     "center_cache_entries": cache.entry_count,
@@ -380,7 +343,7 @@ class QueryService:
                         "deadline expired while queued for admission",
                     )
             try:
-                result = await loop.run_in_executor(
+                result, started, ended = await loop.run_in_executor(
                     self._executor, self._execute, request, remaining
                 )
             except RowLimitExceeded as err:
@@ -394,31 +357,34 @@ class QueryService:
                 return error_response(
                     request.id, "internal", f"{type(err).__name__}: {err}"
                 )
+            metrics = result.metrics
+            cache = metrics.center_cache
+            exec_ms = (ended - started) * 1000.0
             self.stats.mark_served(
                 queue_wait_ms=queue_wait_s * 1000.0,
-                exec_ms=result["exec_s"] * 1000.0,
-                rows=len(result["rows"]),
-                truncated=result["truncated"],
-                cache_hits=result["cache_hits"],
-                cache_misses=result["cache_misses"],
+                exec_ms=exec_ms,
+                rows=len(result.rows),
+                truncated=metrics.truncated,
+                cache_hits=cache.hits,
+                cache_misses=cache.misses,
             )
-            if result["stop_reason"] == "timeout":
+            if metrics.stop_reason == "timeout":
                 self.stats.mark_timeout()
             return ok_response(
                 request.id,
-                columns=result["columns"],
-                rows=result["rows"],
-                truncated=result["truncated"],
-                stop_reason=result["stop_reason"],
+                columns=result.columns,
+                rows=result.rows,
+                truncated=metrics.truncated,
+                stop_reason=metrics.stop_reason,
                 metrics={
                     "queue_ms": round(queue_wait_s * 1000.0, 3),
-                    "exec_ms": round(result["exec_s"] * 1000.0, 3),
+                    "exec_ms": round(exec_ms, 3),
                     # monotonic (start, end) of the execution window —
                     # comparable across concurrent responses, so clients
                     # (and the differential suite) can prove overlap
-                    "exec_span": list(result["exec_span"]),
-                    "rows": len(result["rows"]),
-                    "cache_hit_rate": result["cache_hit_rate"],
+                    "exec_span": [started, ended],
+                    "rows": len(result.rows),
+                    "cache_hit_rate": cache.hit_rate,
                 },
             )
         finally:
@@ -426,65 +392,27 @@ class QueryService:
 
     def _execute(
         self, request: Request, timeout_s: Optional[float]
-    ) -> Dict[str, Any]:
+    ) -> Tuple[QueryResult, float, float]:
         """Run one admitted query (executor thread — no engine lock).
 
-        Overlapping slot threads share the engine's caches but keep
-        exact private accounting: cache counts come from the execution
-        context's own recorder, and I/O is charged to a thread-local
-        :class:`IOStats` override for the duration of the query.  The
-        execution span is measured on ``time.monotonic`` so spans from
-        inline slots and process workers are directly comparable.
+        Returns the result and the ``time.monotonic`` bounds of its
+        execution, so spans from different slots are directly
+        comparable.  Overlapping slot threads share the engine's caches;
+        the result's cache counts come from its execution context's own
+        recorder, so they are this query's alone.
         """
         limit = self.config.max_result_rows
         if request.limit is not None:
             limit = min(limit, request.limit)
-        if self._pool is not None:
-            payload = (
-                request.pattern,
-                request.optimizer,
-                limit,
-                request.row_limit,
-                timeout_s,
-            )
-            columns, rows, truncated, stop_reason, counts, span = (
-                self._pool.submit_query(payload).result()
-            )
-            hits, misses, _evictions = counts
-            lookups = hits + misses
-            return {
-                "columns": columns,
-                "rows": rows,
-                "truncated": truncated,
-                "stop_reason": stop_reason,
-                "exec_s": span[1] - span[0],
-                "exec_span": span,
-                "cache_hits": hits,
-                "cache_misses": misses,
-                "cache_hit_rate": hits / lookups if lookups else 0.0,
-            }
         started = time.monotonic()
-        with use_stats(IOStats()):
-            result = self.engine.match(
-                request.pattern,
-                optimizer=request.optimizer,
-                limit=limit,
-                row_limit=request.row_limit,
-                timeout=timeout_s,
-            )
-        ended = time.monotonic()
-        cache = result.metrics.center_cache
-        return {
-            "columns": result.columns,
-            "rows": result.rows,
-            "truncated": result.metrics.truncated,
-            "stop_reason": result.metrics.stop_reason,
-            "exec_s": ended - started,
-            "exec_span": (started, ended),
-            "cache_hits": cache.hits,
-            "cache_misses": cache.misses,
-            "cache_hit_rate": cache.hit_rate,
-        }
+        result = self.engine.match(
+            request.pattern,
+            optimizer=request.optimizer,
+            limit=limit,
+            row_limit=request.row_limit,
+            timeout=timeout_s,
+        )
+        return result, started, time.monotonic()
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,9 @@ Concurrency: the page table (frame map + LRU order + victim write-back)
 is guarded by one re-entrant lock, making ``fetch``/``new_page`` safe
 under the service's fine-grained live tier where concurrent queries
 traverse B+-trees over the same pool.  The lock is re-entrant because
-``clear`` nests ``flush_all``.  I/O charges resolve through the
-:attr:`stats` property, which honours a per-thread
-:func:`~repro.storage.stats.use_stats` override so overlapping queries
-get exact, non-interleaved I/O attribution.
+``clear`` nests ``flush_all``.  Every charge lands on the one
+:attr:`stats` counter, under that lock, so totals stay exact when
+queries overlap.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from collections import OrderedDict
 from typing import Optional
 
 from .pages import DiskManager, Page
-from .stats import IOStats, active_stats
+from .stats import IOStats
 
 DEFAULT_BUFFER_BYTES = 1 << 20  # 1 MiB, as in the paper's test setup
 
@@ -44,16 +43,10 @@ class BufferPool:
         stats: Optional[IOStats] = None,
     ) -> None:
         self.disk = disk or DiskManager()
-        self._base_stats = stats or IOStats()
+        self.stats = stats or IOStats()
         self.frame_count = max(1, capacity_bytes // self.disk.page_size)
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
         self._lock = threading.RLock()
-
-    @property
-    def stats(self) -> IOStats:
-        """The recorder charges land on: thread override, else the pool's."""
-        override = active_stats()
-        return override if override is not None else self._base_stats
 
     # ------------------------------------------------------------------
     def new_page(self) -> Page:

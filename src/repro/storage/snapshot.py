@@ -53,14 +53,6 @@ No accessor reachable from outside this module returns a ``memoryview``
 or a lazy iterator over one — every result is a materialised array,
 tuple, list or dict — so nothing a caller holds can pin the mapping past
 :meth:`Snapshot.close`.
-
-Because a pool of process workers may have the same file mapped
-(:class:`~repro.service.workers.WorkerPool` re-opens
-snapshot-backed databases by path inside each worker), :meth:`Snapshot.
-close` refuses to run while registered holders exist: pools
-:meth:`acquire` the snapshot on construction and :meth:`release` it on
-shutdown, and a premature ``close()`` raises :class:`SnapshotError`
-naming the live pool instead of poisoning its queries mid-flight.
 """
 
 from __future__ import annotations
@@ -347,9 +339,6 @@ class Snapshot:
         self._sections = sections
         self._mmap = mapped
         self._closed = False
-        #: live holders (worker pools) keyed by display name → refcount;
-        #: close() refuses while any remain
-        self._owners: Dict[str, int] = {}
         self.decode_stats: Dict[str, int] = {
             "code_rows": 0, "wtable_pairs": 0, "subcluster_runs": 0,
         }
@@ -481,35 +470,8 @@ class Snapshot:
     def closed(self) -> bool:
         return self._closed
 
-    def acquire(self, owner: str) -> None:
-        """Register *owner* (e.g. a worker pool) as a live holder.
-
-        While holders are registered, :meth:`close` raises instead of
-        unmapping the file out from under them.  Re-entrant: the same
-        owner name may acquire more than once and must release as often.
-        """
-        if self._closed:
-            raise SnapshotError(
-                f"cannot acquire closed snapshot {self.path!r} for {owner}"
-            )
-        self._owners[owner] = self._owners.get(owner, 0) + 1
-
-    def release(self, owner: str) -> None:
-        """Drop one registration of *owner*; unknown owners are ignored
-        (shutdown paths may run after an error unwound the acquire)."""
-        count = self._owners.get(owner, 0)
-        if count <= 1:
-            self._owners.pop(owner, None)
-        else:
-            self._owners[owner] = count - 1
-
     def close(self) -> None:
         """Release the mapping; idempotent once it has succeeded.
-
-        Refuses with :class:`SnapshotError` while holders registered via
-        :meth:`acquire` (live worker pools) remain — closing the file a
-        pool of workers has mapped would poison their queries mid-flight,
-        so the error names the holders instead.
 
         Further section access on this object raises
         ``SnapshotError("snapshot is closed")``.  If a ``memoryview``
@@ -522,12 +484,6 @@ class Snapshot:
         """
         if self._closed and self._mmap is None:
             return
-        if self._owners:
-            holders = ", ".join(sorted(self._owners))
-            raise SnapshotError(
-                f"cannot close snapshot {self.path!r}: still held by "
-                f"{holders}; shut the pool down first"
-            )
         self._closed = True
         self._view.release()
         if self._mmap is not None:

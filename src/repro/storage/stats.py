@@ -10,10 +10,8 @@ like "DP spends over five times the I/O cost of DPS" directly measurable.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 
 @dataclass
@@ -85,36 +83,3 @@ class IOStats:
             f"IOStats(reads={self.physical_reads}, writes={self.physical_writes}, "
             f"logical={self.logical_reads}, hit_ratio={self.hit_ratio:.2f})"
         )
-
-
-# ---------------------------------------------------------------------------
-# per-thread stats override — exact I/O attribution under concurrency
-# ---------------------------------------------------------------------------
-#
-# The service's lock-free snapshot tier runs several queries over ONE
-# shared database at once.  Charging them all against the engine-global
-# IOStats would interleave their counters; instead each slot thread
-# installs its own recorder for the duration of its query via
-# ``use_stats``, and every charge path (``BufferPool.stats``,
-# ``GraphDatabase.stats`` — both properties) consults ``active_stats``
-# first.  The override is thread-local, so concurrent queries never see
-# each other's traffic and single-threaded callers (no override) keep
-# the engine-global counters exactly as before.
-
-_ACTIVE = threading.local()
-
-
-def active_stats() -> Optional[IOStats]:
-    """This thread's installed recorder, or None (use the global one)."""
-    return getattr(_ACTIVE, "stats", None)
-
-
-@contextmanager
-def use_stats(stats: IOStats) -> Iterator[IOStats]:
-    """Route this thread's I/O accounting into *stats* for the block."""
-    previous = getattr(_ACTIVE, "stats", None)
-    _ACTIVE.stats = stats
-    try:
-        yield stats
-    finally:
-        _ACTIVE.stats = previous

@@ -200,3 +200,27 @@ class TestCheck:
         assert rc == 1
         assert "index/cover-missing" in captured.out
         assert "0 error(s)" not in captured.err
+
+
+class TestServe:
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-result-rows", "-5"),
+        ("--max-inflight", "0"),
+        ("--queue-depth", "-1"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, db_path, flag, value):
+        """Exit 2 with one line on stderr — not a server that answers
+        every query with no rows, and not a traceback."""
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", db_path,
+             "--port", "0", flag, value],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert done.stderr.startswith("repro serve: error: ")
+        assert "must be >=" in done.stderr

@@ -1,20 +1,20 @@
 """Concurrent differential suite: many clients, one engine, oracle rows.
 
-The tentpole's correctness contract (ISSUE 10 / DESIGN.md Section 2.9):
-with the service's global engine lock gone, any number of threads (or
-dispatched worker processes) may execute queries against ONE shared
-engine and every run must stay byte-identical to the single-threaded
-oracle — same rows, same columns, same per-operator counters.  Nothing
-about concurrency may leak into results.
+The correctness contract of the service (DESIGN.md Section 2.9): with
+no engine-wide lock, any number of slot threads may execute queries
+against ONE shared engine and every run must stay byte-identical to the
+single-threaded oracle — same rows, same columns, same per-operator
+counters.  Nothing about concurrency may leak into results.
 
 Legs:
 
 * direct-engine thread hammer on both tiers — the snapshot-backed
   (lock-free) tier and the live B+-tree (fine-grained lock) tier;
 * the same hammer with ``REPRO_SANITIZE=1``, arming the runtime
-  shard-isolation oracle at every sync choke point;
-* a service leg in whole-query process-dispatch mode (rows over the
-  wire vs. the library oracle);
+  CenterCache byte-ledger audit at every context construction;
+* the same again over a CenterCache too small for the workload, so the
+  threads race to evict;
+* a service leg over the wire (rows vs. the library oracle);
 * the acceptance test: with ``max_inflight=4`` on a snapshot engine the
   ``exec_span`` windows reported by concurrent responses overlap —
   admitted queries really execute simultaneously, not serially.
@@ -25,6 +25,7 @@ stays non-negative; the pinned invariant that the center cache is
 counter-neutral makes warm-vs-cold irrelevant to the compared metrics.
 """
 
+import sys
 import threading
 
 import pytest
@@ -38,15 +39,12 @@ from repro.service import (
     rows_as_tuples,
     start_in_thread,
 )
-from repro.service.workers import fork_available
 from repro.workloads.patterns import PatternFactory
 
 THREADS = 4
 ROUNDS = 2
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process dispatch needs fork"
-)
+#: a CenterCache budget below the workload's ~2 KB working set
+SMALL_CACHE_BYTES = 1 << 10
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +143,7 @@ class TestEngineHammer:
     def test_snapshot_tier_under_sanitizer(
         self, snapshot_engine, workload, monkeypatch
     ):
-        """REPRO_SANITIZE=1 arms the shard-isolation oracle mid-hammer."""
+        """REPRO_SANITIZE=1 arms the byte-ledger audit mid-hammer."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         oracle = build_oracle(snapshot_engine, workload)
         hammer(snapshot_engine, workload, oracle, threads=2, rounds=1)
@@ -154,6 +152,28 @@ class TestEngineHammer:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         oracle = build_oracle(live_engine, workload)
         hammer(live_engine, workload, oracle, threads=2, rounds=1)
+
+    @pytest.mark.parametrize("tier", ("live", "snapshot"))
+    def test_threads_evicting_under_sanitizer(
+        self, live_engine, snapshot_engine, workload, monkeypatch, tier
+    ):
+        """A cache a fraction of the working set: every thread evicts,
+        rows and counters still equal the default-cache oracle, and the
+        ledger audit at every context construction stays silent."""
+        shared = live_engine if tier == "live" else snapshot_engine
+        oracle = build_oracle(shared, workload)
+        engine = GraphEngine.from_database(
+            shared.db, cache_bytes=SMALL_CACHE_BYTES
+        )
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-update far more often
+        try:
+            hammer(engine, workload, oracle)
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.center_cache.evictions > 0
+        assert engine.center_cache.check_ledger() == []
 
 
 # ----------------------------------------------------------------------
@@ -201,22 +221,7 @@ class TestServiceDifferential:
             live_engine, ServiceConfig(max_inflight=4, queue_depth=16)
         )
         try:
-            assert handle.service.tier == "live-finegrained"
             service_hammer(handle, workload, oracle)
-        finally:
-            handle.stop()
-
-    @needs_fork
-    def test_process_dispatch_over_the_wire(self, snapshot_engine, workload):
-        oracle = build_oracle(snapshot_engine, workload)
-        handle = start_in_thread(
-            snapshot_engine,
-            ServiceConfig(max_inflight=2, queue_depth=16, dispatch="process"),
-        )
-        try:
-            assert handle.service.tier == "snapshot-lockfree"
-            assert handle.service.dispatch == "process"
-            service_hammer(handle, workload, oracle, threads=THREADS)
         finally:
             handle.stop()
 

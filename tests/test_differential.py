@@ -27,6 +27,9 @@ TIERS = ("live", "snapshot")
 #: wcoj only differs from dps on cyclic join graphs, so the acyclic
 #: Figure-4 families run the three left-deep optimizers
 OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
+#: a CenterCache budget far below the dps workload's ~47 KB working set,
+#: so the sanitizer leg runs under constant eviction
+SMALL_CACHE_BYTES = 8 << 10
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +92,16 @@ def test_sequential_matches_reference(
 def test_sanitizer_leg(
     engines, reference_index, figure4_workload, cyclic_workload, tier
 ):
-    """The tripwires (cache-generation freshness, shard isolation) stay
-    silent on the sequential runs."""
+    """The tripwires (the CenterCache byte-ledger audit) stay silent on
+    the sequential runs, with a cache small enough to keep evicting."""
     engine = engines[tier]
+    cache = CenterCache(capacity_bytes=SMALL_CACHE_BYTES)
     for name, pattern in workload_for(
         "dps", figure4_workload, cyclic_workload
     ).items():
         check_streams(
             engine, reference_index, pattern, "dps", f"{name}/{tier}/sanitize",
-            {"center_cache": CenterCache(shards=4), "sanitize": True},
+            {"center_cache": cache, "sanitize": True},
         )
+    assert cache.evictions > 0
+    assert cache.check_ledger() == []

@@ -70,6 +70,13 @@ class TestMatch:
         assert stream.metrics.logical_io >= 0
         assert stream.metrics.physical_io >= 0
 
+    def test_negative_limit_is_refused(self, fig1_engine):
+        """Not an empty answer flagged ``stop_reason="limit"``."""
+        for run in (fig1_engine.match, fig1_engine.match_iter):
+            with pytest.raises(ValueError, match="limit must be >= 0"):
+                run("A -> C, C -> D", limit=-5)
+        assert fig1_engine.match("A -> C, C -> D", limit=0).rows == []
+
     def test_explain_contains_plan(self, fig1_engine):
         text = fig1_engine.explain("A -> C, B -> C, C -> D, D -> E")
         assert "est_cost" in text

@@ -283,20 +283,23 @@ class TestMultiprocessingOutsideParallel:
         assert self.RULE in rules(diags)
 
     def test_service_pool_modules_are_allowed(self):
-        for filename in ("src/repro/service/workers.py",
-                         "src/repro/service/server.py"):
-            diags = lint(
-                """
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        """The one pool owner left: the server's slot executor."""
+        diags = lint(
+            """
+            from concurrent.futures import ThreadPoolExecutor
 
-                POOL = ProcessPoolExecutor
-                EXEC = ThreadPoolExecutor
-                CTX = multiprocessing
-                """,
-                filename=filename,
-            )
-            assert self.RULE not in rules(diags)
+            EXEC = ThreadPoolExecutor
+            """,
+            filename="src/repro/service/server.py",
+        )
+        assert self.RULE not in rules(diags)
+
+    def test_process_pools_are_flagged_even_in_the_server(self):
+        for source in ("import multiprocessing\n\nCTX = multiprocessing\n",
+                       "from concurrent.futures import ProcessPoolExecutor\n\n"
+                       "POOL = ProcessPoolExecutor\n"):
+            diags = lint(source, filename="src/repro/service/server.py")
+            assert self.RULE in rules(diags)
 
     def test_labeling_build_is_flagged(self):
         diags = lint(

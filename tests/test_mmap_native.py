@@ -1,6 +1,6 @@
-"""Snapshot-tier execution and the snapshot-open worker pool.
+"""Snapshot-tier execution.
 
-Three contracts of serving queries off an mmap-backed snapshot:
+Two contracts of serving queries off an mmap-backed snapshot:
 
 * **tier invisibility** — a snapshot-loaded engine (runs decoded once
   from the mapping and memoised) must produce rows and per-operator
@@ -9,30 +9,17 @@ Three contracts of serving queries off an mmap-backed snapshot:
   both paper optimizers and both drivers;
 * **decode once** — re-running a workload decodes nothing new: every
   code row, W-table run and subcluster leaf is materialized at most
-  once per process;
-* the worker-pool contract: the service's dispatch pool takes a
-  snapshot-backed database only (workers re-open the file by
-  descriptor), ``Snapshot.close()`` refuses while the pool is alive,
-  and ``shutdown()`` leaves no child process behind.
+  once per process.
 """
-
-import multiprocessing
 
 import pytest
 
 from repro import GraphEngine
-from repro.db.persist import load_database
 from repro.query import execute_plan, execute_plan_streaming
-from repro.service.workers import WorkerPool, fork_available
-from repro.storage.snapshot import SnapshotError
 
 from reference_executor import assert_matches_reference, op_counters
 
 OPTIMIZERS = ("dp", "dps")
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="the dispatch pool needs fork"
-)
 
 
 # ----------------------------------------------------------------------
@@ -93,37 +80,3 @@ def test_snapshot_execution_decodes_each_run_once(
         engine.match(pattern)
         list(engine.match_iter(pattern))
     assert stats == first_pass
-
-
-# ----------------------------------------------------------------------
-# one pool, one contract
-# ----------------------------------------------------------------------
-def test_pool_refuses_a_live_database(xmark_engine):
-    with pytest.raises(ValueError, match="snapshot-backed"):
-        WorkerPool(xmark_engine.db, 2)
-
-
-@needs_fork
-def test_close_guard_names_the_live_pool(xmark_snap_path):
-    db = load_database(xmark_snap_path)
-    snapshot = db.join_index.snapshot
-    pool = WorkerPool(db, 2)
-    try:
-        with pytest.raises(SnapshotError, match=r"WorkerPool\(process"):
-            snapshot.close()
-        assert not snapshot.closed
-    finally:
-        pool.shutdown()
-    assert multiprocessing.active_children() == []
-    snapshot.close()
-    assert snapshot.closed
-
-
-def test_descriptor_is_path_plus_config_until_closed(xmark_snap_path):
-    db = load_database(xmark_snap_path, buffer_bytes=1 << 16)
-    assert db.snapshot_descriptor() == (xmark_snap_path, 1 << 16, 4096, True)
-    db.snapshot_handle.close()
-    # nothing to re-open by path any more: the pool must refuse cleanly
-    assert db.snapshot_descriptor() is None
-    with pytest.raises(ValueError, match="snapshot-backed"):
-        WorkerPool(db, 2)

@@ -3,14 +3,14 @@
 Driven through the real CLI in its own session, the way
 ``benchmarks/e2e/wire.py`` runs it: spawn, one query, signal, then the
 server must exit 0 within 5 s and its process group must be empty —
-under both dispatch modes, for ``SIGTERM`` and ``SIGINT`` alike, and
-without a traceback on stderr however many connections were open.  A
-server that dies of ``SIGKILL`` runs no cleanup at all; its dispatch
-workers must still go (the pool initializer arms parent-death).
+for ``SIGTERM`` and ``SIGINT`` alike, and without a traceback on stderr
+however many connections were open.  Queries run inline on the
+server's slot threads: it forks nothing.
 """
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -23,7 +23,6 @@ from repro import GraphEngine
 from repro.db.persist import save_database
 from repro.graph import generators
 from repro.service import ServiceClient, rows_as_tuples
-from repro.service.workers import fork_available
 
 PATTERN = "A -> C, B -> C, C -> D, D -> E"
 
@@ -64,12 +63,15 @@ def wait_for_empty_group(pgid, seconds):
     return group_members(pgid)
 
 
-def spawn_and_query(served, dispatch):
+#: how benchmarks/e2e/wire.py reads the port off the banner
+BANNER_ADDRESS = re.compile(r" on ([\w.]+):(\d+) ")
+
+
+def spawn_and_query(served):
     """The server process (stderr on a pipe) and the port it serves on."""
     path, expected = served
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", path, "--port", "0",
-         "--dispatch", dispatch],
+        [sys.executable, "-m", "repro", "serve", path, "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -77,8 +79,8 @@ def spawn_and_query(served, dispatch):
     )
     try:
         banner = proc.stdout.readline()
-        assert f"dispatch={dispatch}" in banner
-        port = int(banner.split(" on ", 1)[1].split()[0].rsplit(":", 1)[1])
+        assert banner.startswith("serving "), banner
+        port = int(BANNER_ADDRESS.search(banner).group(2))
         with ServiceClient("127.0.0.1", port, timeout=60) as client:
             assert rows_as_tuples(client.query(PATTERN)) == expected
     except BaseException:
@@ -88,24 +90,19 @@ def spawn_and_query(served, dispatch):
     return proc, port
 
 
-DISPATCH = ("inline", "process") if fork_available() else ("inline",)
-
-
 @pytest.mark.parametrize("signum", (signal.SIGTERM, signal.SIGINT),
-                         ids=("SIGTERM", "SIGINT"))
-@pytest.mark.parametrize("dispatch", DISPATCH)
-def test_signal_exits_zero_and_empties_the_group(served, dispatch, signum):
-    proc, _port = spawn_and_query(served, dispatch)
+                         ids=("inline-SIGTERM", "inline-SIGINT"))
+def test_signal_exits_zero_and_empties_the_group(served, signum):
+    proc, _port = spawn_and_query(served)
     try:
-        if dispatch == "process":
-            assert len(group_members(proc.pid)) == 3  # server + 2 workers
+        assert group_members(proc.pid) == [proc.pid]  # no child process
         os.kill(proc.pid, signum)
         assert proc.wait(timeout=5) == 0
         assert wait_for_empty_group(proc.pid, 1.0) == []
     finally:
         if group_members(proc.pid):
             os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+        proc.communicate()  # waits, and closes the banner / stderr pipes
 
 
 @pytest.mark.parametrize("signum", (signal.SIGTERM, signal.SIGINT),
@@ -114,7 +111,7 @@ def test_shutdown_with_open_connections_prints_no_traceback(served, signum):
     """One idle connection and one with a pipelined query still in
     flight: ``stop()`` ends their handlers itself, so nothing is left for
     the event loop's teardown to cancel and complain about."""
-    proc, port = spawn_and_query(served, "inline")
+    proc, port = spawn_and_query(served)
     idle = socket.create_connection(("127.0.0.1", port), timeout=10)
     busy = socket.create_connection(("127.0.0.1", port), timeout=10)
     try:
@@ -133,15 +130,3 @@ def test_shutdown_with_open_connections_prints_no_traceback(served, signum):
         if group_members(proc.pid):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-
-
-@pytest.mark.skipif(not fork_available(), reason="process dispatch needs fork")
-def test_killed_server_takes_its_workers_along(served):
-    proc, _port = spawn_and_query(served, "process")
-    try:
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=5)
-        assert wait_for_empty_group(proc.pid, 2.0) == []
-    finally:
-        if group_members(proc.pid):
-            os.killpg(proc.pid, signal.SIGKILL)

@@ -22,6 +22,7 @@ from repro.service import (
     AsyncServiceClient,
     Overloaded,
     ProtocolError,
+    QueryService,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -70,6 +71,17 @@ class TestProtocol:
         b'{"op": "query", "pattern": "A -> B", "limit": true}',
         b'{"op": "query", "pattern": "A -> B", "timeout_ms": -5}',
         b'{"op": "query", "pattern": "A -> B", "priority": "high"}',
+        # non-finite numbers: no deadline may be infinite, no echoed id
+        # may be invalid JSON
+        b'{"op":"query","pattern":"a:x -> b:y","timeout_ms":NaN,"id":Infinity}',
+        b'{"op": "query", "pattern": "A -> B", "timeout_ms": 1e400}',
+        b'{"op": "query", "pattern": "A -> B", "id": -Infinity}',
+        b'{"op": "ping", "id": 1e400}',
+        pytest.param(
+            b'{"op": "query", "pattern": "A -> B", "timeout_ms": 1'
+            + b"0" * 400 + b"}",
+            id="timeout_ms-integer-beyond-float-range",
+        ),
     ])
     def test_bad_requests_rejected(self, line):
         with pytest.raises(ProtocolError):
@@ -325,6 +337,19 @@ class TestServiceEndToEnd:
 
         asyncio.run(pipelined())
 
+    def test_non_finite_number_answered_as_bad_request(self, service):
+        host, port = service.address
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(
+                b'{"op":"query","pattern":"A -> C","timeout_ms":NaN,'
+                b'"id":Infinity}\n'
+            )
+            line = sock.makefile("rb").readline()
+        # strict JSON: a bare NaN/Infinity anywhere in the answer fails here
+        response = json.loads(line, parse_constant=pytest.fail)
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad_request"
+
     def test_malformed_line_answered_not_fatal(self, service):
         host, port = service.address
         with socket.create_connection((host, port), timeout=10) as sock:
@@ -470,6 +495,17 @@ class TestServiceEndToEnd:
         finally:
             gate.set()
             handle.stop()
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("config", [
+        ServiceConfig(max_result_rows=-5),
+        ServiceConfig(max_inflight=0),
+        ServiceConfig(queue_depth=-1),
+    ])
+    def test_out_of_range_settings_refused(self, engine, config):
+        with pytest.raises(ValueError, match="must be >="):
+            QueryService(engine, config)
 
 
 class TestServeCLI:

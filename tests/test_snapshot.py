@@ -374,57 +374,3 @@ class TestNoViewsEscape:
         db.snapshot_handle.close()  # result and first still alive: no BufferError
         assert db.snapshot_handle.closed
         del result, first
-
-
-class TestCloseGuard:
-    def test_close_refuses_while_held(self, built_db, tmp_path):
-        path = str(tmp_path / "held.snap")
-        write_snapshot(built_db, path)
-        snapshot = Snapshot.open(path)
-        snapshot.acquire("WorkerPool(process, workers=2)")
-        with pytest.raises(SnapshotError, match=r"WorkerPool\(process"):
-            snapshot.close()
-        assert not snapshot.closed
-        snapshot.release("WorkerPool(process, workers=2)")
-        snapshot.close()
-        assert snapshot.closed
-
-    def test_acquire_is_reentrant(self, built_db, tmp_path):
-        path = str(tmp_path / "reentrant.snap")
-        write_snapshot(built_db, path)
-        snapshot = Snapshot.open(path)
-        snapshot.acquire("pool")
-        snapshot.acquire("pool")
-        snapshot.release("pool")
-        with pytest.raises(SnapshotError, match="still held"):
-            snapshot.close()
-        snapshot.release("pool")
-        snapshot.close()
-
-    def test_release_of_unknown_owner_is_ignored(self, built_db, tmp_path):
-        path = str(tmp_path / "unknown.snap")
-        write_snapshot(built_db, path)
-        snapshot = Snapshot.open(path)
-        snapshot.release("never-acquired")
-        snapshot.close()
-        assert snapshot.closed
-
-    def test_acquire_on_closed_snapshot_raises(self, built_db, tmp_path):
-        path = str(tmp_path / "closed.snap")
-        write_snapshot(built_db, path)
-        snapshot = Snapshot.open(path)
-        snapshot.close()
-        with pytest.raises(SnapshotError, match="closed"):
-            snapshot.acquire("pool")
-
-    def test_error_names_every_holder(self, built_db, tmp_path):
-        path = str(tmp_path / "multi.snap")
-        write_snapshot(built_db, path)
-        snapshot = Snapshot.open(path)
-        snapshot.acquire("pool-b")
-        snapshot.acquire("pool-a")
-        with pytest.raises(SnapshotError, match="pool-a, pool-b"):
-            snapshot.close()
-        snapshot.release("pool-a")
-        snapshot.release("pool-b")
-        snapshot.close()
