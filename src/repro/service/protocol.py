@@ -35,6 +35,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, Optional, Sequence
 
 #: hard ceiling on one request/response line; longer lines are a
@@ -150,9 +151,46 @@ def parse_request(line: bytes) -> Request:
     )
 
 
+_COMPACT = (",", ":")
+
+
 def encode(payload: Dict[str, Any]) -> bytes:
-    """One response object as a compact ``\\n``-terminated JSON line."""
-    return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+    """One object as a compact ``\\n``-terminated JSON line.
+
+    The bytes are always ``json.dumps(payload, separators=(",", ":"))``
+    plus ``\\n``.  A query answer (a payload with ``columns`` and
+    ``rows``) gets there faster: ``json`` dumps the keys before and
+    after ``rows``, in their order, and the rows are one bytes ``%``
+    over a ``[%d,…,%d]`` template per row, fed every cell at once.  That
+    needs the :func:`ok_response` contract — one int per column per row —
+    and a cell count that is not ``len(columns) × len(rows)`` raises
+    ``ValueError``.
+    """
+    if "rows" not in payload or "columns" not in payload:
+        return json.dumps(payload, separators=_COMPACT).encode() + b"\n"
+    keys = list(payload)
+    at = keys.index("rows")
+    head = json.dumps({key: payload[key] for key in keys[:at]}, separators=_COMPACT)
+    tail = json.dumps({key: payload[key] for key in keys[at + 1:]}, separators=_COMPACT)
+    rows = payload["rows"]
+    width = len(payload["columns"])
+    cells = tuple(chain.from_iterable(rows))
+    if len(cells) != width * len(rows):
+        raise ValueError(
+            f"{len(cells)} cells do not make {len(rows)} rows of "
+            f"{width} columns"
+        )
+    row = b"[" + b",".join([b"%d"] * width) + b"]"
+    # "{...}" minus its last brace, then "rows", then "{...}" minus its
+    # first; a comma only where the envelope has keys on that side
+    return b"".join((
+        head[:-1].encode(),
+        b',"rows":[' if len(head) > 2 else b'"rows":[',
+        b",".join([row] * len(rows)) % cells,
+        b"]," if len(tail) > 2 else b"]",
+        tail[1:].encode(),
+        b"\n",
+    ))
 
 
 def ok_response(
@@ -163,9 +201,13 @@ def ok_response(
     stop_reason: Optional[str],
     metrics: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """A successful query response.  ``rows`` goes to :func:`encode` as
-    given: ``json`` writes a tuple exactly as it writes a list, so the
-    drivers' row tuples reach the wire without a per-row copy."""
+    """A successful query response.
+
+    ``rows`` holds one int per column per row — what
+    ``QueryResult.rows`` holds — and goes to :func:`encode` as given,
+    tuples or lists, with no per-row copy; :func:`encode` writes it
+    without ``json`` and refuses a cell count that does not fit
+    ``columns``."""
     return {
         "id": request_id,
         "ok": True,

@@ -24,8 +24,9 @@ shared structures each carry their own lock instead:
   its own cache recorder, so overlapping queries never bleed hit/miss
   counts into each other.
 
-Protocol parsing, admission, response serialization and socket I/O run
-on the event loop and overlap the slot threads; the engine's amortized
+Protocol parsing, admission and socket I/O run on the event loop; a
+query's answer is encoded in the slot thread that produced its rows,
+and the loop only writes the bytes.  The engine's amortized
 state (plan cache, CenterCache, hot buffer pool) is where the service's
 throughput win over per-query cold process invocations comes from.
 
@@ -47,6 +48,7 @@ is answered with a ``timeout`` error without touching the engine.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -78,8 +80,8 @@ class ServiceConfig:
     max_inflight: int = 2
     #: admission queue depth; arrivals beyond it are shed
     queue_depth: int = 16
-    #: deadline applied when a query carries no ``timeout_ms`` (seconds;
-    #: ``None`` = no default deadline)
+    #: deadline applied when a query carries no ``timeout_ms`` (seconds,
+    #: finite and >= 0; ``None`` = no default deadline)
     default_timeout_s: Optional[float] = None
     #: hard cap on rows returned per query, applied as a stream limit
     #: even when the client asks for more (or for everything)
@@ -102,6 +104,13 @@ class QueryService:
             raise ValueError(
                 "max_result_rows must be >= 0, got "
                 f"{self.config.max_result_rows}"
+            )
+        timeout_s = self.config.default_timeout_s
+        if timeout_s is not None and not (
+            math.isfinite(timeout_s) and timeout_s >= 0
+        ):
+            raise ValueError(
+                f"default_timeout_s must be >= 0 and finite, got {timeout_s}"
             )
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
@@ -185,10 +194,9 @@ class QueryService:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(
-                        writer, write_lock,
-                        error_response(None, "bad_request", "request line too long"),
-                    )
+                    await self._send(writer, write_lock, encode(
+                        error_response(None, "bad_request", "request line too long")
+                    ))
                     break
                 if not line:
                     break
@@ -218,20 +226,8 @@ class QueryService:
         self,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        payload: Dict[str, Any],
+        data: bytes,
     ) -> None:
-        data = encode(payload)
-        if len(data) > MAX_LINE_BYTES:
-            # both clients stop reading at MAX_LINE_BYTES: a longer line
-            # would be cut mid-JSON and its tail taken for the next reply
-            self.stats.mark_error()
-            data = encode(
-                error_response(
-                    payload.get("id"), "row_limit",
-                    f"response line of {len(data)} bytes exceeds "
-                    f"MAX_LINE_BYTES ({MAX_LINE_BYTES}); pass a limit",
-                )
-            )
         async with write_lock:
             writer.write(data)
             try:
@@ -250,26 +246,24 @@ class QueryService:
         except ProtocolError as err:
             self.stats.mark_error()
             await self._send(
-                writer, write_lock, error_response(None, err.code, str(err))
+                writer, write_lock, encode(error_response(None, err.code, str(err)))
             )
             return
         try:
             if request.op == "ping":
-                payload: Dict[str, Any] = {
-                    "id": request.id, "ok": True, "pong": True,
-                }
+                data = encode({"id": request.id, "ok": True, "pong": True})
             elif request.op == "stats":
-                payload = self._stats_payload(request.id)
+                data = encode(self._stats_payload(request.id))
             else:
-                payload = await self._run_query(request)
+                data = await self._run_query(request)
         except asyncio.CancelledError:
             raise
         except Exception as err:  # noqa: BLE001 - every request gets an answer
             self.stats.mark_error()
-            payload = error_response(
+            data = encode(error_response(
                 request.id, "internal", f"{type(err).__name__}: {err}"
-            )
-        await self._send(writer, write_lock, payload)
+            ))
+        await self._send(writer, write_lock, data)
 
     def _stats_payload(self, request_id: Any) -> Dict[str, Any]:
         snapshot = self.stats.snapshot()
@@ -293,11 +287,11 @@ class QueryService:
     # ------------------------------------------------------------------
     # the query path
     # ------------------------------------------------------------------
-    async def _run_query(self, request: Request) -> Dict[str, Any]:
+    async def _run_query(self, request: Request) -> bytes:
         self.stats.mark_received()
         if self._stopping:
             self.stats.mark_shed()
-            return error_response(request.id, "shutdown", "service stopping")
+            return encode(error_response(request.id, "shutdown", "service stopping"))
         loop = asyncio.get_running_loop()
         admitted = time.perf_counter()
         timeout_s = (
@@ -312,13 +306,13 @@ class QueryService:
             )
         except Overloaded as err:
             self.stats.mark_shed()
-            return error_response(request.id, "overloaded", str(err))
+            return encode(error_response(request.id, "overloaded", str(err)))
         if waiter is not None:
             try:
                 await waiter  # slot transfers on resolution
             except Overloaded as err:
                 self.stats.mark_shed()
-                return error_response(request.id, "shutdown", str(err))
+                return encode(error_response(request.id, "shutdown", str(err)))
             except asyncio.CancelledError:
                 # dropped while queued: release() skips the done waiter —
                 # unless the slot already transferred in the same tick,
@@ -338,28 +332,38 @@ class QueryService:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     self.stats.mark_timeout()
-                    return error_response(
+                    return encode(error_response(
                         request.id, "timeout",
                         "deadline expired while queued for admission",
-                    )
+                    ))
             try:
-                result, started, ended = await loop.run_in_executor(
-                    self._executor, self._execute, request, remaining
+                data, result, exec_ms = await loop.run_in_executor(
+                    self._executor, self._execute, request, remaining,
+                    queue_wait_s,
                 )
             except RowLimitExceeded as err:
                 self.stats.mark_error()
-                return error_response(request.id, "row_limit", str(err))
+                return encode(error_response(request.id, "row_limit", str(err)))
             except (PatternError, KeyError, ValueError) as err:
                 self.stats.mark_error()
-                return error_response(request.id, "bad_request", str(err))
+                return encode(error_response(request.id, "bad_request", str(err)))
             except Exception as err:  # noqa: BLE001 - the wire needs an answer
                 self.stats.mark_error()
-                return error_response(
+                return encode(error_response(
                     request.id, "internal", f"{type(err).__name__}: {err}"
-                )
+                ))
+            if len(data) > MAX_LINE_BYTES:
+                # both clients stop reading at MAX_LINE_BYTES: a longer
+                # line would be cut mid-JSON and its tail taken for the
+                # next reply.  The answer is refused, so it is not served.
+                self.stats.mark_error()
+                return encode(error_response(
+                    request.id, "row_limit",
+                    f"response line of {len(data)} bytes exceeds "
+                    f"MAX_LINE_BYTES ({MAX_LINE_BYTES}); pass a limit",
+                ))
             metrics = result.metrics
             cache = metrics.center_cache
-            exec_ms = (ended - started) * 1000.0
             self.stats.mark_served(
                 queue_wait_ms=queue_wait_s * 1000.0,
                 exec_ms=exec_ms,
@@ -370,36 +374,23 @@ class QueryService:
             )
             if metrics.stop_reason == "timeout":
                 self.stats.mark_timeout()
-            return ok_response(
-                request.id,
-                columns=result.columns,
-                rows=result.rows,
-                truncated=metrics.truncated,
-                stop_reason=metrics.stop_reason,
-                metrics={
-                    "queue_ms": round(queue_wait_s * 1000.0, 3),
-                    "exec_ms": round(exec_ms, 3),
-                    # monotonic (start, end) of the execution window —
-                    # comparable across concurrent responses, so clients
-                    # (and the differential suite) can prove overlap
-                    "exec_span": [started, ended],
-                    "rows": len(result.rows),
-                    "cache_hit_rate": cache.hit_rate,
-                },
-            )
+            return data
         finally:
             self.scheduler.release()
 
     def _execute(
-        self, request: Request, timeout_s: Optional[float]
-    ) -> Tuple[QueryResult, float, float]:
-        """Run one admitted query (executor thread — no engine lock).
+        self, request: Request, timeout_s: Optional[float], queue_wait_s: float
+    ) -> Tuple[bytes, QueryResult, float]:
+        """Run one admitted query and encode its answer (executor thread
+        — no engine lock).
 
-        Returns the result and the ``time.monotonic`` bounds of its
-        execution, so spans from different slots are directly
-        comparable.  Overlapping slot threads share the engine's caches;
-        the result's cache counts come from its execution context's own
-        recorder, so they are this query's alone.
+        Returns the encoded response line, the result and the execution
+        wall in ms.  The response's ``exec_span`` holds the
+        ``time.monotonic`` bounds of the execution, so spans from
+        different slots are directly comparable.  Overlapping slot
+        threads share the engine's caches; the result's cache counts come
+        from its execution context's own recorder, so they are this
+        query's alone.
         """
         limit = self.config.max_result_rows
         if request.limit is not None:
@@ -412,7 +403,27 @@ class QueryService:
             row_limit=request.row_limit,
             timeout=timeout_s,
         )
-        return result, started, time.monotonic()
+        ended = time.monotonic()
+        exec_ms = (ended - started) * 1000.0
+        metrics = result.metrics
+        data = encode(ok_response(
+            request.id,
+            columns=result.columns,
+            rows=result.rows,
+            truncated=metrics.truncated,
+            stop_reason=metrics.stop_reason,
+            metrics={
+                "queue_ms": round(queue_wait_s * 1000.0, 3),
+                "exec_ms": round(exec_ms, 3),
+                # monotonic (start, end) of the execution window —
+                # comparable across concurrent responses, so clients
+                # (and the differential suite) can prove overlap
+                "exec_span": [started, ended],
+                "rows": len(result.rows),
+                "cache_hit_rate": metrics.center_cache.hit_rate,
+            },
+        ))
+        return data, result, exec_ms
 
 
 # ----------------------------------------------------------------------

@@ -207,6 +207,9 @@ class TestServe:
         ("--max-result-rows", "-5"),
         ("--max-inflight", "0"),
         ("--queue-depth", "-1"),
+        ("--default-timeout-ms", "nan"),
+        ("--default-timeout-ms", "inf"),
+        ("--default-timeout-ms", "-5"),
     ])
     def test_out_of_range_flag_is_usage_error(self, db_path, flag, value):
         """Exit 2 with one line on stderr — not a server that answers

@@ -9,6 +9,7 @@ stats endpoint accounts for everything that happened.
 
 import asyncio
 import json
+import random
 import socket
 import threading
 import time
@@ -36,6 +37,20 @@ from repro.service import (
 )
 
 PATTERN = "A -> C, B -> C, C -> D, D -> E"
+
+
+def _seeded_rows(width, seed, count=40):
+    """Rows of node ids, edge values (0, a multi-digit id, ids beyond
+    a double's exact range) mixed into random ones."""
+    rng = random.Random(seed)
+    edges = (0, 6537, 2**53 + 1, 2**63 - 1)
+    return [
+        tuple(
+            rng.choice(edges) if rng.random() < 0.3 else rng.randrange(10**6)
+            for _ in range(width)
+        )
+        for _ in range(count)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -91,24 +106,59 @@ class TestProtocol:
         request = parse_request(b'{"op": "ping", "id": "x", "limit": -9}')
         assert request.op == "ping" and request.id == "x"
 
-    @pytest.mark.parametrize("rows", [
-        [],
-        [(1, 2)],
-        [(7,)],
-        [(1, 2, 3), (4, 5, 6)],
+    @pytest.mark.parametrize("width, rows, request_id", [
+        pytest.param(2, [], 9, id="rows0"),
+        pytest.param(2, [(1, 2)], 9, id="rows1"),
+        pytest.param(1, [(7,)], 9, id="rows2"),
+        pytest.param(3, [(1, 2, 3), (4, 5, 6)], 9, id="rows3"),
+        *(
+            pytest.param(width, _seeded_rows(width, seed=width), 9,
+                         id=f"seeded-width-{width}")
+            for width in range(1, 7)
+        ),
+        pytest.param(3, [[1, 2, 3], [4, 5, 6]], 9, id="lists"),
+        pytest.param(1, [(7,)], None, id="id-none"),
+        pytest.param(2, [(1, 2)], "nœud-节点-🔗", id="id-unicode"),
+        pytest.param(2, [(1, 2)], {"a": [1, {"b": None}], "rows": 0},
+                     id="id-nested"),
+        pytest.param(2, [(1, 2)], '"rows":[[3,4]],', id="id-looks-like-rows"),
     ])
-    def test_rows_go_to_the_wire_as_given(self, rows):
-        """The drivers' row tuples are serialised without a per-row
-        copy, byte for byte what nested lists would have been."""
-        def line(rows):
-            return encode(ok_response(
-                9, ("a", "b"), rows, truncated=False, stop_reason=None,
-                metrics={"rows": len(rows)},
-            ))
+    def test_rows_go_to_the_wire_as_given(self, width, rows, request_id):
+        """The drivers' rows are serialised without a per-row copy, byte
+        for byte what ``json.dumps`` writes for the same payload."""
+        def payload(rows):
+            return ok_response(
+                request_id, [f"v{i}" for i in range(width)], rows,
+                truncated=False, stop_reason=None,
+                metrics={"rows": len(rows), "exec_span": [0.1, 1e-7]},
+            )
 
-        assert line(rows) == line([list(row) for row in rows])
-        assert ok_response(9, (), rows, False, None, {})["rows"] is rows
-        assert rows_as_tuples(json.loads(line(rows))) == rows
+        line = encode(payload(rows))
+        assert line == json.dumps(
+            payload(rows), separators=(",", ":")
+        ).encode() + b"\n"
+        assert line == encode(payload([list(row) for row in rows]))
+        assert payload(rows)["rows"] is rows
+        response = json.loads(line)
+        assert response["id"] == request_id
+        assert rows_as_tuples(response) == [tuple(row) for row in rows]
+
+    @pytest.mark.parametrize("keys", [
+        ("columns", "rows"),
+        ("rows", "columns"),
+        ("rows", "columns", "id"),
+    ])
+    def test_rows_anywhere_in_the_envelope(self, keys):
+        values = {"columns": ["a"], "rows": [(5,), (6,)], "id": 1}
+        payload = {key: values[key] for key in keys}
+        assert encode(payload) == json.dumps(
+            payload, separators=(",", ":")
+        ).encode() + b"\n"
+
+    @pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(1, 2, 3)]])
+    def test_cells_that_do_not_fill_the_columns_are_refused(self, rows):
+        with pytest.raises(ValueError, match="cells"):
+            encode(ok_response(1, ("a", "b"), rows, False, None, {}))
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +286,12 @@ class TestServiceEndToEnd:
     def test_rows_byte_identical_to_library(self, engine, service):
         direct = engine.match(PATTERN)
         host, port = service.address
-        with ServiceClient(host, port) as client:
-            response = client.query(PATTERN)
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(encode({"op": "query", "id": 1, "pattern": PATTERN}))
+            line = sock.makefile("rb").readline()
+        response = json.loads(line)
+        # the wire is canonical: exactly what json.dumps writes compactly
+        assert line == json.dumps(response, separators=(",", ":")).encode() + b"\n"
         assert response["columns"] == list(direct.columns)
         assert rows_as_tuples(response) == list(direct.rows)
         assert response["truncated"] is False
@@ -304,7 +358,11 @@ class TestServiceEndToEnd:
                 # nothing of the refused line is left in the socket
                 response = client.query("A -> B", limit=5)
                 assert rows_as_tuples(response) == full.rows[:5]
-                assert client.stats()["errors"] == 1
+                stats = client.stats()
+        # the refused answer is an error, not also a served query
+        assert (stats["served"], stats["rows_returned"], stats["errors"]) == (
+            1, 5, 1
+        )
 
     def test_clients_refuse_an_overlong_line(self, monkeypatch, service):
         """A server that does not bound its lines (a parent-commit
@@ -403,9 +461,9 @@ class TestServiceEndToEnd:
             gate = threading.Event()
             original_execute = service._execute
 
-            def gated_execute(request, timeout_s):
+            def gated_execute(*args):
                 assert gate.wait(timeout=60)
-                return original_execute(request, timeout_s)
+                return original_execute(*args)
 
             service._execute = gated_execute
             try:
@@ -453,9 +511,9 @@ class TestServiceEndToEnd:
             gate = threading.Event()
             original_execute = service._execute
 
-            def gated_execute(request, timeout_s):
+            def gated_execute(*args):
                 assert gate.wait(timeout=60)
-                return original_execute(request, timeout_s)
+                return original_execute(*args)
 
             service._execute = gated_execute
             release = threading.Event()
@@ -502,6 +560,11 @@ class TestServiceConfig:
         ServiceConfig(max_result_rows=-5),
         ServiceConfig(max_inflight=0),
         ServiceConfig(queue_depth=-1),
+        # NaN and inf would mean no deadline, a negative one a timeout
+        # for every query while queued
+        ServiceConfig(default_timeout_s=float("nan")),
+        ServiceConfig(default_timeout_s=float("inf")),
+        ServiceConfig(default_timeout_s=-0.005),
     ])
     def test_out_of_range_settings_refused(self, engine, config):
         with pytest.raises(ValueError, match="must be >="):
