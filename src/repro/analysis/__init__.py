@@ -2,9 +2,9 @@
 
 Four passes, one diagnostic format:
 
-* :func:`check_plan` — verify a :class:`~repro.query.algebra.Plan`
-  statically (left-deep shape, binding order, exactly-once condition
-  coverage, Filter/Fetch ``Side`` consistency, catalog existence);
+* :func:`check_plan` — :meth:`~repro.query.algebra.Plan.violations`
+  (the binding simulation ``Plan.validate`` runs before every execution)
+  as diagnostics, plus catalog existence of labels and W-table entries;
 * :func:`audit_database` — verify a built
   :class:`~repro.db.database.GraphDatabase` (2-hop cover correctness,
   W-table ↔ F/T-subcluster agreement, B+-tree structure);
@@ -34,7 +34,7 @@ from .diagnostics import (
 )
 from .indexaudit import audit_database, audit_snapshot, check_bptree
 from .lint import lint_paths, lint_project, lint_source
-from .plancheck import PlanVerificationError, check_plan
+from .plancheck import check_plan
 from .sanitizer import SanitizerError, sanitize_enabled
 
 #: the conventional entry point for linting arbitrary paths
@@ -42,7 +42,6 @@ run_lint = lint_paths
 
 __all__ = [
     "Diagnostic",
-    "PlanVerificationError",
     "SanitizerError",
     "Severity",
     "audit_database",

@@ -1,421 +1,39 @@
-"""plancheck — deep static verification of query plans (no execution).
+"""plancheck — a plan's binding violations as diagnostics, plus the catalog.
 
-:class:`~repro.query.algebra.Plan` already has a ``validate()`` that raises
-on the first malformed step; this pass is the thorough counterpart the
-optimizer refactors lean on: it simulates the binding state of the whole
-left-deep pipeline, reports *every* violation as a structured
-:class:`~repro.analysis.diagnostics.Diagnostic`, and — when given the
-database the plan will run against — cross-checks the catalog: every
-referenced label must have a base table and every R-join's ``W(X, Y)``
-entry is probed (an empty entry is a warning: the plan is sound but its
-result is provably empty).
+The binding simulation lives beside the plan:
+:meth:`~repro.query.algebra.Plan.violations` replays the whole step
+sequence (left-deep or multiway) and lists every broken invariant, and
+:meth:`~repro.query.algebra.Plan.validate` raises on that same list
+before every execution.  So a plan this pass reports no error for is
+exactly a plan the drivers run.  This pass turns each violation into an
+ERROR :class:`~repro.analysis.diagnostics.Diagnostic` and, when given the
+database the plan will run against, adds two catalog checks:
 
-Checked invariants (paper Alg. 2 / Section 4):
-
-* left-deep shape — exactly one seed step, at position 0;
-* variables bound before use (filter scans, selection endpoints);
-* every pattern condition covered exactly once, by a SeedJoin, a
-  Filter+Fetch pair, or a Selection — nothing double-evaluated, nothing
-  dropped;
-* ``Side`` consistency — each FetchStep consumes a pending filter with the
-  *same* (condition, side) key; a filter on the mirror side is reported as
-  a side mismatch, not a missing filter;
-* no variable re-binding — a Fetch whose target column already exists
-  would collide in the temporal table's schema;
-* catalog existence of every referenced label table and W-table entry
-  (only when a database is supplied).
-
-Multiway (WCOJ) plans are first-class: a plan seeded by a
-:class:`~repro.query.algebra.MultiwaySeed` is simulated as a variable
-elimination order — every later step must be a ``MultiwayStep`` (mixing
-the two plan families is ``plan/mixed-paradigm``), every constraint must
-be keyed to bind exactly the step's variable (``plan/multiway-key``),
-scan an already-bound endpoint and cover its condition exactly once; the
-W-table and coverage checks are shared with the left-deep path.
+* ``plan/unknown-label`` — a pattern variable's label has no base table;
+* ``plan/empty-wtable-entry`` (a warning) — an R-join's ``W(X, Y)`` entry
+  has no centers: the plan is sound but its result is provably empty.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
-from ..query.algebra import (
-    FetchStep,
-    FilterKey,
-    FilterStep,
-    MultiwaySeed,
-    MultiwayStep,
-    Plan,
-    SeedJoin,
-    SeedScan,
-    SelectionStep,
-    Side,
-)
-from ..query.pattern import Condition
+from ..query.algebra import FilterStep, MultiwaySeed, MultiwayStep, Plan, SeedJoin
 from .diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..db.database import GraphDatabase
 
 
-class PlanVerificationError(RuntimeError):
-    """Raised by ``verify=True`` execution when plancheck finds errors.
-
-    Carries the full diagnostic list so callers can render or log every
-    violation, not just the first.
-    """
-
-    def __init__(self, diagnostics: List[Diagnostic]) -> None:
-        from .diagnostics import format_report
-
-        self.diagnostics = diagnostics
-        super().__init__(
-            "plan failed static verification:\n" + format_report(diagnostics)
-        )
-
-
-def _other(side: Side) -> Side:
-    return Side.IN if side is Side.OUT else Side.OUT
-
-
-class _PlanChecker:
-    """Single-pass binding simulation that accumulates diagnostics."""
-
-    def __init__(self, plan: Plan, db: Optional["GraphDatabase"], source: str):
-        self.plan = plan
-        self.pattern = plan.pattern
-        self.db = db
-        self.source = source
-        self.diagnostics: List[Diagnostic] = []
-        self.bound: Set[str] = set()
-        self.pending: Set[FilterKey] = set()
-        self.done: Set[Condition] = set()
-        # conditions the plan references (for the coverage-count report)
-        self.known_conditions = set(self.pattern.conditions)
-
-    # ------------------------------------------------------------------
-    def report(
-        self,
-        rule: str,
-        message: str,
-        step: Optional[int] = None,
-        severity: Severity = Severity.ERROR,
-    ) -> None:
-        self.diagnostics.append(
-            Diagnostic(
-                rule=rule,
-                severity=severity,
-                message=message,
-                source=self.source,
-                step=step,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    def _check_condition_known(self, condition: Condition, step: int) -> None:
-        if condition not in self.known_conditions:
-            self.report(
-                "plan/foreign-condition",
-                f"condition {condition} is not part of the pattern "
-                f"({', '.join(map(str, self.pattern.conditions))})",
-                step,
-            )
-
-    def _mark_done(self, condition: Condition, step: int) -> None:
-        if condition in self.done:
-            self.report(
-                "plan/double-covered",
-                f"condition {condition} is evaluated more than once",
-                step,
-            )
-        self.done.add(condition)
-
-    def _check_wtable(self, condition: Condition, step: int) -> None:
-        """With a database: warn when the R-join's W(X, Y) entry is empty."""
-        if self.db is None:
-            return
-        x_label, y_label = self.pattern.condition_labels(condition)
-        known = self.db.labels()
-        if x_label not in known or y_label not in known:
-            return  # unknown-label error already reported in the preamble
-        if not self.db.join_index.centers(x_label, y_label):
-            self.report(
-                "plan/empty-wtable-entry",
-                f"W({x_label}, {y_label}) has no centers: the R-join for "
-                f"{condition} is provably empty",
-                step,
-                severity=Severity.WARNING,
-            )
-
-    # ------------------------------------------------------------------
-    # per-step handlers
-    # ------------------------------------------------------------------
-    def _seed(self, step_obj, step: int) -> None:
-        if isinstance(step_obj, SeedScan):
-            self.bound.add(step_obj.var)
-            if step_obj.var not in self.pattern.variables:
-                self.report(
-                    "plan/foreign-condition",
-                    f"seed scans unknown variable {step_obj.var!r}",
-                    step,
-                )
-        else:  # SeedJoin
-            condition = step_obj.condition
-            self._check_condition_known(condition, step)
-            self.bound.update(condition)
-            self._mark_done(condition, step)
-            self._check_wtable(condition, step)
-
-    def _filter(self, step_obj: FilterStep, step: int) -> None:
-        scanned = {side.scanned_var(cond) for cond, side in step_obj.keys}
-        if len(scanned) != 1:
-            # unreachable through the public constructor (its __post_init__
-            # rejects mixed scans) but checkable on hand-forged plans
-            self.report(
-                "plan/mixed-filter",
-                f"shared filter scans several variables {sorted(scanned)}; "
-                "Remark 3.1 allows one scanned column per shared Filter",
-                step,
-            )
-        for var in scanned:
-            if var not in self.bound:
-                self.report(
-                    "plan/unbound-variable",
-                    f"filter scans variable {var!r} before any step binds it",
-                    step,
-                )
-        for key in step_obj.keys:
-            condition, side = key
-            self._check_condition_known(condition, step)
-            if key in self.pending or (condition, _other(side)) in self.pending:
-                self.report(
-                    "plan/double-covered",
-                    f"condition {condition} is filtered twice",
-                    step,
-                )
-            elif condition in self.done:
-                self.report(
-                    "plan/double-covered",
-                    f"condition {condition} is filtered after being evaluated",
-                    step,
-                )
-            if side.fetched_var(condition) in self.bound:
-                self.report(
-                    "plan/rebind",
-                    f"filter for {condition} [{side.value}] targets variable "
-                    f"{side.fetched_var(condition)!r} which is already bound; "
-                    "use a SelectionStep for conditions between bound variables",
-                    step,
-                )
-            self.pending.add(key)
-            self._check_wtable(condition, step)
-
-    def _fetch(self, step_obj: FetchStep, step: int) -> None:
-        key: FilterKey = (step_obj.condition, step_obj.side)
-        mirror: FilterKey = (step_obj.condition, _other(step_obj.side))
-        self._check_condition_known(step_obj.condition, step)
-        if key in self.pending:
-            self.pending.discard(key)
-        elif mirror in self.pending:
-            self.report(
-                "plan/side-mismatch",
-                f"fetch for {step_obj.condition} uses side "
-                f"{step_obj.side.value!r} but its filter ran with side "
-                f"{_other(step_obj.side).value!r}",
-                step,
-            )
-            self.pending.discard(mirror)
-        else:
-            self.report(
-                "plan/fetch-without-filter",
-                f"fetch for {step_obj.condition} [{step_obj.side.value}] has "
-                "no pending filter (HPSJ+ requires Filter before Fetch)",
-                step,
-            )
-        new_var = step_obj.side.fetched_var(step_obj.condition)
-        if new_var in self.bound:
-            self.report(
-                "plan/rebind",
-                f"fetch for {step_obj.condition} re-binds variable "
-                f"{new_var!r}; the temporal table would get a duplicate column",
-                step,
-            )
-        self.bound.add(new_var)
-        self._mark_done(step_obj.condition, step)
-
-    def _multiway_seed(self, step_obj: MultiwaySeed, step: int) -> None:
-        if step_obj.var not in self.pattern.variables:
-            self.report(
-                "plan/foreign-condition",
-                f"multiway seed binds unknown variable {step_obj.var!r}",
-                step,
-            )
-        self.bound.add(step_obj.var)
-        for condition, side in step_obj.constraints:
-            self._check_condition_known(condition, step)
-            if side.fetched_var(condition) != step_obj.var:
-                self.report(
-                    "plan/multiway-key",
-                    f"seed constraint {condition} [{side.value}] projects "
-                    f"onto {side.fetched_var(condition)!r}, not the seed "
-                    f"variable {step_obj.var!r}",
-                    step,
-                )
-            # seed constraints are sound projection pruning, not coverage:
-            # the condition is enforced at its later endpoint's step
-            self._check_wtable(condition, step)
-
-    def _multiway_step(self, step_obj: MultiwayStep, step: int) -> None:
-        if step_obj.var in self.bound:
-            self.report(
-                "plan/rebind",
-                f"multiway step re-binds variable {step_obj.var!r}; each "
-                "elimination order binds every variable exactly once",
-                step,
-            )
-        for condition, side in step_obj.constraints:
-            self._check_condition_known(condition, step)
-            if side.fetched_var(condition) != step_obj.var:
-                self.report(
-                    "plan/multiway-key",
-                    f"constraint {condition} [{side.value}] extends "
-                    f"{side.fetched_var(condition)!r}, not the step's "
-                    f"variable {step_obj.var!r}",
-                    step,
-                )
-            scanned = side.scanned_var(condition)
-            if scanned not in self.bound:
-                self.report(
-                    "plan/unbound-variable",
-                    f"multiway constraint {condition} scans variable "
-                    f"{scanned!r} before any step binds it",
-                    step,
-                )
-            self._mark_done(condition, step)
-            self._check_wtable(condition, step)
-        self.bound.add(step_obj.var)
-
-    def _selection(self, step_obj: SelectionStep, step: int) -> None:
-        condition = step_obj.condition
-        self._check_condition_known(condition, step)
-        for var in condition:
-            if var not in self.bound:
-                self.report(
-                    "plan/unbound-variable",
-                    f"selection on {condition} reads variable {var!r} "
-                    "before any step binds it",
-                    step,
-                )
-        if condition in {cond for cond, _ in self.pending}:
-            self.report(
-                "plan/double-covered",
-                f"selection on {condition} duplicates its pending filter "
-                "(the matching fetch will evaluate it)",
-                step,
-            )
-        self._mark_done(condition, step)
-
-    # ------------------------------------------------------------------
-    def run(self) -> List[Diagnostic]:
-        if self.db is not None:
-            known = set(self.db.labels())
-            for var in self.pattern.variables:
-                label = self.pattern.label(var)
-                if label not in known:
-                    self.report(
-                        "plan/unknown-label",
-                        f"variable {var!r} uses label {label!r} which has no "
-                        f"base table (known: {sorted(known)})",
-                    )
-        steps = self.plan.steps
-        if not steps:
-            self.report("plan/empty", "plan has no steps")
-            return self.diagnostics
-        if isinstance(steps[0], MultiwaySeed):
-            self._run_multiway(steps)
-            self._final_checks()
-            return self.diagnostics
-        for index, step_obj in enumerate(steps):
-            if isinstance(step_obj, (MultiwaySeed, MultiwayStep)):
-                self.report(
-                    "plan/mixed-paradigm",
-                    f"{type(step_obj).__name__} at position {index} inside a "
-                    "left-deep plan; multiway steps are only legal in a plan "
-                    "seeded by MultiwaySeed",
-                    index,
-                )
-            elif isinstance(step_obj, (SeedScan, SeedJoin)):
-                if index == 0:
-                    self._seed(step_obj, index)
-                else:
-                    self.report(
-                        "plan/not-left-deep",
-                        f"seed step {step_obj} at position {index}; a "
-                        "left-deep plan has exactly one seed, at position 0",
-                        index,
-                    )
-            elif index == 0:
-                self.report(
-                    "plan/no-seed",
-                    f"plan starts with {type(step_obj).__name__}; the first "
-                    "step must seed the temporal table (SeedScan or SeedJoin)",
-                    index,
-                )
-                # keep simulating so later steps still get precise checks
-                self._dispatch(step_obj, index)
-            else:
-                self._dispatch(step_obj, index)
-        self._final_checks()
-        return self.diagnostics
-
-    def _run_multiway(self, steps) -> None:
-        """Simulate a variable elimination order (MultiwaySeed plan)."""
-        self._multiway_seed(steps[0], 0)
-        for index, step_obj in enumerate(steps[1:], start=1):
-            if isinstance(step_obj, MultiwayStep):
-                self._multiway_step(step_obj, index)
-            else:
-                self.report(
-                    "plan/mixed-paradigm",
-                    f"{type(step_obj).__name__} at position {index} inside a "
-                    "multiway plan; after a MultiwaySeed every step must be "
-                    "a MultiwayStep",
-                    index,
-                )
-
-    def _final_checks(self) -> None:
-        for condition in self.pattern.conditions:
-            if condition not in self.done:
-                self.report(
-                    "plan/uncovered-condition",
-                    f"condition {condition} is never evaluated",
-                )
-        for var in self.pattern.variables:
-            if var not in self.bound:
-                self.report(
-                    "plan/never-bound",
-                    f"variable {var!r} is never bound by any step",
-                )
-        for key in sorted(self.pending, key=str):
-            condition, side = key
-            self.report(
-                "plan/unfetched-filter",
-                f"filter for {condition} [{side.value}] is never fetched; "
-                "its centers column would survive to the final table",
-            )
-
-    def _dispatch(self, step_obj, index: int) -> None:
-        if isinstance(step_obj, FilterStep):
-            self._filter(step_obj, index)
-        elif isinstance(step_obj, FetchStep):
-            self._fetch(step_obj, index)
-        elif isinstance(step_obj, SelectionStep):
-            self._selection(step_obj, index)
-        else:
-            self.report(
-                "plan/unknown-step",
-                f"unrecognized plan step {step_obj!r}",
-                index,
-            )
+def _r_joins(step) -> list:
+    """The conditions whose ``W(X, Y)`` entry *step* reads."""
+    if isinstance(step, SeedJoin):
+        return [step.condition]
+    if isinstance(step, FilterStep):
+        return [condition for condition, _ in step.keys]
+    if isinstance(step, (MultiwaySeed, MultiwayStep)):
+        return [condition for condition, _ in step.constraints]
+    return []
 
 
 def check_plan(
@@ -427,6 +45,29 @@ def check_plan(
 
     With ``db`` supplied the catalog checks run too (label tables exist,
     W-table entries are non-empty).  An empty return means the plan passes
-    every structural invariant this pass knows about.
+    every structural invariant :meth:`Plan.validate` enforces.
     """
-    return _PlanChecker(plan, db, source).run()
+    labels = plan.pattern.labels
+    known = set(db.labels()) if db is not None else set()
+    found = [
+        Diagnostic("plan/unknown-label", Severity.ERROR,
+                   f"variable {var!r} uses label {label!r} which has no base "
+                   f"table (known: {sorted(known)})", source)
+        for var, label in labels.items() if db is not None and label not in known
+    ]
+    found.extend(
+        Diagnostic(rule, Severity.ERROR, message, source, step=step)
+        for rule, step, message in plan.violations()
+    )
+    for index, step in enumerate(plan.steps if db is not None else ()):
+        for src, dst in _r_joins(step):
+            x_label, y_label = labels.get(src), labels.get(dst)
+            if {x_label, y_label} <= known and not db.join_index.centers(
+                x_label, y_label
+            ):
+                found.append(Diagnostic(
+                    "plan/empty-wtable-entry", Severity.WARNING,
+                    f"W({x_label}, {y_label}) has no centers: the R-join for "
+                    f"{(src, dst)} is provably empty", source, step=index,
+                ))
+    return found

@@ -98,7 +98,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 0
     result = engine.match(
         args.pattern, optimizer=args.optimizer, limit=args.limit,
-        row_limit=args.row_limit, verify=args.verify,
+        row_limit=args.row_limit,
     )
     if args.limit is not None:
         for row in result.rows:
@@ -403,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--row-limit", type=int, default=None,
                          help="abort if any intermediate exceeds N rows "
                               "(execution guard, either executor)")
-    p_query.add_argument("--verify", action="store_true",
-                         help="statically check the optimized plan before "
-                              "executing (repro.analysis plan checker)")
     p_query.add_argument("--no-center-cache", action="store_true",
                          help="disable the cross-query center/subcluster "
                               "cache (ablation)")
@@ -475,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--optimizer",
                          choices=("dp", "dps", "greedy", "wcoj", "all"),
                          default="all",
-                         help="which optimizer(s) to plancheck (default: dp+dps)")
+                         help="which optimizer's plans to plancheck "
+                              "(default: all = dp, dps and wcoj)")
     p_check.add_argument("--self", dest="self_lint", action="store_true",
                          help="lint the repro package's own source and run "
                               "the lock-discipline rules (conc/*) over it")

@@ -29,7 +29,7 @@ from .physical import (
 )
 from .optimizer_dp import OptimizedPlan, optimize_dp, optimize_greedy
 from .optimizer_dps import optimize_dps
-from .optimizer_wcoj import optimize_auto, optimize_wcoj
+from .optimizer_wcoj import optimize_wcoj
 from .parser import parse_pattern
 from .pattern import Condition, GraphPattern, PatternError
 
@@ -59,7 +59,6 @@ __all__ = [
     "execute_plan",
     "execute_plan_streaming",
     "OptimizedPlan",
-    "optimize_auto",
     "optimize_dp",
     "optimize_dps",
     "optimize_greedy",

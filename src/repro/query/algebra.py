@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..storage import record_size
 from ..storage.buffer import BufferPool
@@ -197,6 +197,12 @@ PlanStep = (
     | MultiwayStep
 )
 
+#: one broken plan invariant: ``(rule id, 0-based step index or None, message)``
+Violation = Tuple[str, Optional[int], str]
+
+_SEEDS = (SeedScan, SeedJoin, MultiwaySeed)
+_MULTIWAY = (MultiwaySeed, MultiwayStep)
+
 
 @dataclass
 class Plan:
@@ -206,124 +212,171 @@ class Plan:
     steps: List[PlanStep] = field(default_factory=list)
 
     def validate(self) -> None:
-        """Simulate binding to catch malformed step sequences early."""
-        if not self.steps:
-            raise PatternError("plan has no steps")
-        first = self.steps[0]
+        """Raise :class:`PatternError` listing every :meth:`violations` entry."""
+        found = self.violations()
+        if found:
+            raise PatternError("malformed plan:\n" + "\n".join(
+                f"  {rule}{'' if step is None else f' (step {step})'}: {message}"
+                for rule, step, message in found
+            ))
+
+    def violations(self) -> List[Violation]:
+        """Simulate the binding state of the whole plan; every violation.
+
+        A plan is correct only if each pattern condition is evaluated
+        exactly once — by an HPSJ seed, a Filter+Fetch pair on one
+        ``Side``, a self R-join or a multiway step — over variables bound
+        in step order (paper Sections 3-4, Alg. 1/2).  A left-deep plan
+        has one seed, at position 0; a plan seeded by ``MultiwaySeed`` is
+        a variable elimination order and holds only ``MultiwayStep`` after
+        it.  The runtime gate (:meth:`validate`) and the static checker
+        (:func:`repro.analysis.check_plan`) both read this one list; a
+        clean plan formats no message.
+        """
+        steps = self.steps
+        if not steps:
+            return [("plan/empty", None, "plan has no steps")]
+        pattern = self.pattern
+        conditions = set(pattern.conditions)
+        found: List[Violation] = []
         bound: set = set()
-        pending: set = set()
         done: set = set()
-        if isinstance(first, MultiwaySeed):
-            self._validate_multiway(first, bound, done)
-            self._validate_coverage(bound, pending, done)
-            return
-        if isinstance(first, SeedScan):
-            bound.add(first.var)
-        elif isinstance(first, SeedJoin):
-            bound.update(first.condition)
-            done.add(first.condition)
-        else:
-            raise PatternError(f"plan must start with a seed step, got {first}")
-        for step in self.steps[1:]:
-            if isinstance(step, FilterStep):
-                if step.scanned_var not in bound:
-                    raise PatternError(
-                        f"filter scans unbound variable {step.scanned_var!r}"
-                    )
-                for key in step.keys:
-                    condition, side = key
-                    mirror = (condition, Side.IN if side is Side.OUT else Side.OUT)
-                    if key in pending or mirror in pending or condition in done:
-                        raise PatternError(f"duplicate filter for {key}")
-                    if side.fetched_var(condition) in bound:
-                        raise PatternError(
-                            f"filter for {key} targets already-bound variable "
-                            f"{side.fetched_var(condition)!r}; use a "
-                            "SelectionStep between two bound variables"
-                        )
-                    pending.add(key)
-            elif isinstance(step, FetchStep):
-                key = (step.condition, step.side)
-                if key not in pending:
-                    mirror = (
-                        step.condition,
-                        Side.IN if step.side is Side.OUT else Side.OUT,
-                    )
-                    if mirror in pending:
-                        raise PatternError(
-                            f"fetch for {step.condition} uses side "
-                            f"{step.side.value!r} but its filter ran with "
-                            f"side {mirror[1].value!r}"
-                        )
-                    raise PatternError(
-                        f"fetch for {key} has no preceding filter (HPSJ+ requires "
-                        "Filter before Fetch)"
-                    )
-                fetched = step.side.fetched_var(step.condition)
+        #: condition -> the Side its Filter ran with, until its Fetch
+        pending: dict = {}
+
+        def known(condition: Condition, index: int) -> None:
+            if condition not in conditions:
+                found.append(("plan/foreign-condition", index,
+                              f"condition {condition} is not part of the "
+                              f"pattern ({', '.join(map(str, pattern.conditions))})"))
+
+        def evaluate(condition: Condition, index: int) -> None:
+            known(condition, index)
+            if condition in done:
+                found.append(("plan/double-covered", index,
+                              f"condition {condition} is evaluated more than once"))
+            done.add(condition)
+
+        multiway = type(steps[0]) is MultiwaySeed
+        for index, step in enumerate(steps):
+            kind = type(step)
+            if isinstance(step, _MULTIWAY) is not multiway:
+                found.append(("plan/mixed-paradigm", index,
+                              f"{kind.__name__} in a "
+                              f"{'multiway' if multiway else 'left-deep'} plan; "
+                              "a plan seeded by MultiwaySeed holds only "
+                              "MultiwaySteps after it, any other plan none"))
+                continue
+            if isinstance(step, _SEEDS):
+                if index:
+                    found.append(("plan/not-left-deep", index,
+                                  f"seed step {step} at position {index}; a "
+                                  "plan has exactly one seed, at position 0"))
+                    continue
+            elif not index:
+                found.append(("plan/no-seed", 0,
+                              f"plan starts with {kind.__name__}; the first "
+                              "step must seed the temporal table"))
+            if kind is FilterStep:
+                scanned = step.scanned_var
+                if scanned not in bound:
+                    found.append(("plan/unbound-variable", index,
+                                  f"filter scans variable {scanned!r} before "
+                                  "any step binds it"))
+                for condition, side in step.keys:
+                    known(condition, index)
+                    if condition in pending or condition in done:
+                        found.append(("plan/double-covered", index,
+                                      f"duplicate filter for {condition} "
+                                      f"[{side.value}]: already filtered or "
+                                      "evaluated"))
+                    fetched = side.fetched_var(condition)
+                    if fetched in bound:
+                        found.append(("plan/rebind", index,
+                                      f"filter for {condition} [{side.value}] "
+                                      f"targets already-bound variable "
+                                      f"{fetched!r}; use a SelectionStep "
+                                      "between two bound variables"))
+                    pending[condition] = side
+            elif kind is FetchStep:
+                condition, side = step.condition, step.side
+                filtered = pending.pop(condition, None)
+                if filtered is None:
+                    found.append(("plan/fetch-without-filter", index,
+                                  f"fetch for {condition} [{side.value}] has "
+                                  "no preceding filter (HPSJ+ requires Filter "
+                                  "before Fetch)"))
+                elif filtered is not side:
+                    found.append(("plan/side-mismatch", index,
+                                  f"fetch for {condition} uses side "
+                                  f"{side.value!r} but its filter ran with "
+                                  f"side {filtered.value!r}"))
+                fetched = side.fetched_var(condition)
                 if fetched in bound:
-                    raise PatternError(
-                        f"fetch for {step.condition} re-binds variable "
-                        f"{fetched!r}; the temporal table would get a "
-                        "duplicate column"
-                    )
-                pending.discard(key)
+                    found.append(("plan/rebind", index,
+                                  f"fetch for {condition} re-binds variable "
+                                  f"{fetched!r}; the temporal table would get "
+                                  "a duplicate column"))
                 bound.add(fetched)
-                done.add(step.condition)
-            elif isinstance(step, SelectionStep):
-                src, dst = step.condition
-                if src not in bound or dst not in bound:
-                    raise PatternError(
-                        f"selection on {step.condition} with unbound variable"
-                    )
-                if step.condition in done:
-                    raise PatternError(f"condition {step.condition} evaluated twice")
-                done.add(step.condition)
-            elif isinstance(step, (MultiwaySeed, MultiwayStep)):
-                raise PatternError(
-                    f"multiway step {step} in a left-deep plan; multiway "
-                    "plans start with a MultiwaySeed and contain only "
-                    "MultiwayStep after it"
-                )
+                evaluate(condition, index)
+            elif kind is SelectionStep:
+                condition = step.condition
+                for var in condition:
+                    if var not in bound:
+                        found.append(("plan/unbound-variable", index,
+                                      f"selection on {condition} reads "
+                                      f"variable {var!r} before any step "
+                                      "binds it"))
+                if condition in pending:
+                    found.append(("plan/double-covered", index,
+                                  f"selection on {condition} duplicates its "
+                                  "pending filter"))
+                evaluate(condition, index)
+            elif kind is MultiwayStep:
+                if step.var in bound:
+                    found.append(("plan/rebind", index,
+                                  f"multiway step re-binds variable "
+                                  f"{step.var!r}"))
+                for condition, side in step.constraints:
+                    scanned = side.scanned_var(condition)
+                    if scanned not in bound:
+                        found.append(("plan/unbound-variable", index,
+                                      f"multiway constraint {condition} scans "
+                                      f"variable {scanned!r} before any step "
+                                      "binds it"))
+                    evaluate(condition, index)
+                bound.add(step.var)
+            elif kind is SeedJoin:
+                bound.update(step.condition)
+                evaluate(step.condition, index)
+            elif kind is SeedScan or kind is MultiwaySeed:
+                if step.var not in pattern.labels:
+                    found.append(("plan/foreign-condition", index,
+                                  f"seed binds unknown variable {step.var!r}"))
+                bound.add(step.var)
+                if kind is MultiwaySeed:
+                    # seed constraints only prune: each condition is
+                    # evaluated at the MultiwayStep binding its later endpoint
+                    for condition, _ in step.constraints:
+                        known(condition, index)
             else:
-                raise PatternError(f"seed step {step} must come first")
-        self._validate_coverage(bound, pending, done)
+                found.append(("plan/unknown-step", index,
+                              f"unrecognized plan step {step!r}"))
 
-    def _validate_multiway(self, first: "MultiwaySeed", bound: set, done: set) -> None:
-        """Binding simulation for a generic-join plan (elimination order)."""
-        bound.add(first.var)
-        for step in self.steps[1:]:
-            if not isinstance(step, MultiwayStep):
-                raise PatternError(
-                    f"step {step} in a multiway plan; after a MultiwaySeed "
-                    "every step must be a MultiwayStep"
-                )
-            if step.var in bound:
-                raise PatternError(
-                    f"multiway step re-binds variable {step.var!r}"
-                )
-            for condition, side in step.constraints:
-                if side.scanned_var(condition) not in bound:
-                    raise PatternError(
-                        f"multiway constraint {condition} [{side.value}] "
-                        f"scans unbound variable "
-                        f"{side.scanned_var(condition)!r}"
-                    )
-                if condition in done:
-                    raise PatternError(
-                        f"condition {condition} evaluated twice"
-                    )
-                done.add(condition)
-            bound.add(step.var)
-
-    def _validate_coverage(self, bound: set, pending: set, done: set) -> None:
-        missing = set(self.pattern.conditions) - done
-        if missing:
-            raise PatternError(f"plan never evaluates conditions {sorted(missing)}")
-        unbound = set(self.pattern.variables) - bound
-        if unbound:
-            raise PatternError(f"plan never binds variables {sorted(unbound)}")
-        if pending:
-            raise PatternError(f"plan leaves filters {sorted(pending, key=str)} unfetched")
+        for condition in pattern.conditions:
+            if condition not in done:
+                found.append(("plan/uncovered-condition", None,
+                              f"condition {condition} is never evaluated"))
+        for var in pattern.variables:
+            if var not in bound:
+                found.append(("plan/never-bound", None,
+                              f"variable {var!r} is never bound by any step"))
+        for condition, side in pending.items():
+            found.append(("plan/unfetched-filter", None,
+                          f"filter for {condition} [{side.value}] is never "
+                          "fetched; its centers column would survive to the "
+                          "final table"))
+        return found
 
     def describe(self) -> str:
         """Human-readable one-line-per-step rendering (for EXPLAIN)."""

@@ -17,7 +17,8 @@ Typical use::
 * ``"wcoj"`` — worst-case-optimal multiway plan for cyclic join graphs
   (variable elimination + k-way intersection); acyclic patterns fall
   back to DPS unchanged;
-* ``"auto"`` — route on join-graph shape: cyclic → wcoj, else dps.
+* ``"auto"`` — the same optimizer as ``"wcoj"``, under the name the
+  CLI and the wire protocol default to.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .physical.drivers import (
 )
 from .optimizer_dp import OptimizedPlan, optimize_dp, optimize_greedy
 from .optimizer_dps import optimize_dps
-from .optimizer_wcoj import optimize_auto, optimize_wcoj
+from .optimizer_wcoj import optimize_wcoj
 from .parser import parse_pattern
 from .pattern import GraphPattern
 
@@ -48,7 +49,7 @@ _OPTIMIZERS = {
     "dps": optimize_dps,
     "greedy": optimize_greedy,
     "wcoj": optimize_wcoj,
-    "auto": optimize_auto,
+    "auto": optimize_wcoj,
 }
 
 PatternLike = Union[str, GraphPattern]
@@ -190,7 +191,6 @@ class GraphEngine:
         optimizer: str = "dps",
         limit: Optional[int] = None,
         row_limit: Optional[int] = None,
-        verify: bool = False,
         timeout: Optional[float] = None,
     ) -> StreamingResult:
         """Optimize a pattern and stream its matches lazily.
@@ -204,9 +204,6 @@ class GraphEngine:
         every stream uses the engine's :class:`CenterCache`.
         ``row_limit`` caps every intermediate result and raises
         :class:`~repro.query.algebra.RowLimitExceeded` beyond it.
-        ``verify`` statically checks the optimized plan against this
-        database (:func:`repro.analysis.check_plan`) before executing and
-        raises :class:`repro.analysis.PlanVerificationError` on violations.
         ``timeout`` is a per-query deadline in seconds: an expired
         deadline stops the stream cooperatively (between rows) and flags
         the run's metrics ``truncated`` with ``stop_reason="timeout"`` —
@@ -216,7 +213,7 @@ class GraphEngine:
         optimized = self.plan(pattern, optimizer=optimizer)
         return execute_plan_streaming(
             self.db, optimized.plan, limit=limit, row_limit=row_limit,
-            verify=verify, center_cache=self.center_cache, timeout=timeout,
+            center_cache=self.center_cache, timeout=timeout,
         )
 
     def match(

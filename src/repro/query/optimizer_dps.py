@@ -100,8 +100,6 @@ def optimize_dps(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
     :func:`optimize_dp` and the search's only exit builds its plan with
     :func:`plan_from_trail`, which validates before returning; there is
     no other way out besides the exhaustion ``RuntimeError``.
-    ``tests/test_plancheck`` additionally runs the deep static checker
-    over every DP/DPS plan of the workload suite.
     """
     if pattern.node_count == 1:
         # delegated plans are validated inside optimize_dp

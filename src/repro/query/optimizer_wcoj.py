@@ -19,12 +19,12 @@ and cardinality use the existing :class:`~repro.query.costmodel.CostModel`
 plus its multiway rules (``multiway_domain_size`` / ``multiway_step_rows``
 / ``multiway_step_cost``).
 
-Routing lives in :func:`optimize_auto`: acyclic join graphs go to the
-paper's DPS optimizer *unchanged* (identical plans, rows and counters to
-today — the differential suites pin this); cyclic ones get the multiway
-plan.  :func:`optimize_wcoj` itself also falls back to DPS on acyclic
-patterns, since a multiway plan on a tree degenerates into a strictly
-worse Filter/Fetch with no sharing.
+Routing lives in :func:`optimize_wcoj` (the optimizer the engine also
+names ``"auto"``): acyclic join graphs go to the paper's DPS optimizer
+*unchanged* (identical plans, rows and counters — the differential
+suites pin this), since a multiway plan on a tree degenerates into a
+strictly worse Filter/Fetch with no sharing; cyclic ones get the
+multiway plan.
 """
 
 from __future__ import annotations
@@ -131,9 +131,4 @@ def optimize_wcoj(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
     return OptimizedPlan(_build_plan(pattern, graph, order), cost, rows)
 
 
-def optimize_auto(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
-    """Route on join-graph shape: cyclic → WCOJ, acyclic → DPS unchanged."""
-    return optimize_wcoj(pattern, model)
-
-
-__all__ = ["optimize_auto", "optimize_wcoj"]
+__all__ = ["optimize_wcoj"]

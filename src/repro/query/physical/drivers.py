@@ -21,8 +21,10 @@ through the buffer pool exactly as the cost model prices them (Eqs.
 Because Algorithm 1/2 logic (dedup sets, the Remark 3.1 shared scan, the
 per-center subcluster cache) lives only in the operators, the two return
 identical rows *and* identical per-operator counters when fully drained.
-Both accept ``row_limit`` (the execution guard) and ``verify=True``
-(full static plan checking before any row is produced).
+Both accept ``row_limit`` (the execution guard), and both run
+:meth:`~repro.query.algebra.Plan.validate` before any row is produced: a
+malformed plan raises :class:`~repro.query.pattern.PatternError` listing
+every violation.
 """
 
 from __future__ import annotations
@@ -86,29 +88,14 @@ class QueryResult:
         return len(self.rows)
 
 
-def _verify_plan(plan: Plan, db: GraphDatabase) -> None:
-    """Run the full static plan checker; raise listing every violation."""
-    # imported lazily: the analysis layer depends on the query layer,
-    # not the other way around
-    from ...analysis.diagnostics import errors
-    from ...analysis.plancheck import PlanVerificationError, check_plan
-
-    found = errors(check_plan(plan, db=db))
-    if found:
-        raise PlanVerificationError(found)
-
-
 def _prepare(
     db: GraphDatabase,
     plan: Plan,
     row_limit: Optional[int],
-    verify: bool,
     center_cache: Optional[CenterCache] = None,
     sanitize: bool = False,
 ):
-    """Shared driver preamble: verification, validation, pipeline build."""
-    if verify:
-        _verify_plan(plan, db)
+    """Shared driver preamble: plan validation, pipeline build."""
     plan.validate()
     ctx = ExecutionContext(
         db=db,
@@ -129,19 +116,18 @@ def execute_plan(
     db: GraphDatabase,
     plan: Plan,
     row_limit: Optional[int] = None,
-    verify: bool = False,
 ) -> QueryResult:
     """Run *plan* cold, materializing every intermediate, the result too.
 
     Without a :class:`CenterCache`: every center set and
     subcluster is read from the database and every intermediate is
     written to and re-read from a temporal table, so ``metrics.io`` is
-    the I/O the paper's Section 6 charges.  ``row_limit`` and ``verify``
-    behave as in :func:`execute_plan_streaming` (an exceeded guard
-    raises :class:`repro.query.algebra.RowLimitExceeded`, no partial
-    result).  Rows and per-operator counters equal the stream's.
+    the I/O the paper's Section 6 charges.  ``row_limit`` and plan
+    validation behave as in :func:`execute_plan_streaming` (an exceeded
+    guard raises :class:`repro.query.algebra.RowLimitExceeded`, no
+    partial result).  Rows and per-operator counters equal the stream's.
     """
-    _, operators, metrics = _prepare(db, plan, row_limit, verify)
+    _, operators, metrics = _prepare(db, plan, row_limit)
     io_before = db.stats.snapshot()
     started = time.perf_counter()
     tables: List[TemporalTable] = []
@@ -248,18 +234,16 @@ def execute_plan_streaming(
     plan: Plan,
     limit: Optional[int] = None,
     row_limit: Optional[int] = None,
-    verify: bool = False,
     center_cache: Optional[CenterCache] = None,
     sanitize: bool = False,
     timeout: Optional[float] = None,
 ) -> StreamingResult:
     """Yield result rows lazily; stop early at *limit*.
 
-    The plan is validated before any row is produced; ``verify=True``
-    first runs the full static plan checker
-    (:func:`repro.analysis.check_plan`, catalog checks against *db*
-    included) and raises :class:`repro.analysis.PlanVerificationError`
-    listing every violation.  ``row_limit`` caps every operator's
+    The plan is validated before any row is produced
+    (:meth:`~repro.query.algebra.Plan.validate` raises
+    :class:`~repro.query.pattern.PatternError` listing every violation).
+    ``row_limit`` caps every operator's
     output; exceeding it raises
     :class:`repro.query.algebra.RowLimitExceeded` (an execution guard
     for runaway patterns, not a LIMIT clause).
@@ -282,8 +266,7 @@ def execute_plan_streaming(
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     ctx, operators, metrics = _prepare(
-        db, plan, row_limit, verify,
-        center_cache=center_cache, sanitize=sanitize,
+        db, plan, row_limit, center_cache=center_cache, sanitize=sanitize,
     )
     rows = None
     for op in operators:

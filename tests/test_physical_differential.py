@@ -4,8 +4,8 @@ Rows and per-operator counters of both are pinned against the reference
 executor in ``tests/test_differential.py``; this file holds what that
 equality does not say: the metric invariants every operator keeps, that
 the accounting run (``execute_plan``) charges temporal tables per page
-on top of exactly the stream's I/O, and that the ``row_limit`` guard and
-``verify=True`` behave alike under both.
+on top of exactly the stream's I/O, and that the ``row_limit`` guard
+behaves alike under both.
 """
 
 import pytest
@@ -116,32 +116,3 @@ def test_streaming_supports_row_limit(engine, workload):
         list(execute_plan_streaming(engine.db, optimized.plan, row_limit=biggest - 1))
     with pytest.raises(RowLimitExceeded):
         execute_plan(engine.db, optimized.plan, row_limit=biggest - 1)
-
-
-def test_streaming_supports_verify(engine):
-    """verify=True runs the static plan checker under both drivers."""
-    from repro.analysis.plancheck import PlanVerificationError
-    from repro.query.algebra import FilterStep, Plan, SeedJoin, Side
-    from repro.query.parser import parse_pattern
-
-    pattern = parse_pattern("person -> watch, watch -> open_auction")
-    optimized = engine.plan(pattern, optimizer="dps")
-    # a well-formed plan passes and streams normally
-    rows = list(
-        execute_plan_streaming(engine.db, optimized.plan, limit=3, verify=True)
-    )
-    assert len(rows) <= 3
-
-    # a hand-forged broken plan (unfetched filter) fails verification
-    # before any row is produced, exactly like the materializing driver
-    broken = Plan(
-        pattern,
-        [
-            SeedJoin(pattern.conditions[0]),
-            FilterStep(((pattern.conditions[1], Side.OUT),)),
-        ],
-    )
-    with pytest.raises(PlanVerificationError):
-        execute_plan_streaming(engine.db, broken, verify=True)
-    with pytest.raises(PlanVerificationError):
-        execute_plan(engine.db, broken, verify=True)

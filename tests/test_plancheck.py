@@ -1,30 +1,21 @@
 """plancheck: the static plan verifier accepts every optimizer-produced
-plan and flags every deliberately corrupted one."""
+plan, flags every deliberately corrupted one, and agrees with the runtime
+gate: ``Plan.validate()`` raises exactly when ``check_plan`` reports an
+error, both reading the one binding simulation ``Plan.violations()``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    PlanVerificationError,
-    Severity,
-    check_plan,
-    has_errors,
-)
+from repro.analysis import Severity, check_plan, errors, has_errors
 from repro.graph import generators
-from repro.query.algebra import (
-    FetchStep,
-    FilterStep,
-    Plan,
-    SeedJoin,
-    SeedScan,
-    SelectionStep,
-    Side,
-)
+from repro.query import execute_plan, execute_plan_streaming
+from repro.query.algebra import Plan, SeedJoin, SeedScan
 from repro.query.engine import GraphEngine
-from repro.query import execute_plan
 from repro.query.pattern import GraphPattern, PatternError
 from repro.workloads.patterns import PatternFactory
+
+from corrupted_plans import CORRUPTED
 
 
 @pytest.fixture(scope="module")
@@ -32,15 +23,22 @@ def engine():
     return GraphEngine(generators.figure1_graph())
 
 
-@pytest.fixture()
-def pattern():
-    return GraphPattern.build(
-        {"A": "A", "B": "B", "C": "C"}, [("A", "C"), ("B", "C")]
-    )
-
-
 def rules(diagnostics):
     return {d.rule for d in diagnostics}
+
+
+def flags(name):
+    """check_plan reports every rule the fixture *name* was built to trip."""
+    plan, expected = CORRUPTED[name]
+    return set(expected) <= rules(check_plan(plan))
+
+
+def validate_raises(plan) -> bool:
+    try:
+        plan.validate()
+    except PatternError:
+        return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -86,92 +84,35 @@ class TestAcceptsOptimizerPlans:
 # corrupted plans are flagged (each fixture targets one rule)
 # ----------------------------------------------------------------------
 class TestCorruptedPlans:
-    def test_unbound_filter_variable(self, pattern):
-        plan = Plan(pattern, [
-            SeedScan("A"),
-            FilterStep(((("B", "C"), Side.OUT),)),  # scans B, never bound
-            FetchStep(("B", "C"), Side.OUT),
-            FilterStep(((("A", "C"), Side.OUT),)),
-            FetchStep(("A", "C"), Side.OUT),
-        ])
-        diags = check_plan(plan)
-        assert "plan/unbound-variable" in rules(diags)
+    def test_unbound_filter_variable(self):
+        assert flags("unbound_filter_variable")
 
-    def test_double_covered_condition(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FilterStep(((("B", "C"), Side.IN),)),
-            FetchStep(("B", "C"), Side.IN),
-            SelectionStep(("A", "C")),  # already evaluated by the seed
-        ])
-        diags = check_plan(plan)
-        assert "plan/double-covered" in rules(diags)
+    def test_double_covered_condition(self):
+        assert flags("double_covered_condition")
 
-    def test_side_mismatch_between_filter_and_fetch(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FilterStep(((("B", "C"), Side.IN),)),   # filter scans C (target)
-            FetchStep(("B", "C"), Side.OUT),        # fetch pretends source side
-        ])
-        diags = check_plan(plan)
-        assert "plan/side-mismatch" in rules(diags)
+    def test_side_mismatch_between_filter_and_fetch(self):
+        assert flags("side_mismatch")
 
-    def test_fetch_without_filter(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FetchStep(("B", "C"), Side.IN),
-        ])
-        diags = check_plan(plan)
-        assert "plan/fetch-without-filter" in rules(diags)
+    def test_fetch_without_filter(self):
+        assert flags("fetch_without_filter")
 
-    def test_uncovered_condition_and_unbound_variable(self, pattern):
-        plan = Plan(pattern, [SeedJoin(("A", "C"))])  # never touches B -> C
-        diags = check_plan(plan)
-        assert "plan/uncovered-condition" in rules(diags)
-        assert "plan/never-bound" in rules(diags)
+    def test_uncovered_condition_and_unbound_variable(self):
+        assert flags("uncovered_condition")
 
-    def test_second_seed_is_not_left_deep(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            SeedJoin(("B", "C")),
-        ])
-        diags = check_plan(plan)
-        assert "plan/not-left-deep" in rules(diags)
+    def test_second_seed_is_not_left_deep(self):
+        assert flags("second_seed")
 
-    def test_unfetched_filter(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FilterStep(((("B", "C"), Side.IN),)),  # filtered, never fetched
-        ])
-        diags = check_plan(plan)
-        assert "plan/unfetched-filter" in rules(diags)
+    def test_unfetched_filter(self):
+        assert flags("unfetched_filter")
 
     def test_rebinding_fetch(self):
-        chain = GraphPattern.build(
-            {"A": "A", "C": "C", "D": "D"}, [("A", "C"), ("C", "D")]
-        )
-        plan = Plan(chain, [
-            SeedJoin(("A", "C")),
-            FilterStep(((("C", "D"), Side.IN),)),  # would re-bind C
-            FetchStep(("C", "D"), Side.IN),
-            SelectionStep(("C", "D")),
-        ])
-        diags = check_plan(plan)
-        assert "plan/rebind" in rules(diags)
+        assert flags("rebinding_fetch")
 
-    def test_foreign_condition(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FilterStep(((("B", "C"), Side.IN),)),
-            FetchStep(("B", "C"), Side.IN),
-            SelectionStep(("A", "B")),  # not a pattern condition
-        ])
-        diags = check_plan(plan)
-        assert "plan/foreign-condition" in rules(diags)
+    def test_foreign_condition(self):
+        assert flags("foreign_condition")
 
-    def test_empty_plan(self, pattern):
-        diags = check_plan(Plan(pattern, []))
-        assert "plan/empty" in rules(diags)
+    def test_empty_plan(self):
+        assert flags("empty")
 
 
 # ----------------------------------------------------------------------
@@ -205,69 +146,58 @@ class TestCatalogChecks:
 
 
 # ----------------------------------------------------------------------
-# verify=True execution mode
-# ----------------------------------------------------------------------
-class TestVerifyMode:
-    def test_clean_plan_executes(self, engine):
-        result = engine.match("A -> C, B -> C", verify=True)
-        baseline = engine.match("A -> C, B -> C")
-        assert result.as_set() == baseline.as_set()
-
-    def test_corrupt_plan_raises_before_execution(self, engine, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FetchStep(("B", "C"), Side.IN),  # fetch without filter
-        ])
-        with pytest.raises(PlanVerificationError) as excinfo:
-            execute_plan(engine.db, plan, verify=True)
-        assert any(
-            d.rule == "plan/fetch-without-filter"
-            for d in excinfo.value.diagnostics
-        )
-
-
-# ----------------------------------------------------------------------
-# Plan.validate() extensions (the runtime gate mirrors the static one)
+# the runtime gate names the broken invariant
 # ----------------------------------------------------------------------
 class TestValidateExtensions:
-    def test_validate_rejects_side_mismatch(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FilterStep(((("B", "C"), Side.IN),)),
-            FetchStep(("B", "C"), Side.OUT),
-        ])
+    def test_validate_rejects_side_mismatch(self):
         with pytest.raises(PatternError, match="side"):
-            plan.validate()
+            CORRUPTED["side_mismatch"][0].validate()
 
-    def test_validate_rejects_fetch_without_filter(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FetchStep(("B", "C"), Side.IN),
-        ])
+    def test_validate_rejects_fetch_without_filter(self):
         with pytest.raises(PatternError, match="no preceding filter"):
-            plan.validate()
+            CORRUPTED["fetch_without_filter"][0].validate()
 
     def test_validate_rejects_rebinding_filter(self):
-        triangle = GraphPattern.build(
-            {"A": "A", "C": "C", "D": "D"},
-            [("A", "C"), ("C", "D"), ("A", "D")],
-        )
-        plan = Plan(triangle, [
-            SeedJoin(("A", "C")),
-            FilterStep(((("C", "D"), Side.OUT),)),
-            FetchStep(("C", "D"), Side.OUT),
-            # filter scans bound A, but its fetch would re-bind bound D
-            FilterStep(((("A", "D"), Side.OUT),)),
-            FetchStep(("A", "D"), Side.OUT),
-        ])
         with pytest.raises(PatternError, match="already-bound"):
-            plan.validate()
+            CORRUPTED["rebinding_filter"][0].validate()
 
-    def test_validate_rejects_duplicate_filter(self, pattern):
-        plan = Plan(pattern, [
-            SeedJoin(("A", "C")),
-            FilterStep(((("B", "C"), Side.IN),)),
-            FilterStep(((("B", "C"), Side.IN),)),
-        ])
+    def test_validate_rejects_duplicate_filter(self):
         with pytest.raises(PatternError, match="duplicate filter"):
-            plan.validate()
+            CORRUPTED["duplicate_filter"][0].validate()
+
+
+# ----------------------------------------------------------------------
+# one simulation: the runtime gate, the static checker and the drivers
+# ----------------------------------------------------------------------
+OPTIMIZERS = ("dp", "dps", "greedy", "wcoj", "auto")
+
+
+@pytest.mark.parametrize(
+    "case", [*CORRUPTED, *(f"optimizer={name}" for name in OPTIMIZERS)]
+)
+def test_validate_raises_exactly_when_check_plan_errs(case, engine, request):
+    """Every corrupted fixture and every optimizer plan of the Figure-4 +
+    cyclic workloads: ``validate()`` raises exactly when ``check_plan``
+    reports an error, and every driver refuses a broken plan with the
+    fixture's rule before any row."""
+    broken = case in CORRUPTED
+    if broken:
+        plans = [CORRUPTED[case][0]]
+    else:
+        xmark_engine = request.getfixturevalue("xmark_engine")
+        workload = {
+            **request.getfixturevalue("figure4_workload"),
+            **request.getfixturevalue("cyclic_workload"),
+        }
+        optimizer = case.removeprefix("optimizer=")
+        plans = [
+            xmark_engine.plan(pattern, optimizer=optimizer).plan
+            for pattern in workload.values()
+        ]
+    for plan in plans:
+        assert validate_raises(plan) == bool(errors(check_plan(plan))) == broken
+    if broken:
+        rule = CORRUPTED[case][1][0]
+        for run in (execute_plan, execute_plan_streaming):
+            with pytest.raises(PatternError, match=rule):
+                run(engine.db, plans[0])

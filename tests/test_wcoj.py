@@ -18,10 +18,7 @@ from repro.query import (
     JoinGraph,
     MultiwaySeed,
     MultiwayStep,
-    Plan,
-    SeedJoin,
     Side,
-    optimize_auto,
     optimize_dps,
     execute_plan,
     execute_plan_streaming,
@@ -32,6 +29,7 @@ from repro.query.pattern import PatternError
 from repro.analysis import check_plan
 from repro.workloads.patterns import PatternFactory
 
+from corrupted_plans import CORRUPTED
 from reference_executor import assert_matches_reference, op_counters
 
 OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
@@ -101,10 +99,12 @@ class TestJoinGraph:
 # ----------------------------------------------------------------------
 # algebra validation + plancheck
 # ----------------------------------------------------------------------
-class TestMultiwayValidation:
-    def _triangle(self):
-        return parse_pattern("A -> B, B -> C, A -> C")
+def rules(name):
+    """The rule ids check_plan reports for the corrupted plan *name*."""
+    return {d.rule for d in check_plan(CORRUPTED[name][0])}
 
+
+class TestMultiwayValidation:
     def test_wcoj_plan_validates_and_passes_plancheck(
         self, engine, cyclic_workload
     ):
@@ -120,24 +120,11 @@ class TestMultiwayValidation:
             assert errors == [], name
 
     def test_mixed_paradigm_rejected_by_validate(self):
-        pattern = self._triangle()
-        graph = JoinGraph(pattern)
-        steps = [
-            MultiwaySeed("A", graph.incident_constraints("A")),
-            SeedJoin(("B", "C")),
-        ]
         with pytest.raises(PatternError):
-            Plan(pattern, steps).validate()
+            CORRUPTED["mixed_paradigm"][0].validate()
 
     def test_mixed_paradigm_reported_by_plancheck(self):
-        pattern = self._triangle()
-        graph = JoinGraph(pattern)
-        steps = [
-            MultiwaySeed("A", graph.incident_constraints("A")),
-            SeedJoin(("B", "C")),
-        ]
-        rules = {d.rule for d in check_plan(Plan(pattern, steps))}
-        assert "plan/mixed-paradigm" in rules
+        assert "plan/mixed-paradigm" in rules("mixed_paradigm")
 
     def test_constraint_must_bind_the_step_variable(self):
         with pytest.raises(PatternError):
@@ -150,40 +137,16 @@ class TestMultiwayValidation:
             MultiwayStep("B", ())
 
     def test_unbound_scan_rejected(self):
-        pattern = self._triangle()
-        steps = [
-            MultiwaySeed("A"),
-            # binds C from B, but B is not bound yet
-            MultiwayStep("C", ((("B", "C"), Side.OUT),)),
-            MultiwayStep("B", ((("A", "B"), Side.OUT),)),
-        ]
         with pytest.raises(PatternError):
-            Plan(pattern, steps).validate()
+            CORRUPTED["multiway_unbound_scan"][0].validate()
 
     def test_uncovered_condition_rejected(self):
-        pattern = self._triangle()
-        steps = [
-            MultiwaySeed("A"),
-            MultiwayStep("B", ((("A", "B"), Side.OUT),)),
-            # drops B -> C entirely
-            MultiwayStep("C", ((("A", "C"), Side.OUT),)),
-        ]
         with pytest.raises(PatternError):
-            Plan(pattern, steps).validate()
-        rules = {d.rule for d in check_plan(Plan(pattern, steps))}
-        assert "plan/uncovered-condition" in rules
+            CORRUPTED["multiway_uncovered_condition"][0].validate()
+        assert "plan/uncovered-condition" in rules("multiway_uncovered_condition")
 
     def test_rebind_reported(self):
-        pattern = self._triangle()
-        steps = [
-            MultiwaySeed("A"),
-            MultiwayStep("B", ((("A", "B"), Side.OUT),)),
-            MultiwayStep("C", ((("A", "C"), Side.OUT), (("B", "C"), Side.OUT))),
-            MultiwayStep("B", ((("A", "B"), Side.OUT),)),
-        ]
-        rules = {d.rule for d in check_plan(Plan(pattern, steps))}
-        assert "plan/rebind" in rules
-        assert "plan/double-covered" in rules
+        assert {"plan/rebind", "plan/double-covered"} <= rules("multiway_rebind")
 
     def test_describe_renders_multiway_steps(self, engine, cyclic_workload):
         pattern = cyclic_workload["triangle"]
@@ -205,10 +168,11 @@ class TestRouting:
         for name, pattern in model_patterns.items():
             model = CostModel(engine.db.catalog, pattern, engine.cost_params)
             baseline = optimize_dps(pattern, model)
-            for optimize in (optimize_wcoj, optimize_auto):
-                routed = optimize(pattern, model)
-                assert routed.plan.steps == baseline.plan.steps, name
-                assert routed.estimated_cost == baseline.estimated_cost, name
+            routed = optimize_wcoj(pattern, model)
+            assert routed.plan.steps == baseline.plan.steps, name
+            assert routed.estimated_cost == baseline.estimated_cost, name
+            auto = engine.plan(pattern, optimizer="auto")
+            assert auto.plan.steps == baseline.plan.steps, name
 
     def test_cyclic_patterns_get_multiway_plans(self, engine, cyclic_workload):
         for name, pattern in cyclic_workload.items():
@@ -265,7 +229,7 @@ class TestCyclicDifferential:
 
     def test_wcoj_verifies_and_streams(self, engine, cyclic_workload):
         for name, pattern in cyclic_workload.items():
-            full = engine.match(pattern, optimizer="wcoj", verify=True)
+            full = engine.match(pattern, optimizer="wcoj")
             streamed = sorted(engine.match_iter(pattern, optimizer="wcoj"))
             assert streamed == sorted(full.rows), name
 
