@@ -33,7 +33,7 @@ from repro.graph import xmark
 from repro.graph.generators import diamond_blowup
 from repro.workloads.patterns import PatternFactory
 
-OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
+OPTIMIZERS = ("dp", "dps", "wcoj")
 ROUNDS = 5
 
 #: the two gated shapes on the engineered graph

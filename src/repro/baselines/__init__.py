@@ -2,14 +2,12 @@
 
 from .igmj import IGMJEngine, IGMJMetrics
 from .naive import NaiveMatcher
-from .twigstack import TwigStack
 from .twigstackd import TSDMetrics, TwigStackD
 
 __all__ = [
     "IGMJEngine",
     "IGMJMetrics",
     "NaiveMatcher",
-    "TwigStack",
     "TSDMetrics",
     "TwigStackD",
 ]

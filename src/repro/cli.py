@@ -27,7 +27,9 @@ from typing import List, Optional
 
 from . import xmark
 from .db.persist import load_database, save_database
+from .query.algebra import RowLimitExceeded
 from .query.engine import GraphEngine
+from .query.pattern import PatternError
 from .workloads.runner import format_records, run_igmj, run_rjoin, run_tsd
 
 
@@ -93,13 +95,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
         load_database(args.database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
     )
-    if args.explain:
-        print(engine.explain(args.pattern, optimizer=args.optimizer))
-        return 0
-    result = engine.match(
-        args.pattern, optimizer=args.optimizer, limit=args.limit,
-        row_limit=args.row_limit,
-    )
+    try:
+        if args.explain:
+            print(engine.explain(args.pattern, optimizer=args.optimizer))
+            return 0
+        result = engine.match(
+            args.pattern, optimizer=args.optimizer, limit=args.limit,
+            row_limit=args.row_limit,
+        )
+    except RowLimitExceeded as err:  # the guard tripped: a query outcome
+        print(f"repro query: {err}", file=sys.stderr)
+        return 1
+    except (PatternError, KeyError, ValueError) as err:  # a usage error
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"repro query: error: {message}", file=sys.stderr)
+        return 2
     if args.limit is not None:
         for row in result.rows:
             print("\t".join(str(v) for v in row))
@@ -391,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("database")
     p_query.add_argument("pattern", help='e.g. "A -> B, B -> C" or "x:A -> y:B"')
     p_query.add_argument("--optimizer",
-                         choices=("dp", "dps", "greedy", "wcoj", "auto"),
+                         choices=("dp", "dps", "wcoj", "auto"),
                          default="auto",
-                         help="plan family: left-deep dp/dps/greedy, "
+                         help="plan family: left-deep dp/dps, "
                               "multiway wcoj, or auto (cyclic join graph "
                               "-> wcoj, else dps; default)")
     p_query.add_argument("--explain", action="store_true",
@@ -470,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also plancheck the optimizers' plans for this "
                               "pattern (repeatable)")
     p_check.add_argument("--optimizer",
-                         choices=("dp", "dps", "greedy", "wcoj", "all"),
+                         choices=("dp", "dps", "wcoj", "all"),
                          default="all",
                          help="which optimizer's plans to plancheck "
                               "(default: all = dp, dps and wcoj)")

@@ -11,8 +11,7 @@ primary key of the table."  The in/out columns store the *compact* codes
 ``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` (Eq. 6) "needs to access the
 base table T_X using the primary index.  We use a working cache to cache
 those pairs of (x_i, out(x_i)) ... to reduce the access cost for later
-reuse" — implemented by :class:`CodeCache`, which can be disabled for the
-ablation benchmarks.
+reuse" — implemented by :class:`CodeCache`.
 
 **The run surface.**  Everything the physical operators read comes
 through four calls, each returning a *sorted int run*:
@@ -47,19 +46,15 @@ from .join_index import ClusterRJoinIndex, SnapshotRJoinIndex
 class CodeCache:
     """Working cache for (node, in/out graph code) pairs, as sorted runs.
 
-    Unbounded by default (the paper does not bound it either); ``enabled``
-    and the hit/miss counters exist for the working-cache ablation.
+    Unbounded (the paper does not bound it either); the hit/miss
+    counters say how much of a run it saved.
     """
 
-    enabled: bool = True
     hits: int = 0
     misses: int = 0
     _store: Dict[Tuple[int, str], Tuple[int, ...]] = field(default_factory=dict)
 
     def get(self, node: int, side: str) -> Optional[Tuple[int, ...]]:
-        if not self.enabled:
-            self.misses += 1
-            return None
         code = self._store.get((node, side))
         if code is None:
             self.misses += 1
@@ -68,8 +63,7 @@ class CodeCache:
         return code
 
     def put(self, node: int, side: str, code: Tuple[int, ...]) -> None:
-        if self.enabled:
-            self._store[(node, side)] = code
+        self._store[(node, side)] = code
 
     def clear(self) -> None:
         self._store.clear()
@@ -89,8 +83,6 @@ class GraphDatabase:
         An optional precomputed 2-hop labeling (otherwise built here).
     buffer_bytes / page_size:
         Storage-engine configuration; the paper's setup is a 1 MiB buffer.
-    code_cache_enabled:
-        Toggle the getCenters working cache (ablation hook).
     """
 
     def __init__(
@@ -99,7 +91,6 @@ class GraphDatabase:
         labeling: Optional[TwoHopLabeling] = None,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         page_size: int = DEFAULT_PAGE_SIZE,
-        code_cache_enabled: bool = True,
     ) -> None:
         self.graph = graph
         self.pool = BufferPool(
@@ -117,7 +108,7 @@ class GraphDatabase:
         self._load_base_tables()
         self.join_index = ClusterRJoinIndex(self.pool, graph, self.labeling)
         self.catalog = Catalog(graph, self.labeling)
-        self.code_cache = CodeCache(enabled=code_cache_enabled)
+        self.code_cache = CodeCache()
         self._node_labels = list(graph.labels())
         self._snapshot = None
         self._table_lock = threading.Lock()
@@ -136,7 +127,6 @@ class GraphDatabase:
         snapshot,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         page_size: int = DEFAULT_PAGE_SIZE,
-        code_cache_enabled: bool = True,
     ) -> "SnapshotDatabase":
         """Construct a database that serves from a binary snapshot.
 
@@ -170,7 +160,7 @@ class GraphDatabase:
                 for pair, stats in snapshot.catalog_pairs().items()
             },
         )
-        db.code_cache = CodeCache(enabled=code_cache_enabled)
+        db.code_cache = CodeCache()
         db._node_labels = list(db.graph.labels())
         db._snapshot = snapshot
         db._table_lock = threading.Lock()

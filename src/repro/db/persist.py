@@ -99,7 +99,6 @@ def save_database(db: GraphDatabase, path: str, format: Optional[str] = None) ->
 def load_database(
     path: str,
     buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-    code_cache_enabled: bool = True,
 ) -> GraphDatabase:
     """Load a database file of either format, detected by magic bytes.
 
@@ -110,9 +109,7 @@ def load_database(
     """
     if is_snapshot(path):
         return GraphDatabase.from_snapshot(
-            Snapshot.open(path),
-            buffer_bytes=buffer_bytes,
-            code_cache_enabled=code_cache_enabled,
+            Snapshot.open(path), buffer_bytes=buffer_bytes
         )
     with open(path) as f:
         payload = json.load(f)
@@ -129,9 +126,4 @@ def load_database(
         in_codes=[frozenset(code) for code in payload["labeling"]["in_codes"]],
         out_codes=[frozenset(code) for code in payload["labeling"]["out_codes"]],
     )
-    return GraphDatabase(
-        graph,
-        labeling=labeling,
-        buffer_bytes=buffer_bytes,
-        code_cache_enabled=code_cache_enabled,
-    )
+    return GraphDatabase(graph, labeling=labeling, buffer_bytes=buffer_bytes)

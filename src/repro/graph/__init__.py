@@ -5,14 +5,11 @@ from .condensation import Condensation, condense, strongly_connected_components
 from .io import (
     GraphFormatError,
     load_edge_list,
-    load_json_graph,
     save_edge_list,
-    save_json_graph,
 )
 from .traversal import (
     TransitiveClosure,
     bfs_order,
-    dfs_postorder,
     is_dag,
     is_reachable,
     reachable_set,
@@ -25,14 +22,11 @@ __all__ = [
     "Condensation",
     "GraphFormatError",
     "load_edge_list",
-    "load_json_graph",
     "save_edge_list",
-    "save_json_graph",
     "condense",
     "strongly_connected_components",
     "TransitiveClosure",
     "bfs_order",
-    "dfs_postorder",
     "is_dag",
     "is_reachable",
     "reachable_set",

@@ -1,10 +1,8 @@
 """Graph I/O: load and save labeled digraphs in simple text formats.
 
-Users of the library bring their own graphs, not just XMark.  Two
-formats are supported:
-
-**Edge-list + labels** (two files, or one with sections) — the format
-every graph dataset dump can be massaged into::
+Users of the library bring their own graphs, not just XMark, in the
+edge-list + labels format (two files) every graph dataset dump can be
+massaged into::
 
     # nodes.tsv: one "node_id<TAB>label" per line
     0	person
@@ -16,17 +14,11 @@ every graph dataset dump can be massaged into::
 Node ids must be non-negative integers; gaps are allowed (missing ids get
 the default label ``"?"``, so sparse exports still load).
 
-**Single JSON** — the same payload as :mod:`repro.db.persist` uses for
-its ``graph`` section::
-
-    {"labels": ["person", "watch"], "edges": [[0, 1]]}
-
-Comment lines (``#``) and blank lines are ignored in the TSV formats.
+Comment lines (``#``) and blank lines are ignored.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, List, Tuple
 
 from .digraph import DiGraph
@@ -105,34 +97,3 @@ def save_edge_list(graph: DiGraph, nodes_path: str, edges_path: str) -> None:
         f.write("# src\tdst\n")
         for src, dst in graph.edges():
             f.write(f"{src}\t{dst}\n")
-
-
-def load_json_graph(path: str) -> DiGraph:
-    """Load a digraph from the ``{"labels": [...], "edges": [...]}`` JSON."""
-    with open(path) as f:
-        payload = json.load(f)
-    try:
-        labels = payload["labels"]
-        edges = payload["edges"]
-    except (TypeError, KeyError):
-        raise GraphFormatError(
-            f"{path}: expected an object with 'labels' and 'edges'"
-        ) from None
-    graph = DiGraph()
-    graph.add_nodes(labels)
-    for edge in edges:
-        if len(edge) != 2:
-            raise GraphFormatError(f"{path}: malformed edge {edge!r}")
-        graph.add_edge(int(edge[0]), int(edge[1]))
-    return graph
-
-
-def save_json_graph(graph: DiGraph, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(
-            {
-                "labels": list(graph.labels()),
-                "edges": [[u, v] for u, v in graph.edges()],
-            },
-            f,
-        )

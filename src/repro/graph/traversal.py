@@ -9,7 +9,7 @@ property-tested for agreement with plain BFS reachability computed here.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Iterator, List, Set
 
 from .digraph import DiGraph, GraphError
 
@@ -56,37 +56,6 @@ def is_reachable(graph: DiGraph, u: int, v: int) -> bool:
                 seen[y] = 1
                 queue.append(y)
     return False
-
-
-def dfs_postorder(graph: DiGraph, roots: Optional[Iterable[int]] = None) -> List[int]:
-    """Iterative DFS postorder over the whole graph (or from *roots*).
-
-    Children are visited in adjacency order, so the result is deterministic
-    for a given graph; used by the interval coders.
-    """
-    n = graph.node_count
-    visited = bytearray(n)
-    order: List[int] = []
-    root_iter = roots if roots is not None else range(n)
-    for root in root_iter:
-        if visited[root]:
-            continue
-        visited[root] = 1
-        # stack holds (node, iterator over successors)
-        stack = [(root, iter(graph.successors(root)))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if not visited[child]:
-                    visited[child] = 1
-                    stack.append((child, iter(graph.successors(child))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    return order
 
 
 def topological_sort(graph: DiGraph) -> List[int]:

@@ -9,7 +9,6 @@ from .interval import (
     merge_intervals,
     point_in_intervals,
 )
-from .chaincover import ChainCover, build_chain_cover
 from .sspi import SSPI
 from .twohop import TwoHopLabeling, build_two_hop, greedy_two_hop
 
@@ -21,8 +20,6 @@ __all__ = [
     "build_tree_intervals",
     "merge_intervals",
     "point_in_intervals",
-    "ChainCover",
-    "build_chain_cover",
     "SSPI",
     "TwoHopLabeling",
     "build_two_hop",

@@ -15,7 +15,6 @@ from .algebra import (
 )
 from .costmodel import CostModel, CostParams
 from .engine import GraphEngine
-from .join_graph import JoinGraph
 from .physical import (
     DEFAULT_CACHE_BYTES,
     CacheStats,
@@ -27,7 +26,7 @@ from .physical import (
     execute_plan,
     execute_plan_streaming,
 )
-from .optimizer_dp import OptimizedPlan, optimize_dp, optimize_greedy
+from .optimizer_dp import OptimizedPlan, optimize_dp
 from .optimizer_dps import optimize_dps
 from .optimizer_wcoj import optimize_wcoj
 from .parser import parse_pattern
@@ -37,7 +36,6 @@ __all__ = [
     "FetchStep",
     "RowLimitExceeded",
     "FilterStep",
-    "JoinGraph",
     "MultiwaySeed",
     "MultiwayStep",
     "Plan",
@@ -61,7 +59,6 @@ __all__ = [
     "OptimizedPlan",
     "optimize_dp",
     "optimize_dps",
-    "optimize_greedy",
     "optimize_wcoj",
     "parse_pattern",
     "Condition",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..storage import record_size
 from ..storage.buffer import BufferPool
@@ -427,11 +427,9 @@ class TemporalTable:
         variables: Sequence[str],
         pending: Sequence[FilterKey] = (),
         name: str = "temp",
-        row_limit: int | None = None,
     ) -> None:
         self.variables: Tuple[str, ...] = tuple(variables)
         self.pending: Tuple[FilterKey, ...] = tuple(pending)
-        self.row_limit = row_limit
         columns = list(self.variables) + [
             f"__centers_{i}" for i in range(len(self.pending))
         ]
@@ -447,11 +445,7 @@ class TemporalTable:
 
     @classmethod
     def from_layout(
-        cls,
-        pool: BufferPool,
-        layout,
-        name: str = "temp",
-        row_limit: int | None = None,
+        cls, pool: BufferPool, layout, name: str = "temp"
     ) -> "TemporalTable":
         """Build a table whose schema matches a physical operator's output.
 
@@ -460,29 +454,9 @@ class TemporalTable:
         the accounting run uses this to turn each operator's output
         stream into a stored intermediate.
         """
-        return cls(
-            pool,
-            variables=layout.variables,
-            pending=layout.pending,
-            name=name,
-            row_limit=row_limit,
-        )
+        return cls(pool, variables=layout.variables, pending=layout.pending, name=name)
 
     # ------------------------------------------------------------------
-    def var_position(self, var: str) -> int:
-        try:
-            return self.variables.index(var)
-        except ValueError:
-            raise PatternError(
-                f"variable {var!r} not bound; bound: {self.variables}"
-            ) from None
-
-    def pending_position(self, key: FilterKey) -> int:
-        try:
-            return len(self.variables) + self.pending.index(key)
-        except ValueError:
-            raise PatternError(f"no pending centers for filter {key}") from None
-
     def _sanitized_row_size(self, row: Sequence) -> int:
         from ..analysis.sanitizer import SanitizerError
 
@@ -494,25 +468,14 @@ class TemporalTable:
             )
         return size
 
-    def _within_limit(self, rows: Iterable[Sequence]) -> Iterator[Sequence]:
-        room = self.row_limit - len(self.table)
-        for count, row in enumerate(rows):
-            if count >= room:
-                raise RowLimitExceeded(
-                    f"temporal table exceeded {self.row_limit} rows"
-                )
-            yield row
-
     def insert_many(self, rows: Iterable[Sequence], sanitize: bool = False) -> None:
         """Spill *rows* a page at a time (:meth:`HeapFile.extend`); each
-        passes the ``row_limit`` guard and the arity check.  ``sanitize``
-        (or ``REPRO_SANITIZE=1``) re-measures each row with the generic
-        ``record_size`` and raises if the layout-derived size disagrees."""
+        passes the arity check.  ``sanitize`` (or ``REPRO_SANITIZE=1``)
+        re-measures each row with the generic ``record_size`` and raises
+        if the layout-derived size disagrees."""
         # imported lazily: the analysis layer depends on the query layer
         from ..analysis.sanitizer import sanitize_enabled
 
-        if self.row_limit is not None:
-            rows = self._within_limit(rows)
         sanitize = sanitize or sanitize_enabled()
         self.table.insert_many(
             rows, self._sanitized_row_size if sanitize else self.row_size

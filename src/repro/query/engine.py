@@ -13,12 +13,11 @@ Typical use::
 
 * ``"dps"`` (default) — DP interleaving R-joins with R-semijoins (§4.2);
 * ``"dp"`` — R-join-only dynamic programming (§4.1);
-* ``"greedy"`` — locally cheapest move, as a non-paper control;
 * ``"wcoj"`` — worst-case-optimal multiway plan for cyclic join graphs
   (variable elimination + k-way intersection); acyclic patterns fall
   back to DPS unchanged;
 * ``"auto"`` — the same optimizer as ``"wcoj"``, under the name the
-  CLI and the wire protocol default to.
+  CLI defaults to (the wire protocol defaults to ``"dps"``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .physical.drivers import (
     StreamingResult,
     execute_plan_streaming,
 )
-from .optimizer_dp import OptimizedPlan, optimize_dp, optimize_greedy
+from .optimizer_dp import OptimizedPlan, optimize_dp
 from .optimizer_dps import optimize_dps
 from .optimizer_wcoj import optimize_wcoj
 from .parser import parse_pattern
@@ -47,7 +46,6 @@ from .pattern import GraphPattern
 _OPTIMIZERS = {
     "dp": optimize_dp,
     "dps": optimize_dps,
-    "greedy": optimize_greedy,
     "wcoj": optimize_wcoj,
     "auto": optimize_wcoj,
 }
@@ -69,16 +67,10 @@ class GraphEngine:
         labeling: Optional[TwoHopLabeling] = None,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         cost_params: Optional[CostParams] = None,
-        code_cache_enabled: bool = True,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
     ) -> None:
         self._adopt(
-            GraphDatabase(
-                graph,
-                labeling=labeling,
-                buffer_bytes=buffer_bytes,
-                code_cache_enabled=code_cache_enabled,
-            ),
+            GraphDatabase(graph, labeling=labeling, buffer_bytes=buffer_bytes),
             cost_params, cache_bytes,
         )
 

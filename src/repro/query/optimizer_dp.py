@@ -24,7 +24,6 @@ iteration order.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -136,62 +135,3 @@ def optimize_dp(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
     if final is None:  # pragma: no cover - connected patterns always complete
         raise RuntimeError("DP failed to cover all conditions")
     return OptimizedPlan(plan_from_trail(pattern, final), final[0], final[1])
-
-
-def optimize_greedy(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
-    """Greedy baseline: always take the locally cheapest next move.
-
-    Not in the paper; used by tests and ablations as a sanity competitor
-    for the two DP variants.
-    """
-    if pattern.node_count == 1:
-        return optimize_dp(pattern, model)
-    seed = min(pattern.conditions, key=model.base_join_size)
-    rows = model.base_join_size(seed)
-    cost = model.hpsj_cost(seed) + model.materialize_cost(rows)
-    steps: List[PlanStep] = [SeedJoin(seed)]
-    done = {seed}
-    bound = {seed[0], seed[1]}
-    while len(done) < pattern.edge_count:
-        candidates = []
-        for condition in pattern.conditions:
-            if condition in done:
-                continue
-            src, dst = condition
-            if src in bound and dst in bound:
-                new_rows = rows * model.selection_selectivity(condition)
-                move_cost = (
-                    model.selection_cost(rows, False, False)
-                    + model.materialize_cost(new_rows)
-                )
-                heapq.heappush(
-                    candidates,
-                    (move_cost, str(condition), condition, None, new_rows),
-                )
-            elif src in bound or dst in bound:
-                side = Side.OUT if src in bound else Side.IN
-                survival = model.filter_survival(condition, side is Side.OUT)
-                new_rows = rows * model.join_fanout(condition, side is Side.OUT)
-                move_cost = (
-                    model.filter_cost(rows, 1, code_cached=False)
-                    + model.materialize_cost(rows * survival)
-                    + model.fetch_cost(rows * survival, new_rows)
-                    + model.materialize_cost(new_rows)
-                )
-                heapq.heappush(
-                    candidates,
-                    (move_cost, str(condition), condition, side, new_rows),
-                )
-        move_cost, _, condition, side, new_rows = heapq.heappop(candidates)
-        if side is None:
-            steps.append(SelectionStep(condition))
-        else:
-            steps.append(FilterStep(((condition, side),)))
-            steps.append(FetchStep(condition, side))
-            bound.add(side.fetched_var(condition))
-        done.add(condition)
-        cost += move_cost
-        rows = new_rows
-    plan = Plan(pattern, steps)
-    plan.validate()
-    return OptimizedPlan(plan, cost, rows)

@@ -1,4 +1,4 @@
-"""WCOJ — variable-elimination-order selection over the join graph.
+"""WCOJ — variable-elimination-order selection over the pattern's conditions.
 
 Left-deep plans (DP/DPS, Section 4) eliminate one *condition* per move
 and must materialize every binary R-join's intermediate; on cyclic join
@@ -29,18 +29,44 @@ multiway plan.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
-from .algebra import MultiwaySeed, MultiwayStep, Plan, PlanStep
+from .algebra import FilterKey, MultiwaySeed, MultiwayStep, Plan, PlanStep, Side
 from .costmodel import CostModel
-from .join_graph import JoinGraph
 from .optimizer_dp import OptimizedPlan
 from .optimizer_dps import optimize_dps
 from .pattern import GraphPattern
 
+Incidence = Dict[str, Tuple[FilterKey, ...]]
+
+
+def _incidence(pattern: GraphPattern) -> Incidence:
+    """Per variable, every condition touching it, keyed to bind it.
+
+    A condition is enforced at the step that binds its *later* endpoint,
+    as a ``(condition, Side)`` key whose ``fetched_var`` is that endpoint:
+    ``Side.OUT`` binds the target, ``Side.IN`` the source.  A variable's
+    full tuple is its :class:`~repro.query.algebra.MultiwaySeed`
+    constraint set.
+    """
+    incident: Dict[str, List[FilterKey]] = {var: [] for var in pattern.variables}
+    for condition in pattern.conditions:
+        src, dst = condition
+        incident[src].append((condition, Side.IN))
+        incident[dst].append((condition, Side.OUT))
+    return {var: tuple(keys) for var, keys in incident.items()}
+
+
+def _toward(keys: Tuple[FilterKey, ...], bound: Set[str]) -> Tuple[FilterKey, ...]:
+    """The keys whose scanned endpoint is already bound: a MultiwayStep's."""
+    return tuple(
+        (condition, side) for condition, side in keys
+        if side.scanned_var(condition) in bound
+    )
+
 
 def _enumerate_orders(
-    graph: JoinGraph, model: CostModel
+    variables: Tuple[str, ...], incidence: Incidence, model: CostModel
 ) -> Tuple[float, float, Tuple[str, ...]]:
     """Connected-subgraph DP: cheapest variable elimination order.
 
@@ -53,17 +79,16 @@ def _enumerate_orders(
     is always possible), candidates are visited in declaration order and
     only a strictly cheaper one replaces a known order.
     """
-    variables = graph.variables
     bit = {var: 1 << index for index, var in enumerate(variables)}
     # per variable, once: its constraints, each with its scanned endpoint's bit
     incident = [
         [((condition, side), bit[side.scanned_var(condition)])
-         for condition, side in graph.incident_constraints(var)]
+         for condition, side in incidence[var]]
         for var in variables
     ]
     best: Dict[int, Tuple[float, float, int, int]] = {}
     for index, var in enumerate(variables):
-        constraints = graph.incident_constraints(var)
+        constraints = incidence[var]
         rows = model.multiway_domain_size(var, constraints)
         cost = model.multiway_seed_cost(var, constraints, rows)
         best[1 << index] = (cost, rows, 0, index)
@@ -100,16 +125,14 @@ def _enumerate_orders(
 
 
 def _build_plan(
-    pattern: GraphPattern, graph: JoinGraph, order: Tuple[str, ...]
+    pattern: GraphPattern, incidence: Incidence, order: Tuple[str, ...]
 ) -> Plan:
     """Materialize one elimination order as MultiwaySeed + MultiwaySteps."""
-    steps: List[PlanStep] = [
-        MultiwaySeed(order[0], graph.incident_constraints(order[0]))
-    ]
-    bound = [order[0]]
+    steps: List[PlanStep] = [MultiwaySeed(order[0], incidence[order[0]])]
+    bound = {order[0]}
     for var in order[1:]:
-        steps.append(MultiwayStep(var, graph.constraints_toward(var, bound)))
-        bound.append(var)
+        steps.append(MultiwayStep(var, _toward(incidence[var], bound)))
+        bound.add(var)
     plan = Plan(pattern, steps)
     plan.validate()
     return plan
@@ -124,11 +147,13 @@ def optimize_wcoj(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
     Filter+Fetch chain, which the left-deep optimizers already order
     better.
     """
-    graph = JoinGraph(pattern)
-    if not graph.is_cyclic:
+    # a connected pattern is cyclic exactly when it has more conditions
+    # than a spanning tree (``a -> b, b -> a`` is a two-edge cycle)
+    if pattern.edge_count < pattern.node_count:
         return optimize_dps(pattern, model)
-    cost, rows, order = _enumerate_orders(graph, model)
-    return OptimizedPlan(_build_plan(pattern, graph, order), cost, rows)
+    incidence = _incidence(pattern)
+    cost, rows, order = _enumerate_orders(pattern.variables, incidence, model)
+    return OptimizedPlan(_build_plan(pattern, incidence, order), cost, rows)
 
 
 __all__ = ["optimize_wcoj"]

@@ -95,7 +95,9 @@ def _prepare(
     center_cache: Optional[CenterCache] = None,
     sanitize: bool = False,
 ):
-    """Shared driver preamble: plan validation, pipeline build."""
+    """Shared driver preamble: row-limit and plan validation, pipeline build."""
+    if row_limit is not None and row_limit < 0:
+        raise ValueError(f"row_limit must be >= 0, got {row_limit}")
     plan.validate()
     ctx = ExecutionContext(
         db=db,
@@ -261,7 +263,8 @@ def execute_plan_streaming(
     is bounded by ``row_limit``, not by the deadline.  Stopping at
     *limit* likewise flags the run truncated (``stop_reason="limit"``):
     the delivered rows are a prefix of the full result, which may or may
-    not have had more rows.  A negative *limit* raises ``ValueError``.
+    not have had more rows.  A negative *limit* or ``row_limit`` raises
+    ``ValueError``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")

@@ -7,7 +7,7 @@ one it was built for.  Every label is one of the paper's Figure 1 graph,
 so any driver over that graph can be handed any of these plans.
 """
 
-from repro.query import JoinGraph, parse_pattern
+from repro.query import parse_pattern
 from repro.query.algebra import (
     FetchStep,
     FilterStep,
@@ -94,7 +94,7 @@ CORRUPTED = {
     "empty": (Plan(FORK, []), ("plan/empty",)),
     # multiway (generic-join) plans over the triangle
     "mixed_paradigm": (Plan(TRIANGLE, [
-        MultiwaySeed("A", JoinGraph(TRIANGLE).incident_constraints("A")),
+        MultiwaySeed("A", ((("A", "B"), IN), (("A", "C"), IN))),
         SeedJoin(("B", "C")),
     ]), ("plan/mixed-paradigm",)),
     "multiway_unbound_scan": (Plan(TRIANGLE, [

@@ -33,7 +33,6 @@ from repro.query.algebra import (
     Side,
 )
 from repro.query.costmodel import CostModel
-from repro.query.join_graph import JoinGraph
 from repro.query.optimizer_dp import OptimizedPlan
 from repro.query.pattern import Condition, GraphPattern
 
@@ -333,8 +332,29 @@ def optimize_dps(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
 # ----------------------------------------------------------------------
 # WCOJ order enumeration and routing
 # ----------------------------------------------------------------------
+def _incident_constraints(pattern: GraphPattern, var: str) -> Tuple[FilterKey, ...]:
+    """Every condition touching *var*, keyed so its fetched side is *var*."""
+    keys: List[FilterKey] = []
+    for condition in pattern.conditions:
+        if condition[0] == var:
+            keys.append((condition, Side.IN))
+        if condition[1] == var:
+            keys.append((condition, Side.OUT))
+    return tuple(keys)
+
+
+def _constraints_toward(
+    pattern: GraphPattern, var: str, bound: Set[str]
+) -> Tuple[FilterKey, ...]:
+    """The conditions between *var* and the already-bound variables."""
+    return tuple(
+        (condition, side) for condition, side in _incident_constraints(pattern, var)
+        if side.scanned_var(condition) in bound
+    )
+
+
 def _enumerate_orders(
-    graph: JoinGraph, model: CostModel
+    pattern: GraphPattern, model: CostModel
 ) -> Tuple[float, float, Tuple[str, ...]]:
     """Connected-subgraph DP: cheapest variable elimination order.
 
@@ -344,10 +364,10 @@ def _enumerate_orders(
     (connectivity keeps every step constrained, which a connected
     pattern guarantees is always possible).
     """
-    variables = graph.variables
+    variables = pattern.variables
     best: Dict[FrozenSet[str], Tuple[float, float, Tuple[str, ...]]] = {}
     for var in variables:
-        constraints = graph.incident_constraints(var)
+        constraints = _incident_constraints(pattern, var)
         rows = model.multiway_domain_size(var, constraints)
         cost = model.multiway_seed_cost(var, constraints, rows)
         best[frozenset([var])] = (cost, rows, (var,))
@@ -363,7 +383,7 @@ def _enumerate_orders(
         for var in variables:
             if var in state:
                 continue
-            constraints = graph.constraints_toward(var, state)
+            constraints = _constraints_toward(pattern, var, state)
             if not constraints:
                 continue  # stay connected: every step must intersect
             new_rows = model.multiway_step_rows(rows, constraints)
@@ -382,17 +402,15 @@ def _enumerate_orders(
     return final
 
 
-def _build_plan(
-    pattern: GraphPattern, graph: JoinGraph, order: Tuple[str, ...]
-) -> Plan:
+def _build_plan(pattern: GraphPattern, order: Tuple[str, ...]) -> Plan:
     """Materialize one elimination order as MultiwaySeed + MultiwaySteps."""
     steps: List[PlanStep] = [
-        MultiwaySeed(order[0], graph.incident_constraints(order[0]))
+        MultiwaySeed(order[0], _incident_constraints(pattern, order[0]))
     ]
-    bound = [order[0]]
+    bound = {order[0]}
     for var in order[1:]:
-        steps.append(MultiwayStep(var, graph.constraints_toward(var, bound)))
-        bound.append(var)
+        steps.append(MultiwayStep(var, _constraints_toward(pattern, var, bound)))
+        bound.add(var)
     plan = Plan(pattern, steps)
     plan.validate()
     return plan
@@ -407,11 +425,10 @@ def optimize_wcoj(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
     Filter+Fetch chain, which the left-deep optimizers already order
     better.
     """
-    graph = JoinGraph(pattern)
-    if not graph.is_cyclic:
+    if len(pattern.conditions) < len(pattern.variables):  # acyclic: a spanning tree
         return optimize_dps(pattern, model)
-    cost, rows, order = _enumerate_orders(graph, model)
-    return OptimizedPlan(_build_plan(pattern, graph, order), cost, rows)
+    cost, rows, order = _enumerate_orders(pattern, model)
+    return OptimizedPlan(_build_plan(pattern, order), cost, rows)
 
 
 def optimize_auto(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:

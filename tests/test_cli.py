@@ -76,6 +76,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "est_cost" in out
 
+    @pytest.mark.parametrize("pattern, extra, message", [
+        ("nosuch -> item", [], "label 'nosuch'"),
+        ("nosuch -> item", ["--explain"], "label 'nosuch'"),
+        ("itemref -> ", [], "cannot parse pattern"),
+        ("itemref -> ", ["--explain"], "cannot parse pattern"),
+        ("itemref -> item", ["--limit", "-1"], "limit must be >= 0"),
+        ("itemref -> item", ["--row-limit", "-1"], "row_limit must be >= 0"),
+    ])
+    def test_query_user_error_is_one_line(self, db_path, capsys, pattern, extra, message):
+        assert main(["query", db_path, pattern, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro query: error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_query_row_limit_exceeded_is_one_line(self, db_path, capsys):
+        assert main(["query", db_path, "itemref -> item", "--row-limit", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro query: ") and "exceeded 1 rows" in err
+        assert err.count("\n") == 1
+
     def test_query_dp_optimizer(self, db_path, capsys):
         assert main(["query", db_path, "itemref -> item",
                      "--optimizer", "dp"]) == 0

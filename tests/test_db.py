@@ -68,13 +68,6 @@ class TestReachabilityViaCodes:
         assert db.code_cache.hits >= 1
         assert db.code_cache.misses == misses
 
-    def test_code_cache_disabled(self):
-        g = random_digraph(10, 0.2, seed=2)
-        db = GraphDatabase(g, code_cache_enabled=False)
-        db.out_code(0)
-        db.out_code(0)
-        assert db.code_cache.hits == 0
-
 
 class TestJoinIndex:
     def test_wtable_entries_have_nonempty_subclusters(self, fig1_db):

@@ -26,7 +26,7 @@ from reference_executor import op_counters, reference_execute
 TIERS = ("live", "snapshot")
 #: wcoj only differs from dps on cyclic join graphs, so the acyclic
 #: Figure-4 families run the three left-deep optimizers
-OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
+OPTIMIZERS = ("dp", "dps", "wcoj")
 #: a CenterCache budget far below the dps workload's ~47 KB working set,
 #: so the sanitizer leg runs under constant eviction
 SMALL_CACHE_BYTES = 8 << 10

@@ -20,7 +20,7 @@ class TestMatch:
     def test_paper_pattern_matches_naive(self, fig1_engine):
         pattern = parse_pattern("A -> C, B -> C, C -> D, D -> E")
         naive = NaiveMatcher(fig1_engine.db.graph).match_set(pattern)
-        for optimizer in ("dp", "dps", "greedy"):
+        for optimizer in ("dp", "dps"):
             result = fig1_engine.match(pattern, optimizer=optimizer)
             assert result.as_set() == naive
             assert result.columns == ("A", "C", "B", "D", "E")
@@ -77,6 +77,19 @@ class TestMatch:
                 run("A -> C, C -> D", limit=-5)
         assert fig1_engine.match("A -> C, C -> D", limit=0).rows == []
 
+    def test_negative_row_limit_is_refused(self, fig1_engine):
+        """Not a guard that trips on the first row, nor (under LIMIT 0)
+        an empty answer: both drivers refuse it before any row."""
+        runs = (
+            lambda: fig1_engine.match("A -> C", row_limit=-1),
+            lambda: fig1_engine.match("A -> C", row_limit=-1, limit=0),
+            lambda: fig1_engine.match_iter("A -> C", row_limit=-1),
+            lambda: accounting_run(fig1_engine, "A -> C", row_limit=-1),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match="row_limit must be >= 0, got -1"):
+                run()
+
     def test_explain_contains_plan(self, fig1_engine):
         text = fig1_engine.explain("A -> C, B -> C, C -> D, D -> E")
         assert "est_cost" in text
@@ -116,9 +129,9 @@ class TestOnXMark:
         pattern = parse_pattern("person -> watch, watch -> open_auction")
         results = {
             optimizer: engine.match(pattern, optimizer=optimizer).as_set()
-            for optimizer in ("dp", "dps", "greedy")
+            for optimizer in ("dp", "dps")
         }
-        assert results["dp"] == results["dps"] == results["greedy"]
+        assert results["dp"] == results["dps"]
         assert results["dp"]  # non-empty by construction (watches exist)
 
     def test_xmark_matches_naive(self):
@@ -256,7 +269,7 @@ class TestCatalogReadBudget:
     reads one extent per variable and one pair per condition, whatever
     the search then does with them; a hit reads nothing."""
 
-    @pytest.mark.parametrize("optimizer", ["dp", "dps", "greedy", "wcoj", "auto"])
+    @pytest.mark.parametrize("optimizer", ["dp", "dps", "wcoj", "auto"])
     @pytest.mark.parametrize(
         "text",
         [

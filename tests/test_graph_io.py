@@ -8,9 +8,7 @@ from repro.graph.generators import random_digraph
 from repro.graph.io import (
     GraphFormatError,
     load_edge_list,
-    load_json_graph,
     save_edge_list,
-    save_json_graph,
 )
 
 
@@ -75,28 +73,6 @@ class TestEdgeList:
         edges.write_text(edges_text)
         with pytest.raises(GraphFormatError):
             load_edge_list(str(nodes), str(edges))
-
-
-class TestJsonGraph:
-    def test_roundtrip(self, tmp_path):
-        g = random_digraph(15, 0.15, seed=9)
-        path = str(tmp_path / "g.json")
-        save_json_graph(g, path)
-        back = load_json_graph(path)
-        assert list(back.labels()) == list(g.labels())
-        assert sorted(back.edges()) == sorted(g.edges())
-
-    def test_malformed_payload(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"nope": 1}')
-        with pytest.raises(GraphFormatError):
-            load_json_graph(str(path))
-
-    def test_malformed_edge(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"labels": ["A"], "edges": [[0]]}')
-        with pytest.raises(GraphFormatError):
-            load_json_graph(str(path))
 
 
 class TestCliCustomGraph:

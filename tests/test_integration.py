@@ -46,7 +46,6 @@ class TestFourEngineAgreement:
             records = [
                 run_rjoin(engine, name, pattern, "dp"),
                 run_rjoin(engine, name, pattern, "dps"),
-                run_rjoin(engine, name, pattern, "greedy"),
                 run_tsd(tsd, name, pattern),
                 run_igmj(igmj, name, pattern),
             ]

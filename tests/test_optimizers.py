@@ -1,4 +1,4 @@
-"""Tests for plan algebra validation and the DP / DPS / greedy optimizers."""
+"""Tests for plan algebra validation and the DP / DPS / WCOJ optimizers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +17,9 @@ from repro.query.algebra import (
 )
 from repro.query.costmodel import CostModel, CostParams
 from repro.query import execute_plan
-from repro.query.optimizer_dp import optimize_dp, optimize_greedy
+from repro.query.optimizer_dp import optimize_dp
 from repro.query.optimizer_dps import optimize_dps
+from repro.query.optimizer_wcoj import optimize_wcoj
 from repro.query.parser import parse_pattern
 from repro.query.pattern import GraphPattern, PatternError
 
@@ -92,7 +93,7 @@ class TestPlanValidation:
 
 
 class TestOptimizers:
-    @pytest.mark.parametrize("optimize", [optimize_dp, optimize_dps, optimize_greedy])
+    @pytest.mark.parametrize("optimize", [optimize_dp, optimize_dps, optimize_wcoj])
     def test_plan_is_valid_and_costed(self, db, optimize):
         pattern = parse_pattern(PAPER_PATTERN)
         optimized = optimize(pattern, model_for(db, pattern))
@@ -100,7 +101,7 @@ class TestOptimizers:
         assert optimized.estimated_cost > 0
         assert optimized.estimated_rows >= 0
 
-    @pytest.mark.parametrize("optimize", [optimize_dp, optimize_dps, optimize_greedy])
+    @pytest.mark.parametrize("optimize", [optimize_dp, optimize_dps, optimize_wcoj])
     def test_all_optimizers_same_results(self, db, optimize):
         pattern = parse_pattern(PAPER_PATTERN)
         naive = NaiveMatcher(db.graph).match_set(pattern)
@@ -131,7 +132,7 @@ class TestOptimizers:
 
     def test_single_variable_pattern(self, db):
         pattern = parse_pattern("x:B")
-        for optimize in (optimize_dp, optimize_dps, optimize_greedy):
+        for optimize in (optimize_dp, optimize_dps, optimize_wcoj):
             optimized = optimize(pattern, model_for(db, pattern))
             result = execute_plan(db, optimized.plan)
             assert {r[0] for r in result.rows} == set(db.graph.extent("B"))
@@ -147,7 +148,7 @@ class TestOptimizers:
         """A pattern whose condition graph has a diamond + chord."""
         pattern = parse_pattern("A -> C, A -> D, C -> D, D -> E, C -> E")
         naive = NaiveMatcher(db.graph).match_set(pattern)
-        for optimize in (optimize_dp, optimize_dps, optimize_greedy):
+        for optimize in (optimize_dp, optimize_dps, optimize_wcoj):
             result = execute_plan(db, optimize(pattern, model_for(db, pattern)).plan)
             assert result.as_set() == naive
 
@@ -178,7 +179,7 @@ def test_property_optimized_plans_match_naive(n, density, seed, shape):
     pattern = GraphPattern.build({v: v for v in sorted(labels)}, shape)
     naive = NaiveMatcher(g).match_set(pattern)
     model = CostModel(db.catalog, pattern, CostParams())
-    for optimize in (optimize_dp, optimize_dps, optimize_greedy):
+    for optimize in (optimize_dp, optimize_dps, optimize_wcoj):
         result = execute_plan(db, optimize(pattern, model).plan)
         assert result.as_set() == naive
 

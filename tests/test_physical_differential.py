@@ -15,7 +15,7 @@ from repro.graph import xmark
 from repro.query import execute_plan, execute_plan_streaming
 from repro.workloads.patterns import PatternFactory
 
-OPTIMIZERS = ("dp", "dps", "greedy")
+OPTIMIZERS = ("dp", "dps")
 
 
 @pytest.fixture(scope="module")

@@ -54,7 +54,7 @@ class TestAcceptsOptimizerPlans:
     ]
 
     @pytest.mark.parametrize("text", PATTERNS)
-    @pytest.mark.parametrize("optimizer", ["dp", "dps", "greedy"])
+    @pytest.mark.parametrize("optimizer", ["dp", "dps"])
     def test_workload_plans_are_clean(self, engine, text, optimizer):
         plan = engine.plan(text, optimizer=optimizer).plan
         assert check_plan(plan, db=engine.db) == []
@@ -169,7 +169,7 @@ class TestValidateExtensions:
 # ----------------------------------------------------------------------
 # one simulation: the runtime gate, the static checker and the drivers
 # ----------------------------------------------------------------------
-OPTIMIZERS = ("dp", "dps", "greedy", "wcoj", "auto")
+OPTIMIZERS = ("dp", "dps", "wcoj", "auto")
 
 
 @pytest.mark.parametrize(

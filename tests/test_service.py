@@ -302,7 +302,7 @@ class TestServiceEndToEnd:
         host, port = service.address
         expected = engine.match(PATTERN).as_set()
         with ServiceClient(host, port) as client:
-            for optimizer in ("dp", "dps", "greedy", "auto"):
+            for optimizer in ("dp", "dps", "wcoj", "auto"):
                 response = client.query(PATTERN, optimizer=optimizer)
                 assert set(rows_as_tuples(response)) == expected
 

@@ -94,11 +94,9 @@ class TestBulkInsert:
 KEYS = [(("a", "b"), Side.OUT), (("a", "c"), Side.OUT), (("d", "a"), Side.IN)]
 
 
-def temporal(pending_columns, row_limit=None):
+def temporal(pending_columns):
     pool = BufferPool(DiskManager(page_size=256), capacity_bytes=1 << 16)
-    return TemporalTable(
-        pool, ("a", "e"), pending=KEYS[:pending_columns], row_limit=row_limit
-    )
+    return TemporalTable(pool, ("a", "e"), pending=KEYS[:pending_columns])
 
 
 class TestTemporalTableSpill:
@@ -128,23 +126,22 @@ class TestTemporalTableSpill:
         assert list(table.scan()) == rows
 
     def test_abort_mid_bulk_then_drop_frees_every_page(self):
-        table = temporal(0, row_limit=50)
+        table = temporal(0)
         disk = table.table.pool.disk
         before = disk.page_count
+
+        def rows():  # an operator whose guard trips mid-spill
+            for i in range(500):
+                if i == 50:
+                    raise RowLimitExceeded("operator exceeded 50 rows")
+                yield (i, i)
+
         with pytest.raises(RowLimitExceeded):
-            table.insert_many((i, i) for i in range(500))
+            table.insert_many(rows())
         assert len(table) == 50  # every row before the guard fired is kept
         assert disk.page_count > before
         table.drop()
         assert disk.page_count == before
-
-    def test_row_limit_counts_rows_already_in_the_table(self):
-        table = temporal(0, row_limit=3)
-        table.insert_many([(1, 1), (2, 2)])
-        table.insert_many([(3, 3)])
-        with pytest.raises(RowLimitExceeded):
-            table.insert_many([(4, 4)])
-        assert len(table) == 3
 
     def test_sanitize_trips_on_a_wrong_layout_size(self):
         table = temporal(1)

@@ -9,7 +9,6 @@ from repro.graph.generators import random_digraph
 from repro.graph.traversal import (
     TransitiveClosure,
     bfs_order,
-    dfs_postorder,
     is_dag,
     is_reachable,
     reachable_set,
@@ -44,29 +43,6 @@ class TestBFS:
         assert is_reachable(cyclic_graph, 0, 3)
         assert is_reachable(cyclic_graph, 2, 1)
         assert not is_reachable(cyclic_graph, 3, 0)
-
-
-class TestDFSPostorder:
-    def test_covers_all_nodes(self, small_dag):
-        order = dfs_postorder(small_dag)
-        assert sorted(order) == list(small_dag.nodes())
-
-    def test_parent_after_children_in_tree(self):
-        g = DiGraph()
-        g.add_nodes(["A"] * 3)
-        g.add_edges([(0, 1), (0, 2)])
-        order = dfs_postorder(g)
-        assert order.index(0) > order.index(1)
-        assert order.index(0) > order.index(2)
-
-    def test_deep_path_does_not_recurse(self):
-        n = 5000
-        g = DiGraph()
-        g.add_nodes(["A"] * n)
-        g.add_edges([(i, i + 1) for i in range(n - 1)])
-        order = dfs_postorder(g)
-        assert order[0] == n - 1
-        assert order[-1] == 0
 
 
 class TestTopologicalSort:

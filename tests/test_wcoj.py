@@ -1,21 +1,21 @@
 """WCOJ differential and structural tests (multiway R-joins).
 
 The acceptance contract of the worst-case-optimal path: on cyclic
-patterns every optimizer — left-deep ``dp``/``dps``/``greedy`` and the
+patterns every optimizer — left-deep ``dp``/``dps`` and the
 multiway ``wcoj`` — produces the identical row set under both drivers
 and live/snapshot databases; per-op counters of the multiway operators match the scalar
 sequential oracle everywhere.  Acyclic patterns must keep today's plans,
 rows and counters bit for bit (``auto``/``wcoj`` route them to DPS).
 
-Structural coverage: :class:`~repro.query.JoinGraph` shape queries,
-``Plan.validate`` on multiway step sequences, and the plancheck
-diagnostics for malformed multiway plans.
+Structural coverage: routing on join-graph shape, ``Plan.validate`` on
+multiway step sequences, and the plancheck diagnostics for malformed
+multiway plans.
 """
 
 import pytest
 
 from repro.query import (
-    JoinGraph,
+    GraphEngine,
     MultiwaySeed,
     MultiwayStep,
     Side,
@@ -25,6 +25,7 @@ from repro.query import (
     optimize_wcoj,
     parse_pattern,
 )
+from repro.graph.generators import figure1_graph
 from repro.query.pattern import PatternError
 from repro.analysis import check_plan
 from repro.workloads.patterns import PatternFactory
@@ -32,7 +33,7 @@ from repro.workloads.patterns import PatternFactory
 from corrupted_plans import CORRUPTED
 from reference_executor import assert_matches_reference, op_counters
 
-OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
+OPTIMIZERS = ("dp", "dps", "wcoj")
 
 
 @pytest.fixture(scope="module")
@@ -46,54 +47,27 @@ def snapshot_engine(xmark_snapshot_engine):
 
 
 # ----------------------------------------------------------------------
-# JoinGraph structure
+# routing on join-graph shape
 # ----------------------------------------------------------------------
-class TestJoinGraph:
-    def test_acyclic_shapes(self):
-        for text in ("A -> B", "A -> B, B -> C", "A -> B, A -> C, B -> D"):
-            graph = JoinGraph(parse_pattern(text))
-            assert graph.cycle_rank == 0
-            assert not graph.is_cyclic
+@pytest.fixture(scope="module")
+def figure1_engine():
+    return GraphEngine(figure1_graph())
 
-    def test_cyclic_shapes(self):
-        triangle = JoinGraph(parse_pattern("A -> B, B -> C, A -> C"))
-        assert triangle.cycle_rank == 1 and triangle.is_cyclic
-        diamond = JoinGraph(parse_pattern("A -> B, A -> C, B -> D, C -> D"))
-        assert diamond.cycle_rank == 1 and diamond.is_cyclic
 
-    def test_parallel_conditions_count_as_a_two_cycle(self):
-        graph = JoinGraph(parse_pattern("x:A -> y:B, y:B -> x:A"))
-        assert graph.is_cyclic
-        assert graph.bridges() == frozenset()
-
-    def test_articulation_and_bridges_on_cycle_with_tail(self):
-        pattern = parse_pattern("A -> B, A -> C, B -> C, C -> D")
-        graph = JoinGraph(pattern)
-        assert graph.is_cyclic
-        assert graph.articulation_points() == frozenset({"C"})
-        assert graph.bridges() == frozenset({("C", "D")})
-        assert graph.cyclic_core() == frozenset({"A", "B", "C"})
-
-    def test_tree_is_all_bridges(self):
-        graph = JoinGraph(parse_pattern("A -> B, B -> C"))
-        assert graph.bridges() == frozenset({("A", "B"), ("B", "C")})
-        assert graph.cyclic_core() == frozenset()
-
-    def test_constraint_keying(self):
-        graph = JoinGraph(parse_pattern("A -> B, B -> C, A -> C"))
-        # every incident constraint is keyed to bind the variable itself
-        for var in graph.variables:
-            for condition, side in graph.incident_constraints(var):
-                assert side.fetched_var(condition) == var
-        toward = graph.constraints_toward("C", ["A", "B"])
-        assert set(toward) == {(("B", "C"), Side.OUT), (("A", "C"), Side.OUT)}
-        # nothing binds C from only-A without the B condition
-        assert graph.constraints_toward("C", ["A"]) == ((("A", "C"), Side.OUT),)
-
-    def test_degree_and_neighbors(self):
-        graph = JoinGraph(parse_pattern("A -> B, B -> C, A -> C"))
-        assert graph.degree("A") == 2
-        assert graph.neighbors("A") == frozenset({"B", "C"})
+@pytest.mark.parametrize("text, cyclic", [
+    ("A -> B -> C", False),                      # path
+    ("A -> B, A -> C, B -> D", False),           # tree
+    ("A -> B, B -> C, A -> C", True),            # triangle
+    ("A -> B, A -> C, B -> D, C -> D", True),    # diamond
+    ("x:A -> y:B, y:B -> x:A", True),            # two-cycle
+    ("A -> B, A -> C, B -> C, C -> D", True),    # cycle with a tail
+])
+def test_wcoj_routes_on_cyclicity(figure1_engine, text, cyclic):
+    """A multiway plan exactly for cyclic shapes; acyclic ones get DPS's plan."""
+    steps = figure1_engine.plan(text, "wcoj").plan.steps
+    assert isinstance(steps[0], MultiwaySeed) == cyclic
+    if not cyclic:
+        assert steps == figure1_engine.plan(text, "dps").plan.steps
 
 
 # ----------------------------------------------------------------------
