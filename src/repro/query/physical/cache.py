@@ -1,21 +1,29 @@
 """CenterCache — a size-bounded LRU shared across queries.
 
-Two things every query would otherwise recompute are pure functions of
+Four things every query would otherwise recompute are pure functions of
 the offline structures:
 
 * ``getCenters(x, X, Y)`` (Eq. 6) — a code read plus an intersection,
-  repeated for every distinct scanned node of every Filter;
+  repeated for every distinct scanned node of every Filter — keyed
+  ``(node, (X, Y), side)``;
 * ``getF(w, X)`` / ``getT(w, Y)`` (Eqs. 7-9) — the per-center labeled
-  subcluster, re-fetched from the B+-tree by every Fetch that meets the
-  center again.
+  subcluster, re-fetched by every Fetch that meets the center again —
+  keyed ``(center, label, side)``;
+* a multiway seed's W-projection of ``(X, Y)`` (the subclusters of all
+  of ``W(X, Y)``, unioned) — keyed ``((X, Y), side)``;
+* a multiway step's extension set of one bound node (its centers'
+  subclusters, unioned) — keyed ``(node, (X, Y), side)``.
 
-A built database never changes, so both are invariant for its whole
-life: each engine owns one private :class:`CenterCache` over its one
-database and threads it through every execution context — an LRU keyed
-by ``(node, (X, Y), side)`` for center sets and ``(center, label,
-side)`` for subclusters, bounded by an approximate byte budget
-(``GraphEngine(cache_bytes=...)``).  There is no invalidation protocol:
-a new index is a new database object and a new engine with a new cache.
+The two multiway kinds hold ``(nodes, centers, volume)``: the sorted
+union plus the two counts its operator charges, so a hit replays the
+counters of the expansion it skips (the fetched label follows from pair
+and side).  A built database never changes, so all four are invariant
+for its whole life: each engine owns one private :class:`CenterCache`
+and threads it through every execution context — an LRU bounded by an
+approximate byte budget (``GraphEngine(cache_bytes=...)``) charging
+every int it holds.  Values are tuples, never arrays a consumer could
+mutate.  There is no invalidation protocol: a new index is a new
+database object and a new engine with a new cache.
 
 Concurrency: the service's slot threads share the cache, and every read
 or write of its state — the LRU order, the byte ledger, the three
@@ -47,10 +55,23 @@ DEFAULT_CACHE_BYTES = 4 << 20
 
 _CENTERS_TAG = 0
 _SUBCLUSTER_TAG = 1
+_PROJECTION_TAG = 2
+_EXTENSIONS_TAG = 3
+
+#: a multiway expansion: (sorted union of subclusters, centers, volume)
+Expansion = Tuple[Tuple[int, ...], int, int]
+
+
+def _cost(key: tuple, value: tuple) -> int:
+    """Bytes charged for one entry: the overhead plus every int it holds
+    (an expansion's nodes and its two counts)."""
+    ints = len(value[0]) + 2 if key[0] >= _PROJECTION_TAG else len(value)
+    return _ENTRY_OVERHEAD_BYTES + _INT_BYTES * ints
 
 
 class CenterCache:
-    """LRU of center sets and subclusters, bounded by bytes.
+    """LRU of center sets, subclusters, multiway projections and
+    extension sets, bounded by bytes.
 
     ``capacity_bytes <= 0`` disables storage entirely (every ``get`` is a
     miss and ``put`` is a no-op) while keeping the counters alive, so the
@@ -61,7 +82,7 @@ class CenterCache:
     def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.capacity_bytes = capacity_bytes
         self._lock = threading.Lock()
-        self._store: "OrderedDict[tuple, Tuple[int, ...]]" = OrderedDict()
+        self._store: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -80,7 +101,7 @@ class CenterCache:
             self._evictions = 0
 
     # ------------------------------------------------------------------
-    # the two memoized functions
+    # the four memoized functions
     # ------------------------------------------------------------------
     def get_centers(
         self,
@@ -122,12 +143,28 @@ class CenterCache:
     ) -> None:
         self._put((_SUBCLUSTER_TAG, center, label, side is Side.OUT), nodes, stats)
 
+    def get_projection(self, pair: Tuple[str, str], side: Side,
+                       stats: Optional["CacheStats"] = None) -> Optional[Expansion]:
+        """Cached multiway seed domain: ``(X, Y)``'s W-projection, or None."""
+        return self._get((_PROJECTION_TAG, pair, side is Side.OUT), stats)
+
+    def put_projection(self, pair: Tuple[str, str], side: Side, value: Expansion,
+                       stats: Optional["CacheStats"] = None) -> None:
+        self._put((_PROJECTION_TAG, pair, side is Side.OUT), value, stats)
+
+    def get_extensions(self, node: int, pair: Tuple[str, str], side: Side,
+                       stats: Optional["CacheStats"] = None) -> Optional[Expansion]:
+        """Cached multiway extension set: *node*'s centers' subclusters, or None."""
+        return self._get((_EXTENSIONS_TAG, node, pair, side is Side.OUT), stats)
+
+    def put_extensions(self, node: int, pair: Tuple[str, str], side: Side,
+                       value: Expansion, stats: Optional["CacheStats"] = None) -> None:
+        self._put((_EXTENSIONS_TAG, node, pair, side is Side.OUT), value, stats)
+
     # ------------------------------------------------------------------
     # LRU mechanics
     # ------------------------------------------------------------------
-    def _get(
-        self, key: tuple, stats: Optional["CacheStats"]
-    ) -> Optional[Tuple[int, ...]]:
+    def _get(self, key: tuple, stats: Optional["CacheStats"]) -> Optional[tuple]:
         with self._lock:
             value = self._store.get(key)
             if value is None:
@@ -142,13 +179,12 @@ class CenterCache:
             return value
 
     def _put(
-        self, key: tuple, value: Tuple[int, ...],
-        stats: Optional["CacheStats"] = None,
+        self, key: tuple, value: tuple, stats: Optional["CacheStats"] = None
     ) -> None:
         capacity = self.capacity_bytes
         if capacity <= 0:
             return
-        cost = _ENTRY_OVERHEAD_BYTES + _INT_BYTES * len(value)
+        cost = _cost(key, value)
         if cost > capacity:
             return  # a single oversized entry would evict everything
         with self._lock:
@@ -157,8 +193,7 @@ class CenterCache:
             self._store[key] = value
             self._bytes += cost
             while self._bytes > capacity and self._store:
-                _, evicted = self._store.popitem(last=False)
-                self._bytes -= _ENTRY_OVERHEAD_BYTES + _INT_BYTES * len(evicted)
+                self._bytes -= _cost(*self._store.popitem(last=False))
                 self._evictions += 1
                 if stats is not None:
                     stats.evictions += 1
@@ -206,10 +241,7 @@ class CenterCache:
         whether to raise.
         """
         with self._lock:
-            expected = sum(
-                _ENTRY_OVERHEAD_BYTES + _INT_BYTES * len(value)
-                for value in self._store.values()
-            )
+            expected = sum(_cost(*entry) for entry in self._store.items())
             ledger = self._bytes
         problems: List[str] = []
         if expected != ledger:

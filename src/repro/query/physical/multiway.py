@@ -31,7 +31,11 @@ database's four-call run surface, like every other physical operator
 (see :mod:`repro.query.physical.operators`): W-runs, code runs and
 subcluster runs come from whichever storage tier the database sits on,
 memoized per operator and through the shared
-:class:`~repro.query.physical.cache.CenterCache`.
+:class:`~repro.query.physical.cache.CenterCache`.  The expansions
+themselves are memoized across queries in that same cache: a seed's
+per-condition W-projection keyed ``((X, Y), side)``, a step's
+per-condition extension set keyed ``(node, (X, Y), side)`` — both pure
+functions of the built database, stored as ``(nodes, centers, volume)``.
 
 Counter semantics (matching Filter/Fetch conventions):
 
@@ -46,9 +50,12 @@ Counter semantics (matching Filter/Fetch conventions):
   gates compare against left-deep plans.
 
 Per-row extension sets are memoized on the tuple of scanned values (many
-rows share bound prefixes on cyclic cores); counters are charged per row
-even on memo hits, so memo state can never change the reported work —
-the same replay discipline Fetch uses.
+rows share bound prefixes on cyclic cores), which saves the k-way
+intersection too.  Counters are replayed on both memo layers: a hit in
+the per-execution memo or in the CenterCache charges the
+``centers_probed`` / ``nodes_fetched`` of the expansion it skips, per
+row and per condition, with the same early exits — so memo state can
+never change the reported work, the same replay discipline Fetch uses.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra import FilterKey, Side
 from . import kernels
+from .cache import Expansion
 from .context import ExecutionContext, RowLayout
 from .operators import Expansions, PhysicalOperator, Row, declared
 
@@ -91,12 +99,13 @@ class _MultiwayBase(PhysicalOperator):
 
     def _expand(
         self, centers: Sequence[int], fetch_label: str, side: Side
-    ) -> Tuple["kernels.array[int]", int]:
+    ) -> Expansion:
         """Eqs. 7-9: sorted union of the centers' labeled subclusters,
-        plus the pre-dedup volume."""
-        return kernels.union_sorted(
+        plus the two counts it charges (centers, pre-dedup volume)."""
+        union, volume = kernels.union_sorted(
             [self._subcluster(center, fetch_label, side) for center in centers]
         )
+        return tuple(union), len(centers), volume
 
 
 class MultiwaySeedOp(_MultiwayBase):
@@ -137,11 +146,17 @@ class MultiwaySeedOp(_MultiwayBase):
                     yield (node,)
                 return
             # one W-projection onto the seed variable per condition
-            domains: List["kernels.array[int]"] = []
+            cache, stats = self.ctx.center_cache, self.ctx.cache_stats
+            domains: List[Tuple[int, ...]] = []
             for x_label, y_label, side, fetch_label in self._plans:
-                centers = db.w_run(x_label, y_label)
-                centers_probed += len(centers)
-                domain, volume = self._expand(centers, fetch_label, side)
+                pair = (x_label, y_label)
+                entry = None if cache is None else cache.get_projection(pair, side, stats)
+                if entry is None:
+                    entry = self._expand(db.w_run(*pair), fetch_label, side)
+                    if cache is not None:
+                        cache.put_projection(pair, side, entry, stats)
+                domain, probes, volume = entry
+                centers_probed += probes
                 nodes_fetched += volume
                 if not domain:
                     return  # one empty projection proves an empty result
@@ -203,16 +218,22 @@ class MultiwayIntersectOp(_MultiwayBase):
         w_keys: Sequence[Tuple[Sequence[int], Tuple[str, str]]],
     ) -> Tuple[Optional[Tuple[int, ...]], int, int]:
         """(extensions | None, centers probed, subcluster volume)."""
+        cache, stats = self.ctx.center_cache, self.ctx.cache_stats
         probes = 0
         volume = 0
         per_condition: List[Sequence[int]] = []
         for node, (w_run, pair), plan in zip(scanned, w_keys, self._plans):
             _x, _y, side, fetch_label = plan
-            centers = self._centers(node, w_run, pair, side)
-            if not centers:
-                return None, probes, volume
-            probes += len(centers)
-            extensions, vol = self._expand(centers, fetch_label, side)
+            entry = None if cache is None else cache.get_extensions(node, pair, side, stats)
+            if entry is None:
+                centers = self._centers(node, w_run, pair, side)
+                entry = self._expand(centers, fetch_label, side)
+                if cache is not None:
+                    cache.put_extensions(node, pair, side, entry, stats)
+            # no centers expands to ((), 0, 0): both early exits charge
+            # exactly what a fresh expansion would
+            extensions, centers_seen, vol = entry
+            probes += centers_seen
             volume += vol
             if not extensions:
                 return None, probes, volume

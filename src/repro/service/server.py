@@ -279,6 +279,8 @@ class QueryService:
                     "plan_cache_entries": len(self.engine._plan_cache),
                     "center_cache_entries": cache.entry_count,
                     "center_cache_hit_rate": cache.hit_rate,
+                    "center_cache_bytes": cache.estimated_bytes,
+                    "center_cache_evictions": cache.evictions,
                 },
             }
         )

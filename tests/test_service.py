@@ -446,6 +446,19 @@ class TestServiceEndToEnd:
         assert snap["engine"]["plan_cache_entries"] >= 1
         assert 0.0 <= snap["engine"]["center_cache_hit_rate"] <= 1.0
 
+    def test_stats_endpoint_reports_cache_bytes_and_evictions(self):
+        """The engine block shows how full the CenterCache is and whether
+        it evicts; a 256-byte budget holds two entries, so it must."""
+        engine = GraphEngine(generators.figure1_graph(), cache_bytes=256)
+        with start_in_thread(engine) as handle, ServiceClient(*handle.address) as client:
+            client.query(PATTERN)
+            snap = client.stats()
+        cache = engine.center_cache
+        assert snap["engine"]["center_cache_bytes"] == cache.estimated_bytes > 0
+        assert snap["engine"]["center_cache_evictions"] == cache.evictions > 0
+        assert snap["engine"]["center_cache_entries"] == cache.entry_count
+        assert "cache_hit_rate" in snap  # the top-level key run.py reads
+
     def test_overload_sheds_with_fast_reject(self, engine):
         """Saturate the slots + queue; the next arrival is shed."""
         handle = start_in_thread(
