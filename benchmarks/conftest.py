@@ -115,11 +115,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 class BenchRecorder:
     """Collects measurements; writes one ``BENCH_<name>.json`` per module.
 
-    Every ``bench_*.py`` records what it measured through the
+    Every figure bench records what it measured through the
     :func:`bench_record` fixture; at session end each module's entries are
     written to ``benchmarks/results/BENCH_<name>.json`` (``name`` is the
-    module name minus the ``bench_`` prefix).  The files are the input to
-    ``summarize.py --diff old.json new.json`` regression checks.
+    module name minus the ``bench_`` prefix).
     """
 
     def __init__(self) -> None:

@@ -11,7 +11,6 @@ Usage (also via ``python -m repro``)::
     repro snapshot load auctions.snap                    # timed reload
     repro snapshot info auctions.snap                    # header + sections
     repro serve auctions.snap --port 7437                # always-on service
-    repro bench --budget 800                             # mini comparison
 
 The CLI wraps the library's public API one-to-one; anything it prints can
 be reproduced programmatically with :class:`repro.GraphEngine`.
@@ -26,19 +25,33 @@ import time
 from typing import List, Optional
 
 from . import xmark
+from .db.database import GraphDatabase
 from .db.persist import load_database, save_database
 from .query.algebra import RowLimitExceeded
 from .query.engine import GraphEngine
 from .query.pattern import PatternError
-from .workloads.runner import format_records, run_igmj, run_rjoin, run_tsd
+from .storage.snapshot import SnapshotError
+
+
+class _UsageError(Exception):
+    """A user error: :func:`main` prints ``repro <cmd>: error: <message>``
+    as one line and exits 2."""
+
+
+def _load(path: str) -> GraphDatabase:
+    """:func:`load_database`, with an unreadable file as a usage error."""
+    try:
+        return load_database(path)
+    except (OSError, ValueError, SnapshotError) as err:
+        reason = (err.strerror if isinstance(err, OSError) else None) or err
+        raise _UsageError(f"cannot load {path}: {reason}") from None
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.nodes or args.edges:
         if not (args.nodes and args.edges):
-            print("--nodes and --edges must be given together", file=sys.stderr)
-            return 2
+            raise _UsageError("--nodes and --edges must be given together")
         from .graph.io import load_edge_list
 
         graph = load_edge_list(args.nodes, args.edges)
@@ -68,7 +81,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    engine = GraphEngine.from_database(load_database(args.database))
+    engine = GraphEngine.from_database(_load(args.database))
     summary = engine.stats_summary()
     print(f"{'nodes':>12}: {summary['nodes']}")
     print(f"{'edges':>12}: {summary['edges']}")
@@ -91,8 +104,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     from .query import DEFAULT_CACHE_BYTES
 
+    if args.head < 0:
+        raise _UsageError("--head must be >= 0")
     engine = GraphEngine.from_database(
-        load_database(args.database),
+        _load(args.database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
     )
     try:
@@ -108,8 +123,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 1
     except (PatternError, KeyError, ValueError) as err:  # a usage error
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
-        print(f"repro query: error: {message}", file=sys.stderr)
-        return 2
+        raise _UsageError(message) from None
     if args.limit is not None:
         for row in result.rows:
             print("\t".join(str(v) for v in row))
@@ -132,44 +146,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .baselines.igmj import IGMJEngine
-    from .baselines.twigstackd import TwigStackD
-    from .workloads.patterns import PatternFactory
-    from .workloads.runner import check_agreement
-
-    data = xmark.generate(
-        factor=0.3, entity_budget=args.budget, seed=args.seed,
-        watches_per_person=0.0, catgraph_edges_per_category=0.0,
-    )
-    graph = data.graph
-    print(f"DAG dataset: {graph.node_count} nodes, {graph.edge_count} edges")
-    engine = GraphEngine(graph)
-    tsd = TwigStackD(graph)
-    igmj = IGMJEngine(graph)
-    factory = PatternFactory(engine.db.catalog, seed=args.seed + 4)
-
-    records = []
-    workload = dict(list(factory.figure4_paths().items())[: args.queries])
-    for name, pattern in workload.items():
-        records.append(run_tsd(tsd, name, pattern))
-        records.append(run_igmj(igmj, name, pattern))
-        records.append(run_rjoin(engine, name, pattern, "dp"))
-        records.append(run_rjoin(engine, name, pattern, "dps"))
-    mismatches = check_agreement(records)
-    if mismatches:
-        print(f"ENGINE DISAGREEMENT: {mismatches}", file=sys.stderr)
-        return 1
-    print(format_records(records))
-    print("all engines agree on every query")
-    return 0
-
-
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from .storage.snapshot import SNAPSHOT_VERSION, Snapshot, SnapshotError
+    from .storage.snapshot import SNAPSHOT_VERSION, Snapshot
 
     if args.action == "save":
-        db = load_database(args.source)
+        db = _load(args.source)
         started = time.perf_counter()
         save_database(db, args.out, format="snapshot")
         elapsed = (time.perf_counter() - started) * 1e3
@@ -234,7 +215,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import QueryService, ServiceConfig
 
     engine = GraphEngine.from_database(
-        load_database(args.database),
+        _load(args.database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
     )
     config = ServiceConfig(
@@ -251,8 +232,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         service = QueryService(engine, config)
     except ValueError as err:  # an out-of-range flag: a usage error
-        print(f"repro serve: error: {err}", file=sys.stderr)
-        return 2
+        raise _UsageError(err) from None
 
     async def run() -> None:
         # SIGTERM and SIGINT share one path: stop() bounces queued work,
@@ -290,11 +270,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .storage.snapshot import is_snapshot
 
     if args.patterns and args.database is None:
-        print("--pattern requires a database to plan against", file=sys.stderr)
-        return 2
+        raise _UsageError("--pattern requires a database to plan against")
     if args.database is None and not args.self_lint:
-        print("nothing to check: give a database and/or --self", file=sys.stderr)
-        return 2
+        raise _UsageError("nothing to check: give a database and/or --self")
+    if args.sample_rows < 0:
+        raise _UsageError("--sample-rows must be >= 0")
 
     all_diags = []
 
@@ -319,7 +299,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 1
-        engine = GraphEngine.from_database(load_database(args.database))
+        engine = GraphEngine.from_database(_load(args.database))
         section(
             f"indexaudit {args.database}",
             audit_database(
@@ -498,19 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sampling seed for large-graph audits")
     p_check.set_defaults(func=_cmd_check)
 
-    p_bench = sub.add_parser("bench", help="mini 4-engine comparison run")
-    p_bench.add_argument("--budget", type=int, default=800)
-    p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument("--queries", type=int, default=5,
-                         help="number of path queries to run (default 5)")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as err:
+        print(f"repro {args.command}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

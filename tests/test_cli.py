@@ -83,12 +83,20 @@ class TestCommands:
         ("itemref -> ", ["--explain"], "cannot parse pattern"),
         ("itemref -> item", ["--limit", "-1"], "limit must be >= 0"),
         ("itemref -> item", ["--row-limit", "-1"], "row_limit must be >= 0"),
+        ("itemref -> item", ["--head", "-1"], "--head must be >= 0"),
     ])
     def test_query_user_error_is_one_line(self, db_path, capsys, pattern, extra, message):
         assert main(["query", db_path, pattern, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro query: error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_negative_sample_rows_is_usage_error(self, db_path, capsys):
+        # --exact-threshold 0 forces the sampled audit path
+        assert main(["check", db_path, "--exact-threshold", "0",
+                     "--sample-rows", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro check: error: --sample-rows must be >= 0\n"
 
     def test_query_row_limit_exceeded_is_one_line(self, db_path, capsys):
         assert main(["query", db_path, "itemref -> item", "--row-limit", "1"]) == 1
@@ -99,11 +107,6 @@ class TestCommands:
     def test_query_dp_optimizer(self, db_path, capsys):
         assert main(["query", db_path, "itemref -> item",
                      "--optimizer", "dp"]) == 0
-
-    def test_bench_smoke(self, capsys):
-        assert main(["bench", "--budget", "250", "--queries", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "all engines agree" in out
 
     def test_stats_storage_report(self, db_path, capsys):
         assert main(["stats", db_path, "--storage"]) == 0
@@ -172,6 +175,47 @@ class TestSnapshot:
         assert "snapshot/unreadable" in captured.out
         assert "== indexaudit" not in captured.out
         assert "1 error(s)" in captured.err
+
+
+class TestUnreadableDatabase:
+    """A missing, truncated or garbled database file is a usage error:
+    one ``repro <cmd>: error:`` line and exit 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def bad_files(self, db_path, tmp_path_factory):
+        base = tmp_path_factory.mktemp("cli-bad")
+        snap = base / "whole.snap"
+        assert main(["snapshot", "save", db_path, str(snap)]) == 0
+        truncated = base / "truncated.snap"
+        truncated.write_bytes(snap.read_bytes()[:3000])
+        garbled = base / "garbled.json"
+        garbled.write_text('{"format_version": 2, garbled')
+        return {
+            "missing": str(base / "missing.db.json"),
+            "truncated": str(truncated),
+            "garbled": str(garbled),
+        }
+
+    @pytest.mark.parametrize("kind, argv, message", [
+        ("missing", ["stats", "{}"], "No such file or directory"),
+        ("missing", ["query", "{}", "itemref -> item"], "No such file or directory"),
+        ("missing", ["serve", "{}", "--port", "0"], "No such file or directory"),
+        ("missing", ["check", "{}"], "No such file or directory"),
+        ("missing", ["snapshot", "save", "{}", "unwritten.snap"], "No such file or directory"),
+        ("truncated", ["stats", "{}"], "truncated"),
+        ("truncated", ["query", "{}", "itemref -> item"], "truncated"),
+        ("garbled", ["stats", "{}"], "Expecting"),
+        ("garbled", ["query", "{}", "itemref -> item"], "Expecting"),
+        ("garbled", ["check", "{}"], "Expecting"),
+    ])
+    def test_one_line_and_exit_2(self, bad_files, capsys, kind, argv, message):
+        path = bad_files[kind]
+        argv = [arg.replace("{}", path) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: error: cannot load {path}: ")
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestCheck:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.database import GraphDatabase
-from repro.graph.digraph import DiGraph
 from repro.graph.generators import figure1_graph, random_digraph
 from repro.graph.traversal import TransitiveClosure
 

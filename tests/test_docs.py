@@ -10,7 +10,11 @@ import io
 import re
 from pathlib import Path
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
+
+#: a repo file path as docs write it: top directory, then up to an extension
+REPO_PATH = re.compile(r"(?<![\w./-])((?:benchmarks|tests|examples|src)/[\w./*-]*\.\w+)")
 
 
 def test_tutorial_blocks_execute_in_order():
@@ -25,8 +29,8 @@ def test_tutorial_blocks_execute_in_order():
 
 
 def test_readme_mentions_every_benchmark_file():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+    readme = (ROOT / "README.md").read_text()
+    bench_dir = ROOT / "benchmarks"
     for bench in bench_dir.glob("bench_*.py"):
         assert bench.name in readme, f"README does not mention {bench.name}"
 
@@ -39,3 +43,17 @@ def test_api_reference_symbols_importable():
     modules = set(re.findall(r"`(repro(?:\.\w+)*)`", text))
     for module_name in sorted(modules):
         importlib.import_module(module_name)
+
+
+def test_docs_name_only_files_that_exist():
+    """Every repo path the living docs write down resolves (history files
+    and the benchmark's own directory are not checked)."""
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted(DOCS.glob("*.md")),
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    stale = [
+        f"{doc.relative_to(ROOT)}: {path}"
+        for doc in docs
+        for path in REPO_PATH.findall(doc.read_text())
+        if not path.startswith("benchmarks/e2e/") and not list(ROOT.glob(path))
+    ]
+    assert stale == []

@@ -1,6 +1,5 @@
 """Tests for the random graph generators and the Figure 1 example graph."""
 
-from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     figure1_graph,
     layered_dag,

@@ -1,11 +1,8 @@
 """White-box tests for the IGMJ merge join and list machinery."""
 
-import pytest
-
 from repro.baselines.igmj import IGMJEngine, _merge_join
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
-from repro.labeling.interval import build_multi_interval
 
 
 class TestMergeJoin:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import audit_database, check_bptree, has_errors
 from repro.db.database import GraphDatabase
-from repro.graph import generators
 from repro.labeling.twohop import build_two_hop
 from repro.storage.buffer import BufferPool
 from repro.storage.bptree import BPlusTree

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 from repro.analysis import lint_paths, lint_project, lint_source
 
@@ -385,3 +386,10 @@ class TestEntryPoints:
 
     def test_repo_source_lints_clean(self):
         assert lint_project() == []
+
+    def test_tests_benchmarks_and_examples_import_nothing_unused(self):
+        root = Path(__file__).resolve().parent.parent
+        paths = [root / "tests", *sorted((root / "benchmarks").glob("*.py")),
+                 root / "examples"]
+        unused = [d for d in lint_paths(paths) if d.rule == "lint/unused-import"]
+        assert unused == []

@@ -4,7 +4,7 @@ import string
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro import GraphEngine, NaiveMatcher
+from repro import GraphEngine
 from repro.graph.generators import random_digraph
 from repro.graph.traversal import reachable_set
 from repro.query.parser import parse_pattern

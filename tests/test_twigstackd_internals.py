@@ -1,7 +1,5 @@
 """White-box tests for TwigStackD's pools, links and metrics."""
 
-import pytest
-
 from repro.baselines.naive import NaiveMatcher
 from repro.baselines.twigstackd import TwigStackD
 from repro.graph.digraph import DiGraph
