@@ -28,7 +28,7 @@ from . import xmark
 from .db.database import GraphDatabase
 from .db.persist import load_database, save_database
 from .query.algebra import RowLimitExceeded
-from .query.engine import GraphEngine
+from .query.engine import AUTO_DP_LIMIT, GraphEngine
 from .query.pattern import PatternError
 from .storage.snapshot import SnapshotError
 
@@ -112,7 +112,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     try:
         if args.explain:
-            print(engine.explain(args.pattern, optimizer=args.optimizer))
+            print(engine.explain(
+                args.pattern, optimizer=args.optimizer, limit=args.limit,
+            ))
             return 0
         result = engine.match(
             args.pattern, optimizer=args.optimizer, limit=args.limit,
@@ -385,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto",
                          help="plan family: left-deep dp/dps, "
                               "multiway wcoj, or auto (cyclic join graph "
-                              "-> wcoj, else dps; default)")
+                              "-> wcoj; acyclic with --limit <= "
+                              f"{AUTO_DP_LIMIT} -> dp; else dps; default)")
     p_query.add_argument("--explain", action="store_true",
                          help="print the plan instead of executing")
     p_query.add_argument("--limit", type=int, default=None,

@@ -16,8 +16,13 @@ Typical use::
 * ``"wcoj"`` — worst-case-optimal multiway plan for cyclic join graphs
   (variable elimination + k-way intersection); acyclic patterns fall
   back to DPS unchanged;
-* ``"auto"`` — the same optimizer as ``"wcoj"``, under the name the
-  CLI defaults to (the wire protocol defaults to ``"dps"``).
+* ``"auto"`` — not an optimizer but a name resolved per query from the
+  pattern and the caller's ``limit``: cyclic patterns get ``"wcoj"``;
+  acyclic ones get ``"dp"`` when at most :data:`AUTO_DP_LIMIT` rows are
+  asked for, else ``"dps"``.  DPS's larger search (``O(m·n·5^n)``) pays
+  for itself by shrinking the temporal tables of a *full* answer; a
+  short prefix builds none, so there DP's search is the cheaper one.
+  The CLI defaults to ``"auto"``, the wire protocol to ``"dps"``.
 """
 
 from __future__ import annotations
@@ -47,8 +52,32 @@ _OPTIMIZERS = {
     "dp": optimize_dp,
     "dps": optimize_dps,
     "wcoj": optimize_wcoj,
+    # "auto" for a full answer (cyclic -> wcoj, else dps); :meth:`plan`
+    # resolves the name with the caller's limit and never looks it up here
     "auto": optimize_wcoj,
 }
+
+#: ``"auto"`` plans an acyclic pattern with DP when the caller asks for
+#: at most this many rows, and with DPS above it or for a full answer.
+#: From the cut-off sweep in EXPERIMENTS.md ("auto: DP under a small
+#: LIMIT"): up to LIMIT 100 DP's warm execution is within 2 % of DPS's
+#: and its search ~4x cheaper; from LIMIT 1000 on DPS executes faster,
+#: and on a full answer it reads about half of DP's logical I/O.  The
+#: query service passes every query a limit (its row cap, 1,000,000 by
+#: default), so the rule compares against this cut-off and never tests
+#: for ``None``.
+AUTO_DP_LIMIT = 100
+
+
+def _resolve(pattern: GraphPattern, optimizer: str, limit: Optional[int]) -> str:
+    """The optimizer ``"auto"`` stands for; any other name is itself."""
+    if optimizer != "auto":
+        return optimizer
+    if pattern.is_cyclic():
+        return "wcoj"
+    if limit is not None and limit <= AUTO_DP_LIMIT:
+        return "dp"
+    return "dps"
 
 PatternLike = Union[str, GraphPattern]
 
@@ -135,15 +164,27 @@ class GraphEngine:
     #: queries skip the optimizer entirely
     PLAN_CACHE_SIZE = 256
 
-    def plan(self, pattern: PatternLike, optimizer: str = "dps") -> OptimizedPlan:
+    def plan(
+        self,
+        pattern: PatternLike,
+        optimizer: str = "dps",
+        limit: Optional[int] = None,
+    ) -> OptimizedPlan:
         """Optimize a pattern without executing it (memoized, LRU).
+
+        ``limit`` is the number of rows the caller will take (``None``:
+        all of them); only ``optimizer="auto"`` reads it, to pick DP for
+        a short acyclic prefix (see the module docstring).
 
         Plans are logical — no optimizer output depends on how or where
         the plan will run — and deterministic: the searches break cost
         ties by pattern declaration order, never by set iteration order,
         so every process (any ``PYTHONHASHSEED``) derives the same plan
-        from the same (pattern, catalog).  The cache key is the pattern's structure —
-        ``(variables, their labels, conditions, optimizer)``: two
+        from the same (pattern, catalog).  ``"auto"`` is resolved
+        before the lookup, so the cache key is the pattern's structure
+        and the *resolved* optimizer — ``(variables, their labels,
+        conditions, optimizer)``: ``"auto"`` at LIMIT 20 and an explicit
+        ``"dp"`` share one entry, and two
         patterns that print alike but declare their variables in a
         different order have different result columns and get different
         plans; the catalog never changes under a built database, so it
@@ -152,7 +193,10 @@ class GraphEngine:
         keep the LRU structure consistent; two racers optimizing the
         same key both store the identical plan.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         parsed = self._coerce(pattern)
+        optimizer = _resolve(parsed, optimizer, limit)
         labels = tuple(map(parsed.labels.get, parsed.variables))
         key = (parsed.variables, labels, parsed.conditions, optimizer)
         cache = self._plan_cache
@@ -202,7 +246,7 @@ class GraphEngine:
         the query service rides this for its admission-to-completion
         deadlines.
         """
-        optimized = self.plan(pattern, optimizer=optimizer)
+        optimized = self.plan(pattern, optimizer=optimizer, limit=limit)
         return execute_plan_streaming(
             self.db, optimized.plan, limit=limit, row_limit=row_limit,
             center_cache=self.center_cache, timeout=timeout,
@@ -226,9 +270,29 @@ class GraphEngine:
             stream.close()
         return QueryResult(stream.columns, rows, stream.plan, stream.metrics)
 
-    def explain(self, pattern: PatternLike, optimizer: str = "dps") -> str:
-        """The chosen plan as text, with its cost/cardinality estimates."""
-        optimized = self.plan(pattern, optimizer=optimizer)
+    def explain(
+        self,
+        pattern: PatternLike,
+        optimizer: str = "dps",
+        limit: Optional[int] = None,
+    ) -> str:
+        """The chosen plan as text, with its cost/cardinality estimates.
+
+        ``limit`` is :meth:`plan`'s; under ``"auto"`` the header names
+        the optimizer it resolved to and why.
+        """
+        parsed = self._coerce(pattern)
+        optimized = self.plan(parsed, optimizer=optimizer, limit=limit)
+        if optimizer == "auto":
+            resolved = _resolve(parsed, optimizer, limit)
+            if resolved == "wcoj":
+                reason = "cyclic"
+            elif limit is None:
+                reason = "acyclic, full answer"
+            else:
+                relation = "<=" if resolved == "dp" else ">"
+                reason = f"acyclic, limit {limit} {relation} {AUTO_DP_LIMIT}"
+            optimizer = f"auto->{resolved} ({reason})"
         header = (
             f"-- optimizer={optimizer} est_cost={optimized.estimated_cost:.1f} "
             f"est_rows={optimized.estimated_rows:.1f}"

@@ -19,12 +19,17 @@ and cardinality use the existing :class:`~repro.query.costmodel.CostModel`
 plus its multiway rules (``multiway_domain_size`` / ``multiway_step_rows``
 / ``multiway_step_cost``).
 
-Routing lives in :func:`optimize_wcoj` (the optimizer the engine also
-names ``"auto"``): acyclic join graphs go to the paper's DPS optimizer
-*unchanged* (identical plans, rows and counters — the differential
-suites pin this), since a multiway plan on a tree degenerates into a
-strictly worse Filter/Fetch with no sharing; cyclic ones get the
-multiway plan.
+Routing lives in :func:`optimize_wcoj`: acyclic join graphs go to the
+paper's DPS optimizer *unchanged* (identical plans, rows and counters —
+the differential suites pin this), since a multiway plan on a tree
+degenerates into a strictly worse Filter/Fetch with no sharing; cyclic
+ones get the multiway plan.  The engine's ``"auto"`` makes the same
+cyclicity test per query and also reads the caller's limit: cyclic
+patterns resolve to this optimizer, acyclic ones to ``"dp"`` when at
+most ``engine.AUTO_DP_LIMIT`` (100) rows are asked for — a prefix that
+short builds no temporal table for DPS's larger search to save — and
+to ``"dps"`` otherwise (the cut-off sweep is in EXPERIMENTS.md, "auto:
+DP under a small LIMIT").
 """
 
 from __future__ import annotations
@@ -147,9 +152,7 @@ def optimize_wcoj(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
     Filter+Fetch chain, which the left-deep optimizers already order
     better.
     """
-    # a connected pattern is cyclic exactly when it has more conditions
-    # than a spanning tree (``a -> b, b -> a`` is a two-edge cycle)
-    if pattern.edge_count < pattern.node_count:
+    if not pattern.is_cyclic():
         return optimize_dps(pattern, model)
     incidence = _incidence(pattern)
     cost, rows, order = _enumerate_orders(pattern.variables, incidence, model)

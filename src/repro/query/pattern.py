@@ -147,6 +147,12 @@ class GraphPattern:
             return False
         return all(outdeg[v] <= 1 and indeg[v] <= 1 for v in self.variables)
 
+    def is_cyclic(self) -> bool:
+        """True when the join graph has a cycle: a connected pattern has
+        one exactly when it has more conditions than a spanning tree
+        (``a -> b, b -> a`` is a two-edge cycle)."""
+        return self.edge_count >= self.node_count
+
     def is_tree(self) -> bool:
         """True for rooted trees (every node except one has in-degree 1)."""
         if self.edge_count != self.node_count - 1:

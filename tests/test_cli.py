@@ -76,6 +76,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "est_cost" in out
 
+    def test_query_explain_plans_for_the_limit(self, db_path, capsys):
+        """``--explain --limit N`` shows the plan the limited run executes:
+        on an acyclic pattern ``auto`` resolves to dp under a small limit."""
+        assert main(["query", db_path, "itemref -> item", "--explain",
+                     "--limit", "5"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("-- optimizer=auto->dp (acyclic, limit 5 <= ")
+        assert main(["query", db_path, "itemref -> item", "--explain"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("-- optimizer=auto->dps (acyclic, full answer)")
+
     @pytest.mark.parametrize("pattern, extra, message", [
         ("nosuch -> item", [], "label 'nosuch'"),
         ("nosuch -> item", ["--explain"], "label 'nosuch'"),
@@ -84,6 +95,7 @@ class TestCommands:
         ("itemref -> item", ["--limit", "-1"], "limit must be >= 0"),
         ("itemref -> item", ["--row-limit", "-1"], "row_limit must be >= 0"),
         ("itemref -> item", ["--head", "-1"], "--head must be >= 0"),
+        ("itemref -> item", ["--explain", "--limit", "-1"], "limit must be >= 0"),
     ])
     def test_query_user_error_is_one_line(self, db_path, capsys, pattern, extra, message):
         assert main(["query", db_path, pattern, *extra]) == 2

@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro import GraphEngine, NaiveMatcher, parse_pattern
 from repro.graph import generators, xmark
+from repro.query import MultiwaySeed
+from repro.query.engine import AUTO_DP_LIMIT
 from repro.query.pattern import GraphPattern
 from repro.workloads.runner import accounting_run
 
@@ -243,6 +245,95 @@ class TestPlanCache:
         )
         fig1_engine.match(pattern)
         assert fig1_engine.match(pattern).as_set() == naive
+
+
+def steps(engine, pattern, optimizer, limit=None):
+    return tuple(engine.plan(pattern, optimizer=optimizer, limit=limit).plan.steps)
+
+
+class TestAutoResolution:
+    """``"auto"`` is resolved per query: cyclic -> wcoj; acyclic -> dp
+    when at most ``AUTO_DP_LIMIT`` rows are asked for, else dps — a full
+    answer, or the query service's 1,000,000-row cap."""
+
+    ABOVE = (AUTO_DP_LIMIT + 1, 1_000_000, None)
+
+    @pytest.fixture(scope="class")
+    def acyclic(self, xmark_engine, figure4_workload):
+        """A Figure-4 pattern whose dp and dps plans differ, so the table
+        can tell which one ``auto`` picked."""
+        for pattern in figure4_workload.values():
+            if not pattern.is_cyclic() and (
+                steps(xmark_engine, pattern, "dp")
+                != steps(xmark_engine, pattern, "dps")
+            ):
+                return pattern
+        pytest.fail("every acyclic Figure-4 pattern has dp plan == dps plan")
+
+    @pytest.mark.parametrize("limit", [0, 1, AUTO_DP_LIMIT])
+    def test_acyclic_prefix_gets_dp(self, xmark_engine, acyclic, limit):
+        got = steps(xmark_engine, acyclic, "auto", limit)
+        assert got == steps(xmark_engine, acyclic, "dp")
+
+    @pytest.mark.parametrize("limit", ABOVE)
+    def test_acyclic_full_answer_gets_dps(self, xmark_engine, acyclic, limit):
+        got = steps(xmark_engine, acyclic, "auto", limit)
+        assert got == steps(xmark_engine, acyclic, "dps")
+
+    def test_cyclic_gets_multiway_at_every_limit(self, xmark_engine, cyclic_workload):
+        assert cyclic_workload
+        for name, pattern in cyclic_workload.items():
+            expected = steps(xmark_engine, pattern, "wcoj")
+            assert isinstance(expected[0], MultiwaySeed), name
+            for limit in (0, 1, AUTO_DP_LIMIT, *self.ABOVE):
+                assert steps(xmark_engine, pattern, "auto", limit) == expected, (
+                    name, limit)
+
+    def test_auto_and_its_resolution_share_one_cache_entry(self, xmark_engine, acyclic):
+        engine = GraphEngine.from_database(xmark_engine.db)
+        limited = engine.plan(acyclic, "auto", limit=20)
+        assert engine.plan(acyclic, "dp") is limited
+        assert len(engine._plan_cache) == 1
+        full = engine.plan(acyclic, "auto")
+        assert engine.plan(acyclic, "dps", limit=20) is full
+        assert {key[-1] for key in engine._plan_cache} == {"dp", "dps"}
+
+    def test_explain_names_the_resolved_optimizer(
+        self, xmark_engine, acyclic, cyclic_workload
+    ):
+        def header(pattern, optimizer, limit=None):
+            return xmark_engine.explain(pattern, optimizer, limit=limit).split(" est_")[0]
+
+        cyclic = next(iter(cyclic_workload.values()))
+        assert header(acyclic, "auto", 20) == (
+            f"-- optimizer=auto->dp (acyclic, limit 20 <= {AUTO_DP_LIMIT})")
+        assert header(acyclic, "auto", 1_000_000) == (
+            f"-- optimizer=auto->dps (acyclic, limit 1000000 > {AUTO_DP_LIMIT})")
+        assert header(acyclic, "auto") == "-- optimizer=auto->dps (acyclic, full answer)"
+        assert header(cyclic, "auto", 20) == "-- optimizer=auto->wcoj (cyclic)"
+        assert header(acyclic, "dps", 20) == "-- optimizer=dps"
+
+    def test_negative_limit_refused(self, xmark_engine, acyclic):
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            xmark_engine.plan(acyclic, "auto", limit=-1)
+
+    @pytest.fixture(scope="class")
+    def naive_answers(self, xmark_engine, figure4_workload, cyclic_workload):
+        naive = NaiveMatcher(xmark_engine.db.graph)
+        patterns = {**figure4_workload, **cyclic_workload}
+        return {name: (p, naive.match_set(p)) for name, p in patterns.items()}
+
+    @pytest.mark.parametrize("tier", ["live", "snapshot"])
+    def test_limited_rows_are_distinct_and_naive(
+        self, xmark_engine, xmark_snapshot_engine, naive_answers, tier
+    ):
+        engine = xmark_engine if tier == "live" else xmark_snapshot_engine
+        for name, (pattern, full) in naive_answers.items():
+            for limit in (0, 1, 20, AUTO_DP_LIMIT, AUTO_DP_LIMIT + 1):
+                rows = list(engine.match_iter(pattern, "auto", limit=limit))
+                assert len(rows) == min(limit, len(full)), (name, limit)
+                assert len(set(rows)) == len(rows), (name, limit)
+                assert set(rows) <= full, (name, limit)
 
 
 class CountingCatalog:

@@ -18,6 +18,7 @@ import pytest
 
 from repro import GraphEngine
 from repro.graph import generators
+from repro.query.engine import AUTO_DP_LIMIT
 from repro.service import (
     AdmissionScheduler,
     AsyncServiceClient,
@@ -566,6 +567,47 @@ class TestServiceEndToEnd:
         finally:
             gate.set()
             handle.stop()
+
+
+class TestServiceAutoResolution:
+    """The service passes every query a limit — its row cap when the
+    request names none — so ``auto`` must count the cap as a full answer:
+    full answers stay on the dps plans the shared-engine gate compares
+    byte for byte, and only a request's own small limit picks dp."""
+
+    @pytest.fixture(scope="class")
+    def text(self, xmark_engine, figure4_workload):
+        """An acyclic Figure-4 pattern whose dp and dps rows differ both
+        in full and in their first 10, so the rows tell the plans apart."""
+        for pattern in figure4_workload.values():
+            if pattern.is_cyclic():
+                continue
+            text = str(pattern)
+            full, head = ({
+                optimizer: xmark_engine.match(text, optimizer, limit=limit).rows
+                for optimizer in ("dp", "dps")
+            } for limit in (None, 10))
+            if full["dp"] != full["dps"] and head["dp"] != head["dps"]:
+                return text
+        pytest.fail("no acyclic Figure-4 pattern tells dp rows from dps rows")
+
+    @pytest.fixture(scope="class")
+    def address(self, xmark_engine):
+        with start_in_thread(xmark_engine) as handle:
+            yield handle.address
+
+    @pytest.mark.parametrize("limit", [None, AUTO_DP_LIMIT + 1])
+    def test_full_answers_stay_on_dps(self, xmark_engine, address, text, limit):
+        expected = xmark_engine.match(text, "dps", limit=limit)
+        with ServiceClient(*address) as client:
+            response = client.query(text, optimizer="auto", limit=limit)
+        assert rows_as_tuples(response) == list(expected.rows)
+
+    def test_small_limit_gets_dp(self, xmark_engine, address, text):
+        expected = xmark_engine.match(text, "dp", limit=10)
+        with ServiceClient(*address) as client:
+            response = client.query(text, optimizer="auto", limit=10)
+        assert rows_as_tuples(response) == list(expected.rows)
 
 
 class TestServiceConfig:
