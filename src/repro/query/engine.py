@@ -242,9 +242,7 @@ class GraphEngine:
         :class:`~repro.query.algebra.RowLimitExceeded` beyond it.
         ``timeout`` is a per-query deadline in seconds: an expired
         deadline stops the stream cooperatively (between rows) and flags
-        the run's metrics ``truncated`` with ``stop_reason="timeout"`` —
-        the query service rides this for its admission-to-completion
-        deadlines.
+        the run's metrics ``truncated`` with ``stop_reason="timeout"``.
         """
         optimized = self.plan(pattern, optimizer=optimizer, limit=limit)
         return execute_plan_streaming(
@@ -260,14 +258,12 @@ class GraphEngine:
         Takes exactly :meth:`match_iter`'s parameters (so ``limit`` and
         ``timeout`` too — ``result.metrics.truncated`` / ``stop_reason``
         say whether the rows are a prefix) and is the one place a stream
-        is drained into a list; the service and the CLI both answer
-        through it.
+        is drained into a list — in C, with a deadline checked once per
+        ``CHUNK`` rows (:meth:`~repro.query.StreamingResult.drain`); the
+        service (for its deadlines too) and the CLI answer through it.
         """
         stream = self.match_iter(pattern, optimizer, **options)
-        try:
-            rows = list(stream)
-        finally:
-            stream.close()
+        rows = stream.drain()
         return QueryResult(stream.columns, rows, stream.plan, stream.metrics)
 
     def explain(

@@ -6,8 +6,8 @@ operator pipeline (:func:`~repro.query.physical.operators.build_pipeline`)
 by chaining the operators' ``rows()`` streams, so no temporal table ever
 hits the storage engine and a ``LIMIT`` stops all upstream work the
 moment enough output exists.  The last operator's stream is the result;
-the driver adds one generator to it (``bounded``: LIMIT, deadline,
-metrics).  :meth:`GraphEngine.match` is this stream, collected.
+iterating it adds one generator (LIMIT, deadline, metrics), and
+:meth:`GraphEngine.match` collects it with no frame per row (``drain``).
 
 :func:`execute_plan` is not a second way to answer a query; it is the
 paper's HPSJ+ *accounting run* ("stores them into T_W"): the same
@@ -30,9 +30,9 @@ every violation.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 from itertools import compress, count, islice
+from time import perf_counter
 from typing import Iterator, List, Optional, Tuple
 
 from ...db.database import GraphDatabase
@@ -131,7 +131,7 @@ def execute_plan(
     """
     _, operators, metrics = _prepare(db, plan, row_limit)
     io_before = db.stats.snapshot()
-    started = time.perf_counter()
+    started = perf_counter()
     tables: List[TemporalTable] = []
     try:
         for op in operators:
@@ -151,7 +151,7 @@ def execute_plan(
         for table in tables:
             table.drop()
 
-    metrics.elapsed_seconds = time.perf_counter() - started
+    metrics.elapsed_seconds = perf_counter() - started
     metrics.io = db.stats.delta_since(io_before)
     metrics.result_rows = len(rows)
     return QueryResult(
@@ -162,20 +162,23 @@ def execute_plan(
 # ----------------------------------------------------------------------
 # the driver: streaming (pipelined, LIMIT pushdown)
 # ----------------------------------------------------------------------
+#: rows drain() appends between deadline checks: how late a deadline can fire
+CHUNK = 1024
+
+
 class StreamingResult:
     """Lazy row iterator with the same :class:`RunMetrics` as a full run.
 
-    Nothing executes until the first row is pulled.  Iterating the
-    stream iterates the driver's one bounded generator directly — there
-    is no per-row ``__next__`` between it and the consumer, and without
-    a deadline it is the only Python frame a row passes through — and that
-    generator starts the clock and the I/O snapshot on its first pull
-    and finalizes ``metrics`` (elapsed time, I/O delta, result count,
-    peak intermediate size; the operators' own counters flush just
-    before) when it finishes: exhausted, stopped at a limit or deadline,
-    or closed.  With a ``limit``, upstream operators stop early and the
-    metrics cover only the work actually done.  Call :meth:`close` to
-    abandon a stream deterministically.
+    Nothing executes until the first row is pulled.  A stream is read
+    once: iterated — through the driver's one bounded generator, without
+    a deadline the only Python frame a row passes — or collected in C by
+    :meth:`drain`.  Either starts the clock, the I/O snapshot and the
+    deadline on the first pull and finalizes ``metrics`` (elapsed time,
+    I/O delta, result count, peak intermediate size; the operators' own
+    counters flush just before) when it finishes: exhausted, stopped at
+    a limit or deadline, or closed.  With a ``limit``, upstream
+    operators stop early and the metrics cover only the work actually
+    done.  Call :meth:`close` to abandon a stream deterministically.
     """
 
     def __init__(
@@ -184,22 +187,26 @@ class StreamingResult:
         metrics: RunMetrics,
         db: GraphDatabase,
         plan: Plan,
+        limit: Optional[int] = None,
+        timeout: Optional[float] = None,
         cache_stats: Optional[CacheStats] = None,
     ):
-        self._rows = rows
+        self._chain = rows
+        self._limit = limit
+        self._timeout = timeout
         self._db = db
         # the context's private recorder: exact per-run cache accounting
         # even while other queries hammer the same shared CenterCache
         self._cache_stats = cache_stats
-        #: set by the bounded generator when it ran to its own end
-        #: (exhausted, limit or deadline) — a later close() is then not
-        #: a truncation
+        #: set when the stream ran to its own end (exhausted, limit or
+        #: deadline) — a later close() is then not a truncation
         self._ended = False
         self.metrics = metrics
         #: the plan being run and its output columns, in row
         #: order (pattern variables) — same contract as :class:`QueryResult`
         self.plan = plan
         self.columns = tuple(plan.pattern.variables)
+        self._rows = self._bounded()
 
     def __iter__(self) -> Iterator[Row]:
         return self._rows
@@ -213,22 +220,93 @@ class StreamingResult:
         before exhaustion marks the run ``truncated``
         (``stop_reason="closed"`` unless the stream already stopped
         itself at a limit or deadline)."""
-        if not self._ended:
-            self.metrics.truncated = True
-            if self.metrics.stop_reason is None:
-                self.metrics.stop_reason = "closed"
+        if not self._ended and self.metrics.stop_reason is None:
+            self._stop("closed")
         self._rows.close()
 
-    def _finalize(self, started: float, io_before: IOStats, delivered: int) -> None:
-        """Called once, from the bounded generator's ``finally``."""
+    def _stop(self, reason: str) -> None:
+        self.metrics.truncated = True
+        self.metrics.stop_reason = reason
+
+    def _begin(self) -> Tuple[float, IOStats, Optional[float]]:
+        # first pull: the wall clock, the I/O snapshot and the deadline
+        # all start here, so elapsed_seconds and the deadline agree
+        started = perf_counter()
+        io_before = self._db.stats.snapshot()
+        deadline = None if self._timeout is None else started + self._timeout
+        if self._limit is not None and self._limit <= 0:
+            self._stop("limit")
+        elif deadline is not None and perf_counter() >= deadline:
+            self._stop("timeout")
+        return started, io_before, deadline
+
+    def _end(self, started: float, io_before: IOStats, delivered: int) -> None:
+        # explicit teardown (not GC order): closing the chain flushes the operators
+        self._chain.close()
         metrics = self.metrics
         metrics.result_rows = delivered
-        metrics.elapsed_seconds = time.perf_counter() - started
+        metrics.elapsed_seconds = perf_counter() - started
         metrics.io = self._db.stats.delta_since(io_before)
         metrics.peak_temporal_rows = max(
             (op.rows_out for op in metrics.operators), default=0
         )
         metrics.center_cache = self._cache_stats
+
+    def _bounded(self) -> Iterator[Row]:
+        # the one generator between operators and caller, and it must stay one: only
+        # a frame that pulls the chain itself is sure to run its finally (DESIGN.md §2.1).
+        started, io_before, deadline = self._begin()
+        stop_at = sys.maxsize if self._limit is None else self._limit
+        emitted = 0
+        try:
+            if not self.metrics.truncated:
+                # compress ticks once per row pulled; islice never pulls row stop_at + 1
+                ticks = count(1)
+                limited = islice(compress(self._chain, ticks), stop_at)
+                try:
+                    if deadline is None:
+                        yield from limited
+                    else:
+                        for row in limited:
+                            yield row
+                            if perf_counter() >= deadline:
+                                self._stop("timeout")
+                                break
+                finally:
+                    emitted = next(ticks) - 1
+                if emitted >= stop_at:
+                    self._stop("limit")
+            self._ended = True
+        finally:
+            self._end(started, io_before, emitted)
+
+    def drain(self) -> List[Row]:
+        """The rows iterating would yield, by ``list.extend``: no frame or
+        counter per row, a deadline checked per :data:`CHUNK` rows.  This
+        frame pulls the chain and owns the ``finally``, so an operator's
+        exception leaves ``metrics`` final, counting the rows appended."""
+        out: List[Row] = []
+        started, io_before, deadline = self._begin()
+        try:
+            if not self.metrics.truncated:
+                limit = self._limit
+                rows = self._chain if limit is None else islice(self._chain, limit)
+                if deadline is None:
+                    out.extend(rows)
+                else:
+                    for full in count(CHUNK, CHUNK):
+                        out.extend(islice(rows, CHUNK))
+                        if len(out) < full:
+                            break
+                        if perf_counter() >= deadline:
+                            self._stop("timeout")
+                            break
+                if limit is not None and len(out) >= limit:
+                    self._stop("limit")
+            self._ended = True
+        finally:
+            self._end(started, io_before, len(out))
+        return out
 
 
 def execute_plan_streaming(
@@ -256,15 +334,15 @@ def execute_plan_streaming(
     tripwires of :mod:`repro.analysis.sanitizer`.
 
     ``timeout`` is a per-query deadline in seconds, measured from the
-    first row pull: once it expires the stream stops before the next
-    pull and the metrics are flagged ``truncated`` with
-    ``stop_reason="timeout"``.  Cancellation is cooperative — the check
-    runs between output rows, so a single long-running operator stage
-    is bounded by ``row_limit``, not by the deadline.  Stopping at
-    *limit* likewise flags the run truncated (``stop_reason="limit"``):
-    the delivered rows are a prefix of the full result, which may or may
-    not have had more rows.  A negative *limit* or ``row_limit`` raises
-    ``ValueError``.
+    first row pull: once it expires the stream stops and the metrics are
+    flagged ``truncated`` with ``stop_reason="timeout"``.  Cancellation
+    is cooperative — iterating checks between rows,
+    :meth:`StreamingResult.drain` once per :data:`CHUNK` rows (at most
+    one chunk late) — so one long operator stage is bounded by
+    ``row_limit``, not by the deadline.  Stopping at *limit* likewise
+    flags the run truncated (``stop_reason="limit"``): the delivered
+    rows are a prefix of the full result, which may or may not have had
+    more rows.  A negative *limit* or ``row_limit`` raises ``ValueError``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -274,52 +352,7 @@ def execute_plan_streaming(
     rows = None
     for op in operators:
         rows = op.rows(rows)
-
-    def stop(reason: str) -> None:
-        metrics.truncated = True
-        metrics.stop_reason = reason
-
-    def bounded() -> Iterator[Row]:
-        # the one generator between operators and caller, and it must stay one: only
-        # a frame that pulls the chain itself is sure to run its finally (DESIGN.md §2.1).
-        # first pull: the wall clock, the I/O snapshot and the deadline
-        # all start here, so elapsed_seconds and the deadline agree
-        started = time.perf_counter()
-        io_before = db.stats.snapshot()
-        deadline = started + timeout if timeout is not None else None
-        stop_at = sys.maxsize if limit is None else limit
-        emitted = 0
-        try:
-            if stop_at <= 0:
-                stop("limit")
-            elif deadline is not None and time.perf_counter() >= deadline:
-                stop("timeout")
-            else:
-                # compress ticks once per row pulled; islice never pulls row stop_at + 1
-                ticks = count(1)
-                limited = islice(compress(rows, ticks), stop_at)
-                try:
-                    if deadline is None:
-                        yield from limited
-                    else:
-                        for row in limited:
-                            yield row
-                            if time.perf_counter() >= deadline:
-                                stop("timeout")
-                                break
-                finally:
-                    emitted = next(ticks) - 1
-                if emitted >= stop_at:
-                    stop("limit")
-            stream._ended = True
-        finally:
-            # explicit teardown (not GC order): closing the chain is
-            # what flushes the operators' counters
-            rows.close()
-            stream._finalize(started, io_before, emitted)
-
-    stream = StreamingResult(
-        bounded(), metrics, db, plan,
+    return StreamingResult(
+        rows, metrics, db, plan, limit=limit, timeout=timeout,
         cache_stats=ctx.cache_stats if center_cache is not None else None,
     )
-    return stream

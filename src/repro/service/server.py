@@ -39,8 +39,9 @@ buffer work behind the scheduler's back.
 Deadlines ride the streaming driver: a query's ``timeout_ms`` is
 measured from *admission* (queue wait included, as a client experiences
 it); whatever remains when a slot opens is handed to
-``GraphEngine.match_iter(timeout=...)``, whose cooperative deadline
-stops the stream between rows and flags the response ``truncated`` with
+``GraphEngine.match(timeout=...)``, whose cooperative deadline is
+checked once per ``CHUNK`` (1,024) rows, so it fires at most one chunk
+late, and flags the response ``truncated`` with
 ``stop_reason="timeout"``.  A deadline that expires while still queued
 is answered with a ``timeout`` error without touching the engine.
 """

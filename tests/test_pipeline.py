@@ -1,19 +1,28 @@
 """Tests for the pipelined (streaming) executor."""
 
+import gc
 import hashlib
 import sys
+from itertools import count
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import GraphEngine
 from repro.analysis.sanitizer import sanitize_enabled
+from repro.db.persist import save_database
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import anti_correlated_star, figure1_graph, random_digraph
+from repro.query import engine as engine_module
 from repro.query import execute_plan, execute_plan_streaming
-from repro.query.algebra import FetchStep, FilterStep, Plan, SeedJoin, Side
+from repro.query.algebra import (
+    FetchStep, FilterStep, Plan, RowLimitExceeded, SeedJoin, Side,
+)
 from repro.query.parser import parse_pattern
-from repro.query.physical import ExecutionContext, build_pipeline
+from repro.query.physical import ExecutionContext, build_pipeline, drivers
+from repro.query.physical.drivers import CHUNK
+
+from reference_executor import op_counters
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +136,9 @@ class TestFrameBudget:
 
     A row is born in C, in the ``zip`` the last Fetch yields per *source*
     row, already in declaration order: streaming, the only frame it
-    passes through is the driver's one bounded generator; materialising,
-    the spill's arity check, the row sizer and the heap-file scan.  What
+    passes through is the driver's one bounded generator; collected by
+    ``match``, none; materialising, the spill's arity check, the row
+    sizer and the heap-file scan.  What
     is left above that is per source row (P1 expands 64 rows 40 ways, T1
     320) and pipeline set-up.  A per-row generator put back anywhere
     costs one more frame on every row and fails this deterministically.
@@ -160,6 +170,10 @@ class TestFrameBudget:
     #: streaming frames per row; measured 2.77 and 1.11, and one
     #: per-row generator anywhere adds 1.0
     BUDGET = {"a:A -> b:B, b -> c:C": 3, "b:B -> c:C, b -> d:D": 1.5}
+    #: ``match`` frames per row, plan cached: measured 0.24 and 0.08
+    #: (0.26 and 0.09 sanitized) — its drain appends in C, so what is
+    #: left is per source row and set-up
+    MATCH_BUDGET = {"a:A -> b:B, b -> c:C": 0.5, "b:B -> c:C, b -> d:D": 0.25}
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -177,12 +191,86 @@ class TestFrameBudget:
         )
         assert len(rows) == expected
         assert calls / expected <= budget, "streaming: a per-row frame is back"
+        calls, result = self.calls_during(
+            lambda: hub_engine.match(text, optimizer="dps")
+        )
+        assert len(result.rows) == expected
+        assert calls / expected <= self.MATCH_BUDGET[text], (
+            "match: a per-row frame is back"
+        )
         if sanitize_enabled():
             return  # armed, every spilled row is re-measured: frames by design
         calls, result = self.calls_during(lambda: execute_plan(db, plan))
         assert len(result.rows) == expected
         # measured 3.63 and 3.28
         assert calls / expected <= 4, "materialising: a per-row wrapper is back"
+
+
+class TestDrain:
+    """``match`` collects through :meth:`StreamingResult.drain`: rows
+    appended in C, the deadline checked once per ``CHUNK`` rows."""
+
+    SIDE, FAN = 8, 40
+    TEXT = "a:A -> b:B, b -> c:C"  # 2,560 rows: over two chunks
+
+    @pytest.fixture(scope="class")
+    def engines(self, hub_graph, tmp_path_factory):
+        live = GraphEngine(hub_graph(self.SIDE, C=self.FAN))
+        path = str(tmp_path_factory.mktemp("drain") / "hub.snap")
+        save_database(live.db, path)
+        return {"live": live, "snapshot": GraphEngine.from_snapshot(path)}
+
+    @pytest.mark.parametrize("tier", ("live", "snapshot"))
+    def test_deadline_fires_at_the_first_chunk_check(
+        self, monkeypatch, engines, tier
+    ):
+        engine = engines[tier]
+        full = engine.match(self.TEXT).rows
+        assert len(full) > 2 * CHUNK
+        stream = engine.match_iter(self.TEXT)
+        closed_after_one_chunk = [next(stream) for _ in range(CHUNK)]
+        stream.close()
+        # a clock that advances one second per reading, against a 1.5 s
+        # deadline: the check before the first pull reads 1 (in time),
+        # the first chunk check reads 2 (expired) — no timing luck
+        ticks = count()
+        monkeypatch.setattr(drivers, "perf_counter", lambda: float(next(ticks)))
+        result = engine.match(self.TEXT, timeout=1.5)
+        assert result.rows == full[:CHUNK] == closed_after_one_chunk
+        metrics = result.metrics
+        assert metrics.truncated and metrics.stop_reason == "timeout"
+        assert metrics.result_rows == CHUNK
+        # flushed: final the moment match returned, and exactly what a
+        # stream closed after the same rows booked
+        at_return = op_counters(metrics)
+        gc.collect()
+        assert op_counters(metrics) == at_return == op_counters(stream.metrics)
+        assert metrics.operators[-1].rows_out == CHUNK
+
+    @pytest.mark.parametrize("tier", ("live", "snapshot"))
+    def test_row_limit_counts_the_rows_appended(self, monkeypatch, engines, tier):
+        engine = engines[tier]
+        streams = []
+        run = engine_module.execute_plan_streaming
+
+        def spy(*args, **kwargs):
+            streams.append(run(*args, **kwargs))
+            return streams[-1]
+
+        monkeypatch.setattr(engine_module, "execute_plan_streaming", spy)
+        budget = CHUNK + CHUNK // 2  # crossed by the last Fetch
+        with pytest.raises(RowLimitExceeded) as collected:
+            engine.match(self.TEXT, row_limit=budget)
+        appended = []
+        with pytest.raises(RowLimitExceeded) as iterated:
+            for row in engine.match_iter(self.TEXT, row_limit=budget):
+                appended.append(row)
+        assert str(collected.value) == str(iterated.value)
+        drained, stepped = streams
+        assert len(appended) == budget
+        assert drained.metrics.result_rows == stepped.metrics.result_rows == budget
+        assert op_counters(drained.metrics) == op_counters(stepped.metrics)
+        assert not drained.metrics.truncated
 
 
 class TestNothingToProject:
