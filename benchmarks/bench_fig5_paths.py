@@ -14,8 +14,6 @@ match count as DP — a perf number is never reported off a wrong answer.
 Run with: pytest benchmarks/bench_fig5_paths.py --benchmark-only -s
 """
 
-import time
-
 import pytest
 
 from repro.workloads.runner import accounting_run
@@ -41,7 +39,7 @@ def reference_counts(dag_engine, path_patterns):
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_fig5a_path_patterns(
     benchmark, engine_name, query,
-    dag_engine, dag_tsd, dag_igmj, path_patterns, reference_counts, bench_record,
+    dag_engine, dag_tsd, dag_igmj, path_patterns, reference_counts,
 ):
     pattern = path_patterns[query]
 
@@ -52,22 +50,11 @@ def test_fig5a_path_patterns(
     else:
         run = lambda: accounting_run(dag_engine, pattern, "dp").rows
 
-    last_ms = {}
-
-    def timed():
-        started = time.perf_counter()
-        out = run()
-        last_ms["ms"] = (time.perf_counter() - started) * 1000.0
-        return out
-
-    rows = benchmark(timed)
+    rows = benchmark(run)
     assert len(rows) == reference_counts[query], (
         f"{engine_name} disagrees with DP on {query}"
     )
     benchmark.extra_info.update(
         {"figure": "5a", "query": query, "engine": engine_name, "rows": len(rows)}
-    )
-    bench_record.add(
-        query=query, optimizer=engine_name, wall_ms=last_ms["ms"], rows=len(rows)
     )
     print(f"\n[Fig 5a] {query} {engine_name:>7}: rows={len(rows)}")

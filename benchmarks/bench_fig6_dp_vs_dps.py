@@ -40,13 +40,12 @@ def query_patterns(engines):
 @pytest.mark.parametrize("optimizer", ("dp", "dps"))
 @pytest.mark.benchmark(min_rounds=2, max_time=2.0)
 def test_fig6_dp_vs_dps(
-    benchmark, engines, query_patterns, optimizer, query, size, bench_record
+    benchmark, engines, query_patterns, optimizer, query, size
 ):
     engine = engines["XL"]
     pattern = query_patterns[size][query]
 
     result = benchmark(lambda: accounting_run(engine, pattern, optimizer))
-    bench_record.add_result(result, query=f"{query}-v{size}", optimizer=optimizer)
     benchmark.extra_info.update(
         {
             "figure": f"6 (|Vq|={size})",

@@ -48,11 +48,10 @@ def reference(star_engine):
 @pytest.mark.parametrize("optimizer", ("dp", "dps"))
 @pytest.mark.benchmark(min_rounds=2, max_time=2.0)
 def test_fig6_mechanism_anti_correlated(
-    benchmark, star_engine, reference, optimizer, bench_record
+    benchmark, star_engine, reference, optimizer
 ):
     result = benchmark(lambda: accounting_run(star_engine, QUERY, optimizer))
     assert result.as_set() == reference
-    bench_record.add_result(result, query="anti-correlated-star", optimizer=optimizer)
     benchmark.extra_info.update(
         {
             "figure": "6-mechanism",

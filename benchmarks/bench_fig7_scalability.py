@@ -40,15 +40,12 @@ def scalability_patterns(engines):
 @pytest.mark.parametrize("optimizer", ("dp", "dps"))
 @pytest.mark.benchmark(min_rounds=2, max_time=2.0)
 def test_fig7_scalability(
-    benchmark, engines, scalability_patterns, optimizer, shape, dataset, bench_record
+    benchmark, engines, scalability_patterns, optimizer, shape, dataset
 ):
     engine = engines[dataset]
     pattern = scalability_patterns[shape]
 
     result = benchmark(lambda: accounting_run(engine, pattern, optimizer))
-    bench_record.add_result(
-        result, query=f"{shape}@{dataset}", optimizer=optimizer
-    )
     benchmark.extra_info.update(
         {
             "figure": "7",

@@ -9,8 +9,6 @@ same row per dataset (printed, and attached as extra_info) and times the
 Run with: pytest benchmarks/bench_table2_datasets.py --benchmark-only -s
 """
 
-import time
-
 import pytest
 
 from repro.labeling.twohop import build_two_hop
@@ -19,24 +17,9 @@ DATASETS = ("XS", "S", "M", "L", "XL")
 
 
 @pytest.mark.parametrize("name", DATASETS)
-def test_table2_dataset_row(benchmark, graphs, name, bench_record):
+def test_table2_dataset_row(benchmark, graphs, name):
     graph = graphs[name].graph
-    last_ms = {}
-
-    def timed_build(g):
-        started = time.perf_counter()
-        out = build_two_hop(g)
-        last_ms["ms"] = (time.perf_counter() - started) * 1000.0
-        return out
-
-    labeling = benchmark(timed_build, graph)
-    bench_record.add(
-        query=name,
-        optimizer="offline-build",
-        wall_ms=last_ms["ms"],
-        rows=graph.node_count,
-        cover_size=labeling.cover_size(),
-    )
+    labeling = benchmark(build_two_hop, graph)
     row = {
         "dataset": name,
         "V": graph.node_count,

@@ -13,11 +13,8 @@ has its own benchmark in bench_table2_datasets.py).
 
 from __future__ import annotations
 
-import json
 import os
-from collections import defaultdict
-from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Dict
 
 import pytest
 
@@ -103,115 +100,3 @@ def dag_factory(dag_engine) -> PatternFactory:
         seed=11,
         validator=row_limit_validator(dag_engine, WORKLOAD_ROW_LIMIT),
     )
-
-
-# ----------------------------------------------------------------------
-# BENCH_<name>.json recording
-# ----------------------------------------------------------------------
-#: where every bench module's measurement file lands; one file per module
-RESULTS_DIR = Path(__file__).parent / "results"
-
-
-class BenchRecorder:
-    """Collects measurements; writes one ``BENCH_<name>.json`` per module.
-
-    Every figure bench records what it measured through the
-    :func:`bench_record` fixture; at session end each module's entries are
-    written to ``benchmarks/results/BENCH_<name>.json`` (``name`` is the
-    module name minus the ``bench_`` prefix).
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, List[Dict[str, Any]]] = defaultdict(list)
-
-    def add(
-        self,
-        module: str,
-        *,
-        query: str,
-        optimizer: str,
-        wall_ms: float,
-        rows: Optional[int] = None,
-        operators: Optional[List[Dict[str, int]]] = None,
-        cache_hit_rate: Optional[float] = None,
-        **extra: Any,
-    ) -> None:
-        entry: Dict[str, Any] = {
-            "query": query,
-            "optimizer": optimizer,
-            "wall_ms": round(wall_ms, 4),
-            "rows": rows,
-            "operators": operators or [],
-            "cache_hit_rate": cache_hit_rate,
-        }
-        entry.update(extra)
-        self._entries[module].append(entry)
-
-    def add_result(
-        self, module: str, result: Any, *, query: str, optimizer: str, **extra: Any
-    ) -> None:
-        """Record one engine :class:`~repro.query.QueryResult` wholesale."""
-        metrics = result.metrics
-        cache = metrics.center_cache
-        self.add(
-            module,
-            query=query,
-            optimizer=optimizer,
-            wall_ms=metrics.elapsed_seconds * 1000.0,
-            rows=len(result.rows),
-            operators=[
-                {
-                    "operator": op.operator,
-                    "rows_in": op.rows_in,
-                    "rows_out": op.rows_out,
-                    "centers_probed": op.centers_probed,
-                    "nodes_fetched": op.nodes_fetched,
-                }
-                for op in metrics.operators
-            ],
-            cache_hit_rate=cache.hit_rate if cache is not None else None,
-            **extra,
-        )
-
-    def flush(self) -> List[Path]:
-        written = []
-        for module, entries in sorted(self._entries.items()):
-            name = module[len("bench_"):] if module.startswith("bench_") else module
-            RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-            path = RESULTS_DIR / f"BENCH_{name}.json"
-            payload = {
-                "bench": name,
-                "budget": BENCH_BUDGET,
-                "entries": entries,
-            }
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            written.append(path)
-        return written
-
-
-_RECORDER = BenchRecorder()
-
-
-class _BoundRecorder:
-    """The :class:`BenchRecorder` API bound to one bench module."""
-
-    def __init__(self, recorder: BenchRecorder, module: str) -> None:
-        self._recorder = recorder
-        self._module = module
-
-    def add(self, **fields: Any) -> None:
-        self._recorder.add(self._module, **fields)
-
-    def add_result(self, result: Any, **fields: Any) -> None:
-        self._recorder.add_result(self._module, result, **fields)
-
-
-@pytest.fixture
-def bench_record(request) -> _BoundRecorder:
-    """Record a measurement into this module's ``BENCH_<name>.json``."""
-    return _BoundRecorder(_RECORDER, request.module.__name__.rpartition(".")[2])
-
-
-def pytest_sessionfinish(session, exitstatus):
-    for path in _RECORDER.flush():
-        print(f"\n[bench] wrote {path}")

@@ -5,12 +5,12 @@ representation the database's run surface hands out on both storage
 tiers (tuples from the B+-tree tier, tuples and ``array('q')`` rows
 decoded once from a snapshot):
 
-* :func:`intersect` — sorted-array intersection, choosing between a
-  linear merge and galloping (exponential/binary search) probes by the
-  size ratio of the inputs.  This is the Eq. 6 kernel:
+* :func:`intersect` — sorted-array intersection, choosing by the size
+  ratio of the inputs between C set operations (comparable sizes) and
+  galloping (binary-search) probes.  This is the Eq. 6 kernel:
   ``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` with ``out(x)`` small and
   ``W(X, Y)`` potentially huge, exactly the asymmetric case galloping
-  wins.
+  wins — and where a hash set over ``W`` would cost ``|W|`` per call.
 * :func:`gather_union` — the Fetch side (Eqs. 7-9): the deduplicated
   union of per-center subclusters, i.e. the Cartesian fetch for one
   centers column value, computed once per distinct value instead of
@@ -26,8 +26,10 @@ oracle the operators built on these kernels must match row for row and
 counter for counter (``tests/test_differential.py``).
 
 Input representation: every kernel takes *sorted int sequences* and is
-agnostic to their concrete type (tuples and ``array('q')`` both occur);
-outputs are always freshly materialized arrays or tuples.
+agnostic to their concrete type (tuples and ``array('q')`` both occur).
+:func:`intersect` returns a fresh ``array('q')``, the others tuples (the
+CenterCache's value type); a tuple input that is already the answer
+comes back uncopied.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ from typing import Iterable, List, Sequence, Tuple
 #: typecode for all kernel arrays: signed 64-bit node/center ids
 ARRAY_TYPECODE = "q"
 
-#: switch from linear merge to galloping when one input is this many
-#: times longer than the other (the classic timsort/Lucene threshold zone)
+#: switch from the hash intersection to galloping when one input is this
+#: many times longer than the other (the classic timsort/Lucene threshold zone)
 GALLOP_RATIO = 8
-
-_EMPTY: "array[int]" = array(ARRAY_TYPECODE)
 
 
 def as_sorted_array(values: Iterable[int]) -> "array[int]":
@@ -54,34 +54,22 @@ def as_sorted_array(values: Iterable[int]) -> "array[int]":
 # ----------------------------------------------------------------------
 # sorted-array intersection (the Eq. 6 kernel)
 # ----------------------------------------------------------------------
-def intersect_merge(a: Sequence[int], b: Sequence[int]) -> "array[int]":
-    """Linear two-pointer merge intersection of two sorted sequences."""
-    out = array(ARRAY_TYPECODE)
-    append = out.append
-    i, j = 0, 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        x, y = a[i], b[j]
-        if x < y:
-            i += 1
-        elif y < x:
-            j += 1
-        else:
-            if not out or out[-1] != x:  # collapse duplicate inputs
-                append(x)
-            i += 1
-            j += 1
-    return out
+def intersect_merge(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Intersection of two sorted sequences of comparable size, in C: a
+    hash set of *a* probed by *b*, then sorted — O(|a| + |b|) like a
+    two-pointer merge, without a bytecode loop per element."""
+    return sorted(set(a).intersection(b))
 
 
-def intersect_gallop(small: Sequence[int], large: Sequence[int]) -> "array[int]":
+def intersect_gallop(small: Sequence[int], large: Sequence[int]) -> List[int]:
     """Intersection by galloping the smaller input into the larger one.
 
     For each element of *small*, binary-search *large* from a moving
     lower bound — O(|small| · log |large|), the winning strategy when
-    ``|large| >> |small|`` (a node's graph code against a W-array).
+    ``|large| >> |small|`` (a node's graph code against a W-array), and
+    no hash set is built over the large side.
     """
-    out = array(ARRAY_TYPECODE)
+    out: List[int] = []
     append = out.append
     lo = 0
     hi = len(large)
@@ -96,23 +84,27 @@ def intersect_gallop(small: Sequence[int], large: Sequence[int]) -> "array[int]"
     return out
 
 
+def _intersect(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Gallop a pair skewed by ``GALLOP_RATIO``, else merge in C; the
+    set is built over the shorter input either way."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return ()
+    if len(b) >= len(a) * GALLOP_RATIO:
+        return intersect_gallop(a, b)
+    return intersect_merge(a, b)
+
+
 def intersect(a: Sequence[int], b: Sequence[int]) -> "array[int]":
     """Set intersection of two sorted int sequences, as ``array('q')``.
 
     Dispatches between :func:`intersect_merge` and
     :func:`intersect_gallop` on the size ratio (``GALLOP_RATIO``).
-    Accepts tuples and ``array('q')`` in any mix (emptiness, indexing
-    and ``bisect`` behave identically on both); the result is always a
+    Accepts tuples and ``array('q')`` in any mix; the result is always a
     fresh array regardless of input type.
     """
-    if not a or not b:
-        return _EMPTY
-    len_a, len_b = len(a), len(b)
-    if len_a > len_b:
-        a, b, len_a, len_b = b, a, len_b, len_a
-    if len_b >= len_a * GALLOP_RATIO:
-        return intersect_gallop(a, b)
-    return intersect_merge(a, b)
+    return array(ARRAY_TYPECODE, _intersect(a, b))
 
 
 # ----------------------------------------------------------------------
@@ -150,47 +142,46 @@ def gather_union(
 
 def union_sorted(
     partner_lists: Sequence[Sequence[int]],
-) -> Tuple["array[int]", int]:
+) -> Tuple[Tuple[int, ...], int]:
     """Sorted deduplicated union of sorted int sequences, plus raw volume.
 
     The multiway (generic-join) extension set: the union over a
-    variable's centers of their labeled subclusters, returned *sorted*
-    so it can feed :func:`intersect`/:func:`intersect_many` directly.
+    variable's centers of their labeled subclusters, returned as a
+    *sorted* tuple so it can feed :func:`intersect_many` directly.
     ``total`` is the pre-dedup node count — the quantity charged into
     ``nodes_fetched`` (the same accounting as :func:`gather_union`).
-    The output is always a fresh array.
     """
-    if not partner_lists:
-        return array(ARRAY_TYPECODE), 0
     if len(partner_lists) == 1:
         only = partner_lists[0]
         # single center: subclusters are stored deduplicated and sorted
-        return array(ARRAY_TYPECODE, only), len(only)
+        return tuple(only), len(only)
     merged: set = set()
     total = 0
     for nodes in partner_lists:
         total += len(nodes)
         merged.update(nodes)
-    return array(ARRAY_TYPECODE, sorted(merged)), total
+    return tuple(sorted(merged)), total
 
 
-def intersect_many(sets: Sequence[Sequence[int]]) -> "array[int]":
-    """Intersection of several sorted int sequences (the leapfrog core).
+def intersect_many(sets: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Intersection of several sorted int sequences, as a sorted tuple.
 
-    Folds :func:`intersect` smallest-first — the running result can only
-    shrink, so starting from the smallest input bounds every pairwise
-    step — with an early exit the moment it empties.  One input returns
-    a fresh copy; zero inputs an empty array.
+    The k-way intersection of a multiway step (the leapfrog core): the
+    inputs are folded pairwise through the :func:`intersect` dispatch,
+    smallest first — the running result can only shrink, so starting
+    from the smallest input bounds every step — with an early exit the
+    moment it empties.  One tuple input comes back as it is (no copy);
+    zero inputs give ``()``.
     """
     if not sets:
-        return array(ARRAY_TYPECODE)
+        return ()
     ordered = sorted(sets, key=len)
-    result = array(ARRAY_TYPECODE, ordered[0])
+    result: Sequence[int] = ordered[0]
     for other in ordered[1:]:
         if not result:
-            return result
-        result = intersect(result, other)
-    return result
+            break
+        result = _intersect(result, other)
+    return tuple(result)
 
 
 __all__ = [

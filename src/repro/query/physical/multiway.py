@@ -6,8 +6,9 @@ diamonds, cliques) those intermediates can be asymptotically larger than
 the final output.  The worst-case-optimal alternative eliminates one
 *variable* per step: for each candidate row, the new variable's value
 set is the **intersection of its extension sets across every condition
-touching it** — computed with the same sorted-run merge/gallop kernels
-Filter and Fetch use, never materializing a binary join.
+touching it** — computed with the same sorted-run kernels Filter and
+Fetch use (C set operations, galloping when skewed), never materializing
+a binary join.
 
 Two operators implement one variable-elimination order:
 
@@ -23,8 +24,9 @@ Two operators implement one variable-elimination order:
   variable, the bound endpoint's centers (Eq. 6, ``code ∩ W``) are
   expanded to the union of their labeled subclusters (Eqs. 7-9); the
   row's extensions are the k-way intersection of those per-condition
-  sets (:func:`~repro.query.physical.kernels.intersect_many` — the
-  leapfrog core, folding smallest-first).
+  sets (:func:`~repro.query.physical.kernels.intersect_many`, a sorted
+  tuple; one set comes back uncopied).  Like Fetch, one extension yields
+  one built row, more a ``zip``.
 
 Both operators are single bodies over the sorted-run kernels and the
 database's four-call run surface, like every other physical operator
@@ -49,10 +51,11 @@ Counter semantics (matching Filter/Fetch conventions):
   operators is exactly the "intermediate rows" quantity the bench
   gates compare against left-deep plans.
 
-Per-row extension sets are memoized on the tuple of scanned values (many
-rows share bound prefixes on cyclic cores), which saves the k-way
-intersection too.  Counters are replayed on both memo layers: a hit in
-the per-execution memo or in the CenterCache charges the
+Per-row extension sets are memoized on the scanned values (many rows
+share bound prefixes on cyclic cores), which saves the k-way
+intersection too; per-condition sets on ``(constraint index, node)``,
+so the locked CenterCache is probed once per bound node per execution.
+Counters are replayed from every memo layer: a hit charges the
 ``centers_probed`` / ``nodes_fetched`` of the expansion it skips, per
 row and per condition, with the same early exits — so memo state can
 never change the reported work, the same replay discipline Fetch uses.
@@ -61,14 +64,14 @@ never change the reported work, the same replay discipline Fetch uses.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import length_hint
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter, length_hint
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra import FilterKey, Side
 from . import kernels
 from .cache import Expansion
 from .context import ExecutionContext, RowLayout
-from .operators import Expansions, PhysicalOperator, Row, declared
+from .operators import Expansions, PhysicalOperator, Row, declared, one_row_builder
 
 
 def _describe(constraints: Sequence[FilterKey]) -> str:
@@ -105,7 +108,7 @@ class _MultiwayBase(PhysicalOperator):
         union, volume = kernels.union_sorted(
             [self._subcluster(center, fetch_label, side) for center in centers]
         )
-        return tuple(union), len(centers), volume
+        return union, len(centers), volume
 
 
 class MultiwaySeedOp(_MultiwayBase):
@@ -206,30 +209,37 @@ class MultiwayIntersectOp(_MultiwayBase):
         )
         #: the eliminated variable's column in the output rows
         self.position = self.layout.var_position(var)
-        # position of each constraint's bound (scanned) endpoint
-        self.scan_positions = [
+        # the bound (scanned) endpoint of each constraint, read in C; with
+        # one constraint the bare value keys the memo just as well
+        self._scan = itemgetter(*(
             input_layout.var_position(side.scanned_var(condition))
             for condition, side in constraints
-        ]
+        ))
+        self._build = one_row_builder(input_layout, self.position)
 
     def _extensions(
         self,
-        scanned: Tuple[int, ...],
-        w_keys: Sequence[Tuple[Sequence[int], Tuple[str, str]]],
+        scanned: Any,
+        w_keys: Sequence[Tuple[Sequence[int], Tuple[str, str], Side, str]],
+        expansions: Dict[Tuple[int, int], Expansion],
     ) -> Tuple[Optional[Tuple[int, ...]], int, int]:
         """(extensions | None, centers probed, subcluster volume)."""
         cache, stats = self.ctx.center_cache, self.ctx.cache_stats
         probes = 0
         volume = 0
-        per_condition: List[Sequence[int]] = []
-        for node, (w_run, pair), plan in zip(scanned, w_keys, self._plans):
-            _x, _y, side, fetch_label = plan
-            entry = None if cache is None else cache.get_extensions(node, pair, side, stats)
+        per_condition: List[Tuple[int, ...]] = []
+        nodes: Sequence[int] = scanned if len(w_keys) > 1 else (scanned,)
+        for index, node in enumerate(nodes):
+            entry = expansions.get((index, node))
             if entry is None:
-                centers = self._centers(node, w_run, pair, side)
-                entry = self._expand(centers, fetch_label, side)
-                if cache is not None:
-                    cache.put_extensions(node, pair, side, entry, stats)
+                w_run, pair, side, fetch_label = w_keys[index]
+                entry = None if cache is None else cache.get_extensions(node, pair, side, stats)
+                if entry is None:
+                    centers = self._centers(node, w_run, pair, side)
+                    entry = self._expand(centers, fetch_label, side)
+                    if cache is not None:
+                        cache.put_extensions(node, pair, side, entry, stats)
+                expansions[index, node] = entry
             # no centers expands to ((), 0, 0): both early exits charge
             # exactly what a fresh expansion would
             extensions, centers_seen, vol = entry
@@ -238,7 +248,7 @@ class MultiwayIntersectOp(_MultiwayBase):
             if not extensions:
                 return None, probes, volume
             per_condition.append(extensions)
-        return tuple(kernels.intersect_many(per_condition)), probes, volume
+        return kernels.intersect_many(per_condition), probes, volume
 
     def rows(self, source: Optional[Iterable[Row]] = None) -> Iterable[Row]:
         return Expansions(super().rows(source))
@@ -247,22 +257,25 @@ class MultiwayIntersectOp(_MultiwayBase):
         db = self.ctx.db
         # W(X, Y) is read once per constraint per execution
         w_keys = [
-            (db.w_run(x, y), (x, y)) for x, y, _side, _fetch in self._plans
+            (db.w_run(x, y), (x, y), side, fetch) for x, y, side, fetch in self._plans
         ]
-        # scanned-values tuple -> (extensions | None, probes, volume); the
-        # extensions are a tuple of bare ints, consumed by ``zip``
-        memo: Dict[Tuple[int, ...], Tuple[Optional[Tuple[int, ...]], int, int]] = {}
-        positions, position = self.scan_positions, self.position
+        # (constraint index, bound node) -> its extension set: the shared
+        # CenterCache is probed once per bound node per execution
+        expansions: Dict[Tuple[int, int], Expansion] = {}
+        # scanned values -> (extensions | None, probes, volume); the
+        # extensions are a sorted tuple of bare ints
+        memo: Dict[Any, Tuple[Optional[Tuple[int, ...]], int, int]] = {}
+        scan, build, position = self._scan, self._build, self.position
         limit = self._limit()
         pending: Iterator[int] = iter(())
         rows_in = rows_out = centers_probed = nodes_fetched = 0
         try:
             for row in self._input(source):
                 rows_in += 1
-                scanned = tuple(row[p] for p in positions)
+                scanned = scan(row)
                 entry = memo.get(scanned)
                 if entry is None:
-                    entry = memo[scanned] = self._extensions(scanned, w_keys)
+                    entry = memo[scanned] = self._extensions(scanned, w_keys, expansions)
                 extensions, probes, volume = entry
                 # replay the counters on memo hits too: they describe the
                 # algorithm's work per row, not the memoization shortcut
@@ -274,10 +287,14 @@ class MultiwayIntersectOp(_MultiwayBase):
                 over = rows_out - limit
                 if over > 0:  # the budget ends inside this expansion
                     extensions, rows_out = extensions[:-over], limit
-                pending = iter(extensions)
-                columns = list(map(repeat, row))
-                columns.insert(position, pending)
-                yield zip(*columns)
+                if len(extensions) == 1:  # before the yield: nothing stays pending
+                    pending = iter(())
+                    yield (build(row + extensions),)
+                else:
+                    pending = iter(extensions)
+                    columns = list(map(repeat, row))
+                    columns.insert(position, pending)
+                    yield zip(*columns)
                 if over > 0:  # drained: count the row that crossed, as a loop would
                     rows_out += 1
                     raise self._exceeded(limit)

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, repeat
-from operator import length_hint
+from operator import itemgetter, length_hint
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra import (
@@ -79,6 +79,17 @@ def declared(ctx: ExecutionContext, variables: Sequence[str]) -> Tuple[str, ...]
     return tuple(v for v in ctx.pattern.variables if v in variables)
 
 
+def one_row_builder(
+    layout: RowLayout, position: int, consumed: Optional[int] = None
+) -> "itemgetter[Row]":
+    """``row + (value,)`` -> the expanded row: *value* at *position*, the
+    *consumed* centers column dropped.  A one-row expansion needs no zip."""
+    width = len(layout.variables) + len(layout.pending)
+    columns = [column for column in range(width) if column != consumed]
+    columns.insert(position, width)
+    return itemgetter(*columns)
+
+
 class Expansions:
     """An expanding operator's stream: the ``zip``s its generator yields,
     chained in C, closable like that generator."""
@@ -101,10 +112,11 @@ class PhysicalOperator:
     them to :meth:`_flush` in a ``finally`` — so :class:`OperatorMetrics`
     is written once per execution, when the generator finishes
     (exhausted, closed early, or raising), and is final from then on.
-    An *expanding* operator yields one ``zip`` per source row, chained in
-    C by its ``rows()``, and counts by arithmetic: ``+= len(partners)``
-    before the yield, ``-= length_hint(pending)`` in the ``finally`` —
-    exact for tuple iterators (DESIGN.md §2.1).
+    An *expanding* operator yields one ``zip`` per source row (one built
+    row when it has one partner), chained in C by its ``rows()``, and
+    counts by arithmetic: ``+= len(partners)`` before the yield,
+    ``-= length_hint(pending)`` in the ``finally`` — exact for tuple
+    iterators (DESIGN.md §2.1).
 
     **An operator pulls its source from its own frame; it never yields
     an iterable that wraps its source**: an upstream exception travels
@@ -394,7 +406,8 @@ class FetchOp(PhysicalOperator):
     value, so the deduplicated union is computed once per distinct value;
     the logical counters are still charged per row (``centers_probed``
     per (row, center), ``nodes_fetched`` per subcluster node examined) —
-    they describe Algorithm 2's work, not the memoization shortcut.
+    they describe Algorithm 2's work, not the memoization shortcut.  A
+    row with one partner yields one built row; more yield a ``zip``.
     """
 
     def __init__(
@@ -422,6 +435,7 @@ class FetchOp(PhysicalOperator):
         self.fetch_label = y_label if side is Side.OUT else x_label
         #: the fetched variable's column in the output rows
         self.position = self.layout.var_position(fetched)
+        self._build = one_row_builder(input_layout, self.position, self.centers_position)
 
     def rows(self, source: Optional[Iterable[Row]] = None) -> Iterable[Row]:
         return Expansions(super().rows(source))
@@ -429,7 +443,7 @@ class FetchOp(PhysicalOperator):
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Iterable[Row]]:
         subcluster = self._subcluster
         label, side = self.fetch_label, self.side
-        centers_position, position = self.centers_position, self.position
+        centers_position, position, build = self.centers_position, self.position, self._build
         # centers tuple -> (deduplicated partners, pre-dedup volume); the
         # partners are a tuple of bare ints, consumed by ``zip``
         memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
@@ -452,12 +466,16 @@ class FetchOp(PhysicalOperator):
                 over = rows_out - limit
                 if over > 0:  # the budget ends inside this expansion
                     partners, rows_out = partners[:-over], limit
-                pending = iter(partners)
-                # fetched variable in, consumed centers column out, the rest ride along
-                columns = list(map(repeat, row))
-                del columns[centers_position]
-                columns.insert(position, pending)
-                yield zip(*columns)
+                if len(partners) == 1:  # before the yield: nothing stays pending
+                    pending = iter(())
+                    yield (build(row + partners),)
+                else:
+                    pending = iter(partners)
+                    # fetched variable in, consumed centers column out, the rest ride along
+                    columns = list(map(repeat, row))
+                    del columns[centers_position]
+                    columns.insert(position, pending)
+                    yield zip(*columns)
                 if over > 0:  # drained: count the row that crossed, as a loop would
                     rows_out += 1
                     raise self._exceeded(limit)
@@ -492,7 +510,6 @@ class SelectionOp(PhysicalOperator):
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
         code_run = self.ctx.db.code_run
-        intersect = kernels.intersect
         src_position = self.src_position
         dst_position = self.dst_position
         limit = self._limit()
@@ -500,9 +517,9 @@ class SelectionOp(PhysicalOperator):
         try:
             for row in self._input(source):
                 rows_in += 1
-                if intersect(
-                    code_run(row[src_position], "out"),
-                    code_run(row[dst_position], "in"),
+                # a test, not an intersection: C stops at the first common center
+                if not set(code_run(row[src_position], "out")).isdisjoint(
+                    code_run(row[dst_position], "in")
                 ):
                     rows_out += 1
                     if rows_out > limit:

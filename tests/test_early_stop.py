@@ -24,6 +24,8 @@ from repro.query import execute_plan_streaming
 from repro.query.algebra import (
     FetchStep,
     FilterStep,
+    MultiwaySeed,
+    MultiwayStep,
     Plan,
     RowLimitExceeded,
     SeedJoin,
@@ -46,20 +48,38 @@ def engine(hub_graph):
     return GraphEngine(hub_graph(SIDE, C=FAN))
 
 
+PATH = parse_pattern("a:A -> b:B, b -> c:C")
+TRIANGLE = parse_pattern("a:A -> b:B, a -> c:C, b -> c")
+EXPAND_C = [
+    SeedJoin(("a", "b")),
+    FilterStep(((("b", "c"), Side.OUT),)),
+    FetchStep(("b", "c"), Side.OUT),
+]
+
+
 @pytest.fixture(scope="module")
 def plans(engine):
-    path = parse_pattern("a:A -> b:B, b -> c:C")
-    triangle = parse_pattern("a:A -> b:B, a -> c:C, b -> c")
-    expand_c = [
-        SeedJoin(("a", "b")),
-        FilterStep(((("b", "c"), Side.OUT),)),
-        FetchStep(("b", "c"), Side.OUT),
-    ]
     return {
         "scan": Plan(parse_pattern("c:C"), [SeedScan("c")]),
-        "hpsj+": Plan(path, expand_c),
-        "select": Plan(triangle, expand_c + [SelectionStep(("a", "c"))]),
-        "wcoj": engine.plan(triangle, optimizer="wcoj").plan,
+        "hpsj+": Plan(PATH, EXPAND_C),
+        "select": Plan(TRIANGLE, EXPAND_C + [SelectionStep(("a", "c"))]),
+        "wcoj": engine.plan(TRIANGLE, optimizer="wcoj").plan,
+    }
+
+
+@pytest.fixture(scope="module")
+def one_row(hub_graph):
+    """An engine and plans whose last operator expands every source row
+    exactly one way: each b has one c-child, and the wcoj order binds c
+    last, from two constraints that meet in that one child."""
+    bind_c_last = [
+        MultiwaySeed("a", ((("a", "b"), Side.IN), (("a", "c"), Side.IN))),
+        MultiwayStep("b", ((("a", "b"), Side.OUT),)),
+        MultiwayStep("c", ((("a", "c"), Side.OUT), (("b", "c"), Side.OUT))),
+    ]
+    return GraphEngine(hub_graph(SIDE, C=1)), {
+        "hpsj+": Plan(PATH, EXPAND_C),
+        "wcoj": Plan(TRIANGLE, bind_c_last),
     }
 
 
@@ -194,13 +214,20 @@ def test_full_drain_still_equals_the_reference(engine, plans, plan_name):
 
 @pytest.mark.parametrize("k", range(2 * FAN + 2))
 @pytest.mark.parametrize("mode", ("limit", "close", "row_limit"))
-@pytest.mark.parametrize("plan_name, width", [("hpsj+", FAN), ("wcoj", SIDE)])
-def test_every_stop_offset(monkeypatch, engine, plans, plan_name, width, mode, k):
+@pytest.mark.parametrize(
+    "plan_name, width", [("hpsj+", FAN), ("wcoj", SIDE), ("hpsj+", 1), ("wcoj", 1)]
+)
+def test_every_stop_offset(
+    monkeypatch, engine, plans, one_row, plan_name, width, mode, k
+):
     """Stop after every k around an expansion boundary: the plan's last
-    operator (a Fetch, an mjoin) expands each source row *width* ways."""
-    rows, chain, at_stop, raised = run_stopped(
-        monkeypatch, engine.db, plans[plan_name], mode, take=k
-    )
+    operator (a Fetch, an mjoin) expands each source row *width* ways.
+    Width 1 takes the operators' one-row path, which yields a built row
+    instead of a ``zip`` and must leave nothing pending behind it."""
+    db, plan = engine.db, plans[plan_name]
+    if width == 1:
+        db, plan = one_row[0].db, one_row[1][plan_name]
+    rows, chain, at_stop, raised = run_stopped(monkeypatch, db, plan, mode, take=k)
     gc.collect()
     assert counters(chain) == at_stop
     assert len(rows) == k and len(set(rows)) == k
@@ -212,9 +239,15 @@ def test_every_stop_offset(monkeypatch, engine, plans, plan_name, width, mode, k
         assert thrower.rows_out == k + 1
         assert raised == f"operator {thrower.operator} exceeded {k} rows"
         # a budget of 0 is already crossed by the seed's first row; any
-        # other by the last operator, one row into the next expansion
-        assert thrower is (chain[0] if k == 0 else chain[-1])
-        needed = k + 1 if k else 0
+        # other by the last operator, one row into the next expansion —
+        # unless that is one row wide: then the source row that would
+        # feed it crossed the budget upstream and never arrived
+        last_crosses = k > 0 and width > 1
+        if last_crosses or k == 0:
+            assert thrower is (chain[-1] if last_crosses else chain[0])
+        else:
+            assert thrower is not chain[-1]
+        needed = k + 1 if last_crosses else k
     else:
         assert throwers == [] and raised is None
         needed = k

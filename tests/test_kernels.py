@@ -21,7 +21,9 @@ from repro.query.physical.kernels import (
     gather_union,
     intersect,
     intersect_gallop,
+    intersect_many,
     intersect_merge,
+    union_sorted,
 )
 
 
@@ -97,6 +99,112 @@ class TestIntersect:
     def test_result_type_is_q_array(self):
         out = intersect(sorted_arr([1, 2]), sorted_arr([2, 3]))
         assert isinstance(out, array) and out.typecode == ARRAY_TYPECODE
+
+
+def pairwise_kernels():
+    """Every way the package intersects two sorted runs."""
+    return {
+        "intersect": intersect,
+        "merge": intersect_merge,
+        "gallop": intersect_gallop,
+        "many": lambda a, b: intersect_many([a, b]),
+    }
+
+
+class TestSurvivingPaths:
+    """Each intersection kernel against ``sorted(set(a) & set(b))`` on the
+    inputs that pick its paths: comparable sizes (the C set path), skewed
+    sizes (galloping), a one-element side, mixed tuple / ``array('q')``
+    inputs and duplicates."""
+
+    SHAPES = {
+        "comparable": (list(range(0, 60, 2)), list(range(0, 60, 3))),
+        "skewed": (
+            [3, 40, 41, 99],
+            list(range(0, 4 * GALLOP_RATIO * 10, 3)),
+        ),
+        "one-element-hit": ([42], list(range(0, 100, 2))),
+        "one-element-miss": ([43], list(range(0, 100, 2))),
+        "one-element-both": ([7], [7]),
+        "duplicates": ([1, 1, 2, 5, 5, 5, 9], [1, 5, 5, 6, 9, 9]),
+        "skewed-duplicates": ([4, 4, 8], sorted(list(range(0, 200, 4)) * 2)),
+    }
+    WRAPPERS = {
+        "tuple": tuple,
+        "array": lambda values: array(ARRAY_TYPECODE, values),
+    }
+
+    @pytest.mark.parametrize("kernel", ["intersect", "merge", "gallop", "many"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_set_semantics(self, kernel, shape):
+        a, b = self.SHAPES[shape]
+        expected = sorted(set(a) & set(b))
+        run = pairwise_kernels()[kernel]
+        for wrap_a in self.WRAPPERS.values():
+            for wrap_b in self.WRAPPERS.values():
+                wa, wb = wrap_a(a), wrap_b(b)
+                assert list(run(wa, wb)) == expected
+                if kernel != "gallop":  # gallop's first argument is the small side
+                    assert list(run(wb, wa)) == expected
+
+    def test_skewed_shape_is_past_the_gallop_ratio(self):
+        a, b = self.SHAPES["skewed"]
+        assert len(b) >= len(a) * GALLOP_RATIO
+        a, b = self.SHAPES["comparable"]
+        assert max(len(a), len(b)) < min(len(a), len(b)) * GALLOP_RATIO
+
+
+class TestIntersectMany:
+    def test_no_inputs(self):
+        assert intersect_many([]) == ()
+
+    def test_one_tuple_comes_back_as_it_is(self):
+        run = (1, 4, 9)
+        assert intersect_many([run]) is run
+
+    def test_one_array_becomes_a_tuple(self):
+        assert intersect_many([array(ARRAY_TYPECODE, [2, 3])]) == (2, 3)
+
+    def test_two_and_three_inputs_match_set_semantics(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            count = rng.choice((2, 3))
+            inputs = [
+                sorted(rng.sample(range(60), rng.randrange(1, 40)))
+                for _ in range(count)
+            ]
+            expected = tuple(sorted(set.intersection(*map(set, inputs))))
+            mixed = [
+                tuple(run) if i % 2 else array(ARRAY_TYPECODE, run)
+                for i, run in enumerate(inputs)
+            ]
+            out = intersect_many(mixed)
+            assert out == expected and isinstance(out, tuple)
+
+    def test_an_input_that_empties_the_result_stops_the_fold(self, monkeypatch):
+        calls = []
+        real = kernels._intersect
+        monkeypatch.setattr(
+            kernels, "_intersect", lambda a, b: calls.append(1) or real(a, b)
+        )
+        disjoint = [(1, 2), (3, 4, 5), tuple(range(0, 100))]
+        assert intersect_many(disjoint) == ()
+        assert len(calls) == 1, "the fold must stop once the result is empty"
+        assert intersect_many([(), (1, 2), (1, 2, 3)]) == ()
+        assert len(calls) == 1, "an empty input needs no intersection at all"
+
+
+class TestUnionSorted:
+    def test_sorted_dedup_tuple_and_volume(self):
+        assert union_sorted([(5, 9), (1, 5), (9, 12)]) == ((1, 5, 9, 12), 6)
+
+    def test_one_tuple_comes_back_as_it_is(self):
+        run = (2, 3, 8)
+        nodes, volume = union_sorted([run])
+        assert nodes is run and volume == 3
+
+    def test_no_lists(self):
+        assert union_sorted([]) == ((), 0)
 
 
 class TestAsSortedArray:
