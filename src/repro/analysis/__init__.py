@@ -1,6 +1,6 @@
-"""Static verification layer: plan checker, index auditor, project lint.
+"""Static verification layer: plan checker and index auditor.
 
-Four passes, one diagnostic format:
+Two passes, one diagnostic format:
 
 * :func:`check_plan` — :meth:`~repro.query.algebra.Plan.violations`
   (the binding simulation ``Plan.validate`` runs before every execution)
@@ -8,13 +8,7 @@ Four passes, one diagnostic format:
 * :func:`audit_database` — verify a built
   :class:`~repro.db.database.GraphDatabase` (2-hop cover correctness,
   W-table ↔ F/T-subcluster agreement, B+-tree structure);
-* :func:`run_lint` — project-specific AST rules over source files
-  (storage-layer bypasses from ``query/``, mutable defaults, enum
-  identity comparisons, bare excepts, unused imports);
-* :func:`check_concurrency` — lock discipline for the internally
-  synchronized concurrent structures
-  (:mod:`~repro.analysis.concurrency`), run with the lint pass under
-  ``repro check --self``.
+  :func:`audit_snapshot` checks a snapshot file before it is loaded.
 
 The runtime twin is sanitize mode (:mod:`~repro.analysis.sanitizer`),
 armed by ``ExecutionContext(sanitize=True)`` or ``REPRO_SANITIZE=1``.
@@ -23,7 +17,6 @@ All passes return lists of :class:`Diagnostic`; :func:`has_errors` is the
 gate condition used by ``repro check`` and CI.
 """
 
-from .concurrency import check_concurrency
 from .diagnostics import (
     Diagnostic,
     Severity,
@@ -33,12 +26,8 @@ from .diagnostics import (
     warnings,
 )
 from .indexaudit import audit_database, audit_snapshot, check_bptree
-from .lint import lint_paths, lint_project, lint_source
 from .plancheck import check_plan
 from .sanitizer import SanitizerError, sanitize_enabled
-
-#: the conventional entry point for linting arbitrary paths
-run_lint = lint_paths
 
 __all__ = [
     "Diagnostic",
@@ -47,15 +36,10 @@ __all__ = [
     "audit_database",
     "audit_snapshot",
     "check_bptree",
-    "check_concurrency",
     "check_plan",
     "errors",
     "format_report",
     "has_errors",
-    "lint_paths",
-    "lint_project",
-    "lint_source",
-    "run_lint",
     "sanitize_enabled",
     "warnings",
 ]

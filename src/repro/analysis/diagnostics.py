@@ -1,12 +1,11 @@
 """Structured diagnostics shared by every static-analysis pass.
 
-Each pass (:mod:`repro.analysis.plancheck`, :mod:`repro.analysis.indexaudit`,
-:mod:`repro.analysis.lint`) reports findings as :class:`Diagnostic` records
-rather than raising on the first problem: a verifier that stops at the
-first violation hides the other nine, and a CI gate wants the complete
-picture in one run.  A diagnostic carries a stable rule id (``pass/rule``,
+Each pass (:mod:`repro.analysis.plancheck`, :mod:`repro.analysis.indexaudit`)
+reports findings as :class:`Diagnostic` records rather than raising on the
+first problem: a verifier that stops at the first violation hides the
+other nine, and a CI gate wants the complete picture in one run.  A diagnostic carries a stable rule id (``pass/rule``,
 e.g. ``plan/unbound-variable``), a severity, a location (source plus an
-optional line or plan-step index) and a human-readable message.
+optional plan-step index) and a human-readable message.
 """
 
 from __future__ import annotations
@@ -40,11 +39,9 @@ class Diagnostic:
     message:
         Human-readable description of what is wrong and where.
     source:
-        What was analyzed: a file path for lint, ``plan`` / ``plan[dp]``
-        for plancheck, a structure name (``rjoin-index``, ``T_A.pk``) for
-        the index auditor.
-    line:
-        1-based source line for lint findings, ``None`` elsewhere.
+        What was analyzed: ``plan`` / ``plan[dp]`` for plancheck, a
+        structure name (``rjoin-index``, ``T_A.pk``) or snapshot path for
+        the auditors.
     step:
         0-based plan-step index for plancheck findings, ``None`` elsewhere.
     """
@@ -53,13 +50,10 @@ class Diagnostic:
     severity: Severity
     message: str
     source: str = "<unknown>"
-    line: Optional[int] = None
     step: Optional[int] = None
 
     def format(self) -> str:
         where = self.source
-        if self.line is not None:
-            where = f"{where}:{self.line}"
         if self.step is not None:
             where = f"{where}[step {self.step}]"
         return f"{where}: {self.severity.value}: {self.rule}: {self.message}"
@@ -85,6 +79,6 @@ def format_report(diagnostics: Sequence[Diagnostic]) -> str:
     ordered = sorted(
         diagnostics,
         key=lambda d: (d.severity is not Severity.ERROR, d.source,
-                       d.line or 0, d.step or 0, d.rule),
+                       d.step or 0, d.rule),
     )
     return "\n".join(d.format() for d in ordered)

@@ -16,7 +16,8 @@ checked on the actual execution:
   that must match the entries actually resident and stay within its
   budget; :func:`verify_cache_ledger` recomputes it at every
   execution-context construction, so a locking bug that lets two slot
-  threads race on the ledger trips at runtime (``conc/*`` oracle);
+  threads race on the ledger trips at runtime (the runtime twin of the
+  ``conc/*`` rules in ``tests/test_source_rules.py``);
 * **spill row sizes** — a :class:`~repro.query.algebra.TemporalTable`
   sizes its rows off its layout; every spilled row is re-measured with
   the generic ``record_size``, since a wrong size silently moves every

@@ -19,7 +19,6 @@ be reproduced programmatically with :class:`repro.GraphEngine`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import List, Optional
@@ -262,19 +261,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis import (
         audit_database,
         audit_snapshot,
-        check_concurrency,
         check_plan,
         errors,
         format_report,
         has_errors,
-        lint_project,
     )
     from .storage.snapshot import is_snapshot
 
-    if args.patterns and args.database is None:
-        raise _UsageError("--pattern requires a database to plan against")
-    if args.database is None and not args.self_lint:
-        raise _UsageError("nothing to check: give a database and/or --self")
     if args.sample_rows < 0:
         raise _UsageError("--sample-rows must be >= 0")
 
@@ -285,68 +278,41 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"== {title} ==")
         print(format_report(diagnostics) if diagnostics else "ok")
 
-    if args.database is not None:
-        if is_snapshot(args.database):
-            # file-level checks first: CRC/geometry plus the decoded-column
-            # invariants the lazy read path assumes (offline, no database)
-            snapshot_diags = audit_snapshot(args.database)
-            section(f"snapshotaudit {args.database}", snapshot_diags)
-            if has_errors(snapshot_diags):
-                # an unreadable or inconsistent file cannot back the
-                # database-level passes; report what was found and stop
-                error_count = len(errors(all_diags))
-                warning_count = len(all_diags) - error_count
-                print(
-                    f"-- {error_count} error(s), {warning_count} warning(s)",
-                    file=sys.stderr,
-                )
-                return 1
-        engine = GraphEngine.from_database(_load(args.database))
-        section(
-            f"indexaudit {args.database}",
-            audit_database(
-                engine.db,
-                exact_threshold=args.exact_threshold,
-                sample_rows=args.sample_rows,
-                seed=args.seed,
-            ),
-        )
-        optimizers = (
-            ("dp", "dps", "wcoj") if args.optimizer == "all" else (args.optimizer,)
-        )
-        for text in args.patterns or ():
-            for optimizer in optimizers:
-                plan = engine.plan(text, optimizer=optimizer).plan
-                section(
-                    f"plancheck [{optimizer}] {text!r}",
-                    check_plan(
-                        plan, db=engine.db, source=f"plan[{optimizer}]"
-                    ),
-                )
-    if args.self_lint:
-        section("lint src/repro", lint_project())
-        section("lock-discipline src/repro", check_concurrency())
+    def tally() -> int:
+        error_count = len(errors(all_diags))
+        warning_count = len(all_diags) - error_count
+        print(f"-- {error_count} error(s), {warning_count} warning(s)",
+              file=sys.stderr)
+        return 1 if error_count else 0
 
-    failed = has_errors(all_diags)
-    error_count = len(errors(all_diags))
-    warning_count = len(all_diags) - error_count
-    print(f"-- {error_count} error(s), {warning_count} warning(s)",
-          file=sys.stderr)
-
-    if args.report:
-        rule_counts: dict = {}
-        for diag in all_diags:
-            rule_counts[diag.rule] = rule_counts.get(diag.rule, 0) + 1
-        payload = {
-            "errors": error_count,
-            "warnings": warning_count,
-            "rules": dict(sorted(rule_counts.items())),
-        }
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"rule-count report written to {args.report}", file=sys.stderr)
-    return 1 if failed else 0
+    if is_snapshot(args.database):
+        # file-level checks first: CRC/geometry plus the decoded-column
+        # invariants the lazy read path assumes (offline, no database)
+        snapshot_diags = audit_snapshot(args.database)
+        section(f"snapshotaudit {args.database}", snapshot_diags)
+        if has_errors(snapshot_diags):
+            # an unreadable or inconsistent file cannot back the
+            # database-level passes; report what was found and stop
+            return tally()
+    engine = GraphEngine.from_database(_load(args.database))
+    section(
+        f"indexaudit {args.database}",
+        audit_database(
+            engine.db,
+            exact_threshold=args.exact_threshold,
+            sample_rows=args.sample_rows,
+            seed=args.seed,
+        ),
+    )
+    optimizers = ("dp", "dps", "wcoj") if args.optimizer == "all" else (args.optimizer,)
+    for text in args.patterns or ():
+        for optimizer in optimizers:
+            plan = engine.plan(text, optimizer=optimizer).plan
+            section(
+                f"plancheck [{optimizer}] {text!r}",
+                check_plan(plan, db=engine.db, source=f"plan[{optimizer}]"),
+            )
+    return tally()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check",
-        help="static verification: index audit, plan checks, project lint "
-             "+ lock-discipline rules",
+        help="static verification of a saved database: snapshot audit, "
+             "index audit, plan checks",
     )
-    p_check.add_argument("database", nargs="?",
+    p_check.add_argument("database",
                          help="saved database to audit (cover, W-table, B+-trees)")
     p_check.add_argument("--pattern", dest="patterns", action="append",
                          metavar="PATTERN",
@@ -467,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="all",
                          help="which optimizer's plans to plancheck "
                               "(default: all = dp, dps and wcoj)")
-    p_check.add_argument("--self", dest="self_lint", action="store_true",
-                         help="lint the repro package's own source and run "
-                              "the lock-discipline rules (conc/*) over it")
-    p_check.add_argument("--report", metavar="PATH",
-                         help="write a JSON per-rule diagnostic-count report "
-                              "(CI artifact)")
     p_check.add_argument("--exact-threshold", type=int, default=300,
                          help="max nodes for the exact cover check (default 300)")
     p_check.add_argument("--sample-rows", type=int, default=32,

@@ -220,9 +220,6 @@ class GraphDatabase:
                 return table
             return self._materialize_table(label)
 
-    def node_label(self, node: int) -> str:
-        return self._node_labels[node]
-
     # ------------------------------------------------------------------
     # the run surface: the four reads the physical operators are built on
     # (live tier — every call is charged I/O through the buffer pool)

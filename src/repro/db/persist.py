@@ -18,22 +18,22 @@ and reloads it across sessions.  Two formats coexist:
 (and the CLI) never name the format; :func:`save_database` picks binary
 for a ``.snap`` extension or an explicit ``format="snapshot"``.
 
-Both writers use the full crash-atomic sequence: write to a temp file,
-``flush`` + ``fsync`` it, :func:`os.replace` into place, then fsync the
-directory entry — a power cut can neither promote a truncated temp file
-nor lose the rename.
+Both formats are written by one crash-atomic writer,
+:func:`repro.storage.snapshot.write_atomic`: temp file, ``flush`` +
+``fsync``, :func:`os.replace` into place, then fsync the directory entry
+— a power cut can neither promote a truncated temp file nor lose the
+rename.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Optional
 
 from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling
 from ..storage.buffer import DEFAULT_BUFFER_BYTES
-from ..storage.snapshot import Snapshot, is_snapshot, write_snapshot
+from ..storage.snapshot import Snapshot, is_snapshot, write_atomic, write_snapshot
 from .database import GraphDatabase
 
 FORMAT_VERSION = 1
@@ -46,27 +46,6 @@ def _labeling_payload(labeling: TwoHopLabeling) -> dict:
         "in_codes": [sorted(code) for code in labeling.in_codes],
         "out_codes": [sorted(code) for code in labeling.out_codes],
     }
-
-
-def _write_atomic(path: str, payload: bytes) -> None:
-    """Temp file + flush + fsync + rename + directory fsync."""
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "wb") as f:
-        f.write(payload)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp_path, path)
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platforms without directory fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - filesystem refuses directory fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def save_database(db: GraphDatabase, path: str, format: Optional[str] = None) -> None:
@@ -93,7 +72,7 @@ def save_database(db: GraphDatabase, path: str, format: Optional[str] = None) ->
         },
         "labeling": _labeling_payload(db.labeling),
     }
-    _write_atomic(path, json.dumps(payload).encode("utf-8"))
+    write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
 def load_database(

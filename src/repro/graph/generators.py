@@ -23,13 +23,6 @@ def _rng(seed: Optional[int]) -> random.Random:
     return random.Random(seed)
 
 
-def random_labels(
-    n: int, alphabet: Sequence[str] = DEFAULT_ALPHABET, seed: Optional[int] = None
-) -> List[str]:
-    rng = _rng(seed)
-    return [rng.choice(alphabet) for _ in range(n)]
-
-
 def random_digraph(
     n: int,
     edge_prob: float = 0.05,

@@ -7,7 +7,8 @@ through them — :func:`execute_plan_streaming` (pipelined, LIMIT
 pushdown) — and :func:`execute_plan`, the paper's cold temporal-table
 accounting run the Figure 5-7 experiments measure.
 
-Layering rule (enforced by ``lint/physical-internals``): code outside
+Layering rule (``lint/physical-internals`` in
+``tests/test_source_rules.py``): code outside
 ``repro.query`` must not import from this package — the supported entry
 points are :func:`repro.query.execute_plan`,
 :func:`repro.query.execute_plan_streaming` and

@@ -16,7 +16,7 @@ those; values are arbitrary records.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator, List, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from .buffer import BufferPool
 
@@ -194,11 +194,6 @@ class BPlusTree:
         self._store(parent_id, parent)
         if len(keys) > self.fanout:
             self._split(path[:-1])
-
-    def bulk_load(self, items: Iterable[Tuple[Any, Any]]) -> None:
-        """Insert many (key, value) pairs; input need not be sorted."""
-        for key, value in items:
-            self.insert(key, value)
 
     # ------------------------------------------------------------------
     @property

@@ -21,9 +21,9 @@ and read back through :mod:`mmap`:
   recomputation — those structures materialize on demand.
 
 This project-specific layering rule is enforced by
-``lint/mmap-outside-snapshot``: :mod:`mmap` and :mod:`struct` imports are
-confined to this module, so every binary-layout assumption lives in one
-audited place.
+``lint/mmap-outside-snapshot`` (``tests/test_source_rules.py``):
+:mod:`mmap` and :mod:`struct` imports are confined to this module, so
+every binary-layout assumption lives in one audited place.
 
 On-disk layout (all integers little-endian, sections 8-byte aligned)::
 
@@ -287,27 +287,25 @@ def encode_snapshot(db) -> bytes:
 
 
 def write_snapshot(db, path: str) -> None:
-    """Write *db* to *path* atomically (tmp file + fsync + rename).
+    """Write *db* to *path* with :func:`write_atomic`."""
+    write_atomic(path, encode_snapshot(db))
 
-    The durability sequence is the crash-safe one: flush and ``fsync``
-    the temp file before :func:`os.replace`, then ``fsync`` the directory
-    entry so a power cut can neither promote a truncated temp file nor
-    lose the rename itself.
+
+def write_atomic(path: str, payload: bytes) -> None:
+    """Replace *path* with *payload* crash-atomically (both save formats).
+
+    Flush and ``fsync`` a temp file before :func:`os.replace`, then
+    ``fsync`` the directory entry, so a power cut can neither promote a
+    truncated temp file nor lose the rename itself.
     """
-    payload = encode_snapshot(db)
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "wb") as f:
         f.write(payload)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp_path, path)
-    _fsync_directory(os.path.dirname(os.path.abspath(path)))
-
-
-def _fsync_directory(directory: str) -> None:
-    """Flush a directory entry (best effort where the OS allows it)."""
     try:
-        fd = os.open(directory, os.O_RDONLY)
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     except OSError:  # pragma: no cover - e.g. platforms without dir fds
         return
     try:
@@ -656,5 +654,6 @@ __all__ = [
     "SnapshotError",
     "encode_snapshot",
     "is_snapshot",
+    "write_atomic",
     "write_snapshot",
 ]

@@ -232,31 +232,37 @@ class TestUnreadableDatabase:
 
 class TestCheck:
     def test_no_target_is_usage_error(self, capsys):
-        assert main(["check"]) == 2
-        assert "nothing to check" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check"])
+        assert exit_info.value.code == 2
+        assert "required: database" in capsys.readouterr().err
 
     def test_pattern_without_database_is_usage_error(self, capsys):
-        assert main(["check", "--pattern", "A -> B"]) == 2
-        assert "requires a database" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--pattern", "A -> B"])
+        assert exit_info.value.code == 2
+        assert "required: database" in capsys.readouterr().err
+
+    def test_database_is_the_only_target(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--help"])
+        assert exit_info.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "database" in help_text
+        assert "--self" not in help_text and "--report" not in help_text
 
     def test_clean_database_passes(self, db_path, capsys):
         rc = main([
             "check", db_path,
             "--pattern", "person -> watch",
             "--pattern", "itemref -> item",
-            "--self",
         ])
         captured = capsys.readouterr()
         assert rc == 0, captured.out + captured.err
         assert "== indexaudit" in captured.out
         assert "== plancheck [dp] 'person -> watch' ==" in captured.out
         assert "== plancheck [dps] 'person -> watch' ==" in captured.out
-        assert "== lint src/repro ==" in captured.out
         assert "0 error(s)" in captured.err
-
-    def test_self_lint_alone_passes(self, capsys):
-        assert main(["check", "--self"]) == 0
-        assert "== lint src/repro ==" in capsys.readouterr().out
 
     def test_corrupted_database_fails(self, db_path, tmp_path, capsys):
         from repro.db.database import GraphDatabase

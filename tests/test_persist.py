@@ -1,6 +1,8 @@
 """Tests for database save/load."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -46,12 +48,42 @@ class TestRoundTrip:
             for v in g.nodes():
                 assert db.reaches(u, v) == loaded.reaches(u, v)
 
-    def test_atomic_write_leaves_no_tmp(self, tmp_path):
-        db = GraphDatabase(figure1_graph())
-        path = tmp_path / "x.json"
-        save_database(db, str(path))
-        assert path.exists()
-        assert not (tmp_path / "x.json.tmp").exists()
+
+@pytest.mark.parametrize("suffix", ["json", "snap"])
+def test_atomic_write(tmp_path, monkeypatch, suffix):
+    """Both formats: no temp file left; the temp file is fsynced before the
+    replace and the directory after it; a failed replace keeps the old file."""
+    path = tmp_path / f"x.{suffix}"
+    save_database(GraphDatabase(figure1_graph()), str(path))
+    assert path.exists() and not (tmp_path / f"x.{suffix}.tmp").exists()
+    before = path.read_bytes()
+
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    db = GraphDatabase(random_digraph(12, 0.2, seed=1))
+    save_database(db, str(path))
+    assert calls == ["fsync file", "replace", "fsync dir"]
+    after = path.read_bytes()
+    assert after != before
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        save_database(GraphDatabase(figure1_graph()), str(path))
+    assert path.read_bytes() == after
 
 
 class TestVersioning:

@@ -72,12 +72,6 @@ class TestFormat:
         with pytest.raises(ValueError):
             save_database(built_db, str(tmp_path / "x"), format="pickle")
 
-    def test_atomic_write_leaves_no_tmp(self, built_db, tmp_path):
-        path = tmp_path / "x.snap"
-        save_database(built_db, str(path))
-        assert path.exists()
-        assert not (tmp_path / "x.snap.tmp").exists()
-
     def test_section_table_is_inspectable(self, snap_path):
         snapshot = Snapshot.open(snap_path)
         try:
