@@ -2,13 +2,10 @@
 
 The paper's indexes are built offline and only read online, so the one
 operational question for a deployment is *how do I avoid rebuilding the
-2-hop cover on every restart?*  Persist it — ``save_database`` /
-``load_database`` (both atomic) in either of two formats:
-
-* **JSON** — graph + labeling; tables and indexes are rebuilt from them
-  on load (portable, diffable);
-* **binary snapshot** (``.snap``) — every offline structure in one
-  CRC-checked file, mapped on load with nothing rebuilt.
+2-hop cover on every restart?*  Persist it — ``save_database`` writes a
+binary snapshot (every offline structure in one CRC-checked file,
+written atomically) and ``load_database`` maps it back with nothing
+rebuilt.
 
 A built database never changes: a new graph means a new build, a new
 file and a new engine.
@@ -37,23 +34,21 @@ def main() -> None:
     fresh = engine.match(query)
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("auctions.db.json", "auctions.snap"):
-            path = os.path.join(tmp, name)
-            save_database(engine.db, path)
-            size_kb = os.path.getsize(path) / 1024
-            print(f"\nsaved to {path} ({size_kb:.0f} KiB)")
+        path = os.path.join(tmp, "auctions.snap")
+        save_database(engine.db, path)
+        size_kb = os.path.getsize(path) / 1024
+        print(f"\nsaved to {path} ({size_kb:.0f} KiB)")
 
-            started = time.perf_counter()
-            reloaded = GraphEngine.from_database(load_database(path))
-            reload_seconds = time.perf_counter() - started
-            print(f"reloaded in {reload_seconds:.3f}s "
-                  f"({build_seconds / reload_seconds:.1f}x faster than rebuild)")
+        started = time.perf_counter()
+        reloaded = GraphEngine.from_database(load_database(path))
+        reload_seconds = time.perf_counter() - started
+        print(f"reloaded in {reload_seconds:.3f}s "
+              f"({build_seconds / reload_seconds:.1f}x faster than rebuild)")
 
-            reheated = reloaded.match(query)
-            assert fresh.as_set() == reheated.as_set()
-            print(f"query agreement after reload: {len(fresh)} matches both ways")
-            if reloaded.db.snapshot_handle is not None:
-                reloaded.db.snapshot_handle.close()
+        reheated = reloaded.match(query)
+        assert fresh.as_set() == reheated.as_set()
+        print(f"query agreement after reload: {len(fresh)} matches both ways")
+        reloaded.db.snapshot_handle.close()
 
 
 if __name__ == "__main__":

@@ -439,7 +439,8 @@ def audit_snapshot(path: str, max_examples: int = 10) -> List[Diagnostic]:
 
     :meth:`Snapshot.open` already enforces magic, version, section-table
     geometry and every section's CRC — a failure there becomes a single
-    ``snapshot/unreadable`` finding.  On a readable file this decodes
+    ``snapshot/unreadable`` finding (a file that cannot be opened at all
+    raises its :class:`OSError` instead).  On a readable file this decodes
     every column and checks the semantic invariants the lazy read path
     assumes but never re-verifies: code rows and subcluster runs strictly
     increasing, self-membership of every node's codes, the center

@@ -2,15 +2,16 @@
 
 Usage (also via ``python -m repro``)::
 
-    repro build --factor 0.2 --out auctions.db.json     # offline phase
-    repro stats auctions.db.json                         # Table 2-style row
-    repro query auctions.db.json "person -> watch, watch -> open_auction"
-    repro query auctions.db.json "A -> B" --explain --optimizer dp
-    repro query auctions.db.json "A -> B" --limit 5      # streamed probe
-    repro snapshot save auctions.db.json auctions.snap   # binary snapshot
-    repro snapshot load auctions.snap                    # timed reload
-    repro snapshot info auctions.snap                    # header + sections
+    repro build --factor 0.2 --out auctions.snap         # offline phase
+    repro stats auctions.snap                            # Table 2-style row
+    repro stats auctions.snap --storage                  # + section table
+    repro query auctions.snap "person -> watch, watch -> open_auction"
+    repro query auctions.snap "A -> B" --explain --optimizer dp
+    repro query auctions.snap "A -> B" --limit 5         # streamed probe
+    repro check auctions.snap --pattern "A -> B"         # static verification
     repro serve auctions.snap --port 7437                # always-on service
+
+Every database file is a binary snapshot (:mod:`repro.storage.snapshot`).
 
 The CLI wraps the library's public API one-to-one; anything it prints can
 be reproduced programmatically with :class:`repro.GraphEngine`.
@@ -21,15 +22,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from collections import deque
+from itertools import islice
+from typing import Callable, List, Optional, TypeVar
 
 from . import xmark
-from .db.database import GraphDatabase
 from .db.persist import load_database, save_database
 from .query.algebra import RowLimitExceeded
 from .query.engine import AUTO_DP_LIMIT, GraphEngine
 from .query.pattern import PatternError
-from .storage.snapshot import SnapshotError
+from .storage.snapshot import SNAPSHOT_VERSION, SnapshotError
+
+T = TypeVar("T")
 
 
 class _UsageError(Exception):
@@ -37,11 +41,13 @@ class _UsageError(Exception):
     as one line and exits 2."""
 
 
-def _load(path: str) -> GraphDatabase:
-    """:func:`load_database`, with an unreadable file as a usage error."""
+def _load(path: str, read: Callable[[str], T]) -> T:
+    """``read(path)`` (:func:`load_database`, or the snapshot audit) with
+    a file that cannot be opened, or is no readable snapshot, as a usage
+    error."""
     try:
-        return load_database(path)
-    except (OSError, ValueError, SnapshotError) as err:
+        return read(path)
+    except (OSError, SnapshotError) as err:
         reason = (err.strerror if isinstance(err, OSError) else None) or err
         raise _UsageError(f"cannot load {path}: {reason}") from None
 
@@ -80,23 +86,31 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    engine = GraphEngine.from_database(_load(args.database))
+    started = time.perf_counter()
+    db = _load(args.database, load_database)
+    print(f"opened {args.database} in "
+          f"{(time.perf_counter() - started) * 1e3:.1f} ms")
+    engine = GraphEngine.from_database(db)
+    snapshot = db.snapshot_handle
     summary = engine.stats_summary()
     print(f"{'nodes':>12}: {summary['nodes']}")
     print(f"{'edges':>12}: {summary['edges']}")
     print(f"{'|H|':>12}: {summary['cover_size']}")
     print(f"{'|H|/|V|':>12}: {summary['cover_ratio']:.3f}")
     print(f"{'centers':>12}: {summary['centers']}")
-    print(f"{'labels':>12}: {len(engine.db.labels())}")
+    print(f"{'labels':>12}: {len(db.labels())}")
+    print(f"{'W pairs':>12}: {snapshot.wtable_pair_count}")
+    print(f"{'sub runs':>12}: {snapshot.subcluster_runs}")
     if args.labels:
         print("\nextent sizes:")
-        catalog = engine.db.catalog
-        for label in engine.db.labels():
-            print(f"  {label:>20}: {catalog.extent_size(label)}")
+        for label in db.labels():
+            print(f"  {label:>20}: {db.catalog.extent_size(label)}")
     if args.storage:
-        print("\nstorage footprint:")
-        for name, info in engine.db.storage_report().items():
-            print(f"  {name:>24}: {info['rows']:>8} rows {info['pages']:>6} pages")
+        print(f"\nsection table (snapshot v{SNAPSHOT_VERSION}, "
+              f"{snapshot.file_size()} bytes):")
+        print(f"  {'name':<12} {'offset':>10} {'bytes':>10}")
+        for name, offset, length in snapshot.section_table():
+            print(f"  {name:<12} {offset:>10} {length:>10}")
     return 0
 
 
@@ -106,7 +120,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.head < 0:
         raise _UsageError("--head must be >= 0")
     engine = GraphEngine.from_database(
-        _load(args.database),
+        _load(args.database, load_database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
     )
     try:
@@ -115,96 +129,40 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 args.pattern, optimizer=args.optimizer, limit=args.limit,
             ))
             return 0
-        result = engine.match(
+        stream = engine.match_iter(
             args.pattern, optimizer=args.optimizer, limit=args.limit,
             row_limit=args.row_limit,
         )
+        # rows are printed as they arrive and the rest only counted, so
+        # no answer is ever held whole
+        if args.limit is None:
+            print("\t".join(stream.columns))
+        shown = stream if args.all or args.limit is not None else islice(
+            stream, args.head
+        )
+        for row in shown:
+            print("\t".join(str(v) for v in row))
+        deque(stream, maxlen=0)
     except RowLimitExceeded as err:  # the guard tripped: a query outcome
         print(f"repro query: {err}", file=sys.stderr)
         return 1
     except (PatternError, KeyError, ValueError) as err:  # a usage error
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         raise _UsageError(message) from None
+    metrics = stream.metrics
+    count = metrics.result_rows
     if args.limit is not None:
-        for row in result.rows:
-            print("\t".join(str(v) for v in row))
-        print(f"-- {len(result)} row(s) (limit {args.limit}, streamed)",
+        print(f"-- {count} row(s) (limit {args.limit}, streamed)",
               file=sys.stderr)
         return 0
-    print("\t".join(result.columns))
-    shown = result.rows if args.all else result.rows[:args.head]
-    for row in shown:
-        print("\t".join(str(v) for v in row))
-    if not args.all and len(result) > args.head:
-        print(f"... ({len(result) - args.head} more rows; use --all)",
+    if not args.all and count > args.head:
+        print(f"... ({count - args.head} more rows; use --all)",
               file=sys.stderr)
-    metrics = result.metrics
     print(
-        f"-- {len(result)} row(s) in {metrics.elapsed_seconds * 1e3:.1f} ms, "
+        f"-- {count} row(s) in {metrics.elapsed_seconds * 1e3:.1f} ms, "
         f"{metrics.physical_io} physical / {metrics.logical_io} logical page I/O",
         file=sys.stderr,
     )
-    return 0
-
-
-def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from .storage.snapshot import SNAPSHOT_VERSION, Snapshot
-
-    if args.action == "save":
-        db = _load(args.source)
-        started = time.perf_counter()
-        save_database(db, args.out, format="snapshot")
-        elapsed = (time.perf_counter() - started) * 1e3
-        with_snapshot = Snapshot.open(args.out)
-        try:
-            print(f"wrote {args.out}: {with_snapshot.file_size()} bytes "
-                  f"in {elapsed:.1f} ms "
-                  f"({with_snapshot.node_count} nodes, "
-                  f"{with_snapshot.center_count} centers, "
-                  f"{len(with_snapshot.section_table())} sections)")
-        finally:
-            with_snapshot.close()
-        return 0
-
-    if args.action == "load":
-        started = time.perf_counter()
-        try:
-            engine = GraphEngine.from_snapshot(args.file)
-        except SnapshotError as exc:
-            print(f"snapshot error: {exc}", file=sys.stderr)
-            return 1
-        elapsed = (time.perf_counter() - started) * 1e3
-        db = engine.db
-        print(f"loaded {args.file} in {elapsed:.1f} ms")
-        print(f"{'nodes':>12}: {db.graph.node_count}")
-        print(f"{'edges':>12}: {db.graph.edge_count}")
-        print(f"{'centers':>12}: {db.join_index.center_count}")
-        print(f"{'labels':>12}: {len(db.labels())}")
-        return 0
-
-    # info
-    try:
-        snapshot = Snapshot.open(args.file)
-    except SnapshotError as exc:
-        print(f"snapshot error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        print(
-            f"{args.file}: snapshot v{SNAPSHOT_VERSION}, "
-            f"{snapshot.file_size()} bytes"
-        )
-        print(f"{'nodes':>12}: {snapshot.node_count}")
-        print(f"{'edges':>12}: {snapshot.edge_count}")
-        print(f"{'labels':>12}: {snapshot.label_count}")
-        print(f"{'centers':>12}: {snapshot.center_count}")
-        print(f"{'W pairs':>12}: {snapshot.wtable_pair_count}")
-        print(f"{'sub runs':>12}: {snapshot.subcluster_runs}")
-        print("\nsection table:")
-        print(f"  {'name':<12} {'offset':>10} {'bytes':>10}")
-        for name, offset, length in snapshot.section_table():
-            print(f"  {name:<12} {offset:>10} {length:>10}")
-    finally:
-        snapshot.close()
     return 0
 
 
@@ -216,7 +174,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import QueryService, ServiceConfig
 
     engine = GraphEngine.from_database(
-        _load(args.database),
+        _load(args.database, load_database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
     )
     config = ServiceConfig(
@@ -266,7 +224,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         format_report,
         has_errors,
     )
-    from .storage.snapshot import is_snapshot
 
     if args.sample_rows < 0:
         raise _UsageError("--sample-rows must be >= 0")
@@ -285,16 +242,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1 if error_count else 0
 
-    if is_snapshot(args.database):
-        # file-level checks first: CRC/geometry plus the decoded-column
-        # invariants the lazy read path assumes (offline, no database)
-        snapshot_diags = audit_snapshot(args.database)
-        section(f"snapshotaudit {args.database}", snapshot_diags)
-        if has_errors(snapshot_diags):
-            # an unreadable or inconsistent file cannot back the
-            # database-level passes; report what was found and stop
-            return tally()
-    engine = GraphEngine.from_database(_load(args.database))
+    # file-level checks first: CRC/geometry plus the decoded-column
+    # invariants the lazy read path assumes (offline, no database)
+    snapshot_diags = _load(args.database, audit_snapshot)
+    section(f"snapshotaudit {args.database}", snapshot_diags)
+    if has_errors(snapshot_diags):
+        # an unreadable or inconsistent file cannot back the
+        # database-level passes; report what was found and stop
+        return tally()
+    engine = GraphEngine.from_database(_load(args.database, load_database))
     section(
         f"indexaudit {args.database}",
         audit_database(
@@ -333,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--nodes", help="load a custom graph: nodes TSV (id<TAB>label)")
     p_build.add_argument("--edges", help="load a custom graph: edges TSV (src<TAB>dst)")
     p_build.add_argument("--out", required=True,
-                         help="output path (.snap writes a binary snapshot, "
-                              "anything else JSON)")
+                         help="output path of the binary snapshot")
     p_build.set_defaults(func=_cmd_build)
 
     p_stats = sub.add_parser("stats", help="show a saved database's statistics")
@@ -342,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--labels", action="store_true",
                          help="also list per-label extent sizes")
     p_stats.add_argument("--storage", action="store_true",
-                         help="also show the page footprint per structure")
+                         help="also show the snapshot's section table")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_query = sub.add_parser("query", help="match a pattern against a database")
@@ -370,34 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--all", action="store_true", help="print every row")
     p_query.set_defaults(func=_cmd_query)
 
-    p_snapshot = sub.add_parser(
-        "snapshot",
-        help="binary snapshot tools: save, timed load, file inspection",
-    )
-    snap_sub = p_snapshot.add_subparsers(dest="action", required=True)
-    p_snap_save = snap_sub.add_parser(
-        "save", help="convert a saved database (either format) to a snapshot"
-    )
-    p_snap_save.add_argument("source", help="existing database file (.json or .snap)")
-    p_snap_save.add_argument("out", help="output snapshot path")
-    p_snap_save.set_defaults(func=_cmd_snapshot)
-    p_snap_load = snap_sub.add_parser(
-        "load", help="open a snapshot, report load time and structure sizes"
-    )
-    p_snap_load.add_argument("file")
-    p_snap_load.set_defaults(func=_cmd_snapshot)
-    p_snap_info = snap_sub.add_parser(
-        "info", help="print a snapshot's header counters and section table"
-    )
-    p_snap_info.add_argument("file")
-    p_snap_info.set_defaults(func=_cmd_snapshot)
-
     p_serve = sub.add_parser(
         "serve",
         help="always-on query service: share one engine across concurrent "
              "clients (line-delimited JSON over TCP)",
     )
-    p_serve.add_argument("database", help="saved database (.json or .snap)")
+    p_serve.add_argument("database", help="saved database (a .snap file)")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7437,
                          help="TCP port (0 = ephemeral; default 7437)")

@@ -285,29 +285,6 @@ class GraphDatabase:
         """Reachability through stored codes: ``out(u) ∩ in(v) ≠ ∅``."""
         return not self.out_code(u).isdisjoint(self.in_code(v))
 
-    def storage_report(self) -> Dict[str, Dict[str, int]]:
-        """Page/row footprint of every stored structure.
-
-        Returns ``{structure: {"rows": ..., "pages": ...}}`` for each base
-        table (heap + primary index height folded into "pages" is not
-        attempted — index pages are shared in the pool), plus totals for
-        the whole simulated disk.  Useful for sizing buffer budgets and
-        for the Table 2-style reporting the CLI's ``stats`` command does.
-        """
-        for label in self._table_labels:  # a report covers *every* table
-            self.base_table(label)
-        report: Dict[str, Dict[str, int]] = {}
-        for label, table in sorted(self.base_tables.items()):
-            report[f"T_{label}"] = {
-                "rows": len(table),
-                "pages": table.page_count,
-            }
-        report["__disk__"] = {
-            "rows": sum(len(t) for t in self.base_tables.values()),
-            "pages": self.pool.disk.page_count,
-        }
-        return report
-
     # ------------------------------------------------------------------
     def reset_counters(self) -> None:
         """Clear I/O stats and the working cache (cold-start a query)."""

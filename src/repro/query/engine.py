@@ -147,10 +147,7 @@ class GraphEngine:
         whatever engine wrote the snapshot.
         """
         from ..db.persist import load_database
-        from ..storage.snapshot import SnapshotError, is_snapshot
 
-        if not is_snapshot(path):
-            raise SnapshotError(f"{path!r} is not a binary snapshot")
         return cls.from_database(load_database(path), **kwargs)
 
     # ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from .snapshot import (
     Snapshot,
     SnapshotError,
     encode_snapshot,
-    is_snapshot,
     write_snapshot,
 )
 from .stats import IOStats
@@ -21,7 +20,6 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "encode_snapshot",
-    "is_snapshot",
     "write_snapshot",
     "DEFAULT_BUFFER_BYTES",
     "DEFAULT_PAGE_SIZE",

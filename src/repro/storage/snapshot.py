@@ -1,14 +1,11 @@
 """Versioned binary snapshot format with mmap-backed, rebuild-free loading.
 
 The offline phase (2-hop cover, base tables, cluster R-join index,
-W-table, catalog) is the expensive part of the system; the JSON persist
-path (:mod:`repro.db.persist` v1) stores only graph + labeling and
-*recomputes* every downstream structure on load — cold start is
-O(rebuild), and the JSON codes blow up memory several-fold versus the
-``array('q')`` representation the run kernels already use.  This module
-defines a single-file binary snapshot holding every offline structure as
-``array('q')`` columns, written with :mod:`struct` / ``array.tobytes``
-and read back through :mod:`mmap`:
+W-table, catalog) is the expensive part of the system, and the online
+phase only reads it.  This module defines the one on-disk database
+format: a single file holding every offline structure as ``array('q')``
+columns (the representation the run kernels already use), written with
+:mod:`struct` / ``array.tobytes`` and read back through :mod:`mmap`:
 
 * loading verifies the header, the section table and every section's
   CRC32, then serves all reads out of the mapping — per-row payloads
@@ -111,15 +108,6 @@ def _require_little_endian() -> None:
             "binary snapshots are little-endian; this platform is "
             f"{sys.byteorder}-endian"
         )
-
-
-def is_snapshot(path: str) -> bool:
-    """True if *path* starts with the binary snapshot magic bytes."""
-    try:
-        with open(path, "rb") as f:
-            return f.read(len(SNAPSHOT_MAGIC)) == SNAPSHOT_MAGIC
-    except OSError:
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -292,18 +280,27 @@ def write_snapshot(db, path: str) -> None:
 
 
 def write_atomic(path: str, payload: bytes) -> None:
-    """Replace *path* with *payload* crash-atomically (both save formats).
+    """Replace *path* with *payload* crash-atomically.
 
     Flush and ``fsync`` a temp file before :func:`os.replace`, then
     ``fsync`` the directory entry, so a power cut can neither promote a
-    truncated temp file nor lose the rename itself.
+    truncated temp file nor lose the rename itself.  If the write, the
+    fsync or the replace raises, the temp file is removed and *path*
+    keeps its old bytes.
     """
     tmp_path = f"{path}.tmp"
-    with open(tmp_path, "wb") as f:
-        f.write(payload)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp_path, path)
+    try:
+        with open(tmp_path, "wb") as f:
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.remove(tmp_path)
+        except OSError:
+            pass
+        raise
     try:
         fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     except OSError:  # pragma: no cover - e.g. platforms without dir fds
@@ -324,7 +321,7 @@ class Snapshot:
 
     :meth:`open` maps the file and checks structure + every section CRC
     up front (one sequential pass over the mapping — cheap compared to a
-    JSON parse); after that every accessor copies exactly the rows
+    rebuild); after that every accessor copies exactly the rows
     asked for out of the mapping.  ``decode_stats`` counts the decodes,
     so tests can pin the laziness contract.
     """
@@ -363,13 +360,11 @@ class Snapshot:
     @classmethod
     def open(cls, path: str) -> "Snapshot":
         """Map and verify *path*; raises :class:`SnapshotError` on any
-        structural problem, bad CRC, short file or foreign format."""
+        structural problem, bad CRC, short file or foreign format, and
+        lets the :class:`OSError` of a file that cannot be opened at all
+        through."""
         _require_little_endian()
-        try:
-            f = open(path, "rb")
-        except OSError as exc:
-            raise SnapshotError(f"cannot open snapshot {path!r}: {exc}") from exc
-        with f:
+        with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
             if size < _HEADER.size + _FOOTER.size:
                 raise SnapshotError(
@@ -627,7 +622,7 @@ class Snapshot:
         }
 
     # ------------------------------------------------------------------
-    # inspection (CLI `repro snapshot info`)
+    # inspection (CLI `repro stats`)
     # ------------------------------------------------------------------
     def file_size(self) -> int:
         return len(self._buffer)
@@ -653,7 +648,6 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "encode_snapshot",
-    "is_snapshot",
     "write_atomic",
     "write_snapshot",
 ]

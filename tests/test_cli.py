@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+import tracemalloc
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -7,7 +11,7 @@ from repro.cli import build_parser, main
 
 @pytest.fixture(scope="module")
 def db_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "test.db.json"
+    path = tmp_path_factory.mktemp("cli") / "test.snap"
     rc = main([
         "build", "--factor", "0.1", "--budget", "500",
         "--seed", "3", "--out", str(path),
@@ -41,7 +45,10 @@ class TestCommands:
     def test_stats(self, db_path, capsys):
         assert main(["stats", db_path]) == 0
         out = capsys.readouterr().out
+        assert re.match(rf"opened {re.escape(db_path)} in \d+\.\d ms\n", out)
         assert "|H|" in out and "nodes" in out
+        assert "W pairs" in out and "sub runs" in out
+        assert "section table" not in out
 
     def test_stats_with_labels(self, db_path, capsys):
         assert main(["stats", db_path, "--labels"]) == 0
@@ -123,62 +130,65 @@ class TestCommands:
     def test_stats_storage_report(self, db_path, capsys):
         assert main(["stats", db_path, "--storage"]) == 0
         out = capsys.readouterr().out
-        assert "storage footprint" in out
-        assert "__disk__" in out
+        assert "section table (snapshot v2, " in out
+        assert "inval" in out and "subval" in out
+
+
+class TestQueryStreams:
+    #: 80 A-nodes -> hub -> 80 B-nodes, each B with 25 C-children:
+    #: "A -> B, B -> C" has 80 * 80 * 25 = 160,000 rows
+    SIDE, FAN = 80, 25
+
+    #: peak traced allocation of the whole command; holding the answer
+    #: takes ~12 MB, streaming it ~2 MB
+    PEAK_BYTES = 5_000_000
+
+    def test_large_answer_is_counted_not_held(self, hub_graph, tmp_path, capsys):
+        from repro import GraphEngine
+        from repro.db.persist import save_database
+
+        path = str(tmp_path / "hub.snap")
+        graph = hub_graph(self.SIDE, C=self.FAN)
+        save_database(GraphEngine(graph).db, path)
+        tracemalloc.start()
+        try:
+            assert main(["query", path, "A -> B, B -> C"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        rows = self.SIDE * self.SIDE * self.FAN
+        assert len(captured.out.splitlines()) == 1 + 20  # header + --head
+        assert f"... ({rows - 20} more rows; use --all)" in captured.err
+        assert f"-- {rows} row(s) in " in captured.err
+        assert peak < self.PEAK_BYTES, f"peak {peak} B: the answer was held"
 
 
 class TestSnapshot:
-    @pytest.fixture(scope="class")
-    def snap_path(self, db_path, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli-snap") / "test.snap"
-        assert main(["snapshot", "save", db_path, str(path)]) == 0
-        return str(path)
-
-    def test_save_reports_sections(self, db_path, tmp_path, capsys):
-        out_path = tmp_path / "s.snap"
-        assert main(["snapshot", "save", db_path, str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "sections" in out and "bytes" in out
-
-    def test_load_reports_timing_and_sizes(self, snap_path, capsys):
-        assert main(["snapshot", "load", snap_path]) == 0
-        out = capsys.readouterr().out
-        assert "ms" in out and "centers" in out
-
-    def test_info_prints_section_table(self, snap_path, capsys):
-        assert main(["snapshot", "info", snap_path]) == 0
-        out = capsys.readouterr().out
-        assert "section table" in out
-        assert "inval" in out and "subval" in out
-
-    def test_load_rejects_json(self, db_path, capsys):
-        assert main(["snapshot", "load", db_path]) == 1
-        assert "snapshot error" in capsys.readouterr().err
-
     def test_build_out_snap_writes_snapshot(self, tmp_path, capsys):
-        from repro.storage.snapshot import is_snapshot
+        from repro.storage.snapshot import SNAPSHOT_MAGIC
 
         path = tmp_path / "built.snap"
         assert main(["build", "--factor", "0.1", "--budget", "300",
                      "--seed", "3", "--out", str(path)]) == 0
-        assert is_snapshot(str(path))
+        assert path.read_bytes()[:8] == SNAPSHOT_MAGIC
 
-    def test_query_and_stats_work_on_snapshot(self, snap_path, capsys):
-        assert main(["query", snap_path, "itemref -> item"]) == 0
+    def test_query_and_stats_work_on_snapshot(self, db_path, capsys):
+        assert main(["query", db_path, "itemref -> item"]) == 0
         assert "itemref\titem" in capsys.readouterr().out
-        assert main(["stats", snap_path]) == 0
+        assert main(["stats", db_path]) == 0
         assert "|H|" in capsys.readouterr().out
 
-    def test_check_runs_snapshot_audit_section(self, snap_path, capsys):
-        assert main(["check", snap_path]) == 0
+    def test_check_runs_snapshot_audit_section(self, db_path, capsys):
+        assert main(["check", db_path]) == 0
         out = capsys.readouterr().out
         assert "== snapshotaudit" in out
         assert "== indexaudit" in out
 
     def test_check_stops_cleanly_on_corrupt_snapshot(
-        self, snap_path, tmp_path, capsys
+        self, db_path, tmp_path, capsys
     ):
-        payload = bytearray(open(snap_path, "rb").read())
+        payload = bytearray(open(db_path, "rb").read())
         payload[len(payload) // 2] ^= 0xFF
         bad = tmp_path / "corrupt.snap"
         bad.write_bytes(bytes(payload))
@@ -196,14 +206,17 @@ class TestUnreadableDatabase:
     @pytest.fixture(scope="class")
     def bad_files(self, db_path, tmp_path_factory):
         base = tmp_path_factory.mktemp("cli-bad")
-        snap = base / "whole.snap"
-        assert main(["snapshot", "save", db_path, str(snap)]) == 0
         truncated = base / "truncated.snap"
-        truncated.write_bytes(snap.read_bytes()[:3000])
-        garbled = base / "garbled.json"
-        garbled.write_text('{"format_version": 2, garbled')
+        with open(db_path, "rb") as whole:
+            truncated.write_bytes(whole.read()[:3000])
+        garbled = base / "garbled.db.json"  # a leftover of the retired format
+        garbled.write_text(json.dumps({
+            "format_version": 1,
+            "graph": {"labels": ["A", "B"], "edges": [[0, 1]]},
+            "labeling": {"in_codes": [[0], [0, 1]], "out_codes": [[0], [1]]},
+        }))
         return {
-            "missing": str(base / "missing.db.json"),
+            "missing": str(base / "missing.snap"),
             "truncated": str(truncated),
             "garbled": str(garbled),
         }
@@ -213,12 +226,13 @@ class TestUnreadableDatabase:
         ("missing", ["query", "{}", "itemref -> item"], "No such file or directory"),
         ("missing", ["serve", "{}", "--port", "0"], "No such file or directory"),
         ("missing", ["check", "{}"], "No such file or directory"),
-        ("missing", ["snapshot", "save", "{}", "unwritten.snap"], "No such file or directory"),
+        ("missing", ["query", "{}", "itemref -> item", "--explain"],
+         "No such file or directory"),
         ("truncated", ["stats", "{}"], "truncated"),
         ("truncated", ["query", "{}", "itemref -> item"], "truncated"),
-        ("garbled", ["stats", "{}"], "Expecting"),
-        ("garbled", ["query", "{}", "itemref -> item"], "Expecting"),
-        ("garbled", ["check", "{}"], "Expecting"),
+        ("garbled", ["stats", "{}"], "does not start with snapshot magic"),
+        ("garbled", ["query", "{}", "itemref -> item"],
+         "does not start with snapshot magic"),
     ])
     def test_one_line_and_exit_2(self, bad_files, capsys, kind, argv, message):
         path = bad_files[kind]
@@ -274,7 +288,7 @@ class TestCheck:
         u, v = next(iter(graph.edges()))
         labeling.out_codes[u] = frozenset({u})
         labeling.in_codes[v] = frozenset({v})
-        bad_path = tmp_path / "corrupt.db.json"
+        bad_path = tmp_path / "corrupt.snap"
         save_database(GraphDatabase(graph, labeling=labeling), str(bad_path))
 
         rc = main(["check", str(bad_path)])
@@ -282,6 +296,19 @@ class TestCheck:
         assert rc == 1
         assert "index/cover-missing" in captured.out
         assert "0 error(s)" not in captured.err
+
+    def test_foreign_file_fails_the_snapshot_audit(self, tmp_path, capsys):
+        """A file that opens but is no snapshot (here a leftover of the
+        retired JSON format) is a finding of the audit, not a usage
+        error: exit 1, and no database-level pass runs."""
+        path = tmp_path / "old.db.json"
+        path.write_text(json.dumps({"format_version": 1, "graph": {
+            "labels": ["A", "B"], "edges": [[0, 1]]}}))
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "snapshot/unreadable" in captured.out
+        assert "does not start with snapshot magic" in captured.out
+        assert "== indexaudit" not in captured.out
 
 
 class TestServe:

@@ -170,17 +170,3 @@ def test_property_join_index_sound_and_complete(n, density, seed):
                 for w in index.centers(x_label, y_label)
             )
             assert covered == closure.reaches(u, v)
-
-
-class TestStorageReport:
-    def test_report_shape(self, fig1_db):
-        report = fig1_db.storage_report()
-        assert set(report) == {"T_A", "T_B", "T_C", "T_D", "T_E", "__disk__"}
-        assert report["T_B"]["rows"] == 7
-        assert report["T_B"]["pages"] >= 1
-        assert report["__disk__"]["rows"] == fig1_db.graph.node_count
-        # the disk also holds index pages, so it exceeds the heap pages
-        heap_pages = sum(
-            info["pages"] for name, info in report.items() if name != "__disk__"
-        )
-        assert report["__disk__"]["pages"] >= heap_pages

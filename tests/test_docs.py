@@ -57,3 +57,43 @@ def test_docs_name_only_files_that_exist():
         if not path.startswith("benchmarks/e2e/") and not list(ROOT.glob(path))
     ]
     assert stale == []
+
+
+#: a `repro <subcommand>` as docs write one: at a line start (shell
+#: blocks), after a backtick or after `python -m`; `a|b` lists alternatives
+CLI_COMMAND = re.compile(r"(?:^\s*|`|-m )repro ([a-z][\w|-]*)", re.M)
+
+
+def test_docs_name_only_cli_subcommands_that_exist():
+    """Every `repro <subcommand>` the living docs and the CLI's own
+    docstring write down is one `build_parser()` knows (history files
+    are not checked)."""
+    import argparse
+    import ast
+
+    from repro.cli import build_parser
+
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    known = set(subparsers.choices)
+    cli_source = (ROOT / "src" / "repro" / "cli.py").read_text()
+    texts = {
+        "src/repro/cli.py": ast.get_docstring(ast.parse(cli_source)) or "",
+        **{
+            str(doc.relative_to(ROOT)): doc.read_text()
+            for doc in [ROOT / "README.md", ROOT / "DESIGN.md",
+                        *sorted(DOCS.glob("*.md")),
+                        ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+        },
+    }
+    unknown = [
+        f"{name}: repro {command}"
+        for name, text in texts.items()
+        for commands in CLI_COMMAND.findall(text)
+        for command in commands.split("|")
+        if command not in known
+    ]
+    assert "repro build" in texts["src/repro/cli.py"]
+    assert unknown == []

@@ -78,7 +78,7 @@ class TestEdgeList:
 class TestCliCustomGraph:
     def test_build_from_edge_list_and_query(self, sample_files, tmp_path, capsys):
         nodes, edges = sample_files
-        out = str(tmp_path / "custom.db.json")
+        out = str(tmp_path / "custom.snap")
         assert main(["build", "--nodes", nodes, "--edges", edges,
                      "--out", out]) == 0
         capsys.readouterr()
@@ -89,5 +89,5 @@ class TestCliCustomGraph:
     def test_build_requires_both_files(self, sample_files, tmp_path, capsys):
         nodes, _ = sample_files
         rc = main(["build", "--nodes", nodes, "--out",
-                   str(tmp_path / "x.json")])
+                   str(tmp_path / "x.snap")])
         assert rc == 2

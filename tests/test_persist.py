@@ -8,16 +8,17 @@ import pytest
 
 from repro.baselines.naive import NaiveMatcher
 from repro.db.database import GraphDatabase
-from repro.db.persist import FORMAT_VERSION, load_database, save_database
+from repro.db.persist import load_database, save_database
 from repro.graph.generators import figure1_graph, random_digraph
 from repro.query.engine import GraphEngine
 from repro.query.parser import parse_pattern
+from repro.storage.snapshot import SnapshotError
 
 
 class TestRoundTrip:
     def test_graph_and_labeling_survive(self, tmp_path):
         db = GraphDatabase(figure1_graph())
-        path = str(tmp_path / "fig1.db.json")
+        path = str(tmp_path / "fig1.snap")
         save_database(db, path)
         loaded = load_database(path)
         assert loaded.graph.node_count == db.graph.node_count
@@ -29,7 +30,7 @@ class TestRoundTrip:
     def test_loaded_database_answers_queries(self, tmp_path):
         g = random_digraph(25, 0.1, seed=13)
         db = GraphDatabase(g)
-        path = str(tmp_path / "rand.db.json")
+        path = str(tmp_path / "rand.snap")
         save_database(db, path)
         loaded = load_database(path)
 
@@ -41,7 +42,7 @@ class TestRoundTrip:
     def test_reaches_identical_after_reload(self, tmp_path):
         g = random_digraph(20, 0.15, seed=4)
         db = GraphDatabase(g)
-        path = str(tmp_path / "r.db.json")
+        path = str(tmp_path / "r.snap")
         save_database(db, path)
         loaded = load_database(path)
         for u in g.nodes():
@@ -49,13 +50,14 @@ class TestRoundTrip:
                 assert db.reaches(u, v) == loaded.reaches(u, v)
 
 
-@pytest.mark.parametrize("suffix", ["json", "snap"])
-def test_atomic_write(tmp_path, monkeypatch, suffix):
-    """Both formats: no temp file left; the temp file is fsynced before the
-    replace and the directory after it; a failed replace keeps the old file."""
-    path = tmp_path / f"x.{suffix}"
+def test_atomic_write(tmp_path, monkeypatch):
+    """No temp file left; the temp file is fsynced before the replace and
+    the directory after it; a failed fsync or replace keeps the old file
+    and removes the temp file."""
+    path = tmp_path / "x.snap"
+    tmp = tmp_path / "x.snap.tmp"
     save_database(GraphDatabase(figure1_graph()), str(path))
-    assert path.exists() and not (tmp_path / f"x.{suffix}.tmp").exists()
+    assert path.exists() and not tmp.exists()
     before = path.read_bytes()
 
     calls = []
@@ -84,21 +86,38 @@ def test_atomic_write(tmp_path, monkeypatch, suffix):
     with pytest.raises(OSError, match="replace failed"):
         save_database(GraphDatabase(figure1_graph()), str(path))
     assert path.read_bytes() == after
+    assert not tmp.exists()
+
+    def failing_fsync(fd):
+        raise OSError("fsync failed")
+
+    monkeypatch.setattr(os, "replace", real_replace)
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="fsync failed"):
+        save_database(GraphDatabase(figure1_graph()), str(path))
+    assert path.read_bytes() == after
+    assert not tmp.exists()
 
 
 class TestVersioning:
     def test_wrong_version_rejected(self, tmp_path):
-        db = GraphDatabase(figure1_graph())
-        path = tmp_path / "v.json"
-        save_database(db, str(path))
-        payload = json.loads(path.read_text())
-        payload["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        path = tmp_path / "v.snap"
+        save_database(GraphDatabase(figure1_graph()), str(path))
+        payload = bytearray(path.read_bytes())
+        payload[8] += 1  # the header's version field
+        path.write_bytes(bytes(payload))
+        with pytest.raises(SnapshotError, match="version"):
             load_database(str(path))
 
     def test_missing_version_rejected(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text(json.dumps({"graph": {}}))
-        with pytest.raises(ValueError):
+        """A file without the snapshot header — here a leftover database
+        of the retired JSON format — is refused at the magic, before any
+        version is read; it is not converted."""
+        path = tmp_path / "old.db.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "graph": {"labels": ["A", "B"], "edges": [[0, 1]]},
+            "labeling": {"in_codes": [[0], [0, 1]], "out_codes": [[0], [1]]},
+        }))
+        with pytest.raises(SnapshotError, match="does not start with snapshot magic"):
             load_database(str(path))

@@ -635,7 +635,7 @@ class TestServeCLI:
 
         engine = GraphEngine(generators.figure1_graph())
         db_path = tmp_path / "fig1.snap"
-        save_database(engine.db, str(db_path), format="snapshot")
+        save_database(engine.db, str(db_path))
         expected = engine.match(PATTERN)
 
         proc = subprocess.Popen(
