@@ -173,6 +173,40 @@ class TestSnapshot:
                      "--seed", "3", "--out", str(path)]) == 0
         assert path.read_bytes()[:8] == SNAPSHOT_MAGIC
 
+    def test_load_reports_timing_and_sizes(self, db_path, capsys):
+        """``repro stats`` times the open and its header counters are the
+        sizes of the database the snapshot holds."""
+        from repro.db.persist import load_database
+
+        assert main(["stats", db_path]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r" in \d+\.\d ms$", out.splitlines()[0])
+        counters = dict(re.findall(r"^\s*(nodes|edges|centers): (\d+)$", out, re.M))
+        db = load_database(db_path)
+        assert counters == {
+            "nodes": str(db.graph.node_count),
+            "edges": str(db.graph.edge_count),
+            "centers": str(len(db.labeling.centers())),
+        }
+
+    def test_info_prints_section_table(self, db_path, capsys):
+        """``repro stats --storage`` lists the sections in file order, none
+        overlapping, all inside the file whose size the table heads with."""
+        import os
+
+        assert main(["stats", db_path, "--storage"]) == 0
+        out = capsys.readouterr().out
+        total = int(re.search(r"section table \(snapshot v\d+, (\d+) bytes\)", out)[1])
+        assert total == os.path.getsize(db_path)
+        rows = re.findall(r"^  (\w+)\s+(\d+)\s+(\d+)$", out, re.M)
+        names = [name for name, _, _ in rows]
+        assert "inval" in names and "subval" in names
+        end = 0
+        for _, offset, size in rows:
+            assert int(offset) >= end
+            end = int(offset) + int(size)
+        assert end <= total
+
     def test_query_and_stats_work_on_snapshot(self, db_path, capsys):
         assert main(["query", db_path, "itemref -> item"]) == 0
         assert "itemref\titem" in capsys.readouterr().out

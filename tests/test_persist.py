@@ -12,7 +12,7 @@ from repro.db.persist import load_database, save_database
 from repro.graph.generators import figure1_graph, random_digraph
 from repro.query.engine import GraphEngine
 from repro.query.parser import parse_pattern
-from repro.storage.snapshot import SnapshotError
+from repro.storage.snapshot import SNAPSHOT_MAGIC, SnapshotError
 
 
 class TestRoundTrip:
@@ -50,14 +50,17 @@ class TestRoundTrip:
                 assert db.reaches(u, v) == loaded.reaches(u, v)
 
 
-def test_atomic_write(tmp_path, monkeypatch):
-    """No temp file left; the temp file is fsynced before the replace and
-    the directory after it; a failed fsync or replace keeps the old file
-    and removes the temp file."""
-    path = tmp_path / "x.snap"
-    tmp = tmp_path / "x.snap.tmp"
+@pytest.mark.parametrize("suffix", ["json", "snap"])
+def test_atomic_write(tmp_path, monkeypatch, suffix):
+    """Whatever the file's suffix (a ``.json`` name of the retired format
+    too), a snapshot is written; no temp file is left; the temp file is
+    fsynced before the replace and the directory after it; a failed fsync
+    or replace keeps the old file and removes the temp file."""
+    path = tmp_path / f"x.{suffix}"
+    tmp = tmp_path / f"x.{suffix}.tmp"
     save_database(GraphDatabase(figure1_graph()), str(path))
     assert path.exists() and not tmp.exists()
+    assert path.read_bytes()[:8] == SNAPSHOT_MAGIC
     before = path.read_bytes()
 
     calls = []
