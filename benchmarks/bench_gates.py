@@ -14,17 +14,19 @@ Three groups, each a fixed instance, round count and bound:
    filters.  The XMark cyclic workload
    (:meth:`PatternFactory.cyclic_patterns`) is an agreement leg.
 2. **Snapshot load.**  Reopening the Figure-7 "L" database from its
-   binary snapshot (mmap, zero-copy columns, lazily decoded subclusters)
-   must be **>= 5x faster** than rebuilding it from its graph and 2-hop
-   labeling (``GraphDatabase(graph, labeling=labeling)``: base tables,
-   cluster index, W-table and catalog), and both must answer a workload
-   query with the same rows.
+   binary snapshot (mmap, CRC check, directories and extents; no run is
+   copied until a query reads it) must be **>= 5x faster** than
+   rebuilding it from its graph and 2-hop labeling
+   (``GraphDatabase(graph, labeling=labeling)``: base tables, cluster
+   index, W-table and catalog), and both must answer a workload query
+   with the same rows.
 3. **The query service.**  Serving N queries concurrently through one
    shared engine must beat N sequential *cold* engine invocations (fresh
    ``load_database`` + ``GraphEngine`` per query) **>= 2x** on aggregate
    wall time, rows byte-identical per query.  An *open-loop* arrival
-   schedule at ~4x measured capacity against a 1-slot service with a
-   short admission queue must shed (sheds > 0) while the p99 of served
+   schedule at ~4x measured capacity (bursts of 4 queries every mean
+   server-side execution time) against a 1-slot service with a short
+   admission queue must shed (sheds > 0) while the p99 of served
    queries stays inside what the queue geometry allows.  A closed-loop
    driver self-throttles and could never show overload; the open loop
    keeps offering work at the target rate like independent clients.
@@ -215,7 +217,7 @@ def test_snapshot_load_beats_rebuild(built_and_saved):
     oracle = GraphEngine.from_database(rebuilt_db).match(GATE_PATTERN)
     candidate = GraphEngine.from_database(snap_db).match(GATE_PATTERN)
     assert candidate.rows == oracle.rows, "snapshot-loaded rows diverge"
-    assert snap_db.join_index.wtable_sizes() == rebuilt_db.join_index.wtable_sizes()
+    assert snap_db.snapshot.wtable_sizes() == rebuilt_db.join_index.wtable_sizes()
 
     speedup = rebuild_ms / snap_ms if snap_ms else float("inf")
     assert speedup >= REQUIRED_LOAD_SPEEDUP, (
@@ -344,8 +346,14 @@ def test_shared_engine_beats_cold_invocations(snapshot_path, shared_engine, work
     )
 
 
-async def _open_loop(address, schedule, interval_s):
-    """Offer one query every ``interval_s`` regardless of completions."""
+async def _open_loop(address, schedule, burst, interval_s):
+    """Offer *burst* queries back to back every ``interval_s``,
+    regardless of completions.
+
+    The server shares this process and its GIL, so single arrivals paced
+    by ``asyncio.sleep`` land late and the offered rate sinks towards
+    capacity; a burst reaches the admission queue together however
+    late it is sent."""
     host, port = address
     client = await AsyncServiceClient.connect(host, port)
     try:
@@ -358,8 +366,9 @@ async def _open_loop(address, schedule, interval_s):
             return "ok", (time.perf_counter() - sent) * 1000.0
 
         tasks = []
-        for _, pattern in schedule:
-            tasks.append(asyncio.ensure_future(one(pattern)))
+        for start in range(0, len(schedule), burst):
+            for _, pattern in schedule[start:start + burst]:
+                tasks.append(asyncio.ensure_future(one(pattern)))
             await asyncio.sleep(interval_s)
         return await asyncio.gather(*tasks)
     finally:
@@ -375,25 +384,31 @@ def test_overload_sheds_and_bounds_p99(shared_engine, workload):
     try:
         # measure warm per-query service time closed-loop (one at a
         # time = capacity of the 1-slot service, and nothing can shed);
-        # also warms every cache the overload run uses
+        # also warms every cache the overload run uses.  Capacity comes
+        # from the server's own exec_ms; the p99 bound keeps the worst
+        # round trip the client saw
         host, port = handle.address
-        exec_ms = []
+        exec_ms, round_trip_ms = [], []
         with ServiceClient(host, port, timeout=600) as warm_client:
             for _ in range(2):  # second pass is the warm measurement
-                exec_ms = []
+                exec_ms, round_trip_ms = [], []
                 for _, pattern in workload.items():
                     sent = time.perf_counter()
-                    warm_client.query(pattern, optimizer="auto")
-                    exec_ms.append((time.perf_counter() - sent) * 1000.0)
+                    reply = warm_client.query(pattern, optimizer="auto")
+                    round_trip_ms.append((time.perf_counter() - sent) * 1000.0)
+                    exec_ms.append(reply["metrics"]["exec_ms"])
         mean_exec_s = (sum(exec_ms) / len(exec_ms)) / 1000.0
-        max_exec_ms = max(exec_ms)
+        max_exec_ms = max(round_trip_ms)
 
         schedule = [
             list(workload.items())[i % len(workload)]
             for i in range(OVERLOAD_ARRIVALS)
         ]
-        interval_s = mean_exec_s / OVERLOAD_FACTOR
-        outcomes = asyncio.run(_open_loop(handle.address, schedule, interval_s))
+        # OVERLOAD_FACTOR arrivals per mean service time, in one burst
+        burst = int(OVERLOAD_FACTOR)
+        outcomes = asyncio.run(
+            _open_loop(handle.address, schedule, burst, mean_exec_s)
+        )
     finally:
         handle.stop()
 

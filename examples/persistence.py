@@ -48,7 +48,7 @@ def main() -> None:
         reheated = reloaded.match(query)
         assert fresh.as_set() == reheated.as_set()
         print(f"query agreement after reload: {len(fresh)} matches both ways")
-        reloaded.db.snapshot_handle.close()
+        reloaded.db.snapshot.close()
 
 
 if __name__ == "__main__":

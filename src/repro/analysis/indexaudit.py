@@ -1,4 +1,4 @@
-"""indexaudit — invariant auditing for a built :class:`GraphDatabase`.
+"""indexaudit — invariant auditing for a database of either tier.
 
 The whole query layer is only correct if the offline structures are: the
 2-hop labeling must be a true reachability cover (``u ~> v`` iff
@@ -18,10 +18,17 @@ Three families of checks:
   non-empty X-labeled F-subcluster *and* Y-labeled T-subcluster; every
   non-empty subcluster pair appears in the W-table; the cluster leaves
   match the clusters recomputed from the stored codes;
-* **B+-tree structure** — for the cluster index, the W-table and every
-  base-table primary index: sorted unique keys in every node, correct
-  child counts and separator bounds, uniform leaf depth, an intact
-  left-to-right leaf chain, and a size counter that matches the leaves.
+* **B+-tree structure** (live tier only) — for the cluster index, the
+  W-table and every base-table primary index: sorted unique keys in
+  every node, correct child counts and separator bounds, uniform leaf
+  depth, an intact left-to-right leaf chain, and a size counter that
+  matches the leaves.
+
+The first two families read the database's whole offline structures
+(``db.offline_structures()``); a snapshot-loaded database decodes them
+from its file for the audit.  A snapshot has no B+-trees: the
+file-level CRC and geometry checks of :meth:`Snapshot.open` and
+:func:`audit_snapshot` play that role there.
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records; per
 rule, at most ``max_examples`` individual findings are emitted before a
@@ -32,10 +39,12 @@ produce one diagnostic per node pair).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..db.database import GraphDatabase
+from ..db.database import Database, GraphDatabase
+from ..graph.digraph import DiGraph
 from ..graph.traversal import reachable_set
+from ..labeling.twohop import TwoHopLabeling
 from ..storage.bptree import BPlusTree
 from ..storage.snapshot import Snapshot, SnapshotError
 from .diagnostics import Diagnostic, Severity
@@ -92,14 +101,13 @@ class _Reporter:
 # 2-hop cover
 # ----------------------------------------------------------------------
 def _audit_cover(
-    db: GraphDatabase,
+    graph: DiGraph,
+    labeling: TwoHopLabeling,
     out: _Reporter,
     exact_threshold: int,
     sample_rows: int,
     seed: int,
 ) -> None:
-    graph = db.graph
-    labeling = db.labeling
     n = graph.node_count
     coded = min(len(labeling.out_codes), len(labeling.in_codes))
     if coded < n:
@@ -148,13 +156,19 @@ def _audit_cover(
 # ----------------------------------------------------------------------
 # W-table ↔ subcluster agreement
 # ----------------------------------------------------------------------
-def _audit_wtable(db: GraphDatabase, out: _Reporter) -> None:
-    index = db.join_index
+def _audit_wtable(
+    graph: DiGraph,
+    labeling: TwoHopLabeling,
+    cluster_items: Iterable[Tuple[int, Dict[str, tuple], Dict[str, tuple]]],
+    wtable_items: Iterable[Tuple[Tuple[str, str], Sequence[int]]],
+    out: _Reporter,
+) -> None:
     clusters: Dict[int, Tuple[Dict[str, tuple], Dict[str, tuple]]] = {
-        center: (f_sub, t_sub) for center, f_sub, t_sub in index.cluster_items()
+        center: (f_sub, t_sub) for center, f_sub, t_sub in cluster_items
     }
+    wtable_items = list(wtable_items)
 
-    for (x_label, y_label), centers in index.wtable_items():
+    for (x_label, y_label), centers in wtable_items:
         for center in centers:
             entry = clusters.get(center)
             f_sub = entry[0] if entry else {}
@@ -175,7 +189,7 @@ def _audit_wtable(db: GraphDatabase, out: _Reporter) -> None:
                 )
 
     wtable: Dict[Tuple[str, str], frozenset] = {
-        pair: frozenset(centers) for pair, centers in index.wtable_items()
+        pair: frozenset(centers) for pair, centers in wtable_items
     }
     for center, (f_sub, t_sub) in clusters.items():
         for x_label, f_nodes in f_sub.items():
@@ -194,7 +208,7 @@ def _audit_wtable(db: GraphDatabase, out: _Reporter) -> None:
                     )
 
     # cluster leaves must match the clusters recomputed from the codes
-    truth = db.labeling.clusters()
+    truth = labeling.clusters()
     for center, (f_nodes, t_nodes) in truth.items():
         entry = clusters.get(center)
         if entry is None:
@@ -226,19 +240,19 @@ def _audit_wtable(db: GraphDatabase, out: _Reporter) -> None:
     for center, (f_sub, t_sub) in clusters.items():
         for label, nodes in list(f_sub.items()) + list(t_sub.items()):
             for node in nodes:
-                if not (0 <= node < db.graph.node_count):
+                if not (0 <= node < graph.node_count):
                     out.report(
                         "index/cluster-unknown-node",
                         "rjoin-index",
                         f"center {center}: subcluster node {node} is not a "
                         "graph node",
                     )
-                elif db.graph.label(node) != label:
+                elif graph.label(node) != label:
                     out.report(
                         "index/cluster-mislabeled",
                         "rjoin-index",
                         f"center {center}: node {node} sits in the {label} "
-                        f"subcluster but is labeled {db.graph.label(node)!r}",
+                        f"subcluster but is labeled {graph.label(node)!r}",
                     )
 
 
@@ -395,7 +409,7 @@ def _keys_unsorted(keys: List[Any]) -> int:
 # entry point
 # ----------------------------------------------------------------------
 def audit_database(
-    db: GraphDatabase,
+    db: Database,
     exact_threshold: int = 300,
     sample_rows: int = 32,
     seed: int = 0,
@@ -406,17 +420,16 @@ def audit_database(
     ``exact_threshold`` bounds the exact transitive-closure cover check
     (above it, ``sample_rows`` full reachability rows are sampled with
     ``seed`` instead, plus an every-edge check).  An empty return means
-    cover, W-table and B+-tree invariants all hold.
+    cover, W-table and (on the live tier) B+-tree invariants all hold.
     """
     out = _Reporter(max_examples)
-    _audit_cover(db, out, exact_threshold, sample_rows, seed)
-    _audit_wtable(db, out)
-    # snapshot-backed indexes have no trees; the file-level CRC/geometry
-    # checks (audit_snapshot) replace the structural tree audit there
-    if db.join_index.index_tree is not None:
-        check_bptree(db.join_index.index_tree, out)
-    if db.join_index.wtable_tree is not None:
-        check_bptree(db.join_index.wtable_tree, out)
+    graph, labeling, cluster_items, wtable_items = db.offline_structures()
+    _audit_cover(graph, labeling, out, exact_threshold, sample_rows, seed)
+    _audit_wtable(graph, labeling, cluster_items, wtable_items, out)
+    if not isinstance(db, GraphDatabase):
+        return out.finish()
+    check_bptree(db.join_index.index_tree, out)
+    check_bptree(db.join_index.wtable_tree, out)
     for label in db.labels():
         table = db.base_table(label)
         if table.pk_index is not None:

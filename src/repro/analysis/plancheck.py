@@ -22,7 +22,7 @@ from ..query.algebra import FilterStep, MultiwaySeed, MultiwayStep, Plan, SeedJo
 from .diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..db.database import GraphDatabase
+    from ..db.database import Database
 
 
 def _r_joins(step) -> list:
@@ -38,7 +38,7 @@ def _r_joins(step) -> list:
 
 def check_plan(
     plan: Plan,
-    db: Optional["GraphDatabase"] = None,
+    db: Optional["Database"] = None,
     source: str = "plan",
 ) -> List[Diagnostic]:
     """Statically verify *plan*; returns every violation found.
@@ -62,9 +62,7 @@ def check_plan(
     for index, step in enumerate(plan.steps if db is not None else ()):
         for src, dst in _r_joins(step):
             x_label, y_label = labels.get(src), labels.get(dst)
-            if {x_label, y_label} <= known and not db.join_index.centers(
-                x_label, y_label
-            ):
+            if {x_label, y_label} <= known and not db.w_run(x_label, y_label):
                 found.append(Diagnostic(
                     "plan/empty-wtable-entry", Severity.WARNING,
                     f"W({x_label}, {y_label}) has no centers: the R-join for "

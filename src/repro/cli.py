@@ -91,7 +91,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"opened {args.database} in "
           f"{(time.perf_counter() - started) * 1e3:.1f} ms")
     engine = GraphEngine.from_database(db)
-    snapshot = db.snapshot_handle
+    snapshot = db.snapshot
     summary = engine.stats_summary()
     print(f"{'nodes':>12}: {summary['nodes']}")
     print(f"{'edges':>12}: {summary['edges']}")

@@ -1,8 +1,8 @@
 """The graph database: base tables, cluster-based R-join index, catalog."""
 
 from .catalog import Catalog, PairStats
-from .database import CodeCache, GraphDatabase
-from .join_index import ClusterRJoinIndex, SnapshotRJoinIndex
+from .database import CodeCache, GraphDatabase, SnapshotDatabase
+from .join_index import ClusterRJoinIndex
 from .persist import load_database, save_database
 
 __all__ = [
@@ -10,8 +10,8 @@ __all__ = [
     "PairStats",
     "CodeCache",
     "GraphDatabase",
+    "SnapshotDatabase",
     "ClusterRJoinIndex",
-    "SnapshotRJoinIndex",
     "load_database",
     "save_database",
 ]

@@ -21,25 +21,43 @@ center's labeled F/T-subclusters) and :meth:`~GraphDatabase.extent_run`
 (a label's nodes).  :class:`GraphDatabase` implements them for the live
 tier — B+-tree / primary-index probes charged I/O exactly where the
 paper's cost model charges it; :class:`SnapshotDatabase` for the snapshot
-tier — runs decoded once from the mapping and memoised.  Nothing above
-this module knows which tier it is reading.
+tier — each run copied out of the mapped file on every call, with the
+engine's CenterCache the one cache above it.  Nothing above this module
+knows which tier it is reading.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from bisect import bisect_left
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling, build_two_hop
 from ..storage.buffer import DEFAULT_BUFFER_BYTES, BufferPool
 from ..storage.pages import DEFAULT_PAGE_SIZE, DiskManager
+from ..storage.snapshot import Snapshot
 from ..storage.stats import IOStats
 from ..storage.table import Table
 from .catalog import Catalog, PairStats
-from .join_index import ClusterRJoinIndex, SnapshotRJoinIndex
+from .join_index import ClusterRJoinIndex
+
+#: a center's ``({X: F-subcluster}, {Y: T-subcluster})`` leaf
+Subclusters = Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]
+
+
+class OfflineStructures(NamedTuple):
+    """Every offline structure whole: what the snapshot writer and the
+    index audit read, never the query path."""
+
+    graph: DiGraph
+    labeling: TwoHopLabeling
+    #: ``(center, f_subclusters, t_subclusters)`` in center order
+    cluster_items: Iterable[Tuple[int, Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]]
+    #: ``((X, Y), centers)`` in key order
+    wtable_items: Iterable[Tuple[Tuple[str, str], Sequence[int]]]
 
 
 @dataclass
@@ -110,8 +128,6 @@ class GraphDatabase:
         self.catalog = Catalog(graph, self.labeling)
         self.code_cache = CodeCache()
         self._node_labels = list(graph.labels())
-        self._snapshot = None
-        self._table_lock = threading.Lock()
         self.pool.flush_all()
 
     @property
@@ -121,76 +137,25 @@ class GraphDatabase:
         return self.pool.stats
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot,
-        buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ) -> "SnapshotDatabase":
-        """Construct a database that serves from a binary snapshot.
-
-        Nothing expensive is rebuilt: codes come from the labeling's
-        array source (each row decoded from the mapping on first touch
-        and memoised), the R-join index and W-table are a
-        :class:`SnapshotRJoinIndex` over the same mapping, the catalog is
-        rehydrated from the stored statistics, and base tables
-        materialize per label on first access.  Only the graph itself
-        (O(V+E), needed for labels and extents everywhere) is
-        reconstructed eagerly.
-        """
-        db = SnapshotDatabase.__new__(SnapshotDatabase)
-        db.graph = snapshot.build_graph()
-        db.pool = BufferPool(
-            DiskManager(page_size=page_size),
-            capacity_bytes=buffer_bytes,
-        )
-        db.labeling = TwoHopLabeling.from_array_source(
-            snapshot.node_count,
-            snapshot.in_code_array,
-            snapshot.out_code_array,
-        )
-        db.base_tables = {}
-        db._table_labels = tuple(snapshot.label_names)
-        db.join_index = SnapshotRJoinIndex(snapshot)
-        db.catalog = Catalog.from_stats(
-            snapshot.extent_sizes(),
-            {
-                pair: PairStats(*stats)
-                for pair, stats in snapshot.catalog_pairs().items()
-            },
-        )
-        db.code_cache = CodeCache()
-        db._node_labels = list(db.graph.labels())
-        db._snapshot = snapshot
-        db._table_lock = threading.Lock()
-        return db
-
-    # ------------------------------------------------------------------
     def _load_base_tables(self) -> None:
         for label in self._table_labels:
-            self._materialize_table(label)
-
-    def _materialize_table(self, label: str) -> Table:
-        nodes = self.graph.extent(label)
-        table = Table(
-            self.pool,
-            name=f"T_{label}",
-            columns=(label, f"{label}_in", f"{label}_out"),
-            primary_key=label,
-        )
-        for node in sorted(nodes):
-            in_code = self.labeling.in_codes[node]
-            out_code = self.labeling.out_codes[node]
-            table.insert(
-                (
-                    node,
-                    tuple(sorted(in_code - {node})),
-                    tuple(sorted(out_code - {node})),
-                )
+            table = Table(
+                self.pool,
+                name=f"T_{label}",
+                columns=(label, f"{label}_in", f"{label}_out"),
+                primary_key=label,
             )
-        self.base_tables[label] = table
-        return table
+            for node in sorted(self.graph.extent(label)):
+                in_code = self.labeling.in_codes[node]
+                out_code = self.labeling.out_codes[node]
+                table.insert(
+                    (
+                        node,
+                        tuple(sorted(in_code - {node})),
+                        tuple(sorted(out_code - {node})),
+                    )
+                )
+            self.base_tables[label] = table
 
     # ------------------------------------------------------------------
     # public access paths
@@ -199,26 +164,13 @@ class GraphDatabase:
         return self._table_labels
 
     def base_table(self, label: str) -> Table:
-        """The base table ``T_label``, materializing it on first access.
-
-        Snapshot-loaded databases defer table construction per label —
-        most workloads touch a handful of the |Σ| tables, and the seed
-        scan is the only operator that needs row storage at all.
-        """
-        table = self.base_tables.get(label)
-        if table is not None:
-            return table
-        if label not in self._table_labels:
+        """The base table ``T_label``."""
+        try:
+            return self.base_tables[label]
+        except KeyError:
             raise KeyError(
                 f"no base table for label {label!r}; labels are {self.labels()}"
-            )
-        # double-checked: concurrent first touches of the same label must
-        # not materialize (and insert pages for) the table twice
-        with self._table_lock:
-            table = self.base_tables.get(label)
-            if table is not None:
-                return table
-            return self._materialize_table(label)
+            ) from None
 
     # ------------------------------------------------------------------
     # the run surface: the four reads the physical operators are built on
@@ -247,9 +199,7 @@ class GraphDatabase:
         self.code_cache.put(node, side, code)
         return code
 
-    def subcluster_runs(
-        self, center: int
-    ) -> Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]:
+    def subcluster_runs(self, center: int) -> Subclusters:
         """``({X: getF(w, X)}, {Y: getT(w, Y)})``: both labeled subcluster
         maps of *center* from one index probe (they share a leaf)."""
         return self.join_index.get_ft(center)
@@ -271,12 +221,6 @@ class GraphDatabase:
         return frozenset(self.code_run(node, "in"))
 
     # ------------------------------------------------------------------
-    @property
-    def snapshot_handle(self):
-        """The backing :class:`~repro.storage.snapshot.Snapshot`, or
-        ``None`` for an eagerly-built database."""
-        return self._snapshot
-
     def get_centers(self, node: int, x_label: str, y_label: str) -> FrozenSet[int]:
         """``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` (Eq. 6)."""
         return self.out_code(node) & frozenset(self.w_run(x_label, y_label))
@@ -286,6 +230,23 @@ class GraphDatabase:
         return not self.out_code(u).isdisjoint(self.in_code(v))
 
     # ------------------------------------------------------------------
+    def offline_structures(self) -> OfflineStructures:
+        """The graph, the labeling and the index and W-table entries (the
+        last two scan their B+-trees, charged I/O)."""
+        index = self.join_index
+        return OfflineStructures(
+            self.graph, self.labeling, index.cluster_items(), index.wtable_items()
+        )
+
+    def table2_sizes(self) -> Tuple[int, int, int, int]:
+        """``(nodes, edges, |H|, centers)``: the Table 2 counts."""
+        return (
+            self.graph.node_count,
+            self.graph.edge_count,
+            self.labeling.cover_size(),
+            self.join_index.center_count,
+        )
+
     def reset_counters(self) -> None:
         """Clear I/O stats and the working cache (cold-start a query)."""
         self.stats.reset()
@@ -299,20 +260,105 @@ class GraphDatabase:
         )
 
 
-class SnapshotDatabase(GraphDatabase):
-    """The snapshot tier of the run surface: decode once and memoise.
+class SnapshotDatabase:
+    """The snapshot tier of the run surface: a copy per call, no memo.
 
-    Built by :meth:`GraphDatabase.from_snapshot`.  ``w_run`` and
-    ``subcluster_runs`` resolve through the :class:`SnapshotRJoinIndex`
-    (per-pair / per-leaf decode memos); codes come from the labeling's
-    array source and extents from the graph — no base table is
-    materialized and no buffer-pool I/O is charged on the read path.
+    Built by :func:`repro.db.persist.load_database` around an open
+    :class:`~repro.storage.snapshot.Snapshot`.  It holds the snapshot,
+    the catalog rehydrated from the stored statistics, the label tuple,
+    the W-table directory and every label's extent (one pass over the
+    node-label column at open) — no graph, no labeling, no base table
+    and no memo.  Each run is copied out of the mapping on every call;
+    the engine's CenterCache is the one cross-query cache on this tier.
+    No read charges I/O: the buffer pool is there for the accounting
+    run's temporal tables only.
     """
+
+    def __init__(self, snapshot: Snapshot) -> None:
+        self.snapshot = snapshot
+        self.catalog = Catalog.from_stats(
+            snapshot.extent_sizes(),
+            {
+                pair: PairStats(*stats)
+                for pair, stats in snapshot.catalog_pairs().items()
+            },
+        )
+        self._labels: Tuple[str, ...] = tuple(snapshot.label_names)
+        self._w_positions: Dict[Tuple[str, str], int] = {
+            pair: position for position, pair in enumerate(snapshot.wtable_pairs())
+        }
+        self._extents = snapshot.extents()
+        self.pool = BufferPool(DiskManager(), capacity_bytes=DEFAULT_BUFFER_BYTES)
+
+    @property
+    def stats(self) -> IOStats:
+        """The buffer pool's I/O recorder (temporal tables only)."""
+        return self.pool.stats
+
+    def labels(self) -> Tuple[str, ...]:
+        return self._labels
+
+    # ------------------------------------------------------------------
+    # the run surface (snapshot tier — copies, never views)
+    # ------------------------------------------------------------------
+    def w_run(self, x_label: str, y_label: str) -> Sequence[int]:
+        position = self._w_positions.get((x_label, y_label))
+        if position is None:
+            return ()
+        return self.snapshot.wtable_centers(position)
 
     def code_run(self, node: int, side: str) -> Sequence[int]:
         if side == "out":
-            return self.labeling.out_code_array(node)
-        return self.labeling.in_code_array(node)
+            return self.snapshot.out_code_array(node)
+        return self.snapshot.in_code_array(node)
+
+    def subcluster_runs(self, center: int) -> Subclusters:
+        position = self.snapshot.center_position(center)
+        if position < 0:
+            return {}, {}
+        return self.snapshot.subclusters_at(position)
 
     def extent_run(self, label: str) -> Iterable[int]:
-        return self.graph.extent(label)
+        return self._extents.get(label, ())
+
+    # ------------------------------------------------------------------
+    def offline_structures(self) -> OfflineStructures:
+        """Decode every whole structure from the file — O(file), for the
+        writer and the index audit."""
+        snapshot = self.snapshot
+        nodes = range(snapshot.node_count)
+        labeling = TwoHopLabeling(
+            in_codes=[frozenset(snapshot.in_code_array(v)) for v in nodes],
+            out_codes=[frozenset(snapshot.out_code_array(v)) for v in nodes],
+        )
+        return OfflineStructures(
+            snapshot.build_graph(),
+            labeling,
+            (
+                (center, *snapshot.subclusters_at(position))
+                for position, center in enumerate(snapshot.centers())
+            ),
+            (
+                (pair, tuple(snapshot.wtable_centers(position)))
+                for position, pair in enumerate(snapshot.wtable_pairs())
+            ),
+        )
+
+    def table2_sizes(self) -> Tuple[int, int, int, int]:
+        """``(nodes, edges, |H|, centers)`` from the header and the
+        section sizes — nothing decoded."""
+        snapshot = self.snapshot
+        return (
+            snapshot.node_count,
+            snapshot.edge_count,
+            snapshot.cover_size(),
+            snapshot.center_count,
+        )
+
+    def reset_counters(self) -> None:
+        """Clear the I/O stats (there is no working cache to clear)."""
+        self.stats.reset()
+
+
+#: a database of either tier: what the engine, drivers and analysis take
+Database = Union[GraphDatabase, SnapshotDatabase]

@@ -17,16 +17,12 @@ engine, so every probe is charged buffer-pool I/O.
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling
 from ..storage.bptree import BPlusTree
 from ..storage.buffer import BufferPool
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..storage.snapshot import Snapshot
 
 _EMPTY: Tuple[int, ...] = ()
 _EMPTY_SUBCLUSTERS: Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]] = ({}, {})
@@ -151,126 +147,3 @@ class ClusterRJoinIndex:
     def wtable_sizes(self) -> Dict[Tuple[str, str], int]:
         """Number of centers per W-table entry (used by the catalog)."""
         return {pair: len(centers) for pair, centers in self._wtable.items()}
-
-
-class SnapshotRJoinIndex:
-    """The R-join index read API served from an mmap-backed snapshot.
-
-    Duck-types the read surface of :class:`ClusterRJoinIndex`
-    (``centers``/``get_f``/``get_t``/``get_ft``/``cluster_items``/
-    ``wtable_items``/...), but nothing is rebuilt on construction: the
-    W-table directory is a handful of label pairs (decoded eagerly — it
-    is tiny and probed on every plan), while W-table center runs and
-    per-center subcluster leaves are decoded from the mapping *lazily on
-    first probe* and memoized here; the engine's cross-query
-    ``CenterCache`` then memoizes the per-(center, label, side) tuples
-    the operators actually intersect, exactly as it does for the
-    tree-backed index.
-
-    There are no B+-trees behind this object, so ``index_tree``/
-    ``wtable_tree`` are ``None`` — structural tree audits don't apply to
-    a snapshot (the file-level CRC + geometry checks in
-    :mod:`repro.storage.snapshot` play that role).
-    """
-
-    def __init__(self, snapshot: "Snapshot") -> None:
-        self.pool: Optional[BufferPool] = None
-        self._snapshot = snapshot
-        # W-table directory: (X, Y) -> position of its center run
-        self._pair_positions: Dict[Tuple[str, str], int] = {
-            pair: position
-            for position, pair in enumerate(snapshot.wtable_pairs())
-        }
-        self._centers_tuples: Dict[Tuple[str, str], Tuple[int, ...]] = {}
-        # per-center decoded leaves, filled on first get_ft probe; the
-        # memo lock serializes first-probe decodes when the service's
-        # snapshot tier runs queries over this index concurrently
-        self._leaves: Dict[
-            int, Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]
-        ] = {}
-        self._memo_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # paper API (mirrors ClusterRJoinIndex)
-    # ------------------------------------------------------------------
-    def centers(self, x_label: str, y_label: str) -> Tuple[int, ...]:
-        """``W(X, Y)``: centers joining X-labeled to Y-labeled nodes,
-        sorted — decoded on first probe, memoized per pair."""
-        pair = (x_label, y_label)
-        cached = self._centers_tuples.get(pair)
-        if cached is None:
-            position = self._pair_positions.get(pair)
-            decoded = (
-                _EMPTY if position is None
-                else tuple(self._snapshot.wtable_centers(position))
-            )
-            with self._memo_lock:
-                cached = self._centers_tuples.setdefault(pair, decoded)
-        return cached
-
-    def get_f(self, center: int, label: str) -> Tuple[int, ...]:
-        """``getF(w, X)``: the X-labeled F-subcluster of *center*."""
-        return self.get_ft(center)[0].get(label, _EMPTY)
-
-    def get_t(self, center: int, label: str) -> Tuple[int, ...]:
-        """``getT(w, Y)``: the Y-labeled T-subcluster of *center*."""
-        return self.get_ft(center)[1].get(label, _EMPTY)
-
-    def get_ft(
-        self, center: int
-    ) -> Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]:
-        """Both labeled subcluster maps of *center*, decoded on first use."""
-        leaf = self._leaves.get(center)
-        if leaf is None:
-            position = self._snapshot.center_position(center)
-            if position < 0:
-                return _EMPTY_SUBCLUSTERS
-            decoded = self._snapshot.subclusters_at(position)
-            with self._memo_lock:
-                leaf = self._leaves.setdefault(center, decoded)
-        return leaf
-
-    # ------------------------------------------------------------------
-    # inspection API
-    # ------------------------------------------------------------------
-    @property
-    def snapshot(self) -> "Snapshot":
-        return self._snapshot
-
-    @property
-    def index_tree(self) -> None:
-        return None
-
-    @property
-    def wtable_tree(self) -> None:
-        return None
-
-    def cluster_items(self):
-        """Yield ``(center, f_subclusters, t_subclusters)`` in center order.
-
-        Decodes every leaf (it's a full scan by definition) but does not
-        populate the probe memo — a save or audit pass must not pin the
-        whole index in memory.
-        """
-        snapshot = self._snapshot
-        for position, center in enumerate(snapshot.centers()):
-            f_sub, t_sub = snapshot.subclusters_at(position)
-            yield center, f_sub, t_sub
-
-    def wtable_items(self):
-        """Yield ``((X, Y), centers)`` W-table entries in key order."""
-        for pair in sorted(self._pair_positions):
-            yield pair, self.centers(*pair)
-
-    # ------------------------------------------------------------------
-    @property
-    def center_count(self) -> int:
-        return self._snapshot.center_count
-
-    def wtable_pairs(self) -> List[Tuple[str, str]]:
-        """All (X, Y) label pairs with at least one center."""
-        return sorted(self._pair_positions)
-
-    def wtable_sizes(self) -> Dict[Tuple[str, str], int]:
-        """Number of centers per W-table entry (no run decode needed)."""
-        return self._snapshot.wtable_sizes()

@@ -31,7 +31,6 @@ an oracle on small graphs, but costs O(n^2) space.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -39,51 +38,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..graph.condensation import condense
 from ..graph.digraph import DiGraph
 from ..graph.traversal import TransitiveClosure
-
-
-class _LazyCodes:
-    """A code column decoded on demand from an external array source.
-
-    Snapshot-loaded labelings don't hold materialized frozensets — they
-    hold a fetch function returning the sorted ``array('q')`` row for a
-    node (ultimately a copy of an mmap slice).  This sequence presents
-    the classic ``in_codes``/``out_codes`` interface on top of that
-    source: ``[node]`` builds (and memoizes) the frozenset only for the
-    rows actually touched.  Read-only, like the codes themselves.
-    """
-
-    __slots__ = ("_count", "_fetch", "_memo")
-
-    def __init__(self, count: int, fetch) -> None:
-        self._count = count
-        self._fetch = fetch
-        self._memo: Dict[int, FrozenSet[int]] = {}
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, node: int) -> FrozenSet[int]:
-        if node < 0:
-            node += self._count
-        if not 0 <= node < self._count:
-            raise IndexError(node)
-        code = self._memo.get(node)
-        if code is None:
-            code = self._memo[node] = frozenset(self._fetch(node))
-        return code
-
-    def __iter__(self):
-        for node in range(len(self)):
-            yield self[node]
-
-    def __eq__(self, other: object) -> bool:
-        # supports dataclass equality against a plain-list labeling
-        if isinstance(other, (list, _LazyCodes)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_LazyCodes(count={len(self)}, decoded={len(self._memo)})"
 
 
 @dataclass
@@ -97,45 +51,11 @@ class TwoHopLabeling:
 
     in_codes: List[FrozenSet[int]]
     out_codes: List[FrozenSet[int]]
-    # lazily-built caches (derived, so excluded from equality/repr):
-    # sorted-array codes for the run kernels and the centers() result
-    _in_arrays: List[Optional["array[int]"]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _out_arrays: List[Optional["array[int]"]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
+    # the centers() result, built on first call (derived, so excluded
+    # from equality/repr)
     _centers: Optional[FrozenSet[int]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # optional external array sources (snapshot adoption): fetch functions
-    # returning the sorted array('q') code row of a node
-    _in_source: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _out_source: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @classmethod
-    def from_array_source(
-        cls, count: int, in_fetch, out_fetch
-    ) -> "TwoHopLabeling":
-        """Adopt externally-stored codes without copying them.
-
-        *in_fetch* / *out_fetch* map a node id to its sorted
-        ``array('q')`` code row (e.g. a copy out of an mmap-backed
-        snapshot).  ``in_code_array``/``out_code_array``
-        serve straight from the source, and the ``in_codes``/
-        ``out_codes`` sequences build frozensets per node only when a
-        caller actually asks for set semantics.
-        """
-        labeling = cls(in_codes=[], out_codes=[])
-        labeling._in_source = in_fetch
-        labeling._out_source = out_fetch
-        labeling.in_codes = _LazyCodes(count, in_fetch)  # type: ignore[assignment]
-        labeling.out_codes = _LazyCodes(count, out_fetch)  # type: ignore[assignment]
-        return labeling
 
     def reaches(self, u: int, v: int) -> bool:
         """``u ~> v`` iff ``out(u) ∩ in(v) ≠ ∅`` (paper Example 3.1)."""
@@ -160,35 +80,6 @@ class TwoHopLabeling:
                 found.update(self.out_codes[v])
             self._centers = frozenset(found)
         return self._centers
-
-    # ------------------------------------------------------------------
-    # sorted-array codes (the run kernels' representation)
-    # ------------------------------------------------------------------
-    def in_code_array(self, node: int) -> "array[int]":
-        """``in(x)`` as a sorted ``array('q')``, built lazily and cached."""
-        arrays = self._in_arrays
-        if not arrays:
-            arrays.extend([None] * self.node_count)
-        code = arrays[node]
-        if code is None:
-            if self._in_source is not None:
-                code = arrays[node] = self._in_source(node)  # type: ignore[operator]
-            else:
-                code = arrays[node] = array("q", sorted(self.in_codes[node]))
-        return code
-
-    def out_code_array(self, node: int) -> "array[int]":
-        """``out(x)`` as a sorted ``array('q')``, built lazily and cached."""
-        arrays = self._out_arrays
-        if not arrays:
-            arrays.extend([None] * self.node_count)
-        code = arrays[node]
-        if code is None:
-            if self._out_source is not None:
-                code = arrays[node] = self._out_source(node)  # type: ignore[operator]
-            else:
-                code = arrays[node] = array("q", sorted(self.out_codes[node]))
-        return code
 
     def cover_size(self) -> int:
         """Total 2-hop cover size ``|H|`` = Σ_w (|U_w| + |V_w|).

@@ -31,7 +31,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple, Union
 
-from ..db.database import GraphDatabase
+from ..db.database import Database, GraphDatabase
 from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling
 from ..storage.buffer import DEFAULT_BUFFER_BYTES
@@ -105,7 +105,7 @@ class GraphEngine:
 
     def _adopt(
         self,
-        db: GraphDatabase,
+        db: Database,
         cost_params: Optional[CostParams],
         cache_bytes: int,
     ) -> None:
@@ -123,7 +123,7 @@ class GraphEngine:
     @classmethod
     def from_database(
         cls,
-        db: GraphDatabase,
+        db: Database,
         cost_params: Optional[CostParams] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
     ) -> "GraphEngine":
@@ -140,11 +140,11 @@ class GraphEngine:
     def from_snapshot(cls, path: str, **kwargs) -> "GraphEngine":
         """Open a binary snapshot file and serve queries from it.
 
-        The database constructs around the mmap-backed snapshot with no
-        index rebuild (:meth:`GraphDatabase.from_snapshot`); keyword
-        arguments are those of :meth:`from_database`.  The engine starts
-        with its own fresh :class:`CenterCache` — nothing can leak from
-        whatever engine wrote the snapshot.
+        :func:`~repro.db.persist.load_database` maps the file into a
+        :class:`~repro.db.database.SnapshotDatabase` with nothing
+        rebuilt; keyword arguments are those of :meth:`from_database`.
+        The engine starts with its own fresh :class:`CenterCache` —
+        nothing can leak from whatever engine wrote the snapshot.
         """
         from ..db.persist import load_database
 
@@ -304,12 +304,13 @@ class GraphEngine:
                 )
 
     def stats_summary(self) -> Dict[str, float]:
-        """Offline-structure sizes: the Table 2 row for this dataset."""
-        labeling = self.db.labeling
+        """Offline-structure sizes: the Table 2 row for this dataset
+        (on a snapshot, read from its header and section sizes)."""
+        nodes, edges, cover_size, centers = self.db.table2_sizes()
         return {
-            "nodes": self.db.graph.node_count,
-            "edges": self.db.graph.edge_count,
-            "cover_size": labeling.cover_size(),
-            "cover_ratio": labeling.average_code_size(),
-            "centers": self.db.join_index.center_count,
+            "nodes": nodes,
+            "edges": edges,
+            "cover_size": cover_size,
+            "cover_ratio": cover_size / nodes if nodes else 0.0,
+            "centers": centers,
         }

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from ...db.database import GraphDatabase
+from ...db.database import Database
 from ..algebra import FilterKey
 from ..pattern import GraphPattern, PatternError
 from .cache import CenterCache
@@ -122,7 +122,7 @@ class ExecutionContext:
     construction.
     """
 
-    db: GraphDatabase
+    db: Database
     pattern: GraphPattern
     row_limit: Optional[int] = None
     center_cache: Optional[CenterCache] = None

@@ -35,7 +35,7 @@ from itertools import compress, count, islice
 from time import perf_counter
 from typing import Iterator, List, Optional, Tuple
 
-from ...db.database import GraphDatabase
+from ...db.database import Database
 from ...storage.stats import IOStats
 from ..algebra import Plan, TemporalTable
 from .cache import CenterCache
@@ -89,7 +89,7 @@ class QueryResult:
 
 
 def _prepare(
-    db: GraphDatabase,
+    db: Database,
     plan: Plan,
     row_limit: Optional[int],
     center_cache: Optional[CenterCache] = None,
@@ -115,7 +115,7 @@ def _prepare(
 # the accounting run (the paper's HPSJ+ execution, Figures 5-7)
 # ----------------------------------------------------------------------
 def execute_plan(
-    db: GraphDatabase,
+    db: Database,
     plan: Plan,
     row_limit: Optional[int] = None,
 ) -> QueryResult:
@@ -185,7 +185,7 @@ class StreamingResult:
         self,
         rows: Iterator[Row],
         metrics: RunMetrics,
-        db: GraphDatabase,
+        db: Database,
         plan: Plan,
         limit: Optional[int] = None,
         timeout: Optional[float] = None,
@@ -310,7 +310,7 @@ class StreamingResult:
 
 
 def execute_plan_streaming(
-    db: GraphDatabase,
+    db: Database,
     plan: Plan,
     limit: Optional[int] = None,
     row_limit: Optional[int] = None,

@@ -2,8 +2,8 @@
 
 Every physical operator computes on *sorted int runs* — the one
 representation the database's run surface hands out on both storage
-tiers (tuples from the B+-tree tier, tuples and ``array('q')`` rows
-decoded once from a snapshot):
+tiers (tuples from the B+-tree tier, ``array('q')`` runs and tuples
+copied out of a snapshot on every call):
 
 * :func:`intersect` — sorted-array intersection, choosing by the size
   ratio of the inputs between C set operations (comparable sizes) and

@@ -30,7 +30,7 @@ at a time (so a ``LIMIT`` stops all upstream work at once), computes with the
 sorted-run kernels (:mod:`repro.query.physical.kernels`), and reads the
 database only through its four-call run surface (``w_run``/``code_run``/
 ``subcluster_runs``/``extent_run``) — whether those runs come from the
-B+-tree tier (charged I/O) or a snapshot (decoded once) is the
+B+-tree tier (charged I/O) or a snapshot (copied per call) is the
 database's business, never an operator's.  The lookup order for the two
 memoizable reads is fixed: per-operator memo, then the cross-query
 :class:`~repro.query.physical.cache.CenterCache` when the context

@@ -8,14 +8,12 @@ columns (the representation the run kernels already use), written with
 :mod:`struct` / ``array.tobytes`` and read back through :mod:`mmap`:
 
 * loading verifies the header, the section table and every section's
-  CRC32, then serves all reads out of the mapping — per-row payloads
-  (graph codes, subclusters, W-table center lists) are copied out
-  lazily on first probe and memoized by their consumers
-  (:class:`~repro.labeling.twohop.TwoHopLabeling`'s array cache,
-  :class:`~repro.db.join_index.SnapshotRJoinIndex`'s leaf memo, and the
-  engine's cross-query ``CenterCache``);
-* nothing is rebuilt: no base-table inserts, no cluster scan, no catalog
-  recomputation — those structures materialize on demand.
+  CRC32 and casts each integer section to an int64 view once; after
+  that every read copies exactly the run it asks for out of the mapping
+  (one ``array.frombytes`` of the run's byte slice) and keeps nothing —
+  the engine's cross-query ``CenterCache`` is the one cache above it;
+* nothing is rebuilt: no graph, no base-table inserts, no cluster scan,
+  no catalog recomputation.
 
 This project-specific layering rule is enforced by
 ``lint/mmap-outside-snapshot`` (``tests/test_source_rules.py``):
@@ -43,13 +41,14 @@ section (and localize the damage when it fails).
 Run encoding (format version 2, the only layout): every sorted id run
 (a node's code, a subcluster, a W-table center list, the sorted edge
 source column) is stored as its absolute values, so a run decodes with
-one ``array('q', slice)`` copy.  The header's flags word is reserved and
+one ``frombytes`` copy of its bytes.  The header's flags word is reserved and
 must be zero.
 
 No accessor reachable from outside this module returns a ``memoryview``
 or a lazy iterator over one — every result is a materialised array,
 tuple, list or dict — so nothing a caller holds can pin the mapping past
-:meth:`Snapshot.close`.
+:meth:`Snapshot.close`, which releases the snapshot's own section views
+before it unmaps.
 """
 
 from __future__ import annotations
@@ -171,17 +170,16 @@ class _SnapshotWriter:
 
 
 def encode_snapshot(db) -> bytes:
-    """Serialize a built :class:`~repro.db.database.GraphDatabase`.
+    """Serialize a database of either tier.
 
-    Reads only the public surfaces (graph, labeling codes, join-index
-    leaves, W-table entries, catalog stats), so it works identically on
-    an eagerly-built database and on a snapshot-loaded one — which is
-    what makes save → load → save byte-stable.
+    Reads only ``db.offline_structures()`` (graph, labeling codes,
+    cluster leaves, W-table entries) and ``db.catalog``, so it works
+    identically on an eagerly-built database and on a snapshot-loaded
+    one, which decodes them from its file — which is what makes save →
+    load → save byte-stable.
     """
     _require_little_endian()
-    graph = db.graph
-    labeling = db.labeling
-    index = db.join_index
+    graph, labeling, cluster_items, wtable_items = db.offline_structures()
     catalog = db.catalog
     n = graph.node_count
 
@@ -210,7 +208,7 @@ def encode_snapshot(db) -> bytes:
 
     wdir = array("q")
     wruns: List[Sequence[int]] = []
-    for (x_label, y_label), centers in sorted(index.wtable_items()):
+    for (x_label, y_label), centers in sorted(wtable_items):
         wdir.extend((label_ids[x_label], label_ids[y_label]))
         wruns.append(centers)
     w_off, w_val = _encode_runs(wruns)
@@ -224,7 +222,7 @@ def encode_snapshot(db) -> bytes:
     sub_runs: List[Sequence[int]] = []
     run_count = 0
     value_offset = 0
-    for center, f_sub, t_sub in index.cluster_items():
+    for center, f_sub, t_sub in cluster_items:
         center_ids.append(center)
         for side, subclusters in ((SIDE_F, f_sub), (SIDE_T, t_sub)):
             for label in sorted(subclusters):
@@ -317,44 +315,52 @@ def write_atomic(path: str, payload: bytes) -> None:
 # reader
 # ----------------------------------------------------------------------
 class Snapshot:
-    """One open snapshot file: verified header/TOC, lazily decoded reads.
+    """One open snapshot file: verified header/TOC, per-call run copies.
 
     :meth:`open` maps the file and checks structure + every section CRC
     up front (one sequential pass over the mapping — cheap compared to a
-    rebuild); after that every accessor copies exactly the rows
-    asked for out of the mapping.  ``decode_stats`` counts the decodes,
-    so tests can pin the laziness contract.
+    rebuild), then casts each integer section to an int64 view once.
+    After that every accessor copies exactly the rows asked for out of
+    the mapping — a run with one ``array.frombytes`` of its byte slice —
+    and keeps nothing.
     """
 
-    def __init__(self, path: str, buffer: bytes, view: memoryview,
+    def __init__(self, path: str, buffer: bytes,
                  sections: Dict[str, Tuple[int, int]], mapped: Optional[mmap.mmap]):
         self.path = path
         self._buffer = buffer
-        self._view = view
+        self._view = memoryview(buffer)
         self._sections = sections
         self._mmap = mapped
         self._closed = False
-        self.decode_stats: Dict[str, int] = {
-            "code_rows": 0, "wtable_pairs": 0, "subcluster_runs": 0,
-        }
-        meta = self._ints("meta")
-        if len(meta) != _META_FIELDS:
-            raise SnapshotError(
-                f"meta section has {len(meta)} fields, expected {_META_FIELDS}"
+        # per integer section: its bytes and its int64 cast, made once
+        self._byte_views: Dict[str, memoryview] = {}
+        self._int_views: Dict[str, memoryview] = {}
+        try:
+            self._cast_columns()
+            meta = self._col("meta")
+            if len(meta) != _META_FIELDS:
+                raise SnapshotError(
+                    f"meta section has {len(meta)} fields, expected {_META_FIELDS}"
+                )
+            (self.node_count, self.edge_count, self.label_count,
+             self.center_count, self.wtable_pair_count,
+             self.subcluster_runs) = meta.tolist()
+            raw_names = bytes(self._raw("labelnames"))
+            self.label_names: List[str] = (
+                [part.decode("utf-8") for part in raw_names.split(b"\x00")]
+                if raw_names else []
             )
-        (self.node_count, self.edge_count, self.label_count,
-         self.center_count, self.wtable_pair_count, self.subcluster_runs) = meta
-        raw_names = bytes(self._raw("labelnames"))
-        self.label_names: List[str] = (
-            [part.decode("utf-8") for part in raw_names.split(b"\x00")]
-            if raw_names else []
-        )
-        if len(self.label_names) != self.label_count:
-            raise SnapshotError(
-                f"label dictionary holds {len(self.label_names)} names but "
-                f"meta declares {self.label_count}"
-            )
-        self._check_geometry()
+            if len(self.label_names) != self.label_count:
+                raise SnapshotError(
+                    f"label dictionary holds {len(self.label_names)} names but "
+                    f"meta declares {self.label_count}"
+                )
+            self._check_geometry()
+        except BaseException:
+            # a half-built snapshot must not keep its views: open() unmaps
+            self._release_views()
+            raise
 
     # ------------------------------------------------------------------
     @classmethod
@@ -380,7 +386,7 @@ class Snapshot:
                 buffer = f.read()
         try:
             sections = cls._verify(path, buffer, size)
-            return cls(path, buffer, memoryview(buffer), sections, mapped)
+            return cls(path, buffer, sections, mapped)
         except SnapshotError:
             if mapped is not None:
                 mapped.close()
@@ -434,6 +440,19 @@ class Snapshot:
             raise SnapshotError(f"{path!r} is missing section(s) {missing}")
         return sections
 
+    def _cast_columns(self) -> None:
+        """Take every integer section's byte view and int64 cast, once."""
+        for name in SECTION_NAMES:
+            if name == "labelnames":
+                continue
+            length = self._sections[name][1]
+            if length % 8:
+                raise SnapshotError(
+                    f"section {name!r} is {length} bytes, not whole int64 values"
+                )
+            self._byte_views[name] = self._raw(name)
+            self._int_views[name] = self._ints(name)
+
     def _check_geometry(self) -> None:
         """Cross-check declared counts against section sizes."""
         expectations = {
@@ -449,13 +468,13 @@ class Snapshot:
             "extents": self.label_count,
         }
         for name, expected in expectations.items():
-            actual = len(self._ints(name))
+            actual = len(self._col(name))
             if actual != expected:
                 raise SnapshotError(
                     f"section {name!r} holds {actual} values, expected "
                     f"{expected} from the meta counters"
                 )
-        if len(self._ints("catpairs")) % 5:
+        if len(self._col("catpairs")) % 5:
             raise SnapshotError("section 'catpairs' is not rows of 5 values")
 
     # ------------------------------------------------------------------
@@ -464,7 +483,8 @@ class Snapshot:
         return self._closed
 
     def close(self) -> None:
-        """Release the mapping; idempotent once it has succeeded.
+        """Release the section views, then the mapping; idempotent once
+        it has succeeded.
 
         Further section access on this object raises
         ``SnapshotError("snapshot is closed")``.  If a ``memoryview``
@@ -478,7 +498,7 @@ class Snapshot:
         if self._closed and self._mmap is None:
             return
         self._closed = True
-        self._view.release()
+        self._release_views()
         if self._mmap is not None:
             try:
                 self._mmap.close()
@@ -496,90 +516,132 @@ class Snapshot:
                 raise BufferError(message) from exc
             self._mmap = None
 
+    def _release_views(self) -> None:
+        for view in (*self._int_views.values(), *self._byte_views.values()):
+            view.release()
+        self._view.release()
+
     def _raw(self, name: str) -> memoryview:
+        """A fresh byte view of a section (this module only)."""
         if self._closed:
             raise SnapshotError("snapshot is closed")
         offset, length = self._sections[name]
         return self._view[offset:offset + length]
 
     def _ints(self, name: str) -> memoryview:
-        """A section as a zero-copy int64 view straight into the mapping."""
+        """A fresh int64 view of a section (this module only)."""
         return self._raw(name).cast("q")
 
+    def _col(self, name: str) -> memoryview:
+        """An integer section's int64 view, cast at open (this module
+        only: accessors hand out copies)."""
+        if self._closed:
+            raise SnapshotError("snapshot is closed")
+        return self._int_views[name]
+
+    def _bytes(self, name: str) -> memoryview:
+        """An integer section's byte view, taken at open (this module only)."""
+        if self._closed:
+            raise SnapshotError("snapshot is closed")
+        return self._byte_views[name]
+
+    def _run(self, offsets_name: str, values_name: str, position: int) -> array:
+        """The *position*-th CSR run of a column pair, copied out with one
+        ``frombytes`` of its byte slice."""
+        offsets = self._col(offsets_name)
+        run = array("q")
+        run.frombytes(
+            self._bytes(values_name)[8 * offsets[position]:8 * offsets[position + 1]]
+        )
+        return run
+
     # ------------------------------------------------------------------
-    # graph
+    # graph (the audit and the writer; no query reads it)
     # ------------------------------------------------------------------
     def build_graph(self):
-        """Reconstruct the :class:`~repro.graph.digraph.DiGraph` eagerly.
-
-        The graph itself stays materialized (labels and extents are read
-        constantly and it is O(V+E) small); laziness is reserved for the
-        quadratic-ish structures — codes, subclusters, base tables.
-        """
+        """Reconstruct the :class:`~repro.graph.digraph.DiGraph`: O(V+E),
+        for the index audit and the writer — the query path never needs
+        it (extents come from :meth:`extents`)."""
         from ..graph.digraph import DiGraph
 
         names = self.label_names
-        edges = self._ints("edges")
+        edges = self._col("edges").tolist()
         count = self.edge_count
         graph = DiGraph()
-        graph.add_nodes(names[i] for i in self._ints("nodelabels"))
+        graph.add_nodes(names[i] for i in self._col("nodelabels").tolist())
         graph.add_edges(zip(edges[:count], edges[count:]))
         return graph
+
+    def extents(self) -> Dict[str, Tuple[int, ...]]:
+        """Every label's nodes, ascending: one pass over the node-label
+        column."""
+        grouped: List[List[int]] = [[] for _ in self.label_names]
+        for node, label_id in enumerate(self._col("nodelabels").tolist()):
+            grouped[label_id].append(node)
+        return {
+            name: tuple(nodes) for name, nodes in zip(self.label_names, grouped)
+        }
 
     # ------------------------------------------------------------------
     # 2-hop codes
     # ------------------------------------------------------------------
-    def _code_row(self, offsets_name: str, values_name: str, node: int) -> array:
+    def _check_node(self, node: int) -> None:
         if not (0 <= node < self.node_count):
             raise IndexError(f"node {node} outside snapshot range")
-        offsets = self._ints(offsets_name)
-        values = self._ints(values_name)
-        self.decode_stats["code_rows"] += 1
-        return array("q", values[offsets[node]:offsets[node + 1]])
 
     def in_code_array(self, node: int) -> array:
-        """``in(x)`` as a freshly decoded sorted ``array('q')``."""
-        return self._code_row("inoff", "inval", node)
+        """``in(x)`` as a freshly copied sorted ``array('q')``."""
+        self._check_node(node)
+        return self._run("inoff", "inval", node)
 
     def out_code_array(self, node: int) -> array:
-        """``out(x)`` as a freshly decoded sorted ``array('q')``."""
-        return self._code_row("outoff", "outval", node)
+        """``out(x)`` as a freshly copied sorted ``array('q')``."""
+        self._check_node(node)
+        return self._run("outoff", "outval", node)
+
+    def cover_size(self) -> int:
+        """The 2-hop cover size ``|H|`` from the section sizes alone:
+        every code holds its own node (``snapshot/code-missing-self``
+        checks that), so ``|H| = |inval| + |outval| - 2n``."""
+        return (
+            len(self._col("inval")) + len(self._col("outval"))
+            - 2 * self.node_count
+        )
 
     # ------------------------------------------------------------------
     # W-table
     # ------------------------------------------------------------------
     def wtable_pairs(self) -> List[Tuple[str, str]]:
         names = self.label_names
-        wdir = self._ints("wdir")
+        wdir = self._col("wdir").tolist()
         return [
             (names[wdir[2 * i]], names[wdir[2 * i + 1]])
             for i in range(self.wtable_pair_count)
         ]
 
     def wtable_sizes(self) -> Dict[Tuple[str, str], int]:
-        offsets = self._ints("woff")
+        offsets = self._col("woff").tolist()
         return {
             pair: offsets[i + 1] - offsets[i]
             for i, pair in enumerate(self.wtable_pairs())
         }
 
     def wtable_centers(self, position: int) -> array:
-        """Decode the center list of the *position*-th W-table pair."""
-        offsets = self._ints("woff")
-        values = self._ints("wval")
-        self.decode_stats["wtable_pairs"] += 1
-        return array("q", values[offsets[position]:offsets[position + 1]])
+        """The center run of the *position*-th W-table pair, copied."""
+        return self._run("woff", "wval", position)
 
     # ------------------------------------------------------------------
     # cluster directory
     # ------------------------------------------------------------------
     def centers(self) -> array:
         """The sorted center-id column, copied out of the mapping."""
-        return array("q", self._ints("centers"))
+        column = array("q")
+        column.frombytes(self._bytes("centers"))
+        return column
 
     def center_position(self, center: int) -> int:
         """Index of *center* in the directory, or -1 if absent."""
-        centers = self._ints("centers")
+        centers = self._col("centers")
         position = bisect_left(centers, center)
         if position < len(centers) and centers[position] == center:
             return position
@@ -588,31 +650,33 @@ class Snapshot:
     def subclusters_at(
         self, position: int
     ) -> Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]:
-        """Decode the ``({X: F-subcluster}, {Y: T-subcluster})`` leaf of
+        """Copy the ``({X: F-subcluster}, {Y: T-subcluster})`` leaf of
         the *position*-th center (both labeled maps, sorted tuples)."""
-        sub_off = self._ints("suboff")
-        sub_dir = self._ints("subdir")
-        sub_val = self._ints("subval")
+        sub_off = self._col("suboff")
+        entries = self._col("subdir")[
+            4 * sub_off[position]:4 * sub_off[position + 1]
+        ].tolist()
+        sub_val = self._col("subval")
         names = self.label_names
         f_sub: Dict[str, Tuple[int, ...]] = {}
         t_sub: Dict[str, Tuple[int, ...]] = {}
-        for run in range(sub_off[position], sub_off[position + 1]):
-            side, label_id, value_offset, count = sub_dir[4 * run:4 * run + 4]
-            nodes = tuple(sub_val[value_offset:value_offset + count])
-            self.decode_stats["subcluster_runs"] += 1
-            (f_sub if side == SIDE_F else t_sub)[names[label_id]] = nodes
+        for at in range(0, len(entries), 4):
+            side, label_id, value_offset, count = entries[at:at + 4]
+            (f_sub if side == SIDE_F else t_sub)[names[label_id]] = tuple(
+                sub_val[value_offset:value_offset + count].tolist()
+            )
         return f_sub, t_sub
 
     # ------------------------------------------------------------------
     # catalog
     # ------------------------------------------------------------------
     def extent_sizes(self) -> Dict[str, int]:
-        extents = self._ints("extents")
+        extents = self._col("extents").tolist()
         return {name: extents[i] for i, name in enumerate(self.label_names)}
 
     def catalog_pairs(self) -> Dict[Tuple[str, str], Tuple[int, int, int]]:
         """``{(X, Y): (pair_estimate, center_count, fetch_volume)}``."""
-        rows = self._ints("catpairs")
+        rows = self._col("catpairs").tolist()
         names = self.label_names
         return {
             (names[rows[i]], names[rows[i + 1]]): (

@@ -40,7 +40,7 @@ class TestCommands:
         from repro.db.persist import load_database
 
         db = load_database(db_path)
-        assert db.graph.node_count > 0
+        assert db.snapshot.node_count > 0
 
     def test_stats(self, db_path, capsys):
         assert main(["stats", db_path]) == 0
@@ -54,6 +54,34 @@ class TestCommands:
         assert main(["stats", db_path, "--labels"]) == 0
         out = capsys.readouterr().out
         assert "person" in out
+
+    def test_stats_prints_the_live_summary(self, db_path, capsys, monkeypatch):
+        """``repro stats`` prints the Table 2 row the live engine computes
+        for the same graph, from the header and section sizes alone: no
+        code is copied out of the file."""
+        from repro import GraphEngine, xmark
+        from repro.storage.snapshot import Snapshot
+
+        graph = xmark.generate(factor=0.1, entity_budget=500, seed=3).graph
+        live = GraphEngine(graph).stats_summary()
+        copied = []
+        for name in ("in_code_array", "out_code_array"):
+            real = getattr(Snapshot, name)
+            monkeypatch.setattr(
+                Snapshot, name,
+                lambda self, node, _real=real: copied.append(node) or _real(self, node),
+            )
+        assert main(["stats", db_path]) == 0
+        out = capsys.readouterr().out
+        printed = dict(re.findall(r"^\s*(\S+): (\S+)$", out, re.M))
+        assert {key: printed[key] for key in ("nodes", "edges", "|H|", "|H|/|V|", "centers")} == {
+            "nodes": str(live["nodes"]),
+            "edges": str(live["edges"]),
+            "|H|": str(live["cover_size"]),
+            "|H|/|V|": f"{live['cover_ratio']:.3f}",
+            "centers": str(live["centers"]),
+        }
+        assert copied == []
 
     def test_query_prints_rows_and_metrics(self, db_path, capsys):
         assert main(["query", db_path, "itemref -> item"]) == 0
@@ -182,11 +210,11 @@ class TestSnapshot:
         out = capsys.readouterr().out
         assert re.search(r" in \d+\.\d ms$", out.splitlines()[0])
         counters = dict(re.findall(r"^\s*(nodes|edges|centers): (\d+)$", out, re.M))
-        db = load_database(db_path)
+        graph, labeling, _, _ = load_database(db_path).offline_structures()
         assert counters == {
-            "nodes": str(db.graph.node_count),
-            "edges": str(db.graph.edge_count),
-            "centers": str(len(db.labeling.centers())),
+            "nodes": str(graph.node_count),
+            "edges": str(graph.edge_count),
+            "centers": str(len(labeling.centers())),
         }
 
     def test_info_prints_section_table(self, db_path, capsys):
@@ -317,7 +345,7 @@ class TestCheck:
         from repro.db.persist import load_database, save_database
         from repro.labeling.twohop import build_two_hop
 
-        graph = load_database(db_path).graph
+        graph = load_database(db_path).offline_structures().graph
         labeling = build_two_hop(graph)
         u, v = next(iter(graph.edges()))
         labeling.out_codes[u] = frozenset({u})

@@ -9,21 +9,24 @@ Covers the persistence contracts of the snapshot subsystem:
   into the output);
 * corruption — any flipped byte or truncation yields a clean
   :class:`SnapshotError` from ``Snapshot.open``, never garbage data;
-* laziness — opening a snapshot decodes nothing; queries decode only
-  the rows they touch; base tables materialize per label on demand;
+* laziness — opening a snapshot copies no run and builds no graph;
+  queries copy only the runs they touch, and the database keeps none
+  of them;
 * no views — nothing any accessor returns can pin the mapping.
 """
 
 import struct
+import tracemalloc
 import zlib
+from collections import Counter
 
 import pytest
 
 from repro.analysis import audit_database, audit_snapshot
-from repro.db.database import GraphDatabase
-from repro.db.join_index import SnapshotRJoinIndex
+from repro.db.database import GraphDatabase, SnapshotDatabase
 from repro.db.persist import load_database, save_database
 from repro.graph import xmark
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import figure1_graph, random_digraph
 from repro.query.engine import GraphEngine
 from repro.storage.snapshot import (
@@ -79,18 +82,28 @@ class TestFormat:
             snapshot.close()
 
 
+def _reaches(db, u, v) -> bool:
+    """``out(u) ∩ in(v) ≠ ∅`` over the run surface."""
+    return not set(db.code_run(u, "out")).isdisjoint(db.code_run(v, "in"))
+
+
 class TestRoundTrip:
     def test_structures_survive(self, built_db, snap_path):
         loaded = load_database(snap_path)
-        assert isinstance(loaded.join_index, SnapshotRJoinIndex)
-        assert loaded.graph.node_count == built_db.graph.node_count
-        assert loaded.graph.edge_count == built_db.graph.edge_count
-        assert list(loaded.graph.labels()) == list(built_db.graph.labels())
+        assert isinstance(loaded, SnapshotDatabase)
+        graph = loaded.offline_structures().graph
+        assert graph.node_count == built_db.graph.node_count
+        assert graph.edge_count == built_db.graph.edge_count
+        assert sorted(graph.edges()) == sorted(built_db.graph.edges())
+        assert list(graph.labels()) == list(built_db.graph.labels())
         assert loaded.labels() == built_db.labels()
-        assert loaded.join_index.center_count == built_db.join_index.center_count
+        for label in loaded.labels():
+            assert list(loaded.extent_run(label)) == list(built_db.extent_run(label))
+        assert loaded.snapshot.center_count == built_db.join_index.center_count
         assert (
-            loaded.join_index.wtable_sizes() == built_db.join_index.wtable_sizes()
+            loaded.snapshot.wtable_sizes() == built_db.join_index.wtable_sizes()
         )
+        assert loaded.table2_sizes() == built_db.table2_sizes()
         assert loaded.catalog.extent_sizes == built_db.catalog.extent_sizes
         assert loaded.catalog.all_pairs() == built_db.catalog.all_pairs()
 
@@ -100,14 +113,15 @@ class TestRoundTrip:
         path = str(tmp_path / "r.snap")
         save_database(db, path)
         loaded = load_database(path)
+        labeling = loaded.offline_structures().labeling
         for v in g.nodes():
-            assert loaded.labeling.in_codes[v] == db.labeling.in_codes[v]
-            assert loaded.labeling.out_codes[v] == db.labeling.out_codes[v]
+            assert labeling.in_codes[v] == db.labeling.in_codes[v]
+            assert labeling.out_codes[v] == db.labeling.out_codes[v]
             assert list(loaded.code_run(v, "in")) == list(db.code_run(v, "in"))
             assert list(loaded.code_run(v, "out")) == list(db.code_run(v, "out"))
         for u in g.nodes():
             for v in g.nodes():
-                assert db.reaches(u, v) == loaded.reaches(u, v)
+                assert db.reaches(u, v) == _reaches(loaded, u, v)
 
     def test_subclusters_identical(self, built_db, snap_path):
         loaded = load_database(snap_path)
@@ -116,15 +130,17 @@ class TestRoundTrip:
             for center, f_sub, t_sub in built_db.join_index.cluster_items()
         }
         seen = set()
-        for center, f_sub, t_sub in loaded.join_index.cluster_items():
+        for center, f_sub, t_sub in loaded.offline_structures().cluster_items:
             assert truth[center] == (f_sub, t_sub)
             seen.add(center)
         assert seen == set(truth)
         # point probes agree with the bulk scan
-        some = sorted(truth)[: 5]
-        for center in some:
-            assert loaded.join_index.get_ft(center) == truth[center]
-        assert loaded.join_index.get_ft(-1) == ({}, {})
+        for center in sorted(truth)[:5]:
+            assert loaded.subcluster_runs(center) == truth[center]
+        assert loaded.subcluster_runs(-1) == ({}, {})
+        for pair, centers in built_db.join_index.wtable_items():
+            assert tuple(loaded.w_run(*pair)) == centers
+        assert tuple(loaded.w_run("no_such", "label")) == ()
 
     def test_snapshot_loaded_db_passes_full_audit(self, snap_path):
         loaded = load_database(snap_path)
@@ -164,6 +180,38 @@ class TestCorruption:
             with pytest.raises(SnapshotError):
                 Snapshot.open(str(bad))
 
+    def test_inconsistent_counters_raise_snapshot_error(self, snap_path, tmp_path):
+        """A file whose CRCs hold but whose meta counters disagree with
+        its sections (a writer bug, not a flipped bit) fails the geometry
+        check as a clean SnapshotError: the views the open had taken
+        are released, so the mapping unmaps."""
+        payload = bytearray(open(snap_path, "rb").read())
+        size = len(payload)
+        toc_offset, toc_length, _, count, magic = struct.unpack_from(
+            "<QQII8s", payload, size - 32
+        )
+        for at in range(toc_offset, toc_offset + toc_length, 40):
+            name, offset, length, _, reserved = struct.unpack_from(
+                "<16sQQII", payload, at
+            )
+            if name.rstrip(b"\x00") == b"meta":
+                nodes = struct.unpack_from("<q", payload, offset)[0]
+                struct.pack_into("<q", payload, offset, nodes + 1)
+                struct.pack_into(
+                    "<16sQQII", payload, at, name, offset, length,
+                    zlib.crc32(bytes(payload[offset:offset + length])), reserved,
+                )
+        struct.pack_into(
+            "<QQII8s", payload, size - 32, toc_offset, toc_length,
+            zlib.crc32(bytes(payload[:size - 32])), count, magic,
+        )
+        bad = tmp_path / "counters.snap"
+        bad.write_bytes(bytes(payload))
+        with pytest.raises(SnapshotError, match="expected"):
+            Snapshot.open(str(bad))
+        findings = audit_snapshot(str(bad))
+        assert [finding.rule for finding in findings] == ["snapshot/unreadable"]
+
     def test_foreign_files_rejected(self, tmp_path):
         for content in (b"", b"not a snapshot", b'{"format_version": 1}'):
             path = tmp_path / "foreign"
@@ -198,34 +246,90 @@ class TestCorruption:
         assert findings and findings[0].rule == "snapshot/unreadable"
 
 
-class TestLaziness:
-    def test_open_decodes_nothing(self, snap_path):
-        loaded = load_database(snap_path)
-        stats = loaded.join_index.snapshot.decode_stats
-        assert stats == {
-            "code_rows": 0, "wtable_pairs": 0, "subcluster_runs": 0,
-        }
-        assert loaded.base_tables == {}
+#: every Snapshot accessor that copies a run or a whole column
+RUN_ACCESSORS = (
+    "in_code_array", "out_code_array", "wtable_centers", "subclusters_at",
+    "centers", "build_graph",
+)
 
-    def test_query_decodes_only_what_it_touches(self, built_db, snap_path):
+
+def _count_calls(monkeypatch, target, names) -> Counter:
+    """Count calls of *target*'s methods *names* (a class or an instance)."""
+    counts: Counter = Counter()
+    for name in names:
+        real = getattr(target, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(target, name, counted)
+    return counts
+
+
+class TestLaziness:
+    def test_open_decodes_nothing(self, snap_path, monkeypatch):
+        """Opening reads the header, the directories and the node-label
+        column (for the extents); it copies no run."""
+        counts = _count_calls(monkeypatch, Snapshot, RUN_ACCESSORS)
+        load_database(snap_path)
+        assert counts == Counter()
+
+    def test_load_builds_no_digraph(self, snap_path, monkeypatch):
+        """Neither opening nor answering builds the data graph: queries
+        read extents from the node-label column, never a ``DiGraph``."""
+        built = []
+        real_init = DiGraph.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiGraph, "__init__", init)
         loaded = load_database(snap_path)
+        engine = GraphEngine.from_database(loaded)
+        assert engine.match("person -> watch").rows
+        assert engine.stats_summary()["nodes"] == loaded.snapshot.node_count
+        assert built == []
+
+    def test_query_decodes_only_what_it_touches(
+        self, built_db, snap_path, monkeypatch
+    ):
+        loaded = load_database(snap_path)
+        snapshot = loaded.snapshot
+        counts = _count_calls(
+            monkeypatch, snapshot, ("wtable_centers", "subclusters_at")
+        )
         engine = GraphEngine.from_database(loaded)
         oracle = GraphEngine.from_database(built_db)
         pattern = "person -> watch"
         assert engine.match(pattern).as_set() == oracle.match(pattern).as_set()
-        snapshot = loaded.join_index.snapshot
-        assert snapshot.decode_stats["wtable_pairs"] <= 2
-        total_runs = snapshot.subcluster_runs
-        assert 0 < snapshot.decode_stats["subcluster_runs"] < total_runs
+        assert counts["wtable_centers"] <= 2
+        assert 0 < counts["subclusters_at"] < snapshot.center_count
 
-    def test_base_tables_materialize_per_label(self, snap_path):
+    def test_touching_every_run_retains_nothing(self, snap_path):
+        """The snapshot tier keeps no copy: reading every subcluster leaf,
+        every W-run and both codes of every node leaves under 64 KiB
+        allocated once the results are dropped (a memo of them all holds
+        about 250 KiB on this file)."""
         loaded = load_database(snap_path)
-        assert loaded.base_tables == {}
-        table = loaded.base_table("person")
-        assert set(loaded.base_tables) == {"person"}
-        assert loaded.base_table("person") is table  # memoized
-        with pytest.raises(KeyError):
-            loaded.base_table("no_such_label")
+        snapshot = loaded.snapshot
+        centers = snapshot.centers().tolist()
+        pairs = snapshot.wtable_pairs()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for center in centers:
+                loaded.subcluster_runs(center)
+            for pair in pairs:
+                loaded.w_run(*pair)
+            for node in range(snapshot.node_count):
+                loaded.code_run(node, "in")
+                loaded.code_run(node, "out")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
 
 #: (length, CRC32) of every section of ``GraphDatabase(figure1_graph())``
@@ -291,38 +395,42 @@ def _holds_view(value) -> bool:
 
 def _probe(db):
     """One existing (center, (X, Y) pair, label) to aim the accessors at."""
-    (x, y), centers = next(iter(db.join_index.wtable_items()))
-    return centers[0], x, y
+    x, y = db.snapshot.wtable_pairs()[0]
+    return db.w_run(x, y)[0], x, y
 
 
-#: every public Snapshot accessor, every SnapshotRJoinIndex read and the
-#: SnapshotDatabase run surface — each takes the loaded database
+#: every public Snapshot accessor, the SnapshotDatabase run surface, and
+#: the cluster R-join index's and the labeling's reads as the snapshot
+#: tier answers them (``W(X, Y)``, getFT and its two maps, the W-table
+#: directory, the whole-structure scans the writer and the audit decode,
+#: ``in(x)``) — each takes the loaded database
 ACCESSORS = {
-    "Snapshot.centers": lambda db: db.snapshot_handle.centers(),
-    "Snapshot.in_code_array": lambda db: db.snapshot_handle.in_code_array(0),
-    "Snapshot.out_code_array": lambda db: db.snapshot_handle.out_code_array(0),
-    "Snapshot.wtable_pairs": lambda db: db.snapshot_handle.wtable_pairs(),
-    "Snapshot.wtable_sizes": lambda db: db.snapshot_handle.wtable_sizes(),
-    "Snapshot.wtable_centers": lambda db: db.snapshot_handle.wtable_centers(0),
-    "Snapshot.subclusters_at": lambda db: db.snapshot_handle.subclusters_at(0),
-    "Snapshot.extent_sizes": lambda db: db.snapshot_handle.extent_sizes(),
-    "Snapshot.catalog_pairs": lambda db: db.snapshot_handle.catalog_pairs(),
-    "Snapshot.section_table": lambda db: db.snapshot_handle.section_table(),
-    "Snapshot.build_graph": lambda db: db.snapshot_handle.build_graph(),
-    "index.centers": lambda db: db.join_index.centers(*_probe(db)[1:]),
-    "index.get_f": lambda db: db.join_index.get_f(*_probe(db)[:2]),
-    "index.get_t": lambda db: db.join_index.get_t(_probe(db)[0], _probe(db)[2]),
-    "index.get_ft": lambda db: db.join_index.get_ft(_probe(db)[0]),
-    "index.cluster_items": lambda db: db.join_index.cluster_items(),
-    "index.wtable_items": lambda db: db.join_index.wtable_items(),
-    "index.wtable_pairs": lambda db: db.join_index.wtable_pairs(),
-    "index.wtable_sizes": lambda db: db.join_index.wtable_sizes(),
+    "Snapshot.centers": lambda db: db.snapshot.centers(),
+    "Snapshot.in_code_array": lambda db: db.snapshot.in_code_array(0),
+    "Snapshot.out_code_array": lambda db: db.snapshot.out_code_array(0),
+    "Snapshot.wtable_pairs": lambda db: db.snapshot.wtable_pairs(),
+    "Snapshot.wtable_sizes": lambda db: db.snapshot.wtable_sizes(),
+    "Snapshot.wtable_centers": lambda db: db.snapshot.wtable_centers(0),
+    "Snapshot.subclusters_at": lambda db: db.snapshot.subclusters_at(0),
+    "Snapshot.extent_sizes": lambda db: db.snapshot.extent_sizes(),
+    "Snapshot.catalog_pairs": lambda db: db.snapshot.catalog_pairs(),
+    "Snapshot.section_table": lambda db: db.snapshot.section_table(),
+    "Snapshot.build_graph": lambda db: db.snapshot.build_graph(),
+    "Snapshot.extents": lambda db: db.snapshot.extents(),
+    "index.centers": lambda db: db.w_run(*_probe(db)[1:]),
+    "index.get_f": lambda db: db.subcluster_runs(_probe(db)[0])[0],
+    "index.get_t": lambda db: db.subcluster_runs(_probe(db)[0])[1],
+    "index.get_ft": lambda db: db.subcluster_runs(_probe(db)[0]),
+    "index.cluster_items": lambda db: db.offline_structures().cluster_items,
+    "index.wtable_items": lambda db: db.offline_structures().wtable_items,
+    "index.wtable_pairs": lambda db: db.snapshot.wtable_pairs(),
+    "index.wtable_sizes": lambda db: db.snapshot.wtable_sizes(),
     "db.w_run": lambda db: db.w_run(*_probe(db)[1:]),
     "db.code_run[in]": lambda db: db.code_run(_probe(db)[0], "in"),
     "db.code_run[out]": lambda db: db.code_run(_probe(db)[0], "out"),
     "db.subcluster_runs": lambda db: db.subcluster_runs(_probe(db)[0]),
     "db.extent_run": lambda db: db.extent_run(_probe(db)[1]),
-    "labeling.in_codes": lambda db: db.labeling.in_codes[0],
+    "labeling.in_codes": lambda db: db.offline_structures().labeling.in_codes[0],
 }
 
 
@@ -339,6 +447,8 @@ class TestNoViewsEscape:
         if hasattr(result, "__next__"):
             first = next(result)  # park the iterator mid-stream
         assert not _holds_view(result) and not _holds_view(first)
-        db.snapshot_handle.close()  # result and first still alive: no BufferError
-        assert db.snapshot_handle.closed
+        # result and first still alive, the snapshot's own views are
+        # released first: no BufferError
+        db.snapshot.close()
+        assert db.snapshot.closed
         del result, first
