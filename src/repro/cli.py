@@ -307,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("dp", "dps", "wcoj", "auto"),
                          default="auto",
                          help="plan family: left-deep dp/dps, "
-                              "multiway wcoj, or auto (cyclic join graph "
-                              "-> wcoj; acyclic with --limit <= "
-                              f"{AUTO_DP_LIMIT} -> dp; else dps; default)")
+                              "multiway wcoj, or auto (acyclic with --limit "
+                              f"<= {AUTO_DP_LIMIT} -> dp; else wcoj; default)")
     p_query.add_argument("--explain", action="store_true",
                          help="print the plan instead of executing")
     p_query.add_argument("--limit", type=int, default=None,

@@ -10,7 +10,7 @@ from .interval import (
     point_in_intervals,
 )
 from .sspi import SSPI
-from .twohop import TwoHopLabeling, build_two_hop, greedy_two_hop
+from .twohop import TwoHopLabeling, build_two_hop
 
 __all__ = [
     "Interval",
@@ -23,5 +23,4 @@ __all__ = [
     "SSPI",
     "TwoHopLabeling",
     "build_two_hop",
-    "greedy_two_hop",
 ]

@@ -23,10 +23,6 @@ Section 4).
 Cyclic graphs are handled the way every 2-hop system does it: condense to
 the SCC DAG, label the DAG, and give each node the labels of its SCC
 (centers are mapped back to the SCC representative's node id).
-
-A direct greedy set-cover construction (:func:`greedy_two_hop`) is also
-provided; it follows Cohen et al.'s formulation literally and is useful as
-an oracle on small graphs, but costs O(n^2) space.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..graph.condensation import condense
 from ..graph.digraph import DiGraph
-from ..graph.traversal import TransitiveClosure
 
 
 @dataclass
@@ -204,62 +199,3 @@ def build_two_hop(graph: DiGraph) -> TwoHopLabeling:
             out_codes[v] = outs | {v}
     return TwoHopLabeling(in_codes=in_codes, out_codes=out_codes)
 
-
-def greedy_two_hop(graph: DiGraph) -> TwoHopLabeling:
-    """Literal greedy set-cover 2-hop construction (Cohen et al.).
-
-    Repeatedly picks the center ``w`` whose cluster pair
-    ``Anc(w) x Desc(w)`` covers the most still-uncovered reachable pairs
-    per unit of label cost, until every reachable pair is covered.
-    O(n^2)-space (uses the transitive closure) — small graphs only; used
-    as a second, independently-derived labeling in tests.
-    """
-    cond = condense(graph)
-    dag = cond.dag
-    n = dag.node_count
-    closure = TransitiveClosure(dag)
-    ancestors: List[Set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for v in closure.successors_closure(u):
-            ancestors[v].add(u)
-
-    # self pairs (u, u) are covered for free by the self-labels below
-    uncovered: Set[Tuple[int, int]] = {
-        (u, v) for u in range(n) for v in closure.successors_closure(u) if u != v
-    }
-    in_codes: List[Set[int]] = [{v} for v in range(n)]
-    out_codes: List[Set[int]] = [{v} for v in range(n)]
-
-    while uncovered:
-        best_w, best_gain, best_cost = -1, -1, 1
-        for w in range(n):
-            anc = ancestors[w]
-            desc = closure.successors_closure(w)
-            gain = sum(1 for u in anc for v in desc if (u, v) in uncovered)
-            cost = len(anc) + len(desc)
-            if gain * best_cost > best_gain * cost:  # gain/cost comparison
-                best_w, best_gain, best_cost = w, gain, cost
-        if best_gain <= 0:
-            break
-        w = best_w
-        for u in ancestors[w]:
-            out_codes[u].add(w)
-        for v in closure.successors_closure(w):
-            in_codes[v].add(w)
-        uncovered -= {
-            (u, v)
-            for u in ancestors[w]
-            for v in closure.successors_closure(w)
-            if (u, v) in uncovered
-        }
-
-    representative = [cond.representative(scc) for scc in range(n)]
-    full_in: List[FrozenSet[int]] = [frozenset()] * graph.node_count
-    full_out: List[FrozenSet[int]] = [frozenset()] * graph.node_count
-    for scc in range(n):
-        ins = frozenset(representative[c] for c in in_codes[scc])
-        outs = frozenset(representative[c] for c in out_codes[scc])
-        for v in cond.members[scc]:
-            full_in[v] = ins | {v}
-            full_out[v] = outs | {v}
-    return TwoHopLabeling(in_codes=full_in, out_codes=full_out)

@@ -13,15 +13,15 @@ Typical use::
 
 * ``"dps"`` (default) — DP interleaving R-joins with R-semijoins (§4.2);
 * ``"dp"`` — R-join-only dynamic programming (§4.1);
-* ``"wcoj"`` — worst-case-optimal multiway plan for cyclic join graphs
-  (variable elimination + k-way intersection); acyclic patterns fall
-  back to DPS unchanged;
+* ``"wcoj"`` — worst-case-optimal multiway plan (variable elimination
+  + k-way intersection), for every connected pattern;
 * ``"auto"`` — not an optimizer but a name resolved per query from the
-  pattern and the caller's ``limit``: cyclic patterns get ``"wcoj"``;
-  acyclic ones get ``"dp"`` when at most :data:`AUTO_DP_LIMIT` rows are
-  asked for, else ``"dps"``.  DPS's larger search (``O(m·n·5^n)``) pays
-  for itself by shrinking the temporal tables of a *full* answer; a
-  short prefix builds none, so there DP's search is the cheaper one.
+  pattern and the caller's ``limit``: an acyclic pattern gets ``"dp"``
+  when at most :data:`AUTO_DP_LIMIT` rows are asked for, and everything
+  else gets ``"wcoj"`` — cyclic patterns, full answers and the query
+  service's row cap alike.  A short prefix is cheapest to plan with
+  DP's small search; anything longer runs faster as one multiway step
+  per variable than as DPS's Filter+Fetch pairs.
   The CLI defaults to ``"auto"``, the wire protocol to ``"dps"``.
 """
 
@@ -52,17 +52,16 @@ _OPTIMIZERS = {
     "dp": optimize_dp,
     "dps": optimize_dps,
     "wcoj": optimize_wcoj,
-    # "auto" for a full answer (cyclic -> wcoj, else dps); :meth:`plan`
-    # resolves the name with the caller's limit and never looks it up here
+    # "auto" for a full answer; :meth:`plan` resolves the name with the
+    # caller's limit and never looks it up here
     "auto": optimize_wcoj,
 }
 
 #: ``"auto"`` plans an acyclic pattern with DP when the caller asks for
-#: at most this many rows, and with DPS above it or for a full answer.
-#: From the cut-off sweep in EXPERIMENTS.md ("auto: DP under a small
-#: LIMIT"): up to LIMIT 100 DP's warm execution is within 2 % of DPS's
-#: and its search ~4x cheaper; from LIMIT 1000 on DPS executes faster,
-#: and on a full answer it reads about half of DP's logical I/O.  The
+#: at most this many rows, and with WCOJ above it or for a full answer.
+#: From the cut-off sweeps in EXPERIMENTS.md ("auto: DP under a small
+#: LIMIT", "auto: the multiway plan for every full answer"): up to LIMIT
+#: 100 DP's search is the cheaper one and its warm execution close.  The
 #: query service passes every query a limit (its row cap, 1,000,000 by
 #: default), so the rule compares against this cut-off and never tests
 #: for ``None``.
@@ -73,11 +72,9 @@ def _resolve(pattern: GraphPattern, optimizer: str, limit: Optional[int]) -> str
     """The optimizer ``"auto"`` stands for; any other name is itself."""
     if optimizer != "auto":
         return optimizer
-    if pattern.is_cyclic():
-        return "wcoj"
-    if limit is not None and limit <= AUTO_DP_LIMIT:
+    if limit is not None and limit <= AUTO_DP_LIMIT and not pattern.is_cyclic():
         return "dp"
-    return "dps"
+    return "wcoj"
 
 PatternLike = Union[str, GraphPattern]
 
@@ -278,7 +275,7 @@ class GraphEngine:
         optimized = self.plan(parsed, optimizer=optimizer, limit=limit)
         if optimizer == "auto":
             resolved = _resolve(parsed, optimizer, limit)
-            if resolved == "wcoj":
+            if parsed.is_cyclic():
                 reason = "cyclic"
             elif limit is None:
                 reason = "acyclic, full answer"

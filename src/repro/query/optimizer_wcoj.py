@@ -19,17 +19,16 @@ and cardinality use the existing :class:`~repro.query.costmodel.CostModel`
 plus its multiway rules (``multiway_domain_size`` / ``multiway_step_rows``
 / ``multiway_step_cost``).
 
-Routing lives in :func:`optimize_wcoj`: acyclic join graphs go to the
-paper's DPS optimizer *unchanged* (identical plans, rows and counters —
-the differential suites pin this), since a multiway plan on a tree
-degenerates into a strictly worse Filter/Fetch with no sharing; cyclic
-ones get the multiway plan.  The engine's ``"auto"`` makes the same
-cyclicity test per query and also reads the caller's limit: cyclic
-patterns resolve to this optimizer, acyclic ones to ``"dp"`` when at
-most ``engine.AUTO_DP_LIMIT`` (100) rows are asked for — a prefix that
-short builds no temporal table for DPS's larger search to save — and
-to ``"dps"`` otherwise (the cut-off sweep is in EXPERIMENTS.md, "auto:
-DP under a small LIMIT").
+It plans every connected pattern, trees included: on a tree each
+multiway step has one constraint, yet it still does a Filter+Fetch
+pair's work in one operator — one CenterCache probe per bound node, no
+centers column passed between operators — and it beats DPS's plan on
+the acyclic Figure-4 texts (EXPERIMENTS.md, "auto: the multiway plan
+for every full answer").  The engine's ``"auto"`` reads only the
+caller's limit and the pattern's shape: acyclic patterns resolve to
+``"dp"`` when at most ``engine.AUTO_DP_LIMIT`` (100) rows are asked
+for, and everything else — cyclic patterns, full answers — to this
+optimizer.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from typing import Dict, List, Set, Tuple
 from .algebra import FilterKey, MultiwaySeed, MultiwayStep, Plan, PlanStep, Side
 from .costmodel import CostModel
 from .optimizer_dp import OptimizedPlan
-from .optimizer_dps import optimize_dps
 from .pattern import GraphPattern
 
 Incidence = Dict[str, Tuple[FilterKey, ...]]
@@ -144,16 +142,7 @@ def _build_plan(
 
 
 def optimize_wcoj(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
-    """Cheapest multiway (generic-join) plan for a cyclic pattern.
-
-    Acyclic patterns (including the single-variable degenerate) fall back
-    to the paper's DPS optimizer — on a tree every multiway step has
-    exactly one constraint and the plan collapses into an unshared
-    Filter+Fetch chain, which the left-deep optimizers already order
-    better.
-    """
-    if not pattern.is_cyclic():
-        return optimize_dps(pattern, model)
+    """Cheapest multiway (generic-join) plan for a connected pattern."""
     incidence = _incidence(pattern)
     cost, rows, order = _enumerate_orders(pattern.variables, incidence, model)
     return OptimizedPlan(_build_plan(pattern, incidence, order), cost, rows)

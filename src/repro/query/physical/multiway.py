@@ -1,4 +1,4 @@
-"""Generic-join physical operators for cyclic patterns (multiway R-joins).
+"""Generic-join physical operators (multiway R-joins), for every pattern.
 
 Left-deep plans eliminate one *condition* per step and must materialize
 every binary R-join's intermediate; on cyclic patterns (triangles,
@@ -8,7 +8,8 @@ the final output.  The worst-case-optimal alternative eliminates one
 set is the **intersection of its extension sets across every condition
 touching it** — computed with the same sorted-run kernels Filter and
 Fetch use (C set operations, galloping when skewed), never materializing
-a binary join.
+a binary join.  On a tree each step has one condition and does the work
+of a Filter+Fetch pair in one operator.
 
 Two operators implement one variable-elimination order:
 

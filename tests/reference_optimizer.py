@@ -1,7 +1,7 @@
 """The frozenset plan search — the optimizers' oracle.
 
-``optimize_dp``, ``optimize_dps`` and ``_enumerate_orders`` (with the
-``optimize_wcoj`` / ``optimize_auto`` routing around it) exactly as they
+``optimize_dp``, ``optimize_dps`` and ``_enumerate_orders`` (behind
+``optimize_wcoj``, which ``"auto"`` names for a full answer) exactly as they
 stood before the search moved onto bitmask statuses: one frozenset per
 status component, a copied step list per move, every estimate asked of
 the :class:`~repro.query.costmodel.CostModel` by condition.  Same moves,
@@ -417,28 +417,14 @@ def _build_plan(pattern: GraphPattern, order: Tuple[str, ...]) -> Plan:
 
 
 def optimize_wcoj(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
-    """Cheapest multiway (generic-join) plan for a cyclic pattern.
-
-    Acyclic patterns (including the single-variable degenerate) fall back
-    to the paper's DPS optimizer — on a tree every multiway step has
-    exactly one constraint and the plan collapses into an unshared
-    Filter+Fetch chain, which the left-deep optimizers already order
-    better.
-    """
-    if len(pattern.conditions) < len(pattern.variables):  # acyclic: a spanning tree
-        return optimize_dps(pattern, model)
+    """Cheapest multiway (generic-join) plan for a connected pattern."""
     cost, rows, order = _enumerate_orders(pattern, model)
     return OptimizedPlan(_build_plan(pattern, order), cost, rows)
-
-
-def optimize_auto(pattern: GraphPattern, model: CostModel) -> OptimizedPlan:
-    """Route on join-graph shape: cyclic → WCOJ, acyclic → DPS unchanged."""
-    return optimize_wcoj(pattern, model)
 
 
 REFERENCE_OPTIMIZERS = {
     "dp": optimize_dp,
     "dps": optimize_dps,
     "wcoj": optimize_wcoj,
-    "auto": optimize_auto,
+    "auto": optimize_wcoj,
 }

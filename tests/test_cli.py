@@ -113,14 +113,15 @@ class TestCommands:
 
     def test_query_explain_plans_for_the_limit(self, db_path, capsys):
         """``--explain --limit N`` shows the plan the limited run executes:
-        on an acyclic pattern ``auto`` resolves to dp under a small limit."""
+        on an acyclic pattern ``auto`` resolves to dp under a small limit
+        and to the multiway plan for a full answer."""
         assert main(["query", db_path, "itemref -> item", "--explain",
                      "--limit", "5"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.startswith("-- optimizer=auto->dp (acyclic, limit 5 <= ")
         assert main(["query", db_path, "itemref -> item", "--explain"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
-        assert header.startswith("-- optimizer=auto->dps (acyclic, full answer)")
+        assert header.startswith("-- optimizer=auto->wcoj (acyclic, full answer)")
 
     @pytest.mark.parametrize("pattern, extra, message", [
         ("nosuch -> item", [], "label 'nosuch'"),
@@ -171,6 +172,16 @@ class TestQueryStreams:
     #: takes ~12 MB, streaming it ~2 MB
     PEAK_BYTES = 5_000_000
 
+    @staticmethod
+    def traced_peak(argv):
+        """Run one successful command; its peak traced allocation."""
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_large_answer_is_counted_not_held(self, hub_graph, tmp_path, capsys):
         from repro import GraphEngine
         from repro.db.persist import save_database
@@ -178,18 +189,29 @@ class TestQueryStreams:
         path = str(tmp_path / "hub.snap")
         graph = hub_graph(self.SIDE, C=self.FAN)
         save_database(GraphEngine(graph).db, path)
-        tracemalloc.start()
-        try:
-            assert main(["query", path, "A -> B, B -> C"]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = self.traced_peak(["query", path, "A -> B, B -> C"])
         captured = capsys.readouterr()
         rows = self.SIDE * self.SIDE * self.FAN
         assert len(captured.out.splitlines()) == 1 + 20  # header + --head
         assert f"... ({rows - 20} more rows; use --all)" in captured.err
         assert f"-- {rows} row(s) in " in captured.err
         assert peak < self.PEAK_BYTES, f"peak {peak} B: the answer was held"
+
+    def test_two_variable_answer_keeps_no_pair_set(self, hub_graph, tmp_path, capsys):
+        """"A -> B" over 300 A-nodes -> hub -> 300 B-nodes is 90,000 rows
+        from one center.  Under the default ``auto`` it is answered by the
+        multiway plan, which holds nothing per row; DPS's HPSJ seed would
+        keep every emitted pair in its duplicate set (~11 MB)."""
+        from repro import GraphEngine
+        from repro.db.persist import save_database
+
+        side = 300
+        path = str(tmp_path / "pairs.snap")
+        save_database(GraphEngine(hub_graph(side)).db, path)
+        peak = self.traced_peak(["query", path, "A -> B"])
+        captured = capsys.readouterr()
+        assert f"-- {side * side} row(s) in " in captured.err
+        assert peak < self.PEAK_BYTES, f"peak {peak} B: the pairs were held"
 
 
 class TestSnapshot:

@@ -24,8 +24,7 @@ from repro.query import CenterCache, execute_plan, execute_plan_streaming
 from reference_executor import op_counters, reference_execute
 
 TIERS = ("live", "snapshot")
-#: wcoj only differs from dps on cyclic join graphs, so the acyclic
-#: Figure-4 families run the three left-deep optimizers
+#: every optimizer runs the cyclic shapes and the Figure-4 families
 OPTIMIZERS = ("dp", "dps", "wcoj")
 #: a CenterCache budget far below the dps workload's ~47 KB working set,
 #: so the sanitizer leg runs under constant eviction
@@ -37,11 +36,8 @@ def engines(xmark_engine, xmark_snapshot_engine):
     return {"live": xmark_engine, "snapshot": xmark_snapshot_engine}
 
 
-def workload_for(optimizer, figure4_workload, cyclic_workload):
-    patterns = dict(cyclic_workload)
-    if optimizer != "wcoj":
-        patterns.update(figure4_workload)
-    return patterns
+def workload_for(figure4_workload, cyclic_workload):
+    return {**cyclic_workload, **figure4_workload}
 
 
 def check_streams(engine, index, pattern, optimizer, label, *configurations):
@@ -67,7 +63,7 @@ def test_sequential_matches_reference(
 ):
     engine = engines[tier]
     cache = CenterCache()  # shared across the loop: warm hits change nothing
-    patterns = workload_for(optimizer, figure4_workload, cyclic_workload)
+    patterns = workload_for(figure4_workload, cyclic_workload)
     for name, pattern in patterns.items():
         label = f"{name}/{optimizer}/{tier}"
         # the kernels alone (no CenterCache) are already exact; a warm
@@ -96,9 +92,7 @@ def test_sanitizer_leg(
     the sequential runs, with a cache small enough to keep evicting."""
     engine = engines[tier]
     cache = CenterCache(capacity_bytes=SMALL_CACHE_BYTES)
-    for name, pattern in workload_for(
-        "dps", figure4_workload, cyclic_workload
-    ).items():
+    for name, pattern in workload_for(figure4_workload, cyclic_workload).items():
         check_streams(
             engine, reference_index, pattern, "dps", f"{name}/{tier}/sanitize",
             {"center_cache": cache, "sanitize": True},

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro import GraphEngine, NaiveMatcher, parse_pattern
 from repro.graph import generators, xmark
-from repro.query import MultiwaySeed
+from repro.query import MultiwaySeed, MultiwayStep
 from repro.query.engine import AUTO_DP_LIMIT
 from repro.query.pattern import GraphPattern
 from repro.workloads.runner import accounting_run
@@ -252,16 +252,18 @@ def steps(engine, pattern, optimizer, limit=None):
 
 
 class TestAutoResolution:
-    """``"auto"`` is resolved per query: cyclic -> wcoj; acyclic -> dp
-    when at most ``AUTO_DP_LIMIT`` rows are asked for, else dps — a full
-    answer, or the query service's 1,000,000-row cap."""
+    """``"auto"`` is resolved per query: an acyclic pattern -> dp when at
+    most ``AUTO_DP_LIMIT`` rows are asked for; everything else -> wcoj —
+    cyclic patterns, a full answer, or the query service's 1,000,000-row
+    cap."""
 
     ABOVE = (AUTO_DP_LIMIT + 1, 1_000_000, None)
 
     @pytest.fixture(scope="class")
     def acyclic(self, xmark_engine, figure4_workload):
-        """A Figure-4 pattern whose dp and dps plans differ, so the table
-        can tell which one ``auto`` picked."""
+        """A Figure-4 pattern whose dp and dps plans differ (its wcoj plan
+        is multiway, unlike both), so the table can tell which one
+        ``auto`` picked."""
         for pattern in figure4_workload.values():
             if not pattern.is_cyclic() and (
                 steps(xmark_engine, pattern, "dp")
@@ -276,9 +278,11 @@ class TestAutoResolution:
         assert got == steps(xmark_engine, acyclic, "dp")
 
     @pytest.mark.parametrize("limit", ABOVE)
-    def test_acyclic_full_answer_gets_dps(self, xmark_engine, acyclic, limit):
+    def test_acyclic_full_answer_gets_wcoj(self, xmark_engine, acyclic, limit):
         got = steps(xmark_engine, acyclic, "auto", limit)
-        assert got == steps(xmark_engine, acyclic, "dps")
+        assert got == steps(xmark_engine, acyclic, "wcoj")
+        assert isinstance(got[0], MultiwaySeed)
+        assert all(isinstance(step, MultiwayStep) for step in got[1:])
 
     def test_cyclic_gets_multiway_at_every_limit(self, xmark_engine, cyclic_workload):
         assert cyclic_workload
@@ -295,8 +299,8 @@ class TestAutoResolution:
         assert engine.plan(acyclic, "dp") is limited
         assert len(engine._plan_cache) == 1
         full = engine.plan(acyclic, "auto")
-        assert engine.plan(acyclic, "dps", limit=20) is full
-        assert {key[-1] for key in engine._plan_cache} == {"dp", "dps"}
+        assert engine.plan(acyclic, "wcoj", limit=20) is full
+        assert {key[-1] for key in engine._plan_cache} == {"dp", "wcoj"}
 
     def test_explain_names_the_resolved_optimizer(
         self, xmark_engine, acyclic, cyclic_workload
@@ -308,8 +312,8 @@ class TestAutoResolution:
         assert header(acyclic, "auto", 20) == (
             f"-- optimizer=auto->dp (acyclic, limit 20 <= {AUTO_DP_LIMIT})")
         assert header(acyclic, "auto", 1_000_000) == (
-            f"-- optimizer=auto->dps (acyclic, limit 1000000 > {AUTO_DP_LIMIT})")
-        assert header(acyclic, "auto") == "-- optimizer=auto->dps (acyclic, full answer)"
+            f"-- optimizer=auto->wcoj (acyclic, limit 1000000 > {AUTO_DP_LIMIT})")
+        assert header(acyclic, "auto") == "-- optimizer=auto->wcoj (acyclic, full answer)"
         assert header(cyclic, "auto", 20) == "-- optimizer=auto->wcoj (cyclic)"
         assert header(acyclic, "dps", 20) == "-- optimizer=dps"
 

@@ -280,7 +280,9 @@ class TestNothingToProject:
     #: SHA-256 (first 16 hex digits) over ``repr(match(...).rows)`` under
     #: dp, dps and wcoj in turn, generated on commit 4800f44 — the last
     #: one that projected.  ``reference_executor`` compares row *sets*;
-    #: this is what pins row order and column order.
+    #: this is what pins row order and column order.  When these were
+    #: generated, ``wcoj`` planned an acyclic text with DPS, so an
+    #: acyclic text hashes dp, dps and dps.
     ROWS_IN_ORDER = {
         "P1": "b692ebd430d7d6eb", "P2": "8567cfe1448ee757",
         "P3": "5c85ba4512bd8d24", "P4": "dec620705b85013c",
@@ -298,6 +300,21 @@ class TestNothingToProject:
         "triangle": "88c3548db9c6b659", "diamond": "0bc4710ec45c2033",
         "clique4": "f1893ae5d4c07ba9", "cycle-tail": "2386d77fb8eb6dc7",
         "cross": "ef819a29f08c15e0", "double-diamond": "1952103a9fcec3df",
+    }
+    #: The same digest over the multiway plan's rows alone, for the
+    #: acyclic texts: generated when ``wcoj`` began to plan them.
+    TREE_ROWS_IN_ORDER = {
+        "P1": "00cd5a09be6af610", "P2": "33d49fb97bd6cc06",
+        "P3": "5283e89f67a721a1", "P4": "564ec540460c8d9c",
+        "P5": "68eed469894d8f2b", "P6": "10b6be6eb9365fae",
+        "P7": "78d0848a7d13e855", "P8": "24d2e44ee0ccf0db",
+        "P9": "62daf80a1afebc4b",
+        "T1": "d093d75b9ddf7d41", "T2": "738d9132e343e96d",
+        "T3": "32ad2a29f756a492", "T4": "dc00b63289a58551",
+        "T5": "a0f167f9bd00656e", "T6": "5cbc9ee7417a6920",
+        "T7": "e3a6e4f9c10fcaa2", "T8": "29fa2462cb6ad0d5",
+        "T9": "a82c0c158437c55c",
+        "Q2": "6109bb3f7d0cd827", "Q5": "87461dcc48d6445e",
     }
     OPTIMIZERS = ("dp", "dps", "wcoj")
 
@@ -325,10 +342,21 @@ class TestNothingToProject:
         assert set(patterns) == set(self.ROWS_IN_ORDER)
         for name, pattern in patterns.items():
             digest = hashlib.sha256()
-            for optimizer in self.OPTIMIZERS:
+            third = "wcoj" if pattern.is_cyclic() else "dps"
+            for optimizer in ("dp", "dps", third):
                 rows = xmark_engine.match(pattern, optimizer=optimizer).rows
                 digest.update(repr(rows).encode())
             assert digest.hexdigest()[:16] == self.ROWS_IN_ORDER[name], name
+
+    def test_multiway_rows_on_trees_come_in_their_pinned_order(
+        self, xmark_engine, patterns
+    ):
+        acyclic = {n: p for n, p in patterns.items() if not p.is_cyclic()}
+        assert set(acyclic) == set(self.TREE_ROWS_IN_ORDER)
+        for name, pattern in acyclic.items():
+            rows = xmark_engine.match(pattern, optimizer="wcoj").rows
+            digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+            assert digest[:16] == self.TREE_ROWS_IN_ORDER[name], name
 
 
 @settings(max_examples=10, deadline=None)

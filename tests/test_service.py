@@ -572,24 +572,26 @@ class TestServiceEndToEnd:
 class TestServiceAutoResolution:
     """The service passes every query a limit — its row cap when the
     request names none — so ``auto`` must count the cap as a full answer:
-    full answers stay on the dps plans the shared-engine gate compares
-    byte for byte, and only a request's own small limit picks dp."""
+    full answers get the multiway plan, and only a request's own small
+    limit picks dp."""
 
     @pytest.fixture(scope="class")
     def text(self, xmark_engine, figure4_workload):
-        """An acyclic Figure-4 pattern whose dp and dps rows differ both
-        in full and in their first 10, so the rows tell the plans apart."""
+        """An acyclic Figure-4 pattern whose dp and wcoj rows differ both
+        in full and in their first 10, and whose full dps and wcoj rows
+        differ too, so the rows tell the plans apart."""
         for pattern in figure4_workload.values():
             if pattern.is_cyclic():
                 continue
             text = str(pattern)
             full, head = ({
                 optimizer: xmark_engine.match(text, optimizer, limit=limit).rows
-                for optimizer in ("dp", "dps")
+                for optimizer in ("dp", "dps", "wcoj")
             } for limit in (None, 10))
-            if full["dp"] != full["dps"] and head["dp"] != head["dps"]:
+            if (full["dp"] != full["wcoj"] != full["dps"]
+                    and head["dp"] != head["wcoj"]):
                 return text
-        pytest.fail("no acyclic Figure-4 pattern tells dp rows from dps rows")
+        pytest.fail("no acyclic Figure-4 pattern tells the plans apart by rows")
 
     @pytest.fixture(scope="class")
     def address(self, xmark_engine):
@@ -597,8 +599,8 @@ class TestServiceAutoResolution:
             yield handle.address
 
     @pytest.mark.parametrize("limit", [None, AUTO_DP_LIMIT + 1])
-    def test_full_answers_stay_on_dps(self, xmark_engine, address, text, limit):
-        expected = xmark_engine.match(text, "dps", limit=limit)
+    def test_full_answers_get_wcoj(self, xmark_engine, address, text, limit):
+        expected = xmark_engine.match(text, "wcoj", limit=limit)
         with ServiceClient(*address) as client:
             response = client.query(text, optimizer="auto", limit=limit)
         assert rows_as_tuples(response) == list(expected.rows)

@@ -9,12 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag, random_digraph, random_tree
 from repro.graph.traversal import TransitiveClosure
-from repro.labeling.twohop import (
-    TwoHopLabeling,
-    _label_dag,
-    build_two_hop,
-    greedy_two_hop,
-)
+from repro.labeling.twohop import TwoHopLabeling, _label_dag, build_two_hop
 
 
 def assert_labeling_correct(graph: DiGraph, labeling: TwoHopLabeling) -> None:
@@ -101,21 +96,6 @@ class TestCoverMetrics:
             for u in f_cluster:
                 for v in t_cluster:
                     assert closure.reaches(u, v)
-
-
-class TestGreedyTwoHop:
-    def test_matches_truth_on_small_graphs(self):
-        for seed in range(4):
-            g = random_digraph(12, 0.15, seed=seed)
-            assert_labeling_correct(g, greedy_two_hop(g))
-
-    def test_two_constructions_agree_on_queries(self):
-        g = random_dag(15, 0.2, seed=9)
-        pruned = build_two_hop(g)
-        greedy = greedy_two_hop(g)
-        for u in g.nodes():
-            for v in g.nodes():
-                assert pruned.reaches(u, v) == greedy.reaches(u, v)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,30 +4,34 @@ The acceptance contract of the worst-case-optimal path: on cyclic
 patterns every optimizer — left-deep ``dp``/``dps`` and the
 multiway ``wcoj`` — produces the identical row set under both drivers
 and live/snapshot databases; per-op counters of the multiway operators match the scalar
-sequential oracle everywhere.  Acyclic patterns must keep today's plans,
-rows and counters bit for bit (``auto``/``wcoj`` route them to DPS).
+sequential oracle everywhere.  ``wcoj`` plans acyclic patterns too:
+there its multiway plan returns ``dps``'s rows and the naive matcher's,
+on both tiers.
 
-Structural coverage: routing on join-graph shape, ``Plan.validate`` on
-multiway step sequences, and the plancheck diagnostics for malformed
-multiway plans.
+Structural coverage: ``auto``'s routing on join-graph shape and limit,
+``Plan.validate`` on multiway step sequences, and the plancheck
+diagnostics for malformed multiway plans.
 """
+
+import random
 
 import pytest
 
+from repro import NaiveMatcher
 from repro.query import (
     GraphEngine,
     MultiwaySeed,
     MultiwayStep,
     Side,
-    optimize_dps,
     execute_plan,
     execute_plan_streaming,
     optimize_wcoj,
     parse_pattern,
 )
 from repro.graph.generators import figure1_graph
-from repro.query.pattern import PatternError
-from repro.analysis import check_plan
+from repro.query.engine import AUTO_DP_LIMIT
+from repro.query.pattern import GraphPattern, PatternError
+from repro.analysis import check_plan, has_errors
 from repro.workloads.patterns import PatternFactory
 
 from corrupted_plans import CORRUPTED
@@ -63,11 +67,13 @@ def figure1_engine():
     ("A -> B, A -> C, B -> C, C -> D", True),    # cycle with a tail
 ])
 def test_wcoj_routes_on_cyclicity(figure1_engine, text, cyclic):
-    """A multiway plan exactly for cyclic shapes; acyclic ones get DPS's plan."""
+    """``wcoj`` plans every shape multiway; under a small limit ``auto``
+    picks that plan exactly for cyclic shapes and DP's for acyclic ones."""
     steps = figure1_engine.plan(text, "wcoj").plan.steps
-    assert isinstance(steps[0], MultiwaySeed) == cyclic
-    if not cyclic:
-        assert steps == figure1_engine.plan(text, "dps").plan.steps
+    assert isinstance(steps[0], MultiwaySeed)
+    assert all(isinstance(step, MultiwayStep) for step in steps[1:])
+    limited = figure1_engine.plan(text, "auto", limit=AUTO_DP_LIMIT).plan.steps
+    assert limited == (steps if cyclic else figure1_engine.plan(text, "dp").plan.steps)
 
 
 # ----------------------------------------------------------------------
@@ -131,22 +137,67 @@ class TestMultiwayValidation:
 # ----------------------------------------------------------------------
 # optimizer routing
 # ----------------------------------------------------------------------
-class TestRouting:
-    def test_acyclic_patterns_keep_identical_dps_plans(self, engine):
-        factory = PatternFactory(engine.db.catalog, seed=11)
-        model_patterns = {}
-        model_patterns.update(factory.figure4_paths())
-        model_patterns.update(factory.figure4_trees())
-        from repro.query import CostModel
+def acyclic_pool(catalog):
+    """Every acyclic Figure-4 text, 30 seeded random trees over 2-6
+    slots, a single-variable pattern and a label pair with no W entry
+    (join size 0), by name."""
+    factory = PatternFactory(catalog, seed=11)
+    figure4 = {**factory.figure4_paths(), **factory.figure4_trees()}
+    for size in (4, 5):  # both are named Q1-Q5
+        for name, pattern in factory.figure4_queries(size).items():
+            figure4[f"{name}/{size}"] = pattern
+    patterns = {n: p for n, p in figure4.items() if not p.is_cyclic()}
+    rng = random.Random(20261019)
+    factory = PatternFactory(catalog, seed=29, attempts=60)
+    for index in range(30):
+        edges = []
+        for node in range(1, rng.randint(2, 6)):
+            other = rng.randrange(node)
+            edges.append((other, node) if rng.random() < 0.7 else (node, other))
+        patterns[f"r{index:02d}"] = factory.instantiate(tuple(edges))
 
-        for name, pattern in model_patterns.items():
-            model = CostModel(engine.db.catalog, pattern, engine.cost_params)
-            baseline = optimize_dps(pattern, model)
-            routed = optimize_wcoj(pattern, model)
-            assert routed.plan.steps == baseline.plan.steps, name
-            assert routed.estimated_cost == baseline.estimated_cost, name
-            auto = engine.plan(pattern, optimizer="auto")
-            assert auto.plan.steps == baseline.plan.steps, name
+    labels = factory.labels
+    patterns["single"] = GraphPattern.build({"x": labels[0]}, [])
+    x, y = next(
+        (x, y) for x in labels for y in labels
+        if x != y and catalog.join_size(x, y) == 0 and factory.predecessors[x]
+    )
+    patterns["no-w"] = GraphPattern.build(
+        {"p": factory.predecessors[x][0], "x": x, "y": y},
+        [("p", "x"), ("x", "y")],
+    )
+    assert not any(p.is_cyclic() for p in patterns.values())
+    return patterns
+
+
+class TestRouting:
+    @pytest.fixture(scope="class")
+    def acyclic(self, engine):
+        return acyclic_pool(engine.db.catalog)
+
+    def test_acyclic_patterns_get_multiway_plans(
+        self, engine, snapshot_engine, acyclic
+    ):
+        """On trees ``wcoj`` builds an all-multiway plan that passes
+        check_plan and returns dps's rows and the naive matcher's, on
+        both tiers."""
+        naive = NaiveMatcher(engine.db.graph)
+        for name, pattern in acyclic.items():
+            expected = naive.match_set(pattern)
+            for tier, routed in (("live", engine), ("snapshot", snapshot_engine)):
+                plan = routed.plan(pattern, optimizer="wcoj").plan
+                assert isinstance(plan.steps[0], MultiwaySeed), name
+                assert all(
+                    isinstance(s, MultiwayStep) for s in plan.steps[1:]
+                ), name
+                assert len(plan.steps) == len(pattern.variables), name
+                # the catalog pass objects to an empty W entry, the point
+                # of "no-w"
+                db = None if name == "no-w" else routed.db
+                assert not has_errors(check_plan(plan, db)), (name, tier)
+                rows = routed.match(pattern, optimizer="wcoj").as_set()
+                dps = routed.match(pattern, optimizer="dps").as_set()
+                assert rows == dps == expected, (name, tier)
 
     def test_cyclic_patterns_get_multiway_plans(self, engine, cyclic_workload):
         for name, pattern in cyclic_workload.items():
@@ -154,13 +205,17 @@ class TestRouting:
             assert isinstance(plan.steps[0], MultiwaySeed), name
             assert len(plan.steps) == len(pattern.variables), name
 
-    def test_acyclic_rows_and_counters_unchanged(self, engine):
-        factory = PatternFactory(engine.db.catalog, seed=11)
-        pattern = factory.figure4_paths()["P1"]
-        via_dps = engine.match(pattern, optimizer="dps")
-        via_auto = engine.match(pattern, optimizer="auto")
-        assert sorted(via_auto.rows) == sorted(via_dps.rows)
-        assert op_counters(via_auto.metrics) == op_counters(via_dps.metrics)
+    def test_acyclic_rows_and_counters_unchanged(self, engine, acyclic):
+        """Under a small limit ``auto`` runs DP's plan: DP's rows in DP's
+        order and DP's counters; a full answer has dps's rows."""
+        for name, pattern in acyclic.items():
+            for limit in (1, 20, AUTO_DP_LIMIT):
+                via_dp = engine.match(pattern, optimizer="dp", limit=limit)
+                via_auto = engine.match(pattern, optimizer="auto", limit=limit)
+                assert via_auto.rows == via_dp.rows, (name, limit)
+                assert op_counters(via_auto.metrics) == op_counters(via_dp.metrics)
+            full = engine.match(pattern, optimizer="auto").as_set()
+            assert full == engine.match(pattern, optimizer="dps").as_set(), name
 
 
 # ----------------------------------------------------------------------
