@@ -20,6 +20,7 @@ be reproduced programmatically with :class:`repro.GraphEngine`.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import deque
@@ -29,7 +30,7 @@ from typing import Callable, List, Optional, TypeVar
 from . import xmark
 from .db.persist import load_database, save_database
 from .query.algebra import RowLimitExceeded
-from .query.engine import AUTO_DP_LIMIT, GraphEngine
+from .query.engine import GraphEngine
 from .query.pattern import PatternError
 from .storage.snapshot import SNAPSHOT_VERSION, SnapshotError
 
@@ -119,15 +120,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     if args.head < 0:
         raise _UsageError("--head must be >= 0")
+    if args.limit is not None and args.limit < 0:
+        raise _UsageError("--limit must be >= 0")
     engine = GraphEngine.from_database(
         _load(args.database, load_database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
     )
     try:
         if args.explain:
-            print(engine.explain(
-                args.pattern, optimizer=args.optimizer, limit=args.limit,
-            ))
+            print(engine.explain(args.pattern, optimizer=args.optimizer))
+            sys.stdout.flush()
             return 0
         stream = engine.match_iter(
             args.pattern, optimizer=args.optimizer, limit=args.limit,
@@ -143,6 +145,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         for row in shown:
             print("\t".join(str(v) for v in row))
         deque(stream, maxlen=0)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:  # the reader went away (``| head``): done
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except RowLimitExceeded as err:  # the guard tripped: a query outcome
         print(f"repro query: {err}", file=sys.stderr)
         return 1
@@ -307,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("dp", "dps", "wcoj", "auto"),
                          default="auto",
                          help="plan family: left-deep dp/dps, "
-                              "multiway wcoj, or auto (acyclic with --limit "
-                              f"<= {AUTO_DP_LIMIT} -> dp; else wcoj; default)")
+                              "multiway wcoj, or auto (= wcoj; default)")
     p_query.add_argument("--explain", action="store_true",
                          help="print the plan instead of executing")
     p_query.add_argument("--limit", type=int, default=None,

@@ -162,7 +162,8 @@ class CostModel:
         return self.scan_cost(rows)
 
     # ------------------------------------------------------------------
-    # multiway (generic-join) estimates — the WCOJ plan family
+    # multiway (generic-join) estimates — the WCOJ plan family; its
+    # search inlines the two step rules, and tests hold it to them
     # ------------------------------------------------------------------
     def projection_selectivity(self, condition: Condition, var_is_source: bool) -> float:
         """Fraction of a variable's extent inside one condition's

@@ -9,20 +9,19 @@ Typical use::
     for row in result.rows:
         print(dict(zip(result.columns, row)))
 
-``optimizer`` selects the paper's two approaches (and two extensions):
+``optimizer`` selects the paper's two approaches, one extension, or an
+alias:
 
-* ``"dps"`` (default) — DP interleaving R-joins with R-semijoins (§4.2);
+* ``"auto"`` (default) — the multiway plan: an alias of ``"wcoj"`` that
+  shares its plan-cache entry, for every pattern and every limit;
+* ``"dps"`` — DP interleaving R-joins with R-semijoins (§4.2);
 * ``"dp"`` — R-join-only dynamic programming (§4.1);
 * ``"wcoj"`` — worst-case-optimal multiway plan (variable elimination
-  + k-way intersection), for every connected pattern;
-* ``"auto"`` — not an optimizer but a name resolved per query from the
-  pattern and the caller's ``limit``: an acyclic pattern gets ``"dp"``
-  when at most :data:`AUTO_DP_LIMIT` rows are asked for, and everything
-  else gets ``"wcoj"`` — cyclic patterns, full answers and the query
-  service's row cap alike.  A short prefix is cheapest to plan with
-  DP's small search; anything longer runs faster as one multiway step
-  per variable than as DPS's Filter+Fetch pairs.
-  The CLI defaults to ``"auto"``, the wire protocol to ``"dps"``.
+  + k-way intersection), for every connected pattern.  One multiway
+  step per variable runs faster than DP's or DPS's left-deep plans,
+  under a LIMIT as well as for a full answer, and its order search is
+  the cheaper one (EXPERIMENTS.md, "auto: the multiway plan at every
+  LIMIT").
 """
 
 from __future__ import annotations
@@ -52,29 +51,9 @@ _OPTIMIZERS = {
     "dp": optimize_dp,
     "dps": optimize_dps,
     "wcoj": optimize_wcoj,
-    # "auto" for a full answer; :meth:`plan` resolves the name with the
-    # caller's limit and never looks it up here
+    # an alias: :meth:`GraphEngine.plan` files it under "wcoj"'s cache key
     "auto": optimize_wcoj,
 }
-
-#: ``"auto"`` plans an acyclic pattern with DP when the caller asks for
-#: at most this many rows, and with WCOJ above it or for a full answer.
-#: From the cut-off sweeps in EXPERIMENTS.md ("auto: DP under a small
-#: LIMIT", "auto: the multiway plan for every full answer"): up to LIMIT
-#: 100 DP's search is the cheaper one and its warm execution close.  The
-#: query service passes every query a limit (its row cap, 1,000,000 by
-#: default), so the rule compares against this cut-off and never tests
-#: for ``None``.
-AUTO_DP_LIMIT = 100
-
-
-def _resolve(pattern: GraphPattern, optimizer: str, limit: Optional[int]) -> str:
-    """The optimizer ``"auto"`` stands for; any other name is itself."""
-    if optimizer != "auto":
-        return optimizer
-    if limit is not None and limit <= AUTO_DP_LIMIT and not pattern.is_cyclic():
-        return "dp"
-    return "wcoj"
 
 PatternLike = Union[str, GraphPattern]
 
@@ -158,27 +137,19 @@ class GraphEngine:
     #: queries skip the optimizer entirely
     PLAN_CACHE_SIZE = 256
 
-    def plan(
-        self,
-        pattern: PatternLike,
-        optimizer: str = "dps",
-        limit: Optional[int] = None,
-    ) -> OptimizedPlan:
+    def plan(self, pattern: PatternLike, optimizer: str = "auto") -> OptimizedPlan:
         """Optimize a pattern without executing it (memoized, LRU).
 
-        ``limit`` is the number of rows the caller will take (``None``:
-        all of them); only ``optimizer="auto"`` reads it, to pick DP for
-        a short acyclic prefix (see the module docstring).
-
         Plans are logical — no optimizer output depends on how or where
-        the plan will run — and deterministic: the searches break cost
-        ties by pattern declaration order, never by set iteration order,
-        so every process (any ``PYTHONHASHSEED``) derives the same plan
-        from the same (pattern, catalog).  ``"auto"`` is resolved
+        the plan will run, nor on how many rows the caller will take —
+        and deterministic: the searches break cost ties by pattern
+        declaration order, never by set iteration order, so every
+        process (any ``PYTHONHASHSEED``) derives the same plan from the
+        same (pattern, catalog).  ``"auto"`` is resolved
         before the lookup, so the cache key is the pattern's structure
         and the *resolved* optimizer — ``(variables, their labels,
-        conditions, optimizer)``: ``"auto"`` at LIMIT 20 and an explicit
-        ``"dp"`` share one entry, and two
+        conditions, optimizer)``: ``"auto"`` and an explicit ``"wcoj"``
+        share one entry, and two
         patterns that print alike but declare their variables in a
         different order have different result columns and get different
         plans; the catalog never changes under a built database, so it
@@ -187,10 +158,9 @@ class GraphEngine:
         keep the LRU structure consistent; two racers optimizing the
         same key both store the identical plan.
         """
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be >= 0, got {limit}")
         parsed = self._coerce(pattern)
-        optimizer = _resolve(parsed, optimizer, limit)
+        if optimizer == "auto":
+            optimizer = "wcoj"
         labels = tuple(map(parsed.labels.get, parsed.variables))
         key = (parsed.variables, labels, parsed.conditions, optimizer)
         cache = self._plan_cache
@@ -218,7 +188,7 @@ class GraphEngine:
     def match_iter(
         self,
         pattern: PatternLike,
-        optimizer: str = "dps",
+        optimizer: str = "auto",
         limit: Optional[int] = None,
         row_limit: Optional[int] = None,
         timeout: Optional[float] = None,
@@ -238,14 +208,14 @@ class GraphEngine:
         deadline stops the stream cooperatively (between rows) and flags
         the run's metrics ``truncated`` with ``stop_reason="timeout"``.
         """
-        optimized = self.plan(pattern, optimizer=optimizer, limit=limit)
+        optimized = self.plan(pattern, optimizer=optimizer)
         return execute_plan_streaming(
             self.db, optimized.plan, limit=limit, row_limit=row_limit,
             center_cache=self.center_cache, timeout=timeout,
         )
 
     def match(
-        self, pattern: PatternLike, optimizer: str = "dps", **options
+        self, pattern: PatternLike, optimizer: str = "auto", **options
     ) -> QueryResult:
         """:meth:`match_iter`, collected: matches + plan + metrics.
 
@@ -260,29 +230,13 @@ class GraphEngine:
         rows = stream.drain()
         return QueryResult(stream.columns, rows, stream.plan, stream.metrics)
 
-    def explain(
-        self,
-        pattern: PatternLike,
-        optimizer: str = "dps",
-        limit: Optional[int] = None,
-    ) -> str:
-        """The chosen plan as text, with its cost/cardinality estimates.
-
-        ``limit`` is :meth:`plan`'s; under ``"auto"`` the header names
-        the optimizer it resolved to and why.
-        """
-        parsed = self._coerce(pattern)
-        optimized = self.plan(parsed, optimizer=optimizer, limit=limit)
+    def explain(self, pattern: PatternLike, optimizer: str = "auto") -> str:
+        """The chosen plan as text, with its cost/cardinality estimates;
+        under ``"auto"`` the header names the optimizer it stands for
+        (``-- optimizer=auto->wcoj``)."""
+        optimized = self.plan(pattern, optimizer=optimizer)
         if optimizer == "auto":
-            resolved = _resolve(parsed, optimizer, limit)
-            if parsed.is_cyclic():
-                reason = "cyclic"
-            elif limit is None:
-                reason = "acyclic, full answer"
-            else:
-                relation = "<=" if resolved == "dp" else ">"
-                reason = f"acyclic, limit {limit} {relation} {AUTO_DP_LIMIT}"
-            optimizer = f"auto->{resolved} ({reason})"
+            optimizer = "auto->wcoj"
         header = (
             f"-- optimizer={optimizer} est_cost={optimized.estimated_cost:.1f} "
             f"est_rows={optimized.estimated_rows:.1f}"

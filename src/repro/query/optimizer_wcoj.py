@@ -15,20 +15,18 @@ is the bitmask of bound variables, a move binds one adjacent variable,
 and among orders reaching the same state the cheapest is kept — the
 bushy-enumeration analogue for the variable-at-a-time plan space, bounded
 by ``O(2^n)`` states for ``n`` variables (patterns here are small).  Cost
-and cardinality use the existing :class:`~repro.query.costmodel.CostModel`
-plus its multiway rules (``multiway_domain_size`` / ``multiway_step_rows``
-/ ``multiway_step_cost``).
+and cardinality are the :class:`~repro.query.costmodel.CostModel`'s
+multiway rules (``multiway_domain_size`` / ``multiway_step_rows`` /
+``multiway_step_cost``), inlined into the search's moves.
 
 It plans every connected pattern, trees included: on a tree each
 multiway step has one constraint, yet it still does a Filter+Fetch
 pair's work in one operator — one CenterCache probe per bound node, no
 centers column passed between operators — and it beats DPS's plan on
-the acyclic Figure-4 texts (EXPERIMENTS.md, "auto: the multiway plan
-for every full answer").  The engine's ``"auto"`` reads only the
-caller's limit and the pattern's shape: acyclic patterns resolve to
-``"dp"`` when at most ``engine.AUTO_DP_LIMIT`` (100) rows are asked
-for, and everything else — cyclic patterns, full answers — to this
-optimizer.
+the acyclic Figure-4 texts and DP's under a LIMIT (EXPERIMENTS.md,
+"auto: the multiway plan for every full answer" and "auto: the
+multiway plan at every LIMIT").  The engine's ``"auto"`` is an alias of
+this optimizer, for every pattern and every limit.
 """
 
 from __future__ import annotations
@@ -81,38 +79,72 @@ def _enumerate_orders(
     keeps every step constrained, which a connected pattern guarantees
     is always possible), candidates are visited in declaration order and
     only a strictly cheaper one replaces a known order.
+
+    The moves run on per-variable tables built once per search, with
+    ``multiway_step_rows`` / ``multiway_step_cost`` inlined: their
+    arithmetic must stay bit for bit those :class:`CostModel` rules —
+    the same float operations in the same order — or the search drifts
+    from the reference's.
     """
     bit = {var: 1 << index for index, var in enumerate(variables)}
-    # per variable, once: its constraints, each with its scanned endpoint's bit
-    incident = [
-        [((condition, side), bit[side.scanned_var(condition)])
-         for condition, side in incidence[var]]
-        for var in variables
-    ]
+    stats = model.stats
     best: Dict[int, Tuple[float, float, int, int]] = {}
+    moves = []
     for index, var in enumerate(variables):
         constraints = incidence[var]
         rows = model.multiway_domain_size(var, constraints)
         cost = model.multiway_seed_cost(var, constraints, rows)
-        best[1 << index] = (cost, rows, 0, index)
+        best[bit[var]] = (cost, rows, 0, index)
+        # per constraint, in declaration order: (scanned endpoint's bit,
+        # fanout on that side, selectivity)
+        table = [
+            (bit[side.scanned_var(condition)],
+             stats[condition].fanout_out if side is Side.OUT
+             else stats[condition].fanout_in,
+             stats[condition].selectivity)
+            for condition, side in constraints
+        ]
+        # the neighbours' mask: distinct bits, so their sum is their union
+        moves.append((index, bit[var], sum({e[0] for e in table}), table))
+    params = model.params
+    io_page, per_page = params.io_page, params.rows_per_page
+    io_index_node = params.io_index_node
+    # multiway_step_cost's per-row charge of one constraint
+    per_constraint = (
+        (params.io_btree + params.io_page) * params.cached_code_discount
+        + 0.25 * params.io_btree
+    )
 
     # one variable per move: the frontier grows one subset size at a
     # time, so a state's entry is final before the state is expanded
     frontier = list(best)
     for state in frontier:
         cost, rows, _, _ = best[state]
-        for index, keys in enumerate(incident):
-            if state >> index & 1:
-                continue
-            constraints = tuple(key for key, scanned in keys if scanned & state)
-            if not constraints:
-                continue  # stay connected: every step must intersect
-            new_rows = model.multiway_step_rows(rows, constraints)
-            step_cost = model.multiway_step_cost(rows, constraints, new_rows)
-            new_state = state | 1 << index
+        scan = io_page * max(1.0, rows / per_page)
+        for index, var_bit, adjacent, table in moves:
+            if state & var_bit or not state & adjacent:
+                continue  # bound already, or not adjacent: stay connected
+            step = [entry for entry in table if entry[0] & state]
+            tightest = step[0]  # the first of the smallest fanouts
+            expanded = 0.0
+            for entry in step:
+                if entry[1] < tightest[1]:
+                    tightest = entry
+                expanded += rows * entry[1]
+            new_rows = rows * tightest[1]
+            for entry in step:  # one tuple per constraint: `is` is exact
+                if entry is not tightest:
+                    new_rows *= entry[2]
+            new_cost = cost + (
+                scan
+                + rows * (len(step) * per_constraint)
+                + io_index_node * max(expanded, 1.0)
+                + io_page * max(1.0, new_rows / per_page)
+            )
+            new_state = state | var_bit
             known = best.get(new_state)
-            if known is None or cost + step_cost < known[0]:
-                best[new_state] = (cost + step_cost, new_rows, state, index)
+            if known is None or new_cost < known[0]:
+                best[new_state] = (new_cost, new_rows, state, index)
                 if known is None:
                     frontier.append(new_state)
 

@@ -91,7 +91,7 @@ class ServiceClient:
     def query(
         self,
         pattern: str,
-        optimizer: str = "dps",
+        optimizer: str = "auto",
         limit: Optional[int] = None,
         row_limit: Optional[int] = None,
         timeout_ms: Optional[float] = None,
@@ -190,7 +190,7 @@ class AsyncServiceClient:
     async def query(
         self,
         pattern: str,
-        optimizer: str = "dps",
+        optimizer: str = "auto",
         limit: Optional[int] = None,
         row_limit: Optional[int] = None,
         timeout_ms: Optional[float] = None,

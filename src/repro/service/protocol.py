@@ -9,7 +9,8 @@ protocol works identically over a raw TCP socket, an SSH tunnel, or
     ``{"op": "query", "id": 7, "pattern": "A -> C, C -> D",
     "optimizer": "dps", "limit": 100, "row_limit": 500000,
     "timeout_ms": 2000, "priority": 0}`` — everything after ``pattern``
-    is optional.  ``id`` is echoed verbatim on the response so clients
+    is optional (``optimizer`` defaults to ``"auto"``, the multiway
+    plan).  ``id`` is echoed verbatim on the response so clients
     may pipeline requests and match answers out of band.
 ``stats``
     aggregate service counters + latency percentiles.
@@ -71,7 +72,7 @@ class Request:
     op: str
     id: Any = None
     pattern: str = ""
-    optimizer: str = "dps"
+    optimizer: str = "auto"
     limit: Optional[int] = None
     row_limit: Optional[int] = None
     timeout_ms: Optional[float] = None
@@ -124,7 +125,7 @@ def parse_request(line: bytes) -> Request:
     pattern = raw.get("pattern")
     if not isinstance(pattern, str) or not pattern.strip():
         raise ProtocolError("'pattern' must be a non-empty string")
-    optimizer = raw.get("optimizer", "dps")
+    optimizer = raw.get("optimizer", "auto")
     if not isinstance(optimizer, str):
         raise ProtocolError("'optimizer' must be a string")
     timeout_ms = raw.get("timeout_ms")

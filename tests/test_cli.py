@@ -111,17 +111,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "est_cost" in out
 
-    def test_query_explain_plans_for_the_limit(self, db_path, capsys):
-        """``--explain --limit N`` shows the plan the limited run executes:
-        on an acyclic pattern ``auto`` resolves to dp under a small limit
-        and to the multiway plan for a full answer."""
+    def test_query_explain_is_the_multiway_plan_at_every_limit(
+        self, db_path, capsys
+    ):
+        """``auto`` is ``wcoj`` whatever the limit: ``--explain`` prints
+        the same plan with and without ``--limit``, and its header names
+        the optimizer ``auto`` stands for."""
         assert main(["query", db_path, "itemref -> item", "--explain",
                      "--limit", "5"]) == 0
-        header = capsys.readouterr().out.splitlines()[0]
-        assert header.startswith("-- optimizer=auto->dp (acyclic, limit 5 <= ")
+        limited = capsys.readouterr().out
+        assert limited.startswith("-- optimizer=auto->wcoj est_cost=")
         assert main(["query", db_path, "itemref -> item", "--explain"]) == 0
-        header = capsys.readouterr().out.splitlines()[0]
-        assert header.startswith("-- optimizer=auto->wcoj (acyclic, full answer)")
+        assert capsys.readouterr().out == limited
+
+    def test_query_into_a_closed_pipe_ends_quietly(self, db_path):
+        """``repro query DB TEXT | head -n 1``: the reader goes away after
+        one line, and the writer stops with exit 0 and nothing on stderr
+        (not a ``BrokenPipeError`` traceback).  The answer is ~2 MB, far
+        more than a pipe buffers."""
+        import subprocess
+        import sys
+
+        text = "s:site -> a:person, s -> b:person, s -> c:item, s -> d:name"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "query", db_path, text, "--all"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, stderr
+        assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
     @pytest.mark.parametrize("pattern, extra, message", [
         ("nosuch -> item", [], "label 'nosuch'"),

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from repro import GraphEngine, NaiveMatcher, parse_pattern
 from repro.graph import generators, xmark
 from repro.query import MultiwaySeed, MultiwayStep
-from repro.query.engine import AUTO_DP_LIMIT
 from repro.query.pattern import GraphPattern
 from repro.workloads.runner import accounting_run
 
@@ -93,8 +92,13 @@ class TestMatch:
                 run()
 
     def test_explain_contains_plan(self, fig1_engine):
+        """The default is ``auto``, the multiway plan; ``dps`` still
+        starts from an HPSJ."""
         text = fig1_engine.explain("A -> C, B -> C, C -> D, D -> E")
-        assert "est_cost" in text
+        assert text.startswith("-- optimizer=auto->wcoj est_cost=")
+        assert "MSEED" in text and "MJOIN" in text
+        text = fig1_engine.explain("A -> C, B -> C, C -> D, D -> E", "dps")
+        assert text.startswith("-- optimizer=dps est_cost=")
         assert "HPSJ" in text
 
     def test_stats_summary_shape(self, fig1_engine):
@@ -247,79 +251,93 @@ class TestPlanCache:
         assert fig1_engine.match(pattern).as_set() == naive
 
 
-def steps(engine, pattern, optimizer, limit=None):
-    return tuple(engine.plan(pattern, optimizer=optimizer, limit=limit).plan.steps)
+def steps(engine, pattern, optimizer):
+    return tuple(engine.plan(pattern, optimizer=optimizer).plan.steps)
 
 
 class TestAutoResolution:
-    """``"auto"`` is resolved per query: an acyclic pattern -> dp when at
-    most ``AUTO_DP_LIMIT`` rows are asked for; everything else -> wcoj —
-    cyclic patterns, a full answer, or the query service's 1,000,000-row
-    cap."""
+    """``"auto"`` names ``wcoj`` for every pattern and at every limit:
+    a LIMIT is a property of the run, not of the plan, so a limited
+    ``auto`` stream runs the very plan object a full ``wcoj`` answer
+    cached — on both tiers, cyclic or not."""
 
-    ABOVE = (AUTO_DP_LIMIT + 1, 1_000_000, None)
+    #: the old DP cut-off (100) and both of its sides, the query
+    #: service's row cap and a full answer
+    LIMITS = (0, 1, 20, 100, 101, 1_000_000, None)
+
+    @pytest.fixture(scope="class")
+    def tiers(self, xmark_engine, xmark_snapshot_engine):
+        return {"live": xmark_engine, "snapshot": xmark_snapshot_engine}
 
     @pytest.fixture(scope="class")
     def acyclic(self, xmark_engine, figure4_workload):
-        """A Figure-4 pattern whose dp and dps plans differ (its wcoj plan
-        is multiway, unlike both), so the table can tell which one
-        ``auto`` picked."""
+        """A Figure-4 pattern whose dp, dps and wcoj plans all differ, so
+        a plan tells which search ``auto`` ran."""
         for pattern in figure4_workload.values():
-            if not pattern.is_cyclic() and (
-                steps(xmark_engine, pattern, "dp")
-                != steps(xmark_engine, pattern, "dps")
-            ):
+            if not pattern.is_cyclic() and len({
+                steps(xmark_engine, pattern, optimizer)
+                for optimizer in ("dp", "dps", "wcoj")
+            }) == 3:
                 return pattern
-        pytest.fail("every acyclic Figure-4 pattern has dp plan == dps plan")
+        pytest.fail("no acyclic Figure-4 pattern tells dp, dps and wcoj apart")
 
-    @pytest.mark.parametrize("limit", [0, 1, AUTO_DP_LIMIT])
-    def test_acyclic_prefix_gets_dp(self, xmark_engine, acyclic, limit):
-        got = steps(xmark_engine, acyclic, "auto", limit)
-        assert got == steps(xmark_engine, acyclic, "dp")
+    @staticmethod
+    def assert_auto_runs_the_wcoj_plan(tiers, pattern, limits):
+        """On a fresh engine per tier: the ``auto`` stream at every limit
+        runs the plan object ``wcoj`` cached, and nothing else is cached."""
+        for tier, shared in tiers.items():
+            engine = GraphEngine.from_database(shared.db)
+            cached = engine.plan(pattern, "wcoj")
+            assert isinstance(cached.plan.steps[0], MultiwaySeed), tier
+            assert all(
+                isinstance(step, MultiwayStep) for step in cached.plan.steps[1:]
+            ), tier
+            for limit in limits:
+                stream = engine.match_iter(pattern, "auto", limit=limit)
+                assert stream.plan is cached.plan, (tier, limit)
+                assert engine.plan(pattern, "auto") is cached, (tier, limit)
+            assert len(engine._plan_cache) == 1, tier
 
-    @pytest.mark.parametrize("limit", ABOVE)
-    def test_acyclic_full_answer_gets_wcoj(self, xmark_engine, acyclic, limit):
-        got = steps(xmark_engine, acyclic, "auto", limit)
-        assert got == steps(xmark_engine, acyclic, "wcoj")
-        assert isinstance(got[0], MultiwaySeed)
-        assert all(isinstance(step, MultiwayStep) for step in got[1:])
+    @pytest.mark.parametrize("limit", [0, 1, 20, 100])
+    def test_acyclic_prefix_gets_wcoj(self, tiers, acyclic, limit):
+        self.assert_auto_runs_the_wcoj_plan(tiers, acyclic, [limit])
 
-    def test_cyclic_gets_multiway_at_every_limit(self, xmark_engine, cyclic_workload):
+    @pytest.mark.parametrize("limit", [101, 1_000_000, None])
+    def test_acyclic_full_answer_gets_wcoj(self, tiers, acyclic, limit):
+        self.assert_auto_runs_the_wcoj_plan(tiers, acyclic, [limit])
+
+    def test_cyclic_gets_multiway_at_every_limit(self, tiers, cyclic_workload):
         assert cyclic_workload
-        for name, pattern in cyclic_workload.items():
-            expected = steps(xmark_engine, pattern, "wcoj")
-            assert isinstance(expected[0], MultiwaySeed), name
-            for limit in (0, 1, AUTO_DP_LIMIT, *self.ABOVE):
-                assert steps(xmark_engine, pattern, "auto", limit) == expected, (
-                    name, limit)
+        for pattern in cyclic_workload.values():
+            self.assert_auto_runs_the_wcoj_plan(tiers, pattern, self.LIMITS)
 
     def test_auto_and_its_resolution_share_one_cache_entry(self, xmark_engine, acyclic):
         engine = GraphEngine.from_database(xmark_engine.db)
-        limited = engine.plan(acyclic, "auto", limit=20)
-        assert engine.plan(acyclic, "dp") is limited
-        assert len(engine._plan_cache) == 1
-        full = engine.plan(acyclic, "auto")
-        assert engine.plan(acyclic, "wcoj", limit=20) is full
+        auto = engine.plan(acyclic, "auto")
+        assert engine.plan(acyclic, "wcoj") is auto
+        assert [key[-1] for key in engine._plan_cache] == ["wcoj"]
+        assert engine.plan(acyclic, "dp") is not auto
         assert {key[-1] for key in engine._plan_cache} == {"dp", "wcoj"}
 
     def test_explain_names_the_resolved_optimizer(
         self, xmark_engine, acyclic, cyclic_workload
     ):
-        def header(pattern, optimizer, limit=None):
-            return xmark_engine.explain(pattern, optimizer, limit=limit).split(" est_")[0]
+        def header(pattern, optimizer):
+            return xmark_engine.explain(pattern, optimizer).split(" est_")[0]
+
+        def body(pattern, optimizer):
+            return xmark_engine.explain(pattern, optimizer).split("\n", 1)[1]
 
         cyclic = next(iter(cyclic_workload.values()))
-        assert header(acyclic, "auto", 20) == (
-            f"-- optimizer=auto->dp (acyclic, limit 20 <= {AUTO_DP_LIMIT})")
-        assert header(acyclic, "auto", 1_000_000) == (
-            f"-- optimizer=auto->wcoj (acyclic, limit 1000000 > {AUTO_DP_LIMIT})")
-        assert header(acyclic, "auto") == "-- optimizer=auto->wcoj (acyclic, full answer)"
-        assert header(cyclic, "auto", 20) == "-- optimizer=auto->wcoj (cyclic)"
-        assert header(acyclic, "dps", 20) == "-- optimizer=dps"
+        for pattern in (acyclic, cyclic):
+            assert header(pattern, "auto") == "-- optimizer=auto->wcoj"
+            assert body(pattern, "auto") == body(pattern, "wcoj")
+        assert header(acyclic, "dps") == "-- optimizer=dps"
+        assert body(acyclic, "dp") != body(acyclic, "auto")
 
     def test_negative_limit_refused(self, xmark_engine, acyclic):
         with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
-            xmark_engine.plan(acyclic, "auto", limit=-1)
+            xmark_engine.match_iter(acyclic, "auto", limit=-1)
 
     @pytest.fixture(scope="class")
     def naive_answers(self, xmark_engine, figure4_workload, cyclic_workload):
@@ -328,16 +346,21 @@ class TestAutoResolution:
         return {name: (p, naive.match_set(p)) for name, p in patterns.items()}
 
     @pytest.mark.parametrize("tier", ["live", "snapshot"])
-    def test_limited_rows_are_distinct_and_naive(
-        self, xmark_engine, xmark_snapshot_engine, naive_answers, tier
-    ):
-        engine = xmark_engine if tier == "live" else xmark_snapshot_engine
+    def test_limited_rows_are_distinct_and_naive(self, tiers, naive_answers, tier):
+        """At LIMIT k, k distinct rows of the naive answer (all of it when
+        it is smaller), flagged truncated when the limit stopped them."""
+        engine = tiers[tier]
         for name, (pattern, full) in naive_answers.items():
-            for limit in (0, 1, 20, AUTO_DP_LIMIT, AUTO_DP_LIMIT + 1):
-                rows = list(engine.match_iter(pattern, "auto", limit=limit))
+            for limit in (0, 1, 20, 100, 101):
+                stream = engine.match_iter(pattern, "auto", limit=limit)
+                rows = list(stream)
                 assert len(rows) == min(limit, len(full)), (name, limit)
                 assert len(set(rows)) == len(rows), (name, limit)
                 assert set(rows) <= full, (name, limit)
+                stopped = limit <= len(full)
+                assert stream.metrics.truncated is stopped, (name, limit)
+                assert stream.metrics.stop_reason == (
+                    "limit" if stopped else None), (name, limit)
 
 
 class CountingCatalog:

@@ -18,7 +18,6 @@ import pytest
 
 from repro import GraphEngine
 from repro.graph import generators
-from repro.query.engine import AUTO_DP_LIMIT
 from repro.service import (
     AdmissionScheduler,
     AsyncServiceClient,
@@ -73,7 +72,7 @@ class TestProtocol:
 
     def test_defaults(self):
         request = parse_request(b'{"op": "query", "pattern": "A -> B"}')
-        assert request.optimizer == "dps"
+        assert request.optimizer == "auto"
         assert request.limit is None and request.timeout_ms is None
         assert request.priority == 0
 
@@ -571,9 +570,9 @@ class TestServiceEndToEnd:
 
 class TestServiceAutoResolution:
     """The service passes every query a limit — its row cap when the
-    request names none — so ``auto`` must count the cap as a full answer:
-    full answers get the multiway plan, and only a request's own small
-    limit picks dp."""
+    request names none — and ``auto`` is the multiway plan at every one
+    of them, on both tiers: a request's own small limit gets ``wcoj``'s
+    rows in ``wcoj``'s order, not DP's."""
 
     @pytest.fixture(scope="class")
     def text(self, xmark_engine, figure4_workload):
@@ -594,22 +593,36 @@ class TestServiceAutoResolution:
         pytest.fail("no acyclic Figure-4 pattern tells the plans apart by rows")
 
     @pytest.fixture(scope="class")
-    def address(self, xmark_engine):
-        with start_in_thread(xmark_engine) as handle:
-            yield handle.address
+    def servers(self, xmark_engine, xmark_snapshot_engine):
+        """One service per tier: (engine, address)."""
+        with start_in_thread(xmark_engine) as live, \
+                start_in_thread(xmark_snapshot_engine) as snapshot:
+            yield {
+                "live": (xmark_engine, live.address),
+                "snapshot": (xmark_snapshot_engine, snapshot.address),
+            }
 
-    @pytest.mark.parametrize("limit", [None, AUTO_DP_LIMIT + 1])
-    def test_full_answers_get_wcoj(self, xmark_engine, address, text, limit):
-        expected = xmark_engine.match(text, "wcoj", limit=limit)
-        with ServiceClient(*address) as client:
-            response = client.query(text, optimizer="auto", limit=limit)
-        assert rows_as_tuples(response) == list(expected.rows)
+    @staticmethod
+    def assert_wcoj_rows(servers, text, limit, **options):
+        for tier, (engine, address) in servers.items():
+            expected = engine.match(text, "wcoj", limit=limit)
+            with ServiceClient(*address) as client:
+                response = client.query(text, limit=limit, **options)
+            assert rows_as_tuples(response) == list(expected.rows), tier
 
-    def test_small_limit_gets_dp(self, xmark_engine, address, text):
-        expected = xmark_engine.match(text, "dp", limit=10)
-        with ServiceClient(*address) as client:
-            response = client.query(text, optimizer="auto", limit=10)
-        assert rows_as_tuples(response) == list(expected.rows)
+    @pytest.mark.parametrize("limit", [None, 101])
+    def test_full_answers_get_wcoj(self, servers, text, limit):
+        self.assert_wcoj_rows(servers, text, limit, optimizer="auto")
+
+    def test_small_limit_gets_wcoj(self, xmark_engine, servers, text):
+        assert (xmark_engine.match(text, "dp", limit=10).rows
+                != xmark_engine.match(text, "wcoj", limit=10).rows)
+        self.assert_wcoj_rows(servers, text, 10, optimizer="auto")
+
+    def test_the_client_default_is_auto(self, servers, text):
+        """A client call that names no optimizer gets ``auto``'s plan."""
+        for limit in (10, None):
+            self.assert_wcoj_rows(servers, text, limit)
 
 
 class TestServiceConfig:

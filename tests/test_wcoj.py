@@ -8,11 +8,12 @@ sequential oracle everywhere.  ``wcoj`` plans acyclic patterns too:
 there its multiway plan returns ``dps``'s rows and the naive matcher's,
 on both tiers.
 
-Structural coverage: ``auto``'s routing on join-graph shape and limit,
-``Plan.validate`` on multiway step sequences, and the plancheck
+Structural coverage: ``auto`` is ``wcoj`` on every shape and at every
+limit, ``Plan.validate`` on multiway step sequences, and the plancheck
 diagnostics for malformed multiway plans.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -29,7 +30,6 @@ from repro.query import (
     parse_pattern,
 )
 from repro.graph.generators import figure1_graph
-from repro.query.engine import AUTO_DP_LIMIT
 from repro.query.pattern import GraphPattern, PatternError
 from repro.analysis import check_plan, has_errors
 from repro.workloads.patterns import PatternFactory
@@ -67,13 +67,16 @@ def figure1_engine():
     ("A -> B, A -> C, B -> C, C -> D", True),    # cycle with a tail
 ])
 def test_wcoj_routes_on_cyclicity(figure1_engine, text, cyclic):
-    """``wcoj`` plans every shape multiway; under a small limit ``auto``
-    picks that plan exactly for cyclic shapes and DP's for acyclic ones."""
-    steps = figure1_engine.plan(text, "wcoj").plan.steps
+    """``wcoj`` plans every shape multiway, and ``auto`` runs that very
+    plan at every limit: the route no longer depends on cyclicity."""
+    assert parse_pattern(text).is_cyclic() is cyclic
+    optimized = figure1_engine.plan(text, "wcoj")
+    steps = optimized.plan.steps
     assert isinstance(steps[0], MultiwaySeed)
     assert all(isinstance(step, MultiwayStep) for step in steps[1:])
-    limited = figure1_engine.plan(text, "auto", limit=AUTO_DP_LIMIT).plan.steps
-    assert limited == (steps if cyclic else figure1_engine.plan(text, "dp").plan.steps)
+    for limit in (0, 1, 20, 100, 101, None):
+        stream = figure1_engine.match_iter(text, "auto", limit=limit)
+        assert stream.plan is optimized.plan, limit
 
 
 # ----------------------------------------------------------------------
@@ -205,17 +208,27 @@ class TestRouting:
             assert isinstance(plan.steps[0], MultiwaySeed), name
             assert len(plan.steps) == len(pattern.variables), name
 
-    def test_acyclic_rows_and_counters_unchanged(self, engine, acyclic):
-        """Under a small limit ``auto`` runs DP's plan: DP's rows in DP's
-        order and DP's counters; a full answer has dps's rows."""
-        for name, pattern in acyclic.items():
-            for limit in (1, 20, AUTO_DP_LIMIT):
-                via_dp = engine.match(pattern, optimizer="dp", limit=limit)
-                via_auto = engine.match(pattern, optimizer="auto", limit=limit)
-                assert via_auto.rows == via_dp.rows, (name, limit)
-                assert op_counters(via_auto.metrics) == op_counters(via_dp.metrics)
-            full = engine.match(pattern, optimizer="auto").as_set()
-            assert full == engine.match(pattern, optimizer="dps").as_set(), name
+    #: sha256 of explicit ``dp``'s rows, in order, and per-operator
+    #: counters on :func:`acyclic_pool` at LIMIT 1 / 20 / 100 and in
+    #: full, the same on both tiers: DP's search and plans do not move
+    #: with ``auto``'s route
+    DP_DIGEST = "725920b56d1423f685b22046f3cfb420946af7f48aa7b394fe091ef054b30e48"
+
+    def test_acyclic_rows_and_counters_unchanged(
+        self, engine, snapshot_engine, acyclic
+    ):
+        """Explicit ``dp`` keeps its rows, their order and its counters,
+        on both tiers, now that ``auto`` never names it."""
+        for tier, shared in (("live", engine), ("snapshot", snapshot_engine)):
+            fresh = GraphEngine.from_database(shared.db)
+            digest = hashlib.sha256()
+            for name, pattern in acyclic.items():
+                for limit in (1, 20, 100, None):
+                    result = fresh.match(pattern, optimizer="dp", limit=limit)
+                    digest.update(repr((
+                        name, limit, result.rows, op_counters(result.metrics),
+                    )).encode())
+            assert digest.hexdigest() == self.DP_DIGEST, tier
 
 
 # ----------------------------------------------------------------------
