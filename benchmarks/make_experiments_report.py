@@ -1,9 +1,11 @@
-"""Regenerate EXPERIMENTS.md: run every paper experiment, record results.
+"""Run every paper experiment and write the paper-vs-measured report.
 
 This is the single-command version of the benchmark harness: it executes
 the Table 2 / Figure 5 / Figure 6 / Figure 7 experiments at the bench
 scale, cross-checks every competitor's answers, and writes
-``EXPERIMENTS.md`` with a paper-vs-measured comparison per artifact.
+``PAPER_VS_MEASURED.md`` (or *output.md*) with a paper-vs-measured
+comparison per artifact.  It never writes ``EXPERIMENTS.md``, which holds
+the per-change measurement log.
 
 Run:  python benchmarks/make_experiments_report.py [output.md]
 
@@ -290,7 +292,7 @@ def experiment_fig7(lines: List[str], engines: Dict[str, GraphEngine]) -> None:
 
 
 def main() -> None:
-    output = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
+    output = sys.argv[1] if len(sys.argv) > 1 else "PAPER_VS_MEASURED.md"
     lines: List[str] = []
     lines.append("# EXPERIMENTS — paper vs measured\n")
     lines.append(

@@ -42,6 +42,13 @@ class _UsageError(Exception):
     as one line and exits 2."""
 
 
+def _note(line: str) -> None:
+    """A summary line on stderr, after flushing stdout: when the reader
+    of stdout has gone, the command ends here, before writing anything."""
+    sys.stdout.flush()
+    print(line, file=sys.stderr)
+
+
 def _load(path: str, read: Callable[[str], T]) -> T:
     """``read(path)`` (:func:`load_database`, or the snapshot audit) with
     a file that cannot be opened, or is no readable snapshot, as a usage
@@ -129,7 +136,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         if args.explain:
             print(engine.explain(args.pattern, optimizer=args.optimizer))
-            sys.stdout.flush()
             return 0
         stream = engine.match_iter(
             args.pattern, optimizer=args.optimizer, limit=args.limit,
@@ -145,12 +151,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         for row in shown:
             print("\t".join(str(v) for v in row))
         deque(stream, maxlen=0)
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
-    except BrokenPipeError:  # the reader went away (``| head``): done
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     except RowLimitExceeded as err:  # the guard tripped: a query outcome
-        print(f"repro query: {err}", file=sys.stderr)
+        _note(f"repro query: {err}")
         return 1
     except (PatternError, KeyError, ValueError) as err:  # a usage error
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
@@ -158,16 +160,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     metrics = stream.metrics
     count = metrics.result_rows
     if args.limit is not None:
-        print(f"-- {count} row(s) (limit {args.limit}, streamed)",
-              file=sys.stderr)
+        _note(f"-- {count} row(s) (limit {args.limit}, streamed)")
         return 0
     if not args.all and count > args.head:
-        print(f"... ({count - args.head} more rows; use --all)",
-              file=sys.stderr)
-    print(
+        _note(f"... ({count - args.head} more rows; use --all)")
+    _note(
         f"-- {count} row(s) in {metrics.elapsed_seconds * 1e3:.1f} ms, "
-        f"{metrics.physical_io} physical / {metrics.logical_io} logical page I/O",
-        file=sys.stderr,
+        f"{metrics.physical_io} physical / {metrics.logical_io} logical page I/O"
     )
     return 0
 
@@ -244,8 +243,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     def tally() -> int:
         error_count = len(errors(all_diags))
         warning_count = len(all_diags) - error_count
-        print(f"-- {error_count} error(s), {warning_count} warning(s)",
-              file=sys.stderr)
+        _note(f"-- {error_count} error(s), {warning_count} warning(s)")
         return 1 if error_count else 0
 
     # file-level checks first: CRC/geometry plus the decoded-column
@@ -385,10 +383,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest, not at exit
+    except BrokenPipeError:  # the reader went away (``| head``): done
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _UsageError as err:
         print(f"repro {args.command}: error: {err}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

@@ -5,8 +5,8 @@ G_D into a database, G_DB, by taking a node-oriented representation.
 There are |Σ| tables for G_D.  A table T_X, for a label X ∈ Σ, has three
 columns named X, X_in and X_out. ... We assume that the X column is the
 primary key of the table."  The in/out columns store the *compact* codes
-(the node itself removed, per Example 3.1); :meth:`out_code`/
-:meth:`in_code` re-add it.
+(the node itself removed, per Example 3.1); :meth:`~GraphDatabase.code_run`
+re-adds it.
 
 ``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` (Eq. 6) "needs to access the
 base table T_X using the primary index.  We use a working cache to cache
@@ -14,10 +14,10 @@ those pairs of (x_i, out(x_i)) ... to reduce the access cost for later
 reuse" — implemented by :class:`CodeCache`.
 
 **The run surface.**  Everything the physical operators read comes
-through four calls, each returning a *sorted int run*:
+through four calls, each returning one *sorted int run*:
 :meth:`GraphDatabase.w_run` (``W(X, Y)``), :meth:`~GraphDatabase.code_run`
-(a node's in/out code), :meth:`~GraphDatabase.subcluster_runs` (a
-center's labeled F/T-subclusters) and :meth:`~GraphDatabase.extent_run`
+(a node's in/out code), :meth:`~GraphDatabase.subcluster_run` (a
+center's labeled F- or T-subcluster) and :meth:`~GraphDatabase.extent_run`
 (a label's nodes).  :class:`GraphDatabase` implements them for the live
 tier — B+-tree / primary-index probes charged I/O exactly where the
 paper's cost model charges it; :class:`SnapshotDatabase` for the snapshot
@@ -30,22 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from bisect import bisect_left
-from typing import (
-    Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling, build_two_hop
 from ..storage.buffer import DEFAULT_BUFFER_BYTES, BufferPool
 from ..storage.pages import DEFAULT_PAGE_SIZE, DiskManager
-from ..storage.snapshot import Snapshot
+from ..storage.snapshot import SIDE_F, SIDE_T, Snapshot
 from ..storage.stats import IOStats
 from ..storage.table import Table
 from .catalog import Catalog, PairStats
 from .join_index import ClusterRJoinIndex
-
-#: a center's ``({X: F-subcluster}, {Y: T-subcluster})`` leaf
-Subclusters = Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]
 
 
 class OfflineStructures(NamedTuple):
@@ -199,35 +194,21 @@ class GraphDatabase:
         self.code_cache.put(node, side, code)
         return code
 
-    def subcluster_runs(self, center: int) -> Subclusters:
-        """``({X: getF(w, X)}, {Y: getT(w, Y)})``: both labeled subcluster
-        maps of *center* from one index probe (they share a leaf)."""
-        return self.join_index.get_ft(center)
+    def subcluster_run(self, center: int, label: str, side: str) -> Sequence[int]:
+        """``getT(w, label)`` (*side* ``"out"``) or ``getF(w, label)``
+        (``"in"``) of *center*: one cluster-index probe, none while the
+        leaf of the same center's last probe is still pinned."""
+        index = self.join_index
+        return (index.get_t if side == "out" else index.get_f)(center, label)
 
     def extent_run(self, label: str) -> Iterable[int]:
         """All *label*-labeled nodes, ascending: a primary-key scan of
         ``T_label`` (the ``IO_D`` scan term)."""
         return (row[0] for row in self.base_table(label).scan())
 
-    # ------------------------------------------------------------------
-    # set-valued conveniences over the run surface (paper notation)
-    # ------------------------------------------------------------------
-    def out_code(self, node: int) -> FrozenSet[int]:
-        """``out(x)`` as a set."""
-        return frozenset(self.code_run(node, "out"))
-
-    def in_code(self, node: int) -> FrozenSet[int]:
-        """``in(x)`` as a set."""
-        return frozenset(self.code_run(node, "in"))
-
-    # ------------------------------------------------------------------
-    def get_centers(self, node: int, x_label: str, y_label: str) -> FrozenSet[int]:
-        """``getCenters(x, X, Y) = out(x) ∩ W(X, Y)`` (Eq. 6)."""
-        return self.out_code(node) & frozenset(self.w_run(x_label, y_label))
-
-    def reaches(self, u: int, v: int) -> bool:
-        """Reachability through stored codes: ``out(u) ∩ in(v) ≠ ∅``."""
-        return not self.out_code(u).isdisjoint(self.in_code(v))
+    def unpin(self) -> None:
+        """Drop the pinned cluster-index leaf: the next read probes."""
+        self.join_index.unpin()
 
     # ------------------------------------------------------------------
     def offline_structures(self) -> OfflineStructures:
@@ -284,6 +265,7 @@ class SnapshotDatabase:
             },
         )
         self._labels: Tuple[str, ...] = tuple(snapshot.label_names)
+        self._label_ids = {label: i for i, label in enumerate(self._labels)}
         self._w_positions: Dict[Tuple[str, str], int] = {
             pair: position for position, pair in enumerate(snapshot.wtable_pairs())
         }
@@ -312,14 +294,18 @@ class SnapshotDatabase:
             return self.snapshot.out_code_array(node)
         return self.snapshot.in_code_array(node)
 
-    def subcluster_runs(self, center: int) -> Subclusters:
+    def subcluster_run(self, center: int, label: str, side: str) -> Sequence[int]:
         position = self.snapshot.center_position(center)
-        if position < 0:
-            return {}, {}
-        return self.snapshot.subclusters_at(position)
+        label_id = self._label_ids.get(label)
+        if position < 0 or label_id is None:
+            return ()
+        return self.snapshot.subcluster_run(position, SIDE_T if side == "out" else SIDE_F, label_id)
 
     def extent_run(self, label: str) -> Iterable[int]:
         return self._extents.get(label, ())
+
+    def unpin(self) -> None:
+        """Nothing to drop: every run is its own slice of the mapping."""
 
     # ------------------------------------------------------------------
     def offline_structures(self) -> OfflineStructures:

@@ -17,7 +17,7 @@ engine, so every probe is charged buffer-pool I/O.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling
@@ -25,7 +25,8 @@ from ..storage.bptree import BPlusTree
 from ..storage.buffer import BufferPool
 
 _EMPTY: Tuple[int, ...] = ()
-_EMPTY_SUBCLUSTERS: Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]] = ({}, {})
+#: a center's ``({X: F-subcluster}, {Y: T-subcluster})`` leaf entry
+Leaf = Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]
 
 
 class ClusterRJoinIndex:
@@ -42,6 +43,9 @@ class ClusterRJoinIndex:
         self._tree = BPlusTree(pool, name="rjoin-index", fanout=fanout, unique=True)
         self._wtable = BPlusTree(pool, name="w-table", fanout=fanout, unique=True)
         self._center_count = 0
+        #: ``(center, leaf)`` of the last probe: one tuple, so racing threads
+        #: never pair a center with another's leaf (a race costs a probe)
+        self._pinned: Optional[Tuple[int, Leaf]] = None
         self._build(graph, labeling)
 
     # ------------------------------------------------------------------
@@ -81,33 +85,23 @@ class ClusterRJoinIndex:
 
     def get_f(self, center: int, label: str) -> Tuple[int, ...]:
         """``getF(w, X)``: the X-labeled F-subcluster of *center*."""
-        leaf = self._tree.search(center)
-        if leaf is None:
-            return _EMPTY
-        return leaf[0].get(label, _EMPTY)
+        return self._leaf(center)[0].get(label, _EMPTY)
 
     def get_t(self, center: int, label: str) -> Tuple[int, ...]:
         """``getT(w, Y)``: the Y-labeled T-subcluster of *center*."""
-        leaf = self._tree.search(center)
-        if leaf is None:
-            return _EMPTY
-        return leaf[1].get(label, _EMPTY)
+        return self._leaf(center)[1].get(label, _EMPTY)
 
-    def get_ft(
-        self, center: int
-    ) -> Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]:
-        """Both labeled subcluster maps of *center* from ONE tree probe.
+    def _leaf(self, center: int) -> Leaf:
+        """*center*'s leaf entry: one tree probe, or none when the leaf
+        still pinned from the last probe is *center*'s (:meth:`unpin`)."""
+        pinned = self._pinned
+        if pinned is None or pinned[0] != center:
+            pinned = self._pinned = (center, self._tree.search(center, ({}, {})))
+        return pinned[1]
 
-        HPSJ reads an F- and a T-subcluster for every center of
-        ``W(X, Y)``; calling :meth:`get_f` then :meth:`get_t` descends
-        the B+-tree twice for the same leaf.  This combined accessor
-        returns the ``({X: F-subcluster}, {Y: T-subcluster})`` pair of
-        maps with a single descent, halving the per-center probe cost.
-        """
-        leaf = self._tree.search(center)
-        if leaf is None:
-            return _EMPTY_SUBCLUSTERS
-        return leaf
+    def unpin(self) -> None:
+        """Drop the pinned leaf: the next read of any center descends."""
+        self._pinned = None
 
     # ------------------------------------------------------------------
     # inspection API (used by repro.analysis.indexaudit and the tests)

@@ -29,14 +29,15 @@ emits itself (see :class:`PhysicalOperator`).  Each pulls its input a row
 at a time (so a ``LIMIT`` stops all upstream work at once), computes with the
 sorted-run kernels (:mod:`repro.query.physical.kernels`), and reads the
 database only through its four-call run surface (``w_run``/``code_run``/
-``subcluster_runs``/``extent_run``) — whether those runs come from the
+``subcluster_run``/``extent_run``) — whether those runs come from the
 B+-tree tier (charged I/O) or a snapshot (copied per call) is the
-database's business, never an operator's.  The lookup order for the two
-memoizable reads is fixed: per-operator memo, then the cross-query
-:class:`~repro.query.physical.cache.CenterCache` when the context
-carries one, then the run surface.  ``W(X, Y)`` is read once per
-operator execution and a center's subcluster leaf once per operator (the
-paper's "leaf stays pinned" average ``IO_rji``).
+database's business, never an operator's.  Every operator takes the same
+lookup order for the two memoizable reads: per-operator memo, then the
+cross-query :class:`~repro.query.physical.cache.CenterCache` when the
+context carries one, then the run surface.  ``W(X, Y)`` is read once per
+operator execution and each subcluster once per operator; HPSJ's getF
+and getT of one center share one index probe (the paper's "leaf stays
+pinned" average ``IO_rji``).
 
 The driver in :mod:`repro.query.physical.drivers` chains these
 generators; the paper's accounting run (``execute_plan``) drains each
@@ -216,10 +217,15 @@ class PhysicalOperator:
             cache.put_centers(node, pair, side, centers, stats=self.ctx.cache_stats)
         return centers
 
-    def _subcluster(self, center: int, label: str, side: Side) -> Sequence[int]:
+    def _subcluster(
+        self, center: int, label: str, side: Side, pinned: bool = False
+    ) -> Sequence[int]:
         """One center's labeled subcluster — ``getT(w, label)`` for
         ``Side.OUT``, ``getF(w, label)`` for ``Side.IN``: per-operator
-        memo, then the CenterCache, then one index probe."""
+        memo, then the CenterCache, then one index probe.  Only a
+        *pinned* read (HPSJ's getT right after its getF) may reuse the
+        leaf the previous probe pinned; any other read unpins first, so
+        a streamed plan probes exactly what its accounting run probes."""
         key = (center, label, side)
         partners = self._subclusters.get(key)
         if partners is not None:
@@ -230,8 +236,9 @@ class PhysicalOperator:
                 center, label, side, stats=self.ctx.cache_stats
             )
         if partners is None:
-            leaf = self.ctx.db.subcluster_runs(center)
-            partners = leaf[1 if side is Side.OUT else 0].get(label, ())
+            if not pinned:
+                self.ctx.db.unpin()
+            partners = self.ctx.db.subcluster_run(center, label, side.value)
             if cache is not None:
                 cache.put_subcluster(
                     center, label, side, partners, stats=self.ctx.cache_stats
@@ -282,19 +289,17 @@ class SeedJoinOp(PhysicalOperator):
         self.x_label, self.y_label = ctx.pattern.condition_labels(condition)
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        db = self.ctx.db
+        subcluster = self._subcluster
         x_label, y_label = self.x_label, self.y_label
         flipped = self.layout.variables[0] != self.condition[0]
         limit = self._limit()
         seen: set = set()
         rows_in = rows_out = centers_probed = nodes_fetched = 0
         try:
-            for center in db.w_run(x_label, y_label):
+            for center in self.ctx.db.w_run(x_label, y_label):
                 centers_probed += 1
-                # one probe: both subcluster maps live in the same leaf
-                f_sub, t_sub = db.subcluster_runs(center)
-                f_nodes = f_sub.get(x_label, ())
-                t_nodes = t_sub.get(y_label, ())
+                f_nodes = subcluster(center, x_label, Side.IN)
+                t_nodes = subcluster(center, y_label, Side.OUT, pinned=True)
                 nodes_fetched += len(f_nodes) + len(t_nodes)
                 for x in f_nodes:
                     for y in t_nodes:

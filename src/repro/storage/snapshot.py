@@ -647,6 +647,16 @@ class Snapshot:
             return position
         return -1
 
+    def subcluster_run(self, position: int, side: int, label_id: int) -> Tuple[int, ...]:
+        """Copy the *position*-th center's *side* (``SIDE_F``/``SIDE_T``)
+        run of label *label_id*, or ``()`` when its leaf has none."""
+        sub_off, subdir = self._col("suboff"), self._col("subdir")
+        for at in range(4 * sub_off[position], 4 * sub_off[position + 1], 4):
+            if subdir[at] == side and subdir[at + 1] == label_id:
+                start = subdir[at + 2]
+                return tuple(self._col("subval")[start:start + subdir[at + 3]].tolist())
+        return ()
+
     def subclusters_at(
         self, position: int
     ) -> Tuple[Dict[str, Tuple[int, ...]], Dict[str, Tuple[int, ...]]]:

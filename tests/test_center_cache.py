@@ -15,7 +15,7 @@ import pytest
 from repro import DiGraph, GraphEngine
 from repro.graph.generators import figure1_graph
 from repro.query import execute_plan_streaming
-from repro.query.algebra import MultiwaySeed, Side
+from repro.query.algebra import MultiwaySeed, SeedJoin, Side
 from repro.query.physical.cache import (
     _ENTRY_OVERHEAD_BYTES,
     _INT_BYTES,
@@ -163,6 +163,17 @@ class TestRunMetricsSurface:
             assert result.metrics.center_cache is None
         assert engine.center_cache.entry_count == 0
         assert engine.center_cache.snapshot() == (0, 0, 0)
+
+    def test_hpsj_reads_through_the_cache(self):
+        """HPSJ reads getF and getT through the CenterCache, like Fetch
+        and the multiway steps: a repeat run answers every read from it."""
+        engine = GraphEngine(figure1_graph())
+        cold = engine.match("B -> E", optimizer="dps")
+        assert [type(step) for step in cold.plan.steps] == [SeedJoin]
+        warm = engine.match("B -> E", optimizer="dps")
+        assert warm.metrics.center_cache.misses == 0
+        assert warm.metrics.center_cache.hits == cold.metrics.center_cache.misses > 0
+        assert warm.rows == cold.rows
 
     def test_streaming_run_reports_cache_stats(self):
         engine = GraphEngine(figure1_graph())

@@ -1,5 +1,8 @@
 """Tests for the graph database: base tables, join index, W-table, catalog."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,8 +40,8 @@ class TestBaseTables:
 
     def test_code_accessors_re_add_self(self, fig1_db):
         node = fig1_db.graph.extent("C")[0]
-        assert node in fig1_db.in_code(node)
-        assert node in fig1_db.out_code(node)
+        assert node in fig1_db.code_run(node, "in")
+        assert node in fig1_db.code_run(node, "out")
 
     def test_mismatched_labeling_rejected(self):
         from repro.labeling.twohop import build_two_hop
@@ -49,6 +52,11 @@ class TestBaseTables:
             GraphDatabase(g2, labeling=build_two_hop(g1))
 
 
+def reaches(db, u, v) -> bool:
+    """Reachability through stored codes: ``out(u) ∩ in(v) ≠ ∅``."""
+    return not set(db.code_run(u, "out")).isdisjoint(db.code_run(v, "in"))
+
+
 class TestReachabilityViaCodes:
     def test_reaches_matches_bfs(self):
         g = random_digraph(40, 0.07, seed=21)
@@ -56,14 +64,14 @@ class TestReachabilityViaCodes:
         closure = TransitiveClosure(g)
         for u in g.nodes():
             for v in g.nodes():
-                assert db.reaches(u, v) == closure.reaches(u, v)
+                assert reaches(db, u, v) == closure.reaches(u, v)
 
     def test_code_cache_hits_on_reuse(self):
         g = random_digraph(10, 0.2, seed=2)
         db = GraphDatabase(g)
-        db.out_code(0)
+        db.code_run(0, "out")
         misses = db.code_cache.misses
-        db.out_code(0)
+        db.code_run(0, "out")
         assert db.code_cache.hits >= 1
         assert db.code_cache.misses == misses
 
@@ -106,14 +114,78 @@ class TestJoinIndex:
     def test_get_f_unknown_center(self, fig1_db):
         assert fig1_db.join_index.get_f(10**9, "A") == ()
 
+    def test_subcluster_run_is_get_f_and_get_t(self, fig1_db):
+        """The run surface's one-run read equals the paper's getF ("in")
+        and getT ("out") for every center x label x side — read label by
+        label, so the pinned leaf changes center on every call — and an
+        absent center or label reads as ``()``."""
+        index = fig1_db.join_index
+        leaves = {center: (f_sub, t_sub) for center, f_sub, t_sub in index.cluster_items()}
+        for label in fig1_db.labels():
+            for center, (f_sub, t_sub) in leaves.items():
+                assert fig1_db.subcluster_run(center, label, "in") == index.get_f(
+                    center, label) == f_sub.get(label, ())
+                assert fig1_db.subcluster_run(center, label, "out") == index.get_t(
+                    center, label) == t_sub.get(label, ())
+        for side in ("in", "out"):
+            assert fig1_db.subcluster_run(10**9, "A", side) == ()
+            assert fig1_db.subcluster_run(next(iter(leaves)), "Z", side) == ()
+
+    def test_pinned_leaf_costs_one_probe_per_center(self, fig1_db):
+        """getF and getT of one center share one descent; ``unpin`` makes
+        the next read of the same center descend again."""
+        def probes() -> int:
+            return fig1_db.stats.index_lookups.get("rjoin-index", 0)
+
+        center = fig1_db.w_run("B", "E")[0]
+        fig1_db.unpin()
+        before = probes()
+        fig1_db.subcluster_run(center, "B", "in")
+        fig1_db.subcluster_run(center, "E", "out")
+        assert probes() == before + 1
+        fig1_db.unpin()
+        fig1_db.subcluster_run(center, "E", "out")
+        assert probes() == before + 2
+
+    def test_pinned_leaf_is_never_torn_across_threads(self, fig1_db):
+        """Threads sharing one database race on the pin: a read may probe
+        again, but never answers from another center's leaf."""
+        index = fig1_db.join_index
+        truth = {center: t_sub for center, _, t_sub in index.cluster_items()}
+        reads = [(center, label) for center, t_sub in truth.items() for label in t_sub]
+        failures = []
+
+        def body(shift):
+            for _ in range(300):
+                for center, label in reads[shift:] + reads[:shift]:
+                    for _ in range(2):  # the second read reuses the pin, if still there
+                        if fig1_db.subcluster_run(center, label, "out") != truth[center][label]:
+                            failures.append((center, label))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between the pin's read and write
+        try:
+            workers = [
+                threading.Thread(target=body, args=(i % 2,), daemon=True) for i in range(6)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
     def test_get_centers_is_eq6(self, fig1_db):
-        """getCenters(x, X, Y) = out(x) ∩ W(X, Y)."""
-        g = fig1_db.graph
-        for node in g.extent("B"):
-            expected = fig1_db.out_code(node) & frozenset(
-                fig1_db.join_index.centers("B", "E")
-            )
-            assert fig1_db.get_centers(node, "B", "E") == expected
+        """getCenters(x, X, Y) = out(x) ∩ W(X, Y): over the run surface,
+        exactly the W-centers whose X-labeled F-subcluster holds x."""
+        w_run = fig1_db.w_run("B", "E")
+        for node in fig1_db.graph.extent("B"):
+            centers = set(fig1_db.code_run(node, "out")) & set(w_run)
+            assert centers == {
+                w for w in w_run if node in fig1_db.subcluster_run(w, "B", "in")
+            }
 
 
 class TestCatalog:

@@ -112,7 +112,8 @@ def test_rows_equal_naive_on_a_seeded_sample(engine, pool):
     5- and 6-variable patterns among them) plus the two edge cases."""
     naive = NaiveMatcher(engine.db.graph)
     cheapest = sorted(
-        pool, key=lambda name: (engine.plan(pool[name]).estimated_cost, name)
+        pool,
+        key=lambda name: (engine.plan(pool[name], optimizer="dps").estimated_cost, name),
     )[:40]
     names = random.Random(5).sample(cheapest, 24) + ["single", "no-w"]
     matched = 0

@@ -45,13 +45,13 @@ class TestRoundTrip:
         path = str(tmp_path / "r.snap")
         save_database(db, path)
         loaded = load_database(path)
+        def reaches(tier, u, v) -> bool:
+            """``out(u) ∩ in(v) ≠ ∅`` through *tier*'s run surface."""
+            return not set(tier.code_run(u, "out")).isdisjoint(tier.code_run(v, "in"))
+
         for u in g.nodes():
             for v in g.nodes():
-                # out(u) ∩ in(v) ≠ ∅, read through the snapshot's run surface
-                reaches = not set(loaded.code_run(u, "out")).isdisjoint(
-                    loaded.code_run(v, "in")
-                )
-                assert db.reaches(u, v) == reaches
+                assert reaches(db, u, v) == reaches(loaded, u, v)
 
 
 @pytest.mark.parametrize("suffix", ["json", "snap"])

@@ -32,6 +32,7 @@ from repro.query.engine import GraphEngine
 from repro.storage.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
+    SIDE_F,
     Snapshot,
     SnapshotError,
     write_snapshot,
@@ -121,7 +122,7 @@ class TestRoundTrip:
             assert list(loaded.code_run(v, "out")) == list(db.code_run(v, "out"))
         for u in g.nodes():
             for v in g.nodes():
-                assert db.reaches(u, v) == _reaches(loaded, u, v)
+                assert _reaches(db, u, v) == _reaches(loaded, u, v)
 
     def test_subclusters_identical(self, built_db, snap_path):
         loaded = load_database(snap_path)
@@ -134,10 +135,16 @@ class TestRoundTrip:
             assert truth[center] == (f_sub, t_sub)
             seen.add(center)
         assert seen == set(truth)
-        # point probes agree with the bulk scan
-        for center in sorted(truth)[:5]:
-            assert loaded.subcluster_runs(center) == truth[center]
-        assert loaded.subcluster_runs(-1) == ({}, {})
+        # one-run probes agree with the live index, center x label x side
+        index = built_db.join_index
+        for center in truth:
+            for label in built_db.labels():
+                assert loaded.subcluster_run(center, label, "in") == index.get_f(center, label)
+                assert loaded.subcluster_run(center, label, "out") == index.get_t(center, label)
+        center = next(iter(truth))
+        for side in ("in", "out"):
+            assert loaded.subcluster_run(-1, built_db.labels()[0], side) == ()
+            assert loaded.subcluster_run(center, "no_such_label", side) == ()
         for pair, centers in built_db.join_index.wtable_items():
             assert tuple(loaded.w_run(*pair)) == centers
         assert tuple(loaded.w_run("no_such", "label")) == ()
@@ -248,8 +255,8 @@ class TestCorruption:
 
 #: every Snapshot accessor that copies a run or a whole column
 RUN_ACCESSORS = (
-    "in_code_array", "out_code_array", "wtable_centers", "subclusters_at",
-    "centers", "build_graph",
+    "in_code_array", "out_code_array", "wtable_centers", "subcluster_run",
+    "subclusters_at", "centers", "build_graph",
 )
 
 
@@ -298,29 +305,37 @@ class TestLaziness:
         loaded = load_database(snap_path)
         snapshot = loaded.snapshot
         counts = _count_calls(
-            monkeypatch, snapshot, ("wtable_centers", "subclusters_at")
+            monkeypatch, snapshot, ("wtable_centers", "subcluster_run", "subclusters_at")
         )
         engine = GraphEngine.from_database(loaded)
         oracle = GraphEngine.from_database(built_db)
         pattern = "person -> watch"
         assert engine.match(pattern).as_set() == oracle.match(pattern).as_set()
         assert counts["wtable_centers"] <= 2
-        assert 0 < counts["subclusters_at"] < snapshot.center_count
+        # at most getF and getT of each center of W(person, watch), one run
+        # per read; no whole leaf is decoded
+        assert 0 < counts["subcluster_run"] <= 2 * len(loaded.w_run("person", "watch"))
+        assert counts["subclusters_at"] == 0
 
     def test_touching_every_run_retains_nothing(self, snap_path):
-        """The snapshot tier keeps no copy: reading every subcluster leaf,
+        """The snapshot tier keeps no copy: reading every subcluster run,
         every W-run and both codes of every node leaves under 64 KiB
         allocated once the results are dropped (a memo of them all holds
         about 250 KiB on this file)."""
         loaded = load_database(snap_path)
         snapshot = loaded.snapshot
-        centers = snapshot.centers().tolist()
+        runs = [
+            (center, label, side)
+            for center, f_sub, t_sub in loaded.offline_structures().cluster_items
+            for side, subclusters in (("in", f_sub), ("out", t_sub))
+            for label in subclusters
+        ]
         pairs = snapshot.wtable_pairs()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for center in centers:
-                loaded.subcluster_runs(center)
+            for center, label, side in runs:
+                loaded.subcluster_run(center, label, side)
             for pair in pairs:
                 loaded.w_run(*pair)
             for node in range(snapshot.node_count):
@@ -401,9 +416,9 @@ def _probe(db):
 
 #: every public Snapshot accessor, the SnapshotDatabase run surface, and
 #: the cluster R-join index's and the labeling's reads as the snapshot
-#: tier answers them (``W(X, Y)``, getFT and its two maps, the W-table
-#: directory, the whole-structure scans the writer and the audit decode,
-#: ``in(x)``) — each takes the loaded database
+#: tier answers them (``W(X, Y)``, getF and getT, the W-table directory,
+#: the whole-structure scans the writer and the audit decode, ``in(x)``)
+#: — each takes the loaded database
 ACCESSORS = {
     "Snapshot.centers": lambda db: db.snapshot.centers(),
     "Snapshot.in_code_array": lambda db: db.snapshot.in_code_array(0),
@@ -411,6 +426,9 @@ ACCESSORS = {
     "Snapshot.wtable_pairs": lambda db: db.snapshot.wtable_pairs(),
     "Snapshot.wtable_sizes": lambda db: db.snapshot.wtable_sizes(),
     "Snapshot.wtable_centers": lambda db: db.snapshot.wtable_centers(0),
+    "Snapshot.subcluster_run": lambda db: db.snapshot.subcluster_run(
+        0, SIDE_F, db.labels().index(min(db.snapshot.subclusters_at(0)[0]))
+    ),
     "Snapshot.subclusters_at": lambda db: db.snapshot.subclusters_at(0),
     "Snapshot.extent_sizes": lambda db: db.snapshot.extent_sizes(),
     "Snapshot.catalog_pairs": lambda db: db.snapshot.catalog_pairs(),
@@ -418,9 +436,8 @@ ACCESSORS = {
     "Snapshot.build_graph": lambda db: db.snapshot.build_graph(),
     "Snapshot.extents": lambda db: db.snapshot.extents(),
     "index.centers": lambda db: db.w_run(*_probe(db)[1:]),
-    "index.get_f": lambda db: db.subcluster_runs(_probe(db)[0])[0],
-    "index.get_t": lambda db: db.subcluster_runs(_probe(db)[0])[1],
-    "index.get_ft": lambda db: db.subcluster_runs(_probe(db)[0]),
+    "index.get_f": lambda db: db.subcluster_run(_probe(db)[0], _probe(db)[1], "in"),
+    "index.get_t": lambda db: db.subcluster_run(_probe(db)[0], _probe(db)[2], "out"),
     "index.cluster_items": lambda db: db.offline_structures().cluster_items,
     "index.wtable_items": lambda db: db.offline_structures().wtable_items,
     "index.wtable_pairs": lambda db: db.snapshot.wtable_pairs(),
@@ -428,7 +445,7 @@ ACCESSORS = {
     "db.w_run": lambda db: db.w_run(*_probe(db)[1:]),
     "db.code_run[in]": lambda db: db.code_run(_probe(db)[0], "in"),
     "db.code_run[out]": lambda db: db.code_run(_probe(db)[0], "out"),
-    "db.subcluster_runs": lambda db: db.subcluster_runs(_probe(db)[0]),
+    "db.subcluster_run": lambda db: db.subcluster_run(_probe(db)[0], _probe(db)[2], "out"),
     "db.extent_run": lambda db: db.extent_run(_probe(db)[1]),
     "labeling.in_codes": lambda db: db.offline_structures().labeling.in_codes[0],
 }
