@@ -25,7 +25,7 @@ import sys
 import time
 from collections import deque
 from itertools import islice
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, List, Optional, TextIO, TypeVar
 
 from . import xmark
 from .db.persist import load_database, save_database
@@ -42,11 +42,38 @@ class _UsageError(Exception):
     as one line and exits 2."""
 
 
+class _Stdout:
+    """``sys.stdout`` for one command, outliving its reader: at the first
+    :class:`BrokenPipeError` (``repro ... | head``) the descriptor is
+    pointed at :data:`os.devnull`, so the command runs on to its own exit
+    status — a ``check`` still reports a corrupt file, a ``build`` still
+    saves — and the rest of its output goes nowhere."""
+
+    reader_gone = False
+
+    def __init__(self, stream: TextIO) -> None:
+        self.stream = stream
+
+    def write(self, text: str) -> None:
+        self._guard(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._guard(self.stream.flush)
+
+    def _guard(self, call: Callable[..., object], *args: str) -> None:
+        try:
+            call(*args)
+        except BrokenPipeError:
+            self.reader_gone = True
+            os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
+
+
 def _note(line: str) -> None:
-    """A summary line on stderr, after flushing stdout: when the reader
-    of stdout has gone, the command ends here, before writing anything."""
+    """A summary of stdout's output, on stderr — dropped when nobody
+    reads stdout (:class:`_Stdout`); the exit status still tells."""
     sys.stdout.flush()
-    print(line, file=sys.stderr)
+    if not getattr(sys.stdout, "reader_gone", False):
+        print(line, file=sys.stderr)
 
 
 def _load(path: str, read: Callable[[str], T]) -> T:
@@ -152,7 +179,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print("\t".join(str(v) for v in row))
         deque(stream, maxlen=0)
     except RowLimitExceeded as err:  # the guard tripped: a query outcome
-        _note(f"repro query: {err}")
+        print(f"repro query: {err}", file=sys.stderr)
         return 1
     except (PatternError, KeyError, ValueError) as err:  # a usage error
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
@@ -382,16 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    stdout = sys.stdout
+    sys.stdout = _Stdout(stdout)  # type: ignore[assignment]
     try:
-        status = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here at the latest, not at exit
-    except BrokenPipeError:  # the reader went away (``| head``): done
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return args.func(args)
     except _UsageError as err:
         print(f"repro {args.command}: error: {err}", file=sys.stderr)
         return 2
-    return status
+    finally:
+        sys.stdout.flush()  # a closed pipe shows here at the latest, not at exit
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

@@ -194,21 +194,19 @@ class GraphDatabase:
         self.code_cache.put(node, side, code)
         return code
 
-    def subcluster_run(self, center: int, label: str, side: str) -> Sequence[int]:
+    def subcluster_run(
+        self, center: int, label: str, side: str, pinned: bool = False
+    ) -> Sequence[int]:
         """``getT(w, label)`` (*side* ``"out"``) or ``getF(w, label)``
-        (``"in"``) of *center*: one cluster-index probe, none while the
-        leaf of the same center's last probe is still pinned."""
+        (``"in"``) of *center*: one cluster-index probe — none for a
+        *pinned* read while the leaf of the last probe is *center*'s."""
         index = self.join_index
-        return (index.get_t if side == "out" else index.get_f)(center, label)
+        return (index.get_t if side == "out" else index.get_f)(center, label, pinned)
 
     def extent_run(self, label: str) -> Iterable[int]:
         """All *label*-labeled nodes, ascending: a primary-key scan of
         ``T_label`` (the ``IO_D`` scan term)."""
         return (row[0] for row in self.base_table(label).scan())
-
-    def unpin(self) -> None:
-        """Drop the pinned cluster-index leaf: the next read probes."""
-        self.join_index.unpin()
 
     # ------------------------------------------------------------------
     def offline_structures(self) -> OfflineStructures:
@@ -294,7 +292,10 @@ class SnapshotDatabase:
             return self.snapshot.out_code_array(node)
         return self.snapshot.in_code_array(node)
 
-    def subcluster_run(self, center: int, label: str, side: str) -> Sequence[int]:
+    def subcluster_run(
+        self, center: int, label: str, side: str, pinned: bool = False
+    ) -> Sequence[int]:
+        """One run copied per call: there is no leaf to pin here."""
         position = self.snapshot.center_position(center)
         label_id = self._label_ids.get(label)
         if position < 0 or label_id is None:
@@ -303,9 +304,6 @@ class SnapshotDatabase:
 
     def extent_run(self, label: str) -> Iterable[int]:
         return self._extents.get(label, ())
-
-    def unpin(self) -> None:
-        """Nothing to drop: every run is its own slice of the mapping."""
 
     # ------------------------------------------------------------------
     def offline_structures(self) -> OfflineStructures:

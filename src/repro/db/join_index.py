@@ -83,25 +83,21 @@ class ClusterRJoinIndex:
         sorted — one W-table probe, charged through the buffer pool."""
         return self._wtable.search((x_label, y_label), _EMPTY)
 
-    def get_f(self, center: int, label: str) -> Tuple[int, ...]:
+    def get_f(self, center: int, label: str, pinned: bool = False) -> Tuple[int, ...]:
         """``getF(w, X)``: the X-labeled F-subcluster of *center*."""
-        return self._leaf(center)[0].get(label, _EMPTY)
+        return self._leaf(center, pinned)[0].get(label, _EMPTY)
 
-    def get_t(self, center: int, label: str) -> Tuple[int, ...]:
+    def get_t(self, center: int, label: str, pinned: bool = False) -> Tuple[int, ...]:
         """``getT(w, Y)``: the Y-labeled T-subcluster of *center*."""
-        return self._leaf(center)[1].get(label, _EMPTY)
+        return self._leaf(center, pinned)[1].get(label, _EMPTY)
 
-    def _leaf(self, center: int) -> Leaf:
-        """*center*'s leaf entry: one tree probe, or none when the leaf
-        still pinned from the last probe is *center*'s (:meth:`unpin`)."""
-        pinned = self._pinned
-        if pinned is None or pinned[0] != center:
-            pinned = self._pinned = (center, self._tree.search(center, ({}, {})))
-        return pinned[1]
-
-    def unpin(self) -> None:
-        """Drop the pinned leaf: the next read of any center descends."""
-        self._pinned = None
+    def _leaf(self, center: int, pinned: bool) -> Leaf:
+        """*center*'s leaf entry: one tree probe, whose leaf stays pinned —
+        or, for a *pinned* read, none when the pinned leaf is *center*'s."""
+        last = self._pinned
+        if not pinned or last is None or last[0] != center:
+            last = self._pinned = (center, self._tree.search(center, ({}, {})))
+        return last[1]
 
     # ------------------------------------------------------------------
     # inspection API (used by repro.analysis.indexaudit and the tests)

@@ -224,8 +224,8 @@ class PhysicalOperator:
         ``Side.OUT``, ``getF(w, label)`` for ``Side.IN``: per-operator
         memo, then the CenterCache, then one index probe.  Only a
         *pinned* read (HPSJ's getT right after its getF) may reuse the
-        leaf the previous probe pinned; any other read unpins first, so
-        a streamed plan probes exactly what its accounting run probes."""
+        leaf the previous probe pinned, so a streamed plan probes exactly
+        what its accounting run probes."""
         key = (center, label, side)
         partners = self._subclusters.get(key)
         if partners is not None:
@@ -236,9 +236,7 @@ class PhysicalOperator:
                 center, label, side, stats=self.ctx.cache_stats
             )
         if partners is None:
-            if not pinned:
-                self.ctx.db.unpin()
-            partners = self.ctx.db.subcluster_run(center, label, side.value)
+            partners = self.ctx.db.subcluster_run(center, label, side.value, pinned)
             if cache is not None:
                 cache.put_subcluster(
                     center, label, side, partners, stats=self.ctx.cache_stats

@@ -124,33 +124,67 @@ class TestCommands:
         assert main(["query", db_path, "itemref -> item", "--explain"]) == 0
         assert capsys.readouterr().out == limited
 
+    @staticmethod
+    def _into_closed_pipe(args, env=None):
+        """Run ``repro ARGS`` with stdout a pipe whose reader has already
+        gone, so every command meets the closed pipe at its first write."""
+        import os
+        import subprocess
+        import sys
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env=None if env is None else {**os.environ, **env},
+            )
+        finally:
+            os.close(write_end)
+
     @pytest.mark.parametrize("command", [
-        # a ~2 MB answer: the command stops at the closed pipe, mid-stream
+        # a ~2 MB answer, far more than a pipe buffers
         ["query", "s:site -> a:person, s -> b:person, s -> c:item, s -> d:name", "--all"],
         ["check", "--pattern", "person -> watch"],
         ["stats", "--labels", "--storage"],
     ], ids=["query", "check", "stats"])
     def test_query_into_a_closed_pipe_ends_quietly(self, db_path, command):
         """``repro CMD DB ... | head -n 1``: the reader of stdout goes
-        away — here before the first write, so every command meets the
-        closed pipe — and the command stops with exit 0 and nothing on
-        stderr (not a ``BrokenPipeError`` traceback, nor its summary)."""
-        import os
-        import subprocess
-        import sys
-
+        away, and the command ends with exit 0 and nothing on stderr (not
+        a ``BrokenPipeError`` traceback, nor a summary of what nobody
+        read)."""
         name, *rest = command
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro", name, db_path, *rest],
-                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
-            )
-        finally:
-            os.close(write_end)
+        proc = self._into_closed_pipe([name, db_path, *rest])
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stderr == b""
+
+    def test_a_closed_pipe_keeps_the_commands_own_status(self, db_path, tmp_path):
+        """A closed stdout pipe ends no command early: a ``check`` of a
+        corrupt file still fails, a tripped ``--row-limit`` still fails
+        with its reason, and a ``build`` with unbuffered stdout still
+        saves its database."""
+        from repro.db.persist import load_database
+
+        payload = bytearray(open(db_path, "rb").read())
+        payload[len(payload) // 2] ^= 0xFF
+        bad = tmp_path / "corrupt.snap"
+        bad.write_bytes(bytes(payload))
+        assert self._into_closed_pipe(["check", str(bad)]).returncode == 1
+
+        proc = self._into_closed_pipe(
+            ["query", db_path, "itemref -> item", "--all", "--row-limit", "1"]
+        )
+        assert proc.returncode == 1
+        assert b"exceeded 1 rows" in proc.stderr
+
+        out = tmp_path / "built.snap"
+        proc = self._into_closed_pipe(
+            ["build", "--factor", "0.05", "--budget", "200", "--out", str(out)],
+            env={"PYTHONUNBUFFERED": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert load_database(str(out)).snapshot.node_count > 0
 
     @pytest.mark.parametrize("pattern, extra, message", [
         ("nosuch -> item", [], "label 'nosuch'"),

@@ -132,20 +132,21 @@ class TestJoinIndex:
             assert fig1_db.subcluster_run(next(iter(leaves)), "Z", side) == ()
 
     def test_pinned_leaf_costs_one_probe_per_center(self, fig1_db):
-        """getF and getT of one center share one descent; ``unpin`` makes
-        the next read of the same center descend again."""
+        """A pinned getT after the getF of one center shares its descent;
+        every read that is not pinned descends, even to the same center,
+        and a pinned read of another center descends too."""
         def probes() -> int:
             return fig1_db.stats.index_lookups.get("rjoin-index", 0)
 
-        center = fig1_db.w_run("B", "E")[0]
-        fig1_db.unpin()
+        first, second = fig1_db.w_run("B", "E")[:2]
         before = probes()
-        fig1_db.subcluster_run(center, "B", "in")
-        fig1_db.subcluster_run(center, "E", "out")
+        fig1_db.subcluster_run(first, "B", "in")
+        fig1_db.subcluster_run(first, "E", "out", pinned=True)
         assert probes() == before + 1
-        fig1_db.unpin()
-        fig1_db.subcluster_run(center, "E", "out")
+        fig1_db.subcluster_run(first, "E", "out")
         assert probes() == before + 2
+        fig1_db.subcluster_run(second, "E", "out", pinned=True)
+        assert probes() == before + 3
 
     def test_pinned_leaf_is_never_torn_across_threads(self, fig1_db):
         """Threads sharing one database race on the pin: a read may probe
@@ -158,8 +159,9 @@ class TestJoinIndex:
         def body(shift):
             for _ in range(300):
                 for center, label in reads[shift:] + reads[:shift]:
-                    for _ in range(2):  # the second read reuses the pin, if still there
-                        if fig1_db.subcluster_run(center, label, "out") != truth[center][label]:
+                    for pinned in (False, True):  # the second read reuses the pin, if still there
+                        run = fig1_db.subcluster_run(center, label, "out", pinned)
+                        if run != truth[center][label]:
                             failures.append((center, label))
 
         interval = sys.getswitchinterval()
