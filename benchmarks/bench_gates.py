@@ -23,7 +23,8 @@ Three groups, each a fixed instance, round count and bound:
 3. **The query service.**  Serving N queries concurrently through one
    shared engine must beat N sequential *cold* engine invocations (fresh
    ``load_database`` + ``GraphEngine`` per query) **>= 2x** on aggregate
-   wall time, rows byte-identical per query.  An *open-loop* arrival
+   wall time — the median ratio of alternating (cold, served) passes —
+   rows byte-identical per query.  An *open-loop* arrival
    schedule at ~4x measured capacity (bursts of 4 queries every mean
    server-side execution time) against a 1-slot service with a short
    admission queue must shed (sheds > 0) while the p99 of served
@@ -236,6 +237,11 @@ REQUIRED_SERVICE_SPEEDUP = 2.0
 #: how many times the mixed workload is replayed in the steady-state run
 STEADY_ROUNDS = 4
 
+#: alternating (cold, served) pass pairs; the gate reads their median
+#: ratio, since one pair times ~0.1 s of work a side and its ratio
+#: spreads wider than the bound's margin
+SERVICE_PAIRS = 5
+
 #: open-loop overload run: arrivals, offered rate vs measured capacity
 OVERLOAD_ARRIVALS = 40
 OVERLOAD_FACTOR = 4.0
@@ -314,35 +320,35 @@ def test_shared_engine_beats_cold_invocations(snapshot_path, shared_engine, work
         for _ in range(STEADY_ROUNDS)
         for name, pattern in workload.items()
     ]
-    cold_wall_ms, cold_rows = _cold_invocations(snapshot_path, queries)
-    cold_total_ms = sum(cold_wall_ms)
-
     handle = start_in_thread(
         shared_engine,
         ServiceConfig(max_inflight=2, queue_depth=len(queries)),
     )
+    speedups = []
     try:
-        service_total_ms, results = asyncio.run(
-            _serve_concurrently(handle.address, queries)
-        )
+        for _ in range(SERVICE_PAIRS):
+            cold_wall_ms, cold_rows = _cold_invocations(snapshot_path, queries)
+            service_total_ms, results = asyncio.run(
+                _serve_concurrently(handle.address, queries)
+            )
+            # byte-identical rows per query, or the speedup does not count
+            assert len(results) == len(queries)
+            for name, response in results:
+                assert response["truncated"] is False
+                assert rows_as_tuples(response) == cold_rows[name], (
+                    f"service rows diverge from direct execution for {name}"
+                )
+            speedups.append(sum(cold_wall_ms) / service_total_ms)
         snap = handle.service.stats.snapshot()
     finally:
         handle.stop()
 
-    # byte-identical rows per query, or the speedup does not count
-    assert len(results) == len(queries)
-    for name, response in results:
-        assert response["truncated"] is False
-        assert rows_as_tuples(response) == cold_rows[name], (
-            f"service rows diverge from direct execution for {name}"
-        )
-
-    speedup = cold_total_ms / service_total_ms
+    speedup = statistics.median(speedups)
     assert snap["shed"] == 0, "steady run must not shed (queue sized to fit)"
     assert speedup >= REQUIRED_SERVICE_SPEEDUP, (
-        f"shared-engine serving ({service_total_ms:.0f}ms) is only "
-        f"{speedup:.2f}x faster than cold invocations ({cold_total_ms:.0f}ms) "
-        f"(required >= {REQUIRED_SERVICE_SPEEDUP}x)"
+        f"shared-engine serving is only {speedup:.2f}x faster than cold "
+        f"invocations (median of {', '.join(f'{s:.2f}' for s in speedups)}; "
+        f"required >= {REQUIRED_SERVICE_SPEEDUP}x)"
     )
 
 

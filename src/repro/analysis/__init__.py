@@ -11,7 +11,7 @@ Two passes, one diagnostic format:
   :func:`audit_snapshot` checks a snapshot file before it is loaded.
 
 The runtime twin is sanitize mode (:mod:`~repro.analysis.sanitizer`),
-armed by ``ExecutionContext(sanitize=True)`` or ``REPRO_SANITIZE=1``.
+armed by ``REPRO_SANITIZE=1``.
 
 All passes return lists of :class:`Diagnostic`; :func:`has_errors` is the
 gate condition used by ``repro check`` and CI.

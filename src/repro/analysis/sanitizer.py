@@ -23,9 +23,9 @@ checked on the actual execution:
   the generic ``record_size``, since a wrong size silently moves every
   page boundary and with it every I/O count.
 
-Everything is opt-in: ``ExecutionContext(sanitize=True)`` or
-``REPRO_SANITIZE=1`` in the environment (read per execution, so the
-differential suite can flip it without re-importing anything).  The
+Everything is opt-in, by one switch: ``REPRO_SANITIZE=1`` in the
+environment (read per execution, so the differential suite can flip it
+without re-importing anything).  The
 hooks live in the query/storage modules themselves and import this
 module lazily — this module must stay stdlib-only so the analysis layer
 never depends on the query layer.

@@ -347,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="abort if any intermediate exceeds N rows "
                               "(execution guard, either executor)")
     p_query.add_argument("--no-center-cache", action="store_true",
-                         help="disable the cross-query center/subcluster "
-                              "cache (ablation)")
+                         help="disable the multiway expansion cache "
+                              "(ablation)")
     p_query.add_argument("--head", type=int, default=20,
                          help="rows to print without --all (default 20)")
     p_query.add_argument("--all", action="store_true", help="print every row")
@@ -375,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-result-rows", type=int, default=1_000_000,
                          help="hard cap on rows returned per query")
     p_serve.add_argument("--no-center-cache", action="store_true",
-                         help="disable the cross-query center/subcluster "
-                              "cache (ablation)")
+                         help="disable the multiway expansion cache "
+                              "(ablation)")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_check = sub.add_parser(

@@ -21,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..graph.digraph import DiGraph
-from ..labeling.twohop import TwoHopLabeling
-
 
 @dataclass(frozen=True)
 class PairStats:
@@ -40,12 +37,8 @@ _NO_PAIR = PairStats(0, 0, 0)  # label pairs with no W(X, Y) entry
 class Catalog:
     """Extent sizes and pairwise R-join statistics for one data graph."""
 
-    def __init__(self, graph: DiGraph, labeling: TwoHopLabeling) -> None:
-        self.extent_sizes: Dict[str, int] = {
-            label: len(nodes) for label, nodes in graph.extents().items()
-        }
-        self._pairs: Dict[Tuple[str, str], PairStats] = {}
-        self._build(graph, labeling)
+    extent_sizes: Dict[str, int]
+    _pairs: Dict[Tuple[str, str], PairStats]
 
     @classmethod
     def from_stats(
@@ -53,44 +46,14 @@ class Catalog:
         extent_sizes: Dict[str, int],
         pairs: Dict[Tuple[str, str], PairStats],
     ) -> "Catalog":
-        """Rehydrate a catalog from precomputed statistics.
-
-        The eager constructor walks every cluster of the labeling; a
-        snapshot already carries the finished per-pair statistics, so
-        loading must not pay (or trigger) that scan.
-        """
+        """A catalog over finished statistics: the cluster R-join index
+        computes them while it builds (``ClusterRJoinIndex.pair_stats``),
+        and a snapshot stores them, so neither build nor load walks the
+        clusters again."""
         catalog = cls.__new__(cls)
         catalog.extent_sizes = dict(extent_sizes)
         catalog._pairs = dict(pairs)
         return catalog
-
-    def _build(self, graph: DiGraph, labeling: TwoHopLabeling) -> None:
-        sums: Dict[Tuple[str, str], int] = {}
-        centers: Dict[Tuple[str, str], int] = {}
-        volumes: Dict[Tuple[str, str], int] = {}
-        for _, (f_cluster, t_cluster) in labeling.clusters().items():
-            f_by_label: Dict[str, int] = {}
-            for node in f_cluster:
-                label = graph.label(node)
-                f_by_label[label] = f_by_label.get(label, 0) + 1
-            t_by_label: Dict[str, int] = {}
-            for node in t_cluster:
-                label = graph.label(node)
-                t_by_label[label] = t_by_label.get(label, 0) + 1
-            for x_label, fx in f_by_label.items():
-                for y_label, ty in t_by_label.items():
-                    pair = (x_label, y_label)
-                    sums[pair] = sums.get(pair, 0) + fx * ty
-                    centers[pair] = centers.get(pair, 0) + 1
-                    volumes[pair] = volumes.get(pair, 0) + ty
-        for pair, total in sums.items():
-            x_label, y_label = pair
-            cap = self.extent_sizes.get(x_label, 0) * self.extent_sizes.get(y_label, 0)
-            self._pairs[pair] = PairStats(
-                pair_estimate=min(total, cap),
-                center_count=centers[pair],
-                fetch_volume=volumes[pair],
-            )
 
     # ------------------------------------------------------------------
     def extent_size(self, label: str) -> int:

@@ -120,7 +120,10 @@ class GraphDatabase:
         self._table_labels: Tuple[str, ...] = tuple(sorted(graph.extents()))
         self._load_base_tables()
         self.join_index = ClusterRJoinIndex(self.pool, graph, self.labeling)
-        self.catalog = Catalog(graph, self.labeling)
+        self.catalog = Catalog.from_stats(
+            {label: len(nodes) for label, nodes in graph.extents().items()},
+            self.join_index.pair_stats,
+        )
         self.code_cache = CodeCache()
         self._node_labels = list(graph.labels())
         self.pool.flush_all()

@@ -23,6 +23,7 @@ from ..graph.digraph import DiGraph
 from ..labeling.twohop import TwoHopLabeling
 from ..storage.bptree import BPlusTree
 from ..storage.buffer import BufferPool
+from .catalog import PairStats
 
 _EMPTY: Tuple[int, ...] = ()
 #: a center's ``({X: F-subcluster}, {Y: T-subcluster})`` leaf entry
@@ -52,9 +53,13 @@ class ClusterRJoinIndex:
     def _build(self, graph: DiGraph, labeling: TwoHopLabeling) -> None:
         clusters = labeling.clusters()
         self._center_count = len(clusters)
+        extents = graph.extents()
+        leaves: Dict[int, Leaf] = {}
         wtable_accumulator: Dict[Tuple[str, str], List[int]] = {}
-        for center in sorted(clusters):
-            f_cluster, t_cluster = clusters[center]
+        # per (X, Y): [Σ_w |F_X(w)|·|T_Y(w)|, Σ_w |T_Y(w)|], in first-seen
+        # order over clusters()' own order (the catalog keeps that order)
+        sums: Dict[Tuple[str, str], List[int]] = {}
+        for center, (f_cluster, t_cluster) in clusters.items():
             f_sub: Dict[str, List[int]] = {}
             for node in f_cluster:
                 f_sub.setdefault(graph.label(node), []).append(node)
@@ -64,16 +69,35 @@ class ClusterRJoinIndex:
             # subclusters are stored as *sorted* tuples — a kernel
             # precondition (sorted-array intersections/unions), made
             # explicit here rather than inherited from clusters()'s order
-            leaf_value = (
+            leaves[center] = (
                 {label: tuple(sorted(nodes)) for label, nodes in f_sub.items()},
                 {label: tuple(sorted(nodes)) for label, nodes in t_sub.items()},
             )
-            self._tree.insert(center, leaf_value)
-            for x_label in f_sub:
-                for y_label in t_sub:
-                    wtable_accumulator.setdefault((x_label, y_label), []).append(center)
+            for x_label, f_nodes in f_sub.items():
+                for y_label, t_nodes in t_sub.items():
+                    pair = (x_label, y_label)
+                    wtable_accumulator.setdefault(pair, []).append(center)
+                    totals = sums.setdefault(pair, [0, 0])
+                    totals[0] += len(f_nodes) * len(t_nodes)
+                    totals[1] += len(t_nodes)
+        # the tree is filled in center order, whatever order the loop ran in
+        for center in sorted(leaves):
+            self._tree.insert(center, leaves[center])
         for pair, centers in sorted(wtable_accumulator.items()):
             self._wtable.insert(pair, tuple(sorted(centers)))
+        #: the catalog's per-pair statistics; the estimate is capped by
+        #: |ext(X)|·|ext(Y)| (the sum double-counts pairs several
+        #: centers cover)
+        self.pair_stats: Dict[Tuple[str, str], PairStats] = {
+            (x_label, y_label): PairStats(
+                pair_estimate=min(
+                    total, len(extents.get(x_label, ())) * len(extents.get(y_label, ()))
+                ),
+                center_count=len(wtable_accumulator[x_label, y_label]),
+                fetch_volume=volume,
+            )
+            for (x_label, y_label), (total, volume) in sums.items()
+        }
 
     # ------------------------------------------------------------------
     # paper API
@@ -135,5 +159,5 @@ class ClusterRJoinIndex:
         return [pair for pair, _ in self._wtable.items()]
 
     def wtable_sizes(self) -> Dict[Tuple[str, str], int]:
-        """Number of centers per W-table entry (used by the catalog)."""
+        """Number of centers per W-table entry (a W-table scan)."""
         return {pair: len(centers) for pair, centers in self._wtable.items()}

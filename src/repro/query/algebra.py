@@ -468,17 +468,16 @@ class TemporalTable:
             )
         return size
 
-    def insert_many(self, rows: Iterable[Sequence], sanitize: bool = False) -> None:
+    def insert_many(self, rows: Iterable[Sequence]) -> None:
         """Spill *rows* a page at a time (:meth:`HeapFile.extend`); each
-        passes the arity check.  ``sanitize`` (or ``REPRO_SANITIZE=1``)
-        re-measures each row with the generic ``record_size`` and raises
-        if the layout-derived size disagrees."""
+        passes the arity check.  Under ``REPRO_SANITIZE`` each row is
+        re-measured with the generic ``record_size``, raising if the
+        layout-derived size disagrees."""
         # imported lazily: the analysis layer depends on the query layer
         from ..analysis.sanitizer import sanitize_enabled
 
-        sanitize = sanitize or sanitize_enabled()
         self.table.insert_many(
-            rows, self._sanitized_row_size if sanitize else self.row_size
+            rows, self._sanitized_row_size if sanitize_enabled() else self.row_size
         )
 
     def scan(self):

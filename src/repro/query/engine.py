@@ -89,9 +89,9 @@ class GraphEngine:
         constructors (``__init__`` and :meth:`from_database`) go through."""
         self.db = db
         self.cost_params = cost_params or CostParams()
-        #: cross-query LRU of centers/subclusters; ``cache_bytes <= 0``
-        #: keeps the object (counters still track misses) but stores
-        #: nothing.
+        #: cross-query LRU of the multiway plan's W-projections and
+        #: extension sets; ``cache_bytes <= 0`` keeps the object
+        #: (counters still track misses) but stores nothing.
         self.center_cache = CenterCache(capacity_bytes=cache_bytes)
         self._plan_cache: "OrderedDict[Tuple, OptimizedPlan]" = OrderedDict()
         self._plan_cache_lock = threading.Lock()
@@ -201,7 +201,8 @@ class GraphEngine:
         patterns whose full result would be huge.  The returned
         :class:`~repro.query.StreamingResult` carries a ``metrics``
         attribute with the per-operator counters of the work done, and
-        every stream uses the engine's :class:`CenterCache`.
+        every stream uses the engine's :class:`CenterCache` (read by the
+        multiway operators only).
         ``row_limit`` caps every intermediate result and raises
         :class:`~repro.query.algebra.RowLimitExceeded` beyond it.
         ``timeout`` is a per-query deadline in seconds: an expired

@@ -1,25 +1,25 @@
-"""CenterCache — a size-bounded LRU shared across queries.
+"""CenterCache — the multiway plan's expansions, a size-bounded LRU
+shared across queries.
 
-Four things every query would otherwise recompute are pure functions of
-the offline structures:
+It keeps the two results of the multiway operators
+(:mod:`repro.query.physical.multiway`) that later queries read again:
 
-* ``getCenters(x, X, Y)`` (Eq. 6) — a code read plus an intersection,
-  repeated for every distinct scanned node of every Filter — keyed
-  ``(node, (X, Y), side)``;
-* ``getF(w, X)`` / ``getT(w, Y)`` (Eqs. 7-9) — the per-center labeled
-  subcluster, re-fetched by every Fetch that meets the center again —
-  keyed ``(center, label, side)``;
-* a multiway seed's W-projection of ``(X, Y)`` (the subclusters of all
-  of ``W(X, Y)``, unioned) — keyed ``((X, Y), side)``;
-* a multiway step's extension set of one bound node (its centers'
-  subclusters, unioned) — keyed ``(node, (X, Y), side)``.
+* a seed's W-projection of ``(X, Y)`` (the subclusters of all of
+  ``W(X, Y)``, unioned) — keyed ``((X, Y), side)``;
+* a step's extension set of one bound node (its centers' subclusters,
+  unioned) — keyed ``(node, (X, Y), side)``.
 
-The two multiway kinds hold ``(nodes, centers, volume)``: the sorted
-union plus the two counts its operator charges, so a hit replays the
-counters of the expansion it skips (the fetched label follows from pair
-and side).  A built database never changes, so all four are invariant
-for its whole life: each engine owns one private :class:`CenterCache`
-and threads it through every execution context — an LRU bounded by an
+Each value is an :data:`Expansion` ``(nodes, centers, volume)``: the
+sorted union plus the two counts its operator charges, so a hit replays
+the counters of the expansion it skips (the fetched label follows from
+pair and side).  Center sets and single subclusters are not kept: each
+is read on the way to the expansion that is.  The left-deep operators
+(HPSJ, Filter, Fetch) never touch this cache; they memoize per
+execution, exactly as their accounting run does.
+
+A built database never changes, so both kinds are invariant for its
+whole life: each engine owns one private :class:`CenterCache` and
+threads it through every execution context — an LRU bounded by an
 approximate byte budget (``GraphEngine(cache_bytes=...)``) charging
 every int it holds.  Values are tuples, never arrays a consumer could
 mutate.  There is no invalidation protocol: a new index is a new
@@ -53,25 +53,18 @@ _INT_BYTES = 8
 #: default budget for GraphEngine-owned caches (~4 MiB)
 DEFAULT_CACHE_BYTES = 4 << 20
 
-_CENTERS_TAG = 0
-_SUBCLUSTER_TAG = 1
-_PROJECTION_TAG = 2
-_EXTENSIONS_TAG = 3
-
 #: a multiway expansion: (sorted union of subclusters, centers, volume)
 Expansion = Tuple[Tuple[int, ...], int, int]
 
 
-def _cost(key: tuple, value: tuple) -> int:
+def _cost(value: Expansion) -> int:
     """Bytes charged for one entry: the overhead plus every int it holds
-    (an expansion's nodes and its two counts)."""
-    ints = len(value[0]) + 2 if key[0] >= _PROJECTION_TAG else len(value)
-    return _ENTRY_OVERHEAD_BYTES + _INT_BYTES * ints
+    (the expansion's nodes and its two counts)."""
+    return _ENTRY_OVERHEAD_BYTES + _INT_BYTES * (len(value[0]) + 2)
 
 
 class CenterCache:
-    """LRU of center sets, subclusters, multiway projections and
-    extension sets, bounded by bytes.
+    """LRU of multiway projections and extension sets, bounded by bytes.
 
     ``capacity_bytes <= 0`` disables storage entirely (every ``get`` is a
     miss and ``put`` is a no-op) while keeping the counters alive, so the
@@ -82,7 +75,7 @@ class CenterCache:
     def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.capacity_bytes = capacity_bytes
         self._lock = threading.Lock()
-        self._store: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._store: "OrderedDict[tuple, Expansion]" = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -101,70 +94,31 @@ class CenterCache:
             self._evictions = 0
 
     # ------------------------------------------------------------------
-    # the four memoized functions
+    # the two memoized expansions (a projection's key is one item
+    # shorter than an extension set's, so the two never collide)
     # ------------------------------------------------------------------
-    def get_centers(
-        self,
-        node: int,
-        pair: Tuple[str, str],
-        side: Side,
-        stats: Optional["CacheStats"] = None,
-    ) -> Optional[Tuple[int, ...]]:
-        """Cached ``getCenters`` result for ``(node, X, Y)``, or None."""
-        return self._get((_CENTERS_TAG, node, pair, side is Side.OUT), stats)
-
-    def put_centers(
-        self,
-        node: int,
-        pair: Tuple[str, str],
-        side: Side,
-        centers: Tuple[int, ...],
-        stats: Optional["CacheStats"] = None,
-    ) -> None:
-        self._put((_CENTERS_TAG, node, pair, side is Side.OUT), centers, stats)
-
-    def get_subcluster(
-        self,
-        center: int,
-        label: str,
-        side: Side,
-        stats: Optional["CacheStats"] = None,
-    ) -> Optional[Tuple[int, ...]]:
-        """Cached ``getT(w, Y)`` / ``getF(w, X)`` subcluster, or None."""
-        return self._get((_SUBCLUSTER_TAG, center, label, side is Side.OUT), stats)
-
-    def put_subcluster(
-        self,
-        center: int,
-        label: str,
-        side: Side,
-        nodes: Tuple[int, ...],
-        stats: Optional["CacheStats"] = None,
-    ) -> None:
-        self._put((_SUBCLUSTER_TAG, center, label, side is Side.OUT), nodes, stats)
-
     def get_projection(self, pair: Tuple[str, str], side: Side,
                        stats: Optional["CacheStats"] = None) -> Optional[Expansion]:
         """Cached multiway seed domain: ``(X, Y)``'s W-projection, or None."""
-        return self._get((_PROJECTION_TAG, pair, side is Side.OUT), stats)
+        return self._get((pair, side is Side.OUT), stats)
 
     def put_projection(self, pair: Tuple[str, str], side: Side, value: Expansion,
                        stats: Optional["CacheStats"] = None) -> None:
-        self._put((_PROJECTION_TAG, pair, side is Side.OUT), value, stats)
+        self._put((pair, side is Side.OUT), value, stats)
 
     def get_extensions(self, node: int, pair: Tuple[str, str], side: Side,
                        stats: Optional["CacheStats"] = None) -> Optional[Expansion]:
         """Cached multiway extension set: *node*'s centers' subclusters, or None."""
-        return self._get((_EXTENSIONS_TAG, node, pair, side is Side.OUT), stats)
+        return self._get((node, pair, side is Side.OUT), stats)
 
     def put_extensions(self, node: int, pair: Tuple[str, str], side: Side,
                        value: Expansion, stats: Optional["CacheStats"] = None) -> None:
-        self._put((_EXTENSIONS_TAG, node, pair, side is Side.OUT), value, stats)
+        self._put((node, pair, side is Side.OUT), value, stats)
 
     # ------------------------------------------------------------------
     # LRU mechanics
     # ------------------------------------------------------------------
-    def _get(self, key: tuple, stats: Optional["CacheStats"]) -> Optional[tuple]:
+    def _get(self, key: tuple, stats: Optional["CacheStats"]) -> Optional[Expansion]:
         with self._lock:
             value = self._store.get(key)
             if value is None:
@@ -179,12 +133,12 @@ class CenterCache:
             return value
 
     def _put(
-        self, key: tuple, value: tuple, stats: Optional["CacheStats"] = None
+        self, key: tuple, value: Expansion, stats: Optional["CacheStats"] = None
     ) -> None:
         capacity = self.capacity_bytes
         if capacity <= 0:
             return
-        cost = _cost(key, value)
+        cost = _cost(value)
         if cost > capacity:
             return  # a single oversized entry would evict everything
         with self._lock:
@@ -193,7 +147,7 @@ class CenterCache:
             self._store[key] = value
             self._bytes += cost
             while self._bytes > capacity and self._store:
-                self._bytes -= _cost(*self._store.popitem(last=False))
+                self._bytes -= _cost(self._store.popitem(last=False)[1])
                 self._evictions += 1
                 if stats is not None:
                     stats.evictions += 1
@@ -241,7 +195,7 @@ class CenterCache:
         whether to raise.
         """
         with self._lock:
-            expected = sum(_cost(*entry) for entry in self._store.items())
+            expected = sum(map(_cost, self._store.values()))
             ledger = self._bytes
         problems: List[str] = []
         if expected != ledger:

@@ -110,38 +110,33 @@ class ExecutionContext:
     operator whose output outgrows it raises
     :class:`~repro.query.algebra.RowLimitExceeded`.
 
-    ``center_cache`` is the engine-owned cross-query LRU the operators
-    consult for center sets and subclusters before reading the
-    database's run surface; ``None`` runs without it (cold per-query
-    accounting — what ``execute_plan`` does).
+    ``center_cache`` is the engine-owned cross-query LRU the multiway
+    operators consult for their W-projections and extension sets before
+    computing them from the database's run surface; ``None`` runs
+    without it (cold per-query accounting — what ``execute_plan`` does).
 
-    ``sanitize`` arms the runtime tripwires of
-    :mod:`repro.analysis.sanitizer` (the CenterCache byte-ledger
-    audit, run once per context construction); it defaults to the
-    ``REPRO_SANITIZE`` environment switch, re-read on every context
-    construction.
+    With ``REPRO_SANITIZE`` set (:mod:`repro.analysis.sanitizer`, re-read
+    on every construction), a context that carries a cache audits its
+    byte ledger before the run reads.
     """
 
     db: Database
     pattern: GraphPattern
     row_limit: Optional[int] = None
     center_cache: Optional[CenterCache] = None
-    sanitize: bool = False
     #: this run's private CenterCache recorder — operators pass it into
     #: every shared-cache get, so concurrent queries over one engine get
     #: exact per-query hit/miss attribution (no global-counter deltas)
     cache_stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        if not self.sanitize:
-            # imported lazily: the analysis layer depends on the query
-            # layer, not the other way around
-            from ...analysis.sanitizer import sanitize_enabled
+        if self.center_cache is None:
+            return
+        # imported lazily: the analysis layer depends on the query
+        # layer, not the other way around
+        from ...analysis.sanitizer import sanitize_enabled, verify_cache_ledger
 
-            self.sanitize = sanitize_enabled()
-        if self.center_cache is not None and self.sanitize:
-            from ...analysis.sanitizer import verify_cache_ledger
-
+        if sanitize_enabled():
             # any ledger drift left by an earlier (possibly concurrent)
             # query trips before this run reads
             verify_cache_ledger(self.center_cache, where="context construction")

@@ -19,7 +19,7 @@ through the buffer pool exactly as the cost model prices them (Eqs.
 (:func:`repro.workloads.runner.accounting_run`).
 
 Because Algorithm 1/2 logic (dedup sets, the Remark 3.1 shared scan, the
-per-center subcluster cache) lives only in the operators, the two return
+per-operator subcluster memo) lives only in the operators, the two return
 identical rows *and* identical per-operator counters when fully drained.
 Both accept ``row_limit`` (the execution guard), and both run
 :meth:`~repro.query.algebra.Plan.validate` before any row is produced: a
@@ -93,7 +93,6 @@ def _prepare(
     plan: Plan,
     row_limit: Optional[int],
     center_cache: Optional[CenterCache] = None,
-    sanitize: bool = False,
 ):
     """Shared driver preamble: row-limit and plan validation, pipeline build."""
     if row_limit is not None and row_limit < 0:
@@ -104,7 +103,6 @@ def _prepare(
         pattern=plan.pattern,
         row_limit=row_limit,
         center_cache=center_cache,
-        sanitize=sanitize,
     )
     operators = build_pipeline(ctx, plan)
     metrics = RunMetrics(operators=[op.metrics for op in operators])
@@ -121,8 +119,8 @@ def execute_plan(
 ) -> QueryResult:
     """Run *plan* cold, materializing every intermediate, the result too.
 
-    Without a :class:`CenterCache`: every center set and
-    subcluster is read from the database and every intermediate is
+    Without a :class:`CenterCache`: every multiway expansion is
+    computed from the database's runs and every intermediate is
     written to and re-read from a temporal table, so ``metrics.io`` is
     the I/O the paper's Section 6 charges.  ``row_limit`` and plan
     validation behave as in :func:`execute_plan_streaming` (an exceeded
@@ -315,7 +313,6 @@ def execute_plan_streaming(
     limit: Optional[int] = None,
     row_limit: Optional[int] = None,
     center_cache: Optional[CenterCache] = None,
-    sanitize: bool = False,
     timeout: Optional[float] = None,
 ) -> StreamingResult:
     """Yield result rows lazily; stop early at *limit*.
@@ -329,9 +326,9 @@ def execute_plan_streaming(
     for runaway patterns, not a LIMIT clause).
 
     ``center_cache`` plugs in the engine's cross-query
-    :class:`CenterCache`; without it every center set and subcluster is
-    read from the database.  ``sanitize=True`` arms the runtime
-    tripwires of :mod:`repro.analysis.sanitizer`.
+    :class:`CenterCache` of multiway expansions; without it every
+    expansion is computed from the database's runs.  ``REPRO_SANITIZE``
+    arms the runtime tripwires of :mod:`repro.analysis.sanitizer`.
 
     ``timeout`` is a per-query deadline in seconds, measured from the
     first row pull: once it expires the stream stops and the metrics are
@@ -346,9 +343,7 @@ def execute_plan_streaming(
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    ctx, operators, metrics = _prepare(
-        db, plan, row_limit, center_cache=center_cache, sanitize=sanitize,
-    )
+    ctx, operators, metrics = _prepare(db, plan, row_limit, center_cache)
     rows = None
     for op in operators:
         rows = op.rows(rows)

@@ -33,12 +33,13 @@ Both operators are single bodies over the sorted-run kernels and the
 database's four-call run surface, like every other physical operator
 (see :mod:`repro.query.physical.operators`): W-runs, code runs and
 subcluster runs come from whichever storage tier the database sits on,
-memoized per operator and through the shared
-:class:`~repro.query.physical.cache.CenterCache`.  The expansions
-themselves are memoized across queries in that same cache: a seed's
+subclusters memoized per operator execution.  The expansions are
+memoized across queries in the shared
+:class:`~repro.query.physical.cache.CenterCache`: a seed's
 per-condition W-projection keyed ``((X, Y), side)``, a step's
 per-condition extension set keyed ``(node, (X, Y), side)`` — both pure
 functions of the built database, stored as ``(nodes, centers, volume)``.
+On a miss the operator computes the expansion from the runs, as above.
 
 Counter semantics (matching Filter/Fetch conventions):
 
@@ -236,7 +237,7 @@ class MultiwayIntersectOp(_MultiwayBase):
                 w_run, pair, side, fetch_label = w_keys[index]
                 entry = None if cache is None else cache.get_extensions(node, pair, side, stats)
                 if entry is None:
-                    centers = self._centers(node, w_run, pair, side)
+                    centers = self._centers(node, w_run, side)
                     entry = self._expand(centers, fetch_label, side)
                     if cache is not None:
                         cache.put_extensions(node, pair, side, entry, stats)

@@ -31,13 +31,15 @@ sorted-run kernels (:mod:`repro.query.physical.kernels`), and reads the
 database only through its four-call run surface (``w_run``/``code_run``/
 ``subcluster_run``/``extent_run``) — whether those runs come from the
 B+-tree tier (charged I/O) or a snapshot (copied per call) is the
-database's business, never an operator's.  Every operator takes the same
-lookup order for the two memoizable reads: per-operator memo, then the
-cross-query :class:`~repro.query.physical.cache.CenterCache` when the
-context carries one, then the run surface.  ``W(X, Y)`` is read once per
-operator execution and each subcluster once per operator; HPSJ's getF
-and getT of one center share one index probe (the paper's "leaf stays
-pinned" average ``IO_rji``).
+database's business, never an operator's.  ``W(X, Y)`` is read once per
+operator execution, a center set is ``code ∩ W`` computed where it is
+needed, and each subcluster is read once per operator execution
+(per-operator memo, then the run surface); HPSJ's getF and getT of one
+center share one index probe (the paper's "leaf stays pinned" average
+``IO_rji``).  So a streamed left-deep plan reads exactly what its
+accounting run reads.  Only the multiway operators
+(:mod:`repro.query.physical.multiway`) consult the cross-query
+:class:`~repro.query.physical.cache.CenterCache`, for their expansions.
 
 The driver in :mod:`repro.query.physical.drivers` chains these
 generators; the paper's accounting run (``execute_plan``) drains each
@@ -195,53 +197,28 @@ class PhysicalOperator:
         metrics.centers_probed = centers_probed
         metrics.nodes_fetched = nodes_fetched
 
-    def _centers(
-        self, node: int, w_run: Sequence[int], pair: Tuple[str, str], side: Side
-    ) -> Tuple[int, ...]:
-        """Eq. 6: ``getCenters`` = the node's code ∩ ``W(X, Y)``, sorted.
-
-        CenterCache first (when the context carries one), else the code
-        run galloped into the operator's W-run.
-        """
-        cache = self.ctx.center_cache
-        if cache is not None:
-            cached = cache.get_centers(node, pair, side, stats=self.ctx.cache_stats)
-            if cached is not None:
-                return cached
-        centers: Tuple[int, ...] = ()
-        if w_run:
-            centers = tuple(
-                kernels.intersect(self.ctx.db.code_run(node, side.value), w_run)
-            )
-        if cache is not None:
-            cache.put_centers(node, pair, side, centers, stats=self.ctx.cache_stats)
-        return centers
+    def _centers(self, node: int, w_run: Sequence[int], side: Side) -> Tuple[int, ...]:
+        """Eq. 6: ``getCenters`` = the node's code run galloped into the
+        operator's ``W(X, Y)`` run, sorted."""
+        if not w_run:
+            return ()
+        return tuple(kernels.intersect(self.ctx.db.code_run(node, side.value), w_run))
 
     def _subcluster(
         self, center: int, label: str, side: Side, pinned: bool = False
     ) -> Sequence[int]:
         """One center's labeled subcluster — ``getT(w, label)`` for
         ``Side.OUT``, ``getF(w, label)`` for ``Side.IN``: per-operator
-        memo, then the CenterCache, then one index probe.  Only a
-        *pinned* read (HPSJ's getT right after its getF) may reuse the
-        leaf the previous probe pinned, so a streamed plan probes exactly
-        what its accounting run probes."""
+        memo, then one index probe.  Only a *pinned* read (HPSJ's getT
+        right after its getF) may reuse the leaf the previous probe
+        pinned, so a streamed plan probes exactly what its accounting run
+        probes."""
         key = (center, label, side)
         partners = self._subclusters.get(key)
-        if partners is not None:
-            return partners
-        cache = self.ctx.center_cache
-        if cache is not None:
-            partners = cache.get_subcluster(
-                center, label, side, stats=self.ctx.cache_stats
-            )
         if partners is None:
-            partners = self.ctx.db.subcluster_run(center, label, side.value, pinned)
-            if cache is not None:
-                cache.put_subcluster(
-                    center, label, side, partners, stats=self.ctx.cache_stats
-                )
-        self._subclusters[key] = partners
+            partners = self._subclusters[key] = self.ctx.db.subcluster_run(
+                center, label, side.value, pinned
+            )
         return partners
 
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
@@ -360,12 +337,12 @@ class SharedFilterOp(PhysicalOperator):
         ]
 
     def _suffix(
-        self, node: int, w_keys: Sequence[Tuple[Sequence[int], Tuple[str, str], Side]]
+        self, node: int, w_keys: Sequence[Tuple[Sequence[int], Side]]
     ) -> Optional[Tuple[Tuple[int, ...], ...]]:
         """The centers columns for *node*, or None if any key prunes it."""
         columns = []
-        for w_run, pair, side in w_keys:
-            centers = self._centers(node, w_run, pair, side)
+        for w_run, side in w_keys:
+            centers = self._centers(node, w_run, side)
             if not centers:
                 return None
             columns.append(centers)
@@ -374,9 +351,7 @@ class SharedFilterOp(PhysicalOperator):
     def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
         db = self.ctx.db
         # W(X, Y) is read once per key per execution, not per node
-        w_keys = [
-            (db.w_run(*pair), pair, side) for pair, side in self.label_pairs
-        ]
+        w_keys = [(db.w_run(*pair), side) for pair, side in self.label_pairs]
         memo: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]] = {}
         position = self.position
         limit = self._limit()

@@ -4,7 +4,7 @@ from .buffer import DEFAULT_BUFFER_BYTES, BufferPool
 from .extsort import SortStats, external_sort
 from .bptree import BPlusTree
 from .heapfile import HeapFile
-from .pages import DEFAULT_PAGE_SIZE, DiskManager, Page, PageFullError, record_size
+from .pages import DEFAULT_PAGE_SIZE, DiskManager, Page, record_size
 from .snapshot import (
     SNAPSHOT_MAGIC,
     Snapshot,
@@ -30,7 +30,6 @@ __all__ = [
     "HeapFile",
     "DiskManager",
     "Page",
-    "PageFullError",
     "record_size",
     "IOStats",
     "SchemaError",

@@ -58,9 +58,7 @@ class BPlusTree:
         self.unique = unique
         self._size = 0
         self._height = 1
-        root = self.pool.new_page()
-        root.append([_LEAF, [], [], -1])
-        self._root_id = root.page_id
+        self._root_id = self._new_node([_LEAF, [], [], -1])
 
     # ------------------------------------------------------------------
     # node helpers
@@ -74,8 +72,9 @@ class BPlusTree:
         self.pool.fetch(page_id).put_untracked(0, node)
 
     def _new_node(self, node: list) -> int:
+        # unsized, like _store: one node per page, bounded by fanout
         page = self.pool.new_page()
-        page.append(node)
+        page.fill([node], 0)
         return page.page_id
 
     # ------------------------------------------------------------------

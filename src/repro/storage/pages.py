@@ -44,10 +44,6 @@ def record_size(record: Any) -> int:
     raise TypeError(f"unsupported record component: {type(record).__name__}")
 
 
-class PageFullError(RuntimeError):
-    """Raised when a record does not fit in a page's remaining budget."""
-
-
 class Page:
     """A slotted page holding whole records within a byte budget."""
 
@@ -63,39 +59,17 @@ class Page:
     def free_space(self) -> int:
         return self.capacity - self.used
 
-    def append(self, record: Any) -> int:
-        """Append *record*; returns the slot number.
-
-        Oversized records (larger than a whole page) are still stored, one
-        per page, so that callers never deadlock on a record that can never
-        fit; the page simply reports itself full afterwards.
-        """
-        size = record_size(record) + SLOT_OVERHEAD
-        if self.records and size > self.free_space():
-            raise PageFullError(
-                f"record of {size}B does not fit in page {self.page_id} "
-                f"({self.free_space()}B free)"
-            )
-        self.fill([record], size)
-        return len(self.records) - 1
-
     def fill(self, records: List[Any], used: int) -> None:
-        """Admit *records* that the heap file's output buffer gathered
-        under the fill rule; their sizes, slot overhead included, sum to
-        *used*."""
+        """Admit *records* charged *used* bytes in all: what the heap
+        file's output buffer gathered under the fill rule (their sizes,
+        slot overhead included), or a B+-tree's one node, charged 0 —
+        fanout, not bytes, bounds a node (see :meth:`put_untracked`)."""
         self.records.extend(records)
         self.used += used
         self.dirty = True
 
     def get(self, slot: int) -> Any:
         return self.records[slot]
-
-    def put(self, slot: int, record: Any) -> None:
-        """Replace the record at *slot* in place, adjusting the budget."""
-        old = self.records[slot]
-        self.used += record_size(record) - record_size(old)
-        self.records[slot] = record
-        self.dirty = True
 
     def put_untracked(self, slot: int, record: Any) -> None:
         """Replace a record without re-measuring its size.

@@ -48,6 +48,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             make_tree(fanout=2)
 
+    def test_nodes_are_stored_unsized(self):
+        """One node per page, bounded by fanout: no node page is charged
+        bytes, however it grows or splits."""
+        tree = make_tree(fanout=4)
+        for key in range(50):
+            tree.insert(key, (key,) * 8)
+        disk = tree.pool.disk
+        assert disk.page_count > 1
+        pages = [disk.read_page(page_id) for page_id in range(disk.page_count)]
+        assert all(len(page) == 1 and page.used == 0 for page in pages)
+
     def test_tuple_keys(self):
         tree = make_tree()
         tree.insert(("A", "B"), [1, 2])

@@ -4,10 +4,10 @@ Covers the LRU mechanics (eviction order, approximate byte bound), the
 label-pair keying (one private cache per engine, ordered pairs), the
 hit/miss/eviction counters and their per-run surfacing in
 ``RunMetrics.center_cache``, the ``capacity_bytes <= 0`` disabled
-mode the ``--no-center-cache`` ablation uses, and the multiway kinds
-(seed projections, extension sets): their keys, their byte charge, and
-the counter replay that keeps rows and operator counters identical
-whatever the cache holds.
+mode the ``--no-center-cache`` ablation uses, and its two kinds — the
+multiway plan's seed projections and extension sets: their keys, their
+byte charge, that nothing else is stored, and the counter replay that
+keeps rows and operator counters identical whatever the cache holds.
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from repro import DiGraph, GraphEngine
 from repro.graph.generators import figure1_graph
 from repro.query import execute_plan_streaming
-from repro.query.algebra import MultiwaySeed, SeedJoin, Side
+from repro.query.algebra import MultiwaySeed, Side
 from repro.query.physical.cache import (
     _ENTRY_OVERHEAD_BYTES,
     _INT_BYTES,
@@ -27,68 +27,76 @@ from repro.workloads.runner import accounting_run
 from reference_executor import op_counters
 
 
-#: the (X, Y) label pair the unit cases key their centers entries on
+#: the (X, Y) label pair the unit cases key their entries on
 PAIR = ("A", "C")
+#: an extension set of no nodes: the smallest entry
+EMPTY = ((), 0, 0)
 
 
-def entry_cost(n_ints: int) -> int:
-    return _ENTRY_OVERHEAD_BYTES + _INT_BYTES * n_ints
+def expansion(*nodes: int):
+    """An ``(nodes, centers, volume)`` value holding *nodes*."""
+    return nodes, len(nodes), len(nodes)
+
+
+def entry_cost(n_nodes: int) -> int:
+    """The charge of an expansion of *n_nodes* nodes (plus its two counts)."""
+    return _ENTRY_OVERHEAD_BYTES + _INT_BYTES * (n_nodes + 2)
 
 
 class TestLRU:
     def test_get_put_roundtrip(self):
         cache = CenterCache()
-        assert cache.get_centers(1, PAIR, Side.OUT) is None
-        cache.put_centers(1, PAIR, Side.OUT, (4, 5))
-        assert cache.get_centers(1, PAIR, Side.OUT) == (4, 5)
+        assert cache.get_extensions(1, PAIR, Side.OUT) is None
+        cache.put_extensions(1, PAIR, Side.OUT, expansion(4, 5))
+        assert cache.get_extensions(1, PAIR, Side.OUT) == expansion(4, 5)
 
     def test_sides_and_kinds_do_not_collide(self):
         cache = CenterCache()
-        cache.put_centers(1, PAIR, Side.OUT, (4,))
-        assert cache.get_centers(1, PAIR, Side.IN) is None
-        # subcluster keyspace is disjoint from the centers keyspace
-        cache.put_subcluster(1, "A", Side.OUT, (9,))
-        assert cache.get_centers(1, PAIR, Side.OUT) == (4,)
-        assert cache.get_subcluster(1, "A", Side.OUT) == (9,)
+        cache.put_extensions(1, PAIR, Side.OUT, expansion(4))
+        assert cache.get_extensions(1, PAIR, Side.IN) is None
+        # the projection keyspace is disjoint from the extension-set keyspace
+        cache.put_projection(PAIR, Side.OUT, expansion(9))
+        assert cache.get_extensions(1, PAIR, Side.OUT) == expansion(4)
+        assert cache.get_projection(PAIR, Side.OUT) == expansion(9)
 
     def test_eviction_is_least_recently_used(self):
-        # room for exactly two empty-tuple entries
+        # room for exactly two empty entries
         cache = CenterCache(capacity_bytes=2 * entry_cost(0))
-        cache.put_centers(1, PAIR, Side.OUT, ())
-        cache.put_centers(2, PAIR, Side.OUT, ())
-        cache.get_centers(1, PAIR, Side.OUT)  # touch 1 => 2 is now LRU
-        cache.put_centers(3, PAIR, Side.OUT, ())
+        cache.put_extensions(1, PAIR, Side.OUT, EMPTY)
+        cache.put_extensions(2, PAIR, Side.OUT, EMPTY)
+        cache.get_extensions(1, PAIR, Side.OUT)  # touch 1 => 2 is now LRU
+        cache.put_extensions(3, PAIR, Side.OUT, EMPTY)
         assert cache.evictions == 1
-        assert cache.get_centers(2, PAIR, Side.OUT) is None  # evicted
-        assert cache.get_centers(1, PAIR, Side.OUT) == ()  # survived
+        assert cache.get_extensions(2, PAIR, Side.OUT) is None  # evicted
+        assert cache.get_extensions(1, PAIR, Side.OUT) == EMPTY  # survived
 
     def test_byte_bound_holds(self):
         cache = CenterCache(capacity_bytes=10 * entry_cost(4))
         for node in range(100):
-            cache.put_centers(node, PAIR, Side.OUT, (1, 2, 3, 4))
+            cache.put_extensions(node, PAIR, Side.OUT, expansion(1, 2, 3, 4))
         assert cache.estimated_bytes <= cache.capacity_bytes
         assert cache.entry_count == 10
         assert cache.evictions == 90
 
     def test_oversized_entry_is_refused_not_thrashed(self):
         cache = CenterCache(capacity_bytes=entry_cost(2))
-        cache.put_centers(1, PAIR, Side.OUT, (1,))
-        cache.put_centers(2, PAIR, Side.OUT, tuple(range(1000)))  # too big
-        assert cache.get_centers(1, PAIR, Side.OUT) == (1,)  # untouched
+        cache.put_extensions(1, PAIR, Side.OUT, expansion(1))
+        cache.put_extensions(2, PAIR, Side.OUT, expansion(*range(1000)))  # too big
+        assert cache.get_extensions(1, PAIR, Side.OUT) == expansion(1)  # untouched
         assert cache.evictions == 0
 
     def test_counters(self):
         cache = CenterCache()
-        cache.get_centers(1, PAIR, Side.OUT)
-        cache.put_centers(1, PAIR, Side.OUT, ())
-        cache.get_centers(1, PAIR, Side.OUT)
+        cache.get_extensions(1, PAIR, Side.OUT)
+        cache.put_extensions(1, PAIR, Side.OUT, EMPTY)
+        cache.get_extensions(1, PAIR, Side.OUT)
         assert cache.snapshot() == (1, 1, 0)
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_disabled_mode_counts_misses_stores_nothing(self):
         cache = CenterCache(capacity_bytes=0)
-        cache.put_centers(1, PAIR, Side.OUT, (4,))
-        assert cache.get_centers(1, PAIR, Side.OUT) is None
+        cache.put_extensions(1, PAIR, Side.OUT, expansion(4))
+        assert cache.get_extensions(1, PAIR, Side.OUT) is None
         assert cache.entry_count == 0
         assert cache.misses == 1
 
@@ -96,25 +104,25 @@ class TestLRU:
 class TestInvalidation:
     def test_clear_resets_counters_too(self):
         cache = CenterCache()
-        cache.get_centers(1, PAIR, Side.OUT)
-        cache.put_centers(1, PAIR, Side.OUT, ())
+        cache.get_projection(PAIR, Side.OUT)
+        cache.put_projection(PAIR, Side.OUT, EMPTY)
         cache.clear()
         assert cache.snapshot() == (0, 0, 0)
         assert cache.entry_count == 0
 
 
 class TestPairKeys:
-    """Centers entries are keyed on the ``(X, Y)`` label pair itself and
-    every engine owns a private cache, so no process-global id table (and
-    no epoch to keep it honest) stands between a key and its meaning."""
+    """Entries are keyed on the ``(X, Y)`` label pair itself and every
+    engine owns a private cache, so no process-global id table (and no
+    epoch to keep it honest) stands between a key and its meaning."""
 
     def test_ordered_pairs_do_not_collide(self):
         cache = CenterCache()
-        cache.put_centers(1, ("A", "C"), Side.OUT, (4,))
-        assert cache.get_centers(1, ("C", "A"), Side.OUT) is None
-        cache.put_centers(1, ("C", "A"), Side.OUT, (7,))
-        assert cache.get_centers(1, ("A", "C"), Side.OUT) == (4,)
-        assert cache.get_centers(1, ("C", "A"), Side.OUT) == (7,)
+        cache.put_extensions(1, ("A", "C"), Side.OUT, expansion(4))
+        assert cache.get_extensions(1, ("C", "A"), Side.OUT) is None
+        cache.put_extensions(1, ("C", "A"), Side.OUT, expansion(7))
+        assert cache.get_extensions(1, ("A", "C"), Side.OUT) == expansion(4)
+        assert cache.get_extensions(1, ("C", "A"), Side.OUT) == expansion(7)
 
     def test_engines_over_different_vocabularies_stay_apart(self):
         """Same node ids, disjoint label vocabularies, interleaved runs:
@@ -164,17 +172,6 @@ class TestRunMetricsSurface:
         assert engine.center_cache.entry_count == 0
         assert engine.center_cache.snapshot() == (0, 0, 0)
 
-    def test_hpsj_reads_through_the_cache(self):
-        """HPSJ reads getF and getT through the CenterCache, like Fetch
-        and the multiway steps: a repeat run answers every read from it."""
-        engine = GraphEngine(figure1_graph())
-        cold = engine.match("B -> E", optimizer="dps")
-        assert [type(step) for step in cold.plan.steps] == [SeedJoin]
-        warm = engine.match("B -> E", optimizer="dps")
-        assert warm.metrics.center_cache.misses == 0
-        assert warm.metrics.center_cache.hits == cold.metrics.center_cache.misses > 0
-        assert warm.rows == cold.rows
-
     def test_streaming_run_reports_cache_stats(self):
         engine = GraphEngine(figure1_graph())
         stream = engine.match_iter("A -> C, B -> C")
@@ -199,12 +196,8 @@ class TestMultiwayKinds:
 
     def test_keys_do_not_collide(self):
         cache = CenterCache()
-        cache.put_centers(1, PAIR, Side.OUT, (4,))
-        cache.put_subcluster(1, "A", Side.OUT, (7,))
         cache.put_extensions(1, PAIR, Side.OUT, ((9,), 1, 1))
         cache.put_projection(PAIR, Side.OUT, ((5, 6), 2, 3))
-        assert cache.get_centers(1, PAIR, Side.OUT) == (4,)
-        assert cache.get_subcluster(1, "A", Side.OUT) == (7,)
         assert cache.get_extensions(1, PAIR, Side.OUT) == ((9,), 1, 1)
         assert cache.get_projection(PAIR, Side.OUT) == ((5, 6), 2, 3)
         # the other side, the reversed pair and another node are misses
@@ -212,34 +205,79 @@ class TestMultiwayKinds:
         assert cache.get_extensions(2, PAIR, Side.OUT) is None
         assert cache.get_projection(PAIR, Side.IN) is None
         assert cache.get_projection(("C", "A"), Side.OUT) is None
-        assert cache.entry_count == 4
+        assert cache.entry_count == 2
 
     def test_ledger_charges_nodes_plus_both_counts(self):
         cache = CenterCache()
         cache.put_projection(PAIR, Side.OUT, ((5, 6, 7), 2, 9))
-        assert cache.estimated_bytes == entry_cost(3 + 2)
-        cache.put_extensions(1, PAIR, Side.IN, ((), 0, 0))
-        cache.put_centers(1, PAIR, Side.IN, (3, 4))
-        assert cache.estimated_bytes == entry_cost(5) + entry_cost(2) + entry_cost(2)
+        assert cache.estimated_bytes == entry_cost(3)
+        cache.put_extensions(1, PAIR, Side.IN, EMPTY)
+        cache.put_extensions(2, PAIR, Side.IN, ((3, 4), 1, 2))
+        assert cache.estimated_bytes == entry_cost(3) + entry_cost(0) + entry_cost(2)
         assert cache.check_ledger() == []
 
     def test_eviction_refunds_the_exact_charge(self):
-        cache = CenterCache(capacity_bytes=entry_cost(6))
+        cache = CenterCache(capacity_bytes=entry_cost(4))
         cache.put_extensions(1, PAIR, Side.OUT, ((1, 2, 3, 4), 2, 5))
         cache.put_projection(PAIR, Side.OUT, ((8,), 1, 1))  # evicts the first
         assert cache.evictions == 1
-        assert cache.estimated_bytes == entry_cost(3)
+        assert cache.estimated_bytes == entry_cost(1)
         assert cache.check_ledger() == []
 
     def test_oversized_projection_is_refused_not_thrashed(self):
-        cache = CenterCache(capacity_bytes=entry_cost(3))
-        cache.put_centers(1, PAIR, Side.OUT, (1,))
+        cache = CenterCache(capacity_bytes=entry_cost(1))
+        cache.put_extensions(1, PAIR, Side.OUT, expansion(1))
         # two nodes plus two counts: one int over the whole budget
         cache.put_projection(PAIR, Side.OUT, ((5, 6), 2, 2))
         assert cache.get_projection(PAIR, Side.OUT) is None
-        assert cache.get_centers(1, PAIR, Side.OUT) == (1,)  # untouched
+        assert cache.get_extensions(1, PAIR, Side.OUT) == expansion(1)  # untouched
         assert cache.evictions == 0
         assert cache.check_ledger() == []
+
+
+class TestWhatIsStored:
+    """The cache holds the multiway plan's two expansions and nothing
+    else: a left-deep plan (HPSJ, Filter, Fetch) reads per execution,
+    exactly as its accounting run does."""
+
+    @pytest.mark.parametrize("tier", ("live", "snapshot"))
+    def test_auto_pass_leaves_only_projections_and_extension_sets(
+        self, xmark_engine, xmark_snapshot_engine, figure4_workload, tier
+    ):
+        shared = xmark_engine if tier == "live" else xmark_snapshot_engine
+        engine = GraphEngine.from_database(shared.db)
+        for pattern in figure4_workload.values():
+            engine.match(pattern, optimizer="auto")
+        cache = engine.center_cache
+        resident = list(cache._store)
+        assert resident and cache.evictions == 0
+        # every resident key is one the two getters build, and reads back
+        for key in resident:
+            *node, pair, out = key
+            side = Side.OUT if out else Side.IN
+            assert len(node) <= 1, key
+            if node:
+                entry = cache.get_extensions(node[0], pair, side)
+            else:
+                entry = cache.get_projection(pair, side)
+            assert entry is not None, key
+
+    @pytest.mark.parametrize("optimizer", ("dp", "dps"))
+    @pytest.mark.parametrize("tier", ("live", "snapshot"))
+    def test_warm_left_deep_run_neither_reads_nor_writes(
+        self, xmark_engine, xmark_snapshot_engine, figure4_workload, tier, optimizer
+    ):
+        shared = xmark_engine if tier == "live" else xmark_snapshot_engine
+        engine = GraphEngine.from_database(shared.db)
+        for name, pattern in figure4_workload.items():
+            engine.match(pattern, optimizer=optimizer)
+            warm = engine.match(pattern, optimizer=optimizer)
+            stats = warm.metrics.center_cache
+            assert (stats.hits, stats.misses) == (0, 0), name
+            cold = accounting_run(engine, pattern, optimizer=optimizer)
+            assert warm.rows == cold.rows, name
+            assert op_counters(warm.metrics) == op_counters(cold.metrics), name
+        assert engine.center_cache.entry_count == 0
 
 
 #: row limits the replay runs under (None = the full answer)

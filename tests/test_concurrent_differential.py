@@ -159,8 +159,10 @@ class TestEngineHammer:
     ):
         """A cache a fraction of the working set: every thread evicts,
         rows and counters still equal the default-cache oracle, and the
-        ledger audit at every context construction stays silent."""
+        ledger audit at every context construction stays silent.  Every
+        pattern runs the multiway plan, the one that fills the cache."""
         shared = live_engine if tier == "live" else snapshot_engine
+        workload = [(name, pattern, "wcoj") for name, pattern, _ in workload]
         oracle = build_oracle(shared, workload)
         engine = GraphEngine.from_database(
             shared.db, cache_bytes=SMALL_CACHE_BYTES

@@ -2,10 +2,12 @@
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.db.catalog import PairStats
 from repro.db.database import GraphDatabase
 from repro.graph.generators import figure1_graph, random_digraph
 from repro.graph.traversal import TransitiveClosure
@@ -213,6 +215,25 @@ class TestCatalog:
                 estimate = fig1_db.catalog.join_size(x_label, y_label)
                 cap = len(g.extent(x_label)) * len(g.extent(y_label))
                 assert truth <= estimate <= cap
+
+    def test_pair_stats_recount_the_clusters(self, fig1_db):
+        """The statistics the index build computes, recounted from the
+        labeling's clusters — in the same first-seen order, which the
+        workload generator walks ``all_pairs()`` in."""
+        graph = fig1_db.graph
+        extents = graph.extents()
+        recount = {}
+        for f_cluster, t_cluster in fig1_db.labeling.clusters().values():
+            t_counts = Counter(map(graph.label, t_cluster))
+            for x_label, fx in Counter(map(graph.label, f_cluster)).items():
+                for y_label, ty in t_counts.items():
+                    total, centers, volume = recount.get((x_label, y_label), (0, 0, 0))
+                    recount[x_label, y_label] = (total + fx * ty, centers + 1, volume + ty)
+        expected = [
+            ((x, y), PairStats(min(total, len(extents[x]) * len(extents[y])), centers, volume))
+            for (x, y), (total, centers, volume) in recount.items()
+        ]
+        assert list(fig1_db.catalog.all_pairs().items()) == expected
 
     def test_selectivity_in_unit_range(self, fig1_db):
         for x_label in "ABCDE":

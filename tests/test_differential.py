@@ -26,8 +26,8 @@ from reference_executor import op_counters, reference_execute
 TIERS = ("live", "snapshot")
 #: every optimizer runs the cyclic shapes and the Figure-4 families
 OPTIMIZERS = ("dp", "dps", "wcoj")
-#: a CenterCache budget far below the dps workload's ~47 KB working set,
-#: so the sanitizer leg runs under constant eviction
+#: a CenterCache budget far below the wcoj workload's working set, so
+#: the sanitizer leg runs under constant eviction
 SMALL_CACHE_BYTES = 8 << 10
 
 
@@ -86,16 +86,18 @@ def test_sequential_matches_reference(
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_sanitizer_leg(
-    engines, reference_index, figure4_workload, cyclic_workload, tier
+    engines, reference_index, figure4_workload, cyclic_workload, tier, monkeypatch
 ):
     """The tripwires (the CenterCache byte-ledger audit) stay silent on
-    the sequential runs, with a cache small enough to keep evicting."""
+    the sequential multiway runs, with a cache small enough to keep
+    evicting."""
     engine = engines[tier]
     cache = CenterCache(capacity_bytes=SMALL_CACHE_BYTES)
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
     for name, pattern in workload_for(figure4_workload, cyclic_workload).items():
         check_streams(
-            engine, reference_index, pattern, "dps", f"{name}/{tier}/sanitize",
-            {"center_cache": cache, "sanitize": True},
+            engine, reference_index, pattern, "wcoj", f"{name}/{tier}/sanitize",
+            {"center_cache": cache},
         )
     assert cache.evictions > 0
     assert cache.check_ledger() == []

@@ -10,6 +10,7 @@ from repro.analysis.sanitizer import SanitizerError, sanitize_enabled
 from repro.db.database import GraphDatabase
 from repro.graph import xmark
 from repro.query.engine import GraphEngine
+from repro.query.physical.cache import CenterCache
 from repro.query.physical.context import ExecutionContext
 from repro.query.physical.drivers import execute_plan_streaming
 from repro.storage.snapshot import Snapshot, SnapshotError, write_snapshot
@@ -37,15 +38,16 @@ class TestEnvironmentSwitch:
             assert sanitize_enabled()
 
     def test_context_reads_env_at_construction(self, engine, monkeypatch):
+        """The one switch is read per context: a drifted byte ledger
+        trips the audit only while ``REPRO_SANITIZE`` is set."""
         pattern = engine.plan(PATTERN).plan.pattern
+        drifted = CenterCache()
+        drifted._bytes = 1  # a ledger with nothing resident behind it
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        ctx = ExecutionContext(db=engine.db, pattern=pattern,
-                               center_cache=engine.center_cache)
-        assert ctx.sanitize
+        with pytest.raises(SanitizerError, match="byte ledger"):
+            ExecutionContext(db=engine.db, pattern=pattern, center_cache=drifted)
         monkeypatch.setenv("REPRO_SANITIZE", "0")
-        ctx = ExecutionContext(db=engine.db, pattern=pattern,
-                               center_cache=engine.center_cache)
-        assert not ctx.sanitize
+        ExecutionContext(db=engine.db, pattern=pattern, center_cache=drifted)
 
 
 class TestSnapshotPoisoning:
@@ -110,11 +112,12 @@ class TestSnapshotPoisoning:
 
 
 class TestSanitizeDifferential:
-    def test_rows_identical_under_sanitize(self, engine):
+    def test_rows_identical_under_sanitize(self, engine, monkeypatch):
         plan = engine.plan(PATTERN).plan
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         oracle = execute_plan_streaming(engine.db, plan,
                                         center_cache=engine.center_cache)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         sanitized = execute_plan_streaming(engine.db, plan,
-                                           center_cache=engine.center_cache,
-                                           sanitize=True)
+                                           center_cache=engine.center_cache)
         assert list(sanitized) == list(oracle)

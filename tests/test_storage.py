@@ -6,13 +6,7 @@ import pytest
 
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile
-from repro.storage.pages import (
-    DEFAULT_PAGE_SIZE,
-    DiskManager,
-    Page,
-    PageFullError,
-    record_size,
-)
+from repro.storage.pages import DiskManager, Page, record_size
 from repro.storage.stats import IOStats
 
 
@@ -36,40 +30,16 @@ class TestRecordSize:
 
 
 class TestPage:
-    def test_append_and_get(self):
+    def test_fill_and_get(self):
         page = Page(0, capacity=256)
-        slot = page.append((1, 2, 3))
-        assert slot == 0
+        page.fill([(1, 2, 3)], 24)
         assert page.get(0) == (1, 2, 3)
         assert len(page) == 1
-
-    def test_fills_up_and_raises(self):
-        page = Page(0, capacity=64)
-        inserted = 0
-        with pytest.raises(PageFullError):
-            while True:
-                page.append((inserted,))
-                inserted += 1
-        assert inserted >= 2
-        assert page.free_space() < 12
-
-    def test_oversized_record_on_empty_page_is_stored(self):
-        page = Page(0, capacity=32)
-        page.append(tuple(range(100)))  # bigger than the page
-        assert len(page) == 1
-        assert page.free_space() < 0 or page.used >= 32
-
-    def test_put_adjusts_budget(self):
-        page = Page(0, capacity=256)
-        page.append((1,))
-        used_before = page.used
-        page.put(0, (1, 2, 3))
-        assert page.used == used_before + 8
-        assert page.get(0) == (1, 2, 3)
+        assert page.used == 24 and page.dirty
 
     def test_put_untracked_keeps_budget(self):
         page = Page(0, capacity=256)
-        page.append((1,))
+        page.fill([(1,)], 16)
         used_before = page.used
         page.put_untracked(0, tuple(range(50)))
         assert page.used == used_before
@@ -129,7 +99,7 @@ class TestBufferPool:
         pool = self._pool(4)
         pages = [pool.new_page() for _ in range(3)]
         for page in pages:
-            page.append((1,))  # dirty
+            page.fill([(1,)], 16)  # dirty
         pool.discard([page.page_id for page in pages[:2]])
         assert pool.resident_pages == 1
         assert pool.disk.page_count == 1
@@ -157,7 +127,7 @@ class TestBufferPool:
     def test_dirty_eviction_writes_back(self):
         pool = self._pool(1)
         page = pool.new_page()
-        page.append((1,))
+        page.fill([(1,)], 16)
         pool.new_page()  # evicts the dirty page
         assert pool.stats.physical_writes == 1
         refetched = pool.fetch(page.page_id)

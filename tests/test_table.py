@@ -143,9 +143,10 @@ class TestTemporalTableSpill:
         table.drop()
         assert disk.page_count == before
 
-    def test_sanitize_trips_on_a_wrong_layout_size(self):
+    def test_sanitize_trips_on_a_wrong_layout_size(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         table = temporal(1)
         table.row_size = lambda row: 16  # forgets the centers
-        table.insert_many([(1, 2, ())], sanitize=True)  # 4+8+4: agrees
+        table.insert_many([(1, 2, ())])  # 4+8+4: agrees
         with pytest.raises(SanitizerError):
-            table.insert_many([(1, 2, (7, 8))], sanitize=True)
+            table.insert_many([(1, 2, (7, 8))])
